@@ -1,12 +1,18 @@
 #!/usr/bin/env python3
-"""Benchmark the hot kernels: numba-jitted vs pure-Python fallback.
+"""Benchmark the hot kernels at full size.
 
-The same source backs both paths (`kernel` vs `kernel.py_func`), which is
-also what you get by running the package with SURFSCAN_NUMBA=0.  The
-pure-Python reference runs on reduced workloads; reported times are
-normalized per work unit so the speedup column is comparable.
+`raycast_batch` and `normals_from_depth` have two implementations: the
+scalar loops (numba compiles them; as plain Python they are the bitwise
+test oracle) and the vectorized numpy kernels, which are what runs when
+numba is absent.  Both are timed on the cases a mission runs every control
+step, from a pose in the `receding` demo's scene: the 80x60 depth image
+(5 m range), the 2048-ray 12 m omnidirectional scan and the depth image's
+normal map.  `frechet_dp` and `point_is_free` have only the scalar loops.
+The jitted column is printed only when numba is enabled.
 
-Run: python benchmarks/bench_kernels.py
+Times are the best of a few repeats, per call.
+
+Run: PYTHONPATH=src python benchmarks/bench_kernels.py
 """
 
 import time
@@ -15,12 +21,12 @@ import numpy as np
 
 from surfscan import kernels
 from surfscan._accel import NUMBA_ENABLED, py_func
-from surfscan.depthcam import CameraIntrinsics
 from surfscan.geometry import Pose6
-from surfscan.world import Box, VoxelMap, render_depth
+from surfscan.scenario import build_scene, demo_scenario
+from surfscan.world import camera_axes_world, fibonacci_directions, render_depth
 
 
-def timeit(fn, *args, repeat=3):
+def timeit(fn, *args, repeat=5):
     best = np.inf
     for _ in range(repeat):
         t0 = time.perf_counter()
@@ -29,70 +35,85 @@ def timeit(fn, *args, repeat=3):
     return best
 
 
-def bench_raycast():
-    vmap = VoxelMap.from_boxes(
-        [Box((6.0, -5.0, 0.0), (6.4, 5.0, 2.4))],
-        0.1,
-        bounds=((-1.0, -7.0, 0.0), (10.0, 7.0, 2.4)),
-    )
-    cam = CameraIntrinsics(alpha=np.deg2rad(69.5), beta=np.deg2rad(45.0), width=160, height=120, max_range=8.0)
-    pose = Pose6(4.0, 0.0, 1.2)
-    dirs = cam.pixel_directions().reshape(-1, 3) / vmap.voxel_size
+def sensing_cases():
+    """(name, scalar loop, vectorized kernel, args) for one receding pose."""
+    cfg = demo_scenario("receding")
+    vmap = build_scene(cfg).current
+    cam = cfg.camera
+    pose = Pose6(4.0, -2.0, 0.6)
     origin = vmap.world_to_grid(pose.position)
-    n_rays = dirs.shape[0]
 
-    render_depth(vmap, pose, cam)  # compile
-    t_jit = timeit(kernels.raycast_batch, vmap.occ, origin, dirs, 8.0)
-    small = dirs[:: max(n_rays // 400, 1)]
-    t_py = timeit(py_func(kernels.raycast_batch), vmap.occ, origin, small, 8.0, repeat=1)
-    return "depth raycast", n_rays, t_jit / n_rays, t_py / small.shape[0]
+    right, down, forward = camera_axes_world(pose)
+    pix = cam.pixel_directions()
+    world = pix[..., 0, None] * right + pix[..., 1, None] * down + pix[..., 2, None] * forward
+    cam_dirs = np.ascontiguousarray(world.reshape(-1, 3) / vmap.voxel_size)
+    scan_dirs = np.ascontiguousarray(fibonacci_directions(2048) / vmap.voxel_size)
+    depth = np.ascontiguousarray(render_depth(vmap, pose, cam).data)
+    return (
+        (
+            f"raycast camera {cam.width}x{cam.height}",
+            kernels.raycast_batch_scalar,
+            kernels.raycast_batch_numpy,
+            (vmap.occ, origin, cam_dirs, float(cam.max_range)),
+        ),
+        (
+            "raycast scan 2048 rays",
+            kernels.raycast_batch_scalar,
+            kernels.raycast_batch_numpy,
+            (vmap.occ, origin, scan_dirs, 12.0),
+        ),
+        (
+            f"normals {cam.width}x{cam.height}",
+            kernels.normals_from_depth_scalar,
+            kernels.normals_from_depth_numpy,
+            (depth, float(cam.fx), float(cam.fy), float(cam.cx), float(cam.cy), 0.3),
+        ),
+    )
 
 
-def bench_frechet():
+def scalar_only_cases():
     rng = np.random.default_rng(0)
     a = rng.normal(size=(200, 3))
     b = rng.normal(size=(200, 3))
-    kernels.frechet_dp(a, b)
-    t_jit = timeit(kernels.frechet_dp, a, b)
-    t_py = timeit(py_func(kernels.frechet_dp), a[:60], b[:60], repeat=1)
-    return "frechet dp", a.shape[0] * b.shape[0], t_jit / (200 * 200), t_py / (60 * 60)
-
-
-def bench_clearance():
-    rng = np.random.default_rng(1)
     occ = np.ascontiguousarray(rng.random((120, 120, 24)) < 0.02)
     pts = rng.uniform(5, 100, size=(2000, 3))
     pts[:, 2] = rng.uniform(2, 20, size=2000)
-    kernels.point_is_free(occ, 1.0, 1.0, 1.0, 5.0)
 
-    def run(fn, p):
-        for x, y, z in p:
+    def clearance(fn):
+        for x, y, z in pts:
             fn(occ, x, y, z, 5.0)
 
-    t_jit = timeit(run, kernels.point_is_free, pts)
-    t_py = timeit(run, py_func(kernels.point_is_free), pts[:100], repeat=1)
-    return "clearance scan", pts.shape[0], t_jit / 2000, t_py / 100
+    return (
+        ("frechet dp 200x200", lambda fn: fn(a, b), kernels.frechet_dp),
+        ("clearance 2000 points", clearance, kernels.point_is_free),
+    )
 
 
-def bench_normals():
-    rng = np.random.default_rng(2)
-    depth = rng.uniform(1.5, 2.5, size=(120, 160))
-    kernels.normals_from_depth(depth, 80.0, 80.0, 79.5, 59.5, 0.3)
-    t_jit = timeit(kernels.normals_from_depth, depth, 80.0, 80.0, 79.5, 59.5, 0.3)
-    small = depth[:40, :40]
-    t_py = timeit(py_func(kernels.normals_from_depth), small, 80.0, 80.0, 19.5, 19.5, 0.3, repeat=1)
-    return "normal map", depth.size, t_jit / depth.size, t_py / small.size
+def ms(seconds):
+    return f"{seconds * 1e3:>11.2f} ms"
 
 
 def main():
     print(f"numba enabled: {NUMBA_ENABLED}")
-    if not NUMBA_ENABLED:
-        print("(set SURFSCAN_NUMBA=1 or install numba to compare against the jitted path)")
-    print(f"{'kernel':<16}{'work units':>12}{'jit / unit':>14}{'python / unit':>16}{'speedup':>10}")
-    for bench in (bench_raycast, bench_frechet, bench_clearance, bench_normals):
-        name, units, jit_unit, py_unit = bench()
-        speed = py_unit / jit_unit if jit_unit > 0 else float("inf")
-        print(f"{name:<16}{units:>12}{jit_unit * 1e6:>11.2f} us{py_unit * 1e6:>13.2f} us{speed:>9.1f}x")
+    header = f"{'case':<26}{'numpy':>14}{'python loop':>14}{'python/numpy':>14}"
+    if NUMBA_ENABLED:
+        header += f"{'numba':>14}"
+    print(header)
+    for name, scalar, vectorized, args in sensing_cases():
+        t_np = timeit(vectorized, *args)
+        t_py = timeit(py_func(scalar), *args, repeat=2)
+        row = f"{name:<26}{ms(t_np)}{ms(t_py)}{t_py / t_np:>13.1f}x"
+        if NUMBA_ENABLED:
+            scalar(*args)  # compile
+            row += ms(timeit(scalar, *args))
+        print(row)
+    for name, run, kernel in scalar_only_cases():
+        t_py = timeit(run, py_func(kernel), repeat=2)
+        row = f"{name:<26}{'-':>14}{ms(t_py)}{'-':>14}"
+        if NUMBA_ENABLED:
+            run(kernel)  # compile
+            row += ms(timeit(run, kernel))
+        print(row)
 
 
 if __name__ == "__main__":

@@ -1,11 +1,13 @@
 """Numba acceleration shim.
 
-Hot kernels in :mod:`surfscan.kernels` are decorated with ``njit`` from this
-module.  When numba is installed and the environment variable
-``SURFSCAN_NUMBA`` is not set to ``0``/``false``/``off``, kernels are
-JIT-compiled (with an on-disk cache).  Otherwise the same source runs as
-plain Python over numpy arrays, which is slow but dependency-free and handy
-for debugging.  ``benchmarks/bench_kernels.py`` compares the two paths.
+Hot kernels in :mod:`surfscan.kernels` are written as scalar loops and
+decorated with ``njit`` from this module.  When numba is installed (the
+``jit`` extra) and the environment variable ``SURFSCAN_NUMBA`` is not set
+to ``0``/``false``/``off``, those loops are JIT-compiled (with an on-disk
+cache) and are the kernels that run.  Otherwise ``njit`` is a pass-through:
+the scalar loops stay plain Python and serve as the bitwise test oracle,
+while the vectorized numpy kernels in :mod:`surfscan.kernels` are the
+no-numba path.  ``benchmarks/bench_kernels.py`` compares the paths.
 """
 
 import os

@@ -142,6 +142,7 @@ def cmd_run(cfg, out_dir, base_dir=None):
 def cmd_compare(cfg, out_dir, base_dir=None):
     codes = {}
     reports = {}
+    tour_hashes = {}
     for mode in ("adaptive", "baseline"):
         sub_cfg = dataclasses.replace(cfg, mode=mode)
         sub_dir = ensure_dir(out_dir / mode)
@@ -150,19 +151,15 @@ def cmd_compare(cfg, out_dir, base_dir=None):
         _write_run_artifacts(result, sub_dir)
         codes[mode] = _STATUS_CODES[result.status]
         reports[mode] = result.summary
-    task_ids = [t.id for t in cfg.tasks]
+        # Tour files exist only for executable tasks; skipped tasks have none.
+        for tp in result.artifacts.executable:
+            tour_hashes.setdefault(tp.task.id, {})[mode] = _tour_hash(sub_dir, tp.task.id)
     comparison = {
         "scenario": cfg.name,
         "seed": cfg.seed,
         "adaptive": reports["adaptive"],
         "baseline": reports["baseline"],
-        "tour_hashes": {
-            tid: {
-                "adaptive": _tour_hash(out_dir / "adaptive", tid),
-                "baseline": _tour_hash(out_dir / "baseline", tid),
-            }
-            for tid in task_ids
-        },
+        "tour_hashes": tour_hashes,
     }
     _json_dump(comparison, out_dir / "compare.json")
     adaptive_u = reports["adaptive"].get("mean_utility")

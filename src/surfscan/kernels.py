@@ -1,17 +1,20 @@
 """Numeric inner loops: voxel raycasting, clearance scans, path DP.
 
-Everything here is written as plain loops over numpy arrays so the same
-source runs either JIT-compiled (numba) or as pure Python, depending on
-:mod:`surfscan._accel`.  All coordinates handed to these kernels are in
-*grid units* (world meters divided by voxel size, relative to the grid
-origin) unless noted otherwise.
+The kernels are written as plain loops over numpy arrays, which numba
+JIT-compiles when :mod:`surfscan._accel` enables it.  The two per-step
+sensing kernels, `raycast_batch` and `normals_from_depth`, also have
+vectorized numpy forms that run when numba is absent; the scalar loops
+(`raycast_batch_scalar`, `normals_from_depth_scalar`) stay as the jitted
+source and as the bitwise reference for the vectorized forms.  All
+coordinates handed to these kernels are in *grid units* (world meters
+divided by voxel size, relative to the grid origin) unless noted otherwise.
 """
 
 import math
 
 import numpy as np
 
-from ._accel import njit
+from ._accel import NUMBA_ENABLED, njit
 
 __all__ = [
     "raycast_batch",
@@ -137,11 +140,11 @@ def _ray_first_hit(occ, ox, oy, oz, dx, dy, dz, t_cap):
 
 
 @njit(cache=True)
-def raycast_batch(occ, origin, dirs, t_cap):
-    """First-hit parameter for a batch of rays from a common origin.
+def raycast_batch_scalar(occ, origin, dirs, t_cap):
+    """Scalar loop behind :func:`raycast_batch`: one `_ray_first_hit` per ray.
 
-    origin: (3,) grid-unit coordinates.  dirs: (R,3) directions (any scale;
-    the returned t is in the caller's parameterization).  Misses are -1.0.
+    This is the source numba compiles and the bitwise reference the
+    vectorized kernel is tested against.
     """
     n = dirs.shape[0]
     out = np.empty(n, dtype=np.float64)
@@ -168,12 +171,15 @@ def point_is_free(occ, gx, gy, gz, radius):
     """
     nx, ny, nz = occ.shape
     r2 = radius * radius
-    i0 = int(math.floor(gx - radius))
-    i1 = int(math.floor(gx + radius))
-    j0 = int(math.floor(gy - radius))
-    j1 = int(math.floor(gy + radius))
-    k0 = int(math.floor(gz - radius))
-    k1 = int(math.floor(gz + radius))
+    # One extra voxel on each side keeps a box exactly `radius` below the
+    # point (and any that rounding of g +/- radius would cut) a candidate;
+    # the distance test decides.
+    i0 = int(math.floor(gx - radius)) - 1
+    i1 = int(math.floor(gx + radius)) + 1
+    j0 = int(math.floor(gy - radius)) - 1
+    j1 = int(math.floor(gy + radius)) + 1
+    k0 = int(math.floor(gz - radius)) - 1
+    k1 = int(math.floor(gz + radius)) + 1
     if i0 < 0:
         i0 = 0
     if j0 < 0:
@@ -256,13 +262,11 @@ def nearest_point_scan(points, qx, qy, qz):
 
 
 @njit(cache=True)
-def normals_from_depth(depth, fx, fy, cx, cy, jump):
-    """Per-pixel unit surface normals (camera frame, +z optical axis).
+def normals_from_depth_scalar(depth, fx, fy, cx, cy, jump):
+    """Per-pixel loop behind :func:`normals_from_depth`.
 
-    Central differences of back-projected neighbors; pixels at the border,
-    with any invalid neighbor (nan), or across a depth discontinuity larger
-    than `jump` are returned as nan.  Normals are oriented toward the camera
-    (n . pixel_ray < 0).
+    This is the source numba compiles and the bitwise reference the
+    array-sliced kernel is tested against.
     """
     h, w = depth.shape
     out = np.full((h, w, 3), np.nan, dtype=np.float64)
@@ -315,3 +319,179 @@ def normals_from_depth(depth, fx, fy, cx, cy, jump):
             out[v, u, 1] = nyv
             out[v, u, 2] = nzv
     return out
+
+
+def raycast_batch_numpy(occ, origin, dirs, t_cap):
+    """First-hit parameter for a batch of rays from a common origin.
+
+    origin: (3,) grid-unit coordinates.  dirs: (R,3) directions (any scale;
+    the returned t is in the caller's parameterization).  Misses are -1.0.
+
+    All rays march together (Amanatides-Woo DDA): every live ray advances
+    one voxel per iteration, with the same arithmetic and the same x, y, z
+    tie-breaking as `_ray_first_hit`, so results are bitwise equal to
+    :func:`raycast_batch_scalar`.  Rays that hit, leave the grid or pass
+    their exit parameter are dropped from the working arrays.
+    """
+    n_rays = dirs.shape[0]
+    out = np.full(n_rays, -1.0)
+    shape = occ.shape
+
+    # Clip every ray against the grid AABB [0,nx]x[0,ny]x[0,nz].
+    t_enter = np.zeros(n_rays)
+    t_exit = np.full(n_rays, float(t_cap))
+    live = np.ones(n_rays, dtype=np.bool_)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for axis in range(3):
+            o = origin[axis]
+            d = dirs[:, axis]
+            n = shape[axis]
+            moving = d != 0.0
+            if o < 0.0 or o > n:
+                live &= moving
+            t0 = (0.0 - o) / d
+            t1 = (n - o) / d
+            swap = t0 > t1
+            lo = np.where(swap, t1, t0)
+            hi = np.where(swap, t0, t1)
+            np.copyto(t_enter, lo, where=moving & (lo > t_enter))
+            np.copyto(t_exit, hi, where=moving & (hi < t_exit))
+    live &= ~(t_enter > t_exit)
+    ray = np.flatnonzero(live)
+    t = t_enter[ray]
+
+    # A one-voxel shell marked 2 around the grid: a ray stepping out of the
+    # grid reads 2 and is dropped as a miss, so leaving needs no bounds test.
+    padded = np.full((shape[0] + 2, shape[1] + 2, shape[2] + 2), 2, dtype=np.int8)
+    padded[1:-1, 1:-1, 1:-1] = occ.astype(np.bool_, copy=False)
+    flat = padded.reshape(-1)
+    strides = ((shape[1] + 2) * (shape[2] + 2), shape[2] + 2, 1)
+
+    # One column per live ray, so that compaction is two takes.
+    # Rows of `fstate`: t, t_exit, tmax x/y/z, tdelta x/y/z.
+    # Rows of `istate`: ray index, linear voxel index, step x/y/z.
+    fstate = np.empty((8, ray.size))
+    istate = np.empty((5, ray.size), dtype=np.int64)
+    fstate[0] = t
+    fstate[1] = t_exit[ray]
+    istate[0] = ray
+    istate[1] = 0
+    for axis in range(3):
+        # Entry voxel, clamped into the grid, and the axis' DDA state.
+        d = dirs[ray, axis]
+        p = origin[axis] + d * t
+        cell = np.clip(np.floor(p).astype(np.int64), 0, shape[axis] - 1)
+        forward = d > 0.0
+        backward = d < 0.0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            fstate[2 + axis] = np.where(
+                forward,
+                t + ((cell + 1) - p) / d,
+                np.where(backward, t + (p - cell) / -d, np.inf),
+            )
+            fstate[5 + axis] = np.where(
+                forward, 1.0 / d, np.where(backward, 1.0 / -d, np.inf)
+            )
+        istate[1] += (cell + 1) * strides[axis]
+        istate[2 + axis] = np.where(forward, strides[axis], -strides[axis])
+    parked = 0
+    while istate.shape[1]:
+        t, lin = fstate[0], istate[1]
+        occupied = flat[lin]
+        inside = t <= fstate[1]
+        done = ~inside | (occupied != 0)
+        n_done = np.count_nonzero(done)
+        if n_done > parked:
+            hit = inside & (occupied == 1)
+            out[istate[0, hit]] = t[hit]
+            if 4 * n_done > done.size:
+                keep = np.flatnonzero(~done)
+                fstate = fstate[:, keep]
+                istate = istate[:, keep]
+                t, lin = fstate[0], istate[1]
+                parked = 0
+            else:
+                # Compacting costs a copy of every column, so finished rays
+                # are parked until a quarter of the columns are done: they
+                # sit on the shell's first voxel (a miss) with zero steps.
+                istate[1:, done] = 0
+                parked = n_done
+        # Advance into the next voxel; ties broken x, then y, then z.
+        tx, ty, tz = fstate[2:5]
+        y_first = ty <= tz
+        t_yz = np.where(y_first, ty, tz)
+        ax = tx <= t_yz
+        np.copyto(t, np.where(ax, tx, t_yz))
+        for a, mask in enumerate((ax, y_first & ~ax, ~(y_first | ax))):
+            np.add(fstate[2 + a], fstate[5 + a], out=fstate[2 + a], where=mask)
+            np.add(lin, istate[2 + a], out=lin, where=mask)
+    return out
+
+
+def normals_from_depth_numpy(depth, fx, fy, cx, cy, jump):
+    """Per-pixel unit surface normals (camera frame, +z optical axis).
+
+    Central differences of back-projected neighbors; pixels at the border,
+    with any invalid neighbor (nan), or across a depth discontinuity larger
+    than `jump` are returned as nan.  Normals are oriented toward the camera
+    (n . pixel_ray < 0).
+
+    Array slices evaluate the expressions of
+    :func:`normals_from_depth_scalar` in the same order, so results are
+    bitwise equal to it.
+    """
+    h, w = depth.shape
+    out = np.full((h, w, 3), np.nan, dtype=np.float64)
+    if h < 3 or w < 3:
+        return out
+    zc = depth[1:-1, 1:-1]
+    zl = depth[1:-1, :-2]
+    zr = depth[1:-1, 2:]
+    zu = depth[:-2, 1:-1]
+    zd = depth[2:, 1:-1]
+    u = np.arange(1, w - 1)[None, :]
+    v = np.arange(1, h - 1)[:, None]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        valid = ~(
+            np.isnan(zc) | np.isnan(zl) | np.isnan(zr) | np.isnan(zu) | np.isnan(zd)
+        )
+        valid &= ~(
+            (abs(zr - zc) > jump)
+            | (abs(zl - zc) > jump)
+            | (abs(zu - zc) > jump)
+            | (abs(zd - zc) > jump)
+        )
+        # Back-projected tangents along image u (right) and v (down).
+        txx = ((u + 1) - cx) / fx * zr - ((u - 1) - cx) / fx * zl
+        txy = (v - cy) / fy * (zr - zl)
+        txz = zr - zl
+        tyx = (u - cx) / fx * (zd - zu)
+        tyy = ((v + 1) - cy) / fy * zd - ((v - 1) - cy) / fy * zu
+        tyz = zd - zu
+        nxv = txy * tyz - txz * tyy
+        nyv = txz * tyx - txx * tyz
+        nzv = txx * tyy - txy * tyx
+        norm = np.sqrt(nxv * nxv + nyv * nyv + nzv * nzv)
+        valid &= ~(norm < 1e-15)
+        nxv /= norm
+        nyv /= norm
+        nzv /= norm
+        # Flip to face the camera.
+        rx = (u - cx) / fx
+        ry = (v - cy) / fy
+        flip = nxv * rx + nyv * ry + nzv > 0.0
+    normals = np.stack([nxv, nyv, nzv], axis=-1)
+    np.negative(normals, out=normals, where=flip[..., None])
+    inner = out[1:-1, 1:-1]
+    inner[valid] = normals[valid]
+    return out
+
+
+# numba compiles the scalar loops; without it the vectorized numpy kernels
+# are the fast path.
+if NUMBA_ENABLED:
+    raycast_batch = raycast_batch_scalar
+    normals_from_depth = normals_from_depth_scalar
+else:
+    raycast_batch = raycast_batch_numpy
+    normals_from_depth = normals_from_depth_numpy

@@ -147,9 +147,8 @@ class MissionLog:
 
 def summarize(log, d_view=2.0, reconverge_frac=0.1):
     """Mission aggregates: duration, utility stats, replanned share, first
-    reconvergence time of the viewing distance, completion status."""
-    if len(log) == 0:
-        raise ValueError("cannot summarize an empty log")
+    reconvergence time of the viewing distance, completion status.  An empty
+    log (a mission aborted before its first control step) has duration 0."""
     inspect = log.inspect_records()
     utilities = [r.utility for r in inspect if math.isfinite(r.utility)]
     vd_tol = reconverge_frac * d_view
@@ -160,7 +159,7 @@ def summarize(log, d_view=2.0, reconverge_frac=0.1):
             break
     replanned = [r.replanned for r in inspect]
     summary = {
-        "duration_s": log.records[-1].t,
+        "duration_s": log.records[-1].t if log.records else 0.0,
         "cycles": len(log),
         "inspect_cycles": len(inspect),
         "mean_utility": float(np.mean(utilities)) if utilities else None,

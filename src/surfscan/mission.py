@@ -18,6 +18,7 @@ import numpy as np
 from .controller import RobotState, add_odometry_noise, track_step
 from .geometry import NoSurfaceError, ViewPose4, wrap_angle
 from .global_plan import (
+    RouteError,
     TaskUnreachableError,
     filter_viewpoints,
     generate_grid_viewpoints,
@@ -234,7 +235,7 @@ class MissionRunner:
                     cfg.inflation,
                     z_band=cfg.z_band,
                 )
-            except Exception as exc:
+            except RouteError as exc:
                 log.warning("task %s: route to tour start failed: %s", task_plan.task.id, exc)
                 status = "aborted"
                 break

@@ -1,10 +1,24 @@
-"""The jitted kernels and their pure-Python fallbacks must agree exactly."""
+"""Kernel oracles: the dispatched kernels against the scalar loops (bitwise)
+and the scalar kernels against brute-force definitions.
+
+Without numba the dispatched `raycast_batch` and `normals_from_depth` are
+the vectorized numpy kernels; with numba they are the jitted scalar loops.
+Either way they must equal the pure-Python scalar loops exactly.
+"""
+
+import functools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from surfscan import kernels
-from surfscan._accel import NUMBA_ENABLED, py_func
+from surfscan._accel import py_func
+
+PROPERTY = settings(max_examples=150, deadline=None)
 
 
 def random_occ(rng, shape=(20, 20, 10), fill=0.05):
@@ -12,41 +26,149 @@ def random_occ(rng, shape=(20, 20, 10), fill=0.05):
     return np.ascontiguousarray(occ)
 
 
-@pytest.mark.skipif(not NUMBA_ENABLED, reason="numba disabled: single path only")
-def test_raycast_matches_py_func(rng):
+@st.composite
+def occupancy_grids(draw, max_side=9):
+    shape = tuple(draw(st.integers(1, max_side)) for _ in range(3))
+    fill = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).random(shape) < fill
+
+
+@st.composite
+def grid_coordinate(draw, n):
+    """Inside the grid, outside it, or exactly on a voxel boundary."""
+    return draw(
+        st.one_of(
+            st.floats(0.0, float(n)),
+            st.floats(-4.0, n + 4.0),
+            st.integers(-2, n + 2).map(float),
+        )
+    )
+
+
+direction_component = st.one_of(
+    st.just(0.0),
+    st.floats(-3.0, 3.0, allow_subnormal=False),
+    st.sampled_from([-1.0, -0.5, 0.5, 1.0]),
+)
+
+
+@given(data=st.data())
+@PROPERTY
+def test_raycast_matches_scalar_oracle(data):
+    occ = data.draw(occupancy_grids())
+    origin = np.array([data.draw(grid_coordinate(n)) for n in occ.shape])
+    n_rays = data.draw(st.integers(1, 24))
+    dirs = data.draw(arrays(np.float64, (n_rays, 3), elements=direction_component))
+    # Caps shorter than the grid, beyond it, and unbounded.
+    t_cap = data.draw(st.one_of(st.floats(0.0, 3.0), st.floats(3.0, 60.0), st.just(math.inf)))
+    got = kernels.raycast_batch(occ, origin, dirs, t_cap)
+    ref = py_func(kernels.raycast_batch_scalar)(occ, origin, dirs, t_cap)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+
+
+def test_raycast_matches_scalar_oracle_on_a_scan(rng):
     occ = random_occ(rng)
     origin = np.array([1.3, 2.7, 4.1])
-    dirs = rng.normal(size=(64, 3))
-    jit = kernels.raycast_batch(occ, origin, dirs, 50.0)
-    ref = py_func(kernels.raycast_batch)(occ, origin, dirs, 50.0)
-    assert np.array_equal(jit, ref)
+    dirs = rng.normal(size=(256, 3))
+    got = kernels.raycast_batch(occ, origin, dirs, 50.0)
+    ref = py_func(kernels.raycast_batch_scalar)(occ, origin, dirs, 50.0)
+    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
 
 
-@pytest.mark.skipif(not NUMBA_ENABLED, reason="numba disabled: single path only")
-def test_point_is_free_matches_py_func(rng):
-    occ = random_occ(rng)
-    for _ in range(50):
-        g = rng.uniform(-2, 22, size=3)
-        r = rng.uniform(0, 5)
-        assert kernels.point_is_free(occ, *g, r) == py_func(kernels.point_is_free)(occ, *g, r)
+def test_raycast_early_hit_survives_later_iterations():
+    # Ray 0 hits at t=0.5 while the others march on; had it kept stepping
+    # after its hit it would reach occ[0, 0, 0] just as the others hit.
+    occ = np.zeros((60, 3, 3), dtype=np.bool_)
+    occ[31, 1, 1] = occ[26, 1, 1] = occ[0, 0, 0] = True
+    origin = np.array([30.5, 1.5, 1.5])
+    dirs = np.vstack([[1.0, 0.3, 0.3], np.tile([-1.0, 0.0, 0.0], (7, 1))])
+    got = kernels.raycast_batch(occ, origin, dirs, 200.0)
+    assert got.tolist() == [0.5] + [3.5] * 7
+    assert np.array_equal(got, py_func(kernels.raycast_batch_scalar)(occ, origin, dirs, 200.0))
 
 
-@pytest.mark.skipif(not NUMBA_ENABLED, reason="numba disabled: single path only")
-def test_frechet_matches_py_func(rng):
-    for _ in range(20):
-        a = rng.normal(size=(int(rng.integers(1, 9)), 3))
-        b = rng.normal(size=(int(rng.integers(1, 9)), 3))
-        assert kernels.frechet_dp(a, b) == py_func(kernels.frechet_dp)(a, b)
+@st.composite
+def depth_images(draw):
+    h = draw(st.integers(1, 10))
+    w = draw(st.integers(1, 10))
+    v, u = np.mgrid[0:h, 0:w].astype(np.float64)
+    a, b = draw(st.sampled_from([0.0, 0.05, -0.1])), draw(st.sampled_from([0.0, 0.02, 0.2]))
+    c = draw(st.sampled_from([0.0, 1.0, 2.5]))  # 0.0 gives degenerate all-zero patches
+    depth = a * u + b * v + c
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    depth += draw(st.sampled_from([0.0, 1e-3, 0.2])) * rng.standard_normal((h, w))
+    # Depth jumps and invalid (nan) pixels.
+    depth[rng.random((h, w)) < draw(st.sampled_from([0.0, 0.1]))] += 1.0
+    depth[rng.random((h, w)) < draw(st.sampled_from([0.0, 0.1, 0.3]))] = np.nan
+    return depth
 
 
-@pytest.mark.skipif(not NUMBA_ENABLED, reason="numba disabled: single path only")
-def test_normals_match_py_func(rng):
-    depth = rng.uniform(1.0, 3.0, size=(12, 16))
-    depth[3, 4] = np.nan
-    args = (depth, 20.0, 20.0, 7.5, 5.5, 0.3)
-    jit = kernels.normals_from_depth(*args)
-    ref = py_func(kernels.normals_from_depth)(*args)
-    assert np.array_equal(jit, ref, equal_nan=True)
+@given(
+    depth=depth_images(),
+    f=st.sampled_from([5.0, 20.0, 80.0]),
+    jump=st.sampled_from([0.05, 0.3, 2.0]),
+)
+@PROPERTY
+def test_normals_match_scalar_oracle(depth, f, jump):
+    h, w = depth.shape
+    args = (depth, f, 0.9 * f, (w - 1) / 2.0, (h - 1) / 2.0, jump)
+    got = kernels.normals_from_depth(*args)
+    ref = py_func(kernels.normals_from_depth_scalar)(*args)
+    assert np.array_equal(got, ref, equal_nan=True)
+
+
+def point_is_free_oracle(occ, g, radius):
+    """No occupied voxel box within `radius`: brute force over every voxel."""
+    for i, j, k in np.argwhere(occ):
+        d2 = 0.0
+        for c, lo in zip(g, (i, j, k)):
+            dc = max(lo - c, c - (lo + 1), 0.0)
+            d2 += dc * dc
+        if d2 <= radius * radius:
+            return False
+    return True
+
+
+@given(
+    occ=occupancy_grids(),
+    g=st.tuples(*[st.floats(-3.0, 12.0)] * 3),
+    radius=st.floats(0.0, 5.0),
+)
+# A box touching the point from below at exactly `radius`.
+@example(occ=np.ones((1, 1, 1), dtype=np.bool_), g=(0.0, 0.0, 1.0), radius=0.0)
+@example(occ=np.ones((1, 1, 1), dtype=np.bool_), g=(0.5, 0.5, 3.0), radius=2.0)
+@PROPERTY
+def test_point_is_free_matches_brute_force(occ, g, radius):
+    assert kernels.point_is_free(occ, *g, radius) == point_is_free_oracle(occ, g, radius)
+
+
+def frechet_recursive(a, b):
+    @functools.lru_cache(maxsize=None)
+    def c(i, j):
+        dx, dy, dz = a[i] - b[j]
+        d = math.sqrt(dx * dx + dy * dy + dz * dz)
+        if i == 0 and j == 0:
+            return d
+        if i == 0:
+            return max(d, c(0, j - 1))
+        if j == 0:
+            return max(d, c(i - 1, 0))
+        return max(d, min(c(i - 1, j), c(i - 1, j - 1), c(i, j - 1)))
+
+    return c(len(a) - 1, len(b) - 1)
+
+
+paths = st.integers(1, 6).flatmap(
+    lambda n: arrays(np.float64, (n, 3), elements=st.floats(-10.0, 10.0))
+)
+
+
+@given(a=paths, b=paths)
+@PROPERTY
+def test_frechet_matches_recursive_definition(a, b):
+    assert kernels.frechet_dp(a, b) == frechet_recursive(a, b)
 
 
 def march_oracle(occ, origin, direction, t_cap, step=1e-3):

@@ -140,3 +140,24 @@ def test_timeout_reports_partial_progress():
     assert result.status == "timeout"
     assert result.summary["duration_s"] <= 4.0 + 1e-9
     assert 0 <= result.summary["visited"] < 6
+
+
+def test_navigate_route_error_aborts_and_other_errors_propagate(monkeypatch):
+    from surfscan import mission
+    from surfscan.global_plan import RouteError
+
+    runner = MissionRunner(demo_scenario("nominal"))
+    artifacts = runner.plan()
+
+    def no_route(*args, **kwargs):
+        raise RouteError("goal unreachable")
+
+    monkeypatch.setattr(mission, "plan_route", no_route)
+    assert runner.run(artifacts).status == "aborted"
+
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("programming error")
+
+    monkeypatch.setattr(mission, "plan_route", broken)
+    with pytest.raises(ZeroDivisionError):
+        runner.run(artifacts)

@@ -174,6 +174,33 @@ def test_cli_compare_shares_planning_artifacts(tmp_path):
     assert (out / "baseline" / "mission_log.csv").exists()
 
 
+def test_cli_compare_with_skipped_task(tmp_path):
+    import yaml
+
+    cfg = yaml.safe_load(GOOD_YAML)
+    del cfg["maps"]["delta"]
+    cfg["tasks"][0]["vertices"] = [[6, -1, 0], [6, 1, 0], [6, 1, 1.2], [6, -1, 1.2]]
+    # A closed room whose inner east face is a second task: unreachable, so
+    # it is skipped and has no tour file.
+    cfg["maps"]["historical"]["boxes"] += [
+        {"lo": [8.0, 0.0, 0.0], "hi": [8.2, 6.0, 2.4]},
+        {"lo": [11.6, 0.0, 0.0], "hi": [11.8, 6.0, 2.4]},
+        {"lo": [8.0, 0.0, 0.0], "hi": [11.8, 0.2, 2.4]},
+        {"lo": [8.0, 5.8, 0.0], "hi": [11.8, 6.0, 2.4]},
+    ]
+    cfg["tasks"].append(
+        {"id": "room", "vertices": [[11.6, 2, 0], [11.6, 4, 0], [11.6, 4, 1.2], [11.6, 2, 1.2]]}
+    )
+    f = tmp_path / "scn.yaml"
+    f.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "cmp"
+    assert main(["compare", "--config", str(f), "--out", str(out)]) == 0
+    doc = json.loads((out / "compare.json").read_text())
+    assert list(doc["tour_hashes"]) == ["wall"]
+    assert doc["tour_hashes"]["wall"]["adaptive"] == doc["tour_hashes"]["wall"]["baseline"]
+    assert not (out / "adaptive" / "tour_room.json").exists()
+
+
 def test_cli_unreachable_task_exit_code(tmp_path):
     import yaml
 
