@@ -10,20 +10,28 @@ step, from a pose in the `receding` demo's scene: the 80x60 depth image
 normal map.  `frechet_dp` and `point_is_free` have only the scalar loops.
 The jitted column is printed only when numba is enabled.
 
+The planning rows run at site scale (a 40 x 40 x 2.4 m yard at 0.1 m
+voxels, 400x400x24, inflation 0.5 m): `VoxelMap.free_mask` (the separable
+clearance transform) against the `binary_dilation` it replaced, and
+`plan_route` to a goal inside a sealed room, with the connected-component
+gate against the A* flood that ran without it.
+
 Times are the best of a few repeats, per call.
 
 Run: PYTHONPATH=src python benchmarks/bench_kernels.py
 """
 
 import time
+from unittest import mock
 
 import numpy as np
+from scipy import ndimage
 
-from surfscan import kernels
+from surfscan import global_plan, kernels
 from surfscan._accel import NUMBA_ENABLED, py_func
 from surfscan.geometry import Pose6
 from surfscan.scenario import build_scene, demo_scenario
-from surfscan.world import camera_axes_world, fibonacci_directions, render_depth
+from surfscan.world import Box, VoxelMap, camera_axes_world, fibonacci_directions, render_depth
 
 
 def timeit(fn, *args, repeat=5):
@@ -89,6 +97,60 @@ def scalar_only_cases():
     )
 
 
+SITE_BOXES = (
+    ((34.0, 4.0, 0.0), (34.4, 36.0, 2.4)),  # face
+    ((8.0, 36.0, 0.0), (20.0, 36.4, 2.4)),  # north wall
+    ((14.0, 3.6, 0.0), (24.0, 4.0, 2.4)),  # south wall
+    ((24.0, 12.0, 0.0), (28.0, 14.0, 2.4)),  # stockpile
+    ((12.0, 14.0, 0.0), (12.4, 22.0, 2.4)),  # sealed room
+    ((19.6, 14.0, 0.0), (20.0, 22.0, 2.4)),
+    ((12.0, 14.0, 0.0), (20.0, 14.4, 2.4)),
+    ((12.0, 21.6, 0.0), (20.0, 22.0, 2.4)),
+)
+
+
+def dilation_free_mask(vmap, inflation):
+    """The `binary_dilation` form of `VoxelMap.free_mask`."""
+    r_vox = inflation / vmap.voxel_size
+    reach = int(np.ceil(r_vox + 0.5))
+    d = np.abs(np.arange(-reach, reach + 1)) - 0.5
+    g2 = np.maximum(d, 0.0) ** 2
+    gap = np.sqrt(g2[:, None, None] + g2[None, :, None] + g2[None, None, :])
+    return ~ndimage.binary_dilation(vmap.occ, structure=gap <= r_vox)
+
+
+def planning_cases():
+    """(name, new, reference) at site scale."""
+    inflation = 0.5
+    boxes = [Box(lo, hi) for lo, hi in SITE_BOXES]
+    site = VoxelMap.from_boxes(boxes, 0.1, bounds=((0.0, 0.0, 0.0), (40.0, 40.0, 2.4)))
+    start, goal = (2.0, 2.0, 0.6), (16.0, 18.0, 0.6)
+
+    def fresh_mask():
+        return VoxelMap(site.origin, site.voxel_size, site.occ).free_mask(inflation)
+
+    def enclosed_route():
+        try:
+            global_plan.plan_route(site, start, goal, inflation, z_band=(0.6, 0.6))
+        except global_plan.RouteError:
+            return
+        raise AssertionError("the sealed room is reachable")
+
+    def one_label(free, structure):
+        return np.ones(free.shape, dtype=np.int32), 1
+
+    def enclosed_route_flood():
+        # One label everywhere: the gate passes and A* floods the yard.
+        with mock.patch.object(global_plan.ndimage, "label", one_label):
+            enclosed_route()
+
+    assert np.array_equal(fresh_mask(), dilation_free_mask(site, inflation))
+    return (
+        (f"free_mask {'x'.join(map(str, site.shape))}", fresh_mask, lambda: dilation_free_mask(site, inflation)),
+        ("plan_route enclosed goal", enclosed_route, enclosed_route_flood),
+    )
+
+
 def ms(seconds):
     return f"{seconds * 1e3:>11.2f} ms"
 
@@ -114,6 +176,11 @@ def main():
             run(kernel)  # compile
             row += ms(timeit(run, kernel))
         print(row)
+    print(f"{'planning':<26}{'new':>14}{'reference':>14}{'ref/new':>14}")
+    for name, new, reference in planning_cases():
+        t_new = timeit(new)
+        t_ref = timeit(reference, repeat=2)
+        print(f"{name:<26}{ms(t_new)}{ms(t_ref)}{t_ref / t_new:>13.1f}x")
 
 
 if __name__ == "__main__":

@@ -143,11 +143,17 @@ def cmd_compare(cfg, out_dir, base_dir=None):
     codes = {}
     reports = {}
     tour_hashes = {}
-    for mode in ("adaptive", "baseline"):
-        sub_cfg = dataclasses.replace(cfg, mode=mode)
+    # Planning does not depend on the mode: build the scene and plan once,
+    # then fly both modes on them.
+    adaptive = MissionRunner(dataclasses.replace(cfg, mode="adaptive"), base_dir=base_dir)
+    runners = {
+        "adaptive": adaptive,
+        "baseline": MissionRunner(dataclasses.replace(cfg, mode="baseline"), scene=adaptive.scene),
+    }
+    artifacts = adaptive.plan()
+    for mode, runner in runners.items():
         sub_dir = ensure_dir(out_dir / mode)
-        runner = MissionRunner(sub_cfg, base_dir=base_dir)
-        result = runner.run()
+        result = runner.run(artifacts)
         _write_run_artifacts(result, sub_dir)
         codes[mode] = _STATUS_CODES[result.status]
         reports[mode] = result.summary

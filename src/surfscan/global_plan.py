@@ -7,6 +7,7 @@ import logging
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from scipy import ndimage
 
 from .geometry import (
     PathSegment,
@@ -283,6 +284,11 @@ def plan_route(vmap, start, goal, inflation, z_band=None, heuristic=True):
         return [start.copy()], 0.0
 
     free, s, g, (k_lo, k_hi) = _route_cells(vmap, start, goal, inflation, z_band)
+    # A* can reach exactly the 26-connected free component of the start
+    # inside the k band, so an enclosed goal fails here without a flood.
+    labels, _ = ndimage.label(free[:, :, k_lo : k_hi + 1], structure=np.ones((3, 3, 3)))
+    if labels[s[0], s[1], s[2] - k_lo] != labels[g[0], g[1], g[2] - k_lo]:
+        raise RouteError(f"goal {goal} unreachable from {start}")
     h = vmap.voxel_size
     shape = vmap.occ.shape
 

@@ -123,17 +123,60 @@ def build_scene(cfg, base_dir=None):
     return Scene.unchanged(historical)
 
 
-def _parse_box(entry):
+# Allowed keys of every mapping in a scenario file, by key path ("[]" for
+# the entries of a list).
+_SCHEMA = {
+    "": {
+        "version", "name", "mode", "seed", "voxel_size", "inflation", "dt", "max_sim_time",
+        "gamma_t", "horizon", "pos_tol", "yaw_tol", "z_band",
+        "robot", "view", "camera", "sensing", "maps", "tasks",
+    },
+    "robot": {"start", "v_max", "w_max"},
+    "view": {"d_view", "gamma_h", "gamma_v", "alpha_deg", "beta_deg"},
+    "camera": {"alpha_deg", "beta_deg", "width", "height", "max_range"},
+    "sensing": {"range", "rays", "odom_sigma_xy", "odom_sigma_psi"},
+    "maps": {"bounds", "historical", "current", "delta"},
+    "maps.bounds": {"lo", "hi"},
+    "maps.historical": {"file", "boxes"},
+    "maps.current": {"file", "boxes"},
+    "box": {"lo", "hi"},
+    "maps.delta": {"removals", "additions"},
+    "tasks[]": {"id", "vertices"},
+}
+
+
+def _mapping(value, where, schema=None):
+    """`value` checked against the keys `_SCHEMA` allows at `where` (or at
+    `schema`); a missing section (None) reads as empty."""
+    if value is None:
+        return {}
+    if not isinstance(value, dict):
+        raise ValueError(f"{where or 'scenario'} must be a mapping")
+    allowed = _SCHEMA[where if schema is None else schema]
+    unknown = sorted(str(k) for k in value if k not in allowed)
+    if unknown:
+        prefix = f"{where}." if where else ""
+        raise ValueError(f"unknown key {prefix}{unknown[0]} (allowed: {', '.join(sorted(allowed))})")
+    return value
+
+
+def _parse_box(entry, where):
+    entry = _mapping(entry, where, "box")
     return Box(tuple(entry["lo"]), tuple(entry["hi"]))
 
 
-def _parse_map_spec(entry):
+def _parse_boxes(entries, where):
+    return tuple(_parse_box(b, f"{where}[{i}]") for i, b in enumerate(entries or ()))
+
+
+def _parse_map_spec(entry, where):
     if entry is None:
         return None
+    entry = _mapping(entry, where)
     if "file" in entry:
         return MapSpec(file=str(entry["file"]))
     if "boxes" in entry:
-        return MapSpec(boxes=tuple(_parse_box(b) for b in entry["boxes"]))
+        return MapSpec(boxes=_parse_boxes(entry["boxes"], f"{where}.boxes"))
     raise ValueError("map spec must contain 'file' or 'boxes'")
 
 
@@ -148,7 +191,17 @@ def load_scenario(path):
     if version != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported schema version {version!r} (expected {SCHEMA_VERSION})")
 
-    view_raw = raw.get("view", {})
+    try:
+        return _parse_scenario(raw, path)
+    except (KeyError, TypeError) as exc:
+        raise ValueError(f"{path}: malformed scenario: {exc}") from exc
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def _parse_scenario(raw, path):
+    raw = _mapping(raw, "")
+    view_raw = _mapping(raw.get("view"), "view")
     view = ViewConstraints(
         d_view=float(view_raw.get("d_view", 2.0)),
         gamma_h=float(view_raw.get("gamma_h", 0.6)),
@@ -156,7 +209,7 @@ def load_scenario(path):
         alpha=np.deg2rad(float(view_raw.get("alpha_deg", 69.5))),
         beta=np.deg2rad(float(view_raw.get("beta_deg", 45.0))),
     )
-    cam_raw = raw.get("camera", {})
+    cam_raw = _mapping(raw.get("camera"), "camera")
     camera = CameraIntrinsics(
         alpha=np.deg2rad(float(cam_raw.get("alpha_deg", np.rad2deg(view.alpha)))),
         beta=np.deg2rad(float(cam_raw.get("beta_deg", np.rad2deg(view.beta)))),
@@ -164,54 +217,52 @@ def load_scenario(path):
         height=int(cam_raw.get("height", 60)),
         max_range=float(cam_raw.get("max_range", 5.0)),
     )
-    maps_raw = raw.get("maps", {})
+    maps_raw = _mapping(raw.get("maps"), "maps")
     delta_raw = maps_raw.get("delta")
     delta = None
     if delta_raw is not None:
+        delta_raw = _mapping(delta_raw, "maps.delta")
         delta = MorphologyDelta(
-            removals=tuple(_parse_box(b) for b in delta_raw.get("removals", [])),
-            additions=tuple(_parse_box(b) for b in delta_raw.get("additions", [])),
+            removals=_parse_boxes(delta_raw.get("removals"), "maps.delta.removals"),
+            additions=_parse_boxes(delta_raw.get("additions"), "maps.delta.additions"),
         )
-    bounds_raw = maps_raw.get("bounds")
+    bounds_raw = _mapping(maps_raw.get("bounds"), "maps.bounds")
     bounds = (tuple(bounds_raw["lo"]), tuple(bounds_raw["hi"])) if bounds_raw else None
-    sensing = raw.get("sensing", {})
-    robot = raw.get("robot", {})
-    tasks = tuple(
-        TaskSpec(id=str(t["id"]), vertices=tuple(tuple(v) for v in t["vertices"]))
-        for t in raw.get("tasks", [])
-    )
+    sensing = _mapping(raw.get("sensing"), "sensing")
+    robot = _mapping(raw.get("robot"), "robot")
+    tasks = []
+    for i, entry in enumerate(raw.get("tasks") or ()):
+        entry = _mapping(entry, f"tasks[{i}]", "tasks[]")
+        tasks.append(TaskSpec(id=str(entry["id"]), vertices=tuple(tuple(v) for v in entry["vertices"])))
 
-    try:
-        return ScenarioConfig(
-            name=str(raw.get("name", path.stem)),
-            mode=str(raw.get("mode", "adaptive")),
-            seed=int(raw.get("seed", 1)),
-            voxel_size=float(raw.get("voxel_size", 0.1)),
-            inflation=float(raw.get("inflation", 0.5)),
-            dt=float(raw.get("dt", 0.1)),
-            max_sim_time=float(raw.get("max_sim_time", 120.0)),
-            gamma_t=float(raw.get("gamma_t", 0.5)),
-            horizon=int(raw.get("horizon", 5)),
-            pos_tol=float(raw.get("pos_tol", 0.3)),
-            yaw_tol=float(raw.get("yaw_tol", 0.2)),
-            z_band=tuple(raw.get("z_band", (0.6, 0.6))),
-            start=tuple(robot.get("start", (0.0, 0.0, 0.6, 0.0))),
-            v_max=float(robot.get("v_max", 0.8)),
-            w_max=float(robot.get("w_max", 1.0)),
-            view=view,
-            camera=camera,
-            sense_range=float(sensing.get("range", 12.0)),
-            sense_rays=int(sensing.get("rays", 2048)),
-            odom_sigma_xy=float(sensing.get("odom_sigma_xy", 0.0)),
-            odom_sigma_psi=float(sensing.get("odom_sigma_psi", 0.0)),
-            bounds=bounds,
-            historical=_parse_map_spec(maps_raw.get("historical")),
-            current=_parse_map_spec(maps_raw.get("current")),
-            delta=delta,
-            tasks=tasks,
-        )
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed scenario: {exc}") from exc
+    return ScenarioConfig(
+        name=str(raw.get("name", path.stem)),
+        mode=str(raw.get("mode", "adaptive")),
+        seed=int(raw.get("seed", 1)),
+        voxel_size=float(raw.get("voxel_size", 0.1)),
+        inflation=float(raw.get("inflation", 0.5)),
+        dt=float(raw.get("dt", 0.1)),
+        max_sim_time=float(raw.get("max_sim_time", 120.0)),
+        gamma_t=float(raw.get("gamma_t", 0.5)),
+        horizon=int(raw.get("horizon", 5)),
+        pos_tol=float(raw.get("pos_tol", 0.3)),
+        yaw_tol=float(raw.get("yaw_tol", 0.2)),
+        z_band=tuple(raw.get("z_band", (0.6, 0.6))),
+        start=tuple(robot.get("start", (0.0, 0.0, 0.6, 0.0))),
+        v_max=float(robot.get("v_max", 0.8)),
+        w_max=float(robot.get("w_max", 1.0)),
+        view=view,
+        camera=camera,
+        sense_range=float(sensing.get("range", 12.0)),
+        sense_rays=int(sensing.get("rays", 2048)),
+        odom_sigma_xy=float(sensing.get("odom_sigma_xy", 0.0)),
+        odom_sigma_psi=float(sensing.get("odom_sigma_psi", 0.0)),
+        bounds=bounds,
+        historical=_parse_map_spec(maps_raw.get("historical"), "maps.historical"),
+        current=_parse_map_spec(maps_raw.get("current"), "maps.current"),
+        delta=delta,
+        tasks=tuple(tasks),
+    )
 
 
 # -- built-in demo scenes ---------------------------------------------------

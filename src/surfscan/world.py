@@ -183,21 +183,44 @@ class VoxelMap:
         key = round(float(inflation), 9)
         mask = self._free_masks.get(key)
         if mask is None:
-            r_vox = inflation / self.voxel_size
-            reach = int(np.ceil(r_vox + 0.5))
-            rng = np.arange(-reach, reach + 1)
-            di, dj, dk = np.meshgrid(rng, rng, rng, indexing="ij")
-            gap = np.sqrt(
-                np.maximum(np.abs(di) - 0.5, 0.0) ** 2
-                + np.maximum(np.abs(dj) - 0.5, 0.0) ** 2
-                + np.maximum(np.abs(dk) - 0.5, 0.0) ** 2
-            )
-            elem = gap <= r_vox
-            blocked = ndimage.binary_dilation(self.occ, structure=elem)
-            mask = ~blocked
+            mask = _clearance_free(self.occ, inflation / self.voxel_size)
             mask.setflags(write=False)
             self._free_masks[key] = mask
         return mask
+
+
+def _clearance_free(occ, r_vox):
+    """True where a voxel center lies more than `r_vox` voxels from every
+    occupied voxel box.
+
+    The gap from a center to the box at offset d is
+    sqrt(sum_a max(|d_a| - 0.5, 0)**2), so four times its square is the
+    integer sum_a (2|d_a| - 1)**2 (a zero offset adds 0).  That sum splits by
+    axis, so the nearest box is found exactly by three 1-D min-plus passes
+    in small integers.  Offsets beyond `reach` voxels on any axis are too far
+    to count, which bounds every pass.
+    """
+    # Largest 4*gap**2 that blocks, by the float test sqrt(m / 4) <= r_vox;
+    # -1 when nothing blocks (negative radius).
+    m_max = int(np.floor(4.0 * max(r_vox, 0.0) ** 2)) + 1
+    while m_max >= 0 and not np.sqrt(m_max / 4.0) <= r_vox:
+        m_max -= 1
+    reach = int(np.ceil(r_vox + 0.5))
+    far = m_max + 1
+    # The narrowest unsigned type that holds a clamped value plus one step
+    # cost (uint8 up to 5 voxels of clearance), to keep the passes small.
+    dist = np.full(occ.shape, far, dtype=np.min_scalar_type(far + (2 * reach - 1) ** 2))
+    dist[occ] = 0
+    for axis in range(occ.ndim):
+        lead = (slice(None),) * axis
+        src, dist = dist, dist.copy()
+        for d in range(1, min(reach, occ.shape[axis] - 1) + 1):
+            cost = (2 * d - 1) ** 2
+            hi, lo = lead + (slice(d, None),), lead + (slice(None, -d),)
+            np.minimum(dist[hi], src[lo] + cost, out=dist[hi])
+            np.minimum(dist[lo], src[hi] + cost, out=dist[lo])
+        np.minimum(dist, far, out=dist)
+    return dist > m_max
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,6 @@
+import heapq
 import itertools
+import re
 
 import numpy as np
 import pytest
@@ -236,6 +238,26 @@ def test_plan_route_through_gap_matches_dijkstra():
 def test_plan_route_unreachable_goal(wall_map):
     with pytest.raises(RouteError):
         plan_route(wall_map, [4.0, 0.0, 0.6], [6.2, 0.0, 0.6], 0.5)  # goal inside the wall
+
+
+def test_plan_route_enclosed_goal_fails_before_search(monkeypatch):
+    # A sealed room: the goal at its center is free under inflation, but no
+    # free path leads in, so the route fails before A* pushes a single cell.
+    room = [
+        Box((4.0, -2.0, 0.0), (4.2, 2.0, 1.2)),
+        Box((7.8, -2.0, 0.0), (8.0, 2.0, 1.2)),
+        Box((4.0, -2.0, 0.0), (8.0, -1.8, 1.2)),
+        Box((4.0, 1.8, 0.0), (8.0, 2.0, 1.2)),
+    ]
+    vmap = VoxelMap.from_boxes(room, 0.1, bounds=((-1, -5, 0), (11, 5, 1.2)))
+    start, goal = np.array([1.0, 0.0, 0.6]), np.array([6.0, 0.0, 0.6])
+    assert vmap.free_mask(0.5)[vmap.voxel_index(goal)]
+    pushes = []
+    push = heapq.heappush
+    monkeypatch.setattr(heapq, "heappush", lambda heap, item: pushes.append(item) or push(heap, item))
+    with pytest.raises(RouteError, match=re.escape(f"goal {goal} unreachable from {start}")):
+        plan_route(vmap, start, goal, 0.5)
+    assert pushes == []
 
 
 def test_plan_route_astar_equals_dijkstra_random(rng):

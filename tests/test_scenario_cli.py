@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import numpy as np
 import pytest
@@ -76,6 +77,45 @@ def test_load_scenario_rejects_bad_version(tmp_path):
     f.write_text("version: 99\ntasks: []\n")
     with pytest.raises(ValueError, match="version"):
         load_scenario(f)
+
+
+def _with_extra_key(path, key, value):
+    """GOOD_YAML with `key` added to the mapping at the key path `path`."""
+    import yaml
+
+    cfg = yaml.safe_load(GOOD_YAML)
+    node = cfg
+    for part in path:
+        node = node[part]
+    node[key] = value
+    return yaml.safe_dump(cfg)
+
+
+@pytest.mark.parametrize(
+    "path, key, shown",
+    [
+        ((), "horizn", "horizn"),
+        (("camera",), "widht", "camera.widht"),
+        (("maps", "delta"), "additon", "maps.delta.additon"),
+        (("tasks", 0), "vertex", "tasks[0].vertex"),
+        (("maps", "delta", "additions", 0), "size", "maps.delta.additions[0].size"),
+    ],
+    ids=["top", "section", "subsection", "list_entry", "nested_list_entry"],
+)
+def test_load_scenario_rejects_unknown_key(tmp_path, path, key, shown):
+    f = tmp_path / "scn.yaml"
+    f.write_text(_with_extra_key(path, key, 3))
+    with pytest.raises(ValueError, match=re.escape(f"unknown key {shown} ")):
+        load_scenario(f)
+
+
+def test_cli_rejects_unknown_scenario_key(tmp_path, capsys):
+    f = tmp_path / "scn.yaml"
+    f.write_text(_with_extra_key(("sensing",), "rayz", 512))
+    out = tmp_path / "out"
+    assert main(["plan", "--config", str(f), "--out", str(out)]) == 64
+    assert "unknown key sensing.rayz" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_scenario_requires_tasks():
@@ -163,9 +203,25 @@ def test_cli_run_and_summary(tmp_path):
     assert len(pred) > 1
 
 
-def test_cli_compare_shares_planning_artifacts(tmp_path):
+def test_cli_compare_shares_planning_artifacts(tmp_path, monkeypatch):
+    from surfscan import mission
+
+    calls = {"plan": 0, "scene": 0}
+    plan, build = mission.MissionRunner.plan, mission.build_scene
+
+    def counted_plan(self):
+        calls["plan"] += 1
+        return plan(self)
+
+    def counted_build(*args, **kwargs):
+        calls["scene"] += 1
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(mission.MissionRunner, "plan", counted_plan)
+    monkeypatch.setattr(mission, "build_scene", counted_build)
     out = tmp_path / "cmp"
     assert main(["compare", "--demo", "receding_full", "--out", str(out)]) == 0
+    assert calls == {"plan": 1, "scene": 1}
     doc = json.loads((out / "compare.json").read_text())
     hashes = doc["tour_hashes"]["wall"]
     assert hashes["adaptive"] == hashes["baseline"]

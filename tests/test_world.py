@@ -1,5 +1,8 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from surfscan.depthcam import CameraIntrinsics
 from surfscan.fileio import load_xyz
@@ -281,3 +284,68 @@ def test_collision_segment(wall_map):
     assert is_collision_free(wall_map, (a, b), 0.5)  # parallel to wall, 2 m away
     c = np.array([7.5, 0.0, 1.0])
     assert not is_collision_free(wall_map, (a, c), 0.5)  # crosses the wall
+
+
+# ---------------------------------------------------------------- free mask
+
+
+def dilation_free_mask(occ, voxel_size, inflation):
+    """Reference: dilate the occupancy by every offset whose voxel box lies
+    within `inflation` of a voxel center."""
+    r_vox = inflation / voxel_size
+    reach = int(np.ceil(r_vox + 0.5))
+    rng = np.arange(-reach, reach + 1)
+    di, dj, dk = np.meshgrid(rng, rng, rng, indexing="ij")
+    gap = np.sqrt(
+        np.maximum(np.abs(di) - 0.5, 0.0) ** 2
+        + np.maximum(np.abs(dj) - 0.5, 0.0) ** 2
+        + np.maximum(np.abs(dk) - 0.5, 0.0) ** 2
+    )
+    return ~ndimage.binary_dilation(occ, structure=gap <= r_vox)
+
+
+@st.composite
+def clearance_cases(draw):
+    """Grids with axes shorter and longer than the clearance reach (up to
+    11 voxels at 0.05 m and 0.5 m), empty to full."""
+    voxel_size = draw(st.one_of(st.sampled_from([0.05, 0.1, 0.25]), st.floats(0.05, 0.25)))
+    inflation = draw(st.one_of(st.sampled_from([0.0, 0.35, 0.5]), st.floats(0.0, 0.5)))
+    shape = tuple(draw(st.integers(1, 16)) for _ in range(3))
+    fill = draw(st.sampled_from([0.0, 0.003, 0.02, 0.2, 1.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).random(shape) < fill, voxel_size, inflation
+
+
+def _single_voxel(shape, idx):
+    occ = np.zeros(shape, dtype=bool)
+    occ[idx] = True
+    return occ
+
+
+@given(clearance_cases())
+@settings(max_examples=150, deadline=None)
+# 0.35 / 0.1 = 3.4999999999999996 voxels: the box 3.5 voxels away stays free.
+@example((_single_voxel((9, 1, 1), (0, 0, 0)), 0.1, 0.35))
+@example((_single_voxel((13, 13, 13), (6, 6, 6)), 0.05, 0.5))
+@example((np.zeros((7, 5, 3), dtype=bool), 0.1, 0.5))
+@example((np.ones((7, 5, 3), dtype=bool), 0.1, 0.0))
+def test_free_mask_matches_dilation_reference(case):
+    occ, voxel_size, inflation = case
+    got = VoxelMap((0.0, 0.0, 0.0), voxel_size, occ).free_mask(inflation)
+    assert np.array_equal(got, dilation_free_mask(occ, voxel_size, inflation))
+
+
+def test_free_mask_wide_clearance():
+    # 70 voxels of clearance: the squared gaps need 16 bits, not 8.
+    occ = np.zeros((1, 1, 160), dtype=bool)
+    occ[0, 0, 5] = True
+    gap = np.maximum(np.abs(np.arange(160) - 5) - 0.5, 0.0)
+    got = VoxelMap((0.0, 0.0, 0.0), 0.1, occ).free_mask(7.0)
+    assert np.array_equal(got[0, 0], gap > 7.0 / 0.1)
+
+
+def test_free_mask_cached_and_read_only(wall_map):
+    mask = wall_map.free_mask(0.5)
+    assert wall_map.free_mask(0.5) is mask
+    assert not mask.flags.writeable
+    assert mask.flags.c_contiguous and mask.shape == wall_map.shape
