@@ -6,7 +6,8 @@ scalar loops (numba compiles them; as plain Python they are the bitwise
 test oracle) and the vectorized numpy kernels, which are what runs when
 numba is absent.  Both are timed on the cases a mission runs every control
 step, from a pose in the `receding` demo's scene: the 80x60 depth image
-(5 m range), the 2048-ray 12 m omnidirectional scan and the depth image's
+(5 m range), the 2048-ray 12 m omnidirectional scan, the same scan in
+nearest-return mode (as the mission's scans run) and the depth image's
 normal map.  `frechet_dp` and `point_is_free` have only the scalar loops.
 The jitted column is printed only when numba is enabled.
 
@@ -69,6 +70,12 @@ def sensing_cases():
             kernels.raycast_batch_scalar,
             kernels.raycast_batch_numpy,
             (vmap.occ, origin, scan_dirs, 12.0),
+        ),
+        (
+            "raycast scan 2048 nearest",
+            kernels.raycast_batch_scalar,
+            kernels.raycast_batch_numpy,
+            (vmap.occ, origin, scan_dirs, 12.0, True),
         ),
         (
             f"normals {cam.width}x{cam.height}",

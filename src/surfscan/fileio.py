@@ -1,6 +1,7 @@
 """File formats: ASCII xyz point files and path CSVs."""
 
 import csv
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,25 @@ __all__ = ["load_xyz", "save_xyz", "load_path_csv", "save_path_csv"]
 
 def load_xyz(path):
     """Read an ASCII xyz file (one `x y z` triple per line, meters,
-    whitespace-separated, `#` starts a comment) into an (N, 3) array."""
+    whitespace-separated, `#` starts a comment) into an (N, 3) array.
+
+    numpy's parser reads well-formed files; a malformed, empty or
+    comment-only file is re-read line by line, which names the offending
+    line or returns a (0, 3) array.
+    """
+    with warnings.catch_warnings():
+        # loadtxt warns on a file without data; the line loop handles it.
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            points = np.loadtxt(path, comments="#", ndmin=2, encoding="utf-8")
+        except ValueError:
+            points = None
+    if points is not None and points.shape[0] and points.shape[1] == 3:
+        return points
+    return _load_xyz_lines(path)
+
+
+def _load_xyz_lines(path):
     points = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):

@@ -140,14 +140,23 @@ def _ray_first_hit(occ, ox, oy, oz, dx, dy, dz, t_cap):
 
 
 @njit(cache=True)
-def raycast_batch_scalar(occ, origin, dirs, t_cap):
+def _nearest_bound(t):
+    """Largest hit parameter a nearest-mode cast keeps, given the nearest
+    hit `t`: a relative and an absolute margin of 1e-9 above it."""
+    return t * (1.0 + 1e-9) + 1e-9
+
+
+@njit(cache=True)
+def raycast_batch_scalar(occ, origin, dirs, t_cap, nearest=False):
     """Scalar loop behind :func:`raycast_batch`: one `_ray_first_hit` per ray.
 
     This is the source numba compiles and the bitwise reference the
-    vectorized kernel is tested against.
+    vectorized kernel is tested against.  With `nearest`, each ray is cast
+    with its cap lowered to the bound of the nearest hit so far.
     """
     n = dirs.shape[0]
     out = np.empty(n, dtype=np.float64)
+    bound = np.inf
     for r in range(n):
         out[r] = _ray_first_hit(
             occ,
@@ -157,8 +166,15 @@ def raycast_batch_scalar(occ, origin, dirs, t_cap):
             dirs[r, 0],
             dirs[r, 1],
             dirs[r, 2],
-            t_cap,
+            min(t_cap, bound) if nearest else t_cap,
         )
+        if nearest and out[r] >= 0.0:
+            bound = min(bound, _nearest_bound(out[r]))
+    if nearest:
+        # The final bound decides, whatever order the hits were found in.
+        for r in range(n):
+            if out[r] > bound:
+                out[r] = -1.0
     return out
 
 
@@ -321,11 +337,17 @@ def normals_from_depth_scalar(depth, fx, fy, cx, cy, jump):
     return out
 
 
-def raycast_batch_numpy(occ, origin, dirs, t_cap):
+def raycast_batch_numpy(occ, origin, dirs, t_cap, nearest=False):
     """First-hit parameter for a batch of rays from a common origin.
 
     origin: (3,) grid-unit coordinates.  dirs: (R,3) directions (any scale;
     the returned t is in the caller's parameterization).  Misses are -1.0.
+
+    With `nearest`, only the returns that can be the nearest are kept: let
+    t_min be the smallest hit parameter; every ray whose hit t satisfies
+    t <= t_min * (1 + 1e-9) + 1e-9 returns exactly the value of the full
+    cast, every other ray returns -1.0.  Rays stop marching once they pass
+    that bound for the nearest hit found so far.
 
     All rays march together (Amanatides-Woo DDA): every live ray advances
     one voxel per iteration, with the same arithmetic and the same x, y, z
@@ -395,6 +417,7 @@ def raycast_batch_numpy(occ, origin, dirs, t_cap):
         istate[1] += (cell + 1) * strides[axis]
         istate[2 + axis] = np.where(forward, strides[axis], -strides[axis])
     parked = 0
+    bound = np.inf
     while istate.shape[1]:
         t, lin = fstate[0], istate[1]
         occupied = flat[lin]
@@ -404,6 +427,11 @@ def raycast_batch_numpy(occ, origin, dirs, t_cap):
         if n_done > parked:
             hit = inside & (occupied == 1)
             out[istate[0, hit]] = t[hit]
+            if nearest and hit.any():
+                # Lowering t_exit retires rays past the bound through the
+                # `inside` test; their DDA arithmetic is untouched.
+                bound = min(bound, _nearest_bound(t[hit].min()))
+                np.minimum(fstate[1], bound, out=fstate[1])
             if 4 * n_done > done.size:
                 keep = np.flatnonzero(~done)
                 fstate = fstate[:, keep]
@@ -425,6 +453,9 @@ def raycast_batch_numpy(occ, origin, dirs, t_cap):
         for a, mask in enumerate((ax, y_first & ~ax, ~(y_first | ax))):
             np.add(fstate[2 + a], fstate[5 + a], out=fstate[2 + a], where=mask)
             np.add(lin, istate[2 + a], out=lin, where=mask)
+    if nearest:
+        # The final bound decides, whatever order the hits were found in.
+        out[out > bound] = -1.0
     return out
 
 

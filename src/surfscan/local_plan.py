@@ -121,7 +121,7 @@ def predict_local_path(odom, vmap, guide, cfg, first_cloud=None):
         if i == 0 and first_cloud is not None:
             cloud = first_cloud
         else:
-            cloud = sample_cloud(vmap, pos, cfg.sense_range, cfg.sense_rays)
+            cloud = sample_cloud(vmap, pos, cfg.sense_range, cfg.sense_rays, nearest=True)
         if cloud.is_empty:
             if i == 0:
                 raise NoSurfaceError("no surface visible from the planning pose")

@@ -152,7 +152,9 @@ class MissionRunner:
                 return 0.0
 
         def measure_vd(pose):
-            cloud = sample_cloud(scene.current, pose, cfg.sense_range, cfg.sense_rays)
+            cloud = sample_cloud(
+                scene.current, pose, cfg.sense_range, cfg.sense_rays, nearest=True
+            )
             return viewing_distance(pose, cloud) if not cloud.is_empty else NAN
 
         def reported(pose):

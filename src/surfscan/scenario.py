@@ -6,7 +6,7 @@ parameters.  The built-in demos synthesize small box-world scenes covering
 the standard evaluation setups without external map files.
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -345,7 +345,3 @@ def demo_scenario(name, mode="adaptive", seed=1):
         alpha=np.deg2rad(69.5), beta=np.deg2rad(45.0), width=80, height=60, max_range=3.0
     )
     return ScenarioConfig(historical=historical, delta=delta, camera=camera, **common)
-
-
-def with_mode(cfg, mode):
-    return replace(cfg, mode=mode)

@@ -146,9 +146,7 @@ class MissionState:
     aligned_target: Optional[ViewPose4] = None
     target_mode: MissionMode = MissionMode.GLOBAL
     last_rmse_post: float = 0.0
-    last_gvp: Optional[PathSegment] = None
     last_lvp: Optional[PathSegment] = None
-    last_aligned: Optional[PathSegment] = None
 
     def __post_init__(self):
         n = len(self.tour.order)
@@ -247,7 +245,11 @@ def step_mission(state, scene, robot):
         )
 
     cloud = sample_cloud(
-        scene.current, robot, state.local_cfg.sense_range, state.local_cfg.sense_rays
+        scene.current,
+        robot,
+        state.local_cfg.sense_range,
+        state.local_cfg.sense_rays,
+        nearest=True,
     )
     if cloud.is_empty:
         state.retries += 1
@@ -313,9 +315,7 @@ def step_mission(state, scene, robot):
     state.aligned_target = aligned[0]
     state.target_mode = mode
     state.last_rmse_post = rmse_post
-    state.last_gvp = gvp
     state.last_lvp = lvp
-    state.last_aligned = aligned
 
     return ref_path[0], SupervisionCycle(
         mode=mode,

@@ -369,16 +369,25 @@ def render_depth(vmap, pose, intrinsics, jitter_sigma=0.0, rng=None):
     return DepthImage(depth, pose)
 
 
-def sample_cloud(vmap, pose, max_range, ray_count):
+def sample_cloud(vmap, pose, max_range, ray_count, nearest=False):
     """Omnidirectional range scan: first-hit points for a Fibonacci-sphere ray
-    pattern, world frame.  Rays that hit nothing within range are omitted."""
+    pattern, world frame.  Rays that hit nothing within range are omitted.
+
+    With `nearest`, the cloud holds only the returns that can be the nearest
+    to the pose: those at a range r <= r_min * (1 + 1e-9) + 1e-9 m, r_min the
+    nearest range (see :func:`kernels.raycast_batch_numpy`).  The margin
+    covers the rounding of the points and of `nearest_point`'s squared
+    distances, so `nearest_point` from the pose returns the same point and
+    distance, with the same lowest-index tie-break, as on the full cloud, and
+    the cloud is empty iff the full one is.
+    """
     if max_range <= 0:
         raise ValueError("max_range must be positive")
     pos = pose.position if isinstance(pose, Pose6) else np.asarray(pose, dtype=np.float64)
     dirs = fibonacci_directions(int(ray_count))
     origin_g = vmap.world_to_grid(pos)
     dirs_g = np.ascontiguousarray(dirs / vmap.voxel_size)
-    t = kernels.raycast_batch(vmap.occ, origin_g, dirs_g, float(max_range))
+    t = kernels.raycast_batch(vmap.occ, origin_g, dirs_g, float(max_range), nearest=nearest)
     hit = t >= 0.0
     points = pos + dirs[hit] * t[hit, None]
     return PointCloud(points, frame="world")

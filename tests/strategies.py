@@ -1,0 +1,31 @@
+"""Hypothesis strategies shared by the kernel and world property tests."""
+
+import numpy as np
+from hypothesis import strategies as st
+
+
+@st.composite
+def occupancy_grids(draw, max_side=9):
+    shape = tuple(draw(st.integers(1, max_side)) for _ in range(3))
+    fill = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return np.random.default_rng(seed).random(shape) < fill
+
+
+@st.composite
+def grid_coordinate(draw, n):
+    """Inside the grid, outside it, or exactly on a voxel boundary."""
+    return draw(
+        st.one_of(
+            st.floats(0.0, float(n)),
+            st.floats(-4.0, n + 4.0),
+            st.integers(-2, n + 2).map(float),
+        )
+    )
+
+
+direction_component = st.one_of(
+    st.just(0.0),
+    st.floats(-3.0, 3.0, allow_subnormal=False),
+    st.sampled_from([-1.0, -0.5, 0.5, 1.0]),
+)

@@ -15,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from strategies import direction_component, grid_coordinate, occupancy_grids
 from surfscan import kernels
 from surfscan._accel import py_func
 
@@ -27,44 +28,26 @@ def random_occ(rng, shape=(20, 20, 10), fill=0.05):
 
 
 @st.composite
-def occupancy_grids(draw, max_side=9):
-    shape = tuple(draw(st.integers(1, max_side)) for _ in range(3))
-    fill = draw(st.sampled_from([0.0, 0.05, 0.2, 0.5, 1.0]))
-    seed = draw(st.integers(0, 2**32 - 1))
-    return np.random.default_rng(seed).random(shape) < fill
-
-
-@st.composite
-def grid_coordinate(draw, n):
-    """Inside the grid, outside it, or exactly on a voxel boundary."""
-    return draw(
-        st.one_of(
-            st.floats(0.0, float(n)),
-            st.floats(-4.0, n + 4.0),
-            st.integers(-2, n + 2).map(float),
-        )
-    )
-
-
-direction_component = st.one_of(
-    st.just(0.0),
-    st.floats(-3.0, 3.0, allow_subnormal=False),
-    st.sampled_from([-1.0, -0.5, 0.5, 1.0]),
-)
-
-
-@given(data=st.data())
-@PROPERTY
-def test_raycast_matches_scalar_oracle(data):
-    occ = data.draw(occupancy_grids())
-    origin = np.array([data.draw(grid_coordinate(n)) for n in occ.shape])
-    n_rays = data.draw(st.integers(1, 24))
-    dirs = data.draw(arrays(np.float64, (n_rays, 3), elements=direction_component))
+def ray_batches(draw):
+    occ = draw(occupancy_grids())
+    origin = np.array([draw(grid_coordinate(n)) for n in occ.shape])
+    n_rays = draw(st.integers(1, 24))
+    dirs = draw(arrays(np.float64, (n_rays, 3), elements=direction_component))
     # Caps shorter than the grid, beyond it, and unbounded.
-    t_cap = data.draw(st.one_of(st.floats(0.0, 3.0), st.floats(3.0, 60.0), st.just(math.inf)))
-    got = kernels.raycast_batch(occ, origin, dirs, t_cap)
-    ref = py_func(kernels.raycast_batch_scalar)(occ, origin, dirs, t_cap)
-    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    t_cap = draw(st.one_of(st.floats(0.0, 3.0), st.floats(3.0, 60.0), st.just(math.inf)))
+    return occ, origin, dirs, t_cap
+
+
+def same_bits(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@given(batch=ray_batches())
+@PROPERTY
+def test_raycast_matches_scalar_oracle(batch):
+    got = kernels.raycast_batch(*batch)
+    ref = py_func(kernels.raycast_batch_scalar)(*batch)
+    assert same_bits(got, ref)
 
 
 def test_raycast_matches_scalar_oracle_on_a_scan(rng):
@@ -73,7 +56,7 @@ def test_raycast_matches_scalar_oracle_on_a_scan(rng):
     dirs = rng.normal(size=(256, 3))
     got = kernels.raycast_batch(occ, origin, dirs, 50.0)
     ref = py_func(kernels.raycast_batch_scalar)(occ, origin, dirs, 50.0)
-    assert np.array_equal(got.view(np.int64), ref.view(np.int64))
+    assert same_bits(got, ref)
 
 
 def test_raycast_early_hit_survives_later_iterations():
@@ -86,6 +69,43 @@ def test_raycast_early_hit_survives_later_iterations():
     got = kernels.raycast_batch(occ, origin, dirs, 200.0)
     assert got.tolist() == [0.5] + [3.5] * 7
     assert np.array_equal(got, py_func(kernels.raycast_batch_scalar)(occ, origin, dirs, 200.0))
+
+
+def nearest_only(t):
+    """The full cast with every hit beyond the nearest-mode bound dropped."""
+    hits = t[t >= 0.0]
+    if hits.size:
+        t = np.where(t > hits.min() * (1.0 + 1e-9) + 1e-9, -1.0, t)
+    return t
+
+
+@given(batch=ray_batches())
+@PROPERTY
+def test_raycast_nearest_matches_filtered_scalar_oracle(batch):
+    scalar = py_func(kernels.raycast_batch_scalar)
+    got = kernels.raycast_batch(*batch, nearest=True)
+    assert same_bits(got, nearest_only(scalar(*batch)))
+    assert same_bits(got, scalar(*batch, nearest=True))
+
+
+def test_raycast_nearest_keeps_a_hit_on_the_bound_and_drops_earlier_far_hits():
+    # From (3.5, 1.5, 1.5): ray 0 crawls up y (tdelta 10) and is the first to
+    # hit, at t = 5; ray 1 enters voxel 2 down x at t = 0.5 / d, tuned to
+    # equal exactly the bound 1.5 * (1 + 1e-9) + 1e-9 that ray 2's later
+    # hit of voxel 5 at t = 1.5 sets.  Ray 0 must go, ray 1 must stay.
+    occ = np.zeros((9, 4, 3), dtype=np.bool_)
+    occ[3, 2, 1] = occ[2, 1, 1] = occ[5, 1, 1] = True
+    bound = 1.5 * (1.0 + 1e-9) + 1e-9
+    d = 0.5 / bound
+    while 0.5 / d != bound:
+        d = np.nextafter(d, 0.0 if 0.5 / d < bound else 1.0)
+    origin = np.array([3.5, 1.5, 1.5])
+    dirs = np.array([[0.0, 0.1, 0.0], [-d, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    scalar = py_func(kernels.raycast_batch_scalar)
+    assert scalar(occ, origin, dirs, 100.0).tolist() == [0.5 / 0.1, bound, 1.5]
+    got = kernels.raycast_batch(occ, origin, dirs, 100.0, nearest=True)
+    assert got.tolist() == [-1.0, bound, 1.5]
+    assert same_bits(got, scalar(occ, origin, dirs, 100.0, nearest=True))
 
 
 @st.composite

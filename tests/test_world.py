@@ -1,11 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from strategies import grid_coordinate, occupancy_grids
 from surfscan.depthcam import CameraIntrinsics
-from surfscan.fileio import load_xyz
+from surfscan.fileio import _load_xyz_lines, load_xyz
 from surfscan.geometry import Pose6, nearest_point
 from surfscan.world import (
     Box,
@@ -54,6 +57,34 @@ def test_load_xyz_reports_line_number(tmp_path):
     f.write_text("0 0 zero\n")
     with pytest.raises(ValueError, match=":1"):
         load_xyz(f)
+
+
+def test_load_xyz_matches_line_parser(tmp_path):
+    f = tmp_path / "survey.xyz"
+    f.write_text(
+        "# survey\n\n1e-3 -2.5E+2 3\n  4\t5 6  # trailing\n\n# note\n"
+        "7.000000000000001 0.1 1e308\n-0.0 +.5 5.\n"
+    )
+    got = load_xyz(f)
+    assert got.shape == (4, 3)
+    assert np.array_equal(got.view(np.int64), _load_xyz_lines(f).view(np.int64))
+
+
+def test_load_xyz_two_columns_names_line_one(tmp_path):
+    f = tmp_path / "flat.xyz"
+    f.write_text("0 0\n1 2\n")
+    with pytest.raises(ValueError, match=r"flat\.xyz:1: expected 3 values, got 2"):
+        load_xyz(f)
+
+
+@pytest.mark.parametrize("text", ["", "# only a comment\n\n"])
+def test_load_xyz_without_points(tmp_path, text):
+    f = tmp_path / "none.xyz"
+    f.write_text(text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        points = load_xyz(f)
+    assert points.shape == (0, 3) and points.dtype == np.float64
 
 
 # ---------------------------------------------------------------- deltas
@@ -181,17 +212,22 @@ def test_sample_cloud_empty_map():
     vmap = VoxelMap.empty((0, 0, 0), (5, 5, 5), 0.1)
     cloud = sample_cloud(vmap, Pose6(2.5, 2.5, 2.5), 10.0, 256)
     assert cloud.is_empty
+    assert assert_same_nearest(vmap, np.array([2.5, 2.5, 2.5]), 10.0, 256).is_empty
+
+
+def box_room(height):
+    """Closed 4 m x 4 m room with 0.2 m walls, floor and ceiling."""
+    vmap = VoxelMap.from_boxes([Box((0, 0, 0), (4.4, 4.4, height))], 0.1)
+    occ = np.asarray(vmap.occ)
+    occ.setflags(write=True)
+    occ[2:-2, 2:-2, 2:-2] = False
+    occ.setflags(write=False)
+    return vmap
 
 
 def test_sample_cloud_box_room_bound():
-    # Closed 4x4x4 room with 0.2 m walls; robot at the center.
-    outer = Box((0, 0, 0), (4.4, 4.4, 4.4))
-    vmap = VoxelMap.from_boxes([outer], 0.1)
-    occ = np.asarray(vmap.occ)
-    occ.setflags(write=True)
-    inner_lo = np.array([2, 2, 2])
-    occ[2:-2, 2:-2, 2:-2] = False
-    occ.setflags(write=False)
+    # Closed 4x4x4 room; robot at the center.
+    vmap = box_room(4.4)
     center = Pose6(2.2, 2.2, 2.2)
     cloud = sample_cloud(vmap, center, 10.0, 512)
     assert len(cloud) == 512
@@ -212,6 +248,51 @@ def test_sample_cloud_hits_on_voxel_boundaries(wall_map):
         # And the hit lies on a voxel face: some coordinate is a grid plane.
         g = wall_map.world_to_grid(p)
         assert np.min(np.abs(g - np.round(g))) < 1e-6
+
+
+def assert_same_nearest(vmap, pos, max_range, ray_count):
+    """The nearest-mode cloud from `pos` gives `nearest_point` bit for bit the
+    answer of the full cloud; returns it."""
+    full = sample_cloud(vmap, pos, max_range, ray_count)
+    near = sample_cloud(vmap, pos, max_range, ray_count, nearest=True)
+    assert near.is_empty == full.is_empty
+    if full.is_empty:
+        return near
+    p_full, d_full = nearest_point(full, pos)
+    p_near, d_near = nearest_point(near, pos)
+    assert np.array_equal(p_near.view(np.int64), p_full.view(np.int64))
+    assert np.float64(d_near).view(np.int64) == np.float64(d_full).view(np.int64)
+    return near
+
+
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_sample_cloud_nearest_matches_full_cloud(data):
+    occ = data.draw(occupancy_grids())
+    voxel_size = data.draw(st.sampled_from([0.1, 0.25, 1.0]))
+    origin = np.array(data.draw(st.sampled_from([(0.0, 0.0, 0.0), (-7.3, 120.1, 0.35)])))
+    vmap = VoxelMap(origin, voxel_size, occ)
+    g = np.array([data.draw(grid_coordinate(n)) for n in occ.shape])
+    pos = origin + g * voxel_size
+    max_range = data.draw(st.one_of(st.floats(0.05, 3.0), st.just(50.0)))
+    assert_same_nearest(vmap, pos, max_range, data.draw(st.integers(1, 300)))
+
+
+def test_sample_cloud_nearest_origin_inside_occupied(wall_map):
+    # Every ray hits at t = 0, so every return is the nearest.
+    near = assert_same_nearest(wall_map, np.array([6.2, 0.0, 1.2]), 8.0, 64)
+    assert len(near) == 64
+
+
+@pytest.mark.parametrize("height, rays", [(4.4, 512), (4.4, 2048), (2.4, 2048)])
+def test_sample_cloud_nearest_box_room_center(height, rays):
+    # Six walls at 2 m (cube) leave many returns nearly as near as the
+    # nearest.  In the 2 m high room the first and last rays meet ceiling
+    # and floor at ranges one rounding apart, within the margin: both stay.
+    center = np.array([2.2, 2.2, height / 2.0])
+    near = assert_same_nearest(box_room(height), center, 10.0, rays)
+    if height == 2.4:
+        assert len(near) == 2
 
 
 def test_sample_cloud_deterministic(wall_map):
