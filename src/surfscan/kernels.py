@@ -363,7 +363,7 @@ def raycast_batch_numpy(occ, origin, dirs, t_cap, nearest=False):
     t_enter = np.zeros(n_rays)
     t_exit = np.full(n_rays, float(t_cap))
     live = np.ones(n_rays, dtype=np.bool_)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for axis in range(3):
             o = origin[axis]
             d = dirs[:, axis]
@@ -405,7 +405,7 @@ def raycast_batch_numpy(occ, origin, dirs, t_cap, nearest=False):
         cell = np.clip(np.floor(p).astype(np.int64), 0, shape[axis] - 1)
         forward = d > 0.0
         backward = d < 0.0
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             fstate[2 + axis] = np.where(
                 forward,
                 t + ((cell + 1) - p) / d,

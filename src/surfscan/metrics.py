@@ -166,7 +166,6 @@ def summarize(log, d_view=2.0, reconverge_frac=0.1):
         "min_utility": float(np.min(utilities)) if utilities else None,
         "pct_replanned": 100.0 * float(np.mean(replanned)) if replanned else 0.0,
         "time_to_reconverge_s": reconverge,
-        "visited": int(log.records[-1].visited) if log.records else 0,
     }
     summary.update(log.meta)
     return summary

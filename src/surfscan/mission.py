@@ -1,13 +1,20 @@
 """Closed-loop mission execution.
 
-Per task: plan the route to the tour start on the current map and track it
-(NAVIGATE), then alternate supervision cycles with reference tracking
-(INSPECT).  A supervision cycle runs when the previously commanded view
-pose has been reached; the emitted reference then stays fixed while the
-controller closes in on it.  One log record is written per control step;
-similarity metrics refresh at supervision instants and are carried through
-the tracking steps in between, while pose, viewing distance and viewpoint
-utility are sampled fresh every step.
+`MissionRunner.run` flies the planned tasks in priority order with a
+stepper that moves through three phases per task:
+
+- NAVIGATE: plan a route to the tour start on the current map and follow
+  its waypoints.
+- INSPECT: run a supervision cycle (`step_mission`) when the previously
+  commanded view pose has been reached; a cycle without a reference (a
+  sensing retry) holds the robot for one step.
+- TRACK: step toward the reference the cycle emitted, which stays fixed,
+  until it is reached, tracking stalls or the time budget runs out; then
+  INSPECT again.
+
+One log record is written per control step.  Similarity metrics come from
+the last supervision cycle and are carried through the steps in between;
+pose, viewing distance and viewpoint utility are sampled fresh every step.
 """
 
 import logging
@@ -35,7 +42,13 @@ from .metrics import (
     viewpoint_utility,
 )
 from .scenario import build_scene
-from .supervisor import MissionMode, MissionState, MissionStatus, step_mission
+from .supervisor import (
+    MissionMode,
+    MissionState,
+    MissionStatus,
+    SupervisionCycle,
+    step_mission,
+)
 from .world import render_depth, sample_cloud
 
 __all__ = ["MissionRunner", "MissionResult", "TaskPlan", "PlanArtifacts"]
@@ -115,220 +128,228 @@ class MissionRunner:
     # -- execution -------------------------------------------------------------
 
     def run(self, artifacts=None):
-        cfg = self.cfg
         if artifacts is None:
             artifacts = self.plan()
-        scene = self.scene
-        rng = np.random.default_rng(cfg.seed)
-        robot = RobotState(
-            pose=cfg.start_pose, v_max=cfg.v_max, w_max=cfg.w_max, inflation=cfg.inflation
-        )
-        mission_log = MissionLog()
-        clock = {"t": 0.0, "steps": 0}
-        max_steps = int(round(cfg.max_sim_time / cfg.dt))
-        adaptive = cfg.mode == "adaptive"
-
-        nav_pos_tol = min(0.12, 0.4 * cfg.pos_tol)
-        nav_yaw_tol = min(0.15, 0.75 * cfg.yaw_tol)
-        arrive_pos = min(0.1, 0.4 * cfg.pos_tol)
-        arrive_yaw = min(0.1, 0.5 * cfg.yaw_tol)
-
-        # Similarity metrics carried between supervision instants.
-        carried = {
-            "mode": MissionMode.GLOBAL,
-            "f_d": NAN,
-            "gamma_s": NAN,
-            "rmse_pre": NAN,
-            "rmse_post": NAN,
-            "cursor": 0,
-            "visited": 0,
-        }
-
-        def observe(pose):
-            try:
-                depth = render_depth(scene.current, pose, cfg.camera)
-                return viewpoint_utility(depth, cfg.camera)
-            except NoSurfaceError:
-                return 0.0
-
-        def measure_vd(pose):
-            cloud = sample_cloud(
-                scene.current, pose, cfg.sense_range, cfg.sense_rays, nearest=True
-            )
-            return viewing_distance(pose, cloud) if not cloud.is_empty else NAN
-
-        def reported(pose):
-            if cfg.odom_sigma_xy == 0.0 and cfg.odom_sigma_psi == 0.0:
-                return pose
-            return add_odometry_noise(pose, cfg.odom_sigma_xy, cfg.odom_sigma_psi, rng)
-
-        def refresh(cycle):
-            carried["mode"] = cycle.mode
-            carried["f_d"] = cycle.f_d
-            carried["gamma_s"] = cycle.gamma_s
-            carried["rmse_pre"] = cycle.rmse_pre
-            carried["rmse_post"] = cycle.rmse_post
-            carried["cursor"] = cycle.cursor
-            carried["visited"] = cycle.visited
-
-        def emit(phase, ref, blocked, vd=None):
-            pose = robot.pose
-            mode = carried["mode"]
-            gamma_s = carried["gamma_s"]
-            mission_log.append(
-                MissionRecord(
-                    t=round(clock["t"], 9),
-                    phase=phase,
-                    mode=mode.value,
-                    f_d=carried["f_d"],
-                    gamma_s=gamma_s,
-                    deviation=1.0 - gamma_s if np.isfinite(gamma_s) else NAN,
-                    rmse_pre=carried["rmse_pre"],
-                    rmse_post=carried["rmse_post"],
-                    cursor=carried["cursor"],
-                    visited=carried["visited"],
-                    viewing_distance=measure_vd(pose) if vd is None else vd,
-                    utility=observe(pose),
-                    x=pose.x,
-                    y=pose.y,
-                    z=pose.z,
-                    psi=pose.psi,
-                    ref_x=ref.x if ref is not None else NAN,
-                    ref_y=ref.y if ref is not None else NAN,
-                    ref_z=ref.z if ref is not None else NAN,
-                    ref_psi=ref.psi if ref is not None else NAN,
-                    blocked=int(blocked),
-                    replanned=int(mode is MissionMode.REPLANNED),
-                )
-            )
-
-        def out_of_time():
-            return clock["steps"] >= max_steps
-
-        def advance(ref):
-            nonlocal robot
-            target = ref if ref is not None else ViewPose4(
-                robot.pose.x, robot.pose.y, robot.pose.z, robot.pose.psi
-            )
-            robot, blocked = track_step(robot, target, scene.current, cfg.dt)
-            clock["t"] += cfg.dt
-            clock["steps"] += 1
-            return blocked
-
-        def pose_error(ref):
-            dist = float(np.linalg.norm(ref.position - robot.pose.position))
-            dyaw = abs(wrap_angle(ref.psi - robot.pose.psi))
-            return dist, dyaw
-
-        status = "completed"
-        total_visited = 0
-        total_approx = 0
-        predicted_paths = []
-
-        for task_plan in artifacts.executable:
-            first = task_plan.plan.viewpoints[task_plan.tour.order[0]]
-
-            # NAVIGATE to the tour start over the current map.
-            try:
-                waypoints, _ = plan_route(
-                    scene.current,
-                    robot.pose.position,
-                    first.position,
-                    cfg.inflation,
-                    z_band=cfg.z_band,
-                )
-            except RouteError as exc:
-                log.warning("task %s: route to tour start failed: %s", task_plan.task.id, exc)
-                status = "aborted"
-                break
-            wp_idx = 0
-            while True:
-                if out_of_time():
-                    status = "timeout"
-                    break
-                pos = robot.pose.position
-                while (
-                    wp_idx < len(waypoints) - 1
-                    and np.linalg.norm(waypoints[wp_idx] - pos) < 0.2
-                ):
-                    wp_idx += 1
-                wp = waypoints[wp_idx]
-                ref = ViewPose4(wp[0], wp[1], wp[2], first.psi)
-                dist, dyaw = pose_error(ref)
-                if wp_idx == len(waypoints) - 1 and dist <= nav_pos_tol and dyaw <= nav_yaw_tol:
-                    break
-                emit("navigate", ref, False)
-                blocked = advance(ref)
-                if blocked:
-                    log.debug("navigate blocked at %s", robot.pose)
-            if status != "completed":
-                break
-
-            # INSPECT: one supervision cycle per tracked view pose.  The
-            # emitted reference stays fixed while the robot closes in on it.
-            state = MissionState(
-                plan=task_plan.plan,
-                tour=task_plan.tour,
-                local_cfg=self.local_cfg,
-                gamma_t=cfg.gamma_t,
-                pos_tol=cfg.pos_tol,
-                yaw_tol=cfg.yaw_tol,
-                adaptive=adaptive,
-            )
-            while state.status is MissionStatus.RUNNING:
-                if out_of_time():
-                    status = "timeout"
-                    break
-                ref, cycle = step_mission(state, scene, reported(robot.pose))
-                refresh(cycle)
-                emit("inspect", ref, False, vd=cycle.viewing_distance)
-                if ref is not None and state.last_lvp is not None:
-                    predicted_paths.append((round(clock["t"], 9), state.last_lvp))
-                if state.status is not MissionStatus.RUNNING:
-                    break
-                if ref is None:  # sensing hiccup: hold one step and retry
-                    advance(None)
-                    continue
-                dist, dyaw = pose_error(ref)
-                cap = int(3.0 * (dist / max(cfg.v_max, 1e-9) + dyaw / max(cfg.w_max, 1e-9)) / cfg.dt) + 20
-                blocked = advance(ref)
-                tracked = 1
-                while not out_of_time():
-                    dist, dyaw = pose_error(ref)
-                    if dist <= arrive_pos and dyaw <= arrive_yaw:
-                        break
-                    if tracked >= cap:
-                        log.debug("tracking stalled toward %s; resupervising", ref)
-                        break
-                    emit("inspect", ref, blocked)
-                    blocked = advance(ref)
-                    tracked += 1
-            if state.status is MissionStatus.ABORTED:
-                status = "aborted"
-            total_visited += state.visited_count
-            total_approx += state.approx_visits
-            if status != "completed":
-                break
-            # The completion cycle logged a record without moving the clock;
-            # step once so the next task's records keep timestamps strict.
-            advance(None)
-
-        mission_log.meta.update(
+        cfg = self.cfg
+        stepper = _Stepper(self)
+        status = stepper.fly(artifacts.executable)
+        stepper.log.meta.update(
             {
                 "status": status,
                 "completed": status == "completed",
                 "mode": cfg.mode,
                 "seed": cfg.seed,
                 "scenario": cfg.name,
-                "visited_total": total_visited,
-                "approx_visits": total_approx,
+                "visited_total": stepper.visited_total,
+                "approx_visits": stepper.approx_visits,
             }
         )
-        result_summary = summarize(mission_log, d_view=cfg.view.d_view)
         return MissionResult(
             status=status,
-            log=mission_log,
-            summary=result_summary,
+            log=stepper.log,
+            summary=summarize(stepper.log, d_view=cfg.view.d_view),
             artifacts=artifacts,
-            predicted_paths=predicted_paths,
+            predicted_paths=stepper.predicted_paths,
+        )
+
+
+# What every record carries before the first supervision cycle.
+_NO_CYCLE = SupervisionCycle(MissionMode.GLOBAL, NAN, NAN, NAN, NAN, cursor=0, visited=0, viewing_distance=NAN)
+# The mission status a task's inspection ends with; still running means out of time.
+_INSPECT_STATUS = {
+    MissionStatus.COMPLETE: "completed",
+    MissionStatus.ABORTED: "aborted",
+    MissionStatus.RUNNING: "timeout",
+}
+
+
+class _Stepper:
+    """One mission's robot, clock, random generator and log, and the last
+    supervision cycle, whose similarity metrics every record carries until
+    the next cycle.  Every control step appends exactly one record."""
+
+    def __init__(self, runner):
+        self.cfg = cfg = runner.cfg
+        self.scene = runner.scene
+        self.local_cfg = runner.local_cfg
+        self.robot = RobotState(
+            pose=cfg.start_pose, v_max=cfg.v_max, w_max=cfg.w_max, inflation=cfg.inflation
+        )
+        self.rng = np.random.default_rng(cfg.seed)
+        self.t = 0.0
+        self.steps = 0
+        self.max_steps = int(round(cfg.max_sim_time / cfg.dt))
+        self.log = MissionLog()
+        self.cycle = _NO_CYCLE
+        self.predicted_paths = []
+        self.visited_total = 0
+        self.approx_visits = 0
+
+    def fly(self, executable):
+        """Navigate to and inspect each task in order; returns the mission
+        status (completed | timeout | aborted)."""
+        for task_plan in executable:
+            status = self.navigate(task_plan)
+            if status == "completed":
+                status = self.inspect(task_plan)
+            if status != "completed":
+                return status
+            # The completion cycle logged a record without moving the clock;
+            # step once so the next task's records keep timestamps strict.
+            self.advance(None)
+        return "completed"
+
+    # -- phases ----------------------------------------------------------------
+
+    def navigate(self, task_plan):
+        """NAVIGATE: plan a route to the tour start on the current map and
+        follow its waypoints until the last one is reached.  There is no
+        stall cap: a blocked robot holds until the time budget runs out."""
+        cfg = self.cfg
+        first = task_plan.plan.viewpoints[task_plan.tour.order[0]]
+        try:
+            waypoints, _ = plan_route(
+                self.scene.current,
+                self.robot.pose.position,
+                first.position,
+                cfg.inflation,
+                z_band=cfg.z_band,
+            )
+        except RouteError as exc:
+            log.warning("task %s: route to tour start failed: %s", task_plan.task.id, exc)
+            return "aborted"
+        pos_tol = min(0.12, 0.4 * cfg.pos_tol)
+        yaw_tol = min(0.15, 0.75 * cfg.yaw_tol)
+        last = len(waypoints) - 1
+        wp_idx = 0
+        while not self.out_of_time():
+            pos = self.robot.pose.position
+            while wp_idx < last and np.linalg.norm(waypoints[wp_idx] - pos) < 0.2:
+                wp_idx += 1
+            wp = waypoints[wp_idx]
+            ref = ViewPose4(wp[0], wp[1], wp[2], first.psi)
+            dist, dyaw = self.pose_error(ref)
+            if wp_idx == last and dist <= pos_tol and dyaw <= yaw_tol:
+                return "completed"
+            self.record("navigate", ref, False)
+            if self.advance(ref):
+                log.debug("navigate blocked at %s", self.robot.pose)
+        return "timeout"
+
+    def inspect(self, task_plan):
+        """INSPECT: one supervision cycle per view pose, each followed by
+        TRACK toward the pose it emits; a cycle that emits none (a sensing
+        retry) holds the robot for one step instead."""
+        cfg = self.cfg
+        state = MissionState(
+            plan=task_plan.plan,
+            tour=task_plan.tour,
+            local_cfg=self.local_cfg,
+            gamma_t=cfg.gamma_t,
+            pos_tol=cfg.pos_tol,
+            yaw_tol=cfg.yaw_tol,
+            adaptive=cfg.mode == "adaptive",
+        )
+        while state.status is MissionStatus.RUNNING and not self.out_of_time():
+            ref = self.supervise(state)
+            if ref is not None:
+                self.track(ref)
+            elif state.status is MissionStatus.RUNNING:
+                self.advance(None)
+        self.visited_total += state.visited_count
+        self.approx_visits += state.approx_visits
+        return _INSPECT_STATUS[state.status]
+
+    def supervise(self, state):
+        """Run one supervision cycle at the reported pose and log it.
+        Returns the view pose to track, or None."""
+        cfg = self.cfg
+        reported = add_odometry_noise(
+            self.robot.pose, cfg.odom_sigma_xy, cfg.odom_sigma_psi, self.rng
+        )
+        ref, self.cycle = step_mission(state, self.scene, reported)
+        self.record("inspect", ref, False, vd=self.cycle.viewing_distance)
+        if ref is not None and state.last_lvp is not None:
+            self.predicted_paths.append((round(self.t, 9), state.last_lvp))
+        return ref
+
+    def track(self, ref):
+        """TRACK: step toward the fixed reference until it is reached within
+        the arrival tolerances, the stall cap (three times the unobstructed
+        time, plus 20 steps) is hit or the time budget runs out."""
+        cfg = self.cfg
+        pos_tol = min(0.1, 0.4 * cfg.pos_tol)
+        yaw_tol = min(0.1, 0.5 * cfg.yaw_tol)
+        dist, dyaw = self.pose_error(ref)
+        cap = int(3.0 * (dist / max(cfg.v_max, 1e-9) + dyaw / max(cfg.w_max, 1e-9)) / cfg.dt) + 20
+        blocked = self.advance(ref)
+        tracked = 1
+        while not self.out_of_time():
+            dist, dyaw = self.pose_error(ref)
+            if dist <= pos_tol and dyaw <= yaw_tol:
+                return
+            if tracked >= cap:
+                log.debug("tracking stalled toward %s; resupervising", ref)
+                return
+            self.record("inspect", ref, blocked)
+            blocked = self.advance(ref)
+            tracked += 1
+
+    # -- one control step --------------------------------------------------------
+
+    def out_of_time(self):
+        return self.steps >= self.max_steps
+
+    def pose_error(self, ref):
+        pose = self.robot.pose
+        return float(np.linalg.norm(ref.position - pose.position)), abs(wrap_angle(ref.psi - pose.psi))
+
+    def advance(self, ref):
+        """One control step toward `ref` (None: hold the current pose)."""
+        pose = self.robot.pose
+        target = ref if ref is not None else ViewPose4(pose.x, pose.y, pose.z, pose.psi)
+        self.robot, blocked = track_step(self.robot, target, self.scene.current, self.cfg.dt)
+        self.t += self.cfg.dt
+        self.steps += 1
+        return blocked
+
+    def record(self, phase, ref, blocked, vd=None):
+        """Log the current pose with fresh viewing distance (unless given)
+        and utility, and the last cycle's similarity metrics."""
+        cfg = self.cfg
+        vmap = self.scene.current
+        pose = self.robot.pose
+        if vd is None:
+            cloud = sample_cloud(vmap, pose, cfg.sense_range, cfg.sense_rays, nearest=True)
+            vd = viewing_distance(pose, cloud) if not cloud.is_empty else NAN
+        try:
+            utility = viewpoint_utility(render_depth(vmap, pose, cfg.camera), cfg.camera)
+        except NoSurfaceError:
+            utility = 0.0
+        cycle = self.cycle
+        self.log.append(
+            MissionRecord(
+                t=round(self.t, 9),
+                phase=phase,
+                mode=cycle.mode.value,
+                f_d=cycle.f_d,
+                gamma_s=cycle.gamma_s,
+                deviation=1.0 - cycle.gamma_s,
+                rmse_pre=cycle.rmse_pre,
+                rmse_post=cycle.rmse_post,
+                cursor=cycle.cursor,
+                visited=cycle.visited,
+                viewing_distance=vd,
+                utility=utility,
+                x=pose.x,
+                y=pose.y,
+                z=pose.z,
+                psi=pose.psi,
+                ref_x=ref.x if ref is not None else NAN,
+                ref_y=ref.y if ref is not None else NAN,
+                ref_z=ref.z if ref is not None else NAN,
+                ref_psi=ref.psi if ref is not None else NAN,
+                blocked=int(blocked),
+                replanned=int(cycle.mode is MissionMode.REPLANNED),
+            )
         )

@@ -138,8 +138,7 @@ class MissionState:
     max_retries: int = 10
 
     cursor: int = 0
-    visited: list = field(default_factory=list)
-    visited_via: list = field(default_factory=list)
+    visited_via: list = field(default_factory=list)  # None | "direct" | "approx"
     mode: MissionMode = MissionMode.GLOBAL
     status: MissionStatus = MissionStatus.RUNNING
     retries: int = 0
@@ -149,15 +148,12 @@ class MissionState:
     last_lvp: Optional[PathSegment] = None
 
     def __post_init__(self):
-        n = len(self.tour.order)
-        if not self.visited:
-            self.visited = [False] * n
         if not self.visited_via:
-            self.visited_via = [None] * n
+            self.visited_via = [None] * len(self.tour.order)
 
     @property
     def visited_count(self):
-        return sum(self.visited)
+        return sum(1 for v in self.visited_via if v is not None)
 
     @property
     def approx_visits(self):
@@ -190,7 +186,35 @@ def _within(robot, target, pos_tol, yaw_tol):
 def check_completion(state):
     """True iff every tour viewpoint has been visited, directly or through
     its aligned counterpart."""
-    return all(state.visited)
+    return all(v is not None for v in state.visited_via)
+
+
+def _unscored_cycle(state, event, visited_index, vd=float("nan")):
+    """The record of a cycle that emits no reference: no similarity."""
+    nan = float("nan")
+    return SupervisionCycle(
+        mode=state.mode,
+        f_d=nan,
+        gamma_s=nan,
+        rmse_pre=nan,
+        rmse_post=nan,
+        cursor=state.cursor,
+        visited=state.visited_count,
+        viewing_distance=vd,
+        event=event,
+        visited_index=visited_index,
+    )
+
+
+def _retry(state):
+    """Count one failed sensing or prediction attempt; abort the task once
+    the count passes `max_retries` (a non-empty scan resets it).  Returns
+    the cycle event."""
+    state.retries += 1
+    if state.retries > state.max_retries:
+        state.status = MissionStatus.ABORTED
+        return "abort"
+    return "sense_retry"
 
 
 def step_mission(state, scene, robot):
@@ -203,8 +227,6 @@ def step_mission(state, scene, robot):
     view pose to track (None on completion / sensing failure) and the cycle
     record.
     """
-    nan = float("nan")
-
     # Visitation bookkeeping against the last reconciled counterpart.
     event = None
     visited_index = None
@@ -218,7 +240,6 @@ def step_mission(state, scene, robot):
                 or state.last_rmse_post < state.pos_tol
             )
             if credit:
-                state.visited[state.cursor] = True
                 state.visited_via[state.cursor] = (
                     "direct" if state.target_mode is MissionMode.GLOBAL else "approx"
                 )
@@ -231,18 +252,7 @@ def step_mission(state, scene, robot):
 
     if state.cursor >= len(state.tour.order):
         state.status = MissionStatus.COMPLETE
-        return None, SupervisionCycle(
-            mode=state.mode,
-            f_d=nan,
-            gamma_s=nan,
-            rmse_pre=nan,
-            rmse_post=nan,
-            cursor=state.cursor,
-            visited=state.visited_count,
-            viewing_distance=nan,
-            event="complete",
-            visited_index=visited_index,
-        )
+        return None, _unscored_cycle(state, "complete", visited_index)
 
     cloud = sample_cloud(
         scene.current,
@@ -252,24 +262,7 @@ def step_mission(state, scene, robot):
         nearest=True,
     )
     if cloud.is_empty:
-        state.retries += 1
-        if state.retries > state.max_retries:
-            state.status = MissionStatus.ABORTED
-            event = "abort"
-        else:
-            event = "sense_retry"
-        return None, SupervisionCycle(
-            mode=state.mode,
-            f_d=nan,
-            gamma_s=nan,
-            rmse_pre=nan,
-            rmse_post=nan,
-            cursor=state.cursor,
-            visited=state.visited_count,
-            viewing_distance=nan,
-            event=event,
-            visited_index=visited_index,
-        )
+        return None, _unscored_cycle(state, _retry(state), visited_index)
     state.retries = 0
     vd = viewing_distance(robot, cloud)
 
@@ -285,22 +278,7 @@ def step_mission(state, scene, robot):
     except NoSurfaceError:
         lvp, short = None, True
     if lvp is None:
-        state.retries += 1
-        event = "abort" if state.retries > state.max_retries else "sense_retry"
-        if event == "abort":
-            state.status = MissionStatus.ABORTED
-        return None, SupervisionCycle(
-            mode=state.mode,
-            f_d=nan,
-            gamma_s=nan,
-            rmse_pre=nan,
-            rmse_post=nan,
-            cursor=state.cursor,
-            visited=state.visited_count,
-            viewing_distance=vd,
-            event=event,
-            visited_index=visited_index,
-        )
+        return None, _unscored_cycle(state, _retry(state), visited_index, vd)
     if len(lvp) < len(gvp):
         pad = np.vstack([lvp.as_array()] + [lvp.as_array()[-1:]] * (len(gvp) - len(lvp)))
         lvp = PathSegment(pad)

@@ -8,6 +8,7 @@ Either way they must equal the pure-Python scalar loops exactly.
 
 import functools
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -69,6 +70,23 @@ def test_raycast_early_hit_survives_later_iterations():
     got = kernels.raycast_batch(occ, origin, dirs, 200.0)
     assert got.tolist() == [0.5] + [3.5] * 7
     assert np.array_equal(got, py_func(kernels.raycast_batch_scalar)(occ, origin, dirs, 200.0))
+
+
+def test_raycast_tiny_direction_off_grid_emits_no_warning():
+    # Clipping against the grid divides by the direction: a tiny normal
+    # component with the origin off the grid overflows to inf, which is the
+    # right clip parameter (a miss), and must not warn.
+    occ = np.zeros((3, 3, 3), dtype=np.bool_)
+    occ[0, 2, 1] = True
+    origin = np.array([-4.0, 1.5, 1.5])
+    dirs = np.array([[2.3e-308, 1.0, 0.0], [1.0, 0.25, 0.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        got = kernels.raycast_batch(occ, origin, dirs, 10.0)
+    with np.errstate(over="ignore"):
+        ref = py_func(kernels.raycast_batch_scalar)(occ, origin, dirs, 10.0)
+    assert same_bits(got, ref)
+    assert got[0] == -1.0 and got[1] > 0.0
 
 
 def nearest_only(t):

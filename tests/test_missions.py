@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from surfscan.geometry import wrap_angle
 from surfscan.mission import MissionRunner
 from surfscan.scenario import MapSpec, ScenarioConfig, TaskSpec, demo_scenario
 from surfscan.world import Box
@@ -14,7 +15,7 @@ def test_obstacle_demo_detours_and_completes():
     cfg = demo_scenario("obstacle")
     result = MissionRunner(cfg).run()
     assert result.status == "completed"
-    assert result.summary["visited"] == 6
+    assert result.summary["visited_total"] == 6
     # The new obstruction spans the direct approach; the route detours
     # around its eastern end before reaching the tour.
     nav = [r for r in result.log.records if r.phase == "navigate"]
@@ -64,7 +65,7 @@ def test_nominal_mission_tolerates_small_odometry_noise():
     cfg = dataclasses.replace(cfg, odom_sigma_xy=0.02, odom_sigma_psi=0.01)
     result = MissionRunner(cfg).run()
     assert result.status == "completed"
-    assert result.summary["visited"] == 6
+    assert result.summary["visited_total"] == 6
 
 
 def test_prebuilt_current_map_mode():
@@ -139,7 +140,7 @@ def test_timeout_reports_partial_progress():
     result = MissionRunner(cfg).run()
     assert result.status == "timeout"
     assert result.summary["duration_s"] <= 4.0 + 1e-9
-    assert 0 <= result.summary["visited"] < 6
+    assert 0 <= result.summary["visited_total"] < 6
 
 
 def test_navigate_route_error_aborts_and_other_errors_propagate(monkeypatch):
@@ -161,3 +162,73 @@ def test_navigate_route_error_aborts_and_other_errors_propagate(monkeypatch):
     monkeypatch.setattr(mission, "plan_route", broken)
     with pytest.raises(ZeroDivisionError):
         runner.run(artifacts)
+
+
+def _stall_cap(rec, cfg):
+    """The tracking step cap toward a supervision record's reference."""
+    dist = float(np.linalg.norm(np.array([rec.ref_x - rec.x, rec.ref_y - rec.y, rec.ref_z - rec.z])))
+    dyaw = abs(wrap_angle(rec.ref_psi - rec.psi))
+    return int(3.0 * (dist / cfg.v_max + dyaw / cfg.w_max) / cfg.dt) + 20
+
+
+def test_blocked_tracking_resupervises_at_the_stall_cap_and_times_out(monkeypatch):
+    from surfscan import mission
+
+    cfg = dataclasses.replace(demo_scenario("nominal"), max_sim_time=16.0)
+    real_step, real_track = mission.step_mission, mission.track_step
+    cycles = []
+
+    def counting_step(state, scene, robot):
+        cycles.append(robot)
+        return real_step(state, scene, robot)
+
+    def stuck_once_inspecting(robot, ref, vmap, dt):
+        if not cycles:
+            return real_track(robot, ref, vmap, dt)
+        return robot, True
+
+    monkeypatch.setattr(mission, "step_mission", counting_step)
+    monkeypatch.setattr(mission, "track_step", stuck_once_inspecting)
+    result = MissionRunner(cfg).run()
+    assert result.status == "timeout"
+    assert result.summary["duration_s"] <= cfg.max_sim_time + 1e-9
+    inspect = result.log.inspect_records()
+    # Supervision records are the unblocked ones: every step after the
+    # first cycle is blocked.
+    supervised = [i for i, r in enumerate(inspect) if not r.blocked]
+    assert len(supervised) == len(cycles) >= 2
+    assert sum(r.blocked for r in inspect) == len(inspect) - len(cycles)
+    # Each cycle tracks for exactly its stall cap, one record per step,
+    # and the robot never moves.
+    for a, b in zip(supervised, supervised[1:]):
+        assert b - a == _stall_cap(inspect[a], cfg)
+    assert len({(r.x, r.y, r.z, r.psi) for r in inspect}) == 1
+    dts = np.diff([r.t for r in result.log.records])
+    assert np.allclose(dts, cfg.dt, rtol=0.0, atol=1e-9)
+
+
+def test_sense_retry_holds_the_robot_for_one_step(monkeypatch):
+    from surfscan import supervisor
+    from surfscan.geometry import PointCloud
+
+    cfg = demo_scenario("nominal")
+    real_sample = supervisor.sample_cloud
+    calls = []
+
+    def blind_second_scan(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            return PointCloud(np.empty((0, 3)))
+        return real_sample(*args, **kwargs)
+
+    monkeypatch.setattr(supervisor, "sample_cloud", blind_second_scan)
+    result = MissionRunner(cfg).run()
+    assert result.status == "completed"
+    records = result.log.records
+    retries = [i for i, r in enumerate(records) if r.phase == "inspect" and np.isnan(r.ref_x)]
+    retry = records[retries[0]]
+    assert np.isnan(retry.f_d) and np.isnan(retry.viewing_distance)
+    held = records[retries[0] + 1]
+    assert held.phase == "inspect"
+    assert round(held.t - retry.t, 9) == cfg.dt
+    assert (held.x, held.y, held.z, held.psi) == (retry.x, retry.y, retry.z, retry.psi)

@@ -177,7 +177,7 @@ def test_step_mission_visits_and_advances():
     robot = Pose6(4.0, 0.0, 0.6, 0.0, 0.0, 0.0)  # exactly at viewpoint 0
     ref, cycle = step_mission(state, scene, robot)
     assert cycle.event == "visit" and cycle.visited_index == 0
-    assert state.cursor == 1 and state.visited[0]
+    assert state.cursor == 1 and state.visited_via[0] == "direct"
     assert ref is not None
     assert cycle.gamma_s > 0.5  # nominal scene stays similar
 
