@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
-"""Print a sha256 for every artifact file the built-in demos write.
+"""Print a sha256 for every artifact file the built-in demos and scenario files write.
 
-Runs `surfscan run --demo X` for each of the four demos and
-`surfscan compare --demo receding_full`, each into its own directory under
-a temporary directory, then prints one `sha256sum`-style line per file
+Runs `surfscan run --demo X` for each of the four demos,
+`surfscan compare --demo receding_full` and `surfscan run --config` for
+each of the two scenario files in `scenarios/`, each into its own directory
+under a temporary directory, then prints one `sha256sum`-style line per file
 (`<digest>  <run>/<relative path>`), sorted by path.  Diff the output of
 two checkouts to see which artifacts a change touched:
 
@@ -11,11 +12,11 @@ two checkouts to see which artifacts a change touched:
     python3 benchmarks/demo_digests.py --root ../other-checkout > before.txt
     diff before.txt after.txt
 
-`--root` names the checkout whose `src/` is imported (default: the one
-holding this script); `--out` keeps the artifacts in that directory
-instead of a temporary one.  Exit status is nonzero if any command fails;
-a timeout or abort exit code of the CLI counts as a failure too, since
-every demo completes.
+`--root` names the checkout whose `src/` is imported and whose
+`scenarios/` is run (default: the one holding this script); `--out` keeps
+the artifacts in that directory instead of a temporary one.  Exit status
+is nonzero if any command fails; a timeout or abort exit code of the CLI
+counts as a failure too, since every run completes.
 """
 
 import argparse
@@ -27,9 +28,19 @@ import tempfile
 from pathlib import Path
 
 DEMOS = ("nominal", "receding", "obstacle", "receding_full")
-RUNS = tuple((f"run_{demo}", ("run", "--demo", demo)) for demo in DEMOS) + (
-    ("compare_receding_full", ("compare", "--demo", "receding_full")),
-)
+SCENARIOS = ("wall_nominal", "wall_receding")
+
+
+def runs(root):
+    """(run directory name, CLI arguments) for every run, in order."""
+    return (
+        tuple((f"run_{demo}", ("run", "--demo", demo)) for demo in DEMOS)
+        + (("compare_receding_full", ("compare", "--demo", "receding_full")),)
+        + tuple(
+            (f"config_{name}", ("run", "--config", str(root / "scenarios" / f"{name}.yaml")))
+            for name in SCENARIOS
+        )
+    )
 
 
 def digests(out_root):
@@ -46,10 +57,11 @@ def main(argv=None):
     parser.add_argument("--root", type=Path, default=Path(__file__).resolve().parent.parent)
     parser.add_argument("--out", type=Path, help="keep the artifacts in this new or empty directory")
     args = parser.parse_args(argv)
-    env = dict(os.environ, PYTHONPATH=str(args.root.resolve() / "src"))
+    root = args.root.resolve()
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
     with tempfile.TemporaryDirectory() as tmp:
         out_root = args.out if args.out is not None else Path(tmp)
-        for name, cli_args in RUNS:
+        for name, cli_args in runs(root):
             cmd = [sys.executable, "-m", "surfscan.cli", *cli_args, "--out", str(out_root / name)]
             done = subprocess.run(cmd, env=env, capture_output=True, text=True)
             if done.returncode != 0:

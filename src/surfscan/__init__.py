@@ -57,7 +57,6 @@ from .supervisor import (
     MissionState,
     MissionStatus,
     SimilarityScore,
-    check_completion,
     decide,
     extract_global_segment,
     path_similarity,

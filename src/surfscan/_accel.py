@@ -2,35 +2,21 @@
 
 Hot kernels in :mod:`surfscan.kernels` are written as scalar loops and
 decorated with ``njit`` from this module.  When numba is installed (the
-``jit`` extra) and the environment variable ``SURFSCAN_NUMBA`` is not set
-to ``0``/``false``/``off``, those loops are JIT-compiled (with an on-disk
-cache) and are the kernels that run.  Otherwise ``njit`` is a pass-through:
-the scalar loops stay plain Python and serve as the bitwise test oracle,
-while the vectorized numpy kernels in :mod:`surfscan.kernels` are the
-no-numba path.  ``benchmarks/bench_kernels.py`` compares the paths.
+``jit`` extra), those loops are JIT-compiled (with an on-disk cache) and
+are the kernels that run.  Otherwise ``njit`` is a pass-through: the scalar
+loops stay plain Python and serve as the bitwise test oracle, while the
+vectorized numpy kernels in :mod:`surfscan.kernels` are the no-numba path.
+``benchmarks/bench_kernels.py`` compares the paths.
 """
-
-import os
 
 __all__ = ["NUMBA_ENABLED", "njit", "py_func"]
 
-
-def _env_enabled() -> bool:
-    return os.environ.get("SURFSCAN_NUMBA", "1").strip().lower() not in (
-        "0",
-        "false",
-        "off",
-        "no",
-    )
-
-
-NUMBA_ENABLED = _env_enabled()
-
-if NUMBA_ENABLED:
-    try:
-        from numba import njit as _numba_njit
-    except ImportError:
-        NUMBA_ENABLED = False
+try:
+    from numba import njit as _numba_njit
+except ImportError:
+    NUMBA_ENABLED = False
+else:
+    NUMBA_ENABLED = True
 
 if NUMBA_ENABLED:
 

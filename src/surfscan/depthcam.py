@@ -85,9 +85,6 @@ class DepthImage:
     def valid_mask(self):
         return np.isfinite(self.data)
 
-    def save_csv(self, path):
-        np.savetxt(path, self.data, delimiter=",", fmt="%.17g")
-
 
 def camera_axes_world(pose):
     """World-frame (right, down, forward) unit vectors of a camera mounted

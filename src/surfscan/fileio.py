@@ -1,14 +1,11 @@
-"""File formats: ASCII xyz point files and path CSVs."""
+"""File formats: ASCII xyz point files."""
 
-import csv
 import warnings
 from pathlib import Path
 
 import numpy as np
 
-from .geometry import PathSegment
-
-__all__ = ["load_xyz", "save_xyz", "load_path_csv", "save_path_csv"]
+__all__ = ["load_xyz"]
 
 
 def load_xyz(path):
@@ -46,39 +43,6 @@ def _load_xyz_lines(path):
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
     return np.asarray(points, dtype=np.float64).reshape(-1, 3)
-
-
-def save_xyz(path, points, comment=None):
-    points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    with open(path, "w", encoding="utf-8") as fh:
-        if comment:
-            fh.write(f"# {comment}\n")
-        for x, y, z in points:
-            fh.write(f"{float(x)!r} {float(y)!r} {float(z)!r}\n")
-
-
-def save_path_csv(path, segment):
-    """Write a path as CSV with an `x,y,z,psi` header."""
-    seg = segment if isinstance(segment, PathSegment) else PathSegment(segment)
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "z", "psi"])
-        for row in seg.as_array():
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def load_path_csv(path):
-    rows = []
-    with open(path, "r", newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if [h.strip() for h in header] != ["x", "y", "z", "psi"]:
-            raise ValueError(f"{path}: expected header x,y,z,psi, got {header}")
-        for rec in reader:
-            rows.append([float(v) for v in rec])
-    if not rows:
-        raise ValueError(f"{path}: empty path")
-    return PathSegment(np.asarray(rows))
 
 
 def ensure_dir(path):

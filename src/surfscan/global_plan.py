@@ -10,7 +10,6 @@ import numpy as np
 from scipy import ndimage
 
 from .geometry import (
-    PathSegment,
     PolygonROI,
     Pose6,
     ViewPose4,
@@ -125,9 +124,6 @@ class Tour:
 
     order: tuple
     length: float
-
-    def poses(self, plan):
-        return PathSegment([plan.viewpoints[i] for i in self.order])
 
     def __len__(self):
         return len(self.order)
@@ -394,7 +390,13 @@ def _nearest_neighbor_order(start, positions):
     return np.array(order, dtype=int)
 
 
-def solve_tour_sa_tsp(plan, start, seed, iters_per_city=200, cooling=0.995, t0=None, history=None):
+# Annealing schedule: proposals per city, and the per-proposal cooling
+# factor applied to the start temperature (the mean pairwise distance).
+_SA_ITERS_PER_CITY = 200
+_SA_COOLING = 0.995
+
+
+def solve_tour_sa_tsp(plan, start, seed, history=None):
     """Open visitation tour through all valid viewpoints from the start
     position, annealed with 2-opt and single-point-move proposals from a
     nearest-neighbor initial order.  Deterministic for a fixed seed and
@@ -413,14 +415,11 @@ def solve_tour_sa_tsp(plan, start, seed, iters_per_city=200, cooling=0.995, t0=N
     cost = _tour_cost(start, positions, order)
     best_order, best_cost = order.copy(), cost
 
-    if t0 is None:
-        diffs = positions[None, :, :] - positions[:, None, :]
-        pair = np.linalg.norm(diffs, axis=-1)
-        t0 = float(pair[np.triu_indices(n, k=1)].mean())
-    temp = max(t0, 1e-9)
+    diffs = positions[None, :, :] - positions[:, None, :]
+    pair = np.linalg.norm(diffs, axis=-1)
+    temp = max(float(pair[np.triu_indices(n, k=1)].mean()), 1e-9)
 
-    iters = iters_per_city * n
-    for _ in range(iters):
+    for _ in range(_SA_ITERS_PER_CITY * n):
         cand = order.copy()
         if rng.random() < 0.5:
             i, j = sorted(rng.integers(0, n, size=2))
@@ -438,7 +437,7 @@ def solve_tour_sa_tsp(plan, start, seed, iters_per_city=200, cooling=0.995, t0=N
             order, cost = cand, c
             if cost < best_cost:
                 best_order, best_cost = order.copy(), cost
-        temp *= cooling
+        temp *= _SA_COOLING
         if history is not None:
             history.append(best_cost)
 

@@ -107,9 +107,6 @@ class MissionLog:
     def __iter__(self):
         return iter(self.records)
 
-    def column(self, name):
-        return np.array([getattr(r, name) for r in self.records], dtype=np.float64)
-
     def inspect_records(self):
         return [r for r in self.records if r.phase == "inspect"]
 
@@ -145,13 +142,18 @@ class MissionLog:
         return log
 
 
-def summarize(log, d_view=2.0, reconverge_frac=0.1):
+# The viewing distance has reconverged once it lies within this fraction of
+# d_view.
+_RECONVERGE_FRAC = 0.1
+
+
+def summarize(log, d_view=2.0):
     """Mission aggregates: duration, utility stats, replanned share, first
     reconvergence time of the viewing distance, completion status.  An empty
     log (a mission aborted before its first control step) has duration 0."""
     inspect = log.inspect_records()
     utilities = [r.utility for r in inspect if math.isfinite(r.utility)]
-    vd_tol = reconverge_frac * d_view
+    vd_tol = _RECONVERGE_FRAC * d_view
     reconverge = None
     for r in inspect:
         if math.isfinite(r.viewing_distance) and abs(r.viewing_distance - d_view) < vd_tol:

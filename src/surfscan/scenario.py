@@ -98,6 +98,10 @@ class ScenarioConfig:
             raise ValueError("horizon must be at least 1")
         if self.pos_tol <= 0 or self.yaw_tol <= 0:
             raise ValueError("tolerances must be positive")
+        if self.sense_range <= 0:
+            raise ValueError(f"sensing range must be positive, got {self.sense_range}")
+        if self.sense_rays < 1:
+            raise ValueError(f"sensing rays must be at least 1, got {self.sense_rays}")
         if not self.tasks:
             raise ValueError("no tasks defined")
         if self.historical is None:
@@ -117,7 +121,7 @@ def build_scene(cfg, base_dir=None):
     historical = cfg.historical.build(cfg.voxel_size, cfg.bounds, base_dir)
     if cfg.current is not None:
         current = cfg.current.build(cfg.voxel_size, cfg.bounds, base_dir)
-        return Scene(historical=historical, current=current, delta=None)
+        return Scene(historical=historical, current=current)
     if cfg.delta is not None:
         return Scene.from_delta(historical, cfg.delta)
     return Scene.unchanged(historical)
@@ -184,7 +188,10 @@ def load_scenario(path):
     """Parse and validate a YAML scenario file."""
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
-        raw = yaml.safe_load(fh)
+        try:
+            raw = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:
+            raise ValueError(f"{path}: malformed YAML: {exc}") from exc
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: scenario must be a mapping")
     version = raw.get("version")

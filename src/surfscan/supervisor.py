@@ -33,7 +33,6 @@ __all__ = [
     "decide",
     "reconcile",
     "step_mission",
-    "check_completion",
 ]
 
 log = logging.getLogger(__name__)
@@ -62,10 +61,6 @@ class SimilarityScore:
         if f_d < 0 or not np.isfinite(f_d):
             raise ValueError(f"Frechet distance must be finite and non-negative, got {f_d}")
         return cls(gamma_s=1.0 / (1.0 + f_d), f_d=float(f_d))
-
-    @property
-    def deviation(self):
-        return 1.0 - self.gamma_s
 
 
 def extract_global_segment(tour, plan, cursor, horizon):
@@ -183,12 +178,6 @@ def _within(robot, target, pos_tol, yaw_tol):
     return abs(wrap_angle(target.psi - robot.psi)) <= yaw_tol
 
 
-def check_completion(state):
-    """True iff every tour viewpoint has been visited, directly or through
-    its aligned counterpart."""
-    return all(v is not None for v in state.visited_via)
-
-
 def _unscored_cycle(state, event, visited_index, vd=float("nan")):
     """The record of a cycle that emits no reference: no similarity."""
     nan = float("nan")
@@ -208,8 +197,8 @@ def _unscored_cycle(state, event, visited_index, vd=float("nan")):
 
 def _retry(state):
     """Count one failed sensing or prediction attempt; abort the task once
-    the count passes `max_retries` (a non-empty scan resets it).  Returns
-    the cycle event."""
+    the count passes `max_retries` (a successful prediction resets it).
+    Returns the cycle event."""
     state.retries += 1
     if state.retries > state.max_retries:
         state.status = MissionStatus.ABORTED
@@ -263,7 +252,6 @@ def step_mission(state, scene, robot):
     )
     if cloud.is_empty:
         return None, _unscored_cycle(state, _retry(state), visited_index)
-    state.retries = 0
     vd = viewing_distance(robot, cloud)
 
     # The segment shrinks near the tour end so the prediction chain never
@@ -279,9 +267,8 @@ def step_mission(state, scene, robot):
         lvp, short = None, True
     if lvp is None:
         return None, _unscored_cycle(state, _retry(state), visited_index, vd)
-    if len(lvp) < len(gvp):
-        pad = np.vstack([lvp.as_array()] + [lvp.as_array()[-1:]] * (len(gvp) - len(lvp)))
-        lvp = PathSegment(pad)
+    state.retries = 0
+    lvp = _pad_segment(lvp, len(gvp))
 
     score = path_similarity(gvp, lvp)
     mode = decide(score, state.gamma_t) if state.adaptive else MissionMode.GLOBAL

@@ -7,7 +7,6 @@ both implemented by DDA raycasts through the grid.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import ndimage
@@ -147,9 +146,6 @@ class VoxelMap:
     def world_to_grid(self, p):
         return (np.asarray(p, dtype=np.float64) - self.origin) / self.voxel_size
 
-    def grid_to_world(self, g):
-        return self.origin + np.asarray(g, dtype=np.float64) * self.voxel_size
-
     def voxel_center(self, idx):
         return self.origin + (np.asarray(idx, dtype=np.float64) + 0.5) * self.voxel_size
 
@@ -225,8 +221,7 @@ def _clearance_free(occ, r_vox):
 
 @dataclass(frozen=True)
 class MorphologyDelta:
-    """Scene change: regions cleared (removals) then filled (additions).
-    Entries are Boxes or (N, 3) point arrays."""
+    """Scene change: boxes cleared (removals) then filled (additions)."""
 
     removals: tuple = ()
     additions: tuple = ()
@@ -235,28 +230,16 @@ class MorphologyDelta:
         object.__setattr__(self, "removals", tuple(self.removals))
         object.__setattr__(self, "additions", tuple(self.additions))
 
-    @property
-    def is_empty(self):
-        return not self.removals and not self.additions
-
 
 def apply_delta(base, delta):
-    """New map with the delta applied: removals clear voxels, then additions
-    set them.  The grid grows if an addition falls outside current bounds."""
-    if delta.is_empty:
-        return VoxelMap(base.origin, base.voxel_size, base.occ)
-
+    """New map with the delta applied: removal boxes clear voxels, then
+    addition boxes set them.  The grid grows if an addition falls outside
+    current bounds."""
     h = base.voxel_size
     lo, hi = base.bounds
-    for item in delta.additions:
-        if isinstance(item, Box):
-            lo = np.minimum(lo, item.lo)
-            hi = np.maximum(hi, item.hi)
-        else:
-            pts = np.asarray(item, dtype=np.float64).reshape(-1, 3)
-            if pts.size:
-                lo = np.minimum(lo, pts.min(axis=0))
-                hi = np.maximum(hi, pts.max(axis=0) + h)
+    for box in delta.additions:
+        lo = np.minimum(lo, box.lo)
+        hi = np.maximum(hi, box.hi)
 
     if np.any(lo < base.bounds[0]) or np.any(hi > base.bounds[1]):
         grown = VoxelMap.empty(lo, hi, h)
@@ -271,26 +254,10 @@ def apply_delta(base, delta):
         occ = np.asarray(result.occ)
         occ.setflags(write=True)
 
-    for item in delta.removals:
-        if isinstance(item, Box):
-            i0, i1 = result._box_slices(item)
-            occ[i0[0] : i1[0], i0[1] : i1[1], i0[2] : i1[2]] = False
-        else:
-            pts = np.asarray(item, dtype=np.float64).reshape(-1, 3)
-            idx = np.floor((pts - result.origin) / h).astype(int)
-            keep = np.all((idx >= 0) & (idx < np.array(occ.shape)), axis=1)
-            idx = idx[keep]
-            occ[idx[:, 0], idx[:, 1], idx[:, 2]] = False
-
-    for item in delta.additions:
-        if isinstance(item, Box):
-            i0, i1 = result._box_slices(item)
-            occ[i0[0] : i1[0], i0[1] : i1[1], i0[2] : i1[2]] = True
-        else:
-            pts = np.asarray(item, dtype=np.float64).reshape(-1, 3)
-            idx = np.floor((pts - result.origin) / h).astype(int)
-            idx = np.clip(idx, 0, np.array(occ.shape) - 1)
-            occ[idx[:, 0], idx[:, 1], idx[:, 2]] = True
+    for boxes, value in ((delta.removals, False), (delta.additions, True)):
+        for box in boxes:
+            i0, i1 = result._box_slices(box)
+            occ[i0[0] : i1[0], i0[1] : i1[1], i0[2] : i1[2]] = value
 
     occ.setflags(write=False)
     return result
@@ -298,19 +265,19 @@ def apply_delta(base, delta):
 
 @dataclass(frozen=True)
 class Scene:
-    """Historical map, current map, and the delta connecting them."""
+    """Historical map and current map.  An unchanged scene holds one map
+    twice, so both share its `free_mask` cache."""
 
     historical: VoxelMap
     current: VoxelMap
-    delta: Optional[MorphologyDelta] = None
 
     @classmethod
     def from_delta(cls, historical, delta):
-        return cls(historical, apply_delta(historical, delta), delta)
+        return cls(historical, apply_delta(historical, delta))
 
     @classmethod
     def unchanged(cls, historical):
-        return cls(historical, apply_delta(historical, MorphologyDelta()), MorphologyDelta())
+        return cls(historical, historical)
 
 
 def load_map(path, voxel_size=DEFAULT_VOXEL_SIZE, bounds=None, padding=0.0):
@@ -336,13 +303,9 @@ def fibonacci_directions(n):
     return np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
 
 
-def render_depth(vmap, pose, intrinsics, jitter_sigma=0.0, rng=None):
+def render_depth(vmap, pose, intrinsics):
     """Raycast a depth image from the pose.  Depth is the distance along the
-    optical axis to the first occupied voxel; misses are NaN.
-
-    `jitter_sigma` adds seeded Gaussian noise to valid depths (off by
-    default; pass a numpy Generator or seed to keep runs reproducible).
-    """
+    optical axis to the first occupied voxel; misses are NaN."""
     right, down, forward = camera_axes_world(pose)
     cam_dirs = intrinsics.pixel_directions()
     world_dirs = (
@@ -357,15 +320,6 @@ def render_depth(vmap, pose, intrinsics, jitter_sigma=0.0, rng=None):
     t = kernels.raycast_batch(vmap.occ, origin_g, dirs_g, float(intrinsics.max_range))
     depth = t.reshape(intrinsics.height, intrinsics.width).copy()
     depth[depth <= 0.0] = np.nan
-    if jitter_sigma > 0.0:
-        if not isinstance(rng, np.random.Generator):
-            rng = np.random.default_rng(rng)
-        valid = np.isfinite(depth)
-        depth[valid] = np.clip(
-            depth[valid] + rng.normal(0.0, jitter_sigma, size=int(valid.sum())),
-            1e-6,
-            intrinsics.max_range,
-        )
     return DepthImage(depth, pose)
 
 

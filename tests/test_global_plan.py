@@ -333,14 +333,6 @@ def test_prioritize_flags_unreachable_task(wall_map):
     assert ranked[0].route_length == np.inf
 
 
-def test_tour_poses_helper():
-    plan = plan_from_positions([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
-    tour = solve_tour_sa_tsp(plan, [-1.0, 0.0, 0.0], seed=1)
-    poses = tour.poses(plan)
-    assert len(poses) == 3
-    assert np.allclose(poses.positions[:, 0], [0, 1, 2])
-
-
 # ---------------------------------------------------------------- SA-TSP
 
 

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from surfscan import world
 from surfscan.geometry import wrap_angle
 from surfscan.mission import MissionRunner
 from surfscan.scenario import MapSpec, ScenarioConfig, TaskSpec, demo_scenario
@@ -23,6 +24,22 @@ def test_obstacle_demo_detours_and_completes():
     assert all(abs(r.x - 4.0) < 0.2 for r in result.log.records if r.phase == "inspect")
     # The obstruction is far from the inspected face: no replanning.
     assert result.summary["pct_replanned"] == 0.0
+
+
+def test_unchanged_scene_computes_clearance_once(monkeypatch):
+    # The nominal scene's historical and current maps are one map, so
+    # planning and navigation share its free_mask cache.
+    calls = []
+    clearance = world._clearance_free
+
+    def counted(*args):
+        calls.append(args[1])
+        return clearance(*args)
+
+    monkeypatch.setattr(world, "_clearance_free", counted)
+    result = MissionRunner(demo_scenario("nominal")).run()
+    assert result.status == "completed"
+    assert len(calls) == 1
 
 
 def test_two_task_mission_executes_in_priority_order():

@@ -118,6 +118,30 @@ def test_cli_rejects_unknown_scenario_key(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_rejects_malformed_yaml(tmp_path, capsys):
+    f = tmp_path / "scn.yaml"
+    f.write_text("version: 1\nname: [unclosed\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(f), "--out", str(out)]) == 64
+    assert str(f) in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value", [("range", 0), ("rays", 0)])
+def test_cli_rejects_invalid_sensing(tmp_path, capsys, key, value):
+    import yaml
+
+    cfg = yaml.safe_load(GOOD_YAML)
+    cfg["sensing"][key] = value
+    f = tmp_path / "scn.yaml"
+    f.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(f), "--out", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert str(f) in err and "sensing" in err
+    assert not out.exists()
+
+
 def test_scenario_requires_tasks():
     with pytest.raises(ValueError, match="no tasks"):
         demo = demo_scenario("nominal")
@@ -266,6 +290,15 @@ def test_cli_unreachable_task_exit_code(tmp_path):
     f = tmp_path / "scn.yaml"
     f.write_text(yaml.safe_dump(cfg))
     assert main(["plan", "--config", str(f), "--out", str(tmp_path / "out")]) == 3
+
+
+def test_cli_failing_prediction_aborts(tmp_path, monkeypatch):
+    from surfscan import supervisor
+
+    monkeypatch.setattr(supervisor, "predict_local_path", lambda *args, **kwargs: (None, True))
+    out = tmp_path / "run"
+    assert main(["run", "--demo", "nominal", "--out", str(out)]) == 3
+    assert json.loads((out / "summary.json").read_text())["status"] == "aborted"
 
 
 def test_cli_missing_map_file_exit_code(tmp_path):

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from surfscan.geometry import PathSegment, Pose6, ViewPose4
+from surfscan import supervisor
+from surfscan.geometry import PathSegment, Pose6, ViewPose4, discrete_frechet
 from surfscan.global_plan import Tour, ViewConstraints, ViewPlan
 from surfscan.local_plan import LocalPlanConfig
 from surfscan.metrics import path_rmse
@@ -10,7 +11,6 @@ from surfscan.supervisor import (
     MissionState,
     MissionStatus,
     SimilarityScore,
-    check_completion,
     decide,
     extract_global_segment,
     path_similarity,
@@ -189,7 +189,7 @@ def test_step_mission_completion():
     ref, cycle = step_mission(state, scene, robot)
     assert cycle.event == "complete" and ref is None
     assert state.status is MissionStatus.COMPLETE
-    assert check_completion(state)
+    assert state.visited_via == ["direct"]
 
 
 def test_step_mission_no_visit_when_far():
@@ -248,6 +248,39 @@ def test_step_mission_sensing_failure_retries_then_aborts():
             break
     assert events[:2] == ["sense_retry", "sense_retry"]
     assert state.status is MissionStatus.ABORTED
+
+
+def test_step_mission_prediction_failures_abort(monkeypatch):
+    # The scan sees the wall every cycle but no prediction succeeds: the
+    # retries accumulate and the task aborts on cycle max_retries + 1.
+    monkeypatch.setattr(supervisor, "predict_local_path", lambda *args, **kwargs: (None, True))
+    scene = wall_scene()
+    state = make_state()
+    robot = Pose6(4.0, -0.9, 0.6)
+    events = []
+    for _ in range(state.max_retries + 1):
+        ref, cycle = step_mission(state, scene, robot)
+        assert ref is None
+        events.append(cycle.event)
+    assert events == ["sense_retry"] * state.max_retries + ["abort"]
+    assert state.status is MissionStatus.ABORTED
+
+
+def test_step_mission_scores_short_prediction_padded(monkeypatch):
+    # A 1-pose prediction for a 3-pose guide is scored against its last
+    # pose repeated.
+    lone = ViewPose4(4.2, -0.5, 0.6, 0.1)
+    monkeypatch.setattr(
+        supervisor, "predict_local_path", lambda *args, **kwargs: (PathSegment([lone]), True)
+    )
+    scene = wall_scene()
+    state = make_state(adaptive=False)
+    robot = Pose6(4.0, -0.9, 0.6)
+    gvp = extract_global_segment(state.tour, state.plan, 0, 3)
+    _, cycle = step_mission(state, scene, robot)
+    assert cycle.short_prediction
+    assert cycle.f_d == discrete_frechet(gvp, PathSegment([lone, lone, lone]))
+    assert np.array_equal(state.last_lvp.as_array(), PathSegment([lone] * 3).as_array())
 
 
 def test_step_mission_baseline_never_replans():

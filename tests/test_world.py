@@ -174,37 +174,6 @@ def test_render_depth_deterministic(wall_map):
     assert np.array_equal(a.data, b.data, equal_nan=True)
 
 
-def test_path_csv_roundtrip(tmp_path):
-    from surfscan.fileio import load_path_csv, save_path_csv
-    from surfscan.geometry import PathSegment
-
-    seg = PathSegment([[0.1, -2.0, 0.6, 0.25], [1.5, 3.0, 0.6, -1.0]])
-    f = tmp_path / "path.csv"
-    save_path_csv(f, seg)
-    back = load_path_csv(f)
-    assert np.array_equal(back.as_array(), seg.as_array())
-
-
-def test_render_depth_jitter_seeded(wall_map):
-    pose = Pose6(4.0, 0.0, 1.2)
-    clean = render_depth(wall_map, pose, CAM)
-    a = render_depth(wall_map, pose, CAM, jitter_sigma=0.02, rng=7)
-    b = render_depth(wall_map, pose, CAM, jitter_sigma=0.02, rng=7)
-    assert np.array_equal(a.data, b.data, equal_nan=True)
-    valid = clean.valid_mask
-    assert np.array_equal(valid, a.valid_mask)
-    assert not np.array_equal(a.data, clean.data, equal_nan=True)
-    assert np.abs(a.data[valid] - clean.data[valid]).max() < 0.2
-
-
-def test_depth_csv_roundtrip(tmp_path, wall_map):
-    img = render_depth(wall_map, Pose6(4.0, 0.0, 1.2), CAM)
-    out = tmp_path / "depth.csv"
-    img.save_csv(out)
-    back = np.loadtxt(out, delimiter=",")
-    assert np.array_equal(back, img.data, equal_nan=True)
-
-
 # ---------------------------------------------------------------- cloud sampling
 
 
