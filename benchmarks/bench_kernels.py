@@ -13,16 +13,24 @@ The jitted column is printed only when numba is enabled.
 
 The planning rows run at site scale (a 40 x 40 x 2.4 m yard at 0.1 m
 voxels, 400x400x24, inflation 0.5 m): `VoxelMap.free_mask` (the separable
-clearance transform) against the `binary_dilation` it replaced, and
+clearance transform) against the `binary_dilation` it replaced;
 `plan_route` to a goal inside a sealed room, with the connected-component
-gate against the A* flood that ran without it.
+gate against the A* flood that ran without it; `plan_route` across the
+open yard, corner to corner, against the tuple-keyed A* loop it replaced;
+and `solve_tour_sa_tsp` on wall grids of 50, 280 and 880 viewpoints (the
+site's three tours have 50 in all) against the annealer that costs every
+proposal.
+The two replaced loops are the oracles in `tests/planner_reference.py`.
 
-Times are the best of a few repeats, per call.
+Times are the best of a few repeats, per call (one call for the larger
+tours).
 
 Run: PYTHONPATH=src python benchmarks/bench_kernels.py
 """
 
+import sys
 import time
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -30,9 +38,12 @@ from scipy import ndimage
 
 from surfscan import global_plan, kernels
 from surfscan._accel import NUMBA_ENABLED, py_func
-from surfscan.geometry import Pose6
+from surfscan.geometry import Pose6, ViewPose4
 from surfscan.scenario import build_scene, demo_scenario
 from surfscan.world import Box, VoxelMap, camera_axes_world, fibonacci_directions, render_depth
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+import planner_reference  # noqa: E402
 
 
 def timeit(fn, *args, repeat=5):
@@ -126,8 +137,16 @@ def dilation_free_mask(vmap, inflation):
     return ~ndimage.binary_dilation(vmap.occ, structure=gap <= r_vox)
 
 
+def wall_tour_plan(cols, rows):
+    """A wall's viewpoint grid at the default view constraints' spacing."""
+    c = global_plan.ViewConstraints()
+    y, z = np.meshgrid(2.0 + np.arange(cols) * c.spacing_h, 0.6 + np.arange(rows) * c.spacing_v, indexing="ij")
+    vps = tuple(ViewPose4(32.0, yy, zz, 0.0) for yy, zz in zip(y.ravel(), z.ravel()))
+    return global_plan.ViewPlan("wall", vps, np.ones(len(vps), dtype=bool), np.zeros((len(vps), 3)))
+
+
 def planning_cases():
-    """(name, new, reference) at site scale."""
+    """(name, new, reference, repeats) at site scale."""
     inflation = 0.5
     boxes = [Box(lo, hi) for lo, hi in SITE_BOXES]
     site = VoxelMap.from_boxes(boxes, 0.1, bounds=((0.0, 0.0, 0.0), (40.0, 40.0, 2.4)))
@@ -151,11 +170,28 @@ def planning_cases():
         with mock.patch.object(global_plan.ndimage, "label", one_label):
             enclosed_route()
 
+    yard = VoxelMap.empty((0.0, 0.0, 0.0), (40.0, 40.0, 2.4), 0.1)
+    yard.free_mask(inflation)  # cached, as after a mission's first route
+    corners = (0.6, 0.6, 0.6), (39.4, 39.4, 0.6)
+
+    def yard_route(plan_route):
+        return lambda: plan_route(yard, *corners, inflation, z_band=(0.6, 0.6))
+
+    def tour(solve, plan):
+        return lambda: solve(plan, (2.0, 2.0, 0.6), 1)
+
     assert np.array_equal(fresh_mask(), dilation_free_mask(site, inflation))
-    return (
-        (f"free_mask {'x'.join(map(str, site.shape))}", fresh_mask, lambda: dilation_free_mask(site, inflation)),
-        ("plan_route enclosed goal", enclosed_route, enclosed_route_flood),
-    )
+    cases = [
+        (f"free_mask {'x'.join(map(str, site.shape))}", fresh_mask, lambda: dilation_free_mask(site, inflation), 5),
+        ("plan_route enclosed goal", enclosed_route, enclosed_route_flood, 5),
+        ("plan_route open yard", yard_route(global_plan.plan_route), yard_route(planner_reference.plan_route), 5),
+    ]
+    for cols, rows in ((25, 2), (70, 4), (220, 4)):
+        plan = wall_tour_plan(cols, rows)
+        new = tour(global_plan.solve_tour_sa_tsp, plan)
+        reference = tour(planner_reference.solve_tour_sa_tsp, plan)
+        cases.append((f"sa_tsp {len(plan)} cities", new, reference, 3 if len(plan) <= 50 else 1))
+    return cases
 
 
 def ms(seconds):
@@ -184,9 +220,9 @@ def main():
             row += ms(timeit(run, kernel))
         print(row)
     print(f"{'planning':<26}{'new':>14}{'reference':>14}{'ref/new':>14}")
-    for name, new, reference in planning_cases():
-        t_new = timeit(new)
-        t_ref = timeit(reference, repeat=2)
+    for name, new, reference, repeat in planning_cases():
+        t_new = timeit(new, repeat=repeat)
+        t_ref = timeit(reference, repeat=min(repeat, 2))
         print(f"{name:<26}{ms(t_new)}{ms(t_ref)}{t_ref / t_new:>13.1f}x")
 
 

@@ -4,6 +4,7 @@ annealed visitation tour."""
 
 import heapq
 import logging
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -270,6 +271,37 @@ def _route_cells(vmap, start, goal, inflation, z_band):
     return free, s, g, (k_lo, k_hi)
 
 
+def _goal_distances(vmap, goal_cell, band_shape, k_lo):
+    """Distance from each voxel center of the band to the goal's center,
+    as a flat memoryview over the band padded by one cell on every side
+    (the shell is never read and stays 0).
+
+    Each row is `sqrt(vecdot(d, d))`, bitwise the 1-D `np.linalg.norm(d)`
+    of a per-cell heuristic (`norm(axis=1)` is not), with `d` componentwise
+    `voxel_center(cell) - voxel_center(goal_cell)`.  The table is filled one
+    i slab at a time to keep the temporaries small."""
+    ni, nj, nk = band_shape
+    goal_center = vmap.voxel_center(goal_cell)
+
+    def axis_offsets(axis, cells):
+        return vmap.origin[axis] + (cells + 0.5) * vmap.voxel_size - goal_center[axis]
+
+    dx = axis_offsets(0, np.arange(ni, dtype=np.float64))
+    dy, dz = np.meshgrid(
+        axis_offsets(1, np.arange(nj, dtype=np.float64)),
+        axis_offsets(2, np.arange(k_lo, k_lo + nk, dtype=np.float64)),
+        indexing="ij",
+    )
+    d = np.empty((nj * nk, 3))
+    d[:, 1] = dy.ravel()
+    d[:, 2] = dz.ravel()
+    table = np.zeros((ni + 2, nj + 2, nk + 2))
+    for i in range(ni):
+        d[:, 0] = dx[i]
+        table[i + 1, 1:-1, 1:-1] = np.sqrt(np.vecdot(d, d)).reshape(nj, nk)
+    return memoryview(table.reshape(-1))
+
+
 def plan_route(vmap, start, goal, inflation, z_band=None, heuristic=True):
     """Shortest 26-connected route over free voxels (A*, Euclidean costs,
     lexicographic tie-breaking).  Traversal is restricted to the z layers of
@@ -280,61 +312,76 @@ def plan_route(vmap, start, goal, inflation, z_band=None, heuristic=True):
         return [start.copy()], 0.0
 
     free, s, g, (k_lo, k_hi) = _route_cells(vmap, start, goal, inflation, z_band)
+    band = free[:, :, k_lo : k_hi + 1]
     # A* can reach exactly the 26-connected free component of the start
     # inside the k band, so an enclosed goal fails here without a flood.
-    labels, _ = ndimage.label(free[:, :, k_lo : k_hi + 1], structure=np.ones((3, 3, 3)))
+    labels, _ = ndimage.label(band, structure=np.ones((3, 3, 3)))
     if labels[s[0], s[1], s[2] - k_lo] != labels[g[0], g[1], g[2] - k_lo]:
         raise RouteError(f"goal {goal} unreachable from {start}")
+
+    # Cells are flat indices into the band padded with one blocked cell on
+    # every side: the shell stands in for the bounds and band tests, and
+    # flat order is (i, j, k) order, so heap ties break as on cell tuples.
+    pad = np.zeros((band.shape[0] + 2, band.shape[1] + 2, band.shape[2] + 2), dtype=np.uint8)
+    pad[1:-1, 1:-1, 1:-1] = band
+    is_free = pad.tobytes()
+    stride_j = pad.shape[2]
+    stride_i = pad.shape[1] * stride_j
+
+    def flat(cell):
+        return (cell[0] + 1) * stride_i + (cell[1] + 1) * stride_j + (cell[2] - k_lo + 1)
+
     h = vmap.voxel_size
-    shape = vmap.occ.shape
+    steps = [
+        (di * stride_i + dj * stride_j + dk, cost * h)
+        for (di, dj, dk), cost in zip(_NEIGHBORS, _NEIGHBOR_COSTS)
+    ]
+    if heuristic:
+        heur = _goal_distances(vmap, g, band.shape, k_lo)
+    else:
+        heur = memoryview(np.zeros(pad.size))
+    src, dst = flat(s), flat(g)
 
-    goal_center = vmap.voxel_center(g)
-
-    def heur(cell):
-        if not heuristic:
-            return 0.0
-        return float(np.linalg.norm(vmap.voxel_center(cell) - goal_center))
-
-    g_score = {s: 0.0}
+    push, pop = heapq.heappush, heapq.heappop
+    g_score = {src: 0.0}
+    best_g, inf = g_score.get, math.inf
     came = {}
-    open_heap = [(heur(s), s)]
-    closed = set()
+    open_heap = [(heur[src], src)]
+    closed = bytearray(pad.size)
     while open_heap:
-        f, cell = heapq.heappop(open_heap)
-        if cell in closed:
+        f, cell = pop(open_heap)
+        if closed[cell]:
             continue
-        if cell == g:
+        if cell == dst:
             break
-        closed.add(cell)
-        ci, cj, ck = cell
+        closed[cell] = 1
         base = g_score[cell]
-        for (di, dj, dk), step in zip(_NEIGHBORS, _NEIGHBOR_COSTS):
-            ni, nj, nk = ci + di, cj + dj, ck + dk
-            if nk < k_lo or nk > k_hi:
-                continue
-            if ni < 0 or nj < 0 or ni >= shape[0] or nj >= shape[1]:
-                continue
-            nxt = (ni, nj, nk)
-            if not free[nxt]:
-                continue
-            cand = base + step * h
-            if cand < g_score.get(nxt, np.inf) - 1e-12:
-                g_score[nxt] = cand
-                came[nxt] = cell
-                heapq.heappush(open_heap, (cand + heur(nxt), nxt))
+        for off, step in steps:
+            nxt = cell + off
+            if is_free[nxt]:
+                cand = base + step
+                if cand < best_g(nxt, inf) - 1e-12:
+                    g_score[nxt] = cand
+                    came[nxt] = cell
+                    push(open_heap, (cand + heur[nxt], nxt))
     else:
         raise RouteError(f"goal {goal} unreachable from {start}")
 
-    cells = [g]
-    while cells[-1] != s:
-        cells.append(came[cells[-1]])
-    cells.reverse()
     if s == g:
         waypoints = [start, goal]
     else:
+        path = [dst]
+        while path[-1] != src:
+            path.append(came[path[-1]])
+        path.reverse()
         # Keep the full center chain so the length depends only on the cell
         # path cost, not on which of several equally short paths was found.
-        waypoints = [start] + [vmap.voxel_center(c) for c in cells] + [goal]
+        waypoints = [start]
+        for cell in path:
+            i, rest = divmod(cell, stride_i)
+            j, k = divmod(rest, stride_j)
+            waypoints.append(vmap.voxel_center((i - 1, j - 1, k - 1 + k_lo)))
+        waypoints.append(goal)
     pts = np.asarray(waypoints)
     length = float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
     return waypoints, length
@@ -383,8 +430,9 @@ def _nearest_neighbor_order(start, positions):
     order = []
     cur = start
     while remaining:
-        dists = [float(np.linalg.norm(positions[i] - cur)) for i in remaining]
-        k = int(np.argmin(dists))
+        d = positions[remaining] - cur
+        # Row-wise sqrt(vecdot) is bitwise the 1-D np.linalg.norm.
+        k = int(np.argmin(np.sqrt(np.vecdot(d, d))))
         order.append(remaining.pop(k))
         cur = positions[order[-1]]
     return np.array(order, dtype=int)
@@ -394,6 +442,39 @@ def _nearest_neighbor_order(start, positions):
 # factor applied to the start temperature (the mean pairwise distance).
 _SA_ITERS_PER_CITY = 200
 _SA_COOLING = 0.995
+# Bound, relative to the tour cost, on how far the table delta of a
+# proposal may sit from its exact `_tour_cost` delta.  Rounding keeps them
+# within 1e-15 of the cost on wall grids of 50 to 880 viewpoints, so the
+# screen never decides a proposal the exact rule would decide otherwise.
+_SA_SCREEN_MARGIN = 1e-9
+
+
+def _reversal_delta(dist, order, n, i, j):
+    """Table delta of reversing order[i..j] (i < j); node n is the start."""
+    prev = order[i - 1] if i else n
+    a, b = order[i], order[j]
+    delta = dist[prev][b] - dist[prev][a]
+    if j + 1 < n:
+        nxt = order[j + 1]
+        delta += dist[a][nxt] - dist[b][nxt]
+    return delta
+
+
+def _move_delta(dist, order, n, i, j):
+    """Table delta of moving order[i] to index j (i != j); node n is the start."""
+    city = order[i]
+    prev = order[i - 1] if i else n
+    delta = -dist[prev][city]
+    if i + 1 < n:
+        nxt = order[i + 1]
+        delta += dist[prev][nxt] - dist[city][nxt]
+    # The neighbours of index j in the order without order[i].
+    prev = order[j - 1 if j <= i else j] if j else n
+    delta += dist[prev][city]
+    if j < n - 1:
+        nxt = order[j if j < i else j + 1]
+        delta += dist[city][nxt] - dist[prev][nxt]
+    return delta
 
 
 def solve_tour_sa_tsp(plan, start, seed, history=None):
@@ -401,7 +482,12 @@ def solve_tour_sa_tsp(plan, start, seed, history=None):
     position, annealed with 2-opt and single-point-move proposals from a
     nearest-neighbor initial order.  Deterministic for a fixed seed and
     never worse than the nearest-neighbor construction.  If `history` is a
-    list, the best cost so far is appended once per iteration."""
+    list, the best cost so far is appended once per iteration.
+
+    Each proposal is first screened with its O(1) delta over a distance
+    table.  Only a proposal the screen cannot reject is built and costed
+    exactly, so tours, costs and the random stream are those of costing
+    every proposal."""
     positions, idx = plan.valid_positions()
     n = positions.shape[0]
     if n == 0:
@@ -418,25 +504,42 @@ def solve_tour_sa_tsp(plan, start, seed, history=None):
     diffs = positions[None, :, :] - positions[:, None, :]
     pair = np.linalg.norm(diffs, axis=-1)
     temp = max(float(pair[np.triu_indices(n, k=1)].mean()), 1e-9)
+    table = np.zeros((n + 1, n + 1))
+    table[:n, :n] = pair
+    table[n, :n] = table[:n, n] = np.linalg.norm(positions - start, axis=1)
+    dist = table.tolist()
+    cur = order.tolist()
 
     for _ in range(_SA_ITERS_PER_CITY * n):
-        cand = order.copy()
-        if rng.random() < 0.5:
-            i, j = sorted(rng.integers(0, n, size=2))
-            if i != j:
-                cand[i : j + 1] = cand[i : j + 1][::-1]
+        reverse = rng.random() < 0.5
+        if reverse:
+            i, j = sorted(rng.integers(0, n, size=2).tolist())
         else:
             i = int(rng.integers(0, n))
             j = int(rng.integers(0, n))
-            city = cand[i]
-            cand = np.delete(cand, i)
-            cand = np.insert(cand, j, city)
-        c = _tour_cost(start, positions, cand)
-        delta = c - cost
-        if delta <= 0.0 or rng.random() < np.exp(-delta / temp):
-            order, cost = cand, c
-            if cost < best_cost:
-                best_order, best_cost = order.copy(), cost
+        # i == j leaves the order as it is: delta 0, accepted, no draw.
+        if i != j:
+            approx = (_reversal_delta if reverse else _move_delta)(dist, cur, n, i, j)
+            margin = _SA_SCREEN_MARGIN * cost
+            # Above the margin the exact delta is positive too, so the exact
+            # rule draws here, and a draw at or above the bound rejects for
+            # every delta within the margin of the table delta.
+            draw = rng.random() if approx > margin else None
+            if draw is None or draw < math.exp(-(approx - margin) / temp):
+                cand = order.copy()
+                if reverse:
+                    cand[i : j + 1] = cand[i : j + 1][::-1]
+                else:
+                    city = cand[i]
+                    cand = np.delete(cand, i)
+                    cand = np.insert(cand, j, city)
+                c = _tour_cost(start, positions, cand)
+                delta = c - cost
+                if delta <= 0.0 or (rng.random() if draw is None else draw) < np.exp(-delta / temp):
+                    order, cost = cand, c
+                    cur = order.tolist()
+                    if cost < best_cost:
+                        best_order, best_cost = order.copy(), cost
         temp *= _SA_COOLING
         if history is not None:
             history.append(best_cost)

@@ -240,7 +240,12 @@ def _parse_scenario(raw, path):
     tasks = []
     for i, entry in enumerate(raw.get("tasks") or ()):
         entry = _mapping(entry, f"tasks[{i}]", "tasks[]")
-        tasks.append(TaskSpec(id=str(entry["id"]), vertices=tuple(tuple(v) for v in entry["vertices"])))
+        spec = TaskSpec(id=str(entry["id"]), vertices=tuple(tuple(v) for v in entry["vertices"]))
+        try:
+            spec.to_task(view)  # builds the ROI, which checks the vertices
+        except ValueError as exc:
+            raise ValueError(f"tasks[{i}] ({spec.id}): {exc}") from exc
+        tasks.append(spec)
 
     return ScenarioConfig(
         name=str(raw.get("name", path.stem)),

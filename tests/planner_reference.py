@@ -1,0 +1,156 @@
+"""Reference planners for the oracle tests: the tuple-keyed A* loop, the
+per-city nearest-neighbour order and the unscreened annealer, copied
+verbatim from `surfscan.global_plan` as they were before the table-driven
+A* and the screened annealer replaced them.  The helpers those loops share
+with the fast versions (cell lookup, tour cost, neighbour tables, annealing
+schedule) are imported, so both sides follow one cell and cost rule.  The
+fast versions must return the same waypoints, lengths, tours, histories
+and error messages bit for bit."""
+
+import heapq
+
+import numpy as np
+from scipy import ndimage
+
+from surfscan.global_plan import (
+    _NEIGHBOR_COSTS,
+    _NEIGHBORS,
+    _SA_COOLING,
+    _SA_ITERS_PER_CITY,
+    RouteError,
+    TaskUnreachableError,
+    Tour,
+    _route_cells,
+    _tour_cost,
+)
+
+
+def plan_route(vmap, start, goal, inflation, z_band=None, heuristic=True):
+    """Shortest 26-connected route over free voxels (A*, Euclidean costs,
+    lexicographic tie-breaking).  Traversal is restricted to the z layers of
+    `z_band` (default: the start's layer).  Returns (waypoints, length)."""
+    start = np.asarray(start, dtype=np.float64)
+    goal = np.asarray(goal, dtype=np.float64)
+    if np.linalg.norm(goal - start) < 1e-12:
+        return [start.copy()], 0.0
+
+    free, s, g, (k_lo, k_hi) = _route_cells(vmap, start, goal, inflation, z_band)
+    # A* can reach exactly the 26-connected free component of the start
+    # inside the k band, so an enclosed goal fails here without a flood.
+    labels, _ = ndimage.label(free[:, :, k_lo : k_hi + 1], structure=np.ones((3, 3, 3)))
+    if labels[s[0], s[1], s[2] - k_lo] != labels[g[0], g[1], g[2] - k_lo]:
+        raise RouteError(f"goal {goal} unreachable from {start}")
+    h = vmap.voxel_size
+    shape = vmap.occ.shape
+
+    goal_center = vmap.voxel_center(g)
+
+    def heur(cell):
+        if not heuristic:
+            return 0.0
+        return float(np.linalg.norm(vmap.voxel_center(cell) - goal_center))
+
+    g_score = {s: 0.0}
+    came = {}
+    open_heap = [(heur(s), s)]
+    closed = set()
+    while open_heap:
+        f, cell = heapq.heappop(open_heap)
+        if cell in closed:
+            continue
+        if cell == g:
+            break
+        closed.add(cell)
+        ci, cj, ck = cell
+        base = g_score[cell]
+        for (di, dj, dk), step in zip(_NEIGHBORS, _NEIGHBOR_COSTS):
+            ni, nj, nk = ci + di, cj + dj, ck + dk
+            if nk < k_lo or nk > k_hi:
+                continue
+            if ni < 0 or nj < 0 or ni >= shape[0] or nj >= shape[1]:
+                continue
+            nxt = (ni, nj, nk)
+            if not free[nxt]:
+                continue
+            cand = base + step * h
+            if cand < g_score.get(nxt, np.inf) - 1e-12:
+                g_score[nxt] = cand
+                came[nxt] = cell
+                heapq.heappush(open_heap, (cand + heur(nxt), nxt))
+    else:
+        raise RouteError(f"goal {goal} unreachable from {start}")
+
+    cells = [g]
+    while cells[-1] != s:
+        cells.append(came[cells[-1]])
+    cells.reverse()
+    if s == g:
+        waypoints = [start, goal]
+    else:
+        # Keep the full center chain so the length depends only on the cell
+        # path cost, not on which of several equally short paths was found.
+        waypoints = [start] + [vmap.voxel_center(c) for c in cells] + [goal]
+    pts = np.asarray(waypoints)
+    length = float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
+    return waypoints, length
+
+
+def _nearest_neighbor_order(start, positions):
+    n = positions.shape[0]
+    remaining = list(range(n))
+    order = []
+    cur = start
+    while remaining:
+        dists = [float(np.linalg.norm(positions[i] - cur)) for i in remaining]
+        k = int(np.argmin(dists))
+        order.append(remaining.pop(k))
+        cur = positions[order[-1]]
+    return np.array(order, dtype=int)
+
+
+def solve_tour_sa_tsp(plan, start, seed, history=None):
+    """Open visitation tour through all valid viewpoints from the start
+    position, annealed with 2-opt and single-point-move proposals from a
+    nearest-neighbor initial order.  Deterministic for a fixed seed and
+    never worse than the nearest-neighbor construction.  If `history` is a
+    list, the best cost so far is appended once per iteration."""
+    positions, idx = plan.valid_positions()
+    n = positions.shape[0]
+    if n == 0:
+        raise TaskUnreachableError(f"task {plan.task_id}: no valid viewpoints to tour")
+    start = np.asarray(start, dtype=np.float64)
+    if n == 1:
+        return Tour(order=(int(idx[0]),), length=float(np.linalg.norm(positions[0] - start)))
+
+    rng = np.random.default_rng(seed)
+    order = _nearest_neighbor_order(start, positions)
+    cost = _tour_cost(start, positions, order)
+    best_order, best_cost = order.copy(), cost
+
+    diffs = positions[None, :, :] - positions[:, None, :]
+    pair = np.linalg.norm(diffs, axis=-1)
+    temp = max(float(pair[np.triu_indices(n, k=1)].mean()), 1e-9)
+
+    for _ in range(_SA_ITERS_PER_CITY * n):
+        cand = order.copy()
+        if rng.random() < 0.5:
+            i, j = sorted(rng.integers(0, n, size=2))
+            if i != j:
+                cand[i : j + 1] = cand[i : j + 1][::-1]
+        else:
+            i = int(rng.integers(0, n))
+            j = int(rng.integers(0, n))
+            city = cand[i]
+            cand = np.delete(cand, i)
+            cand = np.insert(cand, j, city)
+        c = _tour_cost(start, positions, cand)
+        delta = c - cost
+        if delta <= 0.0 or rng.random() < np.exp(-delta / temp):
+            order, cost = cand, c
+            if cost < best_cost:
+                best_order, best_cost = order.copy(), cost
+        temp *= _SA_COOLING
+        if history is not None:
+            history.append(best_cost)
+
+    return Tour(order=tuple(int(idx[i]) for i in best_order), length=best_cost)

@@ -1,0 +1,135 @@
+"""Oracle tests for the planner's two hot loops.
+
+`plan_route` (table-driven A*) and `solve_tour_sa_tsp` (screened annealer)
+must return exactly what the straightforward loops in `planner_reference`
+return: the same waypoints, lengths and error messages, and the same
+tours, lengths and best-cost histories.  Both rely on `sqrt(vecdot)` rows
+being bitwise the 1-D `np.linalg.norm`, which depends on the numpy build's
+dot loop and is pinned here too.
+"""
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+import planner_reference
+from strategies import occupancy_grids
+from surfscan.geometry import ViewPose4
+from surfscan.global_plan import RouteError, ViewPlan, plan_route, solve_tour_sa_tsp
+from surfscan.world import VoxelMap
+
+PROPERTY = settings(max_examples=60, deadline=None)
+
+magnitudes = st.one_of(st.just(0.0), st.floats(1e-6, 1e3), st.floats(-1e3, -1e-6))
+
+
+@PROPERTY
+@given(x=arrays(np.float64, st.tuples(st.integers(1, 64), st.just(3)), elements=magnitudes))
+def test_vecdot_rows_equal_vector_norm(x):
+    rows = np.sqrt(np.vecdot(x, x))
+    for v, r in zip(x, rows):
+        assert r == np.linalg.norm(v)
+
+
+# ---------------------------------------------------------------- SA-TSP
+
+
+def plan_from_positions(positions):
+    vps = tuple(ViewPose4(x, y, z, 0.0) for x, y, z in positions)
+    return ViewPlan(task_id="t", viewpoints=vps, valid=np.ones(len(vps), dtype=bool), grid_points=positions)
+
+
+@st.composite
+def tour_cases(draw):
+    """(positions, start, seed): uniform points, integer grids full of
+    equal legs, or points repeated in place; the start anywhere or on a
+    viewpoint."""
+    n = draw(st.integers(2, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    kind = draw(st.sampled_from(["uniform", "grid", "duplicates"]))
+    if kind == "uniform":
+        positions = rng.uniform(0.0, 20.0, size=(n, 3))
+    elif kind == "grid":
+        positions = rng.integers(0, 4, size=(n, 3)).astype(np.float64) * 1.1
+    else:
+        positions = rng.uniform(0.0, 20.0, size=(n, 3))[rng.integers(0, max(n // 3, 1), size=n)]
+    if draw(st.booleans()):
+        start = positions[draw(st.integers(0, n - 1))].copy()
+    else:
+        start = rng.uniform(-5.0, 25.0, size=3)
+    return positions, start, draw(st.integers(0, 2**16))
+
+
+def wall_grid(cols, rows):
+    """Viewpoints of a gridded wall, as the planner lays them out."""
+    y, z = np.meshgrid(np.arange(cols) * 1.1, 0.6 + np.arange(rows) * 0.9, indexing="ij")
+    return np.column_stack([np.full(y.size, 30.0), y.ravel(), z.ravel()])
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=tour_cases())
+@example(case=(wall_grid(30, 2), np.array([2.0, 2.0, 0.6]), 701))
+@example(case=(wall_grid(20, 3), wall_grid(20, 3)[7].copy(), 3))
+def test_screened_annealer_matches_reference(case):
+    positions, start, seed = case
+    plan = plan_from_positions(positions)
+    history, ref_history = [], []
+    tour = solve_tour_sa_tsp(plan, start, seed, history=history)
+    ref = planner_reference.solve_tour_sa_tsp(plan, start, seed, history=ref_history)
+    assert tour.order == ref.order
+    assert tour.length == ref.length
+    assert history == ref_history
+
+
+# ---------------------------------------------------------------- A*
+
+
+def route_or_error(planner, *args, **kwargs):
+    try:
+        waypoints, length = planner(*args, **kwargs)
+    except RouteError as exc:
+        return None, None, str(exc)
+    return np.asarray(waypoints), length, None
+
+
+@st.composite
+def route_cases(draw):
+    """A random grid, two endpoints (voxel interiors or anywhere around
+    the grid, so out of bounds, in collision and walled off all occur),
+    inflation, z band and heuristic switch."""
+    occ = draw(occupancy_grids(max_side=12))
+    vmap = VoxelMap(np.array([-0.5, 0.3, 0.1]), 0.2, occ)
+    lo, hi = vmap.bounds
+
+    def point():
+        if draw(st.integers(0, 4)):  # mostly inside a voxel
+            cell = np.array([draw(st.integers(0, n - 1)) for n in occ.shape])
+            frac = np.array([draw(st.floats(0.0, 0.999)) for _ in range(3)])
+            return vmap.origin + (cell + frac) * vmap.voxel_size
+        return np.array([draw(st.floats(float(a) - 0.5, float(b) + 0.5)) for a, b in zip(lo, hi)])
+
+    start, goal = point(), point()
+    if draw(st.integers(0, 9)) == 0:
+        goal = start.copy()
+    z_band = draw(
+        st.one_of(
+            st.none(),
+            st.tuples(st.floats(float(lo[2]), float(hi[2])), st.floats(float(lo[2]), float(hi[2]))).map(sorted),
+        )
+    )
+    inflation = draw(st.sampled_from([0.0, 0.1, 0.25]))
+    return vmap, start, goal, inflation, z_band, draw(st.booleans())
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=route_cases())
+def test_table_astar_matches_reference(case):
+    vmap, start, goal, inflation, z_band, heuristic = case
+    got = route_or_error(plan_route, vmap, start, goal, inflation, z_band=z_band, heuristic=heuristic)
+    want = route_or_error(
+        planner_reference.plan_route, vmap, start, goal, inflation, z_band=z_band, heuristic=heuristic
+    )
+    assert got[2] == want[2]
+    assert got[1] == want[1]
+    assert (got[0] is None and want[0] is None) or np.array_equal(got[0], want[0])

@@ -142,6 +142,27 @@ def test_cli_rejects_invalid_sensing(tmp_path, capsys, key, value):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "vertices, reason",
+    [
+        ([[6, -3, 0], [6, 3, 2], [6, 3, 0], [6, -3, 3]], "self-intersecting"),
+        ([[6, -3, 0], [6, 3, 0]], "at least 3 vertices"),
+    ],
+)
+def test_cli_rejects_invalid_task_roi(tmp_path, capsys, vertices, reason):
+    import yaml
+
+    cfg = yaml.safe_load(GOOD_YAML)
+    cfg["tasks"][0]["vertices"] = vertices
+    f = tmp_path / "scn.yaml"
+    f.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "out"
+    assert main(["plan", "--config", str(f), "--out", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert f"{f}: tasks[0] (wall): " in err and reason in err
+    assert not out.exists()
+
+
 def test_scenario_requires_tasks():
     with pytest.raises(ValueError, match="no tasks"):
         demo = demo_scenario("nominal")
