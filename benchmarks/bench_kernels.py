@@ -8,7 +8,10 @@ numba is absent.  Both are timed on the cases a mission runs every control
 step, from a pose in the `receding` demo's scene: the 80x60 depth image
 (5 m range), the 2048-ray 12 m omnidirectional scan, the same scan in
 nearest-return mode (as the mission's scans run) and the depth image's
-normal map.  `frechet_dp` and `point_is_free` have only the scalar loops.
+normal map.  The numpy raycasts are clipped to the map's occupied box, as
+`render_depth` and `sample_cloud` cast them; the scalar loop casts
+unclipped, as the tests' oracle does.  `frechet_dp` and `point_is_free`
+have only the scalar loops.
 The jitted column is printed only when numba is enabled.
 
 The planning rows run at site scale (a 40 x 40 x 2.4 m yard at 0.1 m
@@ -46,17 +49,18 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 import planner_reference  # noqa: E402
 
 
-def timeit(fn, *args, repeat=5):
+def timeit(fn, *args, repeat=5, **kwargs):
     best = np.inf
     for _ in range(repeat):
         t0 = time.perf_counter()
-        fn(*args)
+        fn(*args, **kwargs)
         best = min(best, time.perf_counter() - t0)
     return best
 
 
 def sensing_cases():
-    """(name, scalar loop, vectorized kernel, args) for one receding pose."""
+    """(name, scalar loop, vectorized kernel, args, kernel keywords) for
+    one receding pose."""
     cfg = demo_scenario("receding")
     vmap = build_scene(cfg).current
     cam = cfg.camera
@@ -69,30 +73,35 @@ def sensing_cases():
     cam_dirs = np.ascontiguousarray(world.reshape(-1, 3) / vmap.voxel_size)
     scan_dirs = np.ascontiguousarray(fibonacci_directions(2048) / vmap.voxel_size)
     depth = np.ascontiguousarray(render_depth(vmap, pose, cam).data)
+    clip = {"box": vmap.occupied_box}
     return (
         (
             f"raycast camera {cam.width}x{cam.height}",
             kernels.raycast_batch_scalar,
             kernels.raycast_batch_numpy,
             (vmap.occ, origin, cam_dirs, float(cam.max_range)),
+            clip,
         ),
         (
             "raycast scan 2048 rays",
             kernels.raycast_batch_scalar,
             kernels.raycast_batch_numpy,
             (vmap.occ, origin, scan_dirs, 12.0),
+            clip,
         ),
         (
             "raycast scan 2048 nearest",
             kernels.raycast_batch_scalar,
             kernels.raycast_batch_numpy,
             (vmap.occ, origin, scan_dirs, 12.0, True),
+            clip,
         ),
         (
             f"normals {cam.width}x{cam.height}",
             kernels.normals_from_depth_scalar,
             kernels.normals_from_depth_numpy,
             (depth, float(cam.fx), float(cam.fy), float(cam.cx), float(cam.cy), 0.3),
+            {},
         ),
     )
 
@@ -204,13 +213,13 @@ def main():
     if NUMBA_ENABLED:
         header += f"{'numba':>14}"
     print(header)
-    for name, scalar, vectorized, args in sensing_cases():
-        t_np = timeit(vectorized, *args)
+    for name, scalar, vectorized, args, kwargs in sensing_cases():
+        t_np = timeit(vectorized, *args, **kwargs)
         t_py = timeit(py_func(scalar), *args, repeat=2)
         row = f"{name:<26}{ms(t_np)}{ms(t_py)}{t_py / t_np:>13.1f}x"
         if NUMBA_ENABLED:
-            scalar(*args)  # compile
-            row += ms(timeit(scalar, *args))
+            scalar(*args, **kwargs)  # compile
+            row += ms(timeit(scalar, *args, **kwargs))
         print(row)
     for name, run, kernel in scalar_only_cases():
         t_py = timeit(run, py_func(kernel), repeat=2)

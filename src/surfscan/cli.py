@@ -53,7 +53,10 @@ def _build_parser():
     return parser
 
 
-def _load_config(args):
+def _load(args):
+    """Mission runner for the scenario named on the command line, its scene
+    built.  Bad input (arguments, scenario file, map files) raises
+    ValueError, FileNotFoundError or KeyError."""
     if bool(args.config) == bool(args.demo):
         raise ValueError("exactly one of --config or --demo is required")
     if args.demo:
@@ -64,7 +67,7 @@ def _load_config(args):
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.mode is not None:
         cfg = dataclasses.replace(cfg, mode=args.mode)
-    return cfg, base_dir
+    return MissionRunner(cfg, base_dir=base_dir)
 
 
 def _json_dump(obj, path):
@@ -120,37 +123,35 @@ def _tour_hash(out_dir, task_id):
     return hashlib.sha256((out_dir / f"tour_{task_id}.json").read_bytes()).hexdigest()
 
 
-def cmd_plan(cfg, out_dir, base_dir=None):
-    runner = MissionRunner(cfg, base_dir=base_dir)
+def cmd_plan(runner, out_dir):
     artifacts = runner.plan()
     _write_plan_artifacts(artifacts, out_dir)
     print(f"plan: {len(artifacts.executable)} executable task(s) -> {out_dir}")
     return EXIT_OK
 
 
-def cmd_run(cfg, out_dir, base_dir=None):
-    runner = MissionRunner(cfg, base_dir=base_dir)
+def cmd_run(runner, out_dir):
     result = runner.run()
     _write_run_artifacts(result, out_dir)
     print(
-        f"run [{cfg.mode}]: {result.status}, visited {result.summary['visited_total']} viewpoints "
+        f"run [{runner.cfg.mode}]: {result.status}, visited {result.summary['visited_total']} viewpoints "
         f"in {result.summary['duration_s']:.1f}s sim -> {out_dir}"
     )
     return _STATUS_CODES[result.status]
 
 
-def cmd_compare(cfg, out_dir, base_dir=None):
+def cmd_compare(runner, out_dir):
+    cfg = runner.cfg
     codes = {}
     reports = {}
     tour_hashes = {}
-    # Planning does not depend on the mode: build the scene and plan once,
-    # then fly both modes on them.
-    adaptive = MissionRunner(dataclasses.replace(cfg, mode="adaptive"), base_dir=base_dir)
+    # Planning does not depend on the mode: plan once, then fly both modes
+    # on the one scene.
     runners = {
-        "adaptive": adaptive,
-        "baseline": MissionRunner(dataclasses.replace(cfg, mode="baseline"), scene=adaptive.scene),
+        mode: MissionRunner(dataclasses.replace(cfg, mode=mode), scene=runner.scene)
+        for mode in ("adaptive", "baseline")
     }
-    artifacts = adaptive.plan()
+    artifacts = runners["adaptive"].plan()
     for mode, runner in runners.items():
         sub_dir = ensure_dir(out_dir / mode)
         result = runner.run(artifacts)
@@ -184,23 +185,20 @@ def main(argv=None):
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
-        cfg, base_dir = _load_config(args)
+        runner = _load(args)
     except (ValueError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    # Past this point every input has loaded: an error other than an
+    # unreachable task is a fault of the program, not of its input, and
+    # propagates.
     out_dir = ensure_dir(Path(args.out))
+    command = {"plan": cmd_plan, "run": cmd_run, "compare": cmd_compare}[args.command]
     try:
-        if args.command == "plan":
-            return cmd_plan(cfg, out_dir, base_dir)
-        if args.command == "run":
-            return cmd_run(cfg, out_dir, base_dir)
-        return cmd_compare(cfg, out_dir, base_dir)
+        return command(runner, out_dir)
     except TaskUnreachableError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ABORTED
-    except (ValueError, FileNotFoundError) as exc:  # bad maps, malformed inputs
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
 
 
 if __name__ == "__main__":

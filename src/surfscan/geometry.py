@@ -249,7 +249,7 @@ class PolygonROI:
             raise ValueError("PolygonROI vertices must be finite")
         verts.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
-        n = self.normal  # raises for degenerate windings
+        n = polygon_normal(verts)  # raises for degenerate windings
         centroid = verts.mean(axis=0)
         off = np.abs((verts - centroid) @ n)
         if off.max() > self.plane_tol:
@@ -257,9 +257,14 @@ class PolygonROI:
                 f"vertices deviate {off.max():.3g} m from best-fit plane "
                 f"(tolerance {self.plane_tol:g})"
             )
-        # Reject self-intersections in the plane.
-        u, v = polygon_basis(self)
+        u, v = _plane_basis(verts, n)
         pts2 = np.column_stack([(verts - centroid) @ u, (verts - centroid) @ v])
+        # The ROI frame, built once: point_in_polygon reads it on every call.
+        for name, value in (("_normal", n), ("_centroid", centroid), ("_basis", (u, v)), ("_poly2", pts2)):
+            if isinstance(value, np.ndarray):
+                value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        # Reject self-intersections in the plane.
         m = len(pts2)
         for i in range(m):
             a1, a2 = pts2[i], pts2[(i + 1) % m]
@@ -272,11 +277,11 @@ class PolygonROI:
 
     @property
     def normal(self):
-        return polygon_normal(self)
+        return self._normal
 
     @property
     def centroid(self):
-        return self.vertices.mean(axis=0)
+        return self._centroid
 
 
 def polygon_normal(roi):
@@ -306,7 +311,14 @@ def polygon_basis(roi):
     world-horizontal projection is ill-defined; the plane's principal axes
     are used instead.
     """
-    n = polygon_normal(roi)
+    if isinstance(roi, PolygonROI):
+        return roi._basis
+    verts = np.asarray(roi, dtype=np.float64)
+    return _plane_basis(verts, polygon_normal(verts))
+
+
+def _plane_basis(verts, n):
+    """`polygon_basis` of the vertices `verts` with unit normal `n`."""
     up = np.array([0.0, 0.0, 1.0])
     u = np.cross(up, n)
     norm = np.linalg.norm(u)
@@ -315,7 +327,6 @@ def polygon_basis(roi):
         v = np.cross(n, u)
         v /= np.linalg.norm(v)
         return u, v
-    verts = roi.vertices if isinstance(roi, PolygonROI) else np.asarray(roi, dtype=np.float64)
     centered = verts - verts.mean(axis=0)
     _, _, vt = np.linalg.svd(centered, full_matrices=False)
     u = vt[0] / np.linalg.norm(vt[0])
@@ -332,9 +343,9 @@ def point_in_polygon(roi, p, boundary_eps=1e-9):
     c = roi.centroid
     if abs(float((p - c) @ n)) > roi.plane_tol:
         raise ValueError("point lies off the polygon plane beyond tolerance")
-    u, v = polygon_basis(roi)
+    u, v = roi._basis
     px, py = float((p - c) @ u), float((p - c) @ v)
-    poly = np.column_stack([(roi.vertices - c) @ u, (roi.vertices - c) @ v])
+    poly = roi._poly2
     m = len(poly)
     inside = False
     for i in range(m):

@@ -147,17 +147,48 @@ def _nearest_bound(t):
 
 
 @njit(cache=True)
-def raycast_batch_scalar(occ, origin, dirs, t_cap, nearest=False):
+def _box_exit(box, ox, oy, oz, dx, dy, dz):
+    """Ray parameter at which a ray leaves `box` (a (2, 3) array of the
+    first and one-past-last occupied voxel per axis) padded by one voxel;
+    inf for a ray that moves along no axis."""
+    t_exit = np.inf
+    for axis in range(3):
+        if axis == 0:
+            o, d = ox, dx
+        elif axis == 1:
+            o, d = oy, dy
+        else:
+            o, d = oz, dz
+        if d != 0.0:
+            t0 = (box[0, axis] - 1.0 - o) / d
+            t1 = (box[1, axis] + 1.0 - o) / d
+            if t0 < t1:
+                t0 = t1
+            if t0 < t_exit:
+                t_exit = t0
+    return t_exit
+
+
+@njit(cache=True)
+def raycast_batch_scalar(occ, origin, dirs, t_cap, nearest=False, box=None):
     """Scalar loop behind :func:`raycast_batch`: one `_ray_first_hit` per ray.
 
     This is the source numba compiles and the bitwise reference the
     vectorized kernel is tested against.  With `nearest`, each ray is cast
-    with its cap lowered to the bound of the nearest hit so far.
+    with its cap lowered to the bound of the nearest hit so far.  With
+    `box`, each ray's cap is also lowered to its exit from the padded box
+    (see :func:`raycast_batch_numpy`).
     """
     n = dirs.shape[0]
     out = np.empty(n, dtype=np.float64)
     bound = np.inf
     for r in range(n):
+        cap = min(t_cap, bound) if nearest else t_cap
+        if box is not None:
+            cap = min(
+                cap,
+                _box_exit(box, origin[0], origin[1], origin[2], dirs[r, 0], dirs[r, 1], dirs[r, 2]),
+            )
         out[r] = _ray_first_hit(
             occ,
             origin[0],
@@ -166,7 +197,7 @@ def raycast_batch_scalar(occ, origin, dirs, t_cap, nearest=False):
             dirs[r, 0],
             dirs[r, 1],
             dirs[r, 2],
-            min(t_cap, bound) if nearest else t_cap,
+            cap,
         )
         if nearest and out[r] >= 0.0:
             bound = min(bound, _nearest_bound(out[r]))
@@ -337,7 +368,58 @@ def normals_from_depth_scalar(depth, fx, fy, cx, cy, jump):
     return out
 
 
-def raycast_batch_numpy(occ, origin, dirs, t_cap, nearest=False):
+def _crossings_below(tmax, tdel, limit):
+    """One axis' DDA crossings below `limit`, per ray.
+
+    A ray's crossings are tmax, tmax + tdel, (tmax + tdel) + tdel, ...,
+    summed one addition at a time in that order, so they are bitwise the
+    values of the DDA's repeated `tmax += tdel`.  Returns the number k of
+    crossings below `limit`, the first crossing at or past it (the ray's
+    next tmax) and the last one below it (-inf where k is 0).
+
+    Each pass guesses a ray's count n from (limit - tmax) / tdel and sums
+    its first n + 1 crossings.  Rays are sorted by n, so the rays still
+    summing are a suffix of one 1-D array: no ray adds past its guess, and
+    every temporary is one value per ray.  Where rounding makes the guess
+    short, the ray resumes from its last sum; where it makes it too many,
+    the ray is summed again with one fewer.
+    """
+    k = np.zeros(tmax.size, dtype=np.int64)
+    first = tmax.copy()
+    last = np.full(tmax.size, -np.inf)
+    todo = np.flatnonzero(first < limit)
+    n = np.maximum(np.ceil((limit[todo] - first[todo]) / tdel[todo]), 1).astype(np.int64)
+    while todo.size:
+        order = np.argsort(n, kind="stable")
+        todo, n = todo[order], n[order]
+        step, lim = tdel[todo], limit[todo]
+        cur = first[todo]
+        below, past = np.empty(todo.size), np.empty(todo.size)
+        # Rays [at[j], todo.size) have n >= j.
+        at = np.searchsorted(n, np.arange(n[-1] + 3))
+        for j in range(n[-1] + 1):
+            # `cur` holds crossing j of every ray with n >= j.
+            past[at[j] : at[j + 1]] = cur[at[j] : at[j + 1]]
+            below[at[j + 1] : at[j + 2]] = cur[at[j + 1] : at[j + 2]]
+            np.add(cur[at[j + 1] :], step[at[j + 1] :], out=cur[at[j + 1] :])
+        over = below >= lim
+        short = ~over & (past < lim)
+        kept = todo[~over]
+        k[kept] += n[~over]
+        first[kept] = past[~over]
+        last[kept] = below[~over]
+        resume = todo[short]
+        n = np.concatenate(
+            [
+                n[over] - 1,
+                np.maximum(np.ceil((limit[resume] - first[resume]) / tdel[resume]), 1).astype(np.int64),
+            ]
+        )
+        todo = np.concatenate([todo[over], resume])
+    return k, first, last
+
+
+def raycast_batch_numpy(occ, origin, dirs, t_cap, nearest=False, box=None):
     """First-hit parameter for a batch of rays from a common origin.
 
     origin: (3,) grid-unit coordinates.  dirs: (R,3) directions (any scale;
@@ -348,6 +430,15 @@ def raycast_batch_numpy(occ, origin, dirs, t_cap, nearest=False):
     t <= t_min * (1 + 1e-9) + 1e-9 returns exactly the value of the full
     cast, every other ray returns -1.0.  Rays stop marching once they pass
     that bound for the nearest hit found so far.
+
+    `box` is the occupied box of `occ` (`VoxelMap.occupied_box`): a (2, 3)
+    array of the first and one-past-last occupied voxel per axis.  Every
+    ray is clipped to that box padded by one voxel: a ray stops at its exit
+    from it, a ray that never meets it is a miss, and a ray that starts
+    outside it jumps straight to its entry.  The padding is far wider than
+    the rounding of the DDA's crossing times, so every voxel the clip skips
+    lies outside the occupied box, and the results are those of the
+    unclipped cast.
 
     All rays march together (Amanatides-Woo DDA): every live ray advances
     one voxel per iteration, with the same arithmetic and the same x, y, z
@@ -378,15 +469,36 @@ def raycast_batch_numpy(occ, origin, dirs, t_cap, nearest=False):
             hi = np.where(swap, t0, t1)
             np.copyto(t_enter, lo, where=moving & (lo > t_enter))
             np.copyto(t_exit, hi, where=moving & (hi < t_exit))
+    if box is not None:
+        # Entry into and exit from the padded occupied box, as the scalar
+        # loop's `_box_exit` computes the exit.  A ray that stays outside a
+        # slab it does not move across enters at +inf; it is kept only when
+        # its exit is +inf too (it moves along no axis and is uncapped, and
+        # the DDA walks it at t = inf, as the scalar loop does).
+        box_enter = np.full(n_rays, -np.inf)
+        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+            for axis in range(3):
+                o = origin[axis]
+                d = dirs[:, axis]
+                moving = d != 0.0
+                lo = box[0, axis] - 1.0
+                hi = box[1, axis] + 1.0
+                t0 = (lo - o) / d
+                t1 = (hi - o) / d
+                near = np.minimum(t0, t1)
+                far = np.maximum(t0, t1)
+                np.copyto(box_enter, near, where=moving & (near > box_enter))
+                np.copyto(t_exit, far, where=moving & (far < t_exit))
+                if o < lo or o > hi:
+                    box_enter[~moving] = np.inf
+        live &= ~(box_enter > t_exit)
     live &= ~(t_enter > t_exit)
     ray = np.flatnonzero(live)
+    if ray.size == 0:
+        return out  # every ray missed the grid or the box: nothing to march
     t = t_enter[ray]
 
-    # A one-voxel shell marked 2 around the grid: a ray stepping out of the
-    # grid reads 2 and is dropped as a miss, so leaving needs no bounds test.
-    padded = np.full((shape[0] + 2, shape[1] + 2, shape[2] + 2), 2, dtype=np.int8)
-    padded[1:-1, 1:-1, 1:-1] = occ.astype(np.bool_, copy=False)
-    flat = padded.reshape(-1)
+    # Linear voxel indices into the grid padded by a one-voxel shell.
     strides = ((shape[1] + 2) * (shape[2] + 2), shape[2] + 2, 1)
 
     # One column per live ray, so that compaction is two takes.
@@ -394,28 +506,53 @@ def raycast_batch_numpy(occ, origin, dirs, t_cap, nearest=False):
     # Rows of `istate`: ray index, linear voxel index, step x/y/z.
     fstate = np.empty((8, ray.size))
     istate = np.empty((5, ray.size), dtype=np.int64)
+    cells = np.empty((3, ray.size), dtype=np.int64)
     fstate[0] = t
     fstate[1] = t_exit[ray]
     istate[0] = ray
-    istate[1] = 0
     for axis in range(3):
         # Entry voxel, clamped into the grid, and the axis' DDA state.
         d = dirs[ray, axis]
         p = origin[axis] + d * t
-        cell = np.clip(np.floor(p).astype(np.int64), 0, shape[axis] - 1)
+        cells[axis] = np.clip(np.floor(p).astype(np.int64), 0, shape[axis] - 1)
         forward = d > 0.0
         backward = d < 0.0
         with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
             fstate[2 + axis] = np.where(
                 forward,
-                t + ((cell + 1) - p) / d,
-                np.where(backward, t + (p - cell) / -d, np.inf),
+                t + ((cells[axis] + 1) - p) / d,
+                np.where(backward, t + (p - cells[axis]) / -d, np.inf),
             )
             fstate[5 + axis] = np.where(
                 forward, 1.0 / d, np.where(backward, 1.0 / -d, np.inf)
             )
-        istate[1] += (cell + 1) * strides[axis]
         istate[2 + axis] = np.where(forward, strides[axis], -strides[axis])
+    if box is not None:
+        # Pass every crossing below the box entry in one go.  The voxels
+        # they lead into lie outside the padded box, so the DDA would only
+        # have stepped through them; t becomes the last crossing passed.
+        # A ray carried out of the grid lands in the shell and misses.
+        limit = box_enter[ray]
+        rows = np.flatnonzero((t < limit) & (limit < np.inf))
+        limit = limit[rows]
+        last = np.full(rows.size, -np.inf)
+        for axis in range(3):
+            k, fstate[2 + axis, rows], passed = _crossings_below(
+                fstate[2 + axis, rows], fstate[5 + axis, rows], limit
+            )
+            moved = cells[axis, rows] + np.where(istate[2 + axis, rows] > 0, k, -k)
+            cells[axis, rows] = np.clip(moved, -1, shape[axis])
+            np.maximum(last, passed, out=last)
+        fstate[0, rows] = np.where(last > -np.inf, last, fstate[0, rows])
+    istate[1] = 0
+    for axis in range(3):
+        istate[1] += (cells[axis] + 1) * strides[axis]
+
+    # The shell is marked 2: a ray stepping out of the grid reads 2 and is
+    # dropped as a miss, so leaving needs no bounds test.
+    padded = np.full((shape[0] + 2, shape[1] + 2, shape[2] + 2), 2, dtype=np.int8)
+    padded[1:-1, 1:-1, 1:-1] = occ.astype(np.bool_, copy=False)
+    flat = padded.reshape(-1)
     parked = 0
     bound = np.inf
     while istate.shape[1]:

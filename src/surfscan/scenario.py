@@ -184,12 +184,17 @@ def _parse_map_spec(entry, where):
     raise ValueError("map spec must contain 'file' or 'boxes'")
 
 
+# libyaml's parser when PyYAML was built with it (several times faster),
+# else the pure-Python one; both build the same documents.
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_scenario(path):
     """Parse and validate a YAML scenario file."""
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            raw = yaml.safe_load(fh)
+            raw = yaml.load(fh, Loader=_YAML_LOADER)
         except yaml.YAMLError as exc:
             raise ValueError(f"{path}: malformed YAML: {exc}") from exc
     if not isinstance(raw, dict):

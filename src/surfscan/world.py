@@ -6,6 +6,7 @@ deterministic: a pinhole depth camera and an omnidirectional range scanner,
 both implemented by DDA raycasts through the grid.
 """
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,6 +174,23 @@ class VoxelMap:
         idx = np.argwhere(self.occ & ~core)
         return self.origin + (idx + 0.5) * self.voxel_size
 
+    @functools.cached_property
+    def occupied_box(self):
+        """First and one-past-last occupied voxel index per axis, as a
+        read-only (2, 3) int64 array; None for an empty map.  Computed on
+        first use and cached."""
+        lo, hi = [], []
+        for axis in range(3):
+            rest = tuple(a for a in range(3) if a != axis)
+            idx = np.flatnonzero(self.occ.any(axis=rest))
+            if idx.size == 0:
+                return None
+            lo.append(idx[0])
+            hi.append(idx[-1] + 1)
+        box = np.array([lo, hi], dtype=np.int64)
+        box.setflags(write=False)
+        return box
+
     def free_mask(self, inflation):
         """Voxels whose centers keep at least `inflation` clearance from every
         occupied voxel box.  Cached per inflation value."""
@@ -303,6 +321,15 @@ def fibonacci_directions(n):
     return np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
 
 
+def _first_hits(vmap, origin_g, dirs_g, t_cap, nearest=False):
+    """`kernels.raycast_batch` on the map, clipped to its occupied box; on
+    an empty map every ray misses and nothing is cast."""
+    box = vmap.occupied_box
+    if box is None:
+        return np.full(dirs_g.shape[0], -1.0)
+    return kernels.raycast_batch(vmap.occ, origin_g, dirs_g, t_cap, nearest=nearest, box=box)
+
+
 def render_depth(vmap, pose, intrinsics):
     """Raycast a depth image from the pose.  Depth is the distance along the
     optical axis to the first occupied voxel; misses are NaN."""
@@ -317,7 +344,7 @@ def render_depth(vmap, pose, intrinsics):
     dirs_g = np.ascontiguousarray(
         world_dirs.reshape(-1, 3) / vmap.voxel_size, dtype=np.float64
     )
-    t = kernels.raycast_batch(vmap.occ, origin_g, dirs_g, float(intrinsics.max_range))
+    t = _first_hits(vmap, origin_g, dirs_g, float(intrinsics.max_range))
     depth = t.reshape(intrinsics.height, intrinsics.width).copy()
     depth[depth <= 0.0] = np.nan
     return DepthImage(depth, pose)
@@ -341,7 +368,7 @@ def sample_cloud(vmap, pose, max_range, ray_count, nearest=False):
     dirs = fibonacci_directions(int(ray_count))
     origin_g = vmap.world_to_grid(pos)
     dirs_g = np.ascontiguousarray(dirs / vmap.voxel_size)
-    t = kernels.raycast_batch(vmap.occ, origin_g, dirs_g, float(max_range), nearest=nearest)
+    t = _first_hits(vmap, origin_g, dirs_g, float(max_range), nearest=nearest)
     hit = t >= 0.0
     points = pos + dirs[hit] * t[hit, None]
     return PointCloud(points, frame="world")

@@ -19,6 +19,7 @@ from hypothesis.extra.numpy import arrays
 from strategies import direction_component, grid_coordinate, occupancy_grids
 from surfscan import kernels
 from surfscan._accel import py_func
+from surfscan.world import VoxelMap
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -124,6 +125,126 @@ def test_raycast_nearest_keeps_a_hit_on_the_bound_and_drops_earlier_far_hits():
     got = kernels.raycast_batch(occ, origin, dirs, 100.0, nearest=True)
     assert got.tolist() == [-1.0, bound, 1.5]
     assert same_bits(got, scalar(occ, origin, dirs, 100.0, nearest=True))
+
+
+def occupied_box(occ):
+    return VoxelMap(np.zeros(3), 1.0, occ).occupied_box
+
+
+@st.composite
+def boxed_ray_batches(draw):
+    """One random occupied sub-block inside a larger empty grid (or an
+    all-empty grid), its occupied box, and rays from outside the box,
+    outside the grid, inside the box or on a padded-box plane."""
+    shape = tuple(draw(st.integers(3, 14)) for _ in range(3))
+    occ = np.zeros(shape, dtype=np.bool_)
+    if draw(st.integers(0, 5)):
+        lo = [draw(st.integers(0, n - 1)) for n in shape]
+        hi = [draw(st.integers(l + 1, min(n, l + 5))) for l, n in zip(lo, shape)]
+        fill = draw(st.sampled_from([0.2, 0.5, 1.0]))
+        seed = draw(st.integers(0, 2**32 - 1))
+        block = np.random.default_rng(seed).random([h - l for l, h in zip(lo, hi)]) < fill
+        block.flat[0] = True
+        occ[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]] = block
+    box = occupied_box(occ)
+    n_rays = draw(st.integers(1, 24))
+    dirs = draw(arrays(np.float64, (n_rays, 3), elements=direction_component))
+    origin = np.array([draw(st.floats(0.0, float(n))) for n in shape])
+    where = draw(st.sampled_from(["outside box", "outside grid", "inside box", "padded plane"]))
+    axis = draw(st.integers(0, 2))
+    if where == "outside grid":
+        n = shape[axis]
+        origin[axis] = draw(st.one_of(st.floats(-4.0, -1e-3), st.floats(n + 1e-3, n + 4.0)))
+    elif box is None:
+        pass
+    elif where == "outside box":
+        below, above = float(box[0, axis]), float(box[1, axis])
+        origin[axis] = draw(
+            st.one_of(
+                st.floats(0.0, below, exclude_max=True) if below > 0 else st.nothing(),
+                st.floats(above, float(shape[axis]), exclude_min=True)
+                if above < shape[axis]
+                else st.nothing(),
+                st.just(above + 0.5),
+            )
+        )
+    elif where == "inside box":
+        origin = np.array([draw(st.floats(float(l), float(h))) for l, h in box.T])
+    else:
+        # On the padded box's face, moving along it or across it.
+        origin[axis] = draw(st.sampled_from([box[0, axis] - 1.0, box[1, axis] + 1.0]))
+        dirs[::2, axis] = 0.0
+    if box is not None and draw(st.booleans()):
+        # Aim the odd rays at lattice points on and around the box's
+        # corners: they cross several voxel planes at once, in rounded
+        # arithmetic.
+        for r in range(1, n_rays, 2):
+            corner = [box[draw(st.integers(0, 1)), a] + draw(st.integers(-1, 1)) for a in range(3)]
+            scale = draw(st.sampled_from([0.1, 0.3, 1.0 / 3.0, 0.7, 3.0]))
+            dirs[r] = (np.array(corner, dtype=np.float64) - origin) * scale
+    t_cap = draw(st.one_of(st.floats(0.0, 3.0), st.floats(3.0, 60.0), st.just(math.inf)))
+    return occ, origin, dirs, t_cap, box
+
+
+def corner_hit():
+    """A ray entering the voxel (1, 2, 1) through its corner at t = 10,
+    where it also leaves the unpadded box's y range."""
+    occ = np.zeros((3, 3, 13), dtype=np.bool_)
+    occ[0:2, 2, 1] = True
+    dirs = np.array([[0.27, -0.31, -0.025]])
+    return occ, np.array([-1.7, 5.1, 2.25]), dirs, 60.0, occupied_box(occ)
+
+
+@given(batch=boxed_ray_batches(), nearest=st.booleans())
+@example(batch=corner_hit(), nearest=False)
+@PROPERTY
+def test_raycast_box_clip_matches_unclipped_scalar_oracle(batch, nearest):
+    occ, origin, dirs, t_cap, box = batch
+    scalar = py_func(kernels.raycast_batch_scalar)
+    got = kernels.raycast_batch(occ, origin, dirs, t_cap, nearest=nearest, box=box)
+    assert same_bits(got, scalar(occ, origin, dirs, t_cap, nearest=nearest))
+    assert same_bits(got, scalar(occ, origin, dirs, t_cap, nearest=nearest, box=box))
+
+
+def test_raycast_on_an_empty_map_misses():
+    occ = np.zeros((6, 5, 4), dtype=np.bool_)
+    assert occupied_box(occ) is None
+    origin = np.array([2.5, 2.5, 2.0])
+    # The all-zero direction is walked at t = inf when uncapped.
+    dirs = np.array([[1.0, 0.0, 0.0], [-0.3, 0.7, 0.1], [0.0, 0.0, 0.0]])
+    for t_cap in (2.0, math.inf):
+        assert kernels.raycast_batch(occ, origin, dirs, t_cap).tolist() == [-1.0] * 3
+
+
+def test_raycast_skip_out_of_the_grid_before_the_box_misses():
+    # The ray leaves the grid through y = 4 at t = 10, where it also meets
+    # the padded box (z = 8); the DDA's y crossing comes one rounding
+    # earlier, so passing the crossings below the box entry carries the
+    # ray out of the grid: a miss, as in the unclipped loop.
+    occ = np.zeros((8, 4, 12), dtype=np.bool_)
+    occ[4:7, 3, 6] = True
+    box = occupied_box(occ)
+    assert box.tolist() == [[4, 3, 6], [7, 4, 7]]
+    origin = np.array([9.1, 3.5, 12.5])
+    dirs = np.array([[-0.51, 0.05, -0.45]])
+    got = kernels.raycast_batch(occ, origin, dirs, 60.0, box=box)
+    assert got.tolist() == [-1.0]
+    assert same_bits(got, py_func(kernels.raycast_batch_scalar)(occ, origin, dirs, 60.0))
+
+
+def test_raycast_zero_direction_keeps_its_uncapped_walk_into_the_box():
+    # Outside the padded box on x with a zero direction the ray never meets
+    # the box, but uncapped the DDA walks it down x at t = inf into an
+    # occupied voxel; the clip keeps that result.
+    occ = np.zeros((9, 3, 3), dtype=np.bool_)
+    occ[1, 1, 1] = True
+    origin = np.array([7.5, 1.5, 1.5])
+    dirs = np.zeros((1, 3))
+    scalar = py_func(kernels.raycast_batch_scalar)
+    for t_cap in (5.0, math.inf):
+        got = kernels.raycast_batch(occ, origin, dirs, t_cap, box=occupied_box(occ))
+        assert same_bits(got, scalar(occ, origin, dirs, t_cap))
+    assert got.tolist() == [math.inf]
 
 
 @st.composite

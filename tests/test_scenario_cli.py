@@ -329,3 +329,28 @@ def test_cli_missing_map_file_exit_code(tmp_path):
         "tasks:\n  - id: t\n    vertices: [[6,-1,0],[6,1,0],[6,1,1],[6,-1,1]]\n"
     )
     assert main(["run", "--config", str(f), "--out", str(tmp_path / "out")]) == 64
+
+
+def test_cli_missing_map_file_creates_no_output(tmp_path, capsys):
+    f = tmp_path / "scn.yaml"
+    f.write_text(
+        "version: 1\nmaps:\n  historical: {file: nowhere.xyz}\n"
+        "tasks:\n  - id: t\n    vertices: [[6,-1,0],[6,1,0],[6,1,1],[6,-1,1]]\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(f), "--out", str(out)]) == 64
+    assert "nowhere.xyz" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_mission_errors_propagate(tmp_path, monkeypatch):
+    # Once the scenario and its maps have loaded, a ValueError is a fault of
+    # the program, not a usage error: it must not exit 64.
+    from surfscan import mission
+
+    def broken(*args, **kwargs):
+        raise ValueError("broken supervision")
+
+    monkeypatch.setattr(mission, "step_mission", broken)
+    with pytest.raises(ValueError, match="broken supervision"):
+        main(["run", "--demo", "nominal", "--out", str(tmp_path / "run")])

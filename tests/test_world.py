@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from scipy import ndimage
 
 from strategies import grid_coordinate, occupancy_grids
+from surfscan import kernels
 from surfscan.depthcam import CameraIntrinsics
 from surfscan.fileio import _load_xyz_lines, load_xyz
 from surfscan.geometry import Pose6, nearest_point
@@ -284,6 +285,27 @@ def test_wall_recession_grows_nearest_distance(wall_map):
     _, d0 = nearest_point(sample_cloud(wall_map, probe, 12.0, 1024), probe.position)
     _, d1 = nearest_point(sample_cloud(receded, probe, 12.0, 1024), probe.position)
     assert d1 - d0 == pytest.approx(1.0, abs=2 * wall_map.voxel_size)
+
+
+@given(occ=occupancy_grids())
+@settings(max_examples=50, deadline=None)
+def test_occupied_box_bounds_the_occupied_voxels(occ):
+    box = VoxelMap(np.zeros(3), 0.1, occ).occupied_box
+    idx = np.argwhere(occ)
+    if idx.size == 0:
+        assert box is None
+    else:
+        assert box.tolist() == [idx.min(axis=0).tolist(), (idx.max(axis=0) + 1).tolist()]
+
+
+def test_empty_map_casts_no_rays(monkeypatch):
+    def no_cast(*args, **kwargs):
+        raise AssertionError("cast on an empty map")
+
+    monkeypatch.setattr(kernels, "raycast_batch", no_cast)
+    vmap = VoxelMap.empty((0, 0, 0), (5, 5, 5), 0.1)
+    assert not render_depth(vmap, Pose6(2.5, 2.5, 2.5), CAM).valid_mask.any()
+    assert sample_cloud(vmap, Pose6(2.5, 2.5, 2.5), 10.0, 256, nearest=True).is_empty
 
 
 def test_surface_points_are_the_shell():
