@@ -183,10 +183,9 @@ class PathSegment:
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Point set in a named frame; may be empty."""
+    """Point set in the world frame; may be empty."""
 
     points: np.ndarray
-    frame: str = "world"
 
     def __post_init__(self):
         pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
@@ -286,8 +285,11 @@ class PolygonROI:
 
 def polygon_normal(roi):
     """Unit normal of the polygon plane, oriented by vertex winding
-    (right-hand rule).  Raises DegenerateGeometryError for collinear input."""
-    verts = np.asarray(roi.vertices if isinstance(roi, PolygonROI) else roi, dtype=np.float64)
+    (right-hand rule); a `PolygonROI` returns the normal it stored when
+    built.  Raises DegenerateGeometryError for collinear input."""
+    if isinstance(roi, PolygonROI):
+        return roi.normal
+    verts = np.asarray(roi, dtype=np.float64)
     # Newell's method: exact plane normal for planar polygons, winding-signed.
     nxt = np.roll(verts, -1, axis=0)
     n = np.array(

@@ -368,57 +368,55 @@ def normals_from_depth_scalar(depth, fx, fy, cx, cy, jump):
     return out
 
 
+def _slab_clip(origin, dirs, lo, hi, enter, exit):
+    """Narrow each ray's [enter, exit] in place to the box [lo, hi] (per
+    axis), as the scalar loop's clip does.  Returns the mask of rays that
+    sit outside a slab they do not move across.  Runs under the caller's
+    `np.errstate`."""
+    outside = np.zeros(dirs.shape[0], dtype=np.bool_)
+    for axis in range(3):
+        o = origin[axis]
+        d = dirs[:, axis]
+        moving = d != 0.0
+        if o < lo[axis] or o > hi[axis]:
+            outside |= ~moving
+        t0 = (lo[axis] - o) / d
+        t1 = (hi[axis] - o) / d
+        near = np.minimum(t0, t1)
+        far = np.maximum(t0, t1)
+        np.copyto(enter, near, where=moving & (near > enter))
+        np.copyto(exit, far, where=moving & (far < exit))
+    return outside
+
+
 def _crossings_below(tmax, tdel, limit):
     """One axis' DDA crossings below `limit`, per ray.
 
-    A ray's crossings are tmax, tmax + tdel, (tmax + tdel) + tdel, ...,
-    summed one addition at a time in that order, so they are bitwise the
-    values of the DDA's repeated `tmax += tdel`.  Returns the number k of
-    crossings below `limit`, the first crossing at or past it (the ray's
-    next tmax) and the last one below it (-inf where k is 0).
-
-    Each pass guesses a ray's count n from (limit - tmax) / tdel and sums
-    its first n + 1 crossings.  Rays are sorted by n, so the rays still
-    summing are a suffix of one 1-D array: no ray adds past its guess, and
-    every temporary is one value per ray.  Where rounding makes the guess
-    short, the ray resumes from its last sum; where it makes it too many,
-    the ray is summed again with one fewer.
+    Each pass adds `tdel` to the rays still below their limit: the same
+    additions, in the same order, as the DDA's repeated `tmax += tdel`.
+    Returns the number k of crossings below `limit` and the first crossing
+    at or past it (the ray's next tmax).
     """
     k = np.zeros(tmax.size, dtype=np.int64)
-    first = tmax.copy()
-    last = np.full(tmax.size, -np.inf)
-    todo = np.flatnonzero(first < limit)
-    n = np.maximum(np.ceil((limit[todo] - first[todo]) / tdel[todo]), 1).astype(np.int64)
+    nxt = tmax.copy()
+    todo = np.flatnonzero(tmax < limit)
+    cur, step, lim = tmax[todo], tdel[todo], limit[todo]
+    passes = 0
     while todo.size:
-        order = np.argsort(n, kind="stable")
-        todo, n = todo[order], n[order]
-        step, lim = tdel[todo], limit[todo]
-        cur = first[todo]
-        below, past = np.empty(todo.size), np.empty(todo.size)
-        # Rays [at[j], todo.size) have n >= j.
-        at = np.searchsorted(n, np.arange(n[-1] + 3))
-        for j in range(n[-1] + 1):
-            # `cur` holds crossing j of every ray with n >= j.
-            past[at[j] : at[j + 1]] = cur[at[j] : at[j + 1]]
-            below[at[j + 1] : at[j + 2]] = cur[at[j + 1] : at[j + 2]]
-            np.add(cur[at[j + 1] :], step[at[j + 1] :], out=cur[at[j + 1] :])
-        over = below >= lim
-        short = ~over & (past < lim)
-        kept = todo[~over]
-        k[kept] += n[~over]
-        first[kept] = past[~over]
-        last[kept] = below[~over]
-        resume = todo[short]
-        n = np.concatenate(
-            [
-                n[over] - 1,
-                np.maximum(np.ceil((limit[resume] - first[resume]) / tdel[resume]), 1).astype(np.int64),
-            ]
-        )
-        todo = np.concatenate([todo[over], resume])
-    return k, first, last
+        passes += 1
+        cur += step
+        done = cur >= lim
+        if done.any():
+            k[todo[done]] = passes
+            nxt[todo[done]] = cur[done]
+            keep = ~done
+            todo, cur, step, lim = todo[keep], cur[keep], step[keep], lim[keep]
+    return k, nxt
 
 
+# A tiny direction component divides and sums to the intended +-inf, and
+# one that is zero gives nan where its axis is masked out: no warnings.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def raycast_batch_numpy(occ, origin, dirs, t_cap, nearest=False, box=None):
     """First-hit parameter for a batch of rays from a common origin.
 
@@ -453,22 +451,7 @@ def raycast_batch_numpy(occ, origin, dirs, t_cap, nearest=False, box=None):
     # Clip every ray against the grid AABB [0,nx]x[0,ny]x[0,nz].
     t_enter = np.zeros(n_rays)
     t_exit = np.full(n_rays, float(t_cap))
-    live = np.ones(n_rays, dtype=np.bool_)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        for axis in range(3):
-            o = origin[axis]
-            d = dirs[:, axis]
-            n = shape[axis]
-            moving = d != 0.0
-            if o < 0.0 or o > n:
-                live &= moving
-            t0 = (0.0 - o) / d
-            t1 = (n - o) / d
-            swap = t0 > t1
-            lo = np.where(swap, t1, t0)
-            hi = np.where(swap, t0, t1)
-            np.copyto(t_enter, lo, where=moving & (lo > t_enter))
-            np.copyto(t_exit, hi, where=moving & (hi < t_exit))
+    live = ~_slab_clip(origin, dirs, np.zeros(3), np.array(shape, dtype=np.float64), t_enter, t_exit)
     if box is not None:
         # Entry into and exit from the padded occupied box, as the scalar
         # loop's `_box_exit` computes the exit.  A ray that stays outside a
@@ -476,21 +459,7 @@ def raycast_batch_numpy(occ, origin, dirs, t_cap, nearest=False, box=None):
         # its exit is +inf too (it moves along no axis and is uncapped, and
         # the DDA walks it at t = inf, as the scalar loop does).
         box_enter = np.full(n_rays, -np.inf)
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            for axis in range(3):
-                o = origin[axis]
-                d = dirs[:, axis]
-                moving = d != 0.0
-                lo = box[0, axis] - 1.0
-                hi = box[1, axis] + 1.0
-                t0 = (lo - o) / d
-                t1 = (hi - o) / d
-                near = np.minimum(t0, t1)
-                far = np.maximum(t0, t1)
-                np.copyto(box_enter, near, where=moving & (near > box_enter))
-                np.copyto(t_exit, far, where=moving & (far < t_exit))
-                if o < lo or o > hi:
-                    box_enter[~moving] = np.inf
+        box_enter[_slab_clip(origin, dirs, box[0] - 1.0, box[1] + 1.0, box_enter, t_exit)] = np.inf
         live &= ~(box_enter > t_exit)
     live &= ~(t_enter > t_exit)
     ray = np.flatnonzero(live)
@@ -517,33 +486,29 @@ def raycast_batch_numpy(occ, origin, dirs, t_cap, nearest=False, box=None):
         cells[axis] = np.clip(np.floor(p).astype(np.int64), 0, shape[axis] - 1)
         forward = d > 0.0
         backward = d < 0.0
-        with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-            fstate[2 + axis] = np.where(
-                forward,
-                t + ((cells[axis] + 1) - p) / d,
-                np.where(backward, t + (p - cells[axis]) / -d, np.inf),
-            )
-            fstate[5 + axis] = np.where(
-                forward, 1.0 / d, np.where(backward, 1.0 / -d, np.inf)
-            )
+        fstate[2 + axis] = np.where(
+            forward,
+            t + ((cells[axis] + 1) - p) / d,
+            np.where(backward, t + (p - cells[axis]) / -d, np.inf),
+        )
+        fstate[5 + axis] = np.where(forward, 1.0 / d, np.where(backward, 1.0 / -d, np.inf))
         istate[2 + axis] = np.where(forward, strides[axis], -strides[axis])
     if box is not None:
-        # Pass every crossing below the box entry in one go.  The voxels
-        # they lead into lie outside the padded box, so the DDA would only
-        # have stepped through them; t becomes the last crossing passed.
-        # A ray carried out of the grid lands in the shell and misses.
+        # Pass every crossing below the box entry before the loop: the
+        # voxels they lead into lie outside the padded box.  Only rays with
+        # t below the entry skip (a ray can enter the grid with a tmax one
+        # rounding below t).  A ray carried out of the grid is clamped into
+        # the shell and misses.  t stays at the grid entry: the cell is empty
+        # or in the shell, so the loop's first iteration records no hit and
+        # its first step sets t.
         limit = box_enter[ray]
         rows = np.flatnonzero((t < limit) & (limit < np.inf))
-        limit = limit[rows]
-        last = np.full(rows.size, -np.inf)
         for axis in range(3):
-            k, fstate[2 + axis, rows], passed = _crossings_below(
-                fstate[2 + axis, rows], fstate[5 + axis, rows], limit
+            k, fstate[2 + axis, rows] = _crossings_below(
+                fstate[2 + axis, rows], fstate[5 + axis, rows], limit[rows]
             )
             moved = cells[axis, rows] + np.where(istate[2 + axis, rows] > 0, k, -k)
             cells[axis, rows] = np.clip(moved, -1, shape[axis])
-            np.maximum(last, passed, out=last)
-        fstate[0, rows] = np.where(last > -np.inf, last, fstate[0, rows])
     istate[1] = 0
     for axis in range(3):
         istate[1] += (cells[axis] + 1) * strides[axis]

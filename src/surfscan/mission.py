@@ -4,7 +4,7 @@
 stepper that moves through three phases per task:
 
 - NAVIGATE: plan a route to the tour start on the current map and follow
-  its waypoints.
+  its waypoints; a leg that stalls is replanned once, then the task aborts.
 - INSPECT: run a supervision cycle (`step_mission`) when the previously
   commanded view pose has been reached; a cycle without a reference (a
   sensing retry) holds the robot for one step.
@@ -203,38 +203,51 @@ class _Stepper:
 
     def navigate(self, task_plan):
         """NAVIGATE: plan a route to the tour start on the current map and
-        follow its waypoints until the last one is reached.  There is no
-        stall cap: a blocked robot holds until the time budget runs out."""
+        follow its waypoints until the last one is reached.  A leg gets
+        TRACK's stall cap (three times the unobstructed time along the
+        route, plus 20 steps); at the cap the route is replanned once from
+        the current pose, and at the second cap the task aborts."""
         cfg = self.cfg
+        task_id = task_plan.task.id
         first = task_plan.plan.viewpoints[task_plan.tour.order[0]]
-        try:
-            waypoints, _ = plan_route(
-                self.scene.current,
-                self.robot.pose.position,
-                first.position,
-                cfg.inflation,
-                z_band=cfg.z_band,
-            )
-        except RouteError as exc:
-            log.warning("task %s: route to tour start failed: %s", task_plan.task.id, exc)
-            return "aborted"
         pos_tol = min(0.12, 0.4 * cfg.pos_tol)
         yaw_tol = min(0.15, 0.75 * cfg.yaw_tol)
-        last = len(waypoints) - 1
-        wp_idx = 0
-        while not self.out_of_time():
-            pos = self.robot.pose.position
-            while wp_idx < last and np.linalg.norm(waypoints[wp_idx] - pos) < 0.2:
-                wp_idx += 1
-            wp = waypoints[wp_idx]
-            ref = ViewPose4(wp[0], wp[1], wp[2], first.psi)
-            dist, dyaw = self.pose_error(ref)
-            if wp_idx == last and dist <= pos_tol and dyaw <= yaw_tol:
-                return "completed"
-            self.record("navigate", ref, False)
-            if self.advance(ref):
-                log.debug("navigate blocked at %s", self.robot.pose)
-        return "timeout"
+        blocked = False
+        for leg in range(2):
+            try:
+                waypoints, length = plan_route(
+                    self.scene.current,
+                    self.robot.pose.position,
+                    first.position,
+                    cfg.inflation,
+                    z_band=cfg.z_band,
+                )
+            except RouteError as exc:
+                log.warning("task %s: route to tour start failed: %s", task_id, exc)
+                return "aborted"
+            cap = self.stall_cap(length, abs(wrap_angle(first.psi - self.robot.pose.psi)))
+            last = len(waypoints) - 1
+            wp_idx = 0
+            stepped = 0
+            while not self.out_of_time():
+                pos = self.robot.pose.position
+                while wp_idx < last and np.linalg.norm(waypoints[wp_idx] - pos) < 0.2:
+                    wp_idx += 1
+                wp = waypoints[wp_idx]
+                ref = ViewPose4(wp[0], wp[1], wp[2], first.psi)
+                dist, dyaw = self.pose_error(ref)
+                if wp_idx == last and dist <= pos_tol and dyaw <= yaw_tol:
+                    return "completed"
+                if stepped >= cap:
+                    break
+                self.record("navigate", ref, blocked)
+                blocked = self.advance(ref)
+                stepped += 1
+            else:
+                return "timeout"
+            log.info("task %s: navigation stalled after %d steps on leg %d", task_id, cap, leg + 1)
+        log.warning("task %s: navigation to tour start stalled twice; aborting", task_id)
+        return "aborted"
 
     def inspect(self, task_plan):
         """INSPECT: one supervision cycle per view pose, each followed by
@@ -280,8 +293,7 @@ class _Stepper:
         cfg = self.cfg
         pos_tol = min(0.1, 0.4 * cfg.pos_tol)
         yaw_tol = min(0.1, 0.5 * cfg.yaw_tol)
-        dist, dyaw = self.pose_error(ref)
-        cap = int(3.0 * (dist / max(cfg.v_max, 1e-9) + dyaw / max(cfg.w_max, 1e-9)) / cfg.dt) + 20
+        cap = self.stall_cap(*self.pose_error(ref))
         blocked = self.advance(ref)
         tracked = 1
         while not self.out_of_time():
@@ -299,6 +311,12 @@ class _Stepper:
 
     def out_of_time(self):
         return self.steps >= self.max_steps
+
+    def stall_cap(self, dist, dyaw):
+        """Steps allowed for a leg of length `dist` with yaw error `dyaw`:
+        three times the unobstructed time, plus 20."""
+        cfg = self.cfg
+        return int(3.0 * (dist / max(cfg.v_max, 1e-9) + dyaw / max(cfg.w_max, 1e-9)) / cfg.dt) + 20
 
     def pose_error(self, ref):
         pose = self.robot.pose

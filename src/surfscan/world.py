@@ -371,7 +371,7 @@ def sample_cloud(vmap, pose, max_range, ray_count, nearest=False):
     t = _first_hits(vmap, origin_g, dirs_g, float(max_range), nearest=nearest)
     hit = t >= 0.0
     points = pos + dirs[hit] * t[hit, None]
-    return PointCloud(points, frame="world")
+    return PointCloud(points)
 
 
 def is_collision_free(vmap, target, inflation):

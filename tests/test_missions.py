@@ -181,6 +181,34 @@ def test_navigate_route_error_aborts_and_other_errors_propagate(monkeypatch):
         runner.run(artifacts)
 
 
+def test_blocked_navigation_replans_once_then_aborts(monkeypatch, caplog):
+    from surfscan import mission
+
+    cfg = demo_scenario("nominal")
+    real_route = mission.plan_route
+    routes = []
+
+    def counting_route(*args, **kwargs):
+        routes.append(real_route(*args, **kwargs))
+        return routes[-1]
+
+    monkeypatch.setattr(mission, "plan_route", counting_route)
+    monkeypatch.setattr(mission, "track_step", lambda robot, ref, vmap, dt: (robot, True))
+    result = MissionRunner(cfg).run()
+    assert result.status == "aborted"
+    assert len(routes) == 2
+    # Each leg steps for its stall cap; the robot never moves, so both legs
+    # start from the same pose.
+    records = result.log.records
+    dyaw = abs(wrap_angle(records[0].ref_psi - cfg.start_pose.psi))
+    caps = [int(3.0 * (length / cfg.v_max + dyaw / cfg.w_max) / cfg.dt) + 20 for _, length in routes]
+    assert [r.phase for r in records] == ["navigate"] * sum(caps)
+    assert result.summary["duration_s"] < 0.5 * cfg.max_sim_time
+    # Each row logs the previous step's blocked flag.
+    assert [r.blocked for r in records] == [0] + [1] * (len(records) - 1)
+    assert "task wall: navigation to tour start stalled twice; aborting" in caplog.text
+
+
 def _stall_cap(rec, cfg):
     """The tracking step cap toward a supervision record's reference."""
     dist = float(np.linalg.norm(np.array([rec.ref_x - rec.x, rec.ref_y - rec.y, rec.ref_z - rec.z])))
