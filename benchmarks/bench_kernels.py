@@ -11,7 +11,11 @@ nearest-return mode (as the mission's scans run) and the depth image's
 normal map.  The numpy raycasts are clipped to the map's occupied box, as
 `render_depth` and `sample_cloud` cast them; the scalar loop casts
 unclipped, as the tests' oracle does.  `frechet_dp` and `point_is_free`
-have only the scalar loops.
+have only the scalar loops.  The control rows time `point_is_free` over
+the 41 points of a 2 m tracking step along the same scene's face (from
+the sensing pose, and 0.6 m from the face where it has not receded),
+clipped to the occupied box, as `is_collision_free` calls it, against the
+full-grid box.
 The jitted column is printed only when numba is enabled.
 
 The planning rows run at site scale (a 40 x 40 x 2.4 m yard at 0.1 m
@@ -114,14 +118,32 @@ def scalar_only_cases():
     pts = rng.uniform(5, 100, size=(2000, 3))
     pts[:, 2] = rng.uniform(2, 20, size=2000)
 
+    box = VoxelMap(np.zeros(3), 1.0, occ).occupied_box
+
     def clearance(fn):
         for x, y, z in pts:
-            fn(occ, x, y, z, 5.0)
+            fn(occ, x, y, z, 5.0, box)
 
     return (
         ("frechet dp 200x200", lambda fn: fn(a, b), kernels.frechet_dp),
         ("clearance 2000 points", clearance, kernels.point_is_free),
     )
+
+
+def swept_cases():
+    """(name, occupancy, sample points, radius, occupied box, full-grid
+    box) for a 2 m tracking step along the `receding` demo's face, sampled
+    every half voxel as `is_collision_free` samples it: from the sensing
+    pose, and 0.6 m (just beyond the inflation) from the unreceded face."""
+    cfg = demo_scenario("receding")
+    vmap = build_scene(cfg).current
+    box = vmap.occupied_box
+    face = vmap.origin[0] + box[0, 0] * vmap.voxel_size
+    full = np.array([(0, 0, 0), vmap.shape])
+    along = np.linspace(0.0, 1.0, 41)[:, None] * np.array([0.0, 2.0, 0.0])
+    radius = cfg.inflation / vmap.voxel_size
+    starts = (("swept check at pose", (4.0, -2.0, 0.6)), ("swept check 0.6 m", (face - 0.6, 2.5, 0.6)))
+    return [(name, vmap.occ, vmap.world_to_grid(np.array(p) + along), radius, box, full) for name, p in starts]
 
 
 SITE_BOXES = (
@@ -228,6 +250,16 @@ def main():
             run(kernel)  # compile
             row += ms(timeit(run, kernel))
         print(row)
+    print(f"{'control':<26}{'box':>14}{'full grid':>14}{'full/box':>14}")
+    for name, occ, pts, radius, box, full in swept_cases():
+
+        def swept(clip):
+            for x, y, z in pts:
+                kernels.point_is_free(occ, x, y, z, radius, clip)
+
+        t_box = timeit(swept, box)
+        t_full = timeit(swept, full)
+        print(f"{name:<26}{ms(t_box)}{ms(t_full)}{t_full / t_box:>13.1f}x")
     print(f"{'planning':<26}{'new':>14}{'reference':>14}{'ref/new':>14}")
     for name, new, reference, repeat in planning_cases():
         t_new = timeit(new, repeat=repeat)

@@ -210,35 +210,24 @@ def raycast_batch_scalar(occ, origin, dirs, t_cap, nearest=False, box=None):
 
 
 @njit(cache=True)
-def point_is_free(occ, gx, gy, gz, radius):
+def point_is_free(occ, gx, gy, gz, radius, box):
     """True iff no occupied voxel box lies within `radius` of the point.
 
     Point and radius are in grid units; voxel i,j,k occupies the box
-    [i,i+1]x[j,j+1]x[k,k+1].  Distances are point-to-box.
+    [i,i+1]x[j,j+1]x[k,k+1].  Distances are point-to-box.  `box` is the
+    occupied box of `occ` (`VoxelMap.occupied_box`): only voxels inside it
+    are scanned, since every other voxel is empty.
     """
-    nx, ny, nz = occ.shape
     r2 = radius * radius
     # One extra voxel on each side keeps a box exactly `radius` below the
     # point (and any that rounding of g +/- radius would cut) a candidate;
     # the distance test decides.
-    i0 = int(math.floor(gx - radius)) - 1
-    i1 = int(math.floor(gx + radius)) + 1
-    j0 = int(math.floor(gy - radius)) - 1
-    j1 = int(math.floor(gy + radius)) + 1
-    k0 = int(math.floor(gz - radius)) - 1
-    k1 = int(math.floor(gz + radius)) + 1
-    if i0 < 0:
-        i0 = 0
-    if j0 < 0:
-        j0 = 0
-    if k0 < 0:
-        k0 = 0
-    if i1 > nx - 1:
-        i1 = nx - 1
-    if j1 > ny - 1:
-        j1 = ny - 1
-    if k1 > nz - 1:
-        k1 = nz - 1
+    i0 = max(int(math.floor(gx - radius)) - 1, box[0, 0])
+    i1 = min(int(math.floor(gx + radius)) + 1, box[1, 0] - 1)
+    j0 = max(int(math.floor(gy - radius)) - 1, box[0, 1])
+    j1 = min(int(math.floor(gy + radius)) + 1, box[1, 1] - 1)
+    k0 = max(int(math.floor(gz - radius)) - 1, box[0, 2])
+    k1 = min(int(math.floor(gz + radius)) + 1, box[1, 2] - 1)
     for i in range(i0, i1 + 1):
         ddx = 0.0
         if gx < i:
@@ -436,7 +425,8 @@ def raycast_batch_numpy(occ, origin, dirs, t_cap, nearest=False, box=None):
     outside it jumps straight to its entry.  The padding is far wider than
     the rounding of the DDA's crossing times, so every voxel the clip skips
     lies outside the occupied box, and the results are those of the
-    unclipped cast.
+    unclipped cast.  The march reads a copy of only the smallest block of
+    the grid that holds the box and the first voxel of every ray.
 
     All rays march together (Amanatides-Woo DDA): every live ray advances
     one voxel per iteration, with the same arithmetic and the same x, y, z
@@ -467,12 +457,10 @@ def raycast_batch_numpy(occ, origin, dirs, t_cap, nearest=False, box=None):
         return out  # every ray missed the grid or the box: nothing to march
     t = t_enter[ray]
 
-    # Linear voxel indices into the grid padded by a one-voxel shell.
-    strides = ((shape[1] + 2) * (shape[2] + 2), shape[2] + 2, 1)
-
     # One column per live ray, so that compaction is two takes.
     # Rows of `fstate`: t, t_exit, tmax x/y/z, tdelta x/y/z.
-    # Rows of `istate`: ray index, linear voxel index, step x/y/z.
+    # Rows of `istate`: ray index, linear voxel index, step x/y/z (the
+    # sign of the step until the strides are known).
     fstate = np.empty((8, ray.size))
     istate = np.empty((5, ray.size), dtype=np.int64)
     cells = np.empty((3, ray.size), dtype=np.int64)
@@ -492,31 +480,50 @@ def raycast_batch_numpy(occ, origin, dirs, t_cap, nearest=False, box=None):
             np.where(backward, t + (p - cells[axis]) / -d, np.inf),
         )
         fstate[5 + axis] = np.where(forward, 1.0 / d, np.where(backward, 1.0 / -d, np.inf))
-        istate[2 + axis] = np.where(forward, strides[axis], -strides[axis])
-    if box is not None:
+        istate[2 + axis] = np.where(forward, 1, -1)
+    if box is None:
+        lo, hi = np.zeros(3, dtype=np.int64), np.array(shape)
+    else:
         # Pass every crossing below the box entry before the loop: the
         # voxels they lead into lie outside the padded box.  Only rays with
         # t below the entry skip (a ray can enter the grid with a tmax one
-        # rounding below t).  A ray carried out of the grid is clamped into
-        # the shell and misses.  t stays at the grid entry: the cell is empty
-        # or in the shell, so the loop's first iteration records no hit and
-        # its first step sets t.
+        # rounding below t).  A ray carried out of the grid is clamped to
+        # just outside it, and misses.  t stays at the grid entry: the cell
+        # is empty or outside the grid, so the loop's first iteration
+        # records no hit and its first step sets t.
         limit = box_enter[ray]
         rows = np.flatnonzero((t < limit) & (limit < np.inf))
         for axis in range(3):
             k, fstate[2 + axis, rows] = _crossings_below(
                 fstate[2 + axis, rows], fstate[5 + axis, rows], limit[rows]
             )
-            moved = cells[axis, rows] + np.where(istate[2 + axis, rows] > 0, k, -k)
+            moved = cells[axis, rows] + istate[2 + axis, rows] * k
             cells[axis, rows] = np.clip(moved, -1, shape[axis])
+        # March over the smallest block of the grid that holds the occupied
+        # box and the first voxel of every ray in the grid: a ray leaving
+        # it has passed the box on that axis and can hit nothing more.
+        # After the skip that is the box padded by two voxels at most (a
+        # skipped ray stops in the voxel before the padded box's face),
+        # unless an uncapped walk at t = inf, which skips nothing, starts
+        # farther out.
+        in_grid = ((cells >= 0) & (cells < np.array(shape)[:, None])).all(axis=0)
+        lo = np.array([cells[a].min(where=in_grid, initial=box[0, a]) for a in range(3)])
+        hi = np.array([cells[a].max(where=in_grid, initial=box[1, a] - 1) for a in range(3)]) + 1
+
+    # Linear voxel indices into the marched block padded by a one-voxel
+    # shell; a ray outside the grid starts in the shell.
+    sub = hi - lo
+    strides = ((sub[1] + 2) * (sub[2] + 2), sub[2] + 2, 1)
     istate[1] = 0
     for axis in range(3):
-        istate[1] += (cells[axis] + 1) * strides[axis]
+        istate[1] += (np.clip(cells[axis] - lo[axis], -1, sub[axis]) + 1) * strides[axis]
+        istate[2 + axis] *= strides[axis]
 
-    # The shell is marked 2: a ray stepping out of the grid reads 2 and is
+    # The shell is marked 2: a ray stepping out of the block reads 2 and is
     # dropped as a miss, so leaving needs no bounds test.
-    padded = np.full((shape[0] + 2, shape[1] + 2, shape[2] + 2), 2, dtype=np.int8)
-    padded[1:-1, 1:-1, 1:-1] = occ.astype(np.bool_, copy=False)
+    padded = np.full(sub + 2, 2, dtype=np.int8)
+    block = occ[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]]
+    padded[1:-1, 1:-1, 1:-1] = block.astype(np.bool_, copy=False)
     flat = padded.reshape(-1)
     parked = 0
     bound = np.inf

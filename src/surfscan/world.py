@@ -311,14 +311,18 @@ def load_map(path, voxel_size=DEFAULT_VOXEL_SIZE, bounds=None, padding=0.0):
     return VoxelMap.from_points(points, voxel_size, bounds)
 
 
+@functools.cache
 def fibonacci_directions(n):
-    """n unit vectors spread over the sphere (deterministic spiral pattern)."""
+    """n unit vectors spread over the sphere (deterministic spiral pattern),
+    as a read-only (n, 3) array computed once per n."""
     i = np.arange(n, dtype=np.float64)
     z = 1.0 - 2.0 * (i + 0.5) / n
     r = np.sqrt(np.maximum(1.0 - z * z, 0.0))
     golden = np.pi * (3.0 - np.sqrt(5.0))
     theta = golden * i
-    return np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
+    dirs = np.column_stack([r * np.cos(theta), r * np.sin(theta), z])
+    dirs.setflags(write=False)
+    return dirs
 
 
 def _first_hits(vmap, origin_g, dirs_g, t_cap, nearest=False):
@@ -377,14 +381,17 @@ def sample_cloud(vmap, pose, max_range, ray_count, nearest=False):
 def is_collision_free(vmap, target, inflation):
     """Clearance query.  `target` is a point or an (a, b) segment; segments
     are sampled every half voxel.  True iff no occupied voxel box lies within
-    `inflation` of any tested point."""
+    `inflation` of any tested point; on an empty map nothing is tested."""
     if inflation < 0:
         raise ValueError("inflation must be non-negative")
+    box = vmap.occupied_box
+    if box is None:
+        return True
     r = inflation / vmap.voxel_size
 
     def point_free(p):
         g = vmap.world_to_grid(p)
-        return bool(kernels.point_is_free(vmap.occ, g[0], g[1], g[2], r))
+        return bool(kernels.point_is_free(vmap.occ, g[0], g[1], g[2], r, box))
 
     if isinstance(target, (tuple, list)) and len(target) == 2 and np.ndim(target[0]) == 1:
         a = np.asarray(target[0], dtype=np.float64)

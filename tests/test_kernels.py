@@ -9,6 +9,7 @@ Either way they must equal the pure-Python scalar loops exactly.
 import functools
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hypothesis.extra.numpy import arrays
 from strategies import direction_component, grid_coordinate, occupancy_grids
 from surfscan import kernels
 from surfscan._accel import py_func
-from surfscan.world import VoxelMap
+from surfscan.world import VoxelMap, is_collision_free
 
 PROPERTY = settings(max_examples=150, deadline=None)
 
@@ -227,8 +228,27 @@ def long_approach():
     return occ, origin, dirs, math.inf, box
 
 
+def face_block(high):
+    """A block touching the grid's three low faces (or its three high
+    ones), and a fan of 48 rays from beyond the opposite corner aimed at
+    and past it: the marched block is clipped at 0 (or at the shape)."""
+    rng = np.random.default_rng(11)
+    shape = np.array([10, 9, 8])
+    occ = np.zeros(shape, dtype=np.bool_)
+    lo = shape - 3 if high else np.zeros(3, dtype=np.int64)
+    occ[lo[0] : lo[0] + 3, lo[1] : lo[1] + 3, lo[2] : lo[2] + 3] = rng.random((3, 3, 3)) < 0.5
+    occ[tuple(shape - 1 if high else lo)] = True
+    box = occupied_box(occ)
+    origin = np.array([-2.6, -3.1, -1.4]) if high else shape + np.array([3.2, 2.7, 1.1])
+    targets = box[0] - 2.0 + rng.random((48, 3)) * (box[1] - box[0] + 4.0)
+    return occ, origin, targets - origin, math.inf, box
+
+
 @given(batch=boxed_ray_batches(), nearest=st.booleans())
 @example(batch=corner_hit(), nearest=False)
+@example(batch=face_block(high=False), nearest=False)
+@example(batch=face_block(high=True), nearest=False)
+@example(batch=face_block(high=True), nearest=True)
 @example(batch=long_approach(), nearest=False)
 @example(batch=long_approach(), nearest=True)
 @PROPERTY
@@ -249,20 +269,62 @@ def test_raycast_on_an_empty_map_misses():
         assert kernels.raycast_batch(occ, origin, dirs, t_cap).tolist() == [-1.0] * 3
 
 
-def test_raycast_skip_out_of_the_grid_before_the_box_misses():
-    # The ray leaves the grid through y = 4 at t = 10, where it also meets
-    # the padded box (z = 8); the DDA's y crossing comes one rounding
-    # earlier, so passing the crossings below the box entry carries the
-    # ray out of the grid: a miss, as in the unclipped loop.
+def skip_out_of_the_grid(row, y, dy):
+    """The ray leaves the grid through y = 4 (row 3) or y = 0 (row 0) at
+    t = 10, where it also meets the padded box (z = 8); the DDA's y
+    crossing comes one rounding earlier, so passing the crossings below the
+    box entry carries the ray out of the grid: a miss, as in the unclipped
+    loop.  Its voxel then lies outside the grid, and the marched block must
+    not grow to hold it."""
     occ = np.zeros((8, 4, 12), dtype=np.bool_)
-    occ[4:7, 3, 6] = True
+    occ[4:7, row, 6] = True
     box = occupied_box(occ)
-    assert box.tolist() == [[4, 3, 6], [7, 4, 7]]
-    origin = np.array([9.1, 3.5, 12.5])
-    dirs = np.array([[-0.51, 0.05, -0.45]])
+    assert box.tolist() == [[4, row, 6], [7, row + 1, 7]]
+    origin = np.array([9.1, y, 12.5])
+    dirs = np.array([[-0.51, dy, -0.45]])
     got = kernels.raycast_batch(occ, origin, dirs, 60.0, box=box)
     assert got.tolist() == [-1.0]
     assert same_bits(got, scalar_raycast(occ, origin, dirs, 60.0))
+
+
+def test_raycast_skip_out_of_the_grid_before_the_box_misses():
+    skip_out_of_the_grid(3, 3.5, 0.05)
+
+
+def test_raycast_skip_out_of_the_grid_through_a_low_face_misses():
+    skip_out_of_the_grid(0, 10 * 0.18, -0.18)
+
+
+def test_raycast_entering_with_a_tmax_below_t_does_not_skip():
+    # The ray enters the solid grid through x = 0 at t = 14 / 0.3, its exit
+    # time through y = 4, where it lies one rounding past y = 4: its y
+    # crossing comes one rounding before t.  The padded box's face x = -1
+    # is less than a rounding of t away, so the ray enters the box at t as
+    # well.  Only rays with t below their box entry skip: skipping this one
+    # would pass that y crossing, out of the grid, and lose the hit at t.
+    occ = np.ones((3, 4, 3), dtype=np.bool_)
+    t_in = (4.0 + 10.0) / 0.3
+    assert -10.0 + 0.3 * t_in > 4.0
+    origin = np.array([-t_in * 2.0**52, -10.0, 1.5])
+    dirs = np.array([[2.0**52, 0.3, 0.0]])
+    got = kernels.raycast_batch(occ, origin, dirs, 100.0, box=occupied_box(occ))
+    assert got.tolist() == [t_in]
+    assert same_bits(got, scalar_raycast(occ, origin, dirs, 100.0))
+
+
+@pytest.mark.parametrize("x, dx", [(0.5, 2.3e-308), (15.5, -2.3e-308)])
+def test_raycast_uncapped_tiny_direction_walks_into_the_box_from_afar(x, dx):
+    # 5.5 / dx overflows, so the ray enters the padded box (x in [6, 10]) at
+    # t = inf and skips nothing: uncapped, the DDA walks it from its first
+    # voxel, more than five voxels outside the padded box, into the occupied
+    # one at t = inf.
+    occ = np.zeros((16, 3, 3), dtype=np.bool_)
+    occ[7:9, 1, 1] = True
+    origin = np.array([x, 1.5, 1.5])
+    dirs = np.array([[dx, 0.0, 0.0]])
+    got = kernels.raycast_batch(occ, origin, dirs, math.inf, box=occupied_box(occ))
+    assert same_bits(got, scalar_raycast(occ, origin, dirs, math.inf))
+    assert got.tolist() == [math.inf]
 
 
 def test_raycast_zero_direction_keeps_its_uncapped_walk_into_the_box():
@@ -332,7 +394,18 @@ def point_is_free_oracle(occ, g, radius):
 @example(occ=np.ones((1, 1, 1), dtype=np.bool_), g=(0.5, 0.5, 3.0), radius=2.0)
 @PROPERTY
 def test_point_is_free_matches_brute_force(occ, g, radius):
-    assert kernels.point_is_free(occ, *g, radius) == point_is_free_oracle(occ, g, radius)
+    free = point_is_free_oracle(occ, g, radius)
+    # Clipped to the full grid and to the occupied box, and as the map's
+    # clearance query calls it; an empty map answers without the kernel.
+    assert kernels.point_is_free(occ, *g, radius, np.array([(0, 0, 0), occ.shape])) == free
+    vmap = VoxelMap(np.zeros(3), 1.0, occ)
+    if vmap.occupied_box is None:
+        assert free
+        with mock.patch.object(kernels, "point_is_free", side_effect=AssertionError("kernel called")):
+            assert is_collision_free(vmap, g, radius)
+    else:
+        assert kernels.point_is_free(occ, *g, radius, vmap.occupied_box) == free
+        assert is_collision_free(vmap, g, radius) == free
 
 
 def frechet_recursive(a, b):

@@ -277,6 +277,13 @@ def test_fibonacci_directions_unit_and_spread():
     assert np.abs(dirs.mean(axis=0)).max() < 0.01
 
 
+def test_fibonacci_directions_cached_and_read_only():
+    dirs = fibonacci_directions(64)
+    assert fibonacci_directions(64) is dirs
+    assert not dirs.flags.writeable
+    assert fibonacci_directions(65).shape == (65, 3)
+
+
 def test_wall_recession_grows_nearest_distance(wall_map):
     probe = Pose6(4.0, 0.0, 1.2)
     delta = MorphologyDelta(removals=(Box((6.0, -5.0, 0.0), (7.0, 5.0, 2.4)),),
