@@ -8,7 +8,7 @@ simulator with depth-image viewpoint-quality metrics.
 """
 
 from ._accel import NUMBA_ENABLED
-from .controller import RobotState, add_odometry_noise, track_step
+from .controller import add_odometry_noise, track_step
 from .depthcam import CameraIntrinsics, DepthImage, estimate_normal_map
 from .geometry import (
     DegenerateGeometryError,
@@ -41,7 +41,7 @@ from .global_plan import (
     prioritize_tasks,
     solve_tour_sa_tsp,
 )
-from .local_plan import LocalPlanConfig, compute_next_view_pose, ego_frame, predict_local_path
+from .local_plan import compute_next_view_pose, ego_frame, predict_local_path
 from .metrics import (
     MissionLog,
     MissionRecord,

@@ -2,59 +2,42 @@
 collision checks.  Stands in for a full trajectory-tracking controller: the
 supervisor only needs the robot to converge on the commanded view pose."""
 
-from dataclasses import dataclass, replace
-
 import numpy as np
 
 from .geometry import Pose6, wrap_angle
 from .world import is_collision_free
 
-__all__ = ["RobotState", "track_step", "add_odometry_noise"]
+__all__ = ["track_step", "add_odometry_noise"]
 
 
-@dataclass(frozen=True)
-class RobotState:
-    pose: Pose6
-    v_max: float = 0.8
-    w_max: float = 1.0
-    inflation: float = 0.5
-
-    def __post_init__(self):
-        if self.v_max < 0 or self.w_max < 0:
-            raise ValueError("speed limits must be non-negative")
-        if self.inflation < 0:
-            raise ValueError("inflation must be non-negative")
-
-
-def track_step(state, ref, vmap, dt):
-    """One control step toward the reference view pose.
+def track_step(pose, ref, vmap, cfg):
+    """One control step of length `cfg.dt` from `pose` toward the reference
+    view pose, with the `ScenarioConfig`'s robot limits.  Returns the new
+    pose and the blocked flag.
 
     Position advances along the straight line to the reference, capped at
     v_max*dt; yaw turns the shortest way, capped at w_max*dt.  If the swept
-    position segment is not collision-free the robot holds position (yaw
-    still turns) and the step is flagged blocked.
+    position segment does not keep `cfg.inflation` clearance the robot holds
+    position (yaw still turns) and the step is flagged blocked.
     """
-    if dt <= 0:
-        raise ValueError("dt must be positive")
-    pose = state.pose
+    dt = cfg.dt
     pos = pose.position
     target = np.array([ref.x, ref.y, ref.z])
     delta = target - pos
     dist = float(np.linalg.norm(delta))
-    step = min(dist, state.v_max * dt)
+    step = min(dist, cfg.v_max * dt)
     new_pos = pos if dist < 1e-12 else pos + delta * (step / dist)
 
     dpsi = wrap_angle(ref.psi - pose.psi)
-    dpsi = float(np.clip(dpsi, -state.w_max * dt, state.w_max * dt))
+    dpsi = float(np.clip(dpsi, -cfg.w_max * dt, cfg.w_max * dt))
     new_psi = wrap_angle(pose.psi + dpsi)
 
     blocked = False
-    if step > 1e-12 and not is_collision_free(vmap, (pos, new_pos), state.inflation):
+    if step > 1e-12 and not is_collision_free(vmap, (pos, new_pos), cfg.inflation):
         new_pos = pos
         blocked = True
 
-    new_pose = Pose6(new_pos[0], new_pos[1], new_pos[2], pose.phi, pose.theta, new_psi)
-    return replace(state, pose=new_pose), blocked
+    return Pose6(new_pos[0], new_pos[1], new_pos[2], pose.phi, pose.theta, new_psi), blocked
 
 
 def add_odometry_noise(pose, sigma_xy, sigma_psi, rng):

@@ -81,10 +81,6 @@ class DepthImage:
     def width(self):
         return self.data.shape[1]
 
-    @property
-    def valid_mask(self):
-        return np.isfinite(self.data)
-
 
 def camera_axes_world(pose):
     """World-frame (right, down, forward) unit vectors of a camera mounted

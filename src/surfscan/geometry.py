@@ -404,10 +404,6 @@ class RigidTransform:
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
-    @classmethod
-    def identity(cls):
-        return cls(np.eye(3), np.zeros(3))
-
     def apply(self, points):
         pts = np.asarray(points, dtype=np.float64)
         return pts @ self.rotation.T + self.translation

@@ -8,9 +8,6 @@ paths are predicted by recursing this rule over a horizon with fresh
 virtual sensing at every predicted pose.
 """
 
-from dataclasses import dataclass, field
-from typing import Optional
-
 import numpy as np
 
 from .geometry import (
@@ -21,31 +18,11 @@ from .geometry import (
     ViewPose4,
     nearest_point,
 )
-from .global_plan import ViewConstraints
 from .world import sample_cloud
 
-__all__ = ["LocalPlanConfig", "ego_frame", "compute_next_view_pose", "predict_local_path"]
+__all__ = ["ego_frame", "compute_next_view_pose", "predict_local_path"]
 
 UP = np.array([0.0, 0.0, 1.0])
-
-
-@dataclass(frozen=True)
-class LocalPlanConfig:
-    """Constraints plus prediction horizon and sensing setup for the local
-    planner.  `z_band` clamps predicted heights (ground robot); None keeps
-    the full vertical term."""
-
-    constraints: ViewConstraints = field(default_factory=ViewConstraints)
-    horizon: int = 5
-    z_band: Optional[tuple] = None
-    sense_range: float = 12.0
-    sense_rays: int = 2048
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
-        if self.sense_range <= 0 or self.sense_rays < 1:
-            raise ValueError("invalid sensing parameters")
 
 
 def ego_frame(position, p_nn):
@@ -69,11 +46,13 @@ def ego_frame(position, p_nn):
 def compute_next_view_pose(odom, cloud, cfg, sweep_sign=1.0):
     """Next constraint-satisfying view pose from the instantaneous cloud.
 
-    The approach term closes the gap between the sensed range and the
-    desired viewing distance; the lateral step advances by the horizontal
-    overlap footprint in the direction of `sweep_sign`; the vertical step
-    applies the vertical overlap footprint, clamped to the configured height
-    band.  Yaw faces the nearest surface point.
+    `cfg` is the mission's `ScenarioConfig`; its `view` constraints and
+    `z_band` are read.  The approach term closes the gap between the sensed
+    range and the desired viewing distance; the lateral step advances by
+    the horizontal overlap footprint in the direction of `sweep_sign`; the
+    vertical step applies the vertical overlap footprint, clamped to the
+    height band (None keeps the full vertical term).  Yaw faces the nearest
+    surface point.
     """
     pos = odom.position if isinstance(odom, Pose6) else np.asarray(odom, dtype=np.float64)
     p_nn, _ = nearest_point(cloud, pos)
@@ -81,7 +60,7 @@ def compute_next_view_pose(odom, cloud, cfg, sweep_sign=1.0):
 
 
 def _next_pose_from_nn(pos, p_nn, cfg, sweep_sign):
-    c = cfg.constraints
+    c = cfg.view
     nu_x, nu_y, nu_z, r = ego_frame(pos, p_nn)
     d_insp = r - c.d_view
     d_hov = 2.0 * np.tan(c.alpha / 2.0) * r * (1.0 - c.gamma_h)
@@ -106,9 +85,10 @@ def predict_local_path(odom, vmap, guide, cfg, first_cloud=None):
 
     One pose is predicted per guide pose (the supervisor sizes the guide to
     the horizon, shrinking it near the tour end).  Each step re-senses the
-    scene at the previously predicted pose (fresh virtual scan of `vmap`)
-    and applies the next-view rule with the lateral sweep directed toward
-    the corresponding guide pose.  Returns (path, short): `short` is True
+    scene at the previously predicted pose (a fresh virtual scan of `vmap`
+    with the `ScenarioConfig`'s `sense_range` and `sense_rays`) and applies
+    the next-view rule with the lateral sweep directed toward the
+    corresponding guide pose.  Returns (path, short): `short` is True
     when sensing came up empty at a virtual pose and the prediction was
     truncated.  Raises NoSurfaceError when nothing is visible from the
     starting pose itself.

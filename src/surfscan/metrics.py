@@ -123,6 +123,7 @@ class MissionLog:
 
     @classmethod
     def from_csv(cls, path):
+        """Read a log back from the published `mission_log.csv` format."""
         log = cls()
         with open(path, "r", newline="", encoding="utf-8") as fh:
             reader = csv.reader(fh)

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .controller import RobotState, add_odometry_noise, track_step
+from .controller import add_odometry_noise, track_step
 from .geometry import NoSurfaceError, ViewPose4, wrap_angle
 from .global_plan import (
     RouteError,
@@ -33,7 +33,6 @@ from .global_plan import (
     prioritize_tasks,
     solve_tour_sa_tsp,
 )
-from .local_plan import LocalPlanConfig
 from .metrics import (
     MissionLog,
     MissionRecord,
@@ -85,13 +84,6 @@ class MissionRunner:
     def __init__(self, cfg, scene=None, base_dir=None):
         self.cfg = cfg
         self.scene = scene if scene is not None else build_scene(cfg, base_dir)
-        self.local_cfg = LocalPlanConfig(
-            constraints=cfg.view,
-            horizon=cfg.horizon,
-            z_band=tuple(cfg.z_band) if cfg.z_band is not None else None,
-            sense_range=cfg.sense_range,
-            sense_rays=cfg.sense_rays,
-        )
 
     # -- planning ------------------------------------------------------------
 
@@ -164,17 +156,14 @@ _INSPECT_STATUS = {
 
 
 class _Stepper:
-    """One mission's robot, clock, random generator and log, and the last
-    supervision cycle, whose similarity metrics every record carries until
-    the next cycle.  Every control step appends exactly one record."""
+    """One mission's robot pose, clock, random generator and log, and the
+    last supervision cycle, whose similarity metrics every record carries
+    until the next cycle.  Every control step appends exactly one record."""
 
     def __init__(self, runner):
         self.cfg = cfg = runner.cfg
         self.scene = runner.scene
-        self.local_cfg = runner.local_cfg
-        self.robot = RobotState(
-            pose=cfg.start_pose, v_max=cfg.v_max, w_max=cfg.w_max, inflation=cfg.inflation
-        )
+        self.pose = cfg.start_pose
         self.rng = np.random.default_rng(cfg.seed)
         self.t = 0.0
         self.steps = 0
@@ -217,7 +206,7 @@ class _Stepper:
             try:
                 waypoints, length = plan_route(
                     self.scene.current,
-                    self.robot.pose.position,
+                    self.pose.position,
                     first.position,
                     cfg.inflation,
                     z_band=cfg.z_band,
@@ -225,12 +214,12 @@ class _Stepper:
             except RouteError as exc:
                 log.warning("task %s: route to tour start failed: %s", task_id, exc)
                 return "aborted"
-            cap = self.stall_cap(length, abs(wrap_angle(first.psi - self.robot.pose.psi)))
+            cap = self.stall_cap(length, abs(wrap_angle(first.psi - self.pose.psi)))
             last = len(waypoints) - 1
             wp_idx = 0
             stepped = 0
             while not self.out_of_time():
-                pos = self.robot.pose.position
+                pos = self.pose.position
                 while wp_idx < last and np.linalg.norm(waypoints[wp_idx] - pos) < 0.2:
                     wp_idx += 1
                 wp = waypoints[wp_idx]
@@ -253,16 +242,7 @@ class _Stepper:
         """INSPECT: one supervision cycle per view pose, each followed by
         TRACK toward the pose it emits; a cycle that emits none (a sensing
         retry) holds the robot for one step instead."""
-        cfg = self.cfg
-        state = MissionState(
-            plan=task_plan.plan,
-            tour=task_plan.tour,
-            local_cfg=self.local_cfg,
-            gamma_t=cfg.gamma_t,
-            pos_tol=cfg.pos_tol,
-            yaw_tol=cfg.yaw_tol,
-            adaptive=cfg.mode == "adaptive",
-        )
+        state = MissionState(plan=task_plan.plan, tour=task_plan.tour, cfg=self.cfg)
         while state.status is MissionStatus.RUNNING and not self.out_of_time():
             ref = self.supervise(state)
             if ref is not None:
@@ -278,7 +258,7 @@ class _Stepper:
         Returns the view pose to track, or None."""
         cfg = self.cfg
         reported = add_odometry_noise(
-            self.robot.pose, cfg.odom_sigma_xy, cfg.odom_sigma_psi, self.rng
+            self.pose, cfg.odom_sigma_xy, cfg.odom_sigma_psi, self.rng
         )
         ref, self.cycle = step_mission(state, self.scene, reported)
         self.record("inspect", ref, False, vd=self.cycle.viewing_distance)
@@ -319,14 +299,14 @@ class _Stepper:
         return int(3.0 * (dist / max(cfg.v_max, 1e-9) + dyaw / max(cfg.w_max, 1e-9)) / cfg.dt) + 20
 
     def pose_error(self, ref):
-        pose = self.robot.pose
+        pose = self.pose
         return float(np.linalg.norm(ref.position - pose.position)), abs(wrap_angle(ref.psi - pose.psi))
 
     def advance(self, ref):
         """One control step toward `ref` (None: hold the current pose)."""
-        pose = self.robot.pose
+        pose = self.pose
         target = ref if ref is not None else ViewPose4(pose.x, pose.y, pose.z, pose.psi)
-        self.robot, blocked = track_step(self.robot, target, self.scene.current, self.cfg.dt)
+        self.pose, blocked = track_step(pose, target, self.scene.current, self.cfg)
         self.t += self.cfg.dt
         self.steps += 1
         return blocked
@@ -336,7 +316,7 @@ class _Stepper:
         and utility, and the last cycle's similarity metrics."""
         cfg = self.cfg
         vmap = self.scene.current
-        pose = self.robot.pose
+        pose = self.pose
         if vd is None:
             cloud = sample_cloud(vmap, pose, cfg.sense_range, cfg.sense_rays, nearest=True)
             vd = viewing_distance(pose, cloud) if not cloud.is_empty else NAN

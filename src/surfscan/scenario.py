@@ -6,6 +6,7 @@ parameters.  The built-in demos synthesize small box-world scenes covering
 the standard evaluation setups without external map files.
 """
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -102,6 +103,20 @@ class ScenarioConfig:
             raise ValueError(f"sensing range must be positive, got {self.sense_range}")
         if self.sense_rays < 1:
             raise ValueError(f"sensing rays must be at least 1, got {self.sense_rays}")
+        for name, value in (
+            ("robot.v_max", self.v_max),
+            ("robot.w_max", self.w_max),
+            ("sensing.odom_sigma_xy", self.odom_sigma_xy),
+            ("sensing.odom_sigma_psi", self.odom_sigma_psi),
+        ):
+            if not value >= 0:
+                raise ValueError(f"{name} must be non-negative, got {value}")
+        object.__setattr__(self, "start", _finite_tuple(self.start, 4, "robot.start", "x y z psi"))
+        if self.z_band is not None:
+            lo, hi = _finite_tuple(self.z_band, 2, "z_band", "lo hi")
+            if lo > hi:
+                raise ValueError(f"z_band must have lo <= hi, got [{lo}, {hi}]")
+            object.__setattr__(self, "z_band", (lo, hi))
         if not self.tasks:
             raise ValueError("no tasks defined")
         if self.historical is None:
@@ -114,6 +129,18 @@ class ScenarioConfig:
 
     def task_objects(self):
         return [t.to_task(self.view) for t in self.tasks]
+
+
+def _finite_tuple(value, n, name, fields):
+    """`value` as a tuple of `n` finite floats, else ValueError naming
+    `name` and its `fields`."""
+    try:
+        out = tuple(float(v) for v in value)
+    except (TypeError, ValueError):
+        out = ()
+    if len(out) != n or not all(map(math.isfinite, out)):
+        raise ValueError(f"{name} must be {n} finite numbers ({fields}), got {value!r}")
+    return out
 
 
 def build_scene(cfg, base_dir=None):
@@ -264,8 +291,8 @@ def _parse_scenario(raw, path):
         horizon=int(raw.get("horizon", 5)),
         pos_tol=float(raw.get("pos_tol", 0.3)),
         yaw_tol=float(raw.get("yaw_tol", 0.2)),
-        z_band=tuple(raw.get("z_band", (0.6, 0.6))),
-        start=tuple(robot.get("start", (0.0, 0.0, 0.6, 0.0))),
+        z_band=raw.get("z_band", (0.6, 0.6)),
+        start=robot.get("start", (0.0, 0.0, 0.6, 0.0)),
         v_max=float(robot.get("v_max", 0.8)),
         w_max=float(robot.get("w_max", 1.0)),
         view=view,

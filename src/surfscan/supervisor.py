@@ -18,7 +18,7 @@ from .geometry import (
     kabsch_align,
     wrap_angle,
 )
-from .local_plan import LocalPlanConfig, predict_local_path
+from .local_plan import predict_local_path
 from .metrics import path_rmse, viewing_distance
 from .world import sample_cloud
 
@@ -36,6 +36,10 @@ __all__ = [
 ]
 
 log = logging.getLogger(__name__)
+
+# Consecutive failed sensing or prediction cycles a task survives; one more
+# aborts it.
+_MAX_RETRIES = 10
 
 
 class MissionMode(enum.Enum):
@@ -121,16 +125,12 @@ def _pad_segment(segment, length):
 
 @dataclass
 class MissionState:
-    """Mutable supervision state for one task's tour."""
+    """Mutable supervision state for one task's tour.  `cfg` is the
+    mission's `ScenarioConfig`, the one holder of its parameters."""
 
     plan: object
     tour: object
-    local_cfg: LocalPlanConfig
-    gamma_t: float = 0.5
-    pos_tol: float = 0.3
-    yaw_tol: float = 0.2
-    adaptive: bool = True
-    max_retries: int = 10
+    cfg: object
 
     cursor: int = 0
     visited_via: list = field(default_factory=list)  # None | "direct" | "approx"
@@ -197,10 +197,10 @@ def _unscored_cycle(state, event, visited_index, vd=float("nan")):
 
 def _retry(state):
     """Count one failed sensing or prediction attempt; abort the task once
-    the count passes `max_retries` (a successful prediction resets it).
+    the count passes `_MAX_RETRIES` (a successful prediction resets it).
     Returns the cycle event."""
     state.retries += 1
-    if state.retries > state.max_retries:
+    if state.retries > _MAX_RETRIES:
         state.status = MissionStatus.ABORTED
         return "abort"
     return "sense_retry"
@@ -214,8 +214,10 @@ def step_mission(state, scene, robot):
     local path over the horizon guided by the global segment, scores the
     similarity, decides the mode and reconciles.  Returns the reference
     view pose to track (None on completion / sensing failure) and the cycle
-    record.
+    record.  Mode, horizon, sensing, similarity threshold and arrival
+    tolerances come from `state.cfg`.
     """
+    cfg = state.cfg
     # Visitation bookkeeping against the last reconciled counterpart.
     event = None
     visited_index = None
@@ -223,10 +225,10 @@ def step_mission(state, scene, robot):
         target = state.aligned_target
         if target is None:
             target = state.plan.viewpoints[state.tour.order[state.cursor]]
-        if _within(robot, target, state.pos_tol, state.yaw_tol):
+        if _within(robot, target, cfg.pos_tol, cfg.yaw_tol):
             credit = (
                 state.target_mode is MissionMode.GLOBAL
-                or state.last_rmse_post < state.pos_tol
+                or state.last_rmse_post < cfg.pos_tol
             )
             if credit:
                 state.visited_via[state.cursor] = (
@@ -243,13 +245,7 @@ def step_mission(state, scene, robot):
         state.status = MissionStatus.COMPLETE
         return None, _unscored_cycle(state, "complete", visited_index)
 
-    cloud = sample_cloud(
-        scene.current,
-        robot,
-        state.local_cfg.sense_range,
-        state.local_cfg.sense_rays,
-        nearest=True,
-    )
+    cloud = sample_cloud(scene.current, robot, cfg.sense_range, cfg.sense_rays, nearest=True)
     if cloud.is_empty:
         return None, _unscored_cycle(state, _retry(state), visited_index)
     vd = viewing_distance(robot, cloud)
@@ -257,12 +253,10 @@ def step_mission(state, scene, robot):
     # The segment shrinks near the tour end so the prediction chain never
     # runs past the final viewpoint.
     remaining = len(state.tour.order) - state.cursor
-    horizon = min(state.local_cfg.horizon, remaining)
+    horizon = min(cfg.horizon, remaining)
     gvp = extract_global_segment(state.tour, state.plan, state.cursor, horizon)
     try:
-        lvp, short = predict_local_path(
-            robot, scene.current, gvp, state.local_cfg, first_cloud=cloud
-        )
+        lvp, short = predict_local_path(robot, scene.current, gvp, cfg, first_cloud=cloud)
     except NoSurfaceError:
         lvp, short = None, True
     if lvp is None:
@@ -271,7 +265,7 @@ def step_mission(state, scene, robot):
     lvp = _pad_segment(lvp, len(gvp))
 
     score = path_similarity(gvp, lvp)
-    mode = decide(score, state.gamma_t) if state.adaptive else MissionMode.GLOBAL
+    mode = decide(score, cfg.gamma_t) if cfg.mode == "adaptive" else MissionMode.GLOBAL
     ref_path, aligned, _ = reconcile(gvp, lvp, mode)
     rmse_pre = path_rmse(gvp, lvp)
     rmse_post = path_rmse(aligned, lvp)

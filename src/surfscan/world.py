@@ -10,7 +10,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from . import kernels
 from .depthcam import DepthImage, camera_axes_world
@@ -149,30 +148,6 @@ class VoxelMap:
 
     def voxel_center(self, idx):
         return self.origin + (np.asarray(idx, dtype=np.float64) + 0.5) * self.voxel_size
-
-    def voxel_index(self, p):
-        g = np.floor(self.world_to_grid(p)).astype(int)
-        if np.any(g < 0) or np.any(g >= np.array(self.occ.shape)):
-            return None
-        return tuple(g)
-
-    def is_occupied(self, p):
-        idx = self.voxel_index(p)
-        return bool(self.occ[idx]) if idx is not None else False
-
-    def occupied_centers(self):
-        idx = np.argwhere(self.occ)
-        return self.origin + (idx + 0.5) * self.voxel_size
-
-    def surface_points(self):
-        """Centers of occupied voxels with at least one exposed face."""
-        if self.occupied_count == 0:
-            return np.zeros((0, 3))
-        core = ndimage.binary_erosion(
-            self.occ, structure=ndimage.generate_binary_structure(3, 1), border_value=0
-        )
-        idx = np.argwhere(self.occ & ~core)
-        return self.origin + (idx + 0.5) * self.voxel_size
 
     @functools.cached_property
     def occupied_box(self):
@@ -388,18 +363,15 @@ def is_collision_free(vmap, target, inflation):
     if box is None:
         return True
     r = inflation / vmap.voxel_size
-
-    def point_free(p):
-        g = vmap.world_to_grid(p)
-        return bool(kernels.point_is_free(vmap.occ, g[0], g[1], g[2], r, box))
-
     if isinstance(target, (tuple, list)) and len(target) == 2 and np.ndim(target[0]) == 1:
         a = np.asarray(target[0], dtype=np.float64)
         b = np.asarray(target[1], dtype=np.float64)
         length = float(np.linalg.norm(b - a))
         n = max(int(np.ceil(length / (vmap.voxel_size / 2.0))), 1)
-        for s in np.linspace(0.0, 1.0, n + 1):
-            if not point_free(a + (b - a) * s):
-                return False
-        return True
-    return point_free(np.asarray(target, dtype=np.float64))
+        points = a + (b - a) * np.linspace(0.0, 1.0, n + 1)[:, None]
+    else:
+        points = np.asarray(target, dtype=np.float64)[None, :]
+    for gx, gy, gz in vmap.world_to_grid(points).tolist():
+        if not kernels.point_is_free(vmap.occ, gx, gy, gz, r, box):
+            return False
+    return True

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from surfscan.cli import main as cli_main
-from surfscan.controller import RobotState, track_step
+from surfscan.controller import track_step
 from surfscan.depthcam import CameraIntrinsics, DepthImage
 from surfscan.geometry import (
     PathSegment,
@@ -27,7 +27,7 @@ from surfscan.geometry import (
     wrap_angle,
 )
 from surfscan.global_plan import InspectionTask, ViewConstraints, generate_grid_viewpoints, solve_tour_sa_tsp
-from surfscan.local_plan import LocalPlanConfig, compute_next_view_pose, ego_frame
+from surfscan.local_plan import compute_next_view_pose, ego_frame
 from surfscan.metrics import viewpoint_utility
 from surfscan.mission import MissionRunner
 from surfscan.scenario import demo_scenario
@@ -111,7 +111,7 @@ def test_criterion_03_sa_tsp_oracle(rng):
 
 def test_criterion_04_next_view_closed_form():
     with criterion(4, "next-view-pose closed form at 4 m range"):
-        cfg = LocalPlanConfig(constraints=ViewConstraints())
+        cfg = dataclasses.replace(demo_scenario("nominal"), z_band=None)
         pose = compute_next_view_pose(
             Pose6(0, 0, 0), PointCloud([[4.0, 0.0, 0.0]]), cfg, sweep_sign=1
         )
@@ -286,17 +286,17 @@ def test_criterion_10_invariants(rng):
         vmap = VoxelMap.from_boxes(
             [((6.0, -5.0, 0.0), (6.4, 5.0, 2.4))], 0.1, bounds=((-1, -7, 0), (10, 7, 2.4))
         )
-        state = RobotState(pose=Pose6(4.0, 0.0, 0.6), v_max=0.8, w_max=1.0, inflation=0.5)
-        dt = 0.1
+        cfg = demo_scenario("nominal")  # v_max 0.8, w_max 1.0, inflation 0.5, dt 0.1
+        pose = Pose6(4.0, 0.0, 0.6)
         for _ in range(150):
             ref = ViewPose4(
                 rng.uniform(3, 9), rng.uniform(-4, 4), 0.6, rng.uniform(-np.pi, np.pi)
             )
-            new, _ = track_step(state, ref, vmap, dt)
-            assert np.linalg.norm(new.pose.position - state.pose.position) <= state.v_max * dt + 1e-12
-            assert abs(wrap_angle(new.pose.psi - state.pose.psi)) <= state.w_max * dt + 1e-12
-            assert is_collision_free(vmap, new.pose.position, state.inflation)
-            state = new
+            new, _ = track_step(pose, ref, vmap, cfg)
+            assert np.linalg.norm(new.position - pose.position) <= cfg.v_max * cfg.dt + 1e-12
+            assert abs(wrap_angle(new.psi - pose.psi)) <= cfg.w_max * cfg.dt + 1e-12
+            assert is_collision_free(vmap, new.position, cfg.inflation)
+            pose = new
 
         # Utility bounds and the two analytic incidence anchors.
         cam = CameraIntrinsics(

@@ -1,9 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from surfscan.controller import RobotState, add_odometry_noise, track_step
+from surfscan.controller import add_odometry_noise, track_step
 from surfscan.geometry import Pose6, ViewPose4, wrap_angle
+from surfscan.scenario import demo_scenario
 from surfscan.world import VoxelMap, is_collision_free
+
+# v_max 0.8 m/s, w_max 1.0 rad/s, inflation 0.5 m, dt 0.1 s.
+CFG = demo_scenario("nominal")
 
 
 def free_map():
@@ -11,62 +17,62 @@ def free_map():
 
 
 def test_track_step_hold_at_reference():
-    state = RobotState(pose=Pose6(1, 2, 0.6, 0, 0, 0.3))
-    new, blocked = track_step(state, ViewPose4(1, 2, 0.6, 0.3), free_map(), 0.5)
+    pose = Pose6(1, 2, 0.6, 0, 0, 0.3)
+    cfg = dataclasses.replace(CFG, dt=0.5)
+    new, blocked = track_step(pose, ViewPose4(1, 2, 0.6, 0.3), free_map(), cfg)
     assert not blocked
-    assert new.pose == state.pose
+    assert new == pose
 
 
 def test_track_step_saturated_advance():
-    state = RobotState(pose=Pose6(0, 0, 0.6), v_max=0.8)
-    new, blocked = track_step(state, ViewPose4(1.0, 0.0, 0.6, 0.0), free_map(), 0.5)
+    cfg = dataclasses.replace(CFG, dt=0.5)
+    new, blocked = track_step(Pose6(0, 0, 0.6), ViewPose4(1.0, 0.0, 0.6, 0.0), free_map(), cfg)
     assert not blocked
-    assert new.pose.x == pytest.approx(0.4, abs=1e-12)  # exactly v_max * dt
-    assert new.pose.y == 0.0
+    assert new.x == pytest.approx(0.4, abs=1e-12)  # exactly v_max * dt
+    assert new.y == 0.0
 
 
 def test_track_step_blocked_by_wall(wall_map):
-    state = RobotState(pose=Pose6(5.3, 0.0, 0.6), inflation=0.5)
-    new, blocked = track_step(state, ViewPose4(7.0, 0.0, 0.6, 0.0), wall_map, 0.5)
+    cfg = dataclasses.replace(CFG, dt=0.5)
+    new, blocked = track_step(Pose6(5.3, 0.0, 0.6), ViewPose4(7.0, 0.0, 0.6, 0.0), wall_map, cfg)
     assert blocked
-    assert (new.pose.x, new.pose.y, new.pose.z) == (5.3, 0.0, 0.6)
+    assert (new.x, new.y, new.z) == (5.3, 0.0, 0.6)
 
 
 def test_track_step_saturation_invariants(rng):
     vmap = free_map()
-    state = RobotState(pose=Pose6(0, 0, 0.6), v_max=0.8, w_max=1.0)
-    dt = 0.1
+    pose = Pose6(0, 0, 0.6)
     for _ in range(200):
         ref = ViewPose4(rng.uniform(-3, 10), rng.uniform(-3, 3), 0.6, rng.uniform(-np.pi, np.pi))
-        new, _ = track_step(state, ref, vmap, dt)
-        dp = np.linalg.norm(new.pose.position - state.pose.position)
-        dpsi = abs(wrap_angle(new.pose.psi - state.pose.psi))
-        assert dp <= state.v_max * dt + 1e-12
-        assert dpsi <= state.w_max * dt + 1e-12
-        state = new
+        new, _ = track_step(pose, ref, vmap, CFG)
+        dp = np.linalg.norm(new.position - pose.position)
+        dpsi = abs(wrap_angle(new.psi - pose.psi))
+        assert dp <= CFG.v_max * CFG.dt + 1e-12
+        assert dpsi <= CFG.w_max * CFG.dt + 1e-12
+        pose = new
 
 
 def test_track_step_converges_in_free_space():
     vmap = free_map()
-    state = RobotState(pose=Pose6(0, 0, 0.6), v_max=0.8, w_max=1.0)
+    pose = Pose6(0, 0, 0.6)
     ref = ViewPose4(3.0, 1.0, 0.6, 1.2)
     prev = np.inf
     for _ in range(200):
-        state, blocked = track_step(state, ref, vmap, 0.1)
+        pose, blocked = track_step(pose, ref, vmap, CFG)
         assert not blocked
-        d = float(np.linalg.norm(state.pose.position - ref.position))
+        d = float(np.linalg.norm(pose.position - ref.position))
         assert d <= prev + 1e-12
         prev = d
     assert prev < 1e-3
-    assert abs(wrap_angle(state.pose.psi - ref.psi)) < 1e-9
+    assert abs(wrap_angle(pose.psi - ref.psi)) < 1e-9
 
 
 def test_track_step_pose_stays_collision_free(wall_map):
-    state = RobotState(pose=Pose6(4.0, 0.0, 0.6), inflation=0.5)
+    pose = Pose6(4.0, 0.0, 0.6)
     ref = ViewPose4(8.0, 0.0, 0.6, 0.0)  # behind the wall
     for _ in range(100):
-        state, _ = track_step(state, ref, wall_map, 0.1)
-        assert is_collision_free(wall_map, state.pose.position, state.inflation)
+        pose, _ = track_step(pose, ref, wall_map, CFG)
+        assert is_collision_free(wall_map, pose.position, CFG.inflation)
 
 
 def test_odometry_noise_zero_sigma_is_identity():
@@ -89,10 +95,13 @@ def test_odometry_noise_statistics():
 
 
 def test_invalid_parameters():
-    with pytest.raises(ValueError):
-        RobotState(pose=Pose6(0, 0, 0), v_max=-1.0)
-    state = RobotState(pose=Pose6(0, 0, 0))
-    with pytest.raises(ValueError):
-        track_step(state, ViewPose4(1, 0, 0, 0), free_map(), 0.0)
+    # The robot limits and the step length are checked where the scenario
+    # is built, so no track_step call ever sees them.
+    with pytest.raises(ValueError, match="robot.v_max"):
+        dataclasses.replace(CFG, v_max=-1.0)
+    with pytest.raises(ValueError, match="robot.w_max"):
+        dataclasses.replace(CFG, w_max=-1.0)
+    with pytest.raises(ValueError, match="dt"):
+        dataclasses.replace(CFG, dt=0.0)
     with pytest.raises(ValueError):
         add_odometry_noise(Pose6(0, 0, 0), -0.1, 0.0, 1)

@@ -302,7 +302,7 @@ def test_kabsch_beats_random_candidates(rng):
 
 def test_apply_transform_identity_and_translation():
     path = PathSegment([[0, 0, 0, 0.0]])
-    out = apply_transform(RigidTransform.identity(), path)
+    out = apply_transform(RigidTransform(np.eye(3), np.zeros(3)), path)
     assert np.allclose(out.as_array(), path.as_array())
 
     shift = RigidTransform(np.eye(3), [1.0, 0.0, 0.0])

@@ -251,7 +251,7 @@ def test_plan_route_enclosed_goal_fails_before_search(monkeypatch):
     ]
     vmap = VoxelMap.from_boxes(room, 0.1, bounds=((-1, -5, 0), (11, 5, 1.2)))
     start, goal = np.array([1.0, 0.0, 0.6]), np.array([6.0, 0.0, 0.6])
-    assert vmap.free_mask(0.5)[vmap.voxel_index(goal)]
+    assert vmap.free_mask(0.5)[tuple(np.floor(vmap.world_to_grid(goal)).astype(int))]
     pushes = []
     push = heapq.heappush
     monkeypatch.setattr(heapq, "heappush", lambda heap, item: pushes.append(item) or push(heap, item))

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -10,10 +12,15 @@ from surfscan.geometry import (
     discrete_frechet,
 )
 from surfscan.global_plan import ViewConstraints
-from surfscan.local_plan import LocalPlanConfig, compute_next_view_pose, ego_frame, predict_local_path
+from surfscan.local_plan import compute_next_view_pose, ego_frame, predict_local_path
+from surfscan.scenario import demo_scenario
 from surfscan.world import Box, VoxelMap
 
-CFG = LocalPlanConfig()
+# The local planner reads the scenario's view constraints, height band and
+# sensing setup.  BANDED clamps heights to 0.6 m, CFG keeps the full
+# vertical term.
+BANDED = demo_scenario("nominal")
+CFG = dataclasses.replace(BANDED, z_band=None)
 
 
 def wall_cloud(wall_x, pos):
@@ -77,19 +84,18 @@ def test_next_view_pose_empty_cloud():
 
 
 def test_next_view_pose_z_band_clamp():
-    cfg = LocalPlanConfig(z_band=(0.6, 0.6))
-    pose = compute_next_view_pose(Pose6(0, 0, 0.6), PointCloud([[4.0, 0.0, 0.6]]), cfg)
+    pose = compute_next_view_pose(Pose6(0, 0, 0.6), PointCloud([[4.0, 0.0, 0.6]]), BANDED)
     assert pose.z == 0.6
 
 
 def test_range_convergence_on_flat_wall():
-    cfg = LocalPlanConfig(z_band=(0.6, 0.6))
+    cfg = BANDED
     pos = Pose6(0.0, 0.0, 0.6)
     errors = []
     for _ in range(6):
         foot = wall_cloud(6.0, pos.position)
         rng_now = abs(6.0 - pos.x)
-        errors.append(abs(rng_now - cfg.constraints.d_view))
+        errors.append(abs(rng_now - cfg.view.d_view))
         nxt = compute_next_view_pose(pos, foot, cfg)
         pos = Pose6(nxt.x, nxt.y, nxt.z)
     assert errors[1] < 1e-9  # one step snaps the range
@@ -97,8 +103,8 @@ def test_range_convergence_on_flat_wall():
 
 
 def test_overlap_spacing_on_flat_wall():
-    cfg = LocalPlanConfig(z_band=(0.6, 0.6))
-    c = cfg.constraints
+    cfg = BANDED
+    c = cfg.view
     pos = Pose6(4.0, 0.0, 0.6)  # already at d_view from x=6
     poses = []
     for _ in range(4):
@@ -116,7 +122,7 @@ def test_yaw_faces_surface():
 
     vmap = make_scene(6.0)
     pos = Pose6(4.3, -2.0, 0.6)
-    cfg = LocalPlanConfig(z_band=(0.6, 0.6))
+    cfg = BANDED
     for _ in range(4):
         pose = compute_next_view_pose(pos, wall_cloud(6.0, pos.position), cfg)
         origin = vmap.world_to_grid(pose.position)
@@ -141,17 +147,11 @@ def make_scene(face_x):
     )
 
 
-def local_cfg(n):
-    return LocalPlanConfig(
-        constraints=ViewConstraints(), horizon=n, z_band=(0.6, 0.6), sense_range=12.0, sense_rays=2048
-    )
-
-
 def test_prediction_single_step_equals_next_view():
     vmap = make_scene(6.0)
     odom = Pose6(4.0, 0.0, 0.6)
     guide = guide_line(4.0, 1.11, 1, 1.11)
-    cfg = local_cfg(1)
+    cfg = BANDED
     path, short = predict_local_path(odom, vmap, guide, cfg)
     assert not short and len(path) == 1
     from surfscan.world import sample_cloud
@@ -166,7 +166,7 @@ def test_prediction_follows_global_plan_on_nominal_wall():
     c = ViewConstraints()
     odom = Pose6(4.0, -2.0, 0.6)
     guide = guide_line(4.0, -2.0 + c.spacing_h, 5, c.spacing_h)
-    path, short = predict_local_path(odom, vmap, guide, local_cfg(5))
+    path, short = predict_local_path(odom, vmap, guide, BANDED)
     assert not short
     assert discrete_frechet(path, guide) < 0.2
 
@@ -176,7 +176,7 @@ def test_prediction_shifts_with_receded_wall():
     c = ViewConstraints()
     odom = Pose6(4.0, -2.0, 0.6)
     guide = guide_line(4.0, -2.0 + c.spacing_h, 5, c.spacing_h)
-    path, short = predict_local_path(odom, vmap, guide, local_cfg(5))
+    path, short = predict_local_path(odom, vmap, guide, BANDED)
     assert not short
     f = discrete_frechet(path, guide)
     assert f == pytest.approx(1.0, abs=0.2)
@@ -194,9 +194,7 @@ def test_prediction_truncates_without_surface():
     )
     odom = Pose6(4.0, 0.0, 0.6)
     guide = guide_line(4.0, 2.0, 5, 1.11)
-    cfg = LocalPlanConfig(
-        constraints=ViewConstraints(), horizon=5, z_band=(0.6, 0.6), sense_range=2.05, sense_rays=512
-    )
+    cfg = dataclasses.replace(BANDED, sense_range=2.05, sense_rays=512)
     path, short = predict_local_path(odom, vmap, guide, cfg)
     assert short
     assert 1 <= len(path) < 5
@@ -205,4 +203,4 @@ def test_prediction_truncates_without_surface():
 def test_prediction_errors_when_blind():
     vmap = VoxelMap.empty((0, 0, 0), (5, 5, 2), 0.1)
     with pytest.raises(NoSurfaceError):
-        predict_local_path(Pose6(2, 2, 0.6), vmap, guide_line(2, 2, 3, 1.0), local_cfg(3))
+        predict_local_path(Pose6(2, 2, 0.6), vmap, guide_line(2, 2, 3, 1.0), BANDED)

@@ -193,7 +193,7 @@ def test_blocked_navigation_replans_once_then_aborts(monkeypatch, caplog):
         return routes[-1]
 
     monkeypatch.setattr(mission, "plan_route", counting_route)
-    monkeypatch.setattr(mission, "track_step", lambda robot, ref, vmap, dt: (robot, True))
+    monkeypatch.setattr(mission, "track_step", lambda pose, ref, vmap, cfg: (pose, True))
     result = MissionRunner(cfg).run()
     assert result.status == "aborted"
     assert len(routes) == 2
@@ -227,10 +227,10 @@ def test_blocked_tracking_resupervises_at_the_stall_cap_and_times_out(monkeypatc
         cycles.append(robot)
         return real_step(state, scene, robot)
 
-    def stuck_once_inspecting(robot, ref, vmap, dt):
+    def stuck_once_inspecting(pose, ref, vmap, cfg):
         if not cycles:
-            return real_track(robot, ref, vmap, dt)
-        return robot, True
+            return real_track(pose, ref, vmap, cfg)
+        return pose, True
 
     monkeypatch.setattr(mission, "step_mission", counting_step)
     monkeypatch.setattr(mission, "track_step", stuck_once_inspecting)

@@ -143,6 +143,34 @@ def test_cli_rejects_invalid_sensing(tmp_path, capsys, key, value):
 
 
 @pytest.mark.parametrize(
+    "path, value, reason",
+    [
+        (("robot", "v_max"), -1, "robot.v_max must be non-negative, got -1.0"),
+        (("sensing", "odom_sigma_xy"), -0.1, "sensing.odom_sigma_xy must be non-negative, got -0.1"),
+        (("robot", "start"), [1, 2, 3], "robot.start must be 4 finite numbers (x y z psi), got [1, 2, 3]"),
+        (("z_band",), [0.6], "z_band must be 2 finite numbers (lo hi), got [0.6]"),
+        (("z_band",), [0.9, 0.3], "z_band must have lo <= hi, got [0.9, 0.3]"),
+    ],
+    ids=["v_max", "odom_sigma_xy", "start", "z_band", "z_band_order"],
+)
+def test_cli_rejects_invalid_robot_and_band(tmp_path, capsys, path, value, reason):
+    # Each value used to pass the load and fail mid-mission with a traceback.
+    import yaml
+
+    cfg = yaml.safe_load(GOOD_YAML)
+    node = cfg
+    for part in path[:-1]:
+        node = node[part]
+    node[path[-1]] = value
+    f = tmp_path / "scn.yaml"
+    f.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(f), "--out", str(out)]) == 64
+    assert f"{f}: {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "vertices, reason",
     [
         ([[6, -3, 0], [6, 3, 2], [6, 3, 0], [6, -3, 3]], "self-intersecting"),

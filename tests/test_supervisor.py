@@ -1,11 +1,13 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from surfscan import supervisor
 from surfscan.geometry import PathSegment, Pose6, ViewPose4, discrete_frechet
-from surfscan.global_plan import Tour, ViewConstraints, ViewPlan
-from surfscan.local_plan import LocalPlanConfig
+from surfscan.global_plan import Tour, ViewPlan
 from surfscan.metrics import path_rmse
+from surfscan.scenario import demo_scenario
 from surfscan.supervisor import (
     MissionMode,
     MissionState,
@@ -162,13 +164,10 @@ def wall_scene():
 
 def make_state(n=4, adaptive=True):
     plan = line_plan(n)
-    return MissionState(
-        plan=plan,
-        tour=line_tour(n),
-        local_cfg=LocalPlanConfig(constraints=ViewConstraints(), horizon=3, z_band=(0.6, 0.6)),
-        gamma_t=0.5,
-        adaptive=adaptive,
+    cfg = dataclasses.replace(
+        demo_scenario("nominal"), horizon=3, mode="adaptive" if adaptive else "baseline"
     )
+    return MissionState(plan=plan, tour=line_tour(n), cfg=cfg)
 
 
 def test_step_mission_visits_and_advances():
@@ -234,10 +233,10 @@ def test_step_mission_approx_credit_denied_on_loose_alignment():
     assert cycle.event is None and state.cursor == 0
 
 
-def test_step_mission_sensing_failure_retries_then_aborts():
+def test_step_mission_sensing_failure_retries_then_aborts(monkeypatch):
+    monkeypatch.setattr(supervisor, "_MAX_RETRIES", 2)
     empty = Scene.unchanged(VoxelMap.empty((0, -1, 0), (8, 1, 2), 0.1))
     state = make_state()
-    state.max_retries = 2
     robot = Pose6(4.0, 0.0, 0.6)
     events = []
     for _ in range(4):
@@ -252,17 +251,17 @@ def test_step_mission_sensing_failure_retries_then_aborts():
 
 def test_step_mission_prediction_failures_abort(monkeypatch):
     # The scan sees the wall every cycle but no prediction succeeds: the
-    # retries accumulate and the task aborts on cycle max_retries + 1.
+    # retries accumulate and the task aborts on cycle _MAX_RETRIES + 1.
     monkeypatch.setattr(supervisor, "predict_local_path", lambda *args, **kwargs: (None, True))
     scene = wall_scene()
     state = make_state()
     robot = Pose6(4.0, -0.9, 0.6)
     events = []
-    for _ in range(state.max_retries + 1):
+    for _ in range(supervisor._MAX_RETRIES + 1):
         ref, cycle = step_mission(state, scene, robot)
         assert ref is None
         events.append(cycle.event)
-    assert events == ["sense_retry"] * state.max_retries + ["abort"]
+    assert events == ["sense_retry"] * supervisor._MAX_RETRIES + ["abort"]
     assert state.status is MissionStatus.ABORTED
 
 

@@ -27,6 +27,11 @@ from surfscan.world import (
 CAM = CameraIntrinsics(alpha=np.deg2rad(69.5), beta=np.deg2rad(45.0), width=40, height=30, max_range=8.0)
 
 
+def occupied_at(vmap, p):
+    """The occupancy of the voxel holding the world point p (inside the grid)."""
+    return bool(vmap.occ[tuple(np.floor(vmap.world_to_grid(p)).astype(int))])
+
+
 # ---------------------------------------------------------------- xyz loading
 
 
@@ -122,7 +127,7 @@ def test_apply_delta_addition_grows_grid(wall_map):
     out = apply_delta(wall_map, MorphologyDelta(additions=(Box((12.0, 0.0, 0.0), (12.5, 0.5, 0.5)),)))
     assert out.bounds[1][0] >= 12.5
     assert out.occupied_count == wall_map.occupied_count + 5 * 5 * 5
-    assert out.is_occupied([12.25, 0.25, 0.25])
+    assert occupied_at(out, [12.25, 0.25, 0.25])
 
 
 def test_scene_from_delta_reproducible(wall_map):
@@ -141,7 +146,7 @@ def test_render_depth_flat_wall(wall_map):
     cy, cx = CAM.height // 2, CAM.width // 2
     assert img.data[cy, cx] == pytest.approx(2.0, abs=wall_map.voxel_size)
     # Projective depth: every wall pixel reports the same axial distance.
-    valid = img.valid_mask
+    valid = np.isfinite(img.data)
     assert valid[cy, cx]
     assert np.nanmax(np.abs(img.data[valid] - 2.0)) <= wall_map.voxel_size
 
@@ -149,7 +154,7 @@ def test_render_depth_flat_wall(wall_map):
 def test_render_depth_empty_space():
     vmap = VoxelMap.empty((0, 0, 0), (5, 5, 5), 0.1)
     img = render_depth(vmap, Pose6(2.5, 2.5, 2.5), CAM)
-    assert not img.valid_mask.any()
+    assert not np.isfinite(img.data).any()
 
 
 def test_render_depth_oblique_wall_matches_plane_equation(wall_map):
@@ -163,7 +168,7 @@ def test_render_depth_oblique_wall_matches_plane_equation(wall_map):
     fwd = np.array([np.cos(yaw), np.sin(yaw), 0.0])
     world = dirs[..., 0, None] * right + dirs[..., 1, None] * down + dirs[..., 2, None] * fwd
     expected = 2.0 / world[..., 0]  # t with dir_x scaled so axis component is 1
-    valid = img.valid_mask
+    valid = np.isfinite(img.data)
     assert valid.sum() > 50
     assert np.abs(img.data[valid] - expected[valid]).max() < 3 * wall_map.voxel_size
 
@@ -214,7 +219,7 @@ def test_sample_cloud_hits_on_voxel_boundaries(wall_map):
         # Nudge along the ray: the voxel just past the hit is occupied.
         d = p - pose.position
         d /= np.linalg.norm(d)
-        assert wall_map.is_occupied(p + 1e-6 * d)
+        assert occupied_at(wall_map, p + 1e-6 * d)
         # And the hit lies on a voxel face: some coordinate is a grid plane.
         g = wall_map.world_to_grid(p)
         assert np.min(np.abs(g - np.round(g))) < 1e-6
@@ -311,17 +316,8 @@ def test_empty_map_casts_no_rays(monkeypatch):
 
     monkeypatch.setattr(kernels, "raycast_batch", no_cast)
     vmap = VoxelMap.empty((0, 0, 0), (5, 5, 5), 0.1)
-    assert not render_depth(vmap, Pose6(2.5, 2.5, 2.5), CAM).valid_mask.any()
+    assert not np.isfinite(render_depth(vmap, Pose6(2.5, 2.5, 2.5), CAM).data).any()
     assert sample_cloud(vmap, Pose6(2.5, 2.5, 2.5), 10.0, 256, nearest=True).is_empty
-
-
-def test_surface_points_are_the_shell():
-    cube = VoxelMap.from_boxes([Box((0, 0, 0), (0.5, 0.5, 0.5))], 0.1)
-    shell = cube.surface_points()
-    assert cube.occupied_count == 125
-    assert shell.shape[0] == 125 - 27  # 5^3 minus the 3^3 interior
-    for p in shell[:10]:
-        assert cube.is_occupied(p)
 
 
 # ---------------------------------------------------------------- collision
@@ -345,7 +341,7 @@ def test_collision_inflation_distance(wall_map):
 
 def test_collision_matches_distance_oracle(wall_map, rng):
     h = wall_map.voxel_size
-    occ_centers = wall_map.occupied_centers()
+    occ_centers = wall_map.origin + (np.argwhere(wall_map.occ) + 0.5) * h
     for _ in range(30):
         p = np.array([rng.uniform(4.5, 7.5), rng.uniform(-5.5, 5.5), rng.uniform(0.2, 2.2)])
         # Point-to-box distance oracle over all occupied voxels.
