@@ -15,7 +15,10 @@ have only the scalar loops.  The control rows time `point_is_free` over
 the 41 points of a 2 m tracking step along the same scene's face (from
 the sensing pose, and 0.6 m from the face where it has not receded),
 clipped to the occupied box, as `is_collision_free` calls it, against the
-full-grid box.
+full-grid box.  The batched row times the mission's viewing-distance
+scans as the stepper casts them: 8 nearest-mode 2048-ray scans from 8
+consecutive 0.08 m steps along the same face, in one multi-origin call,
+against 8 single-origin calls (both numpy, clipped to the occupied box).
 The jitted column is printed only when numba is enabled.
 
 The planning rows run at site scale (a 40 x 40 x 2.4 m yard at 0.1 m
@@ -146,6 +149,16 @@ def swept_cases():
     return [(name, vmap.occ, vmap.world_to_grid(np.array(p) + along), radius, box, full) for name, p in starts]
 
 
+def batched_scan_case():
+    """(name, occupancy, 8 grid-unit origins, one scan's directions, box)
+    for 8 consecutive control steps in front of the `receding` demo's
+    face."""
+    vmap = build_scene(demo_scenario("receding")).current
+    steps = np.array([4.0, -2.0, 0.6]) + np.arange(8)[:, None] * np.array([0.0, 0.08, 0.0])
+    dirs = np.ascontiguousarray(fibonacci_directions(2048) / vmap.voxel_size)
+    return "8 scans 2048 nearest", vmap.occ, vmap.world_to_grid(steps), dirs, vmap.occupied_box
+
+
 SITE_BOXES = (
     ((34.0, 4.0, 0.0), (34.4, 36.0, 2.4)),  # face
     ((8.0, 36.0, 0.0), (20.0, 36.4, 2.4)),  # north wall
@@ -250,6 +263,17 @@ def main():
             run(kernel)  # compile
             row += ms(timeit(run, kernel))
         print(row)
+    name, occ, origins, dirs, box = batched_scan_case()
+    tiled = np.tile(dirs, (len(origins), 1))
+
+    def single_calls():
+        for origin in origins:
+            kernels.raycast_batch_numpy(occ, origin, dirs, 12.0, True, box=box)
+
+    t_one = timeit(kernels.raycast_batch_numpy, occ, origins, tiled, 12.0, True, box=box)
+    t_single = timeit(single_calls)
+    print(f"{'batched':<26}{'one call':>14}{'8 calls':>14}{'calls/one':>14}")
+    print(f"{name:<26}{ms(t_one)}{ms(t_single)}{t_single / t_one:>13.1f}x")
     print(f"{'control':<26}{'box':>14}{'full grid':>14}{'full/box':>14}")
     for name, occ, pts, radius, box, full in swept_cases():
 

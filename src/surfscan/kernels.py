@@ -142,7 +142,9 @@ def _ray_first_hit(occ, ox, oy, oz, dx, dy, dz, t_cap):
 @njit(cache=True)
 def _nearest_bound(t):
     """Largest hit parameter a nearest-mode cast keeps, given the nearest
-    hit `t`: a relative and an absolute margin of 1e-9 above it."""
+    hit `t`: a relative and an absolute margin of 1e-9 above it.  Rounding
+    keeps it monotone in `t`, so the bound of the smallest of several hits
+    is the smallest of their bounds."""
     return t * (1.0 + 1e-9) + 1e-9
 
 
@@ -174,38 +176,34 @@ def raycast_batch_scalar(occ, origin, dirs, t_cap, nearest=False, box=None):
     """Scalar loop behind :func:`raycast_batch`: one `_ray_first_hit` per ray.
 
     This is the source numba compiles and the bitwise reference the
-    vectorized kernel is tested against.  With `nearest`, each ray is cast
-    with its cap lowered to the bound of the nearest hit so far.  With
-    `box`, each ray's cap is also lowered to its exit from the padded box
-    (see :func:`raycast_batch_numpy`).
+    vectorized kernel is tested against.  A (G, 3) `origin` casts the rays
+    in G equal consecutive runs, run g from origin g.  With `nearest`, each
+    ray is cast with its cap lowered to the bound of the nearest hit so far
+    from its own origin.  With `box`, each ray's cap is also lowered to its
+    exit from the padded box (see :func:`raycast_batch_numpy`).
     """
     n = dirs.shape[0]
+    origins = origin.reshape(-1, 3)
+    groups = origins.shape[0]
+    if groups == 0 or n % groups != 0:
+        raise ValueError("rays must split evenly over the origins")
+    per = n // groups
     out = np.empty(n, dtype=np.float64)
-    bound = np.inf
-    for r in range(n):
-        cap = min(t_cap, bound) if nearest else t_cap
-        if box is not None:
-            cap = min(
-                cap,
-                _box_exit(box, origin[0], origin[1], origin[2], dirs[r, 0], dirs[r, 1], dirs[r, 2]),
-            )
-        out[r] = _ray_first_hit(
-            occ,
-            origin[0],
-            origin[1],
-            origin[2],
-            dirs[r, 0],
-            dirs[r, 1],
-            dirs[r, 2],
-            cap,
-        )
-        if nearest and out[r] >= 0.0:
-            bound = min(bound, _nearest_bound(out[r]))
-    if nearest:
-        # The final bound decides, whatever order the hits were found in.
-        for r in range(n):
-            if out[r] > bound:
-                out[r] = -1.0
+    for g in range(groups):
+        ox, oy, oz = origins[g, 0], origins[g, 1], origins[g, 2]
+        bound = np.inf
+        for r in range(g * per, (g + 1) * per):
+            cap = min(t_cap, bound) if nearest else t_cap
+            if box is not None:
+                cap = min(cap, _box_exit(box, ox, oy, oz, dirs[r, 0], dirs[r, 1], dirs[r, 2]))
+            out[r] = _ray_first_hit(occ, ox, oy, oz, dirs[r, 0], dirs[r, 1], dirs[r, 2], cap)
+            if nearest and out[r] >= 0.0:
+                bound = min(bound, _nearest_bound(out[r]))
+        if nearest:
+            # The final bound decides, whatever order the hits were found in.
+            for r in range(g * per, (g + 1) * per):
+                if out[r] > bound:
+                    out[r] = -1.0
     return out
 
 
@@ -359,16 +357,18 @@ def normals_from_depth_scalar(depth, fx, fy, cx, cy, jump):
 
 def _slab_clip(origin, dirs, lo, hi, enter, exit):
     """Narrow each ray's [enter, exit] in place to the box [lo, hi] (per
-    axis), as the scalar loop's clip does.  Returns the mask of rays that
-    sit outside a slab they do not move across.  Runs under the caller's
-    `np.errstate`."""
+    axis), as the scalar loop's clip does.  `origin` holds per axis either
+    one coordinate for every ray or each ray's own.  Returns the mask of
+    rays that sit outside a slab they do not move across.  Runs under the
+    caller's `np.errstate`."""
     outside = np.zeros(dirs.shape[0], dtype=np.bool_)
     for axis in range(3):
         o = origin[axis]
         d = dirs[:, axis]
         moving = d != 0.0
-        if o < lo[axis] or o > hi[axis]:
-            outside |= ~moving
+        off = (o < lo[axis]) | (o > hi[axis])
+        if off.any():
+            outside |= ~moving & off
         t0 = (lo[axis] - o) / d
         t1 = (hi[axis] - o) / d
         near = np.minimum(t0, t1)
@@ -407,16 +407,20 @@ def _crossings_below(tmax, tdel, limit):
 # one that is zero gives nan where its axis is masked out: no warnings.
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def raycast_batch_numpy(occ, origin, dirs, t_cap, nearest=False, box=None):
-    """First-hit parameter for a batch of rays from a common origin.
+    """First-hit parameter for a batch of rays from one or more origins.
 
-    origin: (3,) grid-unit coordinates.  dirs: (R,3) directions (any scale;
-    the returned t is in the caller's parameterization).  Misses are -1.0.
+    origin: (3,) grid-unit coordinates, or (G, 3) for G scans in one call.
+    dirs: (N, 3) directions (any scale; the returned t is in the caller's
+    parameterization), N a multiple of G: ray i is cast from origin
+    i // (N // G).  Returns the (N,) hit parameters; misses are -1.0.
 
-    With `nearest`, only the returns that can be the nearest are kept: let
-    t_min be the smallest hit parameter; every ray whose hit t satisfies
+    With `nearest`, only the returns that can be the nearest of their scan
+    are kept: let t_min be the smallest hit parameter among the rays from
+    the same origin; every ray whose hit t satisfies
     t <= t_min * (1 + 1e-9) + 1e-9 returns exactly the value of the full
     cast, every other ray returns -1.0.  Rays stop marching once they pass
-    that bound for the nearest hit found so far.
+    that bound for the nearest hit found so far from their origin, so one
+    scan's near hit never retires another scan's rays.
 
     `box` is the occupied box of `occ` (`VoxelMap.occupied_box`): a (2, 3)
     array of the first and one-past-last occupied voxel per axis.  Every
@@ -428,6 +432,10 @@ def raycast_batch_numpy(occ, origin, dirs, t_cap, nearest=False, box=None):
     unclipped cast.  The march reads a copy of only the smallest block of
     the grid that holds the box and the first voxel of every ray.
 
+    Results are those of one call per origin: G scans in one call share
+    the set-up and the march loop's per-iteration work, which dominate a
+    scan whose rays mostly miss the box.
+
     All rays march together (Amanatides-Woo DDA): every live ray advances
     one voxel per iteration, with the same arithmetic and the same x, y, z
     tie-breaking as `_ray_first_hit`, so results are bitwise equal to
@@ -435,13 +443,20 @@ def raycast_batch_numpy(occ, origin, dirs, t_cap, nearest=False, box=None):
     their exit parameter are dropped from the working arrays.
     """
     n_rays = dirs.shape[0]
+    origins = np.reshape(origin, (-1, 3))
+    groups = origins.shape[0]
+    if groups == 0 or n_rays % groups:
+        raise ValueError(f"{n_rays} rays do not split evenly over {groups} origins")
+    per = n_rays // groups
+    # Per axis, the coordinate every ray shares or each ray's own.
+    each = origins[0] if groups == 1 else np.repeat(origins, per, axis=0).T
     out = np.full(n_rays, -1.0)
     shape = occ.shape
 
     # Clip every ray against the grid AABB [0,nx]x[0,ny]x[0,nz].
     t_enter = np.zeros(n_rays)
     t_exit = np.full(n_rays, float(t_cap))
-    live = ~_slab_clip(origin, dirs, np.zeros(3), np.array(shape, dtype=np.float64), t_enter, t_exit)
+    live = ~_slab_clip(each, dirs, np.zeros(3), np.array(shape, dtype=np.float64), t_enter, t_exit)
     if box is not None:
         # Entry into and exit from the padded occupied box, as the scalar
         # loop's `_box_exit` computes the exit.  A ray that stays outside a
@@ -449,7 +464,7 @@ def raycast_batch_numpy(occ, origin, dirs, t_cap, nearest=False, box=None):
         # its exit is +inf too (it moves along no axis and is uncapped, and
         # the DDA walks it at t = inf, as the scalar loop does).
         box_enter = np.full(n_rays, -np.inf)
-        box_enter[_slab_clip(origin, dirs, box[0] - 1.0, box[1] + 1.0, box_enter, t_exit)] = np.inf
+        box_enter[_slab_clip(each, dirs, box[0] - 1.0, box[1] + 1.0, box_enter, t_exit)] = np.inf
         live &= ~(box_enter > t_exit)
     live &= ~(t_enter > t_exit)
     ray = np.flatnonzero(live)
@@ -464,13 +479,14 @@ def raycast_batch_numpy(occ, origin, dirs, t_cap, nearest=False, box=None):
     fstate = np.empty((8, ray.size))
     istate = np.empty((5, ray.size), dtype=np.int64)
     cells = np.empty((3, ray.size), dtype=np.int64)
+    start = each if groups == 1 else each[:, ray]
     fstate[0] = t
     fstate[1] = t_exit[ray]
     istate[0] = ray
     for axis in range(3):
         # Entry voxel, clamped into the grid, and the axis' DDA state.
         d = dirs[ray, axis]
-        p = origin[axis] + d * t
+        p = start[axis] + d * t
         cells[axis] = np.clip(np.floor(p).astype(np.int64), 0, shape[axis] - 1)
         forward = d > 0.0
         backward = d < 0.0
@@ -526,7 +542,7 @@ def raycast_batch_numpy(occ, origin, dirs, t_cap, nearest=False, box=None):
     padded[1:-1, 1:-1, 1:-1] = block.astype(np.bool_, copy=False)
     flat = padded.reshape(-1)
     parked = 0
-    bound = np.inf
+    bound = np.full(groups, np.inf)  # per origin
     while istate.shape[1]:
         t, lin = fstate[0], istate[1]
         occupied = flat[lin]
@@ -539,8 +555,8 @@ def raycast_batch_numpy(occ, origin, dirs, t_cap, nearest=False, box=None):
             if nearest and hit.any():
                 # Lowering t_exit retires rays past the bound through the
                 # `inside` test; their DDA arithmetic is untouched.
-                bound = min(bound, _nearest_bound(t[hit].min()))
-                np.minimum(fstate[1], bound, out=fstate[1])
+                np.minimum.at(bound, istate[0, hit] // per, _nearest_bound(t[hit]))
+                np.minimum(fstate[1], bound[istate[0] // per] if groups > 1 else bound[0], out=fstate[1])
             if 4 * n_done > done.size:
                 keep = np.flatnonzero(~done)
                 fstate = fstate[:, keep]
@@ -564,7 +580,8 @@ def raycast_batch_numpy(occ, origin, dirs, t_cap, nearest=False, box=None):
             np.add(lin, istate[2 + a], out=lin, where=mask)
     if nearest:
         # The final bound decides, whatever order the hits were found in.
-        out[out > bound] = -1.0
+        scans = out.reshape(groups, per)
+        scans[scans > bound[:, None]] = -1.0
     return out
 
 

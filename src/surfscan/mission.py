@@ -15,10 +15,13 @@ stepper that moves through three phases per task:
 One log record is written per control step.  Similarity metrics come from
 the last supervision cycle and are carried through the steps in between;
 pose, viewing distance and viewpoint utility are sampled fresh every step.
+A step's viewing distance only fills the log and feeds no decision, so its
+scan is queued and cast together with the next few in one multi-origin
+raycast; records reach the log in order once their batch is cast.
 """
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,7 +40,6 @@ from .metrics import (
     MissionLog,
     MissionRecord,
     summarize,
-    viewing_distance,
     viewpoint_utility,
 )
 from .scenario import build_scene
@@ -48,7 +50,12 @@ from .supervisor import (
     SupervisionCycle,
     step_mission,
 )
-from .world import render_depth, sample_cloud
+from .world import nearest_distances, render_depth
+
+# Not called here, but bound so that perfbench's tracer finds every name it
+# wraps on this module.
+from .metrics import viewing_distance  # noqa: F401
+from .world import sample_cloud  # noqa: F401
 
 __all__ = ["MissionRunner", "MissionResult", "TaskPlan", "PlanArtifacts"]
 
@@ -147,6 +154,8 @@ class MissionRunner:
 
 # What every record carries before the first supervision cycle.
 _NO_CYCLE = SupervisionCycle(MissionMode.GLOBAL, NAN, NAN, NAN, NAN, cursor=0, visited=0, viewing_distance=NAN)
+# Viewing-distance scans cast together in one raycast call.
+_SCAN_BATCH = 8
 # The mission status a task's inspection ends with; still running means out of time.
 _INSPECT_STATUS = {
     MissionStatus.COMPLETE: "completed",
@@ -158,7 +167,9 @@ _INSPECT_STATUS = {
 class _Stepper:
     """One mission's robot pose, clock, random generator and log, and the
     last supervision cycle, whose similarity metrics every record carries
-    until the next cycle.  Every control step appends exactly one record."""
+    until the next cycle.  Every control step appends exactly one record,
+    through a queue that holds records until their batch of viewing-distance
+    scans is cast."""
 
     def __init__(self, runner):
         self.cfg = cfg = runner.cfg
@@ -169,6 +180,8 @@ class _Stepper:
         self.steps = 0
         self.max_steps = int(round(cfg.max_sim_time / cfg.dt))
         self.log = MissionLog()
+        self.queued = []  # records not yet in the log, in step order
+        self.scans = []  # (index into queued, scan position) still to cast
         self.cycle = _NO_CYCLE
         self.predicted_paths = []
         self.visited_total = 0
@@ -176,17 +189,22 @@ class _Stepper:
 
     def fly(self, executable):
         """Navigate to and inspect each task in order; returns the mission
-        status (completed | timeout | aborted)."""
-        for task_plan in executable:
-            status = self.navigate(task_plan)
-            if status == "completed":
-                status = self.inspect(task_plan)
-            if status != "completed":
-                return status
-            # The completion cycle logged a record without moving the clock;
-            # step once so the next task's records keep timestamps strict.
-            self.advance(None)
-        return "completed"
+        status (completed | timeout | aborted).  Every queued record is in
+        the log when it returns."""
+        try:
+            for task_plan in executable:
+                status = self.navigate(task_plan)
+                if status == "completed":
+                    status = self.inspect(task_plan)
+                if status != "completed":
+                    return status
+                # The completion cycle logged a record without moving the
+                # clock; step once so the next task's records keep
+                # timestamps strict.
+                self.advance(None)
+            return "completed"
+        finally:
+            self.flush()
 
     # -- phases ----------------------------------------------------------------
 
@@ -313,19 +331,20 @@ class _Stepper:
 
     def record(self, phase, ref, blocked, vd=None):
         """Log the current pose with fresh viewing distance (unless given)
-        and utility, and the last cycle's similarity metrics."""
+        and utility, and the last cycle's similarity metrics.  A record
+        without `vd` is queued for its scan; every `_SCAN_BATCH` scans the
+        queue is flushed."""
         cfg = self.cfg
         vmap = self.scene.current
         pose = self.pose
         if vd is None:
-            cloud = sample_cloud(vmap, pose, cfg.sense_range, cfg.sense_rays, nearest=True)
-            vd = viewing_distance(pose, cloud) if not cloud.is_empty else NAN
+            self.scans.append((len(self.queued), pose.position))
         try:
             utility = viewpoint_utility(render_depth(vmap, pose, cfg.camera), cfg.camera)
         except NoSurfaceError:
             utility = 0.0
         cycle = self.cycle
-        self.log.append(
+        self.queued.append(
             MissionRecord(
                 t=round(self.t, 9),
                 phase=phase,
@@ -337,7 +356,7 @@ class _Stepper:
                 rmse_post=cycle.rmse_post,
                 cursor=cycle.cursor,
                 visited=cycle.visited,
-                viewing_distance=vd,
+                viewing_distance=NAN if vd is None else vd,
                 utility=utility,
                 x=pose.x,
                 y=pose.y,
@@ -351,3 +370,19 @@ class _Stepper:
                 replanned=int(cycle.mode is MissionMode.REPLANNED),
             )
         )
+        if len(self.scans) >= _SCAN_BATCH:
+            self.flush()
+
+    def flush(self):
+        """Cast the queued viewing-distance scans in one call, fill them in
+        and append the queued records to the log, in order."""
+        if self.scans:
+            cfg = self.cfg
+            at, positions = zip(*self.scans)
+            distances = nearest_distances(self.scene.current, positions, cfg.sense_range, cfg.sense_rays)
+            for i, vd in zip(at, distances.tolist()):
+                self.queued[i] = replace(self.queued[i], viewing_distance=vd)
+        for rec in self.queued:
+            self.log.append(rec)
+        self.queued.clear()
+        self.scans.clear()

@@ -89,28 +89,37 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.mode not in ("adaptive", "baseline"):
             raise ValueError(f"mode must be adaptive or baseline, got {self.mode!r}")
-        if self.voxel_size <= 0 or self.dt <= 0 or self.max_sim_time <= 0:
-            raise ValueError("voxel_size, dt and max_sim_time must be positive")
-        if self.inflation < 0:
-            raise ValueError("inflation must be non-negative")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
+        for name, value, sign in (
+            ("voxel_size", self.voxel_size, "positive"),
+            ("inflation", self.inflation, "non-negative"),
+            ("dt", self.dt, "positive"),
+            ("max_sim_time", self.max_sim_time, "positive"),
+            ("pos_tol", self.pos_tol, "positive"),
+            ("yaw_tol", self.yaw_tol, "positive"),
+            ("robot.v_max", self.v_max, "non-negative"),
+            ("robot.w_max", self.w_max, "non-negative"),
+            ("sensing.range", self.sense_range, "positive"),
+            ("sensing.odom_sigma_xy", self.odom_sigma_xy, "non-negative"),
+            ("sensing.odom_sigma_psi", self.odom_sigma_psi, "non-negative"),
+        ):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
+            if value < 0 or (value == 0 and sign == "positive"):
+                raise ValueError(f"{name} must be {sign}, got {value}")
         if not (0.0 < self.gamma_t <= 1.0):
             raise ValueError("gamma_t must lie in (0, 1]")
         if self.horizon < 1:
             raise ValueError("horizon must be at least 1")
-        if self.pos_tol <= 0 or self.yaw_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.sense_range <= 0:
-            raise ValueError(f"sensing range must be positive, got {self.sense_range}")
         if self.sense_rays < 1:
-            raise ValueError(f"sensing rays must be at least 1, got {self.sense_rays}")
-        for name, value in (
-            ("robot.v_max", self.v_max),
-            ("robot.w_max", self.w_max),
-            ("sensing.odom_sigma_xy", self.odom_sigma_xy),
-            ("sensing.odom_sigma_psi", self.odom_sigma_psi),
-        ):
-            if not value >= 0:
-                raise ValueError(f"{name} must be non-negative, got {value}")
+            raise ValueError(f"sensing.rays must be at least 1, got {self.sense_rays}")
+        if self.bounds is not None:
+            lo = _finite_tuple(self.bounds[0], 3, "maps.bounds.lo", "x y z")
+            hi = _finite_tuple(self.bounds[1], 3, "maps.bounds.hi", "x y z")
+            if not all(l < h for l, h in zip(lo, hi)):
+                raise ValueError(f"maps.bounds must have lo < hi on every axis, got lo {list(lo)}, hi {list(hi)}")
+            object.__setattr__(self, "bounds", (lo, hi))
         object.__setattr__(self, "start", _finite_tuple(self.start, 4, "robot.start", "x y z psi"))
         if self.z_band is not None:
             lo, hi = _finite_tuple(self.z_band, 2, "z_band", "lo hi")
@@ -266,7 +275,7 @@ def _parse_scenario(raw, path):
             additions=_parse_boxes(delta_raw.get("additions"), "maps.delta.additions"),
         )
     bounds_raw = _mapping(maps_raw.get("bounds"), "maps.bounds")
-    bounds = (tuple(bounds_raw["lo"]), tuple(bounds_raw["hi"])) if bounds_raw else None
+    bounds = (bounds_raw["lo"], bounds_raw["hi"]) if bounds_raw else None
     sensing = _mapping(raw.get("sensing"), "sensing")
     robot = _mapping(raw.get("robot"), "robot")
     tasks = []

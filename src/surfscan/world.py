@@ -25,6 +25,7 @@ __all__ = [
     "apply_delta",
     "render_depth",
     "sample_cloud",
+    "nearest_distances",
     "is_collision_free",
     "fibonacci_directions",
 ]
@@ -301,8 +302,9 @@ def fibonacci_directions(n):
 
 
 def _first_hits(vmap, origin_g, dirs_g, t_cap, nearest=False):
-    """`kernels.raycast_batch` on the map, clipped to its occupied box; on
-    an empty map every ray misses and nothing is cast."""
+    """`kernels.raycast_batch` on the map (from one origin or several),
+    clipped to its occupied box; on an empty map every ray misses and
+    nothing is cast."""
     box = vmap.occupied_box
     if box is None:
         return np.full(dirs_g.shape[0], -1.0)
@@ -351,6 +353,33 @@ def sample_cloud(vmap, pose, max_range, ray_count, nearest=False):
     hit = t >= 0.0
     points = pos + dirs[hit] * t[hit, None]
     return PointCloud(points)
+
+
+def nearest_distances(vmap, positions, max_range, ray_count):
+    """Distance from each of the (G, 3) `positions` to the nearest return of
+    its omnidirectional scan, NaN where the scan returns nothing.
+
+    Per position this is exactly `viewing_distance(p, sample_cloud(vmap, p,
+    max_range, ray_count, nearest=True))`: the same hit points
+    `p + dirs * t` and the same squared distances as `nearest_point`.  The
+    G scans are cast in one multi-origin `kernels.raycast_batch` call.
+    """
+    if max_range <= 0:
+        raise ValueError("max_range must be positive")
+    positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+    dirs = fibonacci_directions(int(ray_count))
+    dirs_g = np.tile(dirs / vmap.voxel_size, (len(positions), 1))
+    t = _first_hits(vmap, vmap.world_to_grid(positions), dirs_g, float(max_range), nearest=True)
+    t = t.reshape(len(positions), len(dirs))
+    scan, ray = np.nonzero(t >= 0.0)
+    pos = positions[scan]
+    dx, dy, dz = ((pos + dirs[ray] * t[scan, ray][:, None]) - pos).T
+    best = np.full(len(positions), np.inf)
+    np.minimum.at(best, scan, dx * dx + dy * dy + dz * dz)
+    out = np.full(len(positions), np.nan)
+    found = best < np.inf
+    out[found] = np.sqrt(best[found])
+    return out
 
 
 def is_collision_free(vmap, target, inflation):

@@ -259,6 +259,71 @@ def test_raycast_box_clip_matches_unclipped_scalar_oracle(batch, nearest):
     assert same_bits(got, scalar_raycast(occ, origin, dirs, t_cap, nearest=nearest, box=box))
 
 
+@st.composite
+def multi_origin_batches(draw):
+    """A boxed batch's grid, box, cap and origin, joined by up to three more
+    origins inside, outside or on the edge of the grid, with an equal run
+    of rays per origin."""
+    occ, origin, _, t_cap, box = draw(boxed_ray_batches())
+    groups = draw(st.integers(1, 4))
+    per = draw(st.integers(1, 8))
+    origins = [[draw(grid_coordinate(n)) for n in occ.shape] for _ in range(groups - 1)]
+    origins.insert(draw(st.integers(0, groups - 1)), origin.tolist())
+    dirs = draw(arrays(np.float64, (groups * per, 3), elements=direction_component))
+    return occ, np.array(origins), dirs, t_cap, box
+
+
+def two_approaches():
+    """`long_approach`'s fan cast from its origin and from one 40 voxels
+    nearer the block, in one call."""
+    occ, origin, dirs, t_cap, box = long_approach()
+    origins = np.array([origin, origin + [40.0, 0.0, 0.0]])
+    return occ, origins, np.tile(dirs, (2, 1)), t_cap, box
+
+
+@given(batch=multi_origin_batches(), nearest=st.booleans(), clip=st.booleans())
+@example(batch=two_approaches(), nearest=True, clip=True)
+@example(batch=two_approaches(), nearest=False, clip=True)
+@PROPERTY
+def test_raycast_multi_origin_equals_one_cast_per_origin(batch, nearest, clip):
+    occ, origins, dirs, t_cap, box = batch
+    box = box if clip else None
+    per = dirs.shape[0] // origins.shape[0]
+    got = kernels.raycast_batch(occ, origins, dirs, t_cap, nearest=nearest, box=box)
+    runs = [(o, dirs[g * per : (g + 1) * per]) for g, o in enumerate(origins)]
+    one_by_one = [kernels.raycast_batch(occ, o, d, t_cap, nearest=nearest, box=box) for o, d in runs]
+    assert got.shape == (dirs.shape[0],)
+    assert same_bits(got, np.concatenate(one_by_one))
+    assert same_bits(got, scalar_raycast(occ, origins, dirs, t_cap, nearest=nearest, box=box))
+    assert same_bits(got, np.concatenate([scalar_raycast(occ, o, d, t_cap, nearest=nearest) for o, d in runs]))
+
+
+@pytest.mark.parametrize("near_first", [True, False])
+def test_raycast_nearest_bound_is_per_origin(near_first):
+    # A wall at x = 10: one origin 0.5 voxels from it, one 7.5 voxels away,
+    # each casting one ray at the wall and one along it.  The near scan's
+    # hit at t = 0.5 comes seven iterations before the far scan's; it must
+    # not retire the far scan's ray.
+    occ = np.zeros((12, 3, 3), dtype=np.bool_)
+    occ[10] = True
+    near, far = [9.5, 1.5, 1.5], [2.5, 1.5, 1.5]
+    origins = np.array([near, far] if near_first else [far, near])
+    dirs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]] * 2)
+    want = [0.5, -1.0, 7.5, -1.0] if near_first else [7.5, -1.0, 0.5, -1.0]
+    for box in (None, occupied_box(occ)):
+        got = kernels.raycast_batch(occ, origins, dirs, 20.0, nearest=True, box=box)
+        assert got.tolist() == want
+        assert same_bits(got, scalar_raycast(occ, origins, dirs, 20.0, nearest=True, box=box))
+
+
+def test_raycast_rejects_rays_that_do_not_split_over_the_origins():
+    occ = np.zeros((3, 3, 3), dtype=np.bool_)
+    with pytest.raises(ValueError, match="split evenly"):
+        kernels.raycast_batch(occ, np.zeros((2, 3)), np.ones((3, 3)), 5.0)
+    with pytest.raises(ValueError, match="split evenly"):
+        scalar_raycast(occ, np.zeros((2, 3)), np.ones((3, 3)), 5.0)
+
+
 def test_raycast_on_an_empty_map_misses():
     occ = np.zeros((6, 5, 4), dtype=np.bool_)
     assert occupied_box(occ) is None

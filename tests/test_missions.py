@@ -7,6 +7,7 @@ import pytest
 
 from surfscan import world
 from surfscan.geometry import wrap_angle
+from surfscan.metrics import viewing_distance
 from surfscan.mission import MissionRunner
 from surfscan.scenario import MapSpec, ScenarioConfig, TaskSpec, demo_scenario
 from surfscan.world import Box
@@ -158,6 +159,38 @@ def test_timeout_reports_partial_progress():
     assert result.status == "timeout"
     assert result.summary["duration_s"] <= 4.0 + 1e-9
     assert 0 <= result.summary["visited_total"] < 6
+
+
+def test_batched_viewing_distances_equal_fresh_single_scans(monkeypatch):
+    # Records wait in a queue until eight scans are pending; a mission cut
+    # short by its time budget must still log every record, each with the
+    # distance a single scan from its logged pose gives.
+    from surfscan import mission
+
+    cycles = []
+    step_mission = mission.step_mission
+
+    def counted(*args):
+        ref, cycle = step_mission(*args)
+        cycles.append(cycle)
+        return ref, cycle
+
+    monkeypatch.setattr(mission, "step_mission", counted)
+    cfg = dataclasses.replace(demo_scenario("receding"), max_sim_time=9.7)
+    result = MissionRunner(cfg).run()
+    assert result.status == "timeout"
+    records = result.log.records
+    assert len(records) == round(cfg.max_sim_time / cfg.dt)
+    # Non-cycle records carry the scans; with a count not a multiple of
+    # eight, the queue was not empty when the mission stopped.
+    assert (len(records) - len(cycles)) % 8 != 0
+    vmap = MissionRunner(cfg).scene.current
+    for r in records:
+        pos = np.array([r.x, r.y, r.z])
+        cloud = world.sample_cloud(vmap, pos, cfg.sense_range, cfg.sense_rays, nearest=True)
+        want = np.nan if cloud.is_empty else viewing_distance(pos, cloud)
+        # Zero odometry noise: the cycles scan from the logged pose too.
+        assert np.float64(r.viewing_distance).view(np.int64) == np.float64(want).view(np.int64)
 
 
 def test_navigate_route_error_aborts_and_other_errors_propagate(monkeypatch):

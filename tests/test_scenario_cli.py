@@ -170,6 +170,92 @@ def test_cli_rejects_invalid_robot_and_band(tmp_path, capsys, path, value, reaso
     assert not out.exists()
 
 
+def _write_with(tmp_path, path, value):
+    """GOOD_YAML with the value at the key path `path` replaced."""
+    import yaml
+
+    cfg = yaml.safe_load(GOOD_YAML)
+    node = cfg
+    for part in path[:-1]:
+        node = node[part]
+    node[path[-1]] = value
+    f = tmp_path / "scn.yaml"
+    f.write_text(yaml.safe_dump(cfg))
+    return f
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "path, value, reason",
+    [
+        (("dt",), NAN, "dt must be finite, got nan"),
+        (("voxel_size",), NAN, "voxel_size must be finite, got nan"),
+        (("max_sim_time",), NAN, "max_sim_time must be finite, got nan"),
+        (("inflation",), NAN, "inflation must be finite, got nan"),
+        (("pos_tol",), INF, "pos_tol must be finite, got inf"),
+        (("yaw_tol",), -INF, "yaw_tol must be finite, got -inf"),
+        (("robot", "v_max"), INF, "robot.v_max must be finite, got inf"),
+        (("robot", "w_max"), NAN, "robot.w_max must be finite, got nan"),
+        (("sensing", "range"), INF, "sensing.range must be finite, got inf"),
+        (("sensing", "odom_sigma_psi"), NAN, "sensing.odom_sigma_psi must be finite, got nan"),
+    ],
+    ids=[
+        "dt",
+        "voxel_size",
+        "max_sim_time",
+        "inflation",
+        "pos_tol",
+        "yaw_tol",
+        "v_max",
+        "w_max",
+        "sensing_range",
+        "odom_sigma_psi",
+    ],
+)
+def test_cli_rejects_non_finite_parameters(tmp_path, capsys, path, value, reason):
+    # NaN used to pass every sign test and end the run with a traceback;
+    # an infinite tolerance or speed loaded and the run timed out.
+    f = _write_with(tmp_path, path, value)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(f), "--out", str(out)]) == 64
+    assert f"{f}: {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "corner, value, reason",
+    [
+        ("lo", [1, 2], "maps.bounds.lo must be 3 finite numbers (x y z), got [1, 2]"),
+        ("hi", [12, 7, NAN], "maps.bounds.hi must be 3 finite numbers (x y z), got [12, 7, nan]"),
+        ("hi", [12, -8, 2.4], "maps.bounds must have lo < hi on every axis, got lo [-1.0, -8.0, 0.0], hi [12.0, -8.0, 2.4]"),
+    ],
+    ids=["short_lo", "nan_hi", "empty_axis"],
+)
+def test_cli_rejects_invalid_bounds(tmp_path, capsys, corner, value, reason):
+    f = _write_with(tmp_path, ("maps", "bounds", corner), value)
+    out = tmp_path / "out"
+    assert main(["plan", "--config", str(f), "--out", str(out)]) == 64
+    assert f"{f}: {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rejects_negative_seed_in_scenario(tmp_path, capsys):
+    f = _write_with(tmp_path, ("seed",), -1)
+    out = tmp_path / "out"
+    assert main(["plan", "--config", str(f), "--out", str(out)]) == 64
+    assert f"{f}: seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rejects_negative_seed_flag(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["plan", "--demo", "nominal", "--seed", "-1", "--out", str(out)]) == 64
+    assert "seed must be a non-negative integer, got -1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "vertices, reason",
     [

@@ -11,6 +11,7 @@ from surfscan import kernels
 from surfscan.depthcam import CameraIntrinsics
 from surfscan.fileio import _load_xyz_lines, load_xyz
 from surfscan.geometry import Pose6, nearest_point
+from surfscan.metrics import viewing_distance
 from surfscan.world import (
     Box,
     MorphologyDelta,
@@ -20,6 +21,7 @@ from surfscan.world import (
     fibonacci_directions,
     is_collision_free,
     load_map,
+    nearest_distances,
     render_depth,
     sample_cloud,
 )
@@ -270,6 +272,43 @@ def test_sample_cloud_nearest_box_room_center(height, rays):
         assert len(near) == 2
 
 
+def single_scan_distance(vmap, pos, max_range, ray_count):
+    cloud = sample_cloud(vmap, pos, max_range, ray_count, nearest=True)
+    return np.nan if cloud.is_empty else viewing_distance(pos, cloud)
+
+
+def test_nearest_distances_equal_single_scans(wall_map):
+    # In front of the face, at its edge and corner, inside the slab, beyond
+    # the range, outside the grid and in the box room's rounding-tie centre.
+    positions = np.array(
+        [
+            [4.0, 0.0, 0.6],
+            [5.83, -4.96, 2.31],
+            [4.0, 5.5, 1.2],
+            [6.2, 0.0, 1.2],
+            [-0.9, 6.9, 0.05],
+            [-3.0, 0.0, 1.2],
+            [8.7, 2.0, 1.7],
+        ]
+    )
+    positions = np.vstack([positions, np.random.default_rng(5).uniform((-1, -7, 0), (10, 7, 2.4), (9, 3))])
+    for max_range, rays in ((8.0, 512), (12.0, 2048), (1.0, 300)):
+        got = nearest_distances(wall_map, positions, max_range, rays)
+        want = np.array([single_scan_distance(wall_map, p, max_range, rays) for p in positions])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    # A 1 m range from 2 m in front of the face sees nothing.
+    assert np.isnan(nearest_distances(wall_map, positions[:1], 1.0, 512)).all()
+    room = box_room(2.4)
+    center = np.array([[2.2, 2.2, 1.2]])
+    assert nearest_distances(room, center, 10.0, 2048)[0] == single_scan_distance(room, center[0], 10.0, 2048)
+
+
+def test_nearest_distances_on_an_empty_map_are_nan():
+    vmap = VoxelMap.empty((0, 0, 0), (5, 5, 5), 0.1)
+    got = nearest_distances(vmap, np.array([[2.5, 2.5, 2.5], [1.0, 1.0, 1.0]]), 10.0, 256)
+    assert got.shape == (2,) and np.isnan(got).all()
+
+
 def test_sample_cloud_deterministic(wall_map):
     a = sample_cloud(wall_map, Pose6(4.0, 0.0, 1.2), 8.0, 512)
     b = sample_cloud(wall_map, Pose6(4.0, 0.0, 1.2), 8.0, 512)
@@ -318,6 +357,7 @@ def test_empty_map_casts_no_rays(monkeypatch):
     vmap = VoxelMap.empty((0, 0, 0), (5, 5, 5), 0.1)
     assert not np.isfinite(render_depth(vmap, Pose6(2.5, 2.5, 2.5), CAM).data).any()
     assert sample_cloud(vmap, Pose6(2.5, 2.5, 2.5), 10.0, 256, nearest=True).is_empty
+    assert np.isnan(nearest_distances(vmap, np.full((2, 3), 2.5), 10.0, 256)).all()
 
 
 # ---------------------------------------------------------------- collision
