@@ -19,6 +19,13 @@ full-grid box.  The batched row times the mission's viewing-distance
 scans as the stepper casts them: 8 nearest-mode 2048-ray scans from 8
 consecutive 0.08 m steps along the same face, in one multi-origin call,
 against 8 single-origin calls (both numpy, clipped to the occupied box).
+The level camera rows time `raycast_level_frame`, the kernel
+`render_depth` casts a level camera's frame with, against
+`raycast_batch` (numpy, clipped to the occupied box) on the same 80x60
+rays, after checking that both return the same bits: from the `receding`
+sensing pose, where the rays hit the face, and from a `receding_full`
+baseline viewpoint 2 m from the historical face, where the current face
+lies beyond the 3 m range and every ray misses.
 The jitted column is printed only when numba is enabled.
 
 The planning rows run at site scale (a 40 x 40 x 2.4 m yard at 0.1 m
@@ -46,7 +53,7 @@ from unittest import mock
 import numpy as np
 from scipy import ndimage
 
-from surfscan import global_plan, kernels
+from surfscan import global_plan, kernels, world
 from surfscan._accel import NUMBA_ENABLED, py_func
 from surfscan.geometry import Pose6, ViewPose4
 from surfscan.scenario import build_scene, demo_scenario
@@ -111,6 +118,34 @@ def sensing_cases():
             {},
         ),
     )
+
+
+def frame_cases():
+    """(name, level-frame arguments, `raycast_batch` arguments) for the
+    80x60 frame of a level camera: from the `receding` sensing pose, where
+    the rays hit, and from a `receding_full` baseline viewpoint, 2 m from
+    the historical face, where the current face lies beyond the camera's
+    3 m range and every ray misses."""
+    cases = []
+    for name, demo, position in (("hit", "receding", (4.0, -2.0, 0.6)), ("miss", "receding_full", (4.0, 0.0, 0.6))):
+        cfg = demo_scenario(demo)
+        vmap = build_scene(cfg).current
+        cam = cfg.camera
+        pose = Pose6(*position)
+        axes = camera_axes_world(pose)
+        origin = vmap.world_to_grid(pose.position)
+        box = vmap.occupied_box
+        cols, rows = world._frame_axes(*axes, cam, vmap.voxel_size)
+        dirs = world._pixel_rays(*axes, cam, vmap.voxel_size)
+        cases.append(
+            (
+                f"frame {cam.width}x{cam.height} {name}",
+                (vmap.occ, origin, cols, rows, float(cam.max_range), box, vmap.column_extent),
+                (vmap.occ, origin, dirs, float(cam.max_range)),
+                {"box": box},
+            )
+        )
+    return cases
 
 
 def scalar_only_cases():
@@ -263,6 +298,13 @@ def main():
             run(kernel)  # compile
             row += ms(timeit(run, kernel))
         print(row)
+    print(f"{'level camera':<26}{'frame':>14}{'batch':>14}{'batch/frame':>14}")
+    for name, frame_args, batch_args, batch_kwargs in frame_cases():
+        got = kernels.raycast_level_frame(*frame_args)
+        assert np.array_equal(got.view(np.int64), kernels.raycast_batch_numpy(*batch_args, **batch_kwargs).view(np.int64))
+        t_frame = timeit(kernels.raycast_level_frame, *frame_args)
+        t_batch = timeit(kernels.raycast_batch_numpy, *batch_args, **batch_kwargs)
+        print(f"{name:<26}{ms(t_frame)}{ms(t_batch)}{t_batch / t_frame:>13.1f}x")
     name, occ, origins, dirs, box = batched_scan_case()
     tiled = np.tile(dirs, (len(origins), 1))
 

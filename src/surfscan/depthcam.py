@@ -49,12 +49,17 @@ class CameraIntrinsics:
     def cy(self):
         return (self.height - 1) / 2.0
 
+    def pixel_offsets(self):
+        """Camera-frame x of each image column and y of each image row on
+        the z = 1 plane: (W,) and (H,) arrays."""
+        u = (np.arange(self.width) - self.cx) / self.fx
+        v = (np.arange(self.height) - self.cy) / self.fy
+        return u, v
+
     def pixel_directions(self):
         """(H, W, 3) camera-frame ray directions, z-component 1, so the ray
         parameter equals projective depth."""
-        u = (np.arange(self.width) - self.cx) / self.fx
-        v = (np.arange(self.height) - self.cy) / self.fy
-        uu, vv = np.meshgrid(u, v)
+        uu, vv = np.meshgrid(*self.pixel_offsets())
         return np.stack([uu, vv, np.ones_like(uu)], axis=-1)
 
 

@@ -5,8 +5,18 @@ JIT-compiles when :mod:`surfscan._accel` enables it.  The two per-step
 sensing kernels, `raycast_batch` and `normals_from_depth`, also have
 vectorized numpy forms that run when numba is absent; the scalar loops
 (`raycast_batch_scalar`, `normals_from_depth_scalar`) stay as the jitted
-source and as the bitwise reference for the vectorized forms.  All
-coordinates handed to these kernels are in *grid units* (world meters
+source and as the bitwise reference for the vectorized forms.
+
+Without numba a depth frame has two paths.  `raycast_level_frame` casts
+the frame of a level camera (no roll or pitch) whose origin lies inside
+the grid: the rays of one image column share their x and y DDA crossings
+and those of one row their z crossings, so the crossings are built per
+column and row, and each column skips straight to the first xy cell
+whose vertical column it can hit.  Every other frame goes through
+`raycast_batch`.  Both end in one shared march loop, `_march`, and both
+are bitwise equal to `raycast_batch_scalar` on the same rays.
+
+All coordinates handed to these kernels are in *grid units* (world meters
 divided by voxel size, relative to the grid origin) unless noted otherwise.
 """
 
@@ -18,6 +28,7 @@ from ._accel import NUMBA_ENABLED, njit
 
 __all__ = [
     "raycast_batch",
+    "raycast_level_frame",
     "point_is_free",
     "frechet_dp",
     "nearest_point_scan",
@@ -362,7 +373,7 @@ def _slab_clip(origin, dirs, lo, hi, enter, exit):
     rays that sit outside a slab they do not move across.  Runs under the
     caller's `np.errstate`."""
     outside = np.zeros(dirs.shape[0], dtype=np.bool_)
-    for axis in range(3):
+    for axis in range(dirs.shape[1]):
         o = origin[axis]
         d = dirs[:, axis]
         moving = d != 0.0
@@ -472,17 +483,14 @@ def raycast_batch_numpy(occ, origin, dirs, t_cap, nearest=False, box=None):
         return out  # every ray missed the grid or the box: nothing to march
     t = t_enter[ray]
 
-    # One column per live ray, so that compaction is two takes.
-    # Rows of `fstate`: t, t_exit, tmax x/y/z, tdelta x/y/z.
-    # Rows of `istate`: ray index, linear voxel index, step x/y/z (the
-    # sign of the step until the strides are known).
+    # One column per live ray.  Rows of `fstate`: t, t_exit, tmax x/y/z,
+    # tdelta x/y/z; `sign` holds the step direction per axis.
     fstate = np.empty((8, ray.size))
-    istate = np.empty((5, ray.size), dtype=np.int64)
+    sign = np.empty((3, ray.size), dtype=np.int64)
     cells = np.empty((3, ray.size), dtype=np.int64)
     start = each if groups == 1 else each[:, ray]
     fstate[0] = t
     fstate[1] = t_exit[ray]
-    istate[0] = ray
     for axis in range(3):
         # Entry voxel, clamped into the grid, and the axis' DDA state.
         d = dirs[ray, axis]
@@ -496,10 +504,8 @@ def raycast_batch_numpy(occ, origin, dirs, t_cap, nearest=False, box=None):
             np.where(backward, t + (p - cells[axis]) / -d, np.inf),
         )
         fstate[5 + axis] = np.where(forward, 1.0 / d, np.where(backward, 1.0 / -d, np.inf))
-        istate[2 + axis] = np.where(forward, 1, -1)
-    if box is None:
-        lo, hi = np.zeros(3, dtype=np.int64), np.array(shape)
-    else:
+        sign[axis] = np.where(forward, 1, -1)
+    if box is not None:
         # Pass every crossing below the box entry before the loop: the
         # voxels they lead into lie outside the padded box.  Only rays with
         # t below the entry skip (a ray can enter the grid with a tmax one
@@ -513,27 +519,59 @@ def raycast_batch_numpy(occ, origin, dirs, t_cap, nearest=False, box=None):
             k, fstate[2 + axis, rows] = _crossings_below(
                 fstate[2 + axis, rows], fstate[5 + axis, rows], limit[rows]
             )
-            moved = cells[axis, rows] + istate[2 + axis, rows] * k
+            moved = cells[axis, rows] + sign[axis, rows] * k
             cells[axis, rows] = np.clip(moved, -1, shape[axis])
+    bound = _march(occ, box, out, ray, fstate, sign, cells, per if nearest else 0, groups)
+    if nearest:
+        # The final bound decides, whatever order the hits were found in.
+        scans = out.reshape(groups, per)
+        scans[scans > bound[:, None]] = -1.0
+    return out
+
+
+def _march(occ, box, out, ray, fstate, sign, cells, per=0, groups=1):
+    """The vectorized DDA loop shared by the raycast kernels.
+
+    Marches rays `ray` (indices into `out`) from their current state:
+    `fstate` rows t, t_exit, tmax x/y/z, tdelta x/y/z; `sign` the step
+    direction and `cells` the voxel per axis (a voxel outside the grid
+    is a miss).  Writes each hit's t into `out`.  With `per` > 0 the rays
+    are `nearest` scans of `per` rays per origin, and the per-origin bound
+    on the nearest hit is returned; otherwise that bound stays inf.
+
+    Every live ray advances one voxel per iteration, with the same
+    arithmetic and the same x, y, z tie-breaking as `_ray_first_hit`.
+    Rays that hit, leave the grid or pass t_exit are dropped from the
+    working arrays.
+    """
+    shape = occ.shape
+    if box is None:
+        lo, hi = np.zeros(3, dtype=np.int64), np.array(shape)
+    else:
         # March over the smallest block of the grid that holds the occupied
         # box and the first voxel of every ray in the grid: a ray leaving
         # it has passed the box on that axis and can hit nothing more.
-        # After the skip that is the box padded by two voxels at most (a
-        # skipped ray stops in the voxel before the padded box's face),
-        # unless an uncapped walk at t = inf, which skips nothing, starts
-        # farther out.
+        # After `raycast_batch_numpy`'s skip that is the box padded by two
+        # voxels at most (a skipped ray stops in the voxel before the
+        # padded box's face), unless an uncapped walk at t = inf, which
+        # skips nothing, starts farther out; a level frame's rays start in
+        # the box's xy footprint, at any height.
         in_grid = ((cells >= 0) & (cells < np.array(shape)[:, None])).all(axis=0)
         lo = np.array([cells[a].min(where=in_grid, initial=box[0, a]) for a in range(3)])
         hi = np.array([cells[a].max(where=in_grid, initial=box[1, a] - 1) for a in range(3)]) + 1
 
-    # Linear voxel indices into the marched block padded by a one-voxel
-    # shell; a ray outside the grid starts in the shell.
+    # Rows of `istate`: ray index, linear voxel index into the marched
+    # block padded by a one-voxel shell (a ray outside the grid starts in
+    # the shell), step x/y/z as linear strides.  One column per live ray,
+    # so that compaction is two takes.
     sub = hi - lo
     strides = ((sub[1] + 2) * (sub[2] + 2), sub[2] + 2, 1)
+    istate = np.empty((5, ray.size), dtype=np.int64)
+    istate[0] = ray
     istate[1] = 0
     for axis in range(3):
         istate[1] += (np.clip(cells[axis] - lo[axis], -1, sub[axis]) + 1) * strides[axis]
-        istate[2 + axis] *= strides[axis]
+        istate[2 + axis] = sign[axis] * strides[axis]
 
     # The shell is marked 2: a ray stepping out of the block reads 2 and is
     # dropped as a miss, so leaving needs no bounds test.
@@ -552,7 +590,7 @@ def raycast_batch_numpy(occ, origin, dirs, t_cap, nearest=False, box=None):
         if n_done > parked:
             hit = inside & (occupied == 1)
             out[istate[0, hit]] = t[hit]
-            if nearest and hit.any():
+            if per and hit.any():
                 # Lowering t_exit retires rays past the bound through the
                 # `inside` test; their DDA arithmetic is untouched.
                 np.minimum.at(bound, istate[0, hit] // per, _nearest_bound(t[hit]))
@@ -578,10 +616,169 @@ def raycast_batch_numpy(occ, origin, dirs, t_cap, nearest=False, box=None):
         for a, mask in enumerate((ax, y_first & ~ax, ~(y_first | ax))):
             np.add(fstate[2 + a], fstate[5 + a], out=fstate[2 + a], where=mask)
             np.add(lin, istate[2 + a], out=lin, where=mask)
-    if nearest:
-        # The final bound decides, whatever order the hits were found in.
-        scans = out.reshape(groups, per)
-        scans[scans > bound[:, None]] = -1.0
+    return bound
+
+
+# A zero direction component gives inf or nan crossing times that the masks
+# discard: no warnings.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def raycast_level_frame(occ, origin, cols, rows, t_cap, box, z_extent):
+    """First-hit parameter for every pixel of a level camera's frame.
+
+    origin: (3,) grid-unit coordinates inside the grid (0 <= o <= n per
+    axis).  cols: (W, 2) x and y direction components of each image
+    column; rows: (H,) z component of each image row (grid units).  Pixel
+    (v, u) casts direction (cols[u, 0], cols[u, 1], rows[v]).  t_cap must
+    be finite.  `box` and `z_extent` are the map's `occupied_box` and
+    `column_extent`.  Returns the (H * W,) hit parameters in row-major
+    pixel order, misses -1.0, bitwise those of
+    :func:`raycast_batch_scalar` on the same rays.
+
+    The rays of one column share their x and y direction components, so
+    they share the DDA's x and y crossing times, and the rays of one row
+    share the z crossing times.  From an origin inside the grid every ray
+    enters at t = 0 from the same clamped voxel, so each sequence is built
+    once, from t = 0, by `np.add.accumulate`: sequential additions, bit
+    for bit the DDA's repeated `tmax += tdelta`.  A column's x and y
+    crossings merged by a stable sort, x before y on ties, give the xy
+    cells its rays pass and the time each is entered.  The DDA takes a z
+    crossing only below both the next x and y crossings, so when a ray
+    enters an xy cell it has taken exactly its row's z crossings strictly
+    below the entry time.
+
+    Each column skips to the first xy cell whose vertical column holds an
+    occupied voxel in the z range its rays reach there, widened by one
+    voxel, which is far wider than the rounding of the crossing times:
+    every voxel skipped is empty, so the DDA records no hit before that
+    cell.  A ray that left the grid through z, or passed t_exit, before it
+    misses, as the DDA's ray does.  From that cell on the rays run through
+    the same march as :func:`raycast_batch_numpy`.  Columns whose
+    horizontal ray never meets the box's footprint padded by one voxel
+    before their cap miss with no table built.
+    """
+    if not math.isfinite(t_cap):
+        # An uncapped ray that moves along no axis walks the grid at t = inf
+        # (see `_ray_first_hit`); the crossing tables have no such walk.
+        raise ValueError(f"t_cap must be finite, got {t_cap}")
+    h, w = rows.size, cols.shape[0]
+    out = np.full(h * w, -1.0)
+    shape = occ.shape
+
+    def dda_setup(o, d, n):
+        """Start voxel, first crossing, tdelta, step sign and grid exit
+        of an axis at t = 0, as `_ray_first_hit` computes them."""
+        cell = min(max(math.floor(o), 0), n - 1)
+        forward = d > 0.0
+        backward = d < 0.0
+        tmax = 0.0 + np.where(forward, ((cell + 1) - o) / d, np.where(backward, (o - cell) / -d, np.inf))
+        tdel = np.where(forward, 1.0 / d, np.where(backward, 1.0 / -d, np.inf))
+        sign = np.where(forward, 1, -1)
+        exit = np.where(d != 0.0, np.maximum((0.0 - o) / d, (n - o) / d), np.inf)
+        return cell, tmax, tdel, sign, exit
+
+    def crossings(tmax, tdel, reach, n):
+        """Each ray's crossing times from t = 0, one row per ray.  A ray
+        passes at most `reach` + 1 crossings below its cap; the table holds
+        one more than the largest of those counts, or n + 2, more than the
+        grid's n voxels along the axis can use."""
+        count = int(min(np.ceil(np.max(reach)), n)) + 2
+        steps = np.empty((tmax.size, count))
+        steps[:, 0] = tmax
+        steps[:, 1:] = tdel[:, None]
+        return np.add.accumulate(steps, axis=1)
+
+    # Columns whose horizontal ray stays outside the padded footprint of
+    # the box up to its cap (or its exit from the grid) can hit nothing.
+    (ix0, tmx, tdx, sx, ex), (iy0, tmy, tdy, sy, ey) = (
+        dda_setup(origin[a], cols[:, a], shape[a]) for a in range(2)
+    )
+    lim = np.minimum(np.minimum(ex, ey), t_cap)
+    enter = np.zeros(w)
+    leave = lim.copy()
+    outside = _slab_clip(origin[:2], cols, box[0, :2] - 1.0, box[1, :2] + 1.0, enter, leave)
+    col = np.flatnonzero(~outside & (enter <= leave))
+    if col.size == 0:
+        return out
+    lim = lim[col]
+    tmx, tdx, sx, tmy, tdy, sy = (a[col] for a in (tmx, tdx, sx, tmy, tdy, sy))
+
+    # Each column's x and y crossings, merged x before y on ties: exact up
+    # to its cap, which is all the segments that start below the cap use.
+    # Segment j is the xy cell entered at start[:, j] (the origin's at
+    # t = 0) and left at end[:, j].
+    tab_x = crossings(tmx, tdx, np.abs(cols[col, 0]) * lim, shape[0])
+    tab_y = crossings(tmy, tdy, np.abs(cols[col, 1]) * lim, shape[1])
+    keys = np.concatenate([tab_x, tab_y], axis=1)
+    order = np.argsort(keys, axis=1, kind="stable")
+    times = np.sort(keys, axis=1)
+    segs = times.shape[1] + 1
+    n_x = np.zeros((col.size, segs), dtype=np.int64)
+    np.cumsum(order < tab_x.shape[1], axis=1, out=n_x[:, 1:])
+    n_y = np.arange(segs) - n_x
+    start = np.zeros((col.size, segs))
+    start[:, 1:] = times
+    end = np.full((col.size, segs), np.inf)
+    end[:, :-1] = times
+    np.minimum(end, lim[:, None], out=end)
+    cx = ix0 + sx[:, None] * n_x
+    cy = iy0 + sy[:, None] * n_y
+    valid = (start <= lim[:, None]) & (cx >= 0) & (cx < shape[0]) & (cy >= 0) & (cy < shape[1])
+
+    # The z range the column's rays reach in each segment, widened by one
+    # voxel, against the occupied z range of the segment's vertical column.
+    oz = origin[2]
+    dz_lo, dz_hi = rows.min(), rows.max()
+    k_lo = np.floor(oz + np.minimum(dz_lo * start, dz_lo * end)) - 1.0
+    k_hi = np.floor(oz + np.maximum(dz_hi * start, dz_hi * end)) + 1.0
+    cells_x = np.where(valid, cx, 0)
+    cells_y = np.where(valid, cy, 0)
+    z_lo = z_extent[0][cells_x, cells_y]
+    z_hi = z_extent[1][cells_x, cells_y]
+    cand = valid & ~(z_lo > np.minimum(k_hi, shape[2] - 1)) & ~(z_hi < np.maximum(k_lo, 0))
+    found = cand.any(axis=1)
+    first = np.argmax(cand, axis=1)[found]
+    c = np.flatnonzero(found)
+    if c.size == 0:
+        return out
+    t0 = start[c, first]
+    kept = c.size
+
+    # Per pixel of the kept columns, rows by columns: the row's z crossings
+    # strictly below the entry time move its voxel and give its next z
+    # crossing.  Counted through the sorted entry times: a crossing with
+    # i entry times at or below it lies below the (i + 1)-th smallest and
+    # every later one.
+    iz0, tmz, tdz, sz, ez = dda_setup(oz, rows, shape[2])
+    tab_z = crossings(tmz, tdz, np.abs(rows) * lim.max(), shape[2])
+    by_time = np.argsort(t0)
+    at_or_below = np.searchsorted(t0[by_time], tab_z, side="right")
+    at_or_below += np.arange(h)[:, None] * (kept + 1)
+    per_rank = np.bincount(at_or_below.ravel(), minlength=h * (kept + 1)).reshape(h, kept + 1)
+    n_z = np.empty((h, kept), dtype=np.int64)
+    n_z[:, by_time] = np.cumsum(per_rank[:, :kept], axis=1)
+
+    # The march state of every pixel of the kept columns.  A pixel whose
+    # entry time lies past its exit, or whose z crossings carried it out of
+    # the grid, misses on the march's first iteration.
+    fstate = np.empty((8, h, kept))
+    fstate[0] = t0
+    fstate[1] = np.minimum(lim[c], ez[:, None])
+    fstate[2] = tab_x[c, n_x[c, first]]
+    fstate[3] = tab_y[c, n_y[c, first]]
+    fstate[4] = np.take_along_axis(tab_z, np.minimum(n_z, tab_z.shape[1] - 1), axis=1)
+    fstate[5] = tdx[c]
+    fstate[6] = tdy[c]
+    fstate[7] = tdz[:, None]
+    sign = np.empty((3, h, kept), dtype=np.int64)
+    sign[0] = sx[c]
+    sign[1] = sy[c]
+    sign[2] = sz[:, None]
+    cells = np.empty((3, h, kept), dtype=np.int64)
+    cells[0] = cx[c, first]
+    cells[1] = cy[c, first]
+    cells[2] = iz0 + sz[:, None] * n_z
+    ray = np.arange(h)[:, None] * w + col[c]
+    _march(occ, box, out, ray.ravel(), fstate.reshape(8, -1), sign.reshape(3, -1), cells.reshape(3, -1))
     return out
 
 

@@ -100,6 +100,8 @@ class ScenarioConfig:
             ("yaw_tol", self.yaw_tol, "positive"),
             ("robot.v_max", self.v_max, "non-negative"),
             ("robot.w_max", self.w_max, "non-negative"),
+            ("view.d_view", self.view.d_view, "positive"),
+            ("camera.max_range", self.camera.max_range, "positive"),
             ("sensing.range", self.sense_range, "positive"),
             ("sensing.odom_sigma_xy", self.odom_sigma_xy, "non-negative"),
             ("sensing.odom_sigma_psi", self.odom_sigma_psi, "non-negative"),

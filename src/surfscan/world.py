@@ -7,6 +7,7 @@ both implemented by DDA raycasts through the grid.
 """
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -167,6 +168,21 @@ class VoxelMap:
         box.setflags(write=False)
         return box
 
+    @functools.cached_property
+    def column_extent(self):
+        """Lowest and highest occupied voxel index of each vertical (x, y)
+        column, as a read-only (2, nx, ny) array of the narrowest signed
+        type that holds nz; an empty column reads (nz, -1).  Computed on
+        first use and cached."""
+        occ = self.occ
+        nz = occ.shape[2]
+        filled = occ.any(axis=2)
+        extent = np.empty((2,) + occ.shape[:2], dtype=np.min_scalar_type(-nz - 1))
+        extent[0] = np.where(filled, occ.argmax(axis=2), nz)
+        extent[1] = np.where(filled, nz - 1 - occ[:, :, ::-1].argmax(axis=2), -1)
+        extent.setflags(write=False)
+        return extent
+
     def free_mask(self, inflation):
         """Voxels whose centers keep at least `inflation` clearance from every
         occupied voxel box.  Cached per inflation value."""
@@ -311,22 +327,58 @@ def _first_hits(vmap, origin_g, dirs_g, t_cap, nearest=False):
     return kernels.raycast_batch(vmap.occ, origin_g, dirs_g, t_cap, nearest=nearest, box=box)
 
 
-def render_depth(vmap, pose, intrinsics):
-    """Raycast a depth image from the pose.  Depth is the distance along the
-    optical axis to the first occupied voxel; misses are NaN."""
-    right, down, forward = camera_axes_world(pose)
+def _pixel_rays(right, down, forward, intrinsics, voxel_size):
+    """The (H * W, 3) grid-unit ray of every pixel, row-major, for a camera
+    with the given world axes."""
     cam_dirs = intrinsics.pixel_directions()
     world_dirs = (
         cam_dirs[..., 0, None] * right
         + cam_dirs[..., 1, None] * down
         + cam_dirs[..., 2, None] * forward
     )
+    return np.ascontiguousarray(world_dirs.reshape(-1, 3) / voxel_size, dtype=np.float64)
+
+
+def _frame_axes(right, down, forward, intrinsics, voxel_size):
+    """The x and y components of each image column's rays, (W, 2), and the
+    z component of each image row's, (H,), of a level camera: the
+    components `_pixel_rays` gives, bit for bit up to the sign of a zero,
+    which the DDA treats as 0.  In u * right + v * down + forward the
+    v * down term of x and y and the u * right and forward terms of z are
+    signed zeros, which change no sum that is not itself zero."""
+    u, v = intrinsics.pixel_offsets()
+    cols = np.stack([(u * right[a] + forward[a]) / voxel_size for a in range(2)], axis=1)
+    return cols, (v * down[2]) / voxel_size
+
+
+def render_depth(vmap, pose, intrinsics):
+    """Raycast a depth image from the pose.  Depth is the distance along the
+    optical axis to the first occupied voxel; misses are NaN.
+
+    Two kernels cast the frame, with bitwise the same depths.  A level
+    camera (right and forward axes with zero z, down axis (0, 0, -1))
+    with a finite range whose origin lies inside the grid goes to
+    `kernels.raycast_level_frame`, which shares each image column's x/y
+    and each row's z DDA crossings, when numba is not enabled.  Every
+    other pose, and the jitted path, casts the W x H rays through
+    `kernels.raycast_batch`.  On an empty map nothing is cast.
+    """
+    h, w = intrinsics.height, intrinsics.width
+    box = vmap.occupied_box
+    if box is None:
+        return DepthImage(np.full((h, w), np.nan), pose)
+    right, down, forward = camera_axes_world(pose)
     origin_g = vmap.world_to_grid(pose.position)
-    dirs_g = np.ascontiguousarray(
-        world_dirs.reshape(-1, 3) / vmap.voxel_size, dtype=np.float64
-    )
-    t = _first_hits(vmap, origin_g, dirs_g, float(intrinsics.max_range))
-    depth = t.reshape(intrinsics.height, intrinsics.width).copy()
+    t_cap = float(intrinsics.max_range)
+    level = right[2] == 0.0 and forward[2] == 0.0 and down[0] == 0.0 and down[1] == 0.0 and down[2] == -1.0
+    inside = bool(np.all((origin_g >= 0.0) & (origin_g <= vmap.shape)))
+    if level and inside and math.isfinite(t_cap) and not kernels.NUMBA_ENABLED:
+        cols, rows = _frame_axes(right, down, forward, intrinsics, vmap.voxel_size)
+        t = kernels.raycast_level_frame(vmap.occ, origin_g, cols, rows, t_cap, box, vmap.column_extent)
+    else:
+        dirs_g = _pixel_rays(right, down, forward, intrinsics, vmap.voxel_size)
+        t = kernels.raycast_batch(vmap.occ, origin_g, dirs_g, t_cap, box=box)
+    depth = t.reshape(h, w)
     depth[depth <= 0.0] = np.nan
     return DepthImage(depth, pose)
 

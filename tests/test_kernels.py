@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from strategies import direction_component, grid_coordinate, occupancy_grids
+from strategies import direction_component, grid_coordinate, occupancy_grids, wall_slabs
 from surfscan import kernels
 from surfscan._accel import py_func
 from surfscan.world import VoxelMap, is_collision_free
@@ -314,6 +314,95 @@ def test_raycast_nearest_bound_is_per_origin(near_first):
         got = kernels.raycast_batch(occ, origins, dirs, 20.0, nearest=True, box=box)
         assert got.tolist() == want
         assert same_bits(got, scalar_raycast(occ, origins, dirs, 20.0, nearest=True, box=box))
+
+
+@st.composite
+def level_frames(draw):
+    """A non-empty grid (random fill or a wall slab), an origin inside it,
+    on voxel faces and on both grid faces too, a frame's column x/y and row
+    z direction components (zero ones included), and a cap below the
+    distance to the occupied voxels or beyond the grid."""
+    occ = draw(st.one_of(occupancy_grids(), wall_slabs())).copy()
+    if not occ.any():
+        occ.flat[draw(st.integers(0, occ.size - 1))] = True
+    origin = np.array([draw(st.one_of(st.floats(0.0, float(n)), st.integers(0, n).map(float))) for n in occ.shape])
+    cols = draw(arrays(np.float64, (draw(st.integers(1, 12)), 2), elements=direction_component))
+    rows = draw(arrays(np.float64, (draw(st.integers(1, 10)),), elements=direction_component))
+    t_cap = draw(st.one_of(st.floats(0.0, 3.0), st.floats(3.0, 60.0)))
+    return occ, origin, cols, rows, t_cap
+
+
+def frame_rays(cols, rows):
+    """The (H * W, 3) rays of a frame, row-major: pixel (v, u) casts
+    (cols[u, 0], cols[u, 1], rows[v])."""
+    dirs = np.empty((rows.size, cols.shape[0], 3))
+    dirs[..., :2] = cols
+    dirs[..., 2] = rows[:, None]
+    return dirs.reshape(-1, 3)
+
+
+def level_frame(occ, origin, cols, rows, t_cap):
+    vmap = VoxelMap(np.zeros(3), 1.0, occ)
+    return kernels.raycast_level_frame(occ, origin, cols, rows, t_cap, vmap.occupied_box, vmap.column_extent)
+
+
+def vertical_column():
+    """A column that moves along neither x nor y beside one that does."""
+    occ = np.zeros((3, 3, 6), dtype=np.bool_)
+    occ[1, 1, 0] = occ[2, 2, 5] = True
+    rows = np.array([-0.5, 0.0, 0.25, 2.0])
+    return occ, np.array([1.5, 1.5, 3.0]), np.array([[0.0, 0.0], [0.5, 0.5]]), rows, 60.0
+
+
+def top_face_start():
+    """An origin on the grid's top face and its low y face, in the top
+    voxel (clamped down from z = nz) of an occupied column: every ray hits
+    at t = 0, before its first crossing, also at t = 0, leaves the grid.
+    The fan reaches only z = nz there; the one-voxel margin keeps the
+    column a candidate."""
+    occ = np.zeros((2, 2, 3), dtype=np.bool_)
+    occ[0, 0, 2] = True
+    return occ, np.array([0.5, 0.0, 3.0]), np.array([[0.5, -1.0]]), np.array([-0.2, 0.0, 0.25]), 10.0
+
+
+def long_level_approach():
+    """`long_approach`'s corridor seen by a level 12-column fan from its
+    near end: each column passes about 190 x crossings before its skip."""
+    occ, origin, _, _, _ = long_approach()
+    cols = np.column_stack([np.ones(12), np.linspace(-0.06, 0.02, 12)])
+    return occ, origin, cols, np.linspace(-0.03, 0.03, 7), 400.0
+
+
+@given(frame=level_frames())
+@example(frame=vertical_column())
+@example(frame=top_face_start())
+@example(frame=long_level_approach())
+@PROPERTY
+def test_level_frame_matches_scalar_oracle(frame):
+    occ, origin, cols, rows, t_cap = frame
+    got = level_frame(*frame)
+    assert same_bits(got, scalar_raycast(occ, origin, frame_rays(cols, rows), t_cap))
+
+
+def test_level_frame_breaks_crossing_ties_x_first():
+    # Columns along the lattice diagonal cross an x and a y plane at once
+    # at every voxel corner, where the DDA steps x first: it enters voxel
+    # (k + 1, k), never (k, k + 1).  A merge that put y first at any one of
+    # the 38 ties would pass that voxel by.
+    origin, cols, rows = np.array([0.5, 0.5, 1.5]), np.array([[1.0, 1.0], [0.5, 0.5]]), np.array([0.0, 0.01])
+    for k in range(38):
+        occ = np.zeros((40, 40, 3), dtype=np.bool_)
+        occ[k + 1, k, :] = True
+        got = level_frame(occ, origin, cols, rows, 100.0)
+        assert same_bits(got, scalar_raycast(occ, origin, frame_rays(cols, rows), 100.0))
+        assert got.tolist() == [k + 0.5, 2 * k + 1.0] * 2
+
+
+@pytest.mark.parametrize("t_cap", [math.nan, math.inf])
+def test_level_frame_rejects_a_non_finite_cap(t_cap):
+    occ = np.ones((4, 4, 4), dtype=np.bool_)
+    with pytest.raises(ValueError, match="t_cap must be finite"):
+        level_frame(occ, np.full(3, 2.0), np.array([[1.0, 0.5]]), np.array([0.0]), t_cap)
 
 
 def test_raycast_rejects_rays_that_do_not_split_over_the_origins():

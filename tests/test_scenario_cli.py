@@ -200,6 +200,10 @@ NAN, INF = float("nan"), float("inf")
         (("robot", "w_max"), NAN, "robot.w_max must be finite, got nan"),
         (("sensing", "range"), INF, "sensing.range must be finite, got inf"),
         (("sensing", "odom_sigma_psi"), NAN, "sensing.odom_sigma_psi must be finite, got nan"),
+        (("camera", "max_range"), NAN, "camera.max_range must be finite, got nan"),
+        (("camera", "max_range"), INF, "camera.max_range must be finite, got inf"),
+        (("view", "d_view"), NAN, "view.d_view must be finite, got nan"),
+        (("view", "d_view"), INF, "view.d_view must be finite, got inf"),
     ],
     ids=[
         "dt",
@@ -212,11 +216,17 @@ NAN, INF = float("nan"), float("inf")
         "w_max",
         "sensing_range",
         "odom_sigma_psi",
+        "camera_max_range_nan",
+        "camera_max_range_inf",
+        "d_view_nan",
+        "d_view_inf",
     ],
 )
 def test_cli_rejects_non_finite_parameters(tmp_path, capsys, path, value, reason):
-    # NaN used to pass every sign test and end the run with a traceback;
-    # an infinite tolerance or speed loaded and the run timed out.
+    # NaN used to pass every sign test and end the run with a traceback
+    # (or, as a camera range, cap every depth ray at NaN and log a zero
+    # utility); an infinite tolerance or speed loaded and the run timed
+    # out.
     f = _write_with(tmp_path, path, value)
     out = tmp_path / "out"
     assert main(["run", "--config", str(f), "--out", str(out)]) == 64

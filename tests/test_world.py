@@ -1,4 +1,6 @@
+import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,9 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from strategies import grid_coordinate, occupancy_grids
+from strategies import grid_coordinate, occupancy_grids, wall_slabs
 from surfscan import kernels
-from surfscan.depthcam import CameraIntrinsics
+from surfscan._accel import py_func
+from surfscan.depthcam import CameraIntrinsics, camera_axes_world
 from surfscan.fileio import _load_xyz_lines, load_xyz
 from surfscan.geometry import Pose6, nearest_point
 from surfscan.metrics import viewing_distance
@@ -182,6 +185,102 @@ def test_render_depth_deterministic(wall_map):
     assert np.array_equal(a.data, b.data, equal_nan=True)
 
 
+def scalar_depth(vmap, pose, cam):
+    """The depths of `raycast_batch_scalar`, as plain Python, on the rays
+    of the pixel grid `pose` sees through `cam`; misses are NaN."""
+    right, down, forward = camera_axes_world(pose)
+    pix = cam.pixel_directions()
+    world = pix[..., 0, None] * right + pix[..., 1, None] * down + pix[..., 2, None] * forward
+    dirs = np.ascontiguousarray(world.reshape(-1, 3) / vmap.voxel_size)
+    origin = vmap.world_to_grid(pose.position)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        t = py_func(kernels.raycast_batch_scalar)(vmap.occ, origin, dirs, float(cam.max_range))
+    depth = t.reshape(cam.height, cam.width)
+    depth[depth <= 0.0] = np.nan
+    return depth
+
+
+def same_depths(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@st.composite
+def camera_frames(draw):
+    """A small map (random fill or a wall slab with an optional pocket), a
+    pose inside its grid (on voxel faces and on both grid faces too) or
+    outside it, level or tilted, at yaw 0, +-pi/2, pi or random, and a
+    camera of odd or even width with a range below the distance to the
+    occupied voxels, beyond the grid or unbounded."""
+    occ = draw(st.one_of(occupancy_grids(max_side=10), wall_slabs()))
+    voxel_size = draw(st.sampled_from([0.1, 0.25, 1.0]))
+    origin = np.array(draw(st.sampled_from([(0.0, 0.0, 0.0), (-7.3, 120.1, 0.35)])))
+    vmap = VoxelMap(origin, voxel_size, occ)
+    g = [
+        draw(st.one_of(st.floats(0.0, float(n)), st.integers(0, n).map(float), grid_coordinate(n)))
+        for n in occ.shape
+    ]
+    yaw = draw(st.one_of(st.sampled_from([0.0, np.pi / 2, -np.pi / 2, np.pi]), st.floats(-np.pi, np.pi)))
+    roll, pitch = draw(st.sampled_from([(0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.2, 0.0), (0.0, -0.3)]))
+    pose = Pose6(*(origin + np.array(g) * voxel_size), roll, pitch, yaw)
+    cam = CameraIntrinsics(
+        alpha=draw(st.floats(0.2, 3.0)),
+        beta=draw(st.floats(0.2, 3.0)),
+        width=draw(st.integers(3, 12)),
+        height=draw(st.integers(3, 10)),
+        max_range=draw(st.one_of(st.floats(0.01, 0.5), st.floats(0.5, 40.0), st.just(math.inf))),
+    )
+    return vmap, pose, cam
+
+
+@given(frame=camera_frames())
+@settings(max_examples=150, deadline=None)
+def test_render_depth_matches_scalar_oracle(frame):
+    vmap, pose, cam = frame
+    with mock.patch.object(kernels, "raycast_level_frame", wraps=kernels.raycast_level_frame) as level:
+        got = render_depth(vmap, pose, cam).data
+    assert same_depths(got, scalar_depth(vmap, pose, cam))
+    g = vmap.world_to_grid(pose.position)
+    inside = np.all((g >= 0.0) & (g <= vmap.shape))
+    framed = pose.phi == pose.theta == 0.0 and inside and math.isfinite(cam.max_range)
+    framed = framed and vmap.occupied_box is not None and not kernels.NUMBA_ENABLED
+    assert level.called == framed
+
+
+SMALL_CAM = CameraIntrinsics(alpha=np.deg2rad(69.5), beta=np.deg2rad(45.0), width=12, height=10, max_range=12.0)
+
+
+@pytest.mark.skipif(kernels.NUMBA_ENABLED, reason="the jitted path casts every frame through raycast_batch")
+def test_render_depth_casts_a_level_frame_from_inside_the_grid(wall_map):
+    with (
+        mock.patch.object(kernels, "raycast_level_frame", wraps=kernels.raycast_level_frame) as level,
+        mock.patch.object(kernels, "raycast_batch", side_effect=AssertionError("raycast_batch called")),
+    ):
+        got = render_depth(wall_map, Pose6(4.0, 0.3, 1.0, 0.0, 0.0, 0.1), SMALL_CAM).data
+    assert level.call_count == 1
+    assert np.isfinite(got).any()
+
+
+@pytest.mark.parametrize(
+    "pose, cam",
+    [
+        (Pose6(4.0, 0.3, 1.0, 0.2, 0.0, 0.1), SMALL_CAM),
+        (Pose6(4.0, 0.3, 1.0, 0.0, -0.1, 0.1), SMALL_CAM),
+        (Pose6(-3.0, 0.3, 1.0, 0.0, 0.0, 0.1), SMALL_CAM),
+        (Pose6(4.0, 0.3, 1.0, 0.0, 0.0, 0.1), CameraIntrinsics(1.2, 0.8, 12, 10, math.inf)),
+    ],
+    ids=["rolled", "pitched", "outside_grid", "unbounded_range"],
+)
+def test_render_depth_casts_other_frames_through_raycast_batch(wall_map, pose, cam):
+    with (
+        mock.patch.object(kernels, "raycast_level_frame", side_effect=AssertionError("frame kernel called")),
+        mock.patch.object(kernels, "raycast_batch", wraps=kernels.raycast_batch) as batch,
+    ):
+        got = render_depth(wall_map, pose, cam).data
+    assert batch.call_count == 1
+    assert np.isfinite(got).any()
+    assert same_depths(got, scalar_depth(wall_map, pose, cam))
+
+
 # ---------------------------------------------------------------- cloud sampling
 
 
@@ -349,11 +448,22 @@ def test_occupied_box_bounds_the_occupied_voxels(occ):
         assert box.tolist() == [idx.min(axis=0).tolist(), (idx.max(axis=0) + 1).tolist()]
 
 
+@given(occ=occupancy_grids())
+@settings(max_examples=50, deadline=None)
+def test_column_extent_bounds_each_vertical_column(occ):
+    extent = VoxelMap(np.zeros(3), 0.1, occ).column_extent
+    assert not extent.flags.writeable and extent.itemsize == 1
+    for i, j in np.ndindex(occ.shape[:2]):
+        k = np.flatnonzero(occ[i, j])
+        assert extent[:, i, j].tolist() == ([k[0], k[-1]] if k.size else [occ.shape[2], -1])
+
+
 def test_empty_map_casts_no_rays(monkeypatch):
     def no_cast(*args, **kwargs):
         raise AssertionError("cast on an empty map")
 
     monkeypatch.setattr(kernels, "raycast_batch", no_cast)
+    monkeypatch.setattr(kernels, "raycast_level_frame", no_cast)
     vmap = VoxelMap.empty((0, 0, 0), (5, 5, 5), 0.1)
     assert not np.isfinite(render_depth(vmap, Pose6(2.5, 2.5, 2.5), CAM).data).any()
     assert sample_cloud(vmap, Pose6(2.5, 2.5, 2.5), 10.0, 256, nearest=True).is_empty
