@@ -26,6 +26,11 @@ rays, after checking that both return the same bits: from the `receding`
 sensing pose, where the rays hit the face, and from a `receding_full`
 baseline viewpoint 2 m from the historical face, where the current face
 lies beyond the 3 m range and every ray misses.
+The utility row times the logged viewpoint utility of the `receding`
+sensing pose's depth image as `viewpoint_utility` computes it,
+`incidence_cosines` and the mean of their magnitudes, against the mean
+over the finite z components of `estimate_normal_map`'s normal map,
+after checking that both give the same bits.
 The jitted column is printed only when numba is enabled.
 
 The planning rows run at site scale (a 40 x 40 x 2.4 m yard at 0.1 m
@@ -54,6 +59,7 @@ import numpy as np
 from scipy import ndimage
 
 from surfscan import global_plan, kernels, world
+from surfscan.depthcam import estimate_normal_map
 from surfscan._accel import NUMBA_ENABLED, py_func
 from surfscan.geometry import Pose6, ViewPose4
 from surfscan.scenario import build_scene, demo_scenario
@@ -146,6 +152,26 @@ def frame_cases():
             )
         )
     return cases
+
+
+def utility_case():
+    """(name, cosines-and-mean, normal-map-and-mean) for the depth image of
+    the `receding` sensing pose."""
+    cfg = demo_scenario("receding")
+    cam = cfg.camera
+    depth = render_depth(build_scene(cfg).current, Pose6(4.0, -2.0, 0.6), cam)
+    args = (depth.data, float(cam.fx), float(cam.fy), float(cam.cx), float(cam.cy), 0.3)
+
+    def from_cosines():
+        cosines = np.abs(kernels.incidence_cosines(*args))
+        return cosines, float(cosines.mean())
+
+    def from_normal_map():
+        nz = estimate_normal_map(depth, cam, jump=0.3)[..., 2]
+        cosines = np.abs(nz[np.isfinite(nz)])
+        return cosines, float(cosines.mean())
+
+    return f"utility {cam.width}x{cam.height}", from_cosines, from_normal_map
 
 
 def scalar_only_cases():
@@ -305,6 +331,12 @@ def main():
         t_frame = timeit(kernels.raycast_level_frame, *frame_args)
         t_batch = timeit(kernels.raycast_batch_numpy, *batch_args, **batch_kwargs)
         print(f"{name:<26}{ms(t_frame)}{ms(t_batch)}{t_batch / t_frame:>13.1f}x")
+    name, from_cosines, from_normal_map = utility_case()
+    assert np.array_equal(from_cosines()[0].view(np.int64), from_normal_map()[0].view(np.int64))
+    t_cosines = timeit(from_cosines)
+    t_map = timeit(from_normal_map)
+    print(f"{'utility':<26}{'cosines':>14}{'normal map':>14}{'map/cosines':>14}")
+    print(f"{name:<26}{ms(t_cosines)}{ms(t_map)}{t_map / t_cosines:>13.1f}x")
     name, occ, origins, dirs, box = batched_scan_case()
     tiled = np.tile(dirs, (len(origins), 1))
 

@@ -30,8 +30,9 @@ class CameraIntrinsics:
             raise ValueError("FOV angles must lie in (0, pi)")
         if self.width < 3 or self.height < 3:
             raise ValueError("image must be at least 3x3 pixels")
-        if self.max_range <= 0.0:
-            raise ValueError("max_range must be positive")
+        # An infinite range stays legal: `render_depth` casts uncapped rays.
+        if not self.max_range > 0.0:
+            raise ValueError(f"max_range must be positive, got {self.max_range}")
 
     @property
     def fx(self):

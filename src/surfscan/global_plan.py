@@ -57,8 +57,8 @@ class ViewConstraints:
     beta: float = np.deg2rad(45.0)
 
     def __post_init__(self):
-        if self.d_view <= 0:
-            raise ValueError("d_view must be positive")
+        if not (math.isfinite(self.d_view) and self.d_view > 0):
+            raise ValueError(f"d_view must be positive and finite, got {self.d_view}")
         if not (0.0 <= self.gamma_h < 1.0 and 0.0 <= self.gamma_v < 1.0):
             raise ValueError("overlap fractions must lie in [0, 1)")
         if not (0.0 < self.alpha < np.pi and 0.0 < self.beta < np.pi):

@@ -1,20 +1,23 @@
 """Numeric inner loops: voxel raycasting, clearance scans, path DP.
 
 The kernels are written as plain loops over numpy arrays, which numba
-JIT-compiles when :mod:`surfscan._accel` enables it.  The two per-step
-sensing kernels, `raycast_batch` and `normals_from_depth`, also have
-vectorized numpy forms that run when numba is absent; the scalar loops
+JIT-compiles when :mod:`surfscan._accel` enables it.  The two sensing
+kernels, `raycast_batch` and `normals_from_depth`, also have vectorized
+numpy forms that run when numba is absent; the scalar loops
 (`raycast_batch_scalar`, `normals_from_depth_scalar`) stay as the jitted
 source and as the bitwise reference for the vectorized forms.
+`incidence_cosines`, the per-step utility's kernel, evaluates the numpy
+normal stencil without building the normal map, with or without numba.
 
 Without numba a depth frame has two paths.  `raycast_level_frame` casts
 the frame of a level camera (no roll or pitch) whose origin lies inside
 the grid: the rays of one image column share their x and y DDA crossings
 and those of one row their z crossings, so the crossings are built per
-column and row, and each column skips straight to the first xy cell
-whose vertical column it can hit.  Every other frame goes through
-`raycast_batch`.  Both end in one shared march loop, `_march`, and both
-are bitwise equal to `raycast_batch_scalar` on the same rays.
+column and row, each column skips straight to the first xy cell whose
+vertical column it can hit, and the pixels are resolved on that cell.
+Every other frame goes through `raycast_batch`.  Both end in one shared
+march loop, `_march`, and both are bitwise equal to
+`raycast_batch_scalar` on the same rays.
 
 All coordinates handed to these kernels are in *grid units* (world meters
 divided by voxel size, relative to the grid origin) unless noted otherwise.
@@ -33,6 +36,7 @@ __all__ = [
     "frechet_dp",
     "nearest_point_scan",
     "normals_from_depth",
+    "incidence_cosines",
 ]
 
 
@@ -651,10 +655,13 @@ def raycast_level_frame(occ, origin, cols, rows, t_cap, box, z_extent):
     voxel, which is far wider than the rounding of the crossing times:
     every voxel skipped is empty, so the DDA records no hit before that
     cell.  A ray that left the grid through z, or passed t_exit, before it
-    misses, as the DDA's ray does.  From that cell on the rays run through
-    the same march as :func:`raycast_batch_numpy`.  Columns whose
+    misses, as the DDA's ray does.  On that cell a ray whose voxel is
+    occupied hits at its entry time, as the march's first iteration
+    would; only the rays whose voxel there is empty run on, through the
+    same march as :func:`raycast_batch_numpy`.  Columns whose
     horizontal ray never meets the box's footprint padded by one voxel
-    before their cap miss with no table built.
+    before their cap miss with no table built; the others build their x
+    and y tables only up to their exit from that padded footprint.
     """
     if not math.isfinite(t_cap):
         # An uncapped ray that moves along no axis walks the grid at t = inf
@@ -699,15 +706,17 @@ def raycast_level_frame(occ, origin, cols, rows, t_cap, box, z_extent):
     col = np.flatnonzero(~outside & (enter <= leave))
     if col.size == 0:
         return out
-    lim = lim[col]
+    lim, leave = lim[col], leave[col]
     tmx, tdx, sx, tmy, tdy, sy = (a[col] for a in (tmx, tdx, sx, tmy, tdy, sy))
 
-    # Each column's x and y crossings, merged x before y on ties: exact up
-    # to its cap, which is all the segments that start below the cap use.
+    # Each column's x and y crossings, merged x before y on ties, up to its
+    # exit from the padded footprint, past which it meets no occupied
+    # column: the padding puts a whole crossing between the entry into any
+    # cell of the box's footprint and that exit, far more than rounding.
     # Segment j is the xy cell entered at start[:, j] (the origin's at
     # t = 0) and left at end[:, j].
-    tab_x = crossings(tmx, tdx, np.abs(cols[col, 0]) * lim, shape[0])
-    tab_y = crossings(tmy, tdy, np.abs(cols[col, 1]) * lim, shape[1])
+    tab_x = crossings(tmx, tdx, np.abs(cols[col, 0]) * leave, shape[0])
+    tab_y = crossings(tmy, tdy, np.abs(cols[col, 1]) * leave, shape[1])
     keys = np.concatenate([tab_x, tab_y], axis=1)
     order = np.argsort(keys, axis=1, kind="stable")
     times = np.sort(keys, axis=1)
@@ -719,10 +728,10 @@ def raycast_level_frame(occ, origin, cols, rows, t_cap, box, z_extent):
     start[:, 1:] = times
     end = np.full((col.size, segs), np.inf)
     end[:, :-1] = times
-    np.minimum(end, lim[:, None], out=end)
+    np.minimum(end, leave[:, None], out=end)
     cx = ix0 + sx[:, None] * n_x
     cy = iy0 + sy[:, None] * n_y
-    valid = (start <= lim[:, None]) & (cx >= 0) & (cx < shape[0]) & (cy >= 0) & (cy < shape[1])
+    valid = (start <= leave[:, None]) & (cx >= 0) & (cx < shape[0]) & (cy >= 0) & (cy < shape[1])
 
     # The z range the column's rays reach in each segment, widened by one
     # voxel, against the occupied z range of the segment's vertical column.
@@ -749,7 +758,7 @@ def raycast_level_frame(occ, origin, cols, rows, t_cap, box, z_extent):
     # i entry times at or below it lies below the (i + 1)-th smallest and
     # every later one.
     iz0, tmz, tdz, sz, ez = dda_setup(oz, rows, shape[2])
-    tab_z = crossings(tmz, tdz, np.abs(rows) * lim.max(), shape[2])
+    tab_z = crossings(tmz, tdz, np.abs(rows) * leave.max(), shape[2])
     by_time = np.argsort(t0)
     at_or_below = np.searchsorted(t0[by_time], tab_z, side="right")
     at_or_below += np.arange(h)[:, None] * (kept + 1)
@@ -757,29 +766,70 @@ def raycast_level_frame(occ, origin, cols, rows, t_cap, box, z_extent):
     n_z = np.empty((h, kept), dtype=np.int64)
     n_z[:, by_time] = np.cumsum(per_rank[:, :kept], axis=1)
 
-    # The march state of every pixel of the kept columns.  A pixel whose
-    # entry time lies past its exit, or whose z crossings carried it out of
-    # the grid, misses on the march's first iteration.
-    fstate = np.empty((8, h, kept))
-    fstate[0] = t0
-    fstate[1] = np.minimum(lim[c], ez[:, None])
-    fstate[2] = tab_x[c, n_x[c, first]]
-    fstate[3] = tab_y[c, n_y[c, first]]
-    fstate[4] = np.take_along_axis(tab_z, np.minimum(n_z, tab_z.shape[1] - 1), axis=1)
-    fstate[5] = tdx[c]
-    fstate[6] = tdy[c]
-    fstate[7] = tdz[:, None]
-    sign = np.empty((3, h, kept), dtype=np.int64)
-    sign[0] = sx[c]
-    sign[1] = sy[c]
-    sign[2] = sz[:, None]
-    cells = np.empty((3, h, kept), dtype=np.int64)
-    cells[0] = cx[c, first]
-    cells[1] = cy[c, first]
-    cells[2] = iz0 + sz[:, None] * n_z
+    # The march's first iteration, on `occ` itself: a pixel whose voxel
+    # (its z voxel moved by the z crossings below its entry time) lies in
+    # the grid and is occupied hits at its entry time, if that is not past
+    # its exit; one that left the grid through z, or whose entry time is
+    # past its exit, misses.  Only the rest march on.
+    ix, iy = cx[c, first], cy[c, first]
+    iz = iz0 + sz[:, None] * n_z
+    t_exit = np.minimum(lim[c], ez[:, None])
     ray = np.arange(h)[:, None] * w + col[c]
-    _march(occ, box, out, ray.ravel(), fstate.reshape(8, -1), sign.reshape(3, -1), cells.reshape(3, -1))
+    entered = (t0 <= t_exit) & (iz >= 0) & (iz < shape[2])
+    occupied = occ[ix, iy, np.clip(iz, 0, shape[2] - 1)].astype(np.bool_, copy=False)
+    hit = entered & occupied
+    out[ray[hit]] = np.broadcast_to(t0, hit.shape)[hit]
+    v, k = np.nonzero(entered & ~occupied)
+    if v.size == 0:
+        return out
+
+    # The march state of the pixels that march on.
+    fstate = np.empty((8, v.size))
+    fstate[0] = t0[k]
+    fstate[1] = t_exit[v, k]
+    fstate[2] = tab_x[c[k], n_x[c[k], first[k]]]
+    fstate[3] = tab_y[c[k], n_y[c[k], first[k]]]
+    fstate[4] = tab_z[v, np.minimum(n_z[v, k], tab_z.shape[1] - 1)]
+    fstate[5] = tdx[c[k]]
+    fstate[6] = tdy[c[k]]
+    fstate[7] = tdz[v]
+    sign = np.stack([sx[c[k]], sy[c[k]], sz[v]])
+    cells = np.stack([ix[k], iy[k], iz[v, k]])
+    _march(occ, box, out, ray[v, k], fstate, sign, cells)
     return out
+
+
+def _normal_stencil(depth, fx, fy, cx, cy, jump):
+    """The normal stencil of :func:`normals_from_depth_scalar` over the
+    inner pixels of `depth` (at least 3x3): the mask of the pixels it keeps
+    (none of the five depths nan, no neighbor more than `jump` from the
+    centre, a norm of at least 1e-15), the unnormalised normal components
+    and their norm, and the pixels' image columns `u` and rows `v`.  The
+    expressions are the scalar loop's, in its order, so the results are
+    bitwise equal to it.  Runs under the caller's `np.errstate`."""
+    h, w = depth.shape
+    zc = depth[1:-1, 1:-1]
+    zl = depth[1:-1, :-2]
+    zr = depth[1:-1, 2:]
+    zu = depth[:-2, 1:-1]
+    zd = depth[2:, 1:-1]
+    u = np.arange(1, w - 1)[None, :]
+    v = np.arange(1, h - 1)[:, None]
+    valid = ~(np.isnan(zc) | np.isnan(zl) | np.isnan(zr) | np.isnan(zu) | np.isnan(zd))
+    valid &= ~((abs(zr - zc) > jump) | (abs(zl - zc) > jump) | (abs(zu - zc) > jump) | (abs(zd - zc) > jump))
+    # Back-projected tangents along image u (right) and v (down).
+    txx = ((u + 1) - cx) / fx * zr - ((u - 1) - cx) / fx * zl
+    txy = (v - cy) / fy * (zr - zl)
+    txz = zr - zl
+    tyx = (u - cx) / fx * (zd - zu)
+    tyy = ((v + 1) - cy) / fy * zd - ((v - 1) - cy) / fy * zu
+    tyz = zd - zu
+    nxv = txy * tyz - txz * tyy
+    nyv = txz * tyx - txx * tyz
+    nzv = txx * tyy - txy * tyx
+    norm = np.sqrt(nxv * nxv + nyv * nyv + nzv * nzv)
+    valid &= ~(norm < 1e-15)
+    return valid, nxv, nyv, nzv, norm, u, v
 
 
 def normals_from_depth_numpy(depth, fx, fy, cx, cy, jump):
@@ -798,35 +848,8 @@ def normals_from_depth_numpy(depth, fx, fy, cx, cy, jump):
     out = np.full((h, w, 3), np.nan, dtype=np.float64)
     if h < 3 or w < 3:
         return out
-    zc = depth[1:-1, 1:-1]
-    zl = depth[1:-1, :-2]
-    zr = depth[1:-1, 2:]
-    zu = depth[:-2, 1:-1]
-    zd = depth[2:, 1:-1]
-    u = np.arange(1, w - 1)[None, :]
-    v = np.arange(1, h - 1)[:, None]
     with np.errstate(invalid="ignore", divide="ignore"):
-        valid = ~(
-            np.isnan(zc) | np.isnan(zl) | np.isnan(zr) | np.isnan(zu) | np.isnan(zd)
-        )
-        valid &= ~(
-            (abs(zr - zc) > jump)
-            | (abs(zl - zc) > jump)
-            | (abs(zu - zc) > jump)
-            | (abs(zd - zc) > jump)
-        )
-        # Back-projected tangents along image u (right) and v (down).
-        txx = ((u + 1) - cx) / fx * zr - ((u - 1) - cx) / fx * zl
-        txy = (v - cy) / fy * (zr - zl)
-        txz = zr - zl
-        tyx = (u - cx) / fx * (zd - zu)
-        tyy = ((v + 1) - cy) / fy * zd - ((v - 1) - cy) / fy * zu
-        tyz = zd - zu
-        nxv = txy * tyz - txz * tyy
-        nyv = txz * tyx - txx * tyz
-        nzv = txx * tyy - txy * tyx
-        norm = np.sqrt(nxv * nxv + nyv * nyv + nzv * nzv)
-        valid &= ~(norm < 1e-15)
+        valid, nxv, nyv, nzv, norm, u, v = _normal_stencil(depth, fx, fy, cx, cy, jump)
         nxv /= norm
         nyv /= norm
         nzv /= norm
@@ -839,6 +862,26 @@ def normals_from_depth_numpy(depth, fx, fy, cx, cy, jump):
     inner = out[1:-1, 1:-1]
     inner[valid] = normals[valid]
     return out
+
+
+def incidence_cosines(depth, fx, fy, cx, cy, jump):
+    """The unsigned optical-axis component of every finite normal of
+    :func:`normals_from_depth`: a (K,) array, row-major.
+
+    Each value is `nz / norm` of the stencil, bitwise; the normal map's
+    flip toward the camera only changes its sign.  The pixels are those the
+    normal map marks valid, less any whose cosine is not finite (a stencil
+    holding an inf depth), so the values are exactly the normal map's
+    finite z components, up to sign.  No normal map is built, and an image
+    whose inner pixels are all nan (or one smaller than 3x3) returns an
+    empty array at once.  This is a numpy kernel with or without numba.
+    """
+    if np.isnan(depth[1:-1, 1:-1]).all():
+        return np.empty(0)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        valid, _, _, nzv, norm, _, _ = _normal_stencil(depth, fx, fy, cx, cy, jump)
+        cosines = nzv[valid] / norm[valid]
+    return cosines[np.isfinite(cosines)]
 
 
 # numba compiles the scalar loops; without it the vectorized numpy kernels

@@ -7,7 +7,10 @@ from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .depthcam import estimate_normal_map
+from . import kernels
+# Unused here, but importable from this module: perfbench's tracer
+# (`perfbench/tracing.py`) wraps `metrics.estimate_normal_map`.
+from .depthcam import estimate_normal_map  # noqa: F401
 from .geometry import NoSurfaceError, PathSegment, Pose6, nearest_point
 
 __all__ = [
@@ -27,15 +30,24 @@ def viewpoint_utility(depth, intrinsics, jump=0.3):
     Per-pixel normals are estimated from the depth image; the incidence
     cosine compares each normal against the camera view direction (the
     optical axis), so a fronto-parallel surface scores 1 regardless of
-    where it sits in the image.  Raises NoSurfaceError when no pixel has a
-    valid normal.
+    where it sits in the image.  The pixels and cosines are those of
+    :func:`estimate_normal_map`'s finite normals, but only the cosines are
+    computed (`kernels.incidence_cosines`).  Raises NoSurfaceError when no
+    pixel has a valid normal.
     """
-    normals = estimate_normal_map(depth, intrinsics, jump=jump)
-    nz = normals[..., 2]
-    valid = np.isfinite(nz)
-    if not valid.any():
+    if depth.height < 3 or depth.width < 3:
+        raise ValueError("normal estimation needs at least a 3x3 image")
+    cosines = kernels.incidence_cosines(
+        depth.data,
+        float(intrinsics.fx),
+        float(intrinsics.fy),
+        float(intrinsics.cx),
+        float(intrinsics.cy),
+        float(jump),
+    )
+    if cosines.size == 0:
         raise NoSurfaceError("no valid surface pixels in view")
-    return float(np.abs(nz[valid]).mean())
+    return float(np.abs(cosines).mean())
 
 
 def path_rmse(a, b):

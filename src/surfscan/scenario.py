@@ -100,16 +100,12 @@ class ScenarioConfig:
             ("yaw_tol", self.yaw_tol, "positive"),
             ("robot.v_max", self.v_max, "non-negative"),
             ("robot.w_max", self.w_max, "non-negative"),
-            ("view.d_view", self.view.d_view, "positive"),
             ("camera.max_range", self.camera.max_range, "positive"),
             ("sensing.range", self.sense_range, "positive"),
             ("sensing.odom_sigma_xy", self.odom_sigma_xy, "non-negative"),
             ("sensing.odom_sigma_psi", self.odom_sigma_psi, "non-negative"),
         ):
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value}")
-            if value < 0 or (value == 0 and sign == "positive"):
-                raise ValueError(f"{name} must be {sign}, got {value}")
+            _check_number(name, value, sign)
         if not (0.0 < self.gamma_t <= 1.0):
             raise ValueError("gamma_t must lie in (0, 1]")
         if self.horizon < 1:
@@ -152,6 +148,15 @@ def _finite_tuple(value, n, name, fields):
     if len(out) != n or not all(map(math.isfinite, out)):
         raise ValueError(f"{name} must be {n} finite numbers ({fields}), got {value!r}")
     return out
+
+
+def _check_number(name, value, sign):
+    """ValueError naming `name` unless `value` is finite and, as `sign`
+    says, non-negative or positive."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if value < 0 or (value == 0 and sign == "positive"):
+        raise ValueError(f"{name} must be {sign}, got {value}")
 
 
 def build_scene(cfg, base_dir=None):
@@ -252,20 +257,25 @@ def load_scenario(path):
 def _parse_scenario(raw, path):
     raw = _mapping(raw, "")
     view_raw = _mapping(raw.get("view"), "view")
+    # Checked before the constructors run, so that the error names the section.
+    d_view = float(view_raw.get("d_view", 2.0))
+    _check_number("view.d_view", d_view, "positive")
     view = ViewConstraints(
-        d_view=float(view_raw.get("d_view", 2.0)),
+        d_view=d_view,
         gamma_h=float(view_raw.get("gamma_h", 0.6)),
         gamma_v=float(view_raw.get("gamma_v", 0.6)),
         alpha=np.deg2rad(float(view_raw.get("alpha_deg", 69.5))),
         beta=np.deg2rad(float(view_raw.get("beta_deg", 45.0))),
     )
     cam_raw = _mapping(raw.get("camera"), "camera")
+    max_range = float(cam_raw.get("max_range", 5.0))
+    _check_number("camera.max_range", max_range, "positive")
     camera = CameraIntrinsics(
         alpha=np.deg2rad(float(cam_raw.get("alpha_deg", np.rad2deg(view.alpha)))),
         beta=np.deg2rad(float(cam_raw.get("beta_deg", np.rad2deg(view.beta)))),
         width=int(cam_raw.get("width", 80)),
         height=int(cam_raw.get("height", 60)),
-        max_range=float(cam_raw.get("max_range", 5.0)),
+        max_range=max_range,
     )
     maps_raw = _mapping(raw.get("maps"), "maps")
     delta_raw = maps_raw.get("delta")

@@ -46,3 +46,22 @@ def wall_slabs(draw):
         y1, z1 = draw(st.integers(y0 + 1, hi[1])), draw(st.integers(z0 + 1, hi[2]))
         occ[lo[0] : lo[0] + depth, y0:y1, z0:z1] = False
     return occ
+
+
+@st.composite
+def depth_images(draw, min_side=1):
+    """A depth image up to 10x10: a tilted plane, noisy or not, with depth
+    jumps and invalid (nan) pixels."""
+    h = draw(st.integers(min_side, 10))
+    w = draw(st.integers(min_side, 10))
+    v, u = np.mgrid[0:h, 0:w].astype(np.float64)
+    a, b = draw(st.sampled_from([0.0, 0.05, -0.1])), draw(st.sampled_from([0.0, 0.02, 0.2]))
+    c = draw(st.sampled_from([0.0, 1.0, 2.5]))  # 0.0 gives degenerate all-zero patches
+    depth = a * u + b * v + c
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    depth += draw(st.sampled_from([0.0, 1e-3, 0.2])) * rng.standard_normal((h, w))
+    # Depth jumps and invalid (nan) pixels.
+    depth[rng.random((h, w)) < draw(st.sampled_from([0.0, 0.1]))] += 1.0
+    depth[rng.random((h, w)) < draw(st.sampled_from([0.0, 0.1, 0.3]))] = np.nan
+    return depth

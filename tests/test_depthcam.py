@@ -24,6 +24,10 @@ def test_intrinsics_validation():
         CameraIntrinsics(alpha=0.0, beta=1.0)
     with pytest.raises(ValueError):
         CameraIntrinsics(alpha=1.0, beta=1.0, width=2, height=10)
+    with pytest.raises(ValueError, match="max_range"):
+        CameraIntrinsics(1.2, 0.8, 12, 10, float("nan"))
+    # An uncapped camera stays legal: render_depth casts its rays uncapped.
+    assert CameraIntrinsics(1.2, 0.8, 12, 10, float("inf")).max_range == float("inf")
 
 
 def test_fronto_parallel_wall_normals():

@@ -76,6 +76,12 @@ def test_view_constraints_rejects_unit_overlap():
         ViewConstraints(gamma_h=1.0)
 
 
+@pytest.mark.parametrize("d_view", [float("nan"), float("inf"), 0.0])
+def test_view_constraints_rejects_a_non_finite_or_non_positive_standoff(d_view):
+    with pytest.raises(ValueError, match="d_view"):
+        ViewConstraints(d_view=d_view)
+
+
 # ---------------------------------------------------------------- grid viewpoints
 
 

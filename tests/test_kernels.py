@@ -17,7 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from strategies import direction_component, grid_coordinate, occupancy_grids, wall_slabs
+from strategies import depth_images, direction_component, grid_coordinate, occupancy_grids, wall_slabs
 from surfscan import kernels
 from surfscan._accel import py_func
 from surfscan.world import VoxelMap, is_collision_free
@@ -373,7 +373,43 @@ def long_level_approach():
     return occ, origin, cols, np.linspace(-0.03, 0.03, 7), 400.0
 
 
+def under_a_shelf():
+    """An overhang above the low rows in front of a full-height wall: the
+    first candidate cell is the shelf's, the top row hits the shelf there
+    and the lower rows pass under it and march on to the wall."""
+    occ = np.zeros((10, 3, 8), dtype=np.bool_)
+    occ[3:5, :, 5:] = True
+    occ[8] = True
+    cols = np.array([[1.0, 0.0], [1.0, 0.1]])
+    return occ, np.array([0.5, 1.5, 2.5]), cols, np.array([-0.3, 0.0, 0.2, 0.5, 1.0]), 20.0
+
+
+def corner_exits():
+    """Two rows that leave the grid, through its floor and its top, where
+    they enter the wall's cell: their last z crossing, summed, lies one
+    rounding below the entry time, which equals their exit from the grid.
+    Their voxels are carried out of the grid, so they miss, though they are
+    not past their exits; the level row hits the wall on entering its
+    cell."""
+    occ = np.zeros((3, 1, 3), dtype=np.bool_)
+    occ[1] = True
+    return occ, np.array([0.5, 0.5, 1.5]), np.array([[0.7, 0.0]]), np.array([-2.1, 0.0, 2.1]), 10.0
+
+
+def top_corner_exit():
+    """A row aimed at the top edge of the wall's face: its entry time into
+    the wall's cell, summed, lies one rounding past its exit from the grid
+    through the top, while its z crossings below the entry leave its voxel
+    in the grid.  It misses for being past its exit."""
+    occ = np.zeros((7, 1, 5), dtype=np.bool_)
+    occ[5] = True
+    return occ, np.array([0.5, 0.5, 0.5]), np.array([[0.3, 0.0]]), np.array([0.3, 0.0]), 60.0
+
+
 @given(frame=level_frames())
+@example(frame=under_a_shelf())
+@example(frame=corner_exits())
+@example(frame=top_corner_exit())
 @example(frame=vertical_column())
 @example(frame=top_face_start())
 @example(frame=long_level_approach())
@@ -495,23 +531,6 @@ def test_raycast_zero_direction_keeps_its_uncapped_walk_into_the_box():
     assert got.tolist() == [math.inf]
 
 
-@st.composite
-def depth_images(draw):
-    h = draw(st.integers(1, 10))
-    w = draw(st.integers(1, 10))
-    v, u = np.mgrid[0:h, 0:w].astype(np.float64)
-    a, b = draw(st.sampled_from([0.0, 0.05, -0.1])), draw(st.sampled_from([0.0, 0.02, 0.2]))
-    c = draw(st.sampled_from([0.0, 1.0, 2.5]))  # 0.0 gives degenerate all-zero patches
-    depth = a * u + b * v + c
-    seed = draw(st.integers(0, 2**32 - 1))
-    rng = np.random.default_rng(seed)
-    depth += draw(st.sampled_from([0.0, 1e-3, 0.2])) * rng.standard_normal((h, w))
-    # Depth jumps and invalid (nan) pixels.
-    depth[rng.random((h, w)) < draw(st.sampled_from([0.0, 0.1]))] += 1.0
-    depth[rng.random((h, w)) < draw(st.sampled_from([0.0, 0.1, 0.3]))] = np.nan
-    return depth
-
-
 @given(
     depth=depth_images(),
     f=st.sampled_from([5.0, 20.0, 80.0]),
@@ -524,6 +543,8 @@ def test_normals_match_scalar_oracle(depth, f, jump):
     got = kernels.normals_from_depth(*args)
     ref = py_func(kernels.normals_from_depth_scalar)(*args)
     assert np.array_equal(got, ref, equal_nan=True)
+    nz = ref[..., 2]
+    assert same_bits(np.abs(kernels.incidence_cosines(*args)), np.abs(nz[np.isfinite(nz)]))
 
 
 def point_is_free_oracle(occ, g, radius):

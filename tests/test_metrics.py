@@ -1,6 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from strategies import depth_images
+from surfscan import kernels
+from surfscan._accel import py_func
 from surfscan.depthcam import CameraIntrinsics, DepthImage
 from surfscan.geometry import NoSurfaceError, PathSegment, Pose6, PointCloud
 from surfscan.metrics import (
@@ -56,6 +61,77 @@ def test_utility_no_valid_pixels():
     img = DepthImage(np.full((CAM.height, CAM.width), np.nan), POSE)
     with pytest.raises(NoSurfaceError):
         viewpoint_utility(img, CAM)
+
+
+def test_utility_rejects_an_image_smaller_than_3x3():
+    with pytest.raises(ValueError, match="3x3"):
+        viewpoint_utility(DepthImage(np.full((2, 5), 1.0), POSE), CAM)
+
+
+def utility_oracle(depth, cam, jump):
+    """The utility as the normal map defines it: the mean |z| of the finite
+    normals of the scalar loop, or None when there are none."""
+    # A stencil holding an inf depth gives nan tangents.
+    with np.errstate(invalid="ignore", divide="ignore"):
+        normals = py_func(kernels.normals_from_depth_scalar)(
+            depth, float(cam.fx), float(cam.fy), float(cam.cx), float(cam.cy), jump
+        )
+    nz = normals[..., 2]
+    finite = nz[np.isfinite(nz)]
+    return float(np.abs(finite).mean()) if finite.size else None
+
+
+def curved_depth(h=5, w=5):
+    """A surface whose normal changes from pixel to pixel."""
+    v, u = np.mgrid[0:h, 0:w].astype(np.float64)
+    return 2.0 + 0.05 * u**2 + 0.03 * u * v
+
+
+def with_pixel(depth, pixel, value):
+    depth = depth.copy()
+    depth[pixel] = value
+    return depth
+
+
+# Only the centre's own nan test drops this centre pixel: its normal comes
+# from its four finite neighbors.
+NAN_CENTRE = with_pixel(curved_depth(), (2, 2), np.nan)
+# Pixel (1, 1)'s up neighbor lies exactly `jump` = 0.25 from it (kept);
+# pixel (1, 2)'s down neighbor just past it (dropped).
+JUMP_EDGE = with_pixel(with_pixel(np.ones((3, 4)), (0, 1), 1.25), (2, 2), np.nextafter(1.25, 2.0))
+# Pixel (1, 1)'s four neighbors are 0: a zero normal, dropped; pixel (1, 2)
+# is valid.
+ZERO_NORM = np.array([[0.0, 0.0, 0.3, 0.0], [0.0, 0.2, 0.0, 0.5], [0.0, 0.0, 0.6, 0.0]])
+# Nanometre depths around pixel (1, 1): a normal of norm about 1e-18, below
+# the 1e-15 floor but with a finite cosine, dropped.
+TINY_NORM = ZERO_NORM + np.array([[0.0, 3e-9, 0.0, 0.0], [1e-9, 0.0, 2e-9, 0.0], [0.0, 1.5e-9, 0.0, 0.0]])
+# With an infinite jump an inf centre keeps a finite normal from its
+# neighbors, while its neighbors' stencils give nan normals.
+INF_CENTRE = with_pixel(curved_depth(), (2, 2), np.inf)
+
+
+@given(
+    depth=depth_images(min_side=3),
+    fov=st.sampled_from([0.3, 1.2, 2.5]),
+    jump=st.sampled_from([0.05, 0.3, 2.0]),
+)
+@example(depth=NAN_CENTRE, fov=1.2, jump=2.0)
+@example(depth=np.full((4, 5), np.nan), fov=1.2, jump=0.3)
+@example(depth=JUMP_EDGE, fov=1.2, jump=0.25)
+@example(depth=ZERO_NORM, fov=1.2, jump=2.0)
+@example(depth=TINY_NORM, fov=1.2, jump=2.0)
+@example(depth=INF_CENTRE, fov=1.2, jump=np.inf)
+@settings(max_examples=150, deadline=None)
+def test_utility_matches_normal_map_oracle(depth, fov, jump):
+    h, w = depth.shape
+    cam = CameraIntrinsics(fov, 0.8 * fov, w, h)
+    want = utility_oracle(depth, cam, jump)
+    img = DepthImage(depth, POSE)
+    if want is None:
+        with pytest.raises(NoSurfaceError):
+            viewpoint_utility(img, cam, jump)
+    else:
+        assert viewpoint_utility(img, cam, jump).hex() == want.hex()
 
 
 def test_utility_roll_invariance(wall_map):
