@@ -1,17 +1,16 @@
 #!/usr/bin/env python3
 """Benchmark the hot kernels at full size.
 
-`raycast_batch` and `normals_from_depth` have two implementations: the
-scalar loops (numba compiles them; as plain Python they are the bitwise
-test oracle) and the vectorized numpy kernels, which are what runs when
-numba is absent.  Both are timed on the cases a mission runs every control
-step, from a pose in the `receding` demo's scene: the 80x60 depth image
-(5 m range), the 2048-ray 12 m omnidirectional scan, the same scan in
-nearest-return mode (as the mission's scans run) and the depth image's
-normal map.  The numpy raycasts are clipped to the map's occupied box, as
-`render_depth` and `sample_cloud` cast them; the scalar loop casts
-unclipped, as the tests' oracle does.  `frechet_dp` and `point_is_free`
-have only the scalar loops.  The control rows time `point_is_free` over
+`raycast_batch` and `normals_from_depth` are vectorized numpy kernels;
+their scalar loops (`raycast_batch_scalar`, `normals_from_depth_scalar`)
+are the tests' bitwise oracles.  Both are timed on the cases a mission
+runs every control step, from a pose in the `receding` demo's scene: the
+80x60 depth image (5 m range), the 2048-ray 12 m omnidirectional scan,
+the same scan in nearest-return mode (as the mission's scans run) and
+the depth image's normal map.  The numpy raycasts are clipped to the
+map's occupied box, as `render_depth` and `sample_cloud` cast them; the
+scalar loop casts unclipped, as the tests' oracle does.  `frechet_dp` and
+`point_is_free` are plain loops, with no vectorized form.  The control rows time `point_is_free` over
 the 41 points of a 2 m tracking step along the same scene's face (from
 the sensing pose, and 0.6 m from the face where it has not receded),
 clipped to the occupied box, as `is_collision_free` calls it, against the
@@ -31,7 +30,6 @@ sensing pose's depth image as `viewpoint_utility` computes it,
 `incidence_cosines` and the mean of their magnitudes, against the mean
 over the finite z components of `estimate_normal_map`'s normal map,
 after checking that both give the same bits.
-The jitted column is printed only when numba is enabled.
 
 The planning rows run at site scale (a 40 x 40 x 2.4 m yard at 0.1 m
 voxels, 400x400x24, inflation 0.5 m): `VoxelMap.free_mask` (the separable
@@ -60,7 +58,6 @@ from scipy import ndimage
 
 from surfscan import global_plan, kernels, world
 from surfscan.depthcam import estimate_normal_map
-from surfscan._accel import NUMBA_ENABLED, py_func
 from surfscan.geometry import Pose6, ViewPose4
 from surfscan.scenario import build_scene, demo_scenario
 from surfscan.world import Box, VoxelMap, camera_axes_world, fibonacci_directions, render_depth
@@ -98,28 +95,28 @@ def sensing_cases():
         (
             f"raycast camera {cam.width}x{cam.height}",
             kernels.raycast_batch_scalar,
-            kernels.raycast_batch_numpy,
+            kernels.raycast_batch,
             (vmap.occ, origin, cam_dirs, float(cam.max_range)),
             clip,
         ),
         (
             "raycast scan 2048 rays",
             kernels.raycast_batch_scalar,
-            kernels.raycast_batch_numpy,
+            kernels.raycast_batch,
             (vmap.occ, origin, scan_dirs, 12.0),
             clip,
         ),
         (
             "raycast scan 2048 nearest",
             kernels.raycast_batch_scalar,
-            kernels.raycast_batch_numpy,
+            kernels.raycast_batch,
             (vmap.occ, origin, scan_dirs, 12.0, True),
             clip,
         ),
         (
             f"normals {cam.width}x{cam.height}",
             kernels.normals_from_depth_scalar,
-            kernels.normals_from_depth_numpy,
+            kernels.normals_from_depth,
             (depth, float(cam.fx), float(cam.fy), float(cam.cx), float(cam.cy), 0.3),
             {},
         ),
@@ -304,32 +301,20 @@ def ms(seconds):
 
 
 def main():
-    print(f"numba enabled: {NUMBA_ENABLED}")
-    header = f"{'case':<26}{'numpy':>14}{'python loop':>14}{'python/numpy':>14}"
-    if NUMBA_ENABLED:
-        header += f"{'numba':>14}"
-    print(header)
+    print(f"{'case':<26}{'numpy':>14}{'python loop':>14}{'python/numpy':>14}")
     for name, scalar, vectorized, args, kwargs in sensing_cases():
         t_np = timeit(vectorized, *args, **kwargs)
-        t_py = timeit(py_func(scalar), *args, repeat=2)
-        row = f"{name:<26}{ms(t_np)}{ms(t_py)}{t_py / t_np:>13.1f}x"
-        if NUMBA_ENABLED:
-            scalar(*args, **kwargs)  # compile
-            row += ms(timeit(scalar, *args, **kwargs))
-        print(row)
+        t_py = timeit(scalar, *args, repeat=2)
+        print(f"{name:<26}{ms(t_np)}{ms(t_py)}{t_py / t_np:>13.1f}x")
     for name, run, kernel in scalar_only_cases():
-        t_py = timeit(run, py_func(kernel), repeat=2)
-        row = f"{name:<26}{'-':>14}{ms(t_py)}{'-':>14}"
-        if NUMBA_ENABLED:
-            run(kernel)  # compile
-            row += ms(timeit(run, kernel))
-        print(row)
+        t_py = timeit(run, kernel, repeat=2)
+        print(f"{name:<26}{'-':>14}{ms(t_py)}{'-':>14}")
     print(f"{'level camera':<26}{'frame':>14}{'batch':>14}{'batch/frame':>14}")
     for name, frame_args, batch_args, batch_kwargs in frame_cases():
         got = kernels.raycast_level_frame(*frame_args)
-        assert np.array_equal(got.view(np.int64), kernels.raycast_batch_numpy(*batch_args, **batch_kwargs).view(np.int64))
+        assert np.array_equal(got.view(np.int64), kernels.raycast_batch(*batch_args, **batch_kwargs).view(np.int64))
         t_frame = timeit(kernels.raycast_level_frame, *frame_args)
-        t_batch = timeit(kernels.raycast_batch_numpy, *batch_args, **batch_kwargs)
+        t_batch = timeit(kernels.raycast_batch, *batch_args, **batch_kwargs)
         print(f"{name:<26}{ms(t_frame)}{ms(t_batch)}{t_batch / t_frame:>13.1f}x")
     name, from_cosines, from_normal_map = utility_case()
     assert np.array_equal(from_cosines()[0].view(np.int64), from_normal_map()[0].view(np.int64))
@@ -342,9 +327,9 @@ def main():
 
     def single_calls():
         for origin in origins:
-            kernels.raycast_batch_numpy(occ, origin, dirs, 12.0, True, box=box)
+            kernels.raycast_batch(occ, origin, dirs, 12.0, True, box=box)
 
-    t_one = timeit(kernels.raycast_batch_numpy, occ, origins, tiled, 12.0, True, box=box)
+    t_one = timeit(kernels.raycast_batch, occ, origins, tiled, 12.0, True, box=box)
     t_single = timeit(single_calls)
     print(f"{'batched':<26}{'one call':>14}{'8 calls':>14}{'calls/one':>14}")
     print(f"{name:<26}{ms(t_one)}{ms(t_single)}{t_single / t_one:>13.1f}x")

@@ -7,7 +7,6 @@ with rigid reconciliation of the global plan, and a deterministic mission
 simulator with depth-image viewpoint-quality metrics.
 """
 
-from ._accel import NUMBA_ENABLED
 from .controller import add_odometry_noise, track_step
 from .depthcam import CameraIntrinsics, DepthImage, estimate_normal_map
 from .geometry import (
@@ -77,3 +76,6 @@ from .world import (
 )
 
 __version__ = "0.1.0"
+
+# There is no jitted path; perfbench/run.py's environment line reads this.
+NUMBA_ENABLED = False

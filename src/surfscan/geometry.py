@@ -373,8 +373,10 @@ def nearest_point(cloud, q):
     if cloud.is_empty:
         raise NoSurfaceError("nearest_point on an empty cloud")
     q = _as_vec3(q, "query")
-    idx, dist = kernels.nearest_point_scan(cloud.points, q[0], q[1], q[2])
-    return cloud.points[idx].copy(), float(dist)
+    dx, dy, dz = (cloud.points - q).T
+    d2 = dx * dx + dy * dy + dz * dz
+    idx = int(np.argmin(d2))
+    return cloud.points[idx].copy(), float(np.sqrt(d2[idx]))
 
 
 def discrete_frechet(a, b):

@@ -1,17 +1,15 @@
 """Numeric inner loops: voxel raycasting, clearance scans, path DP.
 
-The kernels are written as plain loops over numpy arrays, which numba
-JIT-compiles when :mod:`surfscan._accel` enables it.  The two sensing
-kernels, `raycast_batch` and `normals_from_depth`, also have vectorized
-numpy forms that run when numba is absent; the scalar loops
-(`raycast_batch_scalar`, `normals_from_depth_scalar`) stay as the jitted
-source and as the bitwise reference for the vectorized forms.
-`incidence_cosines`, the per-step utility's kernel, evaluates the numpy
-normal stencil without building the normal map, with or without numba.
+The two sensing kernels, `raycast_batch` and `normals_from_depth`, are
+vectorized numpy kernels.  Their per-ray and per-pixel scalar loops
+(`raycast_batch_scalar`, `normals_from_depth_scalar`) are kept as the
+bitwise reference the tests check them against.  `incidence_cosines`, the
+per-step utility's kernel, evaluates the normal stencil without building
+the normal map.
 
-Without numba a depth frame has two paths.  `raycast_level_frame` casts
-the frame of a level camera (no roll or pitch) whose origin lies inside
-the grid: the rays of one image column share their x and y DDA crossings
+A depth frame has two paths.  `raycast_level_frame` casts the frame of
+a level camera (no roll or pitch) whose origin lies inside the grid: the
+rays of one image column share their x and y DDA crossings
 and those of one row their z crossings, so the crossings are built per
 column and row, each column skips straight to the first xy cell whose
 vertical column it can hit, and the pixels are resolved on that cell.
@@ -27,20 +25,16 @@ import math
 
 import numpy as np
 
-from ._accel import NUMBA_ENABLED, njit
-
 __all__ = [
     "raycast_batch",
     "raycast_level_frame",
     "point_is_free",
     "frechet_dp",
-    "nearest_point_scan",
     "normals_from_depth",
     "incidence_cosines",
 ]
 
 
-@njit(cache=True)
 def _ray_first_hit(occ, ox, oy, oz, dx, dy, dz, t_cap):
     """March one ray through the occupancy grid (Amanatides-Woo DDA).
 
@@ -154,7 +148,6 @@ def _ray_first_hit(occ, ox, oy, oz, dx, dy, dz, t_cap):
     return -1.0
 
 
-@njit(cache=True)
 def _nearest_bound(t):
     """Largest hit parameter a nearest-mode cast keeps, given the nearest
     hit `t`: a relative and an absolute margin of 1e-9 above it.  Rounding
@@ -163,7 +156,6 @@ def _nearest_bound(t):
     return t * (1.0 + 1e-9) + 1e-9
 
 
-@njit(cache=True)
 def _box_exit(box, ox, oy, oz, dx, dy, dz):
     """Ray parameter at which a ray leaves `box` (a (2, 3) array of the
     first and one-past-last occupied voxel per axis) padded by one voxel;
@@ -186,16 +178,15 @@ def _box_exit(box, ox, oy, oz, dx, dy, dz):
     return t_exit
 
 
-@njit(cache=True)
 def raycast_batch_scalar(occ, origin, dirs, t_cap, nearest=False, box=None):
-    """Scalar loop behind :func:`raycast_batch`: one `_ray_first_hit` per ray.
+    """Scalar loop of :func:`raycast_batch`: one `_ray_first_hit` per ray.
 
-    This is the source numba compiles and the bitwise reference the
-    vectorized kernel is tested against.  A (G, 3) `origin` casts the rays
-    in G equal consecutive runs, run g from origin g.  With `nearest`, each
-    ray is cast with its cap lowered to the bound of the nearest hit so far
-    from its own origin.  With `box`, each ray's cap is also lowered to its
-    exit from the padded box (see :func:`raycast_batch_numpy`).
+    This is the bitwise reference the vectorized kernel is tested against.
+    A (G, 3) `origin` casts the rays in G equal consecutive runs, run g
+    from origin g.  With `nearest`, each ray is cast with its cap lowered
+    to the bound of the nearest hit so far from its own origin.  With
+    `box`, each ray's cap is also lowered to its exit from the padded box
+    (see :func:`raycast_batch`).
     """
     n = dirs.shape[0]
     origins = origin.reshape(-1, 3)
@@ -222,7 +213,6 @@ def raycast_batch_scalar(occ, origin, dirs, t_cap, nearest=False, box=None):
     return out
 
 
-@njit(cache=True)
 def point_is_free(occ, gx, gy, gz, radius, box):
     """True iff no occupied voxel box lies within `radius` of the point.
 
@@ -269,7 +259,6 @@ def point_is_free(occ, gx, gy, gz, radius, box):
     return True
 
 
-@njit(cache=True)
 def frechet_dp(a, b):
     """Discrete Frechet distance between point sequences a (n,3) and b (m,3)
     via the standard O(n*m) coupling dynamic program."""
@@ -294,28 +283,11 @@ def frechet_dp(a, b):
     return ca[n - 1, m - 1]
 
 
-@njit(cache=True)
-def nearest_point_scan(points, qx, qy, qz):
-    """Index and distance of the point nearest to q; ties keep the lowest index."""
-    best = -1
-    best2 = np.inf
-    for i in range(points.shape[0]):
-        dx = points[i, 0] - qx
-        dy = points[i, 1] - qy
-        dz = points[i, 2] - qz
-        d2 = dx * dx + dy * dy + dz * dz
-        if d2 < best2:
-            best2 = d2
-            best = i
-    return best, math.sqrt(best2)
-
-
-@njit(cache=True)
 def normals_from_depth_scalar(depth, fx, fy, cx, cy, jump):
-    """Per-pixel loop behind :func:`normals_from_depth`.
+    """Per-pixel loop of :func:`normals_from_depth`.
 
-    This is the source numba compiles and the bitwise reference the
-    array-sliced kernel is tested against.
+    This is the bitwise reference the array-sliced kernel is tested
+    against.
     """
     h, w = depth.shape
     out = np.full((h, w, 3), np.nan, dtype=np.float64)
@@ -421,7 +393,7 @@ def _crossings_below(tmax, tdel, limit):
 # A tiny direction component divides and sums to the intended +-inf, and
 # one that is zero gives nan where its axis is masked out: no warnings.
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def raycast_batch_numpy(occ, origin, dirs, t_cap, nearest=False, box=None):
+def raycast_batch(occ, origin, dirs, t_cap, nearest=False, box=None):
     """First-hit parameter for a batch of rays from one or more origins.
 
     origin: (3,) grid-unit coordinates, or (G, 3) for G scans in one call.
@@ -555,7 +527,7 @@ def _march(occ, box, out, ray, fstate, sign, cells, per=0, groups=1):
         # March over the smallest block of the grid that holds the occupied
         # box and the first voxel of every ray in the grid: a ray leaving
         # it has passed the box on that axis and can hit nothing more.
-        # After `raycast_batch_numpy`'s skip that is the box padded by two
+        # After `raycast_batch`'s skip that is the box padded by two
         # voxels at most (a skipped ray stops in the voxel before the
         # padded box's face), unless an uncapped walk at t = inf, which
         # skips nothing, starts farther out; a level frame's rays start in
@@ -658,7 +630,7 @@ def raycast_level_frame(occ, origin, cols, rows, t_cap, box, z_extent):
     misses, as the DDA's ray does.  On that cell a ray whose voxel is
     occupied hits at its entry time, as the march's first iteration
     would; only the rays whose voxel there is empty run on, through the
-    same march as :func:`raycast_batch_numpy`.  Columns whose
+    same march as :func:`raycast_batch`.  Columns whose
     horizontal ray never meets the box's footprint padded by one voxel
     before their cap miss with no table built; the others build their x
     and y tables only up to their exit from that padded footprint.
@@ -832,7 +804,7 @@ def _normal_stencil(depth, fx, fy, cx, cy, jump):
     return valid, nxv, nyv, nzv, norm, u, v
 
 
-def normals_from_depth_numpy(depth, fx, fy, cx, cy, jump):
+def normals_from_depth(depth, fx, fy, cx, cy, jump):
     """Per-pixel unit surface normals (camera frame, +z optical axis).
 
     Central differences of back-projected neighbors; pixels at the border,
@@ -874,7 +846,7 @@ def incidence_cosines(depth, fx, fy, cx, cy, jump):
     holding an inf depth), so the values are exactly the normal map's
     finite z components, up to sign.  No normal map is built, and an image
     whose inner pixels are all nan (or one smaller than 3x3) returns an
-    empty array at once.  This is a numpy kernel with or without numba.
+    empty array at once.
     """
     if np.isnan(depth[1:-1, 1:-1]).all():
         return np.empty(0)
@@ -883,12 +855,3 @@ def incidence_cosines(depth, fx, fy, cx, cy, jump):
         cosines = nzv[valid] / norm[valid]
     return cosines[np.isfinite(cosines)]
 
-
-# numba compiles the scalar loops; without it the vectorized numpy kernels
-# are the fast path.
-if NUMBA_ENABLED:
-    raycast_batch = raycast_batch_scalar
-    normals_from_depth = normals_from_depth_scalar
-else:
-    raycast_batch = raycast_batch_numpy
-    normals_from_depth = normals_from_depth_numpy

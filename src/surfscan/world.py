@@ -317,6 +317,16 @@ def fibonacci_directions(n):
     return dirs
 
 
+def _check_scan(max_range, ray_count):
+    """Reject a scan that could return nothing for a bad argument: a range
+    that is not positive (nan included; an infinite one is legal) or fewer
+    than one ray."""
+    if not max_range > 0:
+        raise ValueError(f"max_range must be positive, got {max_range}")
+    if not ray_count >= 1:
+        raise ValueError(f"ray_count must be at least 1, got {ray_count}")
+
+
 def _first_hits(vmap, origin_g, dirs_g, t_cap, nearest=False):
     """`kernels.raycast_batch` on the map (from one origin or several),
     clipped to its occupied box; on an empty map every ray misses and
@@ -359,9 +369,8 @@ def render_depth(vmap, pose, intrinsics):
     camera (right and forward axes with zero z, down axis (0, 0, -1))
     with a finite range whose origin lies inside the grid goes to
     `kernels.raycast_level_frame`, which shares each image column's x/y
-    and each row's z DDA crossings, when numba is not enabled.  Every
-    other pose, and the jitted path, casts the W x H rays through
-    `kernels.raycast_batch`.  On an empty map nothing is cast.
+    and each row's z DDA crossings.  Every other pose casts the W x H
+    rays through `kernels.raycast_batch`.  On an empty map nothing is cast.
     """
     h, w = intrinsics.height, intrinsics.width
     box = vmap.occupied_box
@@ -372,7 +381,7 @@ def render_depth(vmap, pose, intrinsics):
     t_cap = float(intrinsics.max_range)
     level = right[2] == 0.0 and forward[2] == 0.0 and down[0] == 0.0 and down[1] == 0.0 and down[2] == -1.0
     inside = bool(np.all((origin_g >= 0.0) & (origin_g <= vmap.shape)))
-    if level and inside and math.isfinite(t_cap) and not kernels.NUMBA_ENABLED:
+    if level and inside and math.isfinite(t_cap):
         cols, rows = _frame_axes(right, down, forward, intrinsics, vmap.voxel_size)
         t = kernels.raycast_level_frame(vmap.occ, origin_g, cols, rows, t_cap, box, vmap.column_extent)
     else:
@@ -389,14 +398,13 @@ def sample_cloud(vmap, pose, max_range, ray_count, nearest=False):
 
     With `nearest`, the cloud holds only the returns that can be the nearest
     to the pose: those at a range r <= r_min * (1 + 1e-9) + 1e-9 m, r_min the
-    nearest range (see :func:`kernels.raycast_batch_numpy`).  The margin
+    nearest range (see :func:`kernels.raycast_batch`).  The margin
     covers the rounding of the points and of `nearest_point`'s squared
     distances, so `nearest_point` from the pose returns the same point and
     distance, with the same lowest-index tie-break, as on the full cloud, and
     the cloud is empty iff the full one is.
     """
-    if max_range <= 0:
-        raise ValueError("max_range must be positive")
+    _check_scan(max_range, ray_count)
     pos = pose.position if isinstance(pose, Pose6) else np.asarray(pose, dtype=np.float64)
     dirs = fibonacci_directions(int(ray_count))
     origin_g = vmap.world_to_grid(pos)
@@ -416,8 +424,7 @@ def nearest_distances(vmap, positions, max_range, ray_count):
     `p + dirs * t` and the same squared distances as `nearest_point`.  The
     G scans are cast in one multi-origin `kernels.raycast_batch` call.
     """
-    if max_range <= 0:
-        raise ValueError("max_range must be positive")
+    _check_scan(max_range, ray_count)
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
     dirs = fibonacci_directions(int(ray_count))
     dirs_g = np.tile(dirs / vmap.voxel_size, (len(positions), 1))

@@ -1,0 +1,44 @@
+"""`benchmarks/bench_kernels.py` must keep building its cases against the
+current kernels: a rename in surfscan that would break the script fails
+here.  The script is loaded from its file, unchanged; nothing is timed."""
+
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+
+from surfscan import kernels
+
+BENCH = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
+
+
+def load_bench():
+    spec = importlib.util.spec_from_file_location("bench_kernels", BENCH)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def same_bits(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def test_bench_kernels_builds_its_cases():
+    bench = load_bench()
+    sensing = bench.sensing_cases()
+    assert {(scalar, vectorized) for _, scalar, vectorized, _, _ in sensing} == {
+        (kernels.raycast_batch_scalar, kernels.raycast_batch),
+        (kernels.normals_from_depth_scalar, kernels.normals_from_depth),
+    }
+    for _, frame_args, batch_args, batch_kwargs in bench.frame_cases():
+        assert same_bits(
+            kernels.raycast_level_frame(*frame_args), kernels.raycast_batch(*batch_args, **batch_kwargs)
+        )
+    _, from_cosines, from_normal_map = bench.utility_case()
+    assert same_bits(from_cosines()[0], from_normal_map()[0])
+    _, occ, origins, dirs, box = bench.batched_scan_case()
+    assert origins.shape == (8, 3) and occ.ndim == 3 and box.shape == (2, 3)
+    assert dirs.shape == (2048, 3)
+    for _, occ, pts, radius, box, full in bench.swept_cases():
+        assert pts.shape == (41, 3) and radius > 0
+        assert kernels.point_is_free(occ, *pts[0], radius, box) == kernels.point_is_free(occ, *pts[0], radius, full)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,18 @@ def test_nearest_point_empty_cloud():
         nearest_point(PointCloud(np.zeros((0, 3))), [0, 0, 0])
 
 
+def nearest_point_loop(points, q):
+    """Per-point scan: the squared distance of each point, the first of the
+    smallest kept, and its correctly rounded square root."""
+    best, best2 = -1, math.inf
+    for i, (x, y, z) in enumerate(points.tolist()):
+        dx, dy, dz = x - q[0], y - q[1], z - q[2]
+        d2 = dx * dx + dy * dy + dz * dz
+        if d2 < best2:
+            best, best2 = i, d2
+    return best, math.sqrt(best2)
+
+
 def test_nearest_point_matches_brute_force(rng):
     pts = rng.normal(size=(1000, 3))
     cloud = PointCloud(pts)
@@ -180,6 +194,8 @@ def test_nearest_point_matches_brute_force(rng):
         k = int(np.argmin(dists))
         assert d == pytest.approx(float(dists[k]), abs=1e-12)
         assert np.allclose(p, pts[k])
+        i, d_loop = nearest_point_loop(pts, q.tolist())
+        assert d == d_loop and np.array_equal(p, pts[i])
 
 
 def test_nearest_point_tie_breaks_by_index():

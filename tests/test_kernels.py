@@ -1,9 +1,9 @@
-"""Kernel oracles: the dispatched kernels against the scalar loops (bitwise)
+"""Kernel oracles: the vectorized kernels against the scalar loops (bitwise)
 and the scalar kernels against brute-force definitions.
 
-Without numba the dispatched `raycast_batch` and `normals_from_depth` are
-the vectorized numpy kernels; with numba they are the jitted scalar loops.
-Either way they must equal the pure-Python scalar loops exactly.
+`raycast_batch`, `raycast_level_frame`, `normals_from_depth` and
+`incidence_cosines` must equal the scalar loops `raycast_batch_scalar` and
+`normals_from_depth_scalar` exactly.
 """
 
 import functools
@@ -19,7 +19,6 @@ from hypothesis.extra.numpy import arrays
 
 from strategies import depth_images, direction_component, grid_coordinate, occupancy_grids, wall_slabs
 from surfscan import kernels
-from surfscan._accel import py_func
 from surfscan.world import VoxelMap, is_collision_free
 
 PROPERTY = settings(max_examples=150, deadline=None)
@@ -50,7 +49,7 @@ def scalar_raycast(*args, **kwargs):
     run on numpy scalars, which overflow to the intended inf for a tiny
     direction component, so their warnings are silenced here alone."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return py_func(kernels.raycast_batch_scalar)(*args, **kwargs)
+        return kernels.raycast_batch_scalar(*args, **kwargs)
 
 
 @given(batch=ray_batches())
@@ -541,7 +540,7 @@ def test_normals_match_scalar_oracle(depth, f, jump):
     h, w = depth.shape
     args = (depth, f, 0.9 * f, (w - 1) / 2.0, (h - 1) / 2.0, jump)
     got = kernels.normals_from_depth(*args)
-    ref = py_func(kernels.normals_from_depth_scalar)(*args)
+    ref = kernels.normals_from_depth_scalar(*args)
     assert np.array_equal(got, ref, equal_nan=True)
     nz = ref[..., 2]
     assert same_bits(np.abs(kernels.incidence_cosines(*args)), np.abs(nz[np.isfinite(nz)]))

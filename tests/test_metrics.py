@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from strategies import depth_images
 from surfscan import kernels
-from surfscan._accel import py_func
 from surfscan.depthcam import CameraIntrinsics, DepthImage
 from surfscan.geometry import NoSurfaceError, PathSegment, Pose6, PointCloud
 from surfscan.metrics import (
@@ -73,7 +72,7 @@ def utility_oracle(depth, cam, jump):
     normals of the scalar loop, or None when there are none."""
     # A stencil holding an inf depth gives nan tangents.
     with np.errstate(invalid="ignore", divide="ignore"):
-        normals = py_func(kernels.normals_from_depth_scalar)(
+        normals = kernels.normals_from_depth_scalar(
             depth, float(cam.fx), float(cam.fy), float(cam.cx), float(cam.cy), jump
         )
     nz = normals[..., 2]

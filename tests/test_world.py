@@ -10,7 +10,6 @@ from scipy import ndimage
 
 from strategies import grid_coordinate, occupancy_grids, wall_slabs
 from surfscan import kernels
-from surfscan._accel import py_func
 from surfscan.depthcam import CameraIntrinsics, camera_axes_world
 from surfscan.fileio import _load_xyz_lines, load_xyz
 from surfscan.geometry import Pose6, nearest_point
@@ -194,7 +193,7 @@ def scalar_depth(vmap, pose, cam):
     dirs = np.ascontiguousarray(world.reshape(-1, 3) / vmap.voxel_size)
     origin = vmap.world_to_grid(pose.position)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t = py_func(kernels.raycast_batch_scalar)(vmap.occ, origin, dirs, float(cam.max_range))
+        t = kernels.raycast_batch_scalar(vmap.occ, origin, dirs, float(cam.max_range))
     depth = t.reshape(cam.height, cam.width)
     depth[depth <= 0.0] = np.nan
     return depth
@@ -242,14 +241,13 @@ def test_render_depth_matches_scalar_oracle(frame):
     g = vmap.world_to_grid(pose.position)
     inside = np.all((g >= 0.0) & (g <= vmap.shape))
     framed = pose.phi == pose.theta == 0.0 and inside and math.isfinite(cam.max_range)
-    framed = framed and vmap.occupied_box is not None and not kernels.NUMBA_ENABLED
+    framed = framed and vmap.occupied_box is not None
     assert level.called == framed
 
 
 SMALL_CAM = CameraIntrinsics(alpha=np.deg2rad(69.5), beta=np.deg2rad(45.0), width=12, height=10, max_range=12.0)
 
 
-@pytest.mark.skipif(kernels.NUMBA_ENABLED, reason="the jitted path casts every frame through raycast_batch")
 def test_render_depth_casts_a_level_frame_from_inside_the_grid(wall_map):
     with (
         mock.patch.object(kernels, "raycast_level_frame", wraps=kernels.raycast_level_frame) as level,
@@ -406,6 +404,30 @@ def test_nearest_distances_on_an_empty_map_are_nan():
     vmap = VoxelMap.empty((0, 0, 0), (5, 5, 5), 0.1)
     got = nearest_distances(vmap, np.array([[2.5, 2.5, 2.5], [1.0, 1.0, 1.0]]), 10.0, 256)
     assert got.shape == (2,) and np.isnan(got).all()
+
+
+SCANS = {
+    "sample_cloud": lambda vmap, pos, max_range, rays: len(sample_cloud(vmap, pos, max_range, rays)),
+    "nearest_distances": lambda vmap, pos, max_range, rays: nearest_distances(vmap, pos[None], max_range, rays)[0],
+}
+
+
+@pytest.mark.parametrize("scan", SCANS)
+@pytest.mark.parametrize(
+    "max_range, rays, match",
+    [(math.nan, 256, "max_range"), (0.0, 256, "max_range"), (-1.0, 256, "max_range"), (12.0, 0, "ray_count")],
+)
+def test_scans_reject_a_range_or_ray_count_that_returns_nothing(wall_map, scan, max_range, rays, match):
+    # Each would otherwise return an empty scan: a nan cap retires every ray
+    # as a miss.
+    with pytest.raises(ValueError, match=match):
+        SCANS[scan](wall_map, np.array([4.0, 0.0, 1.2]), max_range, rays)
+
+
+@pytest.mark.parametrize("scan", SCANS)
+def test_scans_cast_with_an_infinite_range(wall_map, scan):
+    pos = np.array([4.0, 0.0, 1.2])
+    assert SCANS[scan](wall_map, pos, math.inf, 256) == SCANS[scan](wall_map, pos, 12.0, 256) > 0
 
 
 def test_sample_cloud_deterministic(wall_map):
