@@ -33,7 +33,9 @@ after checking that both give the same bits.
 
 The planning rows run at site scale (a 40 x 40 x 2.4 m yard at 0.1 m
 voxels, 400x400x24, inflation 0.5 m): `VoxelMap.free_mask` (the separable
-clearance transform) against the `binary_dilation` it replaced;
+clearance transform) against the `binary_dilation` it replaced; the mask
+of one z layer, as `plan_route` fetches it for the default z band,
+against the whole-grid mask sliced to that layer;
 `plan_route` to a goal inside a sealed room, with the connected-component
 gate against the A* flood that ran without it; `plan_route` across the
 open yard, corner to corner, against the tuple-keyed A* loop it replaced;
@@ -254,8 +256,10 @@ def planning_cases():
     site = VoxelMap.from_boxes(boxes, 0.1, bounds=((0.0, 0.0, 0.0), (40.0, 40.0, 2.4)))
     start, goal = (2.0, 2.0, 0.6), (16.0, 18.0, 0.6)
 
-    def fresh_mask():
-        return VoxelMap(site.origin, site.voxel_size, site.occ).free_mask(inflation)
+    def fresh_mask(*band):
+        return VoxelMap(site.origin, site.voxel_size, site.occ).free_mask(inflation, *band)
+
+    layer = int(np.floor((start[2] - site.origin[2]) / site.voxel_size))
 
     def enclosed_route():
         try:
@@ -283,8 +287,16 @@ def planning_cases():
         return lambda: solve(plan, (2.0, 2.0, 0.6), 1)
 
     assert np.array_equal(fresh_mask(), dilation_free_mask(site, inflation))
+    assert np.array_equal(fresh_mask(layer, layer), fresh_mask()[:, :, layer : layer + 1])
+    nx, ny, _ = site.shape
     cases = [
         (f"free_mask {'x'.join(map(str, site.shape))}", fresh_mask, lambda: dilation_free_mask(site, inflation), 5),
+        (
+            f"free_mask band {nx}x{ny}x1",
+            lambda: fresh_mask(layer, layer),
+            lambda: fresh_mask()[:, :, layer : layer + 1],
+            5,
+        ),
         ("plan_route enclosed goal", enclosed_route, enclosed_route_flood, 5),
         ("plan_route open yard", yard_route(global_plan.plan_route), yard_route(planner_reference.plan_route), 5),
     ]

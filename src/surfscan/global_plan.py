@@ -244,7 +244,8 @@ _NEIGHBOR_COSTS = [float(np.sqrt(di * di + dj * dj + dk * dk)) for di, dj, dk in
 
 
 def _route_cells(vmap, start, goal, inflation, z_band):
-    free = vmap.free_mask(inflation)
+    """The start and goal cells, the route's z layers `(k_lo, k_hi)` and
+    the free mask of those layers (`VoxelMap.free_mask` of the band)."""
     shape = vmap.occ.shape
     h = vmap.voxel_size
 
@@ -256,11 +257,6 @@ def _route_cells(vmap, start, goal, inflation, z_band):
 
     s = cell_of(start, "start")
     g = cell_of(goal, "goal")
-    if not free[s]:
-        raise RouteError(f"start {start} is in collision (inflation {inflation})")
-    if not free[g]:
-        raise RouteError(f"goal {goal} is in collision (inflation {inflation})")
-
     if z_band is None:
         k_lo, k_hi = s[2], s[2]
     else:
@@ -268,7 +264,12 @@ def _route_cells(vmap, start, goal, inflation, z_band):
         k_hi = int(np.floor((z_band[1] - vmap.origin[2]) / h))
     k_lo = max(min(k_lo, s[2], g[2]), 0)
     k_hi = min(max(k_hi, s[2], g[2]), shape[2] - 1)
-    return free, s, g, (k_lo, k_hi)
+    band = vmap.free_mask(inflation, k_lo, k_hi)
+    if not band[s[0], s[1], s[2] - k_lo]:
+        raise RouteError(f"start {start} is in collision (inflation {inflation})")
+    if not band[g[0], g[1], g[2] - k_lo]:
+        raise RouteError(f"goal {goal} is in collision (inflation {inflation})")
+    return band, s, g, (k_lo, k_hi)
 
 
 def _goal_distances(vmap, goal_cell, band_shape, k_lo):
@@ -311,8 +312,7 @@ def plan_route(vmap, start, goal, inflation, z_band=None, heuristic=True):
     if np.linalg.norm(goal - start) < 1e-12:
         return [start.copy()], 0.0
 
-    free, s, g, (k_lo, k_hi) = _route_cells(vmap, start, goal, inflation, z_band)
-    band = free[:, :, k_lo : k_hi + 1]
+    band, s, g, (k_lo, k_hi) = _route_cells(vmap, start, goal, inflation, z_band)
     # A* can reach exactly the 26-connected free component of the start
     # inside the k band, so an enclosed goal fails here without a flood.
     labels, _ = ndimage.label(band, structure=np.ones((3, 3, 3)))
@@ -332,9 +332,12 @@ def plan_route(vmap, start, goal, inflation, z_band=None, heuristic=True):
         return (cell[0] + 1) * stride_i + (cell[1] + 1) * stride_j + (cell[2] - k_lo + 1)
 
     h = vmap.voxel_size
+    # In a one-layer band the steps that change layer only ever read the
+    # shell, so they are dropped.
     steps = [
         (di * stride_i + dj * stride_j + dk, cost * h)
         for (di, dj, dk), cost in zip(_NEIGHBORS, _NEIGHBOR_COSTS)
+        if k_lo < k_hi or dk == 0
     ]
     if heuristic:
         heur = _goal_distances(vmap, g, band.shape, k_lo)

@@ -46,7 +46,7 @@ class Box:
         hi = tuple(float(v) for v in self.hi)
         if len(lo) != 3 or len(hi) != 3:
             raise ValueError("Box corners must be 3-vectors")
-        if any(not np.isfinite(v) for v in lo + hi):
+        if not all(math.isfinite(v) for v in lo + hi):
             raise ValueError("Box corners must be finite")
         if any(h < l for l, h in zip(lo, hi)):
             raise ValueError(f"Box has hi < lo: {lo} .. {hi}")
@@ -122,12 +122,15 @@ class VoxelMap:
     # -- geometry helpers --------------------------------------------------
 
     def _box_slices(self, box):
+        """First and one-past-last voxel index per axis of the voxels the
+        box covers, clipped to the grid; a zero-thickness axis covers one."""
         h = self.voxel_size
-        lo = np.floor((np.asarray(box.lo) - self.origin) / h + 1e-9).astype(int)
-        hi = np.ceil((np.asarray(box.hi) - self.origin) / h - 1e-9).astype(int)
-        hi = np.maximum(hi, lo + 1)
-        lo = np.clip(lo, 0, self.occ.shape)
-        hi = np.clip(hi, 0, self.occ.shape)
+        lo, hi = [], []
+        for b_lo, b_hi, o, n in zip(box.lo, box.hi, self.origin.tolist(), self.occ.shape):
+            i0 = math.floor((b_lo - o) / h + 1e-9)
+            i1 = max(math.ceil((b_hi - o) / h - 1e-9), i0 + 1)
+            lo.append(min(max(i0, 0), n))
+            hi.append(min(max(i1, 0), n))
         return lo, hi
 
     @property
@@ -183,28 +186,40 @@ class VoxelMap:
         extent.setflags(write=False)
         return extent
 
-    def free_mask(self, inflation):
-        """Voxels whose centers keep at least `inflation` clearance from every
-        occupied voxel box.  Cached per inflation value."""
-        key = round(float(inflation), 9)
+    def free_mask(self, inflation, k_lo=0, k_hi=None):
+        """Voxels of the z layers `k_lo..k_hi` (default: all) whose centers
+        keep at least `inflation` clearance from every occupied voxel box,
+        as a read-only (nx, ny, k_hi - k_lo + 1) array.  Cached per
+        inflation value and band."""
+        nz = self.occ.shape[2]
+        if k_hi is None:
+            k_hi = nz - 1
+        if not 0 <= k_lo <= k_hi < nz:
+            raise ValueError(f"z band {k_lo}..{k_hi} lies outside the grid's {nz} layers")
+        key = (round(float(inflation), 9), k_lo, k_hi)
         mask = self._free_masks.get(key)
         if mask is None:
-            mask = _clearance_free(self.occ, inflation / self.voxel_size)
+            mask = _clearance_free(self.occ, inflation / self.voxel_size, k_lo, k_hi)
             mask.setflags(write=False)
             self._free_masks[key] = mask
         return mask
 
 
-def _clearance_free(occ, r_vox):
-    """True where a voxel center lies more than `r_vox` voxels from every
-    occupied voxel box.
+def _clearance_free(occ, r_vox, k_lo, k_hi):
+    """True where the center of a voxel of the z layers `k_lo..k_hi` lies
+    more than `r_vox` voxels from every occupied voxel box, as an
+    (nx, ny, k_hi - k_lo + 1) array.
 
     The gap from a center to the box at offset d is
     sqrt(sum_a max(|d_a| - 0.5, 0)**2), so four times its square is the
     integer sum_a (2|d_a| - 1)**2 (a zero offset adds 0).  That sum splits by
     axis, so the nearest box is found exactly by three 1-D min-plus passes
     in small integers.  Offsets beyond `reach` voxels on any axis are too far
-    to count, which bounds every pass.
+    to count, which bounds every pass.  The z pass goes first and reads only
+    the occupancy of the layers within `reach` of the band; the x and y
+    passes then run on the band's layers alone.  Each pass clamps at `far`,
+    but every partial sum of a blocking offset is at most `m_max < far`, so
+    the clamp never cuts one off, in whichever order the passes run.
     """
     # Largest 4*gap**2 that blocks, by the float test sqrt(m / 4) <= r_vox;
     # -1 when nothing blocks (negative radius).
@@ -213,20 +228,32 @@ def _clearance_free(occ, r_vox):
         m_max -= 1
     reach = int(np.ceil(r_vox + 0.5))
     far = m_max + 1
+    nx, ny, nz = occ.shape
+    # The layers within reach of the band, layer-major so that every pass
+    # runs over long contiguous rows.
+    z0 = max(k_lo - reach, 0)
+    window = np.ascontiguousarray(np.moveaxis(occ[:, :, z0 : k_hi + reach + 1], 2, 0))
     # The narrowest unsigned type that holds a clamped value plus one step
     # cost (uint8 up to 5 voxels of clearance), to keep the passes small.
-    dist = np.full(occ.shape, far, dtype=np.min_scalar_type(far + (2 * reach - 1) ** 2))
-    dist[occ] = 0
-    for axis in range(occ.ndim):
+    dist = np.full((k_hi - k_lo + 1, nx, ny), far, dtype=np.min_scalar_type(far + (2 * reach - 1) ** 2))
+    # z pass: its input is 0 on occupied voxels and `far` elsewhere, so each
+    # band voxel takes the least cost of an occupied layer within reach.
+    for d in range(-reach, reach + 1):
+        cost = (2 * abs(d) - 1) ** 2 if d else 0
+        src_lo, src_hi = max(k_lo + d, 0), min(k_hi + d + 1, nz)
+        if cost <= m_max and src_lo < src_hi:
+            out = dist[src_lo - d - k_lo : src_hi - d - k_lo]
+            np.minimum(out, cost, out=out, where=window[src_lo - z0 : src_hi - z0])
+    for axis in (1, 2):
         lead = (slice(None),) * axis
         src, dist = dist, dist.copy()
-        for d in range(1, min(reach, occ.shape[axis] - 1) + 1):
+        for d in range(1, min(reach, dist.shape[axis] - 1) + 1):
             cost = (2 * d - 1) ** 2
             hi, lo = lead + (slice(d, None),), lead + (slice(None, -d),)
             np.minimum(dist[hi], src[lo] + cost, out=dist[hi])
             np.minimum(dist[lo], src[hi] + cost, out=dist[lo])
         np.minimum(dist, far, out=dist)
-    return dist > m_max
+    return np.ascontiguousarray(np.moveaxis(dist > m_max, 0, 2))
 
 
 @dataclass(frozen=True)

@@ -1,11 +1,12 @@
-"""Reference planners for the oracle tests: the tuple-keyed A* loop, the
-per-city nearest-neighbour order and the unscreened annealer, copied
-verbatim from `surfscan.global_plan` as they were before the table-driven
-A* and the screened annealer replaced them.  The helpers those loops share
-with the fast versions (cell lookup, tour cost, neighbour tables, annealing
-schedule) are imported, so both sides follow one cell and cost rule.  The
-fast versions must return the same waypoints, lengths, tours, histories
-and error messages bit for bit."""
+"""Reference planners for the oracle tests: the tuple-keyed A* loop over
+the whole-grid clearance mask with its cell lookup, the per-city
+nearest-neighbour order and the unscreened annealer, copied verbatim from
+`surfscan.global_plan` as they were before the band-only mask, the
+table-driven A* and the screened annealer replaced them.  The helpers those
+loops share with the fast versions (tour cost, neighbour tables, annealing
+schedule) are imported, so both sides follow one cost rule.  The fast
+versions must return the same waypoints, lengths, tours, histories and
+error messages bit for bit."""
 
 import heapq
 
@@ -20,9 +21,36 @@ from surfscan.global_plan import (
     RouteError,
     TaskUnreachableError,
     Tour,
-    _route_cells,
     _tour_cost,
 )
+
+
+def _route_cells(vmap, start, goal, inflation, z_band):
+    free = vmap.free_mask(inflation)
+    shape = vmap.occ.shape
+    h = vmap.voxel_size
+
+    def cell_of(p, name):
+        g = np.floor(vmap.world_to_grid(p)).astype(int)
+        if np.any(g < 0) or np.any(g >= np.array(shape)):
+            raise RouteError(f"{name} {p} lies outside the map bounds")
+        return tuple(g)
+
+    s = cell_of(start, "start")
+    g = cell_of(goal, "goal")
+    if not free[s]:
+        raise RouteError(f"start {start} is in collision (inflation {inflation})")
+    if not free[g]:
+        raise RouteError(f"goal {goal} is in collision (inflation {inflation})")
+
+    if z_band is None:
+        k_lo, k_hi = s[2], s[2]
+    else:
+        k_lo = int(np.floor((z_band[0] - vmap.origin[2]) / h))
+        k_hi = int(np.floor((z_band[1] - vmap.origin[2]) / h))
+    k_lo = max(min(k_lo, s[2], g[2]), 0)
+    k_hi = min(max(k_hi, s[2], g[2]), shape[2] - 1)
+    return free, s, g, (k_lo, k_hi)
 
 
 def plan_route(vmap, start, goal, inflation, z_band=None, heuristic=True):

@@ -42,3 +42,9 @@ def test_bench_kernels_builds_its_cases():
     for _, occ, pts, radius, box, full in bench.swept_cases():
         assert pts.shape == (41, 3) and radius > 0
         assert kernels.point_is_free(occ, *pts[0], radius, box) == kernels.point_is_free(occ, *pts[0], radius, full)
+
+
+def test_bench_kernels_builds_the_band_mask_row():
+    # Building the planning cases asserts the band mask equals the sliced
+    # whole-grid mask.
+    assert "free_mask band 400x400x1" in [name for name, *_ in load_bench().planning_cases()]

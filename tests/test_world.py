@@ -134,6 +134,58 @@ def test_apply_delta_addition_grows_grid(wall_map):
     assert occupied_at(out, [12.25, 0.25, 0.25])
 
 
+def numpy_box_slices(vmap, box):
+    """Reference: the 3-vector numpy form of `VoxelMap._box_slices`."""
+    h = vmap.voxel_size
+    lo = np.floor((np.asarray(box.lo) - vmap.origin) / h + 1e-9).astype(int)
+    hi = np.ceil((np.asarray(box.hi) - vmap.origin) / h - 1e-9).astype(int)
+    hi = np.maximum(hi, lo + 1)
+    lo = np.clip(lo, 0, vmap.occ.shape)
+    hi = np.clip(hi, 0, vmap.occ.shape)
+    return lo, hi
+
+
+@st.composite
+def grids_and_boxes(draw):
+    """A grid with a random origin and voxel size, and a box inside it,
+    partly or wholly outside it, of zero thickness on some axes, or with
+    corners on voxel faces."""
+    voxel_size = draw(st.one_of(st.sampled_from([0.05, 0.1, 0.25]), st.floats(0.01, 1.0)))
+    origin = tuple(draw(st.floats(-20.0, 20.0)) for _ in range(3))
+    shape = tuple(draw(st.integers(1, 12)) for _ in range(3))
+    lo, hi = [], []
+    for o, n in zip(origin, shape):
+        on_face = st.integers(-3, n + 3).map(lambda i, o=o: o + i * voxel_size)
+        a = draw(st.one_of(on_face, st.floats(o - 4 * voxel_size, o + (n + 4) * voxel_size)))
+        size = draw(st.one_of(st.just(0.0), st.integers(1, n + 3).map(lambda i: i * voxel_size),
+                              st.floats(0.0, (n + 4) * voxel_size)))
+        lo.append(a)
+        hi.append(a + size)
+    return VoxelMap(origin, voxel_size, np.zeros(shape, dtype=bool)), Box(tuple(lo), tuple(hi))
+
+
+@given(grids_and_boxes())
+@settings(max_examples=400, deadline=None)
+@example((VoxelMap((0.0, 0.0, 0.0), 0.1, np.zeros((4, 4, 4), dtype=bool)), Box((0.3, 0.3, 0.3), (0.3, 0.3, 0.3))))
+@example((VoxelMap((0.0, 0.0, 0.0), 0.1, np.zeros((4, 4, 4), dtype=bool)), Box((-2.0, 0.1, 0.0), (-1.0, 0.2, 9.0))))
+@example((VoxelMap((0.0, 0.0, 0.0), 0.1, np.zeros((4, 4, 4), dtype=bool)), Box((5.0, 5.0, 5.0), (6.0, 6.0, 6.0))))
+def test_box_slices_match_numpy_reference(case):
+    vmap, box = case
+    lo, hi = vmap._box_slices(box)
+    ref_lo, ref_hi = numpy_box_slices(vmap, box)
+    assert all(type(i) is int for i in lo + hi)
+    assert lo == ref_lo.tolist() and hi == ref_hi.tolist()
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("corner", ["lo", "hi"])
+def test_box_rejects_non_finite_corners(bad, corner):
+    lo, hi = [0.0, 0.0, 0.0], [1.0, 1.0, 1.0]
+    (lo if corner == "lo" else hi)[1] = bad
+    with pytest.raises(ValueError, match="Box corners must be finite"):
+        Box(tuple(lo), tuple(hi))
+
+
 def test_scene_from_delta_reproducible(wall_map):
     delta = MorphologyDelta(removals=(Box((6.0, -1.0, 0.0), (6.4, 0.0, 2.4)),))
     scene = Scene.from_delta(wall_map, delta)
@@ -582,6 +634,30 @@ def test_free_mask_matches_dilation_reference(case):
     assert np.array_equal(got, dilation_free_mask(occ, voxel_size, inflation))
 
 
+@st.composite
+def band_cases(draw):
+    """A clearance case and a z band of its grid."""
+    occ, voxel_size, inflation = draw(clearance_cases())
+    nz = occ.shape[2]
+    k_lo = draw(st.integers(0, nz - 1))
+    return occ, voxel_size, inflation, k_lo, draw(st.integers(k_lo, nz - 1))
+
+
+@given(band_cases())
+@settings(max_examples=150, deadline=None)
+# Bottom and top layer, each with a box 3 layers away inside the reach.
+@example((_single_voxel((5, 4, 9), (2, 1, 3)), 0.1, 0.35, 0, 0))
+@example((_single_voxel((5, 4, 9), (2, 1, 5)), 0.1, 0.35, 8, 8))
+# A reach of 11 voxels on a 3-layer grid.
+@example((_single_voxel((4, 4, 3), (1, 1, 0)), 0.05, 0.5, 2, 2))
+# 0.05 / 0.1 = 0.5 voxels: the box in the layer just above, at the reach, blocks.
+@example((_single_voxel((3, 3, 4), (1, 1, 2)), 0.1, 0.05, 1, 1))
+def test_free_mask_band_matches_dilation_reference(case):
+    occ, voxel_size, inflation, k_lo, k_hi = case
+    got = VoxelMap((0.0, 0.0, 0.0), voxel_size, occ).free_mask(inflation, k_lo, k_hi)
+    assert np.array_equal(got, dilation_free_mask(occ, voxel_size, inflation)[:, :, k_lo : k_hi + 1])
+
+
 def test_free_mask_wide_clearance():
     # 70 voxels of clearance: the squared gaps need 16 bits, not 8.
     occ = np.zeros((1, 1, 160), dtype=bool)
@@ -596,3 +672,22 @@ def test_free_mask_cached_and_read_only(wall_map):
     assert wall_map.free_mask(0.5) is mask
     assert not mask.flags.writeable
     assert mask.flags.c_contiguous and mask.shape == wall_map.shape
+
+
+def test_free_mask_cached_per_band(wall_map):
+    nx, ny, nz = wall_map.shape
+    band = wall_map.free_mask(0.5, 6, 8)
+    assert wall_map.free_mask(0.5, 6, 8) is band
+    assert not band.flags.writeable
+    assert band.flags.c_contiguous and band.shape == (nx, ny, 3)
+    assert np.array_equal(band, wall_map.free_mask(0.5)[:, :, 6:9])
+    others = [wall_map.free_mask(0.5, 6, 6), wall_map.free_mask(0.5, 7, 8), wall_map.free_mask(0.5, 0, nz - 1)]
+    assert len({id(m) for m in [band, *others]}) == 4
+    assert others[2] is wall_map.free_mask(0.5)
+
+
+@pytest.mark.parametrize("band", [(-1, 0), (3, 2), (0, 24)])
+def test_free_mask_rejects_a_band_outside_the_grid(wall_map, band):
+    assert wall_map.shape[2] == 24
+    with pytest.raises(ValueError, match="lies outside the grid's 24 layers"):
+        wall_map.free_mask(0.5, *band)
