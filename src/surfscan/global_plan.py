@@ -480,6 +480,56 @@ def _move_delta(dist, order, n, i, j):
     return delta
 
 
+def _raw_words(bit_generator):
+    """The bit generator's raw 64-bit words, 1024 at a time."""
+    while True:
+        yield from bit_generator.random_raw(1024).tolist()
+
+
+def _halves(words):
+    """32-bit draws as PCG64's `next_uint32` makes them: the low half of a
+    fresh word, then that word's high half on the next call."""
+    for word in words:
+        yield word & 0xFFFFFFFF
+        yield word >> 32
+
+
+class _PCG64Draws:
+    """`Generator.random()` and `int(Generator.integers(0, n))` of
+    `np.random.default_rng(seed)`, computed from the raw words without
+    numpy's per-call cost: the same numbers in the same order.
+
+    `random()` is numpy's `next_double`; it takes a fresh word and leaves a
+    kept high half where it is.  `below(n)` is numpy's 32-bit Lemire
+    bounded draw, which numpy uses for every `n` in `[1, 2**32)`
+    (`check_bound`); `n == 1` draws nothing."""
+
+    def __init__(self, seed):
+        words = _raw_words(np.random.default_rng(seed).bit_generator)
+        self._word = words.__next__
+        # The halves generator pulls its next word only when it is asked
+        # for a low half, so words taken by `random()` in between are skipped.
+        self._u32 = _halves(words).__next__
+
+    @staticmethod
+    def check_bound(n):
+        if not 1 <= n < 2**32:
+            raise ValueError(f"below(n) reproduces numpy only for 1 <= n < 2**32, got {n}")
+
+    def random(self):
+        return (self._word() >> 11) * 2**-53
+
+    def below(self, n):
+        if n == 1:
+            return 0
+        m = self._u32() * n
+        if m & 0xFFFFFFFF < n:
+            threshold = (2**32 - n) % n
+            while m & 0xFFFFFFFF < threshold:
+                m = self._u32() * n
+        return m >> 32
+
+
 def solve_tour_sa_tsp(plan, start, seed, history=None):
     """Open visitation tour through all valid viewpoints from the start
     position, annealed with 2-opt and single-point-move proposals from a
@@ -499,10 +549,12 @@ def solve_tour_sa_tsp(plan, start, seed, history=None):
     if n == 1:
         return Tour(order=(int(idx[0]),), length=float(np.linalg.norm(positions[0] - start)))
 
-    rng = np.random.default_rng(seed)
-    order = _nearest_neighbor_order(start, positions)
-    cost = _tour_cost(start, positions, order)
-    best_order, best_cost = order.copy(), cost
+    draws = _PCG64Draws(seed)
+    draws.check_bound(n)
+    random, below = draws.random, draws.below
+    cur = _nearest_neighbor_order(start, positions).tolist()
+    cost = _tour_cost(start, positions, cur)
+    best_order, best_cost = cur, cost
 
     diffs = positions[None, :, :] - positions[:, None, :]
     pair = np.linalg.norm(diffs, axis=-1)
@@ -511,15 +563,14 @@ def solve_tour_sa_tsp(plan, start, seed, history=None):
     table[:n, :n] = pair
     table[n, :n] = table[:n, n] = np.linalg.norm(positions - start, axis=1)
     dist = table.tolist()
-    cur = order.tolist()
 
     for _ in range(_SA_ITERS_PER_CITY * n):
-        reverse = rng.random() < 0.5
-        if reverse:
-            i, j = sorted(rng.integers(0, n, size=2).tolist())
-        else:
-            i = int(rng.integers(0, n))
-            j = int(rng.integers(0, n))
+        reverse = random() < 0.5
+        # Two scalar draws are the stream of `integers(0, n, size=2)`.
+        i = below(n)
+        j = below(n)
+        if reverse and i > j:
+            i, j = j, i
         # i == j leaves the order as it is: delta 0, accepted, no draw.
         if i != j:
             approx = (_reversal_delta if reverse else _move_delta)(dist, cur, n, i, j)
@@ -527,22 +578,19 @@ def solve_tour_sa_tsp(plan, start, seed, history=None):
             # Above the margin the exact delta is positive too, so the exact
             # rule draws here, and a draw at or above the bound rejects for
             # every delta within the margin of the table delta.
-            draw = rng.random() if approx > margin else None
+            draw = random() if approx > margin else None
             if draw is None or draw < math.exp(-(approx - margin) / temp):
-                cand = order.copy()
                 if reverse:
-                    cand[i : j + 1] = cand[i : j + 1][::-1]
+                    cand = cur[:i] + cur[i : j + 1][::-1] + cur[j + 1 :]
                 else:
-                    city = cand[i]
-                    cand = np.delete(cand, i)
-                    cand = np.insert(cand, j, city)
+                    rest = cur[:i] + cur[i + 1 :]
+                    cand = rest[:j] + [cur[i]] + rest[j:]
                 c = _tour_cost(start, positions, cand)
                 delta = c - cost
-                if delta <= 0.0 or (rng.random() if draw is None else draw) < np.exp(-delta / temp):
-                    order, cost = cand, c
-                    cur = order.tolist()
+                if delta <= 0.0 or (random() if draw is None else draw) < np.exp(-delta / temp):
+                    cur, cost = cand, c
                     if cost < best_cost:
-                        best_order, best_cost = order.copy(), cost
+                        best_order, best_cost = cur, cost
         temp *= _SA_COOLING
         if history is not None:
             history.append(best_cost)

@@ -5,10 +5,14 @@ must return exactly what the straightforward loops in `planner_reference`
 return: the same waypoints, lengths and error messages, and the same
 tours, lengths and best-cost histories.  Both rely on `sqrt(vecdot)` rows
 being bitwise the 1-D `np.linalg.norm`, which depends on the numpy build's
-dot loop and is pinned here too.
+dot loop and is pinned here too.  The annealer draws its random numbers
+from the PCG64 bit generator's raw words, not through numpy's `Generator`;
+that those draws are numpy's own is pinned here as well, so a change to
+`Generator`'s transforms fails a test instead of changing tours.
 """
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -16,7 +20,7 @@ from hypothesis.extra.numpy import arrays
 import planner_reference
 from strategies import occupancy_grids
 from surfscan.geometry import ViewPose4
-from surfscan.global_plan import RouteError, ViewPlan, plan_route, solve_tour_sa_tsp
+from surfscan.global_plan import RouteError, ViewPlan, _PCG64Draws, plan_route, solve_tour_sa_tsp
 from surfscan.world import VoxelMap
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -30,6 +34,49 @@ def test_vecdot_rows_equal_vector_norm(x):
     rows = np.sqrt(np.vecdot(x, x))
     for v, r in zip(x, rows):
         assert r == np.linalg.norm(v)
+
+
+# ---------------------------------------------------------------- PCG64 draws
+
+# A call sequence: None is a `random()`, an int n a draw below n.  A power
+# of two rejects nothing, so a wrong rejection threshold shows there.
+bounds = st.one_of(st.integers(1, 64), st.integers(1, 2**32 - 1), st.integers(0, 31).map(lambda k: 2**k))
+draw_calls = st.lists(st.one_of(st.none(), bounds), max_size=300)
+# Bounds at the edges of numpy's 32-bit Lemire path: 1 draws nothing,
+# 2**31 + 1 rejects almost half its draws.
+EDGE_BOUNDS = [1, 2, None, 1, 2**31 + 1, None, 2**32 - 1, 2**31 + 1, 2**31, 2, None]
+
+
+def generator_draws(seed, calls):
+    rng = np.random.default_rng(seed)
+    return [rng.random() if n is None else int(rng.integers(0, n)) for n in calls]
+
+
+def raw_word_draws(seed, calls):
+    draws = _PCG64Draws(seed)
+    return [draws.random() if n is None else draws.below(n) for n in calls]
+
+
+@PROPERTY
+@given(seed=st.integers(0, 2**64 - 1), calls=draw_calls)
+@example(seed=0, calls=EDGE_BOUNDS)
+@example(seed=2**32 - 1, calls=EDGE_BOUNDS)
+@example(seed=2**63 + 3, calls=EDGE_BOUNDS)
+# About 6000 words: several 1024-word refills, crossed by both kinds of draw.
+@example(seed=9, calls=[None, 2**31 + 1, 50, 1] * 1500)
+def test_raw_word_draws_match_generator(seed, calls):
+    assert raw_word_draws(seed, calls) == generator_draws(seed, calls)
+
+
+@pytest.mark.parametrize("n", [-1, 0, 2**32, 2**63])
+def test_raw_word_draws_reject_bounds_beyond_32_bits(n):
+    with pytest.raises(ValueError, match="1 <= n < 2\\*\\*32"):
+        _PCG64Draws.check_bound(n)
+
+
+def test_raw_word_draws_accept_the_32_bit_bounds():
+    for n in (1, 2, 2**32 - 1):
+        _PCG64Draws.check_bound(n)
 
 
 # ---------------------------------------------------------------- SA-TSP
@@ -58,7 +105,7 @@ def tour_cases(draw):
         start = positions[draw(st.integers(0, n - 1))].copy()
     else:
         start = rng.uniform(-5.0, 25.0, size=3)
-    return positions, start, draw(st.integers(0, 2**16))
+    return positions, start, draw(st.integers(0, 2**32 - 1))
 
 
 def wall_grid(cols, rows):
@@ -71,6 +118,11 @@ def wall_grid(cols, rows):
 @given(case=tour_cases())
 @example(case=(wall_grid(30, 2), np.array([2.0, 2.0, 0.6]), 701))
 @example(case=(wall_grid(20, 3), wall_grid(20, 3)[7].copy(), 3))
+@example(case=(wall_grid(20, 3), wall_grid(20, 3)[0].copy(), 5))
+@example(case=(wall_grid(20, 3), np.array([2.0, 2.0, 0.6]), 2**32 - 1))
+# Two cities: every reversal and move touches both ends of the order.
+@example(case=(wall_grid(2, 1), np.array([29.0, -1.0, 0.6]), 11))
+@example(case=(wall_grid(2, 1), wall_grid(2, 1)[1].copy(), 2**32 - 1))
 def test_screened_annealer_matches_reference(case):
     positions, start, seed = case
     plan = plan_from_positions(positions)
