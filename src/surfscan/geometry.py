@@ -30,7 +30,8 @@ __all__ = [
     "apply_transform",
 ]
 
-PLANE_TOL = 1e-6
+PLANE_TOL = 1e-6  # how far a point may lie off an ROI's plane, m
+BOUNDARY_EPS = 1e-9  # how near an ROI's edge a point counts as on it, m
 
 
 class NoSurfaceError(RuntimeError):
@@ -238,7 +239,6 @@ class PolygonROI:
     """Simple planar polygon in 3D; normal orientation follows the winding."""
 
     vertices: np.ndarray
-    plane_tol: float = PLANE_TOL
 
     def __post_init__(self):
         verts = np.asarray(self.vertices, dtype=np.float64).reshape(-1, 3)
@@ -251,10 +251,10 @@ class PolygonROI:
         n = polygon_normal(verts)  # raises for degenerate windings
         centroid = verts.mean(axis=0)
         off = np.abs((verts - centroid) @ n)
-        if off.max() > self.plane_tol:
+        if off.max() > PLANE_TOL:
             raise ValueError(
                 f"vertices deviate {off.max():.3g} m from best-fit plane "
-                f"(tolerance {self.plane_tol:g})"
+                f"(tolerance {PLANE_TOL:g})"
             )
         u, v = _plane_basis(verts, n)
         pts2 = np.column_stack([(verts - centroid) @ u, (verts - centroid) @ v])
@@ -337,13 +337,13 @@ def _plane_basis(verts, n):
     return u, v
 
 
-def point_in_polygon(roi, p, boundary_eps=1e-9):
+def point_in_polygon(roi, p):
     """True iff the in-plane projection of p lies inside the polygon.
     Boundary points count as inside.  p must lie on the ROI plane."""
     p = _as_vec3(p)
     n = roi.normal
     c = roi.centroid
-    if abs(float((p - c) @ n)) > roi.plane_tol:
+    if abs(float((p - c) @ n)) > PLANE_TOL:
         raise ValueError("point lies off the polygon plane beyond tolerance")
     u, v = roi._basis
     px, py = float((p - c) @ u), float((p - c) @ v)
@@ -359,7 +359,7 @@ def point_in_polygon(roi, p, boundary_eps=1e-9):
             t = ((px - x1) * ex + (py - y1) * ey) / ll
             t = min(1.0, max(0.0, t))
             qx, qy = x1 + t * ex, y1 + t * ey
-            if (px - qx) ** 2 + (py - qy) ** 2 <= boundary_eps**2:
+            if (px - qx) ** 2 + (py - qy) ** 2 <= BOUNDARY_EPS**2:
                 return True
         if (y1 > py) != (y2 > py):
             xint = x1 + (py - y1) * ex / ey

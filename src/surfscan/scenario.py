@@ -7,7 +7,7 @@ the standard evaluation setups without external map files.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -37,8 +37,6 @@ class MapSpec:
             if base_dir is not None and not path.is_absolute():
                 path = Path(base_dir) / path
             return load_map(path, voxel_size, bounds=bounds, padding=1.0 if bounds is None else 0.0)
-        if not self.boxes:
-            raise ValueError("map spec needs either a file or boxes")
         return VoxelMap.from_boxes(self.boxes, voxel_size, bounds=bounds)
 
 
@@ -72,9 +70,7 @@ class ScenarioConfig:
     w_max: float = 1.0
     view: ViewConstraints = field(default_factory=ViewConstraints)
     camera: CameraIntrinsics = field(
-        default_factory=lambda: CameraIntrinsics(
-            alpha=np.deg2rad(69.5), beta=np.deg2rad(45.0), width=80, height=60, max_range=5.0
-        )
+        default_factory=lambda: CameraIntrinsics(alpha=ViewConstraints.alpha, beta=ViewConstraints.beta)
     )
     sense_range: float = 12.0
     sense_rays: int = 2048
@@ -87,31 +83,10 @@ class ScenarioConfig:
     tasks: tuple = ()
 
     def __post_init__(self):
-        if self.mode not in ("adaptive", "baseline"):
-            raise ValueError(f"mode must be adaptive or baseline, got {self.mode!r}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
-        for name, value, sign in (
-            ("voxel_size", self.voxel_size, "positive"),
-            ("inflation", self.inflation, "non-negative"),
-            ("dt", self.dt, "positive"),
-            ("max_sim_time", self.max_sim_time, "positive"),
-            ("pos_tol", self.pos_tol, "positive"),
-            ("yaw_tol", self.yaw_tol, "positive"),
-            ("robot.v_max", self.v_max, "non-negative"),
-            ("robot.w_max", self.w_max, "non-negative"),
-            ("camera.max_range", self.camera.max_range, "positive"),
-            ("sensing.range", self.sense_range, "positive"),
-            ("sensing.odom_sigma_xy", self.odom_sigma_xy, "non-negative"),
-            ("sensing.odom_sigma_psi", self.odom_sigma_psi, "non-negative"),
-        ):
-            _check_number(name, value, sign)
-        if not (0.0 < self.gamma_t <= 1.0):
-            raise ValueError("gamma_t must lie in (0, 1]")
-        if self.horizon < 1:
-            raise ValueError("horizon must be at least 1")
-        if self.sense_rays < 1:
-            raise ValueError(f"sensing.rays must be at least 1, got {self.sense_rays}")
+        # The scalar fields, converted and checked under their file keys.
+        for key, (name, _) in _KEYS.items():
+            if _OWNER[key] is ScenarioConfig:
+                object.__setattr__(self, name, _value(key, getattr(self, name)))
         if self.bounds is not None:
             lo = _finite_tuple(self.bounds[0], 3, "maps.bounds.lo", "x y z")
             hi = _finite_tuple(self.bounds[1], 3, "maps.bounds.hi", "x y z")
@@ -138,25 +113,87 @@ class ScenarioConfig:
         return [t.to_task(self.view) for t in self.tasks]
 
 
-def _finite_tuple(value, n, name, fields):
+def _finite_tuple(value, n, name, axes):
     """`value` as a tuple of `n` finite floats, else ValueError naming
-    `name` and its `fields`."""
+    `name` and its `axes`."""
     try:
         out = tuple(float(v) for v in value)
     except (TypeError, ValueError):
         out = ()
     if len(out) != n or not all(map(math.isfinite, out)):
-        raise ValueError(f"{name} must be {n} finite numbers ({fields}), got {value!r}")
+        raise ValueError(f"{name} must be {n} finite numbers ({axes}), got {value!r}")
     return out
 
 
-def _check_number(name, value, sign):
-    """ValueError naming `name` unless `value` is finite and, as `sign`
-    says, non-negative or positive."""
-    if not math.isfinite(value):
-        raise ValueError(f"{name} must be finite, got {value}")
-    if value < 0 or (value == 0 and sign == "positive"):
-        raise ValueError(f"{name} must be {sign}, got {value}")
+# Every scalar key of a scenario file, as "section.key" (a top-level key has
+# no section), with the field it sets in `_OWNER[key]` and the rule its value
+# meets: the words an error shows, and the test.  The field's type gives the
+# conversion; a `_deg` key is read in degrees and set in radians.  A key the
+# file omits is not passed, so the field's default applies.  `ScenarioConfig`
+# checks its tuples itself.
+_POSITIVE = ("positive", lambda v: v > 0)
+_NON_NEGATIVE = ("non-negative", lambda v: v >= 0)
+_FRACTION = ("in [0, 1)", lambda v: 0 <= v < 1)
+_FOV = ("in (0, 180)", lambda v: 0 < v < 180)
+_KEYS = {
+    "name": ("name", None),
+    "mode": ("mode", ("adaptive or baseline", lambda v: v in ("adaptive", "baseline"))),
+    "seed": ("seed", ("a non-negative integer", lambda v: v >= 0)),
+    "voxel_size": ("voxel_size", _POSITIVE),
+    "inflation": ("inflation", _NON_NEGATIVE),
+    "dt": ("dt", _POSITIVE),
+    "max_sim_time": ("max_sim_time", _POSITIVE),
+    "gamma_t": ("gamma_t", ("in (0, 1]", lambda v: 0 < v <= 1)),
+    "horizon": ("horizon", ("at least 1", lambda v: v >= 1)),
+    "pos_tol": ("pos_tol", _POSITIVE),
+    "yaw_tol": ("yaw_tol", _POSITIVE),
+    "z_band": ("z_band", None),
+    "robot.start": ("start", None),
+    "robot.v_max": ("v_max", _NON_NEGATIVE),
+    "robot.w_max": ("w_max", _NON_NEGATIVE),
+    "view.d_view": ("d_view", _POSITIVE),
+    "view.gamma_h": ("gamma_h", _FRACTION),
+    "view.gamma_v": ("gamma_v", _FRACTION),
+    "view.alpha_deg": ("alpha", _FOV),
+    "view.beta_deg": ("beta", _FOV),
+    "camera.alpha_deg": ("alpha", _FOV),
+    "camera.beta_deg": ("beta", _FOV),
+    "camera.width": ("width", ("at least 3", lambda v: v >= 3)),
+    "camera.height": ("height", ("at least 3", lambda v: v >= 3)),
+    "camera.max_range": ("max_range", _POSITIVE),
+    "sensing.range": ("sense_range", _POSITIVE),
+    "sensing.rays": ("sense_rays", ("at least 1", lambda v: v >= 1)),
+    "sensing.odom_sigma_xy": ("odom_sigma_xy", _NON_NEGATIVE),
+    "sensing.odom_sigma_psi": ("odom_sigma_psi", _NON_NEGATIVE),
+}
+_SECTION_OWNERS = {"view": ViewConstraints, "camera": CameraIntrinsics}
+# Derived from `_KEYS`: the dataclass each key sets a field of, and the
+# field's type.
+_OWNER = {key: _SECTION_OWNERS.get(key.partition(".")[0], ScenarioConfig) for key in _KEYS}
+_TYPES = {key: next(f.type for f in fields(_OWNER[key]) if f.name == name) for key, (name, _) in _KEYS.items()}
+
+
+def _value(key, value):
+    """`value` for the scenario key `key`, converted to the type of the field
+    it sets and checked against its rule, else ValueError naming the key."""
+    rule, kind = _KEYS[key][1], _TYPES[key]
+    if kind is int:
+        integral = isinstance(value, (int, np.integer)) or isinstance(value, float) and value.is_integer()
+        if isinstance(value, bool) or not integral:
+            raise ValueError(f"{key} must be an integer, got {value!r}")
+        value = int(value)
+    elif kind is float:
+        try:
+            value = float(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"{key} must be a number, got {value!r}") from None
+        if not math.isfinite(value):
+            raise ValueError(f"{key} must be finite, got {value!r}")
+    elif kind is str:
+        value = str(value)
+    if rule is not None and not rule[1](value):
+        raise ValueError(f"{key} must be {rule[0]}, got {value!r}")
+    return np.deg2rad(value) if key.endswith("_deg") else value
 
 
 def build_scene(cfg, base_dir=None):
@@ -171,17 +208,9 @@ def build_scene(cfg, base_dir=None):
 
 
 # Allowed keys of every mapping in a scenario file, by key path ("[]" for
-# the entries of a list).
+# the entries of a list); the scalar keys are added from `_KEYS` below.
 _SCHEMA = {
-    "": {
-        "version", "name", "mode", "seed", "voxel_size", "inflation", "dt", "max_sim_time",
-        "gamma_t", "horizon", "pos_tol", "yaw_tol", "z_band",
-        "robot", "view", "camera", "sensing", "maps", "tasks",
-    },
-    "robot": {"start", "v_max", "w_max"},
-    "view": {"d_view", "gamma_h", "gamma_v", "alpha_deg", "beta_deg"},
-    "camera": {"alpha_deg", "beta_deg", "width", "height", "max_range"},
-    "sensing": {"range", "rays", "odom_sigma_xy", "odom_sigma_psi"},
+    "": {"version", "robot", "view", "camera", "sensing", "maps", "tasks"},
     "maps": {"bounds", "historical", "current", "delta"},
     "maps.bounds": {"lo", "hi"},
     "maps.historical": {"file", "boxes"},
@@ -190,6 +219,9 @@ _SCHEMA = {
     "maps.delta": {"removals", "additions"},
     "tasks[]": {"id", "vertices"},
 }
+for _key in _KEYS:
+    _section, _, _name = _key.rpartition(".")
+    _SCHEMA.setdefault(_section, set()).add(_name)
 
 
 def _mapping(value, where, schema=None):
@@ -207,24 +239,21 @@ def _mapping(value, where, schema=None):
     return value
 
 
-def _parse_box(entry, where):
-    entry = _mapping(entry, where, "box")
-    return Box(tuple(entry["lo"]), tuple(entry["hi"]))
-
-
 def _parse_boxes(entries, where):
-    return tuple(_parse_box(b, f"{where}[{i}]") for i, b in enumerate(entries or ()))
+    entries = [_mapping(b, f"{where}[{i}]", "box") for i, b in enumerate(entries or ())]
+    return tuple(Box(tuple(b["lo"]), tuple(b["hi"])) for b in entries)
 
 
 def _parse_map_spec(entry, where):
     if entry is None:
         return None
     entry = _mapping(entry, where)
-    if "file" in entry:
-        return MapSpec(file=str(entry["file"]))
-    if "boxes" in entry:
-        return MapSpec(boxes=_parse_boxes(entry["boxes"], f"{where}.boxes"))
-    raise ValueError("map spec must contain 'file' or 'boxes'")
+    file, boxes = entry.get("file"), entry.get("boxes")
+    if bool(file) == bool(boxes):
+        raise ValueError(f"{where} must give exactly one of file or a non-empty boxes list")
+    if file:
+        return MapSpec(file=str(file))
+    return MapSpec(boxes=_parse_boxes(boxes, f"{where}.boxes"))
 
 
 # libyaml's parser when PyYAML was built with it (several times faster),
@@ -256,27 +285,17 @@ def load_scenario(path):
 
 def _parse_scenario(raw, path):
     raw = _mapping(raw, "")
-    view_raw = _mapping(raw.get("view"), "view")
-    # Checked before the constructors run, so that the error names the section.
-    d_view = float(view_raw.get("d_view", 2.0))
-    _check_number("view.d_view", d_view, "positive")
-    view = ViewConstraints(
-        d_view=d_view,
-        gamma_h=float(view_raw.get("gamma_h", 0.6)),
-        gamma_v=float(view_raw.get("gamma_v", 0.6)),
-        alpha=np.deg2rad(float(view_raw.get("alpha_deg", 69.5))),
-        beta=np.deg2rad(float(view_raw.get("beta_deg", 45.0))),
-    )
-    cam_raw = _mapping(raw.get("camera"), "camera")
-    max_range = float(cam_raw.get("max_range", 5.0))
-    _check_number("camera.max_range", max_range, "positive")
-    camera = CameraIntrinsics(
-        alpha=np.deg2rad(float(cam_raw.get("alpha_deg", np.rad2deg(view.alpha)))),
-        beta=np.deg2rad(float(cam_raw.get("beta_deg", np.rad2deg(view.beta)))),
-        width=int(cam_raw.get("width", 80)),
-        height=int(cam_raw.get("height", 60)),
-        max_range=max_range,
-    )
+    # Each value is converted and checked before its constructor runs, so
+    # that an error names the key.
+    args = {ScenarioConfig: {"name": path.stem}, ViewConstraints: {}, CameraIntrinsics: {}}
+    for key, (name, _) in _KEYS.items():
+        section, _, file_key = key.rpartition(".")
+        given = _mapping(raw.get(section), section) if section else raw
+        if file_key in given:
+            args[_OWNER[key]][name] = _value(key, given[file_key])
+    view = ViewConstraints(**args[ViewConstraints])
+    # A camera FOV the file omits is the view's.
+    camera = CameraIntrinsics(**{"alpha": view.alpha, "beta": view.beta, **args[CameraIntrinsics]})
     maps_raw = _mapping(raw.get("maps"), "maps")
     delta_raw = maps_raw.get("delta")
     delta = None
@@ -288,8 +307,6 @@ def _parse_scenario(raw, path):
         )
     bounds_raw = _mapping(maps_raw.get("bounds"), "maps.bounds")
     bounds = (bounds_raw["lo"], bounds_raw["hi"]) if bounds_raw else None
-    sensing = _mapping(raw.get("sensing"), "sensing")
-    robot = _mapping(raw.get("robot"), "robot")
     tasks = []
     for i, entry in enumerate(raw.get("tasks") or ()):
         entry = _mapping(entry, f"tasks[{i}]", "tasks[]")
@@ -301,32 +318,14 @@ def _parse_scenario(raw, path):
         tasks.append(spec)
 
     return ScenarioConfig(
-        name=str(raw.get("name", path.stem)),
-        mode=str(raw.get("mode", "adaptive")),
-        seed=int(raw.get("seed", 1)),
-        voxel_size=float(raw.get("voxel_size", 0.1)),
-        inflation=float(raw.get("inflation", 0.5)),
-        dt=float(raw.get("dt", 0.1)),
-        max_sim_time=float(raw.get("max_sim_time", 120.0)),
-        gamma_t=float(raw.get("gamma_t", 0.5)),
-        horizon=int(raw.get("horizon", 5)),
-        pos_tol=float(raw.get("pos_tol", 0.3)),
-        yaw_tol=float(raw.get("yaw_tol", 0.2)),
-        z_band=raw.get("z_band", (0.6, 0.6)),
-        start=robot.get("start", (0.0, 0.0, 0.6, 0.0)),
-        v_max=float(robot.get("v_max", 0.8)),
-        w_max=float(robot.get("w_max", 1.0)),
         view=view,
         camera=camera,
-        sense_range=float(sensing.get("range", 12.0)),
-        sense_rays=int(sensing.get("rays", 2048)),
-        odom_sigma_xy=float(sensing.get("odom_sigma_xy", 0.0)),
-        odom_sigma_psi=float(sensing.get("odom_sigma_psi", 0.0)),
         bounds=bounds,
         historical=_parse_map_spec(maps_raw.get("historical"), "maps.historical"),
         current=_parse_map_spec(maps_raw.get("current"), "maps.current"),
         delta=delta,
         tasks=tuple(tasks),
+        **args[ScenarioConfig],
     )
 
 
@@ -406,7 +405,5 @@ def demo_scenario(name, mode="adaptive", seed=1):
         )
     )
     delta = MorphologyDelta(removals=(Box((6.0, -3.0, 0.0), (7.2, 3.0, 2.4)),))
-    camera = CameraIntrinsics(
-        alpha=np.deg2rad(69.5), beta=np.deg2rad(45.0), width=80, height=60, max_range=3.0
-    )
+    camera = CameraIntrinsics(alpha=ViewConstraints.alpha, beta=ViewConstraints.beta, max_range=3.0)
     return ScenarioConfig(historical=historical, delta=delta, camera=camera, **common)

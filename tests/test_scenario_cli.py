@@ -1,12 +1,16 @@
 import dataclasses
 import json
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from surfscan.cli import main
-from surfscan.scenario import DEMO_NAMES, build_scene, demo_scenario, load_scenario
+from surfscan.depthcam import CameraIntrinsics
+from surfscan.scenario import _KEYS, DEMO_NAMES, ScenarioConfig, build_scene, demo_scenario, load_scenario
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 GOOD_YAML = """
 version: 1
@@ -249,6 +253,123 @@ def test_cli_rejects_invalid_bounds(tmp_path, capsys, corner, value, reason):
     assert main(["plan", "--config", str(f), "--out", str(out)]) == 64
     assert f"{f}: {reason}" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "path, value, reason",
+    [
+        (("horizon",), INF, "horizon must be an integer, got inf"),
+        (("camera", "width"), INF, "camera.width must be an integer, got inf"),
+        (("camera", "height"), 48.5, "camera.height must be an integer, got 48.5"),
+        (("sensing", "rays"), NAN, "sensing.rays must be an integer, got nan"),
+        (("seed",), 2.5, "seed must be an integer, got 2.5"),
+        (("seed",), True, "seed must be an integer, got True"),
+    ],
+    ids=["horizon_inf", "width_inf", "height_fraction", "rays_nan", "seed_fraction", "seed_bool"],
+)
+def test_cli_rejects_non_integer_counts(tmp_path, capsys, path, value, reason):
+    # An infinite horizon or image width ended the run with an
+    # OverflowError traceback, a NaN ray count failed without naming the
+    # key, and a fractional or boolean seed was silently truncated.
+    f = _write_with(tmp_path, path, value)
+    out = tmp_path / "out"
+    assert main(["plan", "--config", str(f), "--out", str(out)]) == 64
+    assert f"{f}: {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_integral_float_counts_load_as_integers(tmp_path):
+    cfg = load_scenario(_write_with(tmp_path, ("seed",), 7.0))
+    assert cfg.seed == 7 and type(cfg.seed) is int
+
+
+@pytest.mark.parametrize("which", ["historical", "current"])
+@pytest.mark.parametrize(
+    "spec",
+    [{}, {"boxes": []}, {"file": "map.xyz", "boxes": [{"lo": [0, 0, 0], "hi": [1, 1, 1]}]}],
+    ids=["empty", "no_boxes", "file_and_boxes"],
+)
+def test_cli_rejects_invalid_map_spec(tmp_path, capsys, which, spec):
+    # An empty spec failed without naming the key, an empty box list passed
+    # the load and failed while building the map, and boxes given next to a
+    # file were silently ignored.
+    f = _write_with(tmp_path, ("maps", which), spec)
+    out = tmp_path / "out"
+    assert main(["plan", "--config", str(f), "--out", str(out)]) == 64
+    reason = f"maps.{which} must give exactly one of file or a non-empty boxes list"
+    assert f"{f}: {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "path, value, reason",
+    [
+        (("view", "gamma_h"), 1.0, "view.gamma_h must be in [0, 1), got 1.0"),
+        (("view", "gamma_v"), -0.1, "view.gamma_v must be in [0, 1), got -0.1"),
+        (("view", "alpha_deg"), 180, "view.alpha_deg must be in (0, 180), got 180.0"),
+        (("camera", "alpha_deg"), 200, "camera.alpha_deg must be in (0, 180), got 200.0"),
+        (("camera", "beta_deg"), 0, "camera.beta_deg must be in (0, 180), got 0.0"),
+        (("camera", "width"), 2, "camera.width must be at least 3, got 2"),
+        (("camera", "max_range"), "far", "camera.max_range must be a number, got 'far'"),
+    ],
+    ids=["gamma_h", "gamma_v", "view_alpha", "camera_alpha", "camera_beta", "camera_width", "camera_range_text"],
+)
+def test_cli_view_and_camera_errors_name_their_key(tmp_path, capsys, path, value, reason):
+    # The view and camera constructors report "overlap fractions must lie
+    # in [0, 1)" or "FOV angles must lie in (0, pi)", naming neither the
+    # section nor the key.
+    f = _write_with(tmp_path, path, value)
+    out = tmp_path / "out"
+    assert main(["plan", "--config", str(f), "--out", str(out)]) == 64
+    assert f"{f}: {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_omitted_keys_take_the_dataclass_defaults(tmp_path):
+    f = tmp_path / "scn.yaml"
+    f.write_text(
+        "version: 1\nmaps:\n  historical: {boxes: [{lo: [6, -1, 0], hi: [6.4, 1, 2]}]}\n"
+        "tasks:\n  - id: t\n    vertices: [[6,-1,0],[6,1,0],[6,1,1],[6,-1,1]]\n"
+    )
+    cfg = load_scenario(f)
+    assert cfg == ScenarioConfig(name="scn", historical=cfg.historical, tasks=cfg.tasks)
+
+
+def test_camera_fov_defaults_to_the_view_fov(tmp_path):
+    import yaml
+
+    doc = yaml.safe_load(GOOD_YAML)
+    doc["view"] = {"alpha_deg": 60.0, "beta_deg": 40.0}
+    doc["camera"] = {"width": 64, "height": 48}
+    f = tmp_path / "scn.yaml"
+    f.write_text(yaml.safe_dump(doc))
+    cfg = load_scenario(f)
+    assert cfg.camera == CameraIntrinsics(alpha=cfg.view.alpha, beta=cfg.view.beta, width=64, height=48)
+    assert cfg.view.alpha == np.deg2rad(60.0) and cfg.view.beta == np.deg2rad(40.0)
+
+
+def _scalar_keys(doc, prefix=""):
+    """The dotted key of every entry of a scenario document's top level and
+    its sections."""
+    keys = set()
+    for key, value in doc.items():
+        keys.add(prefix + key)
+        if isinstance(value, dict) and not prefix:
+            keys |= _scalar_keys(value, f"{key}.")
+    return keys
+
+
+def test_shipped_scenarios_load():
+    import yaml
+
+    for name in ("wall_nominal", "wall_receding"):
+        cfg = load_scenario(SCENARIOS / f"{name}.yaml")
+        assert cfg.name == name.replace("_", "-")
+        assert build_scene(cfg, base_dir=SCENARIOS).historical.occupied_count > 0
+    # The fully commented example names every scalar key, so that it cannot
+    # fall behind the schema.
+    nominal = yaml.safe_load((SCENARIOS / "wall_nominal.yaml").read_text())
+    assert set(_KEYS) <= _scalar_keys(nominal)
 
 
 def test_cli_rejects_negative_seed_in_scenario(tmp_path, capsys):
