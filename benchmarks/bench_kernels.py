@@ -36,7 +36,9 @@ voxels, 400x400x24, inflation 0.5 m): `VoxelMap.free_mask` (the separable
 clearance transform) against the `binary_dilation` it replaced, after
 checking that both give the same mask; the mask
 of one z layer, as `plan_route` fetches it for the default z band,
-against the whole-grid mask sliced to that layer;
+against the whole-grid mask sliced to that layer; `VoxelMap.occupied_box`
+(reductions over the outer axes) against the per-axis `occ.any(axis=rest)`
+form it replaced, after checking that both give the same box;
 `plan_route` to a goal inside a sealed room, with the connected-component
 gate against the A* flood that ran without it; `plan_route` across the
 open yard, corner to corner, against the tuple-keyed A* loop it replaced;
@@ -242,6 +244,19 @@ def dilation_free_mask(vmap, inflation):
     return ~ndimage.binary_dilation(vmap.occ, structure=gap <= r_vox)
 
 
+def per_axis_occupied_box(occ):
+    """The per-axis `occ.any(axis=rest)` form of `VoxelMap.occupied_box`."""
+    lo, hi = [], []
+    for axis in range(3):
+        rest = tuple(a for a in range(3) if a != axis)
+        idx = np.flatnonzero(occ.any(axis=rest))
+        if idx.size == 0:
+            return None
+        lo.append(idx[0])
+        hi.append(idx[-1] + 1)
+    return np.array([lo, hi], dtype=np.int64)
+
+
 def wall_tour_plan(cols, rows):
     """A wall's viewpoint grid at the default view constraints' spacing."""
     c = global_plan.ViewConstraints()
@@ -257,8 +272,14 @@ def planning_cases():
     site = VoxelMap.from_boxes(boxes, 0.1, bounds=((0.0, 0.0, 0.0), (40.0, 40.0, 2.4)))
     start, goal = (2.0, 2.0, 0.6), (16.0, 18.0, 0.6)
 
+    def fresh_map():
+        return VoxelMap(site.origin, site.voxel_size, site.occ)
+
     def fresh_mask(*band):
-        return VoxelMap(site.origin, site.voxel_size, site.occ).free_mask(inflation, *band)
+        return fresh_map().free_mask(inflation, *band)
+
+    def fresh_box():
+        return fresh_map().occupied_box
 
     layer = int(np.floor((start[2] - site.origin[2]) / site.voxel_size))
 
@@ -288,15 +309,18 @@ def planning_cases():
         return lambda: solve(plan, (2.0, 2.0, 0.6), 1)
 
     assert np.array_equal(fresh_mask(layer, layer), fresh_mask()[:, :, layer : layer + 1])
+    assert np.array_equal(fresh_box(), per_axis_occupied_box(site.occ))
     nx, ny, _ = site.shape
+    size = "x".join(map(str, site.shape))
     cases = [
-        (f"free_mask {'x'.join(map(str, site.shape))}", fresh_mask, lambda: dilation_free_mask(site, inflation), 5),
+        (f"free_mask {size}", fresh_mask, lambda: dilation_free_mask(site, inflation), 5),
         (
             f"free_mask band {nx}x{ny}x1",
             lambda: fresh_mask(layer, layer),
             lambda: fresh_mask()[:, :, layer : layer + 1],
             5,
         ),
+        (f"occupied_box {size}", fresh_box, lambda: per_axis_occupied_box(site.occ), 5),
         ("plan_route enclosed goal", enclosed_route, enclosed_route_flood, 5),
         ("plan_route open yard", yard_route(global_plan.plan_route), yard_route(planner_reference.plan_route), 5),
     ]

@@ -272,6 +272,10 @@ def _route_cells(vmap, start, goal, inflation, z_band):
     return band, s, g, (k_lo, k_hi)
 
 
+# The i slabs of the heuristic table filled per `vecdot` call.
+_HEURISTIC_SLABS = 64
+
+
 def _goal_distances(vmap, goal_cell, band_shape, k_lo):
     """Distance from each voxel center of the band to the goal's center,
     as a flat memoryview over the band padded by one cell on every side
@@ -279,8 +283,8 @@ def _goal_distances(vmap, goal_cell, band_shape, k_lo):
 
     Each row is `sqrt(vecdot(d, d))`, bitwise the 1-D `np.linalg.norm(d)`
     of a per-cell heuristic (`norm(axis=1)` is not), with `d` componentwise
-    `voxel_center(cell) - voxel_center(goal_cell)`.  The table is filled one
-    i slab at a time to keep the temporaries small."""
+    `voxel_center(cell) - voxel_center(goal_cell)`.  The table is filled
+    `_HEURISTIC_SLABS` i slabs at a time to keep the temporaries small."""
     ni, nj, nk = band_shape
     goal_center = vmap.voxel_center(goal_cell)
 
@@ -293,13 +297,15 @@ def _goal_distances(vmap, goal_cell, band_shape, k_lo):
         axis_offsets(2, np.arange(k_lo, k_lo + nk, dtype=np.float64)),
         indexing="ij",
     )
-    d = np.empty((nj * nk, 3))
-    d[:, 1] = dy.ravel()
-    d[:, 2] = dz.ravel()
+    d = np.empty((min(ni, _HEURISTIC_SLABS), nj * nk, 3))
+    d[:, :, 1] = dy.ravel()
+    d[:, :, 2] = dz.ravel()
     table = np.zeros((ni + 2, nj + 2, nk + 2))
-    for i in range(ni):
-        d[:, 0] = dx[i]
-        table[i + 1, 1:-1, 1:-1] = np.sqrt(np.vecdot(d, d)).reshape(nj, nk)
+    for i0 in range(0, ni, _HEURISTIC_SLABS):
+        i1 = min(i0 + _HEURISTIC_SLABS, ni)
+        block = d[: i1 - i0]
+        block[:, :, 0] = dx[i0:i1, None]
+        table[i0 + 1 : i1 + 1, 1:-1, 1:-1] = np.sqrt(np.vecdot(block, block)).reshape(i1 - i0, nj, nk)
     return memoryview(table.reshape(-1))
 
 
@@ -322,9 +328,12 @@ def plan_route(vmap, start, goal, inflation, z_band=None, heuristic=True):
     # Cells are flat indices into the band padded with one blocked cell on
     # every side: the shell stands in for the bounds and band tests, and
     # flat order is (i, j, k) order, so heap ties break as on cell tuples.
-    pad = np.zeros((band.shape[0] + 2, band.shape[1] + 2, band.shape[2] + 2), dtype=np.uint8)
-    pad[1:-1, 1:-1, 1:-1] = band
-    is_free = pad.tobytes()
+    # A closed cell is marked blocked too.  The heuristic is consistent
+    # with the step costs (Euclidean, or zero), so a closed cell's g is
+    # final and no neighbour test could improve it.
+    pad = np.ones((band.shape[0] + 2, band.shape[1] + 2, band.shape[2] + 2), dtype=np.uint8)
+    pad[1:-1, 1:-1, 1:-1] = ~band
+    blocked = bytearray(pad.tobytes())
     stride_j = pad.shape[2]
     stride_i = pad.shape[1] * stride_j
 
@@ -350,18 +359,18 @@ def plan_route(vmap, start, goal, inflation, z_band=None, heuristic=True):
     best_g, inf = g_score.get, math.inf
     came = {}
     open_heap = [(heur[src], src)]
-    closed = bytearray(pad.size)
     while open_heap:
         f, cell = pop(open_heap)
-        if closed[cell]:
+        # Only free cells are pushed, so a blocked one popped is closed.
+        if blocked[cell]:
             continue
         if cell == dst:
             break
-        closed[cell] = 1
+        blocked[cell] = 1
         base = g_score[cell]
         for off, step in steps:
             nxt = cell + off
-            if is_free[nxt]:
+            if not blocked[nxt]:
                 cand = base + step
                 if cand < best_g(nxt, inf) - 1e-12:
                     g_score[nxt] = cand

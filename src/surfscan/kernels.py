@@ -219,7 +219,8 @@ def point_is_free(occ, gx, gy, gz, radius, box):
     Point and radius are in grid units; voxel i,j,k occupies the box
     [i,i+1]x[j,j+1]x[k,k+1].  Distances are point-to-box.  `box` is the
     occupied box of `occ` (`VoxelMap.occupied_box`): only voxels inside it
-    are scanned, since every other voxel is empty.
+    are scanned, since every other voxel is empty.  A point whose block
+    holds no occupied voxel is free without the scan.
     """
     r2 = radius * radius
     # One extra voxel on each side keeps a box exactly `radius` below the
@@ -231,6 +232,10 @@ def point_is_free(occ, gx, gy, gz, radius, box):
     j1 = min(int(math.floor(gy + radius)) + 1, box[1, 1] - 1)
     k0 = max(int(math.floor(gz - radius)) - 1, box[0, 2])
     k1 = min(int(math.floor(gz + radius)) + 1, box[1, 2] - 1)
+    # A range clipped empty, or a block with no occupied voxel, holds no
+    # candidate; the range test runs first, as it needs no numpy call.
+    if i0 > i1 or j0 > j1 or k0 > k1 or not occ[i0 : i1 + 1, j0 : j1 + 1, k0 : k1 + 1].any():
+        return True
     for i in range(i0, i1 + 1):
         ddx = 0.0
         if gx < i:

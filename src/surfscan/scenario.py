@@ -239,9 +239,25 @@ def _mapping(value, where, schema=None):
     return value
 
 
+def _required(entry, key, where):
+    """`entry[key]` of the mapping at `where`, else ValueError naming the
+    key path."""
+    if key not in entry:
+        raise ValueError(f"{where}.{key} is required")
+    return entry[key]
+
+
 def _parse_boxes(entries, where):
-    entries = [_mapping(b, f"{where}[{i}]", "box") for i, b in enumerate(entries or ())]
-    return tuple(Box(tuple(b["lo"]), tuple(b["hi"])) for b in entries)
+    boxes = []
+    for i, entry in enumerate(entries or ()):
+        at = f"{where}[{i}]"
+        entry = _mapping(entry, at, "box")
+        lo, hi = tuple(_required(entry, "lo", at)), tuple(_required(entry, "hi", at))
+        try:
+            boxes.append(Box(lo, hi))
+        except ValueError as exc:
+            raise ValueError(f"{at}: {exc}") from exc
+    return tuple(boxes)
 
 
 def _parse_map_spec(entry, where):
@@ -306,15 +322,20 @@ def _parse_scenario(raw, path):
             additions=_parse_boxes(delta_raw.get("additions"), "maps.delta.additions"),
         )
     bounds_raw = _mapping(maps_raw.get("bounds"), "maps.bounds")
-    bounds = (bounds_raw["lo"], bounds_raw["hi"]) if bounds_raw else None
+    bounds = None
+    if bounds_raw:
+        bounds = (_required(bounds_raw, "lo", "maps.bounds"), _required(bounds_raw, "hi", "maps.bounds"))
     tasks = []
     for i, entry in enumerate(raw.get("tasks") or ()):
-        entry = _mapping(entry, f"tasks[{i}]", "tasks[]")
-        spec = TaskSpec(id=str(entry["id"]), vertices=tuple(tuple(v) for v in entry["vertices"]))
+        at = f"tasks[{i}]"
+        entry = _mapping(entry, at, "tasks[]")
+        spec = TaskSpec(
+            id=str(_required(entry, "id", at)), vertices=tuple(tuple(v) for v in _required(entry, "vertices", at))
+        )
         try:
             spec.to_task(view)  # builds the ROI, which checks the vertices
         except ValueError as exc:
-            raise ValueError(f"tasks[{i}] ({spec.id}): {exc}") from exc
+            raise ValueError(f"{at} ({spec.id}): {exc}") from exc
         tasks.append(spec)
 
     return ScenarioConfig(

@@ -158,11 +158,16 @@ class VoxelMap:
     def occupied_box(self):
         """First and one-past-last occupied voxel index per axis, as a
         read-only (2, 3) int64 array; None for an empty map.  Computed on
-        first use and cached."""
+        first use and cached.  The grid is read in two passes that reduce
+        over outer axes, which numpy runs far faster than reductions over
+        the short inner axes: x over each contiguous yz slab, and y and z
+        from the grid reduced over x."""
+        occ = self.occ
+        nx, ny, nz = occ.shape
+        yz = occ.any(axis=0)
         lo, hi = [], []
-        for axis in range(3):
-            rest = tuple(a for a in range(3) if a != axis)
-            idx = np.flatnonzero(self.occ.any(axis=rest))
+        for filled in (occ.reshape(nx, ny * nz).any(axis=1), yz.any(axis=1), yz.any(axis=0)):
+            idx = np.flatnonzero(filled)
             if idx.size == 0:
                 return None
             lo.append(idx[0])

@@ -48,3 +48,12 @@ def test_bench_kernels_builds_the_band_mask_row():
     # Building the planning cases asserts the band mask equals the sliced
     # whole-grid mask.
     assert "free_mask band 400x400x1" in [name for name, *_ in load_bench().planning_cases()]
+
+
+def test_bench_kernels_builds_the_occupied_box_row():
+    # Building the planning cases also asserts that the occupied box equals
+    # the per-axis form; the whole-grid dilation reference is built only
+    # when the script runs.
+    cases = {name: (new, reference) for name, new, reference, _ in load_bench().planning_cases()}
+    new, reference = cases["occupied_box 400x400x24"]
+    assert new().tolist() == reference().tolist() == [[80, 36, 0], [344, 364, 24]]

@@ -558,6 +558,12 @@ def point_is_free_oracle(occ, g, radius):
     return True
 
 
+def two_corner_voxels(n):
+    occ = np.zeros((n, n, n), dtype=np.bool_)
+    occ[0, 0, 0] = occ[-1, -1, -1] = True
+    return occ
+
+
 @given(
     occ=occupancy_grids(),
     g=st.tuples(*[st.floats(-3.0, 12.0)] * 3),
@@ -566,6 +572,11 @@ def point_is_free_oracle(occ, g, radius):
 # A box touching the point from below at exactly `radius`.
 @example(occ=np.ones((1, 1, 1), dtype=np.bool_), g=(0.0, 0.0, 1.0), radius=0.0)
 @example(occ=np.ones((1, 1, 1), dtype=np.bool_), g=(0.5, 0.5, 3.0), radius=2.0)
+# Voxels at two opposite corners: the occupied box is the whole grid, and
+# the block around the point holds no occupied voxel.
+@example(occ=two_corner_voxels(9), g=(4.5, 4.5, 4.5), radius=1.0)
+# A point beyond the grid: its clipped index range is empty.
+@example(occ=np.ones((2, 2, 2), dtype=np.bool_), g=(-3.0, 1.0, 1.0), radius=0.5)
 @PROPERTY
 def test_point_is_free_matches_brute_force(occ, g, radius):
     free = point_is_free_oracle(occ, g, radius)

@@ -278,6 +278,35 @@ def test_cli_rejects_non_integer_counts(tmp_path, capsys, path, value, reason):
     assert not out.exists()
 
 
+WALL_VERTICES = [[6, -3, 0], [6, 3, 0], [6, 3, 2], [6, -3, 2]]
+
+
+@pytest.mark.parametrize(
+    "path, value, reason",
+    [
+        (("maps", "bounds"), {"hi": [12, 7, 2.4]}, "maps.bounds.lo is required"),
+        (("maps", "bounds"), {"lo": [-1, -8, 0]}, "maps.bounds.hi is required"),
+        (("tasks",), [{"id": "wall", "vertices": WALL_VERTICES}, {"vertices": WALL_VERTICES}], "tasks[1].id is required"),
+        (("tasks", 0), {"id": "wall"}, "tasks[0].vertices is required"),
+        (("maps", "historical", "boxes", 0), {"lo": [6, -3, 0]}, "maps.historical.boxes[0].hi is required"),
+        (
+            ("maps", "delta", "additions", 0, "lo"),
+            [1.5, -4.6],
+            "maps.delta.additions[0]: Box corners must be 3-vectors",
+        ),
+    ],
+    ids=["bounds_lo", "bounds_hi", "task_id", "task_vertices", "box_hi", "box_corner"],
+)
+def test_cli_scenario_errors_name_the_key_path(tmp_path, capsys, path, value, reason):
+    # A missing nested key read `malformed scenario: 'lo'` (or 'id', 'hi'),
+    # and a bad box corner did not say which box.
+    f = _write_with(tmp_path, path, value)
+    out = tmp_path / "out"
+    assert main(["plan", "--config", str(f), "--out", str(out)]) == 64
+    assert f"{f}: {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_integral_float_counts_load_as_integers(tmp_path):
     cfg = load_scenario(_write_with(tmp_path, ("seed",), 7.0))
     assert cfg.seed == 7 and type(cfg.seed) is int

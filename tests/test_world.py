@@ -522,6 +522,36 @@ def test_occupied_box_bounds_the_occupied_voxels(occ):
         assert box.tolist() == [idx.min(axis=0).tolist(), (idx.max(axis=0) + 1).tolist()]
 
 
+@st.composite
+def box_test_grids(draw):
+    """An empty grid, one voxel at a corner, a full grid or random blocks."""
+    shape = tuple(draw(st.integers(1, 9)) for _ in range(3))
+    occ = np.zeros(shape, dtype=np.bool_)
+    kind = draw(st.sampled_from(["empty", "corner", "full", "blocks"]))
+    if kind == "corner":
+        occ[tuple(draw(st.sampled_from([0, n - 1])) for n in shape)] = True
+    elif kind == "full":
+        occ[...] = True
+    elif kind == "blocks":
+        for _ in range(draw(st.integers(1, 3))):
+            lo = [draw(st.integers(0, n - 1)) for n in shape]
+            hi = [draw(st.integers(l + 1, n)) for l, n in zip(lo, shape)]
+            occ[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]] = True
+    return occ
+
+
+@given(occ=box_test_grids())
+@settings(max_examples=100, deadline=None)
+def test_occupied_box_matches_nonzero_extremes(occ):
+    box = VoxelMap(np.zeros(3), 0.1, occ).occupied_box
+    idx = np.nonzero(occ)
+    if idx[0].size == 0:
+        assert box is None
+    else:
+        assert box.dtype == np.int64 and not box.flags.writeable
+        assert box.tolist() == [[int(a.min()) for a in idx], [int(a.max()) + 1 for a in idx]]
+
+
 @given(occ=occupancy_grids())
 @settings(max_examples=50, deadline=None)
 def test_column_extent_bounds_each_vertical_column(occ):
