@@ -62,7 +62,7 @@ import numpy as np
 from scipy import ndimage
 
 from surfscan import global_plan, kernels, world
-from surfscan.depthcam import estimate_normal_map
+from surfscan.depthcam import DEPTH_JUMP, estimate_normal_map
 from surfscan.geometry import Pose6, ViewPose4
 from surfscan.scenario import build_scene, demo_scenario
 from surfscan.world import Box, VoxelMap, camera_axes_world, fibonacci_directions, render_depth
@@ -84,7 +84,7 @@ def sensing_cases():
     """(name, scalar loop, vectorized kernel, args, kernel keywords) for
     one receding pose."""
     cfg = demo_scenario("receding")
-    vmap = build_scene(cfg).current
+    vmap = build_scene(cfg, None).current
     cam = cfg.camera
     pose = Pose6(4.0, -2.0, 0.6)
     origin = vmap.world_to_grid(pose.position)
@@ -122,7 +122,7 @@ def sensing_cases():
             f"normals {cam.width}x{cam.height}",
             kernels.normals_from_depth_scalar,
             kernels.normals_from_depth,
-            (depth, float(cam.fx), float(cam.fy), float(cam.cx), float(cam.cy), 0.3),
+            (depth, float(cam.fx), float(cam.fy), float(cam.cx), float(cam.cy), DEPTH_JUMP),
             {},
         ),
     )
@@ -137,7 +137,7 @@ def frame_cases():
     cases = []
     for name, demo, position in (("hit", "receding", (4.0, -2.0, 0.6)), ("miss", "receding_full", (4.0, 0.0, 0.6))):
         cfg = demo_scenario(demo)
-        vmap = build_scene(cfg).current
+        vmap = build_scene(cfg, None).current
         cam = cfg.camera
         pose = Pose6(*position)
         axes = camera_axes_world(pose)
@@ -161,15 +161,15 @@ def utility_case():
     the `receding` sensing pose."""
     cfg = demo_scenario("receding")
     cam = cfg.camera
-    depth = render_depth(build_scene(cfg).current, Pose6(4.0, -2.0, 0.6), cam)
-    args = (depth.data, float(cam.fx), float(cam.fy), float(cam.cx), float(cam.cy), 0.3)
+    depth = render_depth(build_scene(cfg, None).current, Pose6(4.0, -2.0, 0.6), cam)
+    args = (depth.data, float(cam.fx), float(cam.fy), float(cam.cx), float(cam.cy), DEPTH_JUMP)
 
     def from_cosines():
         cosines = np.abs(kernels.incidence_cosines(*args))
         return cosines, float(cosines.mean())
 
     def from_normal_map():
-        nz = estimate_normal_map(depth, cam, jump=0.3)[..., 2]
+        nz = estimate_normal_map(depth, cam)[..., 2]
         cosines = np.abs(nz[np.isfinite(nz)])
         return cosines, float(cosines.mean())
 
@@ -202,7 +202,7 @@ def swept_cases():
     every half voxel as `is_collision_free` samples it: from the sensing
     pose, and 0.6 m (just beyond the inflation) from the unreceded face."""
     cfg = demo_scenario("receding")
-    vmap = build_scene(cfg).current
+    vmap = build_scene(cfg, None).current
     box = vmap.occupied_box
     face = vmap.origin[0] + box[0, 0] * vmap.voxel_size
     full = np.array([(0, 0, 0), vmap.shape])
@@ -216,7 +216,7 @@ def batched_scan_case():
     """(name, occupancy, 8 grid-unit origins, one scan's directions, box)
     for 8 consecutive control steps in front of the `receding` demo's
     face."""
-    vmap = build_scene(demo_scenario("receding")).current
+    vmap = build_scene(demo_scenario("receding"), None).current
     steps = np.array([4.0, -2.0, 0.6]) + np.arange(8)[:, None] * np.array([0.0, 0.08, 0.0])
     dirs = np.ascontiguousarray(fibonacci_directions(2048) / vmap.voxel_size)
     return "8 scans 2048 nearest", vmap.occ, vmap.world_to_grid(steps), dirs, vmap.occupied_box

@@ -113,7 +113,7 @@ def _write_run_artifacts(result, out_dir):
     write_plot_data(result.log, out_dir / "plots")
     _write_plan_artifacts(result.artifacts, out_dir)
     rows = ["t,pose_index,x,y,z,psi"]
-    for t, path in result.predicted_paths or ():
+    for t, path in result.predicted_paths:
         for i, row in enumerate(path.as_array()):
             rows.append(f"{t!r},{i},{row[0]!r},{row[1]!r},{row[2]!r},{row[3]!r}")
     (out_dir / "predicted_paths.csv").write_text("\n".join(rows) + "\n")

@@ -12,7 +12,11 @@ import numpy as np
 from . import kernels
 from .geometry import Pose6
 
-__all__ = ["CameraIntrinsics", "DepthImage", "estimate_normal_map"]
+__all__ = ["CameraIntrinsics", "DepthImage", "estimate_normal_map", "DEPTH_JUMP"]
+
+# Depth difference (meters) between neighbouring pixels beyond which they
+# lie across a discontinuity, so no normal is estimated across them.
+DEPTH_JUMP = 0.3
 
 
 @dataclass(frozen=True)
@@ -98,13 +102,13 @@ def camera_axes_world(pose):
     return right, down, forward
 
 
-def estimate_normal_map(depth, intrinsics, jump=0.3):
+def estimate_normal_map(depth, intrinsics):
     """Per-pixel unit surface normals in the camera frame.
 
     Normals come from the cross product of central-difference tangents of
     the back-projected points and are oriented to face the camera.  Border
     pixels, pixels with invalid neighbors and pixels across depth
-    discontinuities larger than `jump` meters are NaN.
+    discontinuities larger than `DEPTH_JUMP` meters are NaN.
     """
     if depth.height < 3 or depth.width < 3:
         raise ValueError("normal estimation needs at least a 3x3 image")
@@ -114,5 +118,5 @@ def estimate_normal_map(depth, intrinsics, jump=0.3):
         float(intrinsics.fy),
         float(intrinsics.cx),
         float(intrinsics.cy),
-        float(jump),
+        DEPTH_JUMP,
     )

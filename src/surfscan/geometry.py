@@ -203,8 +203,9 @@ class PointCloud:
         return self.points.shape[0] == 0
 
 
-def _segments_intersect_2d(p1, p2, p3, p4, eps=1e-12):
+def _segments_intersect_2d(p1, p2, p3, p4):
     """Proper or touching intersection of segments p1-p2 and p3-p4 in 2D."""
+    eps = 1e-12
 
     def orient(a, b, c):
         return (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
@@ -234,9 +235,10 @@ def _segments_intersect_2d(p1, p2, p3, p4, eps=1e-12):
     return False
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PolygonROI:
-    """Simple planar polygon in 3D; normal orientation follows the winding."""
+    """Simple planar polygon in 3D; normal orientation follows the winding.
+    Two polygons are equal when their vertices are."""
 
     vertices: np.ndarray
 
@@ -281,6 +283,12 @@ class PolygonROI:
     @property
     def centroid(self):
         return self._centroid
+
+    def __eq__(self, other):
+        return isinstance(other, PolygonROI) and np.array_equal(self.vertices, other.vertices)
+
+    def __hash__(self):
+        return hash(self.vertices.tobytes())
 
 
 def polygon_normal(roi):

@@ -5,7 +5,7 @@ annealed visitation tour."""
 import heapq
 import logging
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import ndimage
@@ -87,7 +87,6 @@ class ViewConstraints:
 class InspectionTask:
     id: str
     roi: PolygonROI
-    constraints: ViewConstraints = field(default_factory=ViewConstraints)
 
 
 @dataclass(frozen=True)
@@ -130,29 +129,24 @@ class Tour:
         return len(self.order)
 
 
-def generate_grid_viewpoints(task, toward=None, z_band=None):
+def generate_grid_viewpoints(task, view, toward, z_band):
     """Grid viewpoints for a polygon ROI (overlap-driven spacing).
 
     The ROI plane is gridded from the in-plane bounding-box minimum corner
-    with spacings derived from camera footprint and overlaps; intersections
-    inside the polygon are offset by d_view along the polygon normal and
-    oriented to look back at the surface.  `toward` picks the projection
-    side (the half-space containing it, usually the robot); `z_band`
-    clamps viewpoint heights to [z_min, z_max], merging rows that collapse
-    onto the same height.
+    with spacings derived from the `view` constraints' camera footprint and
+    overlaps; intersections inside the polygon are offset by d_view along
+    the polygon normal and oriented to look back at the surface.  `toward`
+    picks the projection side (the half-space containing it, usually the
+    robot); `z_band` clamps viewpoint heights to [z_min, z_max], merging
+    rows that collapse onto the same height (None: no clamp).
     """
     roi = task.roi
-    c = task.constraints
     n = polygon_normal(roi)
     u, v = polygon_basis(roi)
     centroid = roi.centroid
 
-    sign = 1.0
-    if toward is not None:
-        toward = np.asarray(toward, dtype=np.float64)
-        if float((toward - centroid) @ n) < 0.0:
-            sign = -1.0
-    proj = sign * n
+    toward = np.asarray(toward, dtype=np.float64)
+    proj = -n if float((toward - centroid) @ n) < 0.0 else n
     yaw = float(np.arctan2(-proj[1], -proj[0]))
 
     su = (roi.vertices - centroid) @ u
@@ -161,17 +155,17 @@ def generate_grid_viewpoints(task, toward=None, z_band=None):
     t0, t1 = float(sv.min()), float(sv.max())
 
     eps = 1e-9
-    n_cols = int(np.floor((s1 - s0) / c.spacing_h + eps)) + 1
-    n_rows = int(np.floor((t1 - t0) / c.spacing_v + eps)) + 1
+    n_cols = int(np.floor((s1 - s0) / view.spacing_h + eps)) + 1
+    n_rows = int(np.floor((t1 - t0) / view.spacing_v + eps)) + 1
 
     entries = []  # (row_key, col, grid_point, view_z)
     clamped = False
     for j in range(n_rows):
         for i in range(n_cols):
-            g = centroid + (s0 + i * c.spacing_h) * u + (t0 + j * c.spacing_v) * v
+            g = centroid + (s0 + i * view.spacing_h) * u + (t0 + j * view.spacing_v) * v
             if not point_in_polygon(roi, g):
                 continue
-            p = g + proj * c.d_view
+            p = g + proj * view.d_view
             z = p[2]
             if z_band is not None:
                 lo, hi = z_band
@@ -182,7 +176,7 @@ def generate_grid_viewpoints(task, toward=None, z_band=None):
             entries.append((round(z, 9), i, g, (p[0], p[1], z)))
 
     if not entries:
-        p = centroid + proj * c.d_view
+        p = centroid + proj * view.d_view
         log.warning("task %s: ROI too small for grid, falling back to centroid view", task.id)
         return ViewPlan(
             task_id=task.id,
@@ -309,10 +303,10 @@ def _goal_distances(vmap, goal_cell, band_shape, k_lo):
     return memoryview(table.reshape(-1))
 
 
-def plan_route(vmap, start, goal, inflation, z_band=None, heuristic=True):
+def plan_route(vmap, start, goal, inflation, z_band):
     """Shortest 26-connected route over free voxels (A*, Euclidean costs,
     lexicographic tie-breaking).  Traversal is restricted to the z layers of
-    `z_band` (default: the start's layer).  Returns (waypoints, length)."""
+    `z_band` (None: the start's layer).  Returns (waypoints, length)."""
     start = np.asarray(start, dtype=np.float64)
     goal = np.asarray(goal, dtype=np.float64)
     if np.linalg.norm(goal - start) < 1e-12:
@@ -329,7 +323,7 @@ def plan_route(vmap, start, goal, inflation, z_band=None, heuristic=True):
     # every side: the shell stands in for the bounds and band tests, and
     # flat order is (i, j, k) order, so heap ties break as on cell tuples.
     # A closed cell is marked blocked too.  The heuristic is consistent
-    # with the step costs (Euclidean, or zero), so a closed cell's g is
+    # with the step costs (both Euclidean), so a closed cell's g is
     # final and no neighbour test could improve it.
     pad = np.ones((band.shape[0] + 2, band.shape[1] + 2, band.shape[2] + 2), dtype=np.uint8)
     pad[1:-1, 1:-1, 1:-1] = ~band
@@ -348,10 +342,7 @@ def plan_route(vmap, start, goal, inflation, z_band=None, heuristic=True):
         for (di, dj, dk), cost in zip(_NEIGHBORS, _NEIGHBOR_COSTS)
         if k_lo < k_hi or dk == 0
     ]
-    if heuristic:
-        heur = _goal_distances(vmap, g, band.shape, k_lo)
-    else:
-        heur = memoryview(np.zeros(pad.size))
+    heur = _goal_distances(vmap, g, band.shape, k_lo)
     src, dst = flat(s), flat(g)
 
     push, pop = heapq.heappush, heapq.heappop
@@ -407,7 +398,7 @@ class TaskPriority:
     reachable: bool
 
 
-def prioritize_tasks(tasks, plans, robot, vmap, inflation, z_band=None):
+def prioritize_tasks(tasks, plans, robot, vmap, inflation, z_band):
     """Tasks ordered by traversable route length from the robot to each
     task's nearest valid viewpoint.  Unreachable tasks go last, flagged."""
     if not tasks:
@@ -421,7 +412,7 @@ def prioritize_tasks(tasks, plans, robot, vmap, inflation, z_band=None):
             continue
         nearest = positions[np.argmin(np.linalg.norm(positions - robot_pos, axis=1))]
         try:
-            _, length = plan_route(vmap, robot_pos, nearest, inflation, z_band=z_band)
+            _, length = plan_route(vmap, robot_pos, nearest, inflation, z_band)
             ranked.append(TaskPriority(task, plan, length, True))
         except RouteError as exc:
             log.info("task %s unreachable: %s", task.id, exc)

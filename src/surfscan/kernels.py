@@ -398,7 +398,7 @@ def _crossings_below(tmax, tdel, limit):
 # A tiny direction component divides and sums to the intended +-inf, and
 # one that is zero gives nan where its axis is masked out: no warnings.
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def raycast_batch(occ, origin, dirs, t_cap, nearest=False, box=None):
+def raycast_batch(occ, origin, dirs, t_cap, nearest=False, *, box):
     """First-hit parameter for a batch of rays from one or more origins.
 
     origin: (3,) grid-unit coordinates, or (G, 3) for G scans in one call.
@@ -414,8 +414,9 @@ def raycast_batch(occ, origin, dirs, t_cap, nearest=False, box=None):
     that bound for the nearest hit found so far from their origin, so one
     scan's near hit never retires another scan's rays.
 
-    `box` is the occupied box of `occ` (`VoxelMap.occupied_box`): a (2, 3)
-    array of the first and one-past-last occupied voxel per axis.  Every
+    `box` is the occupied box of `occ` (`VoxelMap.occupied_box`, so `occ`
+    holds an occupied voxel): a (2, 3) array of the first and one-past-last
+    occupied voxel per axis.  Every
     ray is clipped to that box padded by one voxel: a ray stops at its exit
     from it, a ray that never meets it is a miss, and a ray that starts
     outside it jumps straight to its entry.  The padding is far wider than
@@ -449,15 +450,14 @@ def raycast_batch(occ, origin, dirs, t_cap, nearest=False, box=None):
     t_enter = np.zeros(n_rays)
     t_exit = np.full(n_rays, float(t_cap))
     live = ~_slab_clip(each, dirs, np.zeros(3), np.array(shape, dtype=np.float64), t_enter, t_exit)
-    if box is not None:
-        # Entry into and exit from the padded occupied box, as the scalar
-        # loop's `_box_exit` computes the exit.  A ray that stays outside a
-        # slab it does not move across enters at +inf; it is kept only when
-        # its exit is +inf too (it moves along no axis and is uncapped, and
-        # the DDA walks it at t = inf, as the scalar loop does).
-        box_enter = np.full(n_rays, -np.inf)
-        box_enter[_slab_clip(each, dirs, box[0] - 1.0, box[1] + 1.0, box_enter, t_exit)] = np.inf
-        live &= ~(box_enter > t_exit)
+    # Entry into and exit from the padded occupied box, as the scalar
+    # loop's `_box_exit` computes the exit.  A ray that stays outside a
+    # slab it does not move across enters at +inf; it is kept only when
+    # its exit is +inf too (it moves along no axis and is uncapped, and
+    # the DDA walks it at t = inf, as the scalar loop does).
+    box_enter = np.full(n_rays, -np.inf)
+    box_enter[_slab_clip(each, dirs, box[0] - 1.0, box[1] + 1.0, box_enter, t_exit)] = np.inf
+    live &= ~(box_enter > t_exit)
     live &= ~(t_enter > t_exit)
     ray = np.flatnonzero(live)
     if ray.size == 0:
@@ -486,22 +486,19 @@ def raycast_batch(occ, origin, dirs, t_cap, nearest=False, box=None):
         )
         fstate[5 + axis] = np.where(forward, 1.0 / d, np.where(backward, 1.0 / -d, np.inf))
         sign[axis] = np.where(forward, 1, -1)
-    if box is not None:
-        # Pass every crossing below the box entry before the loop: the
-        # voxels they lead into lie outside the padded box.  Only rays with
-        # t below the entry skip (a ray can enter the grid with a tmax one
-        # rounding below t).  A ray carried out of the grid is clamped to
-        # just outside it, and misses.  t stays at the grid entry: the cell
-        # is empty or outside the grid, so the loop's first iteration
-        # records no hit and its first step sets t.
-        limit = box_enter[ray]
-        rows = np.flatnonzero((t < limit) & (limit < np.inf))
-        for axis in range(3):
-            k, fstate[2 + axis, rows] = _crossings_below(
-                fstate[2 + axis, rows], fstate[5 + axis, rows], limit[rows]
-            )
-            moved = cells[axis, rows] + sign[axis, rows] * k
-            cells[axis, rows] = np.clip(moved, -1, shape[axis])
+    # Pass every crossing below the box entry before the loop: the voxels
+    # they lead into lie outside the padded box.  Only rays with t below
+    # the entry skip (a ray can enter the grid with a tmax one rounding
+    # below t).  A ray carried out of the grid is clamped to just outside
+    # it, and misses.  t stays at the grid entry: the cell is empty or
+    # outside the grid, so the loop's first iteration records no hit and
+    # its first step sets t.
+    limit = box_enter[ray]
+    rows = np.flatnonzero((t < limit) & (limit < np.inf))
+    for axis in range(3):
+        k, fstate[2 + axis, rows] = _crossings_below(fstate[2 + axis, rows], fstate[5 + axis, rows], limit[rows])
+        moved = cells[axis, rows] + sign[axis, rows] * k
+        cells[axis, rows] = np.clip(moved, -1, shape[axis])
     bound = _march(occ, box, out, ray, fstate, sign, cells, per if nearest else 0, groups)
     if nearest:
         # The final bound decides, whatever order the hits were found in.
@@ -526,20 +523,17 @@ def _march(occ, box, out, ray, fstate, sign, cells, per=0, groups=1):
     working arrays.
     """
     shape = occ.shape
-    if box is None:
-        lo, hi = np.zeros(3, dtype=np.int64), np.array(shape)
-    else:
-        # March over the smallest block of the grid that holds the occupied
-        # box and the first voxel of every ray in the grid: a ray leaving
-        # it has passed the box on that axis and can hit nothing more.
-        # After `raycast_batch`'s skip that is the box padded by two
-        # voxels at most (a skipped ray stops in the voxel before the
-        # padded box's face), unless an uncapped walk at t = inf, which
-        # skips nothing, starts farther out; a level frame's rays start in
-        # the box's xy footprint, at any height.
-        in_grid = ((cells >= 0) & (cells < np.array(shape)[:, None])).all(axis=0)
-        lo = np.array([cells[a].min(where=in_grid, initial=box[0, a]) for a in range(3)])
-        hi = np.array([cells[a].max(where=in_grid, initial=box[1, a] - 1) for a in range(3)]) + 1
+    # March over the smallest block of the grid that holds the occupied box
+    # and the first voxel of every ray in the grid: a ray leaving it has
+    # passed the box on that axis and can hit nothing more.  After
+    # `raycast_batch`'s skip that is the box padded by two voxels at most
+    # (a skipped ray stops in the voxel before the padded box's face),
+    # unless an uncapped walk at t = inf, which skips nothing, starts
+    # farther out; a level frame's rays start in the box's xy footprint, at
+    # any height.
+    in_grid = ((cells >= 0) & (cells < np.array(shape)[:, None])).all(axis=0)
+    lo = np.array([cells[a].min(where=in_grid, initial=box[0, a]) for a in range(3)])
+    hi = np.array([cells[a].max(where=in_grid, initial=box[1, a] - 1) for a in range(3)]) + 1
 
     # Rows of `istate`: ray index, linear voxel index into the marched
     # block padded by a one-voxel shell (a ray outside the grid starts in

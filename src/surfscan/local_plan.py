@@ -80,13 +80,15 @@ def _sweep_sign_toward(pos, p_nn, guide_pos):
     return 1.0 if float(nu_y @ (guide_pos - pos)) >= 0.0 else -1.0
 
 
-def predict_local_path(odom, vmap, guide, cfg, first_cloud=None):
+def predict_local_path(odom, vmap, guide, cfg, first_cloud):
     """Predict the local inspection path over the horizon.
 
     One pose is predicted per guide pose (the supervisor sizes the guide to
-    the horizon, shrinking it near the tour end).  Each step re-senses the
-    scene at the previously predicted pose (a fresh virtual scan of `vmap`
-    with the `ScenarioConfig`'s `sense_range` and `sense_rays`) and applies
+    the horizon, shrinking it near the tour end).  The first step reads
+    `first_cloud`, the scan already taken at `odom`; each later step
+    re-senses the scene at the previously predicted pose (a fresh virtual
+    scan of `vmap` with the `ScenarioConfig`'s `sense_range` and
+    `sense_rays`, nearest returns only) and applies
     the next-view rule with the lateral sweep directed toward the
     corresponding guide pose.  Returns (path, short): `short` is True
     when sensing came up empty at a virtual pose and the prediction was
@@ -98,7 +100,7 @@ def predict_local_path(odom, vmap, guide, cfg, first_cloud=None):
     poses = []
     short = False
     for i in range(len(guide)):
-        if i == 0 and first_cloud is not None:
+        if i == 0:
             cloud = first_cloud
         else:
             cloud = sample_cloud(vmap, pos, cfg.sense_range, cfg.sense_rays, nearest=True)

@@ -8,6 +8,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from . import kernels
+from .depthcam import DEPTH_JUMP
 # Unused here, but importable from this module: perfbench's tracer
 # (`perfbench/tracing.py`) wraps `metrics.estimate_normal_map`.
 from .depthcam import estimate_normal_map  # noqa: F401
@@ -24,7 +25,7 @@ __all__ = [
 ]
 
 
-def viewpoint_utility(depth, intrinsics, jump=0.3):
+def viewpoint_utility(depth, intrinsics):
     """Mean cosine of the surface incidence angle over valid pixels.
 
     Per-pixel normals are estimated from the depth image; the incidence
@@ -43,7 +44,7 @@ def viewpoint_utility(depth, intrinsics, jump=0.3):
         float(intrinsics.fy),
         float(intrinsics.cx),
         float(intrinsics.cy),
-        float(jump),
+        DEPTH_JUMP,
     )
     if cosines.size == 0:
         raise NoSurfaceError("no valid surface pixels in view")
@@ -102,9 +103,9 @@ _FIELDS = [f.name for f in fields(MissionRecord)]
 class MissionLog:
     """Append-only record list with strictly increasing timestamps."""
 
-    def __init__(self, meta=None):
+    def __init__(self):
         self.records = []
-        self.meta = dict(meta or {})
+        self.meta = {}
 
     def append(self, record):
         if self.records and record.t <= self.records[-1].t:
@@ -160,7 +161,7 @@ class MissionLog:
 _RECONVERGE_FRAC = 0.1
 
 
-def summarize(log, d_view=2.0):
+def summarize(log, d_view):
     """Mission aggregates: duration, utility stats, replanned share, first
     reconvergence time of the viewing distance, completion status.  An empty
     log (a mission aborted before its first control step) has duration 0."""

@@ -84,7 +84,7 @@ class MissionResult:
     log: MissionLog
     summary: dict
     artifacts: PlanArtifacts
-    predicted_paths: list = None  # (t, PathSegment) per supervision cycle
+    predicted_paths: list  # (t, PathSegment) per supervision cycle
 
 
 class MissionRunner:
@@ -100,14 +100,8 @@ class MissionRunner:
         the visitation tours."""
         cfg = self.cfg
         start = cfg.start_pose
-        tasks = cfg.task_objects()
-        plans = [
-            generate_grid_viewpoints(task, toward=start.position, z_band=cfg.z_band)
-            for task in tasks
-        ]
-        ranked = prioritize_tasks(
-            tasks, plans, start, self.scene.historical, cfg.inflation, z_band=cfg.z_band
-        )
+        plans = [generate_grid_viewpoints(task, cfg.view, start.position, cfg.z_band) for task in cfg.tasks]
+        ranked = prioritize_tasks(cfg.tasks, plans, start, self.scene.historical, cfg.inflation, cfg.z_band)
         executable = []
         for entry in ranked:
             if not entry.reachable:
@@ -146,7 +140,7 @@ class MissionRunner:
         return MissionResult(
             status=status,
             log=stepper.log,
-            summary=summarize(stepper.log, d_view=cfg.view.d_view),
+            summary=summarize(stepper.log, cfg.view.d_view),
             artifacts=artifacts,
             predicted_paths=stepper.predicted_paths,
         )
@@ -223,11 +217,7 @@ class _Stepper:
         for leg in range(2):
             try:
                 waypoints, length = plan_route(
-                    self.scene.current,
-                    self.pose.position,
-                    first.position,
-                    cfg.inflation,
-                    z_band=cfg.z_band,
+                    self.scene.current, self.pose.position, first.position, cfg.inflation, cfg.z_band
                 )
             except RouteError as exc:
                 log.warning("task %s: route to tour start failed: %s", task_id, exc)

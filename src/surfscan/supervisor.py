@@ -256,7 +256,7 @@ def step_mission(state, scene, robot):
     horizon = min(cfg.horizon, remaining)
     gvp = extract_global_segment(state.tour, state.plan, state.cursor, horizon)
     try:
-        lvp, short = predict_local_path(robot, scene.current, gvp, cfg, first_cloud=cloud)
+        lvp, short = predict_local_path(robot, scene.current, gvp, cfg, cloud)
     except NoSurfaceError:
         lvp, short = None, True
     if lvp is None:

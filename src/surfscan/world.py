@@ -31,7 +31,9 @@ __all__ = [
     "fibonacci_directions",
 ]
 
-DEFAULT_VOXEL_SIZE = 0.1
+# The free margin (meters) around the points of a map file loaded without
+# bounds, so that planners have free space to work in.
+MAP_PADDING = 1.0
 
 
 @dataclass(frozen=True)
@@ -77,7 +79,7 @@ class VoxelMap:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def empty(cls, bounds_lo, bounds_hi, voxel_size=DEFAULT_VOXEL_SIZE):
+    def empty(cls, bounds_lo, bounds_hi, voxel_size):
         h = float(voxel_size)
         lo = _snap_down(np.asarray(bounds_lo, dtype=np.float64), h)
         hi = np.asarray(bounds_hi, dtype=np.float64)
@@ -85,12 +87,8 @@ class VoxelMap:
         return cls(lo, h, np.zeros(shape, dtype=np.bool_))
 
     @classmethod
-    def from_points(cls, points, voxel_size=DEFAULT_VOXEL_SIZE, bounds=None):
+    def from_points(cls, points, voxel_size, bounds):
         points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-        if bounds is None:
-            if points.shape[0] == 0:
-                raise ValueError("cannot infer bounds from an empty point set")
-            bounds = (points.min(axis=0), points.max(axis=0) + voxel_size)
         vmap = cls.empty(bounds[0], bounds[1], voxel_size)
         if points.shape[0]:
             occ = np.asarray(vmap.occ)
@@ -102,7 +100,9 @@ class VoxelMap:
         return vmap
 
     @classmethod
-    def from_boxes(cls, boxes, voxel_size=DEFAULT_VOXEL_SIZE, bounds=None):
+    def from_boxes(cls, boxes, voxel_size, bounds):
+        """Grid with the voxels of `boxes` occupied, over `bounds` (None:
+        the boxes' own extent)."""
         boxes = [b if isinstance(b, Box) else Box(*b) for b in boxes]
         if bounds is None:
             if not boxes:
@@ -322,15 +322,15 @@ class Scene:
         return cls(historical, historical)
 
 
-def load_map(path, voxel_size=DEFAULT_VOXEL_SIZE, bounds=None, padding=0.0):
-    """Voxelize an xyz point file.  `padding` grows the grid bounds (meters)
-    on every side so planners have free space to work in."""
+def load_map(path, voxel_size, bounds):
+    """Voxelize an xyz point file over `bounds` (None: the points' extent
+    grown by `MAP_PADDING` on every side)."""
     points = load_xyz(path)
     if points.shape[0] == 0:
         raise ValueError(f"{path}: no points")
     if bounds is None:
-        lo = points.min(axis=0) - padding
-        hi = points.max(axis=0) + voxel_size + padding
+        lo = points.min(axis=0) - MAP_PADDING
+        hi = points.max(axis=0) + voxel_size + MAP_PADDING
         bounds = (lo, hi)
     return VoxelMap.from_points(points, voxel_size, bounds)
 
@@ -359,7 +359,7 @@ def _check_scan(max_range, ray_count):
         raise ValueError(f"ray_count must be at least 1, got {ray_count}")
 
 
-def _first_hits(vmap, origin_g, dirs_g, t_cap, nearest=False):
+def _first_hits(vmap, origin_g, dirs_g, t_cap, nearest):
     """`kernels.raycast_batch` on the map (from one origin or several),
     clipped to its occupied box; on an empty map every ray misses and
     nothing is cast."""

@@ -130,9 +130,8 @@ def test_criterion_05_grid_spacing_and_coverage():
         task = InspectionTask(
             id="wall",
             roi=PolygonROI(np.array([[6, -3, 0], [6, 3, 0], [6, 3, 2], [6, -3, 2]], dtype=float)),
-            constraints=c,
         )
-        plan = generate_grid_viewpoints(task, toward=[0.0, 0.0, 1.0])
+        plan = generate_grid_viewpoints(task, c, [0.0, 0.0, 1.0], None)
         roi = task.roi
         u, v = polygon_basis(roi)
         n = roi.normal

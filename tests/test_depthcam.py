@@ -63,7 +63,7 @@ def test_isolated_pixel_invalid():
 def test_depth_discontinuity_invalidates():
     data = np.full((5, 7), 2.0)
     data[:, 4:] = 4.0  # 2 m jump
-    normals = estimate_normal_map(DepthImage(data, POSE), CAM_small(), jump=0.3)
+    normals = estimate_normal_map(DepthImage(data, POSE), CAM_small())
     valid = np.isfinite(normals[..., 0])
     assert valid[1:-1, 1:3].all()
     assert not valid[:, 3:5].any()

@@ -5,6 +5,7 @@ import re
 import numpy as np
 import pytest
 
+import planner_reference
 from surfscan.geometry import PolygonROI, Pose6, point_in_polygon, polygon_basis
 from surfscan.global_plan import (
     InspectionTask,
@@ -20,8 +21,12 @@ from surfscan.global_plan import (
 from surfscan.world import Box, VoxelMap
 
 
-def make_task(verts, tid="t", **kw):
-    return InspectionTask(id=tid, roi=PolygonROI(np.asarray(verts, dtype=float)), constraints=ViewConstraints(**kw))
+def make_task(verts, tid="t"):
+    return InspectionTask(id=tid, roi=PolygonROI(np.asarray(verts, dtype=float)))
+
+
+# The default view constraints, which every grid here is planned with.
+VIEW = ViewConstraints()
 
 
 WALL_6X2 = [[6, -3, 0], [6, 3, 0], [6, 3, 2], [6, -3, 2]]
@@ -89,7 +94,7 @@ def test_grid_wall_projection_and_yaw():
     # 4 m x 2 m wall at x=4, normal facing -x; robot side at x < 4.
     verts = [[4, 0, 0], [4, 0, 2], [4, 4, 2], [4, 4, 0]]
     task = make_task(verts)
-    plan = generate_grid_viewpoints(task, toward=[0.0, 2.0, 1.0])
+    plan = generate_grid_viewpoints(task, VIEW, [0.0, 2.0, 1.0], None)
     assert len(plan) > 0
     for vp in plan.viewpoints:
         assert vp.x == pytest.approx(2.0, abs=1e-9)
@@ -98,10 +103,10 @@ def test_grid_wall_projection_and_yaw():
 
 def test_grid_viewpoints_distance_spacing_membership():
     task = make_task(WALL_6X2)
-    plan = generate_grid_viewpoints(task, toward=[0.0, 0.0, 1.0])
+    plan = generate_grid_viewpoints(task, VIEW, [0.0, 0.0, 1.0], None)
     roi = task.roi
     n = roi.normal
-    c = task.constraints
+    c = VIEW
     for vp in plan.viewpoints:
         d = abs(float((vp.position - roi.centroid) @ n))
         assert d == pytest.approx(c.d_view, abs=1e-9)
@@ -119,9 +124,9 @@ def test_grid_viewpoints_distance_spacing_membership():
 
 def test_grid_footprint_coverage():
     task = make_task(WALL_6X2)
-    plan = generate_grid_viewpoints(task, toward=[0.0, 0.0, 1.0])
+    plan = generate_grid_viewpoints(task, VIEW, [0.0, 0.0, 1.0], None)
     roi = task.roi
-    c = task.constraints
+    c = VIEW
     u, v = polygon_basis(roi)
     gu = plan.grid_points @ u
     gv = plan.grid_points @ v
@@ -142,7 +147,7 @@ def test_grid_footprint_coverage():
 
 def test_grid_z_band_collapses_rows():
     task = make_task(WALL_6X2)
-    plan = generate_grid_viewpoints(task, toward=[0.0, 0.0, 1.0], z_band=(0.6, 0.6))
+    plan = generate_grid_viewpoints(task, VIEW, [0.0, 0.0, 1.0], (0.6, 0.6))
     assert plan.clamped
     zs = {vp.z for vp in plan.viewpoints}
     assert zs == {0.6}
@@ -152,7 +157,7 @@ def test_grid_z_band_collapses_rows():
 def test_grid_sparse_fallback():
     # Small diamond: the grid anchor (bounding-box corner) lies outside it.
     tiny = make_task([[6, 0.01, 0], [6, 0.02, 0.01], [6, 0.01, 0.02], [6, 0.0, 0.01]])
-    plan = generate_grid_viewpoints(tiny, toward=[0.0, 0.0, 0.0])
+    plan = generate_grid_viewpoints(tiny, VIEW, [0.0, 0.0, 0.0], None)
     assert plan.sparse
     assert len(plan) == 1
     assert np.allclose(plan.viewpoints[0].position, [4.0, 0.01, 0.01], atol=1e-9)
@@ -162,7 +167,7 @@ def test_grid_horizontal_roi_uses_principal_axes():
     # Floor patch (normal vertical): the grid falls back to the plane's
     # principal axes and projects viewpoints straight up.
     floor = make_task([[0, 0, 0], [4, 0, 0], [4, 2, 0], [0, 2, 0]])
-    plan = generate_grid_viewpoints(floor, toward=[2.0, 1.0, 3.0])
+    plan = generate_grid_viewpoints(floor, VIEW, [2.0, 1.0, 3.0], None)
     assert len(plan) > 0
     for vp in plan.viewpoints:
         assert vp.z == pytest.approx(2.0, abs=1e-9)
@@ -175,7 +180,7 @@ def test_grid_horizontal_roi_uses_principal_axes():
 
 def test_filter_empty_map_keeps_all():
     task = make_task(WALL_6X2)
-    plan = generate_grid_viewpoints(task, toward=[0.0, 0.0, 1.0], z_band=(0.6, 0.6))
+    plan = generate_grid_viewpoints(task, VIEW, [0.0, 0.0, 1.0], (0.6, 0.6))
     vmap = VoxelMap.empty((-1, -7, 0), (10, 7, 2.4), 0.1)
     out = filter_viewpoints(plan, vmap, 0.5)
     assert out.valid.all()
@@ -183,7 +188,7 @@ def test_filter_empty_map_keeps_all():
 
 def test_filter_drops_engulfed_viewpoint():
     task = make_task(WALL_6X2)
-    plan = generate_grid_viewpoints(task, toward=[0.0, 0.0, 1.0], z_band=(0.6, 0.6))
+    plan = generate_grid_viewpoints(task, VIEW, [0.0, 0.0, 1.0], (0.6, 0.6))
     vp = plan.viewpoints[2]
     vmap = VoxelMap.from_boxes(
         [Box((vp.x - 0.2, vp.y - 0.2, vp.z - 0.2), (vp.x + 0.2, vp.y + 0.2, vp.z + 0.2))],
@@ -197,7 +202,7 @@ def test_filter_drops_engulfed_viewpoint():
 
 def test_filter_all_invalid_raises(wall_map):
     task = make_task(WALL_6X2)
-    plan = generate_grid_viewpoints(task, toward=[0.0, 0.0, 1.0], z_band=(0.6, 0.6))
+    plan = generate_grid_viewpoints(task, VIEW, [0.0, 0.0, 1.0], (0.6, 0.6))
     blocker = VoxelMap.from_boxes([Box((3, -4, 0), (5, 4, 2.4))], 0.1, bounds=((-1, -7, 0), (10, 7, 2.4)))
     with pytest.raises(TaskUnreachableError):
         filter_viewpoints(plan, blocker, 0.5)
@@ -212,14 +217,14 @@ def empty_map_10x10():
 
 def test_plan_route_start_equals_goal():
     vmap = empty_map_10x10()
-    wps, length = plan_route(vmap, [0, 0, 0.6], [0, 0, 0.6], 0.5)
+    wps, length = plan_route(vmap, [0, 0, 0.6], [0, 0, 0.6], 0.5, None)
     assert length == 0.0
     assert len(wps) == 1
 
 
 def test_plan_route_straight_line():
     vmap = empty_map_10x10()
-    wps, length = plan_route(vmap, [0, 0, 0.6], [5, 0, 0.6], 0.5)
+    wps, length = plan_route(vmap, [0, 0, 0.6], [5, 0, 0.6], 0.5, None)
     assert length == pytest.approx(5.0, abs=3 * 0.1 * np.sqrt(3))
 
 
@@ -234,16 +239,16 @@ def test_plan_route_through_gap_matches_dijkstra():
     occ[gap_lo[0] : gap_hi[0], gap_lo[1] : gap_hi[1], :] = False
     occ.setflags(write=False)
     start, goal = [2.05, 0.05, 0.55], [8.05, 0.05, 0.55]
-    wps, length = plan_route(vmap, start, goal, 0.5)
+    wps, length = plan_route(vmap, start, goal, 0.5, None)
     ys = [w[1] for w in wps]
     assert max(ys) > 1.0  # detours through the gap
-    _, dij = plan_route(vmap, start, goal, 0.5, heuristic=False)
+    _, dij = planner_reference.plan_route(vmap, start, goal, 0.5, heuristic=False)
     assert length == pytest.approx(dij, abs=1e-9)
 
 
 def test_plan_route_unreachable_goal(wall_map):
     with pytest.raises(RouteError):
-        plan_route(wall_map, [4.0, 0.0, 0.6], [6.2, 0.0, 0.6], 0.5)  # goal inside the wall
+        plan_route(wall_map, [4.0, 0.0, 0.6], [6.2, 0.0, 0.6], 0.5, None)  # goal inside the wall
 
 
 def test_plan_route_enclosed_goal_fails_before_search(monkeypatch):
@@ -262,7 +267,7 @@ def test_plan_route_enclosed_goal_fails_before_search(monkeypatch):
     push = heapq.heappush
     monkeypatch.setattr(heapq, "heappush", lambda heap, item: pushes.append(item) or push(heap, item))
     with pytest.raises(RouteError, match=re.escape(f"goal {goal} unreachable from {start}")):
-        plan_route(vmap, start, goal, 0.5)
+        plan_route(vmap, start, goal, 0.5, None)
     assert pushes == []
 
 
@@ -277,7 +282,7 @@ def test_plan_route_astar_equals_dijkstra_random(rng):
         while True:
             p = np.array([rng.uniform(0, 10), rng.uniform(-4.5, 4.5), 0.5])
             try:
-                plan_route(vmap, p, p, 0.4)
+                plan_route(vmap, p, p, 0.4, None)
                 return p
             except RouteError:
                 continue
@@ -286,10 +291,10 @@ def test_plan_route_astar_equals_dijkstra_random(rng):
     while checked < 50:
         a, b = free_point(), free_point()
         try:
-            _, la = plan_route(vmap, a, b, 0.4)
+            _, la = plan_route(vmap, a, b, 0.4, None)
         except RouteError:  # disconnected pockets under inflation
             continue
-        _, ld = plan_route(vmap, a, b, 0.4, heuristic=False)
+        _, ld = planner_reference.plan_route(vmap, a, b, 0.4, heuristic=False)
         assert la == pytest.approx(ld, abs=1e-9)
         checked += 1
 
@@ -299,7 +304,7 @@ def test_plan_route_astar_equals_dijkstra_random(rng):
 
 def test_prioritize_single_task(wall_map):
     task = make_task(WALL_6X2)
-    plan = generate_grid_viewpoints(task, toward=[0.0, 0.0, 1.0], z_band=(0.6, 0.6))
+    plan = generate_grid_viewpoints(task, VIEW, [0.0, 0.0, 1.0], (0.6, 0.6))
     ranked = prioritize_tasks([task], [plan], Pose6(4, -5, 0.6), wall_map, 0.5, z_band=(0.6, 0.6))
     assert len(ranked) == 1 and ranked[0].reachable
 
@@ -308,8 +313,8 @@ def test_prioritize_orders_by_route_length(wall_map):
     near = make_task(WALL_6X2, tid="near")
     far_verts = [[6, -3, 0], [6, 3, 0], [6, 3, 2], [6, -3, 2]]
     far = make_task(far_verts, tid="far")
-    plan_near = generate_grid_viewpoints(near, toward=[0, 0, 1], z_band=(0.6, 0.6))
-    plan_far = generate_grid_viewpoints(far, toward=[0, 0, 1], z_band=(0.6, 0.6))
+    plan_near = generate_grid_viewpoints(near, VIEW, [0, 0, 1], (0.6, 0.6))
+    plan_far = generate_grid_viewpoints(far, VIEW, [0, 0, 1], (0.6, 0.6))
     # Robot sits next to one end: "near" viewpoints start at y=-3.
     robot = Pose6(4.0, -4.0, 0.6)
     ranked = prioritize_tasks([far, near], [plan_far, plan_near], robot, wall_map, 0.5, z_band=(0.6, 0.6))
@@ -320,7 +325,7 @@ def test_prioritize_orders_by_route_length(wall_map):
 
 def test_prioritize_flags_unreachable_task(wall_map):
     task = make_task(WALL_6X2)
-    plan = generate_grid_viewpoints(task, toward=[0.0, 0.0, 1.0], z_band=(0.6, 0.6))
+    plan = generate_grid_viewpoints(task, VIEW, [0.0, 0.0, 1.0], (0.6, 0.6))
     # Robot boxed in on all sides: no route to any viewpoint.
     from surfscan.world import Box, VoxelMap
 

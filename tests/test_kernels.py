@@ -44,6 +44,20 @@ def same_bits(a, b):
     return np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
+def occupied_box(occ):
+    return VoxelMap(np.zeros(3), 1.0, occ).occupied_box
+
+
+def cast(occ, origin, dirs, t_cap, nearest=False):
+    """`raycast_batch` as the library calls it (`world._first_hits`):
+    clipped to the grid's occupied box; on an empty grid every ray misses
+    and nothing is cast."""
+    box = occupied_box(occ)
+    if box is None:
+        return np.full(dirs.shape[0], -1.0)
+    return kernels.raycast_batch(occ, origin, dirs, t_cap, nearest, box=box)
+
+
 def scalar_raycast(*args, **kwargs):
     """The scalar loop as plain Python: the raycast oracle.  Its divisions
     run on numpy scalars, which overflow to the intended inf for a tiny
@@ -53,11 +67,12 @@ def scalar_raycast(*args, **kwargs):
 
 
 @given(batch=ray_batches())
-# tdelta = 1 / 2.2e-308 is finite, but the fourth z crossing overflows to
-# inf, the right value, which must not warn (RuntimeWarnings fail the suite).
+# tdelta = 1 / 2.2e-308 is finite, but the step into the occupied voxel
+# takes the fourth z crossing, which overflows to inf, the right value, and
+# must not warn (RuntimeWarnings fail the suite).
 @example(
     batch=(
-        np.zeros((1, 1, 3), dtype=np.bool_),
+        np.arange(4).reshape(1, 1, 4) == 3,
         np.zeros(3),
         np.array([[0.0, 0.0, 2.2250738585072014e-308]]),
         math.inf,
@@ -65,7 +80,7 @@ def scalar_raycast(*args, **kwargs):
 )
 @PROPERTY
 def test_raycast_matches_scalar_oracle(batch):
-    got = kernels.raycast_batch(*batch)
+    got = cast(*batch)
     ref = scalar_raycast(*batch)
     assert same_bits(got, ref)
 
@@ -74,7 +89,7 @@ def test_raycast_matches_scalar_oracle_on_a_scan(rng):
     occ = random_occ(rng)
     origin = np.array([1.3, 2.7, 4.1])
     dirs = rng.normal(size=(256, 3))
-    got = kernels.raycast_batch(occ, origin, dirs, 50.0)
+    got = cast(occ, origin, dirs, 50.0)
     ref = scalar_raycast(occ, origin, dirs, 50.0)
     assert same_bits(got, ref)
 
@@ -86,7 +101,7 @@ def test_raycast_early_hit_survives_later_iterations():
     occ[31, 1, 1] = occ[26, 1, 1] = occ[0, 0, 0] = True
     origin = np.array([30.5, 1.5, 1.5])
     dirs = np.vstack([[1.0, 0.3, 0.3], np.tile([-1.0, 0.0, 0.0], (7, 1))])
-    got = kernels.raycast_batch(occ, origin, dirs, 200.0)
+    got = cast(occ, origin, dirs, 200.0)
     assert got.tolist() == [0.5] + [3.5] * 7
     assert np.array_equal(got, scalar_raycast(occ, origin, dirs, 200.0))
 
@@ -101,7 +116,7 @@ def test_raycast_tiny_direction_off_grid_emits_no_warning():
     dirs = np.array([[2.3e-308, 1.0, 0.0], [1.0, 0.25, 0.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        got = kernels.raycast_batch(occ, origin, dirs, 10.0)
+        got = cast(occ, origin, dirs, 10.0)
     ref = scalar_raycast(occ, origin, dirs, 10.0)
     assert same_bits(got, ref)
     assert got[0] == -1.0 and got[1] > 0.0
@@ -118,7 +133,7 @@ def nearest_only(t):
 @given(batch=ray_batches())
 @PROPERTY
 def test_raycast_nearest_matches_filtered_scalar_oracle(batch):
-    got = kernels.raycast_batch(*batch, nearest=True)
+    got = cast(*batch, nearest=True)
     assert same_bits(got, nearest_only(scalar_raycast(*batch)))
     assert same_bits(got, scalar_raycast(*batch, nearest=True))
 
@@ -137,13 +152,9 @@ def test_raycast_nearest_keeps_a_hit_on_the_bound_and_drops_earlier_far_hits():
     origin = np.array([3.5, 1.5, 1.5])
     dirs = np.array([[0.0, 0.1, 0.0], [-d, 0.0, 0.0], [1.0, 0.0, 0.0]])
     assert scalar_raycast(occ, origin, dirs, 100.0).tolist() == [0.5 / 0.1, bound, 1.5]
-    got = kernels.raycast_batch(occ, origin, dirs, 100.0, nearest=True)
+    got = cast(occ, origin, dirs, 100.0, nearest=True)
     assert got.tolist() == [-1.0, bound, 1.5]
     assert same_bits(got, scalar_raycast(occ, origin, dirs, 100.0, nearest=True))
-
-
-def occupied_box(occ):
-    return VoxelMap(np.zeros(3), 1.0, occ).occupied_box
 
 
 @st.composite
@@ -253,7 +264,7 @@ def face_block(high):
 @PROPERTY
 def test_raycast_box_clip_matches_unclipped_scalar_oracle(batch, nearest):
     occ, origin, dirs, t_cap, box = batch
-    got = kernels.raycast_batch(occ, origin, dirs, t_cap, nearest=nearest, box=box)
+    got = cast(occ, origin, dirs, t_cap, nearest)
     assert same_bits(got, scalar_raycast(occ, origin, dirs, t_cap, nearest=nearest))
     assert same_bits(got, scalar_raycast(occ, origin, dirs, t_cap, nearest=nearest, box=box))
 
@@ -280,17 +291,16 @@ def two_approaches():
     return occ, origins, np.tile(dirs, (2, 1)), t_cap, box
 
 
-@given(batch=multi_origin_batches(), nearest=st.booleans(), clip=st.booleans())
-@example(batch=two_approaches(), nearest=True, clip=True)
-@example(batch=two_approaches(), nearest=False, clip=True)
+@given(batch=multi_origin_batches(), nearest=st.booleans())
+@example(batch=two_approaches(), nearest=True)
+@example(batch=two_approaches(), nearest=False)
 @PROPERTY
-def test_raycast_multi_origin_equals_one_cast_per_origin(batch, nearest, clip):
+def test_raycast_multi_origin_equals_one_cast_per_origin(batch, nearest):
     occ, origins, dirs, t_cap, box = batch
-    box = box if clip else None
     per = dirs.shape[0] // origins.shape[0]
-    got = kernels.raycast_batch(occ, origins, dirs, t_cap, nearest=nearest, box=box)
+    got = cast(occ, origins, dirs, t_cap, nearest)
     runs = [(o, dirs[g * per : (g + 1) * per]) for g, o in enumerate(origins)]
-    one_by_one = [kernels.raycast_batch(occ, o, d, t_cap, nearest=nearest, box=box) for o, d in runs]
+    one_by_one = [cast(occ, o, d, t_cap, nearest) for o, d in runs]
     assert got.shape == (dirs.shape[0],)
     assert same_bits(got, np.concatenate(one_by_one))
     assert same_bits(got, scalar_raycast(occ, origins, dirs, t_cap, nearest=nearest, box=box))
@@ -309,10 +319,11 @@ def test_raycast_nearest_bound_is_per_origin(near_first):
     origins = np.array([near, far] if near_first else [far, near])
     dirs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]] * 2)
     want = [0.5, -1.0, 7.5, -1.0] if near_first else [7.5, -1.0, 0.5, -1.0]
-    for box in (None, occupied_box(occ)):
-        got = kernels.raycast_batch(occ, origins, dirs, 20.0, nearest=True, box=box)
-        assert got.tolist() == want
-        assert same_bits(got, scalar_raycast(occ, origins, dirs, 20.0, nearest=True, box=box))
+    box = occupied_box(occ)
+    got = kernels.raycast_batch(occ, origins, dirs, 20.0, nearest=True, box=box)
+    assert got.tolist() == want
+    assert same_bits(got, scalar_raycast(occ, origins, dirs, 20.0, nearest=True))
+    assert same_bits(got, scalar_raycast(occ, origins, dirs, 20.0, nearest=True, box=box))
 
 
 @st.composite
@@ -442,20 +453,11 @@ def test_level_frame_rejects_a_non_finite_cap(t_cap):
 
 def test_raycast_rejects_rays_that_do_not_split_over_the_origins():
     occ = np.zeros((3, 3, 3), dtype=np.bool_)
+    occ[1, 1, 1] = True
     with pytest.raises(ValueError, match="split evenly"):
-        kernels.raycast_batch(occ, np.zeros((2, 3)), np.ones((3, 3)), 5.0)
+        kernels.raycast_batch(occ, np.zeros((2, 3)), np.ones((3, 3)), 5.0, box=occupied_box(occ))
     with pytest.raises(ValueError, match="split evenly"):
         scalar_raycast(occ, np.zeros((2, 3)), np.ones((3, 3)), 5.0)
-
-
-def test_raycast_on_an_empty_map_misses():
-    occ = np.zeros((6, 5, 4), dtype=np.bool_)
-    assert occupied_box(occ) is None
-    origin = np.array([2.5, 2.5, 2.0])
-    # The all-zero direction is walked at t = inf when uncapped.
-    dirs = np.array([[1.0, 0.0, 0.0], [-0.3, 0.7, 0.1], [0.0, 0.0, 0.0]])
-    for t_cap in (2.0, math.inf):
-        assert kernels.raycast_batch(occ, origin, dirs, t_cap).tolist() == [-1.0] * 3
 
 
 def skip_out_of_the_grid(row, y, dy):
@@ -641,7 +643,7 @@ def test_raycast_matches_marching_oracle(rng):
     while checked < 40:
         d = rng.normal(size=3)
         d /= np.linalg.norm(d)
-        t_dda = kernels.raycast_batch(occ, origin, d[None, :], 30.0)[0]
+        t_dda = cast(occ, origin, d[None, :], 30.0)[0]
         t_ref = march_oracle(occ, origin, d, 30.0)
         if t_ref < 0 and t_dda < 0:
             checked += 1
@@ -658,21 +660,24 @@ def test_raycast_matches_marching_oracle(rng):
 
 
 def test_ray_through_empty_grid_misses():
+    # Every voxel the ray passes is empty; the one occupied voxel lies
+    # behind its origin.
     occ = np.zeros((5, 5, 5), dtype=np.bool_)
-    t = kernels.raycast_batch(occ, np.array([2.5, 2.5, 2.5]), np.array([[1.0, 0.0, 0.0]]), 100.0)
+    occ[0, 0, 0] = True
+    t = cast(occ, np.array([2.5, 2.5, 2.5]), np.array([[1.0, 0.0, 0.0]]), 100.0)
     assert t[0] == -1.0
 
 
 def test_ray_hit_is_entry_face():
     occ = np.zeros((10, 5, 5), dtype=np.bool_)
     occ[7, 2, 2] = True
-    t = kernels.raycast_batch(occ, np.array([0.5, 2.5, 2.5]), np.array([[1.0, 0.0, 0.0]]), 100.0)
+    t = cast(occ, np.array([0.5, 2.5, 2.5]), np.array([[1.0, 0.0, 0.0]]), 100.0)
     assert t[0] == pytest.approx(6.5)  # enters voxel 7 at x=7.0, 6.5 units from 0.5
 
 
 def test_ray_origin_inside_occupied():
     occ = np.ones((3, 3, 3), dtype=np.bool_)
-    t = kernels.raycast_batch(occ, np.array([1.5, 1.5, 1.5]), np.array([[0.0, 0.0, 1.0]]), 10.0)
+    t = cast(occ, np.array([1.5, 1.5, 1.5]), np.array([[0.0, 0.0, 1.0]]), 10.0)
     assert t[0] == 0.0
 
 
@@ -681,6 +686,6 @@ def test_ray_cap_respected():
     occ[25, 1, 1] = True
     origin = np.array([0.5, 1.5, 1.5])
     d = np.array([[1.0, 0.0, 0.0]])
-    assert kernels.raycast_batch(occ, origin, d, 10.0)[0] == -1.0
-    assert kernels.raycast_batch(occ, origin, d, 30.0)[0] == pytest.approx(24.5)
+    assert cast(occ, origin, d, 10.0)[0] == -1.0
+    assert cast(occ, origin, d, 30.0)[0] == pytest.approx(24.5)
 

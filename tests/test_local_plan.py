@@ -14,7 +14,7 @@ from surfscan.geometry import (
 from surfscan.global_plan import ViewConstraints
 from surfscan.local_plan import compute_next_view_pose, ego_frame, predict_local_path
 from surfscan.scenario import demo_scenario
-from surfscan.world import Box, VoxelMap
+from surfscan.world import Box, VoxelMap, sample_cloud
 
 # The local planner reads the scenario's view constraints, height band and
 # sensing setup.  BANDED clamps heights to 0.6 m, CFG keeps the full
@@ -127,7 +127,7 @@ def test_yaw_faces_surface():
         pose = compute_next_view_pose(pos, wall_cloud(6.0, pos.position), cfg)
         origin = vmap.world_to_grid(pose.position)
         heading = np.array([[np.cos(pose.psi), np.sin(pose.psi), 0.0]]) / vmap.voxel_size
-        t = kernels.raycast_batch(vmap.occ, origin, heading, 12.0)
+        t = kernels.raycast_batch(vmap.occ, origin, heading, 12.0, box=vmap.occupied_box)
         assert t[0] > 0.0
         pos = Pose6(pose.x, pose.y, pose.z)
 
@@ -137,6 +137,13 @@ def test_yaw_faces_surface():
 
 def guide_line(x, y0, n, spacing, z=0.6):
     return PathSegment([[x, y0 + i * spacing, z, 0.0] for i in range(n)])
+
+
+def predict(odom, vmap, guide, cfg):
+    """`predict_local_path` from the scan taken at `odom`, as the supervisor
+    calls it."""
+    first_cloud = sample_cloud(vmap, odom, cfg.sense_range, cfg.sense_rays, nearest=True)
+    return predict_local_path(odom, vmap, guide, cfg, first_cloud)
 
 
 def make_scene(face_x):
@@ -152,10 +159,8 @@ def test_prediction_single_step_equals_next_view():
     odom = Pose6(4.0, 0.0, 0.6)
     guide = guide_line(4.0, 1.11, 1, 1.11)
     cfg = BANDED
-    path, short = predict_local_path(odom, vmap, guide, cfg)
+    path, short = predict(odom, vmap, guide, cfg)
     assert not short and len(path) == 1
-    from surfscan.world import sample_cloud
-
     cloud = sample_cloud(vmap, odom, cfg.sense_range, cfg.sense_rays)
     direct = compute_next_view_pose(odom, cloud, cfg, sweep_sign=1)
     assert np.allclose(path[0].as_array(), direct.as_array(), atol=1e-12)
@@ -166,7 +171,7 @@ def test_prediction_follows_global_plan_on_nominal_wall():
     c = ViewConstraints()
     odom = Pose6(4.0, -2.0, 0.6)
     guide = guide_line(4.0, -2.0 + c.spacing_h, 5, c.spacing_h)
-    path, short = predict_local_path(odom, vmap, guide, BANDED)
+    path, short = predict(odom, vmap, guide, BANDED)
     assert not short
     assert discrete_frechet(path, guide) < 0.2
 
@@ -176,7 +181,7 @@ def test_prediction_shifts_with_receded_wall():
     c = ViewConstraints()
     odom = Pose6(4.0, -2.0, 0.6)
     guide = guide_line(4.0, -2.0 + c.spacing_h, 5, c.spacing_h)
-    path, short = predict_local_path(odom, vmap, guide, BANDED)
+    path, short = predict(odom, vmap, guide, BANDED)
     assert not short
     f = discrete_frechet(path, guide)
     assert f == pytest.approx(1.0, abs=0.2)
@@ -195,7 +200,7 @@ def test_prediction_truncates_without_surface():
     odom = Pose6(4.0, 0.0, 0.6)
     guide = guide_line(4.0, 2.0, 5, 1.11)
     cfg = dataclasses.replace(BANDED, sense_range=2.05, sense_rays=512)
-    path, short = predict_local_path(odom, vmap, guide, cfg)
+    path, short = predict(odom, vmap, guide, cfg)
     assert short
     assert 1 <= len(path) < 5
 
@@ -203,4 +208,4 @@ def test_prediction_truncates_without_surface():
 def test_prediction_errors_when_blind():
     vmap = VoxelMap.empty((0, 0, 0), (5, 5, 2), 0.1)
     with pytest.raises(NoSurfaceError):
-        predict_local_path(Pose6(2, 2, 0.6), vmap, guide_line(2, 2, 3, 1.0), BANDED)
+        predict(Pose6(2, 2, 0.6), vmap, guide_line(2, 2, 3, 1.0), BANDED)

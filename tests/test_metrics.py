@@ -1,10 +1,12 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from strategies import depth_images
-from surfscan import kernels
+from surfscan import kernels, metrics
 from surfscan.depthcam import CameraIntrinsics, DepthImage
 from surfscan.geometry import NoSurfaceError, PathSegment, Pose6, PointCloud
 from surfscan.metrics import (
@@ -126,11 +128,14 @@ def test_utility_matches_normal_map_oracle(depth, fov, jump):
     cam = CameraIntrinsics(fov, 0.8 * fov, w, h)
     want = utility_oracle(depth, cam, jump)
     img = DepthImage(depth, POSE)
-    if want is None:
-        with pytest.raises(NoSurfaceError):
-            viewpoint_utility(img, cam, jump)
-    else:
-        assert viewpoint_utility(img, cam, jump).hex() == want.hex()
+    # The utility reads the module's discontinuity threshold, set here to
+    # each drawn one.
+    with mock.patch.object(metrics, "DEPTH_JUMP", jump):
+        if want is None:
+            with pytest.raises(NoSurfaceError):
+                viewpoint_utility(img, cam)
+        else:
+            assert viewpoint_utility(img, cam).hex() == want.hex()
 
 
 def test_utility_roll_invariance(wall_map):
@@ -239,7 +244,8 @@ def test_log_csv_roundtrip(tmp_path):
 
 
 def test_summarize_basics():
-    log = MissionLog(meta={"completed": True})
+    log = MissionLog()
+    log.meta["completed"] = True
     log.append(make_record(0.0, phase="navigate", utility=0.5, viewing_distance=3.5))
     log.append(make_record(0.1, viewing_distance=2.5, utility=0.8))
     log.append(make_record(0.2, viewing_distance=2.1, utility=0.9, replanned=1))

@@ -6,11 +6,16 @@ import numpy as np
 import pytest
 
 from surfscan import world
-from surfscan.geometry import wrap_angle
+from surfscan.geometry import PolygonROI, wrap_angle
+from surfscan.global_plan import InspectionTask, ViewConstraints
 from surfscan.metrics import viewing_distance
 from surfscan.mission import MissionRunner
-from surfscan.scenario import MapSpec, ScenarioConfig, TaskSpec, demo_scenario
+from surfscan.scenario import MapSpec, ScenarioConfig, demo_scenario
 from surfscan.world import Box
+
+
+def task(id, vertices):
+    return InspectionTask(id=id, roi=PolygonROI(np.asarray(vertices, dtype=np.float64)))
 
 
 def test_obstacle_demo_detours_and_completes():
@@ -52,11 +57,11 @@ def test_two_task_mission_executes_in_priority_order():
         )
     )
     tasks = (
-        TaskSpec(
+        task(
             id="west",
             vertices=((-6.0, -3.0, 0.0), (-6.0, -3.0, 2.0), (-6.0, 3.0, 2.0), (-6.0, 3.0, 0.0)),
         ),
-        TaskSpec(
+        task(
             id="east",
             vertices=((6.0, -3.0, 0.0), (6.0, 3.0, 0.0), (6.0, 3.0, 2.0), (6.0, -3.0, 2.0)),
         ),
@@ -78,6 +83,18 @@ def test_two_task_mission_executes_in_priority_order():
     assert result.summary["visited_total"] == 12  # both tours fully visited
 
 
+def test_plan_reads_the_view_and_tasks_of_the_config():
+    # The config's view is the one source of the grid spacing, and the
+    # plan ranks the config's own task objects.
+    cfg = demo_scenario("nominal")
+    wide = dataclasses.replace(cfg, view=ViewConstraints(gamma_h=0.3))
+    plans = {name: MissionRunner(c).plan() for name, c in (("default", cfg), ("wide", wide))}
+    assert [len(plans[name].ranked[0].plan) for name in plans] == [6, 4]
+    for c, artifacts in zip((cfg, wide), plans.values()):
+        assert artifacts.ranked[0].task is c.tasks[0]
+        assert artifacts.executable[0].task is c.tasks[0]
+
+
 def test_nominal_mission_tolerates_small_odometry_noise():
     cfg = demo_scenario("nominal")
     cfg = dataclasses.replace(cfg, odom_sigma_xy=0.02, odom_sigma_psi=0.01)
@@ -96,7 +113,7 @@ def test_prebuilt_current_map_mode():
         historical=historical,
         current=current,
         tasks=(
-            TaskSpec(
+            task(
                 id="wall",
                 vertices=((6.0, -3.0, 0.0), (6.0, 3.0, 0.0), (6.0, 3.0, 2.0), (6.0, -3.0, 2.0)),
             ),
@@ -127,7 +144,7 @@ def test_angled_wall_mission_completes():
         name="angled",
         historical=MapSpec(boxes=tuple(boxes)),
         tasks=(
-            TaskSpec(
+            task(
                 id="w",
                 vertices=(
                     (v0[0], v0[1], 0.0),

@@ -149,7 +149,7 @@ def route_or_error(planner, *args, **kwargs):
 def route_cases(draw):
     """A random grid, two endpoints (voxel interiors or anywhere around
     the grid, so out of bounds, in collision and walled off all occur),
-    inflation, z band and heuristic switch."""
+    inflation and z band."""
     occ = draw(occupancy_grids(max_side=12))
     vmap = VoxelMap(np.array([-0.5, 0.3, 0.1]), 0.2, occ)
     lo, hi = vmap.bounds
@@ -171,17 +171,15 @@ def route_cases(draw):
         )
     )
     inflation = draw(st.sampled_from([0.0, 0.1, 0.25]))
-    return vmap, start, goal, inflation, z_band, draw(st.booleans())
+    return vmap, start, goal, inflation, z_band
 
 
 @settings(max_examples=300, deadline=None)
 @given(case=route_cases())
 def test_table_astar_matches_reference(case):
-    vmap, start, goal, inflation, z_band, heuristic = case
-    got = route_or_error(plan_route, vmap, start, goal, inflation, z_band=z_band, heuristic=heuristic)
-    want = route_or_error(
-        planner_reference.plan_route, vmap, start, goal, inflation, z_band=z_band, heuristic=heuristic
-    )
+    vmap, start, goal, inflation, z_band = case
+    got = route_or_error(plan_route, vmap, start, goal, inflation, z_band)
+    want = route_or_error(planner_reference.plan_route, vmap, start, goal, inflation, z_band=z_band)
     assert got[2] == want[2]
     assert got[1] == want[1]
     assert (got[0] is None and want[0] is None) or np.array_equal(got[0], want[0])

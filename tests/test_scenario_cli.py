@@ -58,7 +58,9 @@ def test_load_scenario_roundtrip(tmp_path):
     assert cfg.camera.width == 64
     assert cfg.sense_rays == 1024
     assert len(cfg.tasks) == 1
-    scene = build_scene(cfg)
+    # Each load builds its own task objects; the configs compare by value.
+    assert load_scenario(f) == cfg and hash(load_scenario(f)) == hash(cfg)
+    scene = build_scene(cfg, None)
     assert scene.historical.occupied_count > 0
     assert scene.current.occupied_count > scene.historical.occupied_count  # addition applied
 
@@ -292,19 +294,66 @@ WALL_VERTICES = [[6, -3, 0], [6, 3, 0], [6, 3, 2], [6, -3, 2]]
         (
             ("maps", "delta", "additions", 0, "lo"),
             [1.5, -4.6],
-            "maps.delta.additions[0]: Box corners must be 3-vectors",
+            "maps.delta.additions[0].lo must be 3 finite numbers (x y z), got [1.5, -4.6]",
         ),
+        (
+            ("maps", "historical", "boxes", 0, "lo"),
+            5,
+            "maps.historical.boxes[0].lo must be 3 finite numbers (x y z), got 5",
+        ),
+        (
+            ("maps", "delta", "additions", 0),
+            {"lo": [3.5, -4.6, 0.0], "hi": [1.5, -4.2, 1.0]},
+            "maps.delta.additions[0]: Box has hi < lo: (3.5, -4.6, 0.0) .. (1.5, -4.2, 1.0)",
+        ),
+        (("tasks", 0, "vertices"), 5, "tasks[0].vertices must be a list"),
+        (
+            ("tasks", 0, "vertices", 1),
+            [6, 3],
+            "tasks[0].vertices[1] must be 3 finite numbers (x y z), got [6, 3]",
+        ),
+        (("tasks",), {"id": "wall"}, "tasks must be a list"),
+        (("maps", "historical", "boxes"), {"lo": [6, -3, 0]}, "maps.historical.boxes must be a list"),
     ],
-    ids=["bounds_lo", "bounds_hi", "task_id", "task_vertices", "box_hi", "box_corner"],
+    ids=[
+        "bounds_lo",
+        "bounds_hi",
+        "task_id",
+        "task_vertices",
+        "box_hi",
+        "box_corner",
+        "box_corner_scalar",
+        "box_order",
+        "vertices_scalar",
+        "vertex_short",
+        "tasks_mapping",
+        "boxes_mapping",
+    ],
 )
 def test_cli_scenario_errors_name_the_key_path(tmp_path, capsys, path, value, reason):
     # A missing nested key read `malformed scenario: 'lo'` (or 'id', 'hi'),
-    # and a bad box corner did not say which box.
+    # a bad box corner did not say which box, a scalar corner or vertex
+    # list read `'int' object is not iterable`, a short vertex gave numpy's
+    # "inhomogeneous shape" text, and a mapping in place of the task or box
+    # list read `tasks[0] must be a mapping`.
     f = _write_with(tmp_path, path, value)
     out = tmp_path / "out"
     assert main(["plan", "--config", str(f), "--out", str(out)]) == 64
     assert f"{f}: {reason}" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_rejects_both_current_map_and_delta(tmp_path, capsys):
+    # The delta was silently ignored: the current map was used as given.
+    reason = "maps.current and maps.delta cannot both be given"
+    f = _write_with(tmp_path, ("maps", "current"), {"boxes": [{"lo": [6.0, -3.0, 0.0], "hi": [6.4, 3.0, 2.4]}]})
+    out = tmp_path / "out"
+    assert main(["plan", "--config", str(f), "--out", str(out)]) == 64
+    assert f"{f}: {reason}" in capsys.readouterr().err
+    assert not out.exists()
+    demo = demo_scenario("receding")
+    with pytest.raises(ValueError, match=reason):
+        dataclasses.replace(demo, current=demo.historical)
 
 
 def test_integral_float_counts_load_as_integers(tmp_path):
@@ -455,18 +504,18 @@ def test_demo_names():
     assert set(DEMO_NAMES) == {"nominal", "receding", "obstacle", "receding_full"}
     for name in DEMO_NAMES:
         cfg = demo_scenario(name)
-        scene = build_scene(cfg)
+        scene = build_scene(cfg, None)
         assert scene.current.occupied_count > 0
     with pytest.raises(ValueError):
         demo_scenario("bogus")
 
 
 def test_demo_scene_deltas():
-    nominal = build_scene(demo_scenario("nominal"))
+    nominal = build_scene(demo_scenario("nominal"), None)
     assert np.array_equal(nominal.historical.occ, nominal.current.occ)
-    receding = build_scene(demo_scenario("receding"))
+    receding = build_scene(demo_scenario("receding"), None)
     assert receding.current.occupied_count < receding.historical.occupied_count
-    obstacle = build_scene(demo_scenario("obstacle"))
+    obstacle = build_scene(demo_scenario("obstacle"), None)
     assert obstacle.current.occupied_count > obstacle.historical.occupied_count
 
 

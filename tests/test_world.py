@@ -42,21 +42,21 @@ def occupied_at(vmap, p):
 def test_load_map_single_point(tmp_path):
     f = tmp_path / "one.xyz"
     f.write_text("# a comment\n0.0 0.0 0.0\n")
-    vmap = load_map(f, voxel_size=0.1)
+    vmap = load_map(f, 0.1, None)
     assert vmap.occupied_count == 1
 
 
 def test_load_map_dedupes_same_voxel(tmp_path):
     f = tmp_path / "two.xyz"
     f.write_text("0.01 0.02 0.03\n0.04 0.05 0.06\n")
-    assert load_map(f, voxel_size=0.1).occupied_count == 1
+    assert load_map(f, 0.1, None).occupied_count == 1
 
 
 def test_load_map_planar_grid(tmp_path):
     pts = [(0.05 + 0.1 * i, 0.05 + 0.1 * j, 0.05) for i in range(10) for j in range(10)]
     f = tmp_path / "grid.xyz"
     f.write_text("\n".join(f"{x} {y} {z}" for x, y, z in pts))
-    assert load_map(f, voxel_size=0.1).occupied_count == 100
+    assert load_map(f, 0.1, None).occupied_count == 100
 
 
 def test_load_xyz_reports_line_number(tmp_path):
@@ -343,7 +343,7 @@ def test_sample_cloud_empty_map():
 
 def box_room(height):
     """Closed 4 m x 4 m room with 0.2 m walls, floor and ceiling."""
-    vmap = VoxelMap.from_boxes([Box((0, 0, 0), (4.4, 4.4, height))], 0.1)
+    vmap = VoxelMap.from_boxes([Box((0, 0, 0), (4.4, 4.4, height))], 0.1, None)
     occ = np.asarray(vmap.occ)
     occ.setflags(write=True)
     occ[2:-2, 2:-2, 2:-2] = False
