@@ -40,7 +40,7 @@ from .global_plan import (
     prioritize_tasks,
     solve_tour_sa_tsp,
 )
-from .local_plan import compute_next_view_pose, ego_frame, predict_local_path
+from .local_plan import ego_frame, predict_local_path
 from .metrics import (
     MissionLog,
     MissionRecord,

@@ -1,7 +1,8 @@
 """Command-line mission front-end: plan | run | compare.
 
 Exit codes: 0 completed, 2 timeout, 3 aborted/unreachable, 64 usage error.
-Set SURFSCAN_LOG=debug|info|warning to control verbosity.
+Set SURFSCAN_LOG to debug, info, warning (the default) or error to control
+verbosity; any other value is a usage error (64).
 """
 
 import argparse
@@ -29,11 +30,15 @@ EXIT_ABORTED = 3
 EXIT_USAGE = 64
 
 _STATUS_CODES = {"completed": EXIT_OK, "timeout": EXIT_TIMEOUT, "aborted": EXIT_ABORTED}
+_LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
 def _setup_logging():
-    level = os.environ.get("SURFSCAN_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING), format="%(levelname)s %(name)s: %(message)s")
+    """Log at the level SURFSCAN_LOG names; ValueError for any other value."""
+    value = os.environ.get("SURFSCAN_LOG", "warning")
+    if value.lower() not in _LOG_LEVELS:
+        raise ValueError(f"SURFSCAN_LOG must be one of {', '.join(_LOG_LEVELS)}, got {value!r}")
+    logging.basicConfig(level=value.upper(), format="%(levelname)s %(name)s: %(message)s")
 
 
 def _build_parser():
@@ -178,13 +183,13 @@ def cmd_compare(runner, out_dir):
 
 
 def main(argv=None):
-    _setup_logging()
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     try:
+        _setup_logging()
         runner = _load(args)
     except (ValueError, FileNotFoundError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)

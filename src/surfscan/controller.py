@@ -42,13 +42,11 @@ def track_step(pose, ref, vmap, cfg):
 
 def add_odometry_noise(pose, sigma_xy, sigma_psi, rng):
     """Gaussian perturbation of the reported pose (the true pose is left
-    untouched).  `rng` is a numpy Generator or an integer seed."""
+    untouched), drawn from the numpy Generator `rng`."""
     if sigma_xy < 0 or sigma_psi < 0:
         raise ValueError("noise sigmas must be non-negative")
     if sigma_xy == 0 and sigma_psi == 0:
         return pose
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(rng)
     dx, dy = rng.normal(0.0, sigma_xy, size=2) if sigma_xy > 0 else (0.0, 0.0)
     dpsi = rng.normal(0.0, sigma_psi) if sigma_psi > 0 else 0.0
     return Pose6(pose.x + dx, pose.y + dy, pose.z, pose.phi, pose.theta, wrap_angle(pose.psi + dpsi))

@@ -5,7 +5,7 @@ normalized to (-pi, pi].  All functions are pure; the container types are
 frozen and safe to share across threads.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -147,13 +147,6 @@ class PathSegment:
         data[:, 3] = wrap_angle(data[:, 3])
         data.setflags(write=False)
         self._data = data
-
-    @classmethod
-    def from_arrays(cls, positions, yaws=None):
-        positions = np.asarray(positions, dtype=np.float64)
-        if yaws is None:
-            return cls(positions)
-        return cls(np.column_stack([positions, np.asarray(yaws, dtype=np.float64)]))
 
     @property
     def positions(self):
@@ -314,17 +307,15 @@ def polygon_normal(roi):
 
 
 def polygon_basis(roi):
-    """In-plane orthonormal axes (u, v) with u the projection of the world
-    horizontal and v completing a right-handed frame with the normal.
+    """In-plane orthonormal axes (u, v) of a `PolygonROI`, with u the
+    projection of the world horizontal and v completing a right-handed frame
+    with the normal.
 
     For near-horizontal polygons (normal within ~1 deg of vertical) the
     world-horizontal projection is ill-defined; the plane's principal axes
     are used instead.
     """
-    if isinstance(roi, PolygonROI):
-        return roi._basis
-    verts = np.asarray(roi, dtype=np.float64)
-    return _plane_basis(verts, polygon_normal(verts))
+    return roi._basis
 
 
 def _plane_basis(verts, n):
@@ -388,9 +379,8 @@ def nearest_point(cloud, q):
 
 
 def discrete_frechet(a, b):
-    """Discrete Frechet distance between two paths (position components only)."""
-    a = a if isinstance(a, PathSegment) else PathSegment(a)
-    b = b if isinstance(b, PathSegment) else PathSegment(b)
+    """Discrete Frechet distance between two `PathSegment`s (position
+    components only)."""
     return float(kernels.frechet_dp(np.ascontiguousarray(a.positions), np.ascontiguousarray(b.positions)))
 
 
@@ -400,7 +390,6 @@ class RigidTransform:
 
     rotation: np.ndarray
     translation: np.ndarray
-    degenerate: bool = field(default=False, compare=False)
 
     def __post_init__(self):
         r = np.asarray(self.rotation, dtype=np.float64).reshape(3, 3)
@@ -443,17 +432,18 @@ def _axis_align_rotation(a, b):
 
 
 def kabsch_align(source, target):
-    """Least-squares proper rigid transform aligning source onto target.
+    """Least-squares proper rigid transform aligning the `PathSegment`
+    source onto the `PathSegment` target.
 
     Correspondence is index-wise over positions; both paths must have the
     same length, at least 3.  The determinant correction keeps the result in
-    SO(3) even for reflected targets.  Collinear (rank-deficient) inputs are
-    flagged `degenerate`; for those the rotation is the minimal rotation
-    mapping the source principal axis onto the target's, which is one of the
-    equally optimal minimizers and keeps yaw adjustments well-behaved.
+    SO(3) even for reflected targets.  For collinear (rank-deficient) inputs
+    the rotation is the minimal rotation mapping the source principal axis
+    onto the target's, which is one of the equally optimal minimizers and
+    keeps yaw adjustments well-behaved.
     """
-    src = source.positions if isinstance(source, PathSegment) else np.asarray(source, dtype=np.float64)
-    tgt = target.positions if isinstance(target, PathSegment) else np.asarray(target, dtype=np.float64)
+    src = source.positions
+    tgt = target.positions
     if src.shape != tgt.shape:
         raise ValueError(f"length mismatch: {src.shape[0]} vs {tgt.shape[0]}")
     if src.shape[0] < 3:
@@ -464,8 +454,7 @@ def kabsch_align(source, target):
     b = tgt - ct
     h = a.T @ b
     u, s, vt = np.linalg.svd(h)
-    degenerate = bool(s[1] <= 1e-12 + 1e-9 * s[0])
-    if degenerate:
+    if s[1] <= 1e-12 + 1e-9 * s[0]:
         # Rank-deficient covariance: rotation about the dominant axis is
         # unconstrained.  Taking R v1 = u1 (the leading singular pair)
         # attains the maximal trace(R H) = s[0], so this is one of the
@@ -486,13 +475,12 @@ def kabsch_align(source, target):
             uu[:, 2] *= -1.0
             rot = uu @ vv
     t = ct - rot @ cs
-    return RigidTransform(rot, t, degenerate=degenerate)
+    return RigidTransform(rot, t)
 
 
 def apply_transform(transform, path):
-    """Map a path through a rigid transform; yaw of each pose is incremented
-    by the transform's z-axis rotation angle."""
-    path = path if isinstance(path, PathSegment) else PathSegment(path)
+    """Map a `PathSegment` through a rigid transform; yaw of each pose is
+    incremented by the transform's z-axis rotation angle."""
     pos = transform.apply(path.positions)
     yaws = wrap_angle(path.yaws + transform.yaw_angle())
-    return PathSegment.from_arrays(pos, yaws)
+    return PathSegment(np.column_stack([pos, yaws]))

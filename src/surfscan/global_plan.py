@@ -12,7 +12,6 @@ from scipy import ndimage
 
 from .geometry import (
     PolygonROI,
-    Pose6,
     ViewPose4,
     point_in_polygon,
     polygon_basis,
@@ -97,8 +96,6 @@ class ViewPlan:
     viewpoints: tuple
     valid: np.ndarray
     grid_points: np.ndarray
-    sparse: bool = False
-    clamped: bool = False
 
     def __post_init__(self):
         flags = np.asarray(self.valid, dtype=np.bool_).copy()
@@ -183,8 +180,6 @@ def generate_grid_viewpoints(task, view, toward, z_band):
             viewpoints=(ViewPose4(p[0], p[1], p[2], yaw),),
             valid=np.array([True]),
             grid_points=centroid.reshape(1, 3),
-            sparse=True,
-            clamped=False,
         )
 
     # One row per distinct (possibly clamped) height, columns in order.
@@ -205,8 +200,6 @@ def generate_grid_viewpoints(task, view, toward, z_band):
         viewpoints=tuple(viewpoints),
         valid=np.ones(len(viewpoints), dtype=np.bool_),
         grid_points=np.asarray(grid_points),
-        sparse=False,
-        clamped=clamped,
     )
 
 
@@ -399,11 +392,12 @@ class TaskPriority:
 
 
 def prioritize_tasks(tasks, plans, robot, vmap, inflation, z_band):
-    """Tasks ordered by traversable route length from the robot to each
-    task's nearest valid viewpoint.  Unreachable tasks go last, flagged."""
+    """Tasks ordered by traversable route length from the robot's `Pose6`
+    to each task's nearest valid viewpoint.  Unreachable tasks go last,
+    flagged."""
     if not tasks:
         raise ValueError("no tasks to prioritize")
-    robot_pos = robot.position if isinstance(robot, Pose6) else np.asarray(robot, dtype=np.float64)
+    robot_pos = robot.position
     ranked = []
     for task, plan in zip(tasks, plans):
         positions, _ = plan.valid_positions()

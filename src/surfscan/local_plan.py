@@ -14,13 +14,12 @@ from .geometry import (
     DegenerateGeometryError,
     NoSurfaceError,
     PathSegment,
-    Pose6,
     ViewPose4,
     nearest_point,
 )
 from .world import sample_cloud
 
-__all__ = ["ego_frame", "compute_next_view_pose", "predict_local_path"]
+__all__ = ["ego_frame", "predict_local_path"]
 
 UP = np.array([0.0, 0.0, 1.0])
 
@@ -43,29 +42,24 @@ def ego_frame(position, p_nn):
     return nu_x, nu_y, nu_z, r
 
 
-def compute_next_view_pose(odom, cloud, cfg, sweep_sign=1.0):
-    """Next constraint-satisfying view pose from the instantaneous cloud.
+def _next_pose_from_nn(pos, p_nn, cfg, sweep_sign):
+    """Next constraint-satisfying view pose from the position `pos` and its
+    nearest surface point `p_nn`.
 
     `cfg` is the mission's `ScenarioConfig`; its `view` constraints and
     `z_band` are read.  The approach term closes the gap between the sensed
     range and the desired viewing distance; the lateral step advances by
-    the horizontal overlap footprint in the direction of `sweep_sign`; the
-    vertical step applies the vertical overlap footprint, clamped to the
-    height band (None keeps the full vertical term).  Yaw faces the nearest
-    surface point.
+    the horizontal overlap footprint in the direction of `sweep_sign` (+1 or
+    -1); the vertical step applies the vertical overlap footprint, clamped
+    to the height band (None keeps the full vertical term).  Yaw faces the
+    nearest surface point.
     """
-    pos = odom.position if isinstance(odom, Pose6) else np.asarray(odom, dtype=np.float64)
-    p_nn, _ = nearest_point(cloud, pos)
-    return _next_pose_from_nn(pos, p_nn, cfg, sweep_sign)
-
-
-def _next_pose_from_nn(pos, p_nn, cfg, sweep_sign):
     c = cfg.view
     nu_x, nu_y, nu_z, r = ego_frame(pos, p_nn)
     d_insp = r - c.d_view
     d_hov = 2.0 * np.tan(c.alpha / 2.0) * r * (1.0 - c.gamma_h)
     d_vov = 2.0 * np.tan(c.beta / 2.0) * r * (1.0 - c.gamma_v)
-    nxt = pos + nu_x * d_insp + nu_y * (float(sweep_sign) * d_hov) + nu_z * d_vov
+    nxt = pos + nu_x * d_insp + nu_y * (sweep_sign * d_hov) + nu_z * d_vov
     if cfg.z_band is not None:
         lo, hi = cfg.z_band
         nxt = nxt.copy()
@@ -81,7 +75,8 @@ def _sweep_sign_toward(pos, p_nn, guide_pos):
 
 
 def predict_local_path(odom, vmap, guide, cfg, first_cloud):
-    """Predict the local inspection path over the horizon.
+    """Predict the local inspection path from the `Pose6` `odom` along the
+    `PathSegment` `guide`.
 
     One pose is predicted per guide pose (the supervisor sizes the guide to
     the horizon, shrinking it near the tour end).  The first step reads
@@ -95,8 +90,7 @@ def predict_local_path(odom, vmap, guide, cfg, first_cloud):
     truncated.  Raises NoSurfaceError when nothing is visible from the
     starting pose itself.
     """
-    guide = guide if isinstance(guide, PathSegment) else PathSegment(guide)
-    pos = odom.position if isinstance(odom, Pose6) else np.asarray(odom, dtype=np.float64)
+    pos = odom.position
     poses = []
     short = False
     for i in range(len(guide)):
@@ -110,7 +104,7 @@ def predict_local_path(odom, vmap, guide, cfg, first_cloud):
             short = True
             break
         p_nn, _ = nearest_point(cloud, pos)
-        g = guide[min(i, len(guide) - 1)].position
+        g = guide[i].position
         sign = _sweep_sign_toward(pos, p_nn, g)
         nxt = _next_pose_from_nn(pos, p_nn, cfg, sign)
         poses.append(nxt)

@@ -12,7 +12,7 @@ from .depthcam import DEPTH_JUMP
 # Unused here, but importable from this module: perfbench's tracer
 # (`perfbench/tracing.py`) wraps `metrics.estimate_normal_map`.
 from .depthcam import estimate_normal_map  # noqa: F401
-from .geometry import NoSurfaceError, PathSegment, Pose6, nearest_point
+from .geometry import NoSurfaceError, nearest_point
 
 __all__ = [
     "viewpoint_utility",
@@ -52,9 +52,7 @@ def viewpoint_utility(depth, intrinsics):
 
 
 def path_rmse(a, b):
-    """Root mean square position error between equally long paths."""
-    a = a if isinstance(a, PathSegment) else PathSegment(a)
-    b = b if isinstance(b, PathSegment) else PathSegment(b)
+    """Root mean square position error between equally long `PathSegment`s."""
     if len(a) != len(b):
         raise ValueError(f"length mismatch: {len(a)} vs {len(b)}")
     d2 = np.sum((a.positions - b.positions) ** 2, axis=1)
@@ -62,9 +60,8 @@ def path_rmse(a, b):
 
 
 def viewing_distance(robot, cloud):
-    """Distance from the robot to the nearest observed surface point."""
-    pos = robot.position if isinstance(robot, Pose6) else np.asarray(robot, dtype=np.float64)
-    _, dist = nearest_point(cloud, pos)
+    """Distance from the robot's `Pose6` to the nearest observed surface point."""
+    _, dist = nearest_point(cloud, robot.position)
     return dist
 
 
@@ -133,27 +130,6 @@ class MissionLog:
                     value = getattr(rec, name)
                     row.append(repr(float(value)) if isinstance(value, float) else str(value))
                 writer.writerow(row)
-
-    @classmethod
-    def from_csv(cls, path):
-        """Read a log back from the published `mission_log.csv` format."""
-        log = cls()
-        with open(path, "r", newline="", encoding="utf-8") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            if header != _FIELDS:
-                raise ValueError(f"{path}: unexpected log header {header}")
-            for row in reader:
-                kwargs = {}
-                for name, value in zip(_FIELDS, row):
-                    if name in ("phase", "mode"):
-                        kwargs[name] = value
-                    elif name in ("cursor", "visited", "blocked", "replanned"):
-                        kwargs[name] = int(value)
-                    else:
-                        kwargs[name] = float(value)
-                log.append(MissionRecord(**kwargs))
-        return log
 
 
 # The viewing distance has reconverged once it lies within this fraction of

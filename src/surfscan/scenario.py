@@ -321,9 +321,10 @@ def _parse_scenario(raw, path):
             removals=_parse_boxes(delta_raw.get("removals"), "maps.delta.removals"),
             additions=_parse_boxes(delta_raw.get("additions"), "maps.delta.additions"),
         )
-    bounds_raw = _mapping(maps_raw.get("bounds"), "maps.bounds")
+    bounds_raw = maps_raw.get("bounds")
     bounds = None
-    if bounds_raw:
+    if bounds_raw is not None:
+        bounds_raw = _mapping(bounds_raw, "maps.bounds")
         bounds = (_required(bounds_raw, "lo", "maps.bounds"), _required(bounds_raw, "hi", "maps.bounds"))
     tasks = []
     for i, entry in enumerate(_list(raw.get("tasks"), "tasks")):

@@ -93,7 +93,7 @@ def decide(score, gamma_t):
 
 
 def reconcile(gvp, lvp, mode):
-    """Reference path to track plus the reprojected global segment.
+    """Reference path to track and the reprojected global segment.
 
     GLOBAL: the global segment is tracked and stands for itself.
     REPLANNED: the local prediction is tracked; the global segment is
@@ -103,16 +103,14 @@ def reconcile(gvp, lvp, mode):
     pose) to keep the correspondence well-posed.
     """
     if mode is MissionMode.GLOBAL:
-        return gvp, gvp, None
+        return gvp, gvp
     if len(gvp) != len(lvp):
         raise ValueError(f"segment length mismatch: {len(gvp)} vs {len(lvp)}")
     gvp_a, lvp_a = gvp, lvp
     if len(gvp) < 3:
         gvp_a = _pad_segment(gvp, 3)
         lvp_a = _pad_segment(lvp, 3)
-    transform = kabsch_align(gvp_a, lvp_a)
-    aligned = apply_transform(transform, gvp)
-    return lvp, aligned, transform
+    return lvp, apply_transform(kabsch_align(gvp_a, lvp_a), gvp)
 
 
 def _pad_segment(segment, length):
@@ -266,7 +264,7 @@ def step_mission(state, scene, robot):
 
     score = path_similarity(gvp, lvp)
     mode = decide(score, cfg.gamma_t) if cfg.mode == "adaptive" else MissionMode.GLOBAL
-    ref_path, aligned, _ = reconcile(gvp, lvp, mode)
+    ref_path, aligned = reconcile(gvp, lvp, mode)
     rmse_pre = path_rmse(gvp, lvp)
     rmse_post = path_rmse(aligned, lvp)
 

@@ -101,9 +101,8 @@ class VoxelMap:
 
     @classmethod
     def from_boxes(cls, boxes, voxel_size, bounds):
-        """Grid with the voxels of `boxes` occupied, over `bounds` (None:
-        the boxes' own extent)."""
-        boxes = [b if isinstance(b, Box) else Box(*b) for b in boxes]
+        """Grid with the voxels of the `Box`es `boxes` occupied, over
+        `bounds` (None: the boxes' own extent)."""
         if bounds is None:
             if not boxes:
                 raise ValueError("cannot infer bounds without boxes")
@@ -143,10 +142,6 @@ class VoxelMap:
             self.origin.copy(),
             self.origin + np.array(self.occ.shape) * self.voxel_size,
         )
-
-    @property
-    def occupied_count(self):
-        return int(np.count_nonzero(self.occ))
 
     def world_to_grid(self, p):
         return (np.asarray(p, dtype=np.float64) - self.origin) / self.voxel_size

@@ -27,15 +27,16 @@ from surfscan.geometry import (
     wrap_angle,
 )
 from surfscan.global_plan import InspectionTask, ViewConstraints, generate_grid_viewpoints, solve_tour_sa_tsp
-from surfscan.local_plan import compute_next_view_pose, ego_frame
+from surfscan.local_plan import ego_frame
 from surfscan.metrics import viewpoint_utility
 from surfscan.mission import MissionRunner
 from surfscan.scenario import demo_scenario
 from surfscan.supervisor import MissionMode, SimilarityScore, decide
-from surfscan.world import VoxelMap, is_collision_free
+from surfscan.world import Box, VoxelMap, is_collision_free
 
 from test_geometry import frechet_recursive, random_rotation
 from test_global_plan import brute_force_open_tour, nearest_neighbor_cost, plan_from_positions
+from test_local_plan import next_view
 
 
 class criterion:
@@ -112,9 +113,8 @@ def test_criterion_03_sa_tsp_oracle(rng):
 def test_criterion_04_next_view_closed_form():
     with criterion(4, "next-view-pose closed form at 4 m range"):
         cfg = dataclasses.replace(demo_scenario("nominal"), z_band=None)
-        pose = compute_next_view_pose(
-            Pose6(0, 0, 0), PointCloud([[4.0, 0.0, 0.0]]), cfg, sweep_sign=1
-        )
+        # `predict_local_path` with a one-pose guide on the +y side.
+        pose = next_view(Pose6(0, 0, 0), PointCloud([[4.0, 0.0, 0.0]]), cfg)
         assert abs(pose.x - 2.000) < 1e-3
         assert abs(pose.y - 2.220) < 1e-3
         assert abs(pose.z - 1.326) < 1e-3
@@ -283,7 +283,7 @@ def test_criterion_10_invariants(rng):
 
         # Controller saturation and collision-free poses on a walled map.
         vmap = VoxelMap.from_boxes(
-            [((6.0, -5.0, 0.0), (6.4, 5.0, 2.4))], 0.1, bounds=((-1, -7, 0), (10, 7, 2.4))
+            [Box((6.0, -5.0, 0.0), (6.4, 5.0, 2.4))], 0.1, bounds=((-1, -7, 0), (10, 7, 2.4))
         )
         cfg = demo_scenario("nominal")  # v_max 0.8, w_max 1.0, inflation 0.5, dt 0.1
         pose = Pose6(4.0, 0.0, 0.6)

@@ -55,6 +55,12 @@ def test_count_options_counts_defaulted_fields_and_parameters(tmp_path, capsys):
     assert [line.split()[-1] for line in lines[:-1]] == ["empty.py", "sample.py"]
 
 
+# The package's settable values today.  A change that adds an option has
+# to raise this number in its own diff.
+PACKAGE_OPTIONS = 73
+
+
 def test_count_options_reads_the_package():
     counts = load_script().count_package(load_script().DEFAULT_PACKAGE)
     assert "scenario.py" in counts and all(f >= 0 and p >= 0 for f, p in counts.values())
+    assert sum(f + p for f, p in counts.values()) <= PACKAGE_OPTIONS

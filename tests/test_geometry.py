@@ -283,14 +283,24 @@ def test_kabsch_reflection_still_proper(rng):
     assert np.abs(tf.rotation @ tf.rotation.T - np.eye(3)).max() < 1e-9
 
 
-def test_kabsch_collinear_degenerate_flag():
+def test_kabsch_collinear_minimal_rotation():
     src = np.array([[0, 0, 0], [0, 1, 0], [0, 2, 0], [0, 3, 0]], dtype=float)
     tgt = src + np.array([1.0, 0.5, 0.0])
     tf = kabsch_align(PathSegment(src), PathSegment(tgt))
-    assert tf.degenerate
     assert np.linalg.det(tf.rotation) == pytest.approx(1.0, abs=1e-9)
     # Pure translation is recovered exactly.
     assert np.abs(tf.apply(src) - tgt).max() < 1e-9
+    # Between two skew lines the rotation is the minimal one: it maps the
+    # source line onto the target line and fixes their common normal,
+    # which the full-rank SVD formula on this rank-1 covariance does not.
+    a = np.array([1.0, 2.0, 0.5]) / np.linalg.norm([1.0, 2.0, 0.5])
+    b = np.array([0.3, -1.0, 2.0]) / np.linalg.norm([0.3, -1.0, 2.0])
+    k = np.arange(4.0)[:, None]
+    tf = kabsch_align(PathSegment(k * a), PathSegment(k * b + [1.0, 2.0, 3.0]))
+    axis = np.cross(a, b) / np.linalg.norm(np.cross(a, b))
+    assert np.abs(tf.rotation @ a - b).max() < 1e-12
+    assert np.abs(tf.rotation @ axis - axis).max() < 1e-12
+    assert np.abs(tf.apply(k * a) - (k * b + [1.0, 2.0, 3.0])).max() < 1e-12
 
 
 def test_kabsch_length_mismatch_and_minimum():

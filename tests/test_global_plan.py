@@ -145,20 +145,20 @@ def test_grid_footprint_coverage():
     assert covered / total >= 0.99
 
 
-def test_grid_z_band_collapses_rows():
+def test_grid_z_band_collapses_rows(caplog):
     task = make_task(WALL_6X2)
     plan = generate_grid_viewpoints(task, VIEW, [0.0, 0.0, 1.0], (0.6, 0.6))
-    assert plan.clamped
+    assert f"task {task.id}: viewpoint heights clamped to band (0.6, 0.6)" in caplog.text
     zs = {vp.z for vp in plan.viewpoints}
     assert zs == {0.6}
     assert len(plan) == 6  # one row of six columns
 
 
-def test_grid_sparse_fallback():
+def test_grid_sparse_fallback(caplog):
     # Small diamond: the grid anchor (bounding-box corner) lies outside it.
     tiny = make_task([[6, 0.01, 0], [6, 0.02, 0.01], [6, 0.01, 0.02], [6, 0.0, 0.01]])
     plan = generate_grid_viewpoints(tiny, VIEW, [0.0, 0.0, 0.0], None)
-    assert plan.sparse
+    assert f"task {tiny.id}: ROI too small for grid, falling back to centroid view" in caplog.text
     assert len(plan) == 1
     assert np.allclose(plan.viewpoints[0].position, [4.0, 0.01, 0.01], atol=1e-9)
 

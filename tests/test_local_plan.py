@@ -12,7 +12,7 @@ from surfscan.geometry import (
     discrete_frechet,
 )
 from surfscan.global_plan import ViewConstraints
-from surfscan.local_plan import compute_next_view_pose, ego_frame, predict_local_path
+from surfscan.local_plan import ego_frame, predict_local_path
 from surfscan.scenario import demo_scenario
 from surfscan.world import Box, VoxelMap, sample_cloud
 
@@ -26,6 +26,21 @@ CFG = dataclasses.replace(BANDED, z_band=None)
 def wall_cloud(wall_x, pos):
     """Single-point cloud at the exact perpendicular foot on the plane x=wall_x."""
     return PointCloud([[wall_x, pos[1], pos[2]]])
+
+
+# A one-pose guide never re-senses, so the map is not read.
+UNREAD = VoxelMap.empty((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.5)
+
+
+def next_view(odom, cloud, cfg, side=1.0):
+    """The next view pose from the scan `cloud` taken at `odom`: a one-pose
+    `predict_local_path` whose guide lies 1 m to the `side` of `odom` in y,
+    so the lateral sweep goes toward +y (side 1) or -y (side -1) wherever
+    the ego frame's lateral axis is +y."""
+    guide = PathSegment([odom.position + [0.0, side, 0.0]])
+    path, short = predict_local_path(odom, UNREAD, guide, cfg, cloud)
+    assert not short and len(path) == 1
+    return path[0]
 
 
 # ---------------------------------------------------------------- ego frame
@@ -58,7 +73,7 @@ def test_ego_frame_coincident_point():
 
 
 def test_next_view_pose_closed_form():
-    pose = compute_next_view_pose(Pose6(0, 0, 0), PointCloud([[4.0, 0.0, 0.0]]), CFG, sweep_sign=1)
+    pose = next_view(Pose6(0, 0, 0), PointCloud([[4.0, 0.0, 0.0]]), CFG)
     assert pose.x == pytest.approx(2.000, abs=1e-3)
     assert pose.y == pytest.approx(2.220, abs=1e-3)
     assert pose.z == pytest.approx(1.326, abs=1e-3)
@@ -68,23 +83,32 @@ def test_next_view_pose_closed_form():
     assert pose.z == pytest.approx(2 * np.tan(np.deg2rad(22.5)) * 4 * 0.4, abs=1e-12)
 
 
+def test_next_view_pose_sweeps_toward_the_guide():
+    # A guide on the -y side mirrors the lateral step and nothing else.
+    cloud = PointCloud([[4.0, 0.0, 0.0]])
+    plus = next_view(Pose6(0, 0, 0), cloud, CFG)
+    minus = next_view(Pose6(0, 0, 0), cloud, CFG, side=-1.0)
+    assert minus.y == -plus.y and minus.y < 0.0
+    assert (minus.x, minus.z, minus.psi) == (plus.x, plus.z, plus.psi)
+
+
 def test_next_view_pose_at_viewing_distance_range_term_vanishes():
-    pose = compute_next_view_pose(Pose6(0, 0, 0), PointCloud([[2.0, 0.0, 0.0]]), CFG, sweep_sign=1)
+    pose = next_view(Pose6(0, 0, 0), PointCloud([[2.0, 0.0, 0.0]]), CFG)
     assert pose.x == pytest.approx(0.0, abs=1e-12)  # no approach component
 
 
 def test_next_view_pose_yaw_axis_case():
-    pose = compute_next_view_pose(Pose6(0, 0, 0), PointCloud([[0.0, 3.0, 0.0]]), CFG)
+    pose = next_view(Pose6(0, 0, 0), PointCloud([[0.0, 3.0, 0.0]]), CFG)
     assert pose.psi == pytest.approx(np.pi / 2)
 
 
 def test_next_view_pose_empty_cloud():
     with pytest.raises(NoSurfaceError):
-        compute_next_view_pose(Pose6(0, 0, 0), PointCloud(np.zeros((0, 3))), CFG)
+        next_view(Pose6(0, 0, 0), PointCloud(np.zeros((0, 3))), CFG)
 
 
 def test_next_view_pose_z_band_clamp():
-    pose = compute_next_view_pose(Pose6(0, 0, 0.6), PointCloud([[4.0, 0.0, 0.6]]), BANDED)
+    pose = next_view(Pose6(0, 0, 0.6), PointCloud([[4.0, 0.0, 0.6]]), BANDED)
     assert pose.z == 0.6
 
 
@@ -96,7 +120,7 @@ def test_range_convergence_on_flat_wall():
         foot = wall_cloud(6.0, pos.position)
         rng_now = abs(6.0 - pos.x)
         errors.append(abs(rng_now - cfg.view.d_view))
-        nxt = compute_next_view_pose(pos, foot, cfg)
+        nxt = next_view(pos, foot, cfg)
         pos = Pose6(nxt.x, nxt.y, nxt.z)
     assert errors[1] < 1e-9  # one step snaps the range
     assert all(b <= a + 1e-12 for a, b in zip(errors[1:], errors[2:]))
@@ -108,7 +132,7 @@ def test_overlap_spacing_on_flat_wall():
     pos = Pose6(4.0, 0.0, 0.6)  # already at d_view from x=6
     poses = []
     for _ in range(4):
-        nxt = compute_next_view_pose(pos, wall_cloud(6.0, pos.position), cfg)
+        nxt = next_view(pos, wall_cloud(6.0, pos.position), cfg)
         poses.append(nxt)
         pos = Pose6(nxt.x, nxt.y, nxt.z)
     laterals = np.diff([p.y for p in poses])
@@ -124,7 +148,7 @@ def test_yaw_faces_surface():
     pos = Pose6(4.3, -2.0, 0.6)
     cfg = BANDED
     for _ in range(4):
-        pose = compute_next_view_pose(pos, wall_cloud(6.0, pos.position), cfg)
+        pose = next_view(pos, wall_cloud(6.0, pos.position), cfg)
         origin = vmap.world_to_grid(pose.position)
         heading = np.array([[np.cos(pose.psi), np.sin(pose.psi), 0.0]]) / vmap.voxel_size
         t = kernels.raycast_batch(vmap.occ, origin, heading, 12.0, box=vmap.occupied_box)
@@ -155,14 +179,13 @@ def make_scene(face_x):
 
 
 def test_prediction_single_step_equals_next_view():
+    # The nearest-returns scan predicts the pose the full scan does.
     vmap = make_scene(6.0)
     odom = Pose6(4.0, 0.0, 0.6)
-    guide = guide_line(4.0, 1.11, 1, 1.11)
     cfg = BANDED
-    path, short = predict(odom, vmap, guide, cfg)
+    path, short = predict(odom, vmap, guide_line(4.0, 1.11, 1, 1.11), cfg)
     assert not short and len(path) == 1
-    cloud = sample_cloud(vmap, odom, cfg.sense_range, cfg.sense_rays)
-    direct = compute_next_view_pose(odom, cloud, cfg, sweep_sign=1)
+    direct = next_view(odom, sample_cloud(vmap, odom, cfg.sense_range, cfg.sense_rays), cfg)
     assert np.allclose(path[0].as_array(), direct.as_array(), atol=1e-12)
 
 

@@ -1,3 +1,5 @@
+import csv
+import dataclasses
 from unittest import mock
 
 import numpy as np
@@ -233,14 +235,22 @@ def test_log_requires_increasing_time():
 def test_log_csv_roundtrip(tmp_path):
     log = MissionLog()
     log.append(make_record(0.0))
-    log.append(make_record(0.1, phase="navigate", f_d=float("nan"), replanned=1))
+    log.append(make_record(0.1, phase="navigate", f_d=float("nan"), gamma_s=1 / 3, replanned=1))
     path = tmp_path / "log.csv"
     log.to_csv(path)
-    back = MissionLog.from_csv(path)
-    assert len(back) == 2
-    assert back.records[0] == log.records[0]
-    assert np.isnan(back.records[1].f_d)
-    assert back.records[1].phase == "navigate"
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == [f.name for f in dataclasses.fields(MissionRecord)]
+    assert len(rows) == 2
+    for rec, row in zip(log.records, rows):
+        for name, text in zip(header, row):
+            value = getattr(rec, name)
+            # Floats are written as repr, so they read back bit for bit.
+            assert text == (repr(value) if isinstance(value, float) else str(value))
+    got = dict(zip(header, rows[1]))
+    assert got["f_d"] == "nan"
+    assert got["gamma_s"] == "0.3333333333333333"
+    assert (got["phase"], got["replanned"]) == ("navigate", "1")
 
 
 def test_summarize_basics():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from surfscan import world
-from surfscan.geometry import PolygonROI, wrap_angle
+from surfscan.geometry import PolygonROI, Pose6, wrap_angle
 from surfscan.global_plan import InspectionTask, ViewConstraints
 from surfscan.metrics import viewing_distance
 from surfscan.mission import MissionRunner
@@ -203,7 +203,7 @@ def test_batched_viewing_distances_equal_fresh_single_scans(monkeypatch):
     assert (len(records) - len(cycles)) % 8 != 0
     vmap = MissionRunner(cfg).scene.current
     for r in records:
-        pos = np.array([r.x, r.y, r.z])
+        pos = Pose6(r.x, r.y, r.z)
         cloud = world.sample_cloud(vmap, pos, cfg.sense_range, cfg.sense_rays, nearest=True)
         want = np.nan if cloud.is_empty else viewing_distance(pos, cloud)
         # Zero odometry noise: the cycles scan from the logged pose too.

@@ -61,8 +61,8 @@ def test_load_scenario_roundtrip(tmp_path):
     # Each load builds its own task objects; the configs compare by value.
     assert load_scenario(f) == cfg and hash(load_scenario(f)) == hash(cfg)
     scene = build_scene(cfg, None)
-    assert scene.historical.occupied_count > 0
-    assert scene.current.occupied_count > scene.historical.occupied_count  # addition applied
+    assert np.count_nonzero(scene.historical.occ) > 0
+    assert np.count_nonzero(scene.current.occ) > np.count_nonzero(scene.historical.occ)  # addition applied
 
 
 def test_load_scenario_map_file(tmp_path):
@@ -75,7 +75,7 @@ def test_load_scenario_map_file(tmp_path):
     )
     cfg = load_scenario(scn)
     scene = build_scene(cfg, base_dir=tmp_path)
-    assert scene.historical.occupied_count == 1
+    assert np.count_nonzero(scene.historical.occ) == 1
 
 
 def test_load_scenario_rejects_bad_version(tmp_path):
@@ -288,6 +288,7 @@ WALL_VERTICES = [[6, -3, 0], [6, 3, 0], [6, 3, 2], [6, -3, 2]]
     [
         (("maps", "bounds"), {"hi": [12, 7, 2.4]}, "maps.bounds.lo is required"),
         (("maps", "bounds"), {"lo": [-1, -8, 0]}, "maps.bounds.hi is required"),
+        (("maps", "bounds"), {}, "maps.bounds.lo is required"),
         (("tasks",), [{"id": "wall", "vertices": WALL_VERTICES}, {"vertices": WALL_VERTICES}], "tasks[1].id is required"),
         (("tasks", 0), {"id": "wall"}, "tasks[0].vertices is required"),
         (("maps", "historical", "boxes", 0), {"lo": [6, -3, 0]}, "maps.historical.boxes[0].hi is required"),
@@ -318,6 +319,7 @@ WALL_VERTICES = [[6, -3, 0], [6, 3, 0], [6, 3, 2], [6, -3, 2]]
     ids=[
         "bounds_lo",
         "bounds_hi",
+        "bounds_empty",
         "task_id",
         "task_vertices",
         "box_hi",
@@ -332,6 +334,7 @@ WALL_VERTICES = [[6, -3, 0], [6, 3, 0], [6, 3, 2], [6, -3, 2]]
 )
 def test_cli_scenario_errors_name_the_key_path(tmp_path, capsys, path, value, reason):
     # A missing nested key read `malformed scenario: 'lo'` (or 'id', 'hi'),
+    # an empty `maps.bounds: {}` loaded as no bounds at all,
     # a bad box corner did not say which box, a scalar corner or vertex
     # list read `'int' object is not iterable`, a short vertex gave numpy's
     # "inhomogeneous shape" text, and a mapping in place of the task or box
@@ -443,7 +446,7 @@ def test_shipped_scenarios_load():
     for name in ("wall_nominal", "wall_receding"):
         cfg = load_scenario(SCENARIOS / f"{name}.yaml")
         assert cfg.name == name.replace("_", "-")
-        assert build_scene(cfg, base_dir=SCENARIOS).historical.occupied_count > 0
+        assert np.count_nonzero(build_scene(cfg, base_dir=SCENARIOS).historical.occ) > 0
     # The fully commented example names every scalar key, so that it cannot
     # fall behind the schema.
     nominal = yaml.safe_load((SCENARIOS / "wall_nominal.yaml").read_text())
@@ -505,7 +508,7 @@ def test_demo_names():
     for name in DEMO_NAMES:
         cfg = demo_scenario(name)
         scene = build_scene(cfg, None)
-        assert scene.current.occupied_count > 0
+        assert np.count_nonzero(scene.current.occ) > 0
     with pytest.raises(ValueError):
         demo_scenario("bogus")
 
@@ -514,9 +517,9 @@ def test_demo_scene_deltas():
     nominal = build_scene(demo_scenario("nominal"), None)
     assert np.array_equal(nominal.historical.occ, nominal.current.occ)
     receding = build_scene(demo_scenario("receding"), None)
-    assert receding.current.occupied_count < receding.historical.occupied_count
+    assert np.count_nonzero(receding.current.occ) < np.count_nonzero(receding.historical.occ)
     obstacle = build_scene(demo_scenario("obstacle"), None)
-    assert obstacle.current.occupied_count > obstacle.historical.occupied_count
+    assert np.count_nonzero(obstacle.current.occ) > np.count_nonzero(obstacle.historical.occ)
 
 
 # ---------------------------------------------------------------- CLI
@@ -525,6 +528,23 @@ def test_demo_scene_deltas():
 def test_cli_requires_config_or_demo(tmp_path, capsys):
     assert main(["run", "--out", str(tmp_path / "o")]) == 64
     assert main(["run", "--demo", "nominal", "--config", "x.yaml", "--out", str(tmp_path / "o")]) == 64
+
+
+@pytest.mark.parametrize("value", ["bogus", "basic_format"])
+def test_cli_rejects_unknown_log_level(tmp_path, capsys, monkeypatch, value):
+    # A typo was read as `warning`, and `basic_format`, a name in the
+    # logging module that is no level, ended in a traceback.
+    monkeypatch.setenv("SURFSCAN_LOG", value)
+    out = tmp_path / "out"
+    assert main(["plan", "--demo", "nominal", "--out", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert f"error: SURFSCAN_LOG must be one of debug, info, warning, error, got '{value}'" in err
+    assert not out.exists()
+
+
+def test_cli_accepts_log_level_names_in_any_case(tmp_path, monkeypatch):
+    monkeypatch.setenv("SURFSCAN_LOG", "Error")
+    assert main(["plan", "--demo", "nominal", "--out", str(tmp_path / "out")]) == 0
 
 
 def test_cli_rejects_malformed_config_without_artifacts(tmp_path, capsys):

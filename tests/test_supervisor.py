@@ -119,14 +119,14 @@ def test_decide_boundary_equality_global():
 def test_reconcile_global_passthrough():
     gvp = PathSegment([[0, 0, 0], [1, 0, 0], [2, 0, 0]])
     lvp = PathSegment([[0, 1, 0], [1, 1, 0], [2, 1, 0]])
-    ref, aligned, tf = reconcile(gvp, lvp, MissionMode.GLOBAL)
-    assert ref is gvp and aligned is gvp and tf is None
+    ref, aligned = reconcile(gvp, lvp, MissionMode.GLOBAL)
+    assert ref is gvp and aligned is gvp
 
 
 def test_reconcile_translation_case():
     gvp = PathSegment([[0, 0, 0], [1, 0.2, 0], [2, 0, 0], [3, 0.3, 0]])
     lvp = PathSegment((gvp.positions + np.array([1.0, 0.0, 0.0])))
-    ref, aligned, tf = reconcile(gvp, lvp, MissionMode.REPLANNED)
+    ref, aligned = reconcile(gvp, lvp, MissionMode.REPLANNED)
     assert ref is lvp
     assert np.abs(aligned.positions - lvp.positions).max() < 1e-9
     assert path_rmse(aligned, lvp) < 1e-9
@@ -138,14 +138,14 @@ def test_reconcile_rotation_improves_rmse(rng):
     gvp_pts = rng.normal(size=(5, 3))
     lvp_pts = gvp_pts @ rz.T
     gvp, lvp = PathSegment(gvp_pts), PathSegment(lvp_pts)
-    _, aligned, _ = reconcile(gvp, lvp, MissionMode.REPLANNED)
+    _, aligned = reconcile(gvp, lvp, MissionMode.REPLANNED)
     assert path_rmse(aligned, lvp) < path_rmse(gvp, lvp)
 
 
 def test_reconcile_short_segments_padded():
     gvp = PathSegment([[0, 0, 0], [1, 0, 0]])
     lvp = PathSegment([[0, 1, 0], [1, 1, 0]])
-    ref, aligned, tf = reconcile(gvp, lvp, MissionMode.REPLANNED)
+    _, aligned = reconcile(gvp, lvp, MissionMode.REPLANNED)
     assert len(aligned) == 2
     assert path_rmse(aligned, lvp) <= path_rmse(gvp, lvp) + 1e-9
 

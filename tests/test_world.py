@@ -43,20 +43,20 @@ def test_load_map_single_point(tmp_path):
     f = tmp_path / "one.xyz"
     f.write_text("# a comment\n0.0 0.0 0.0\n")
     vmap = load_map(f, 0.1, None)
-    assert vmap.occupied_count == 1
+    assert np.count_nonzero(vmap.occ) == 1
 
 
 def test_load_map_dedupes_same_voxel(tmp_path):
     f = tmp_path / "two.xyz"
     f.write_text("0.01 0.02 0.03\n0.04 0.05 0.06\n")
-    assert load_map(f, 0.1, None).occupied_count == 1
+    assert np.count_nonzero(load_map(f, 0.1, None).occ) == 1
 
 
 def test_load_map_planar_grid(tmp_path):
     pts = [(0.05 + 0.1 * i, 0.05 + 0.1 * j, 0.05) for i in range(10) for j in range(10)]
     f = tmp_path / "grid.xyz"
     f.write_text("\n".join(f"{x} {y} {z}" for x, y, z in pts))
-    assert load_map(f, 0.1, None).occupied_count == 100
+    assert np.count_nonzero(load_map(f, 0.1, None).occ) == 100
 
 
 def test_load_xyz_reports_line_number(tmp_path):
@@ -108,16 +108,16 @@ def test_apply_delta_identity(wall_map):
 def test_apply_delta_remove_everything(wall_map):
     lo, hi = wall_map.bounds
     out = apply_delta(wall_map, MorphologyDelta(removals=(Box(tuple(lo), tuple(hi)),)))
-    assert out.occupied_count == 0
+    assert np.count_nonzero(out.occ) == 0
 
 
 def test_apply_delta_slab_count(wall_map):
     # 1 m thick slab across the middle of the wall.
     slab = Box((6.0, -1.0, 0.0), (6.4, 0.0, 2.4))
-    before = wall_map.occupied_count
+    before = np.count_nonzero(wall_map.occ)
     out = apply_delta(wall_map, MorphologyDelta(removals=(slab,)))
     slab_voxels = 4 * 10 * 24
-    assert before - out.occupied_count == slab_voxels
+    assert before - np.count_nonzero(out.occ) == slab_voxels
 
 
 def test_apply_delta_removals_idempotent(wall_map):
@@ -130,7 +130,7 @@ def test_apply_delta_removals_idempotent(wall_map):
 def test_apply_delta_addition_grows_grid(wall_map):
     out = apply_delta(wall_map, MorphologyDelta(additions=(Box((12.0, 0.0, 0.0), (12.5, 0.5, 0.5)),)))
     assert out.bounds[1][0] >= 12.5
-    assert out.occupied_count == wall_map.occupied_count + 5 * 5 * 5
+    assert np.count_nonzero(out.occ) == np.count_nonzero(wall_map.occ) + 5 * 5 * 5
     assert occupied_at(out, [12.25, 0.25, 0.25])
 
 
@@ -423,7 +423,7 @@ def test_sample_cloud_nearest_box_room_center(height, rays):
 
 def single_scan_distance(vmap, pos, max_range, ray_count):
     cloud = sample_cloud(vmap, pos, max_range, ray_count, nearest=True)
-    return np.nan if cloud.is_empty else viewing_distance(pos, cloud)
+    return np.nan if cloud.is_empty else viewing_distance(Pose6(*pos), cloud)
 
 
 def test_nearest_distances_equal_single_scans(wall_map):
