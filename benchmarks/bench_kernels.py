@@ -63,7 +63,7 @@ from scipy import ndimage
 
 from surfscan import global_plan, kernels, world
 from surfscan.depthcam import DEPTH_JUMP, estimate_normal_map
-from surfscan.geometry import Pose6, ViewPose4
+from surfscan.geometry import ViewPose4
 from surfscan.scenario import build_scene, demo_scenario
 from surfscan.world import Box, VoxelMap, camera_axes_world, fibonacci_directions, render_depth
 
@@ -86,7 +86,7 @@ def sensing_cases():
     cfg = demo_scenario("receding")
     vmap = build_scene(cfg, None).current
     cam = cfg.camera
-    pose = Pose6(4.0, -2.0, 0.6)
+    pose = ViewPose4(4.0, -2.0, 0.6)
     origin = vmap.world_to_grid(pose.position)
 
     right, down, forward = camera_axes_world(pose)
@@ -139,7 +139,7 @@ def frame_cases():
         cfg = demo_scenario(demo)
         vmap = build_scene(cfg, None).current
         cam = cfg.camera
-        pose = Pose6(*position)
+        pose = ViewPose4(*position)
         axes = camera_axes_world(pose)
         origin = vmap.world_to_grid(pose.position)
         box = vmap.occupied_box
@@ -161,7 +161,7 @@ def utility_case():
     the `receding` sensing pose."""
     cfg = demo_scenario("receding")
     cam = cfg.camera
-    depth = render_depth(build_scene(cfg, None).current, Pose6(4.0, -2.0, 0.6), cam)
+    depth = render_depth(build_scene(cfg, None).current, ViewPose4(4.0, -2.0, 0.6), cam)
     args = (depth.data, float(cam.fx), float(cam.fy), float(cam.cx), float(cam.cy), DEPTH_JUMP)
 
     def from_cosines():
@@ -275,8 +275,8 @@ def planning_cases():
     def fresh_map():
         return VoxelMap(site.origin, site.voxel_size, site.occ)
 
-    def fresh_mask(*band):
-        return fresh_map().free_mask(inflation, *band)
+    def fresh_mask(k_lo=0, k_hi=site.shape[2] - 1):
+        return fresh_map().free_mask(inflation, k_lo, k_hi)
 
     def fresh_box():
         return fresh_map().occupied_box
@@ -299,7 +299,7 @@ def planning_cases():
             enclosed_route()
 
     yard = VoxelMap.empty((0.0, 0.0, 0.0), (40.0, 40.0, 2.4), 0.1)
-    yard.free_mask(inflation)  # cached, as after a mission's first route
+    yard.free_mask(inflation, 0, yard.shape[2] - 1)  # cached for the reference planner
     corners = (0.6, 0.6, 0.6), (39.4, 39.4, 0.6)
 
     def yard_route(plan_route):

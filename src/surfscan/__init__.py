@@ -15,7 +15,6 @@ from .geometry import (
     PathSegment,
     PointCloud,
     PolygonROI,
-    Pose6,
     RigidTransform,
     ViewPose4,
     apply_transform,

@@ -61,7 +61,7 @@ def _build_parser():
 def _load(args):
     """Mission runner for the scenario named on the command line, its scene
     built.  Bad input (arguments, scenario file, map files) raises
-    ValueError, FileNotFoundError or KeyError."""
+    ValueError, OSError or KeyError."""
     if bool(args.config) == bool(args.demo):
         raise ValueError("exactly one of --config or --demo is required")
     if args.demo:
@@ -191,13 +191,13 @@ def main(argv=None):
     try:
         _setup_logging()
         runner = _load(args)
-    except (ValueError, FileNotFoundError, KeyError) as exc:
+        out_dir = ensure_dir(Path(args.out))
+    except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     # Past this point every input has loaded: an error other than an
     # unreachable task is a fault of the program, not of its input, and
     # propagates.
-    out_dir = ensure_dir(Path(args.out))
     command = {"plan": cmd_plan, "run": cmd_run, "compare": cmd_compare}[args.command]
     try:
         return command(runner, out_dir)

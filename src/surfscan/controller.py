@@ -4,7 +4,7 @@ supervisor only needs the robot to converge on the commanded view pose."""
 
 import numpy as np
 
-from .geometry import Pose6, wrap_angle
+from .geometry import ViewPose4, wrap_angle
 from .world import is_collision_free
 
 __all__ = ["track_step", "add_odometry_noise"]
@@ -37,7 +37,7 @@ def track_step(pose, ref, vmap, cfg):
         new_pos = pos
         blocked = True
 
-    return Pose6(new_pos[0], new_pos[1], new_pos[2], pose.phi, pose.theta, new_psi), blocked
+    return ViewPose4(new_pos[0], new_pos[1], new_pos[2], new_psi), blocked
 
 
 def add_odometry_noise(pose, sigma_xy, sigma_psi, rng):
@@ -49,4 +49,4 @@ def add_odometry_noise(pose, sigma_xy, sigma_psi, rng):
         return pose
     dx, dy = rng.normal(0.0, sigma_xy, size=2) if sigma_xy > 0 else (0.0, 0.0)
     dpsi = rng.normal(0.0, sigma_psi) if sigma_psi > 0 else 0.0
-    return Pose6(pose.x + dx, pose.y + dy, pose.z, pose.phi, pose.theta, wrap_angle(pose.psi + dpsi))
+    return ViewPose4(pose.x + dx, pose.y + dy, pose.z, wrap_angle(pose.psi + dpsi))

@@ -10,7 +10,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .geometry import Pose6
 
 __all__ = ["CameraIntrinsics", "DepthImage", "estimate_normal_map", "DEPTH_JUMP"]
 
@@ -73,7 +72,6 @@ class DepthImage:
     """Projective depth per pixel (meters); NaN marks invalid pixels."""
 
     data: np.ndarray
-    pose: Pose6
 
     def __post_init__(self):
         arr = np.asarray(self.data, dtype=np.float64)
@@ -95,11 +93,8 @@ class DepthImage:
 def camera_axes_world(pose):
     """World-frame (right, down, forward) unit vectors of a camera mounted
     level on the robot body, optical axis along the body +x."""
-    r = pose.rotation_matrix()
-    forward = r @ np.array([1.0, 0.0, 0.0])
-    right = r @ np.array([0.0, -1.0, 0.0])
-    down = r @ np.array([0.0, 0.0, -1.0])
-    return right, down, forward
+    c, s = np.cos(pose.psi), np.sin(pose.psi)
+    return np.array([s, -c, 0.0]), np.array([0.0, 0.0, -1.0]), np.array([c, s, 0.0])
 
 
 def estimate_normal_map(depth, intrinsics):

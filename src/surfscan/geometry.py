@@ -15,7 +15,6 @@ __all__ = [
     "NoSurfaceError",
     "DegenerateGeometryError",
     "wrap_angle",
-    "Pose6",
     "ViewPose4",
     "PathSegment",
     "PointCloud",
@@ -62,42 +61,10 @@ def _as_vec3(p, name="point"):
 
 
 @dataclass(frozen=True)
-class Pose6:
-    """Full robot pose: position in meters, roll/pitch/yaw in radians."""
-
-    x: float
-    y: float
-    z: float
-    phi: float = 0.0
-    theta: float = 0.0
-    psi: float = 0.0
-
-    def __post_init__(self):
-        for name in ("phi", "theta", "psi"):
-            object.__setattr__(self, name, wrap_angle(float(getattr(self, name))))
-        for name in ("x", "y", "z"):
-            object.__setattr__(self, name, float(getattr(self, name)))
-        if not all(np.isfinite([self.x, self.y, self.z, self.phi, self.theta, self.psi])):
-            raise ValueError("Pose6 components must be finite")
-
-    @property
-    def position(self):
-        return np.array([self.x, self.y, self.z])
-
-    def rotation_matrix(self):
-        """World-from-body rotation, Rz(psi) Ry(theta) Rx(phi)."""
-        cph, sph = np.cos(self.phi), np.sin(self.phi)
-        cth, sth = np.cos(self.theta), np.sin(self.theta)
-        cps, sps = np.cos(self.psi), np.sin(self.psi)
-        rx = np.array([[1, 0, 0], [0, cph, -sph], [0, sph, cph]])
-        ry = np.array([[cth, 0, sth], [0, 1, 0], [-sth, 0, cth]])
-        rz = np.array([[cps, -sps, 0], [sps, cps, 0], [0, 0, 1]])
-        return rz @ ry @ rx
-
-
-@dataclass(frozen=True)
 class ViewPose4:
-    """4-DOF reference view pose: position plus yaw."""
+    """4-DOF pose, position in meters plus yaw in radians: the robot's pose
+    and every reference view pose.  The robot and its camera stay level, so
+    there is no roll or pitch."""
 
     x: float
     y: float

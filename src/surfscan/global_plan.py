@@ -392,7 +392,7 @@ class TaskPriority:
 
 
 def prioritize_tasks(tasks, plans, robot, vmap, inflation, z_band):
-    """Tasks ordered by traversable route length from the robot's `Pose6`
+    """Tasks ordered by traversable route length from the robot's `ViewPose4`
     to each task's nearest valid viewpoint.  Unreachable tasks go last,
     flagged."""
     if not tasks:

@@ -75,7 +75,7 @@ def _sweep_sign_toward(pos, p_nn, guide_pos):
 
 
 def predict_local_path(odom, vmap, guide, cfg, first_cloud):
-    """Predict the local inspection path from the `Pose6` `odom` along the
+    """Predict the local inspection path from the `ViewPose4` `odom` along the
     `PathSegment` `guide`.
 
     One pose is predicted per guide pose (the supervisor sizes the guide to

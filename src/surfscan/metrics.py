@@ -60,7 +60,7 @@ def path_rmse(a, b):
 
 
 def viewing_distance(robot, cloud):
-    """Distance from the robot's `Pose6` to the nearest observed surface point."""
+    """Distance from the robot's `ViewPose4` to the nearest observed surface point."""
     _, dist = nearest_point(cloud, robot.position)
     return dist
 

@@ -69,7 +69,6 @@ class TaskPlan:
     task: object
     plan: object
     tour: object
-    route_length: float
 
 
 @dataclass(frozen=True)
@@ -113,7 +112,7 @@ class MissionRunner:
                 log.warning("task %s skipped: %s", entry.task.id, exc)
                 continue
             tour = solve_tour_sa_tsp(filtered, start.position, cfg.seed)
-            executable.append(TaskPlan(entry.task, filtered, tour, entry.route_length))
+            executable.append(TaskPlan(entry.task, filtered, tour))
         if not executable:
             raise TaskUnreachableError("no executable tasks: all unreachable or in collision")
         return PlanArtifacts(ranked=ranked, executable=executable)
@@ -313,7 +312,7 @@ class _Stepper:
     def advance(self, ref):
         """One control step toward `ref` (None: hold the current pose)."""
         pose = self.pose
-        target = ref if ref is not None else ViewPose4(pose.x, pose.y, pose.z, pose.psi)
+        target = ref if ref is not None else pose
         self.pose, blocked = track_step(pose, target, self.scene.current, self.cfg)
         self.t += self.cfg.dt
         self.steps += 1

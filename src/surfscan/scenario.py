@@ -14,7 +14,7 @@ import numpy as np
 import yaml
 
 from .depthcam import CameraIntrinsics
-from .geometry import Pose6, PolygonROI
+from .geometry import PolygonROI, ViewPose4
 from .global_plan import InspectionTask, ViewConstraints
 from .world import Box, MorphologyDelta, Scene, VoxelMap, load_map
 
@@ -99,8 +99,7 @@ class ScenarioConfig:
 
     @property
     def start_pose(self):
-        x, y, z, psi = self.start
-        return Pose6(x, y, z, 0.0, 0.0, psi)
+        return ViewPose4(*self.start)
 
 
 def _finite_tuple(value, n, name, axes):

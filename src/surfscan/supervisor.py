@@ -243,7 +243,7 @@ def step_mission(state, scene, robot):
         state.status = MissionStatus.COMPLETE
         return None, _unscored_cycle(state, "complete", visited_index)
 
-    cloud = sample_cloud(scene.current, robot, cfg.sense_range, cfg.sense_rays, nearest=True)
+    cloud = sample_cloud(scene.current, robot.position, cfg.sense_range, cfg.sense_rays, nearest=True)
     if cloud.is_empty:
         return None, _unscored_cycle(state, _retry(state), visited_index)
     vd = viewing_distance(robot, cloud)

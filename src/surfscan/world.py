@@ -15,7 +15,7 @@ import numpy as np
 from . import kernels
 from .depthcam import DepthImage, camera_axes_world
 from .fileio import load_xyz
-from .geometry import PointCloud, Pose6
+from .geometry import PointCloud
 
 __all__ = [
     "Box",
@@ -186,14 +186,12 @@ class VoxelMap:
         extent.setflags(write=False)
         return extent
 
-    def free_mask(self, inflation, k_lo=0, k_hi=None):
-        """Voxels of the z layers `k_lo..k_hi` (default: all) whose centers
-        keep at least `inflation` clearance from every occupied voxel box,
-        as a read-only (nx, ny, k_hi - k_lo + 1) array.  Cached per
-        inflation value and band."""
+    def free_mask(self, inflation, k_lo, k_hi):
+        """Voxels of the z layers `k_lo..k_hi` whose centers keep at least
+        `inflation` clearance from every occupied voxel box, as a read-only
+        (nx, ny, k_hi - k_lo + 1) array.  Cached per inflation value and
+        band."""
         nz = self.occ.shape[2]
-        if k_hi is None:
-            k_hi = nz - 1
         if not 0 <= k_lo <= k_hi < nz:
             raise ValueError(f"z band {k_lo}..{k_hi} lies outside the grid's {nz} layers")
         key = (round(float(inflation), 9), k_lo, k_hi)
@@ -392,23 +390,22 @@ def render_depth(vmap, pose, intrinsics):
     """Raycast a depth image from the pose.  Depth is the distance along the
     optical axis to the first occupied voxel; misses are NaN.
 
-    Two kernels cast the frame, with bitwise the same depths.  A level
-    camera (right and forward axes with zero z, down axis (0, 0, -1))
-    with a finite range whose origin lies inside the grid goes to
-    `kernels.raycast_level_frame`, which shares each image column's x/y
-    and each row's z DDA crossings.  Every other pose casts the W x H
-    rays through `kernels.raycast_batch`.  On an empty map nothing is cast.
+    Two kernels cast the frame, with bitwise the same depths.  The camera
+    is level, so a frame with a finite range whose origin lies inside the
+    grid goes to `kernels.raycast_level_frame`, which shares each image
+    column's x/y and each row's z DDA crossings.  Any other frame casts the
+    W x H rays through `kernels.raycast_batch`.  On an empty map nothing is
+    cast.
     """
     h, w = intrinsics.height, intrinsics.width
     box = vmap.occupied_box
     if box is None:
-        return DepthImage(np.full((h, w), np.nan), pose)
+        return DepthImage(np.full((h, w), np.nan))
     right, down, forward = camera_axes_world(pose)
     origin_g = vmap.world_to_grid(pose.position)
     t_cap = float(intrinsics.max_range)
-    level = right[2] == 0.0 and forward[2] == 0.0 and down[0] == 0.0 and down[1] == 0.0 and down[2] == -1.0
     inside = bool(np.all((origin_g >= 0.0) & (origin_g <= vmap.shape)))
-    if level and inside and math.isfinite(t_cap):
+    if inside and math.isfinite(t_cap):
         cols, rows = _frame_axes(right, down, forward, intrinsics, vmap.voxel_size)
         t = kernels.raycast_level_frame(vmap.occ, origin_g, cols, rows, t_cap, box, vmap.column_extent)
     else:
@@ -416,29 +413,29 @@ def render_depth(vmap, pose, intrinsics):
         t = kernels.raycast_batch(vmap.occ, origin_g, dirs_g, t_cap, box=box)
     depth = t.reshape(h, w)
     depth[depth <= 0.0] = np.nan
-    return DepthImage(depth, pose)
+    return DepthImage(depth)
 
 
-def sample_cloud(vmap, pose, max_range, ray_count, nearest=False):
-    """Omnidirectional range scan: first-hit points for a Fibonacci-sphere ray
-    pattern, world frame.  Rays that hit nothing within range are omitted.
+def sample_cloud(vmap, position, max_range, ray_count, nearest=False):
+    """Omnidirectional range scan from the (3,) array `position`: first-hit
+    points for a Fibonacci-sphere ray pattern, world frame.  Rays that hit
+    nothing within range are omitted.
 
     With `nearest`, the cloud holds only the returns that can be the nearest
-    to the pose: those at a range r <= r_min * (1 + 1e-9) + 1e-9 m, r_min the
-    nearest range (see :func:`kernels.raycast_batch`).  The margin
+    to the position: those at a range r <= r_min * (1 + 1e-9) + 1e-9 m,
+    r_min the nearest range (see :func:`kernels.raycast_batch`).  The margin
     covers the rounding of the points and of `nearest_point`'s squared
-    distances, so `nearest_point` from the pose returns the same point and
-    distance, with the same lowest-index tie-break, as on the full cloud, and
-    the cloud is empty iff the full one is.
+    distances, so `nearest_point` from the position returns the same point
+    and distance, with the same lowest-index tie-break, as on the full
+    cloud, and the cloud is empty iff the full one is.
     """
     _check_scan(max_range, ray_count)
-    pos = pose.position if isinstance(pose, Pose6) else np.asarray(pose, dtype=np.float64)
     dirs = fibonacci_directions(int(ray_count))
-    origin_g = vmap.world_to_grid(pos)
+    origin_g = vmap.world_to_grid(position)
     dirs_g = np.ascontiguousarray(dirs / vmap.voxel_size)
     t = _first_hits(vmap, origin_g, dirs_g, float(max_range), nearest=nearest)
     hit = t >= 0.0
-    points = pos + dirs[hit] * t[hit, None]
+    points = position + dirs[hit] * t[hit, None]
     return PointCloud(points)
 
 

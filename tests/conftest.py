@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from surfscan.geometry import Pose6
+from surfscan.geometry import ViewPose4
 from surfscan.world import Box, VoxelMap
 
 
@@ -22,4 +22,4 @@ def wall_map():
 
 @pytest.fixture
 def robot_pose():
-    return Pose6(4.0, 0.0, 0.6, 0.0, 0.0, 0.0)
+    return ViewPose4(4.0, 0.0, 0.6, 0.0)

@@ -26,8 +26,8 @@ from surfscan.global_plan import (
 
 
 def _route_cells(vmap, start, goal, inflation, z_band):
-    free = vmap.free_mask(inflation)
     shape = vmap.occ.shape
+    free = vmap.free_mask(inflation, 0, shape[2] - 1)
     h = vmap.voxel_size
 
     def cell_of(p, name):

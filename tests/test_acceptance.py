@@ -18,7 +18,6 @@ from surfscan.geometry import (
     PathSegment,
     PointCloud,
     PolygonROI,
-    Pose6,
     ViewPose4,
     discrete_frechet,
     kabsch_align,
@@ -114,7 +113,7 @@ def test_criterion_04_next_view_closed_form():
     with criterion(4, "next-view-pose closed form at 4 m range"):
         cfg = dataclasses.replace(demo_scenario("nominal"), z_band=None)
         # `predict_local_path` with a one-pose guide on the +y side.
-        pose = next_view(Pose6(0, 0, 0), PointCloud([[4.0, 0.0, 0.0]]), cfg)
+        pose = next_view(ViewPose4(0, 0, 0), PointCloud([[4.0, 0.0, 0.0]]), cfg)
         assert abs(pose.x - 2.000) < 1e-3
         assert abs(pose.y - 2.220) < 1e-3
         assert abs(pose.z - 1.326) < 1e-3
@@ -286,7 +285,7 @@ def test_criterion_10_invariants(rng):
             [Box((6.0, -5.0, 0.0), (6.4, 5.0, 2.4))], 0.1, bounds=((-1, -7, 0), (10, 7, 2.4))
         )
         cfg = demo_scenario("nominal")  # v_max 0.8, w_max 1.0, inflation 0.5, dt 0.1
-        pose = Pose6(4.0, 0.0, 0.6)
+        pose = ViewPose4(4.0, 0.0, 0.6)
         for _ in range(150):
             ref = ViewPose4(
                 rng.uniform(3, 9), rng.uniform(-4, 4), 0.6, rng.uniform(-np.pi, np.pi)
@@ -309,7 +308,7 @@ def test_criterion_10_invariants(rng):
             with np.errstate(divide="ignore"):
                 z = 2.0 / denom
             z[~np.isfinite(z) | (z <= 0)] = np.nan
-            return DepthImage(z, Pose6(0, 0, 0))
+            return DepthImage(z)
 
         flat = viewpoint_utility(plane_img(0.0), cam)
         oblique = viewpoint_utility(plane_img(np.deg2rad(60.0)), cam)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from surfscan.controller import add_odometry_noise, track_step
-from surfscan.geometry import Pose6, ViewPose4, wrap_angle
+from surfscan.geometry import ViewPose4, wrap_angle
 from surfscan.scenario import demo_scenario
 from surfscan.world import VoxelMap, is_collision_free
 
@@ -17,7 +17,7 @@ def free_map():
 
 
 def test_track_step_hold_at_reference():
-    pose = Pose6(1, 2, 0.6, 0, 0, 0.3)
+    pose = ViewPose4(1, 2, 0.6, 0.3)
     cfg = dataclasses.replace(CFG, dt=0.5)
     new, blocked = track_step(pose, ViewPose4(1, 2, 0.6, 0.3), free_map(), cfg)
     assert not blocked
@@ -26,7 +26,7 @@ def test_track_step_hold_at_reference():
 
 def test_track_step_saturated_advance():
     cfg = dataclasses.replace(CFG, dt=0.5)
-    new, blocked = track_step(Pose6(0, 0, 0.6), ViewPose4(1.0, 0.0, 0.6, 0.0), free_map(), cfg)
+    new, blocked = track_step(ViewPose4(0, 0, 0.6), ViewPose4(1.0, 0.0, 0.6, 0.0), free_map(), cfg)
     assert not blocked
     assert new.x == pytest.approx(0.4, abs=1e-12)  # exactly v_max * dt
     assert new.y == 0.0
@@ -34,14 +34,14 @@ def test_track_step_saturated_advance():
 
 def test_track_step_blocked_by_wall(wall_map):
     cfg = dataclasses.replace(CFG, dt=0.5)
-    new, blocked = track_step(Pose6(5.3, 0.0, 0.6), ViewPose4(7.0, 0.0, 0.6, 0.0), wall_map, cfg)
+    new, blocked = track_step(ViewPose4(5.3, 0.0, 0.6), ViewPose4(7.0, 0.0, 0.6, 0.0), wall_map, cfg)
     assert blocked
     assert (new.x, new.y, new.z) == (5.3, 0.0, 0.6)
 
 
 def test_track_step_saturation_invariants(rng):
     vmap = free_map()
-    pose = Pose6(0, 0, 0.6)
+    pose = ViewPose4(0, 0, 0.6)
     for _ in range(200):
         ref = ViewPose4(rng.uniform(-3, 10), rng.uniform(-3, 3), 0.6, rng.uniform(-np.pi, np.pi))
         new, _ = track_step(pose, ref, vmap, CFG)
@@ -54,7 +54,7 @@ def test_track_step_saturation_invariants(rng):
 
 def test_track_step_converges_in_free_space():
     vmap = free_map()
-    pose = Pose6(0, 0, 0.6)
+    pose = ViewPose4(0, 0, 0.6)
     ref = ViewPose4(3.0, 1.0, 0.6, 1.2)
     prev = np.inf
     for _ in range(200):
@@ -68,7 +68,7 @@ def test_track_step_converges_in_free_space():
 
 
 def test_track_step_pose_stays_collision_free(wall_map):
-    pose = Pose6(4.0, 0.0, 0.6)
+    pose = ViewPose4(4.0, 0.0, 0.6)
     ref = ViewPose4(8.0, 0.0, 0.6, 0.0)  # behind the wall
     for _ in range(100):
         pose, _ = track_step(pose, ref, wall_map, CFG)
@@ -76,19 +76,19 @@ def test_track_step_pose_stays_collision_free(wall_map):
 
 
 def test_odometry_noise_zero_sigma_is_identity():
-    pose = Pose6(1, 2, 3, 0, 0, 0.5)
+    pose = ViewPose4(1, 2, 3, 0.5)
     assert add_odometry_noise(pose, 0.0, 0.0, 42) == pose
 
 
 def test_odometry_noise_reproducible():
-    pose = Pose6(1, 2, 3)
+    pose = ViewPose4(1, 2, 3)
     a = [add_odometry_noise(pose, 0.05, 0.01, np.random.default_rng(9)) for _ in range(1)]
     b = [add_odometry_noise(pose, 0.05, 0.01, np.random.default_rng(9)) for _ in range(1)]
     assert a == b
 
 
 def test_odometry_noise_statistics():
-    pose = Pose6(0, 0, 0)
+    pose = ViewPose4(0, 0, 0)
     rng = np.random.default_rng(3)
     xs = np.array([add_odometry_noise(pose, 0.05, 0.0, rng).x for _ in range(1000)])
     assert np.std(xs) == pytest.approx(0.05, rel=0.1)
@@ -104,4 +104,4 @@ def test_invalid_parameters():
     with pytest.raises(ValueError, match="dt"):
         dataclasses.replace(CFG, dt=0.0)
     with pytest.raises(ValueError):
-        add_odometry_noise(Pose6(0, 0, 0), -0.1, 0.0, 1)
+        add_odometry_noise(ViewPose4(0, 0, 0), -0.1, 0.0, 1)

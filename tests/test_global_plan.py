@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import planner_reference
-from surfscan.geometry import PolygonROI, Pose6, point_in_polygon, polygon_basis
+from surfscan.geometry import PolygonROI, ViewPose4, point_in_polygon, polygon_basis
 from surfscan.global_plan import (
     InspectionTask,
     RouteError,
@@ -262,7 +262,7 @@ def test_plan_route_enclosed_goal_fails_before_search(monkeypatch):
     ]
     vmap = VoxelMap.from_boxes(room, 0.1, bounds=((-1, -5, 0), (11, 5, 1.2)))
     start, goal = np.array([1.0, 0.0, 0.6]), np.array([6.0, 0.0, 0.6])
-    assert vmap.free_mask(0.5)[tuple(np.floor(vmap.world_to_grid(goal)).astype(int))]
+    assert vmap.free_mask(0.5, 0, vmap.shape[2] - 1)[tuple(np.floor(vmap.world_to_grid(goal)).astype(int))]
     pushes = []
     push = heapq.heappush
     monkeypatch.setattr(heapq, "heappush", lambda heap, item: pushes.append(item) or push(heap, item))
@@ -305,7 +305,7 @@ def test_plan_route_astar_equals_dijkstra_random(rng):
 def test_prioritize_single_task(wall_map):
     task = make_task(WALL_6X2)
     plan = generate_grid_viewpoints(task, VIEW, [0.0, 0.0, 1.0], (0.6, 0.6))
-    ranked = prioritize_tasks([task], [plan], Pose6(4, -5, 0.6), wall_map, 0.5, z_band=(0.6, 0.6))
+    ranked = prioritize_tasks([task], [plan], ViewPose4(4, -5, 0.6), wall_map, 0.5, z_band=(0.6, 0.6))
     assert len(ranked) == 1 and ranked[0].reachable
 
 
@@ -316,7 +316,7 @@ def test_prioritize_orders_by_route_length(wall_map):
     plan_near = generate_grid_viewpoints(near, VIEW, [0, 0, 1], (0.6, 0.6))
     plan_far = generate_grid_viewpoints(far, VIEW, [0, 0, 1], (0.6, 0.6))
     # Robot sits next to one end: "near" viewpoints start at y=-3.
-    robot = Pose6(4.0, -4.0, 0.6)
+    robot = ViewPose4(4.0, -4.0, 0.6)
     ranked = prioritize_tasks([far, near], [plan_far, plan_near], robot, wall_map, 0.5, z_band=(0.6, 0.6))
     # Identical geometry: tie broken by id ("far" < "near").
     assert [r.task.id for r in ranked] == ["far", "near"]
@@ -339,7 +339,7 @@ def test_prioritize_flags_unreachable_task(wall_map):
         0.1,
         bounds=((-1, -7, 0), (10, 7, 2.4)),
     )
-    ranked = prioritize_tasks([task], [plan], Pose6(4.0, -5.0, 0.6), cage, 0.5, z_band=(0.6, 0.6))
+    ranked = prioritize_tasks([task], [plan], ViewPose4(4.0, -5.0, 0.6), cage, 0.5, z_band=(0.6, 0.6))
     assert not ranked[0].reachable
     assert ranked[0].route_length == np.inf
 

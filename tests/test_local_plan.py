@@ -8,7 +8,7 @@ from surfscan.geometry import (
     NoSurfaceError,
     PathSegment,
     PointCloud,
-    Pose6,
+    ViewPose4,
     discrete_frechet,
 )
 from surfscan.global_plan import ViewConstraints
@@ -73,7 +73,7 @@ def test_ego_frame_coincident_point():
 
 
 def test_next_view_pose_closed_form():
-    pose = next_view(Pose6(0, 0, 0), PointCloud([[4.0, 0.0, 0.0]]), CFG)
+    pose = next_view(ViewPose4(0, 0, 0), PointCloud([[4.0, 0.0, 0.0]]), CFG)
     assert pose.x == pytest.approx(2.000, abs=1e-3)
     assert pose.y == pytest.approx(2.220, abs=1e-3)
     assert pose.z == pytest.approx(1.326, abs=1e-3)
@@ -86,42 +86,42 @@ def test_next_view_pose_closed_form():
 def test_next_view_pose_sweeps_toward_the_guide():
     # A guide on the -y side mirrors the lateral step and nothing else.
     cloud = PointCloud([[4.0, 0.0, 0.0]])
-    plus = next_view(Pose6(0, 0, 0), cloud, CFG)
-    minus = next_view(Pose6(0, 0, 0), cloud, CFG, side=-1.0)
+    plus = next_view(ViewPose4(0, 0, 0), cloud, CFG)
+    minus = next_view(ViewPose4(0, 0, 0), cloud, CFG, side=-1.0)
     assert minus.y == -plus.y and minus.y < 0.0
     assert (minus.x, minus.z, minus.psi) == (plus.x, plus.z, plus.psi)
 
 
 def test_next_view_pose_at_viewing_distance_range_term_vanishes():
-    pose = next_view(Pose6(0, 0, 0), PointCloud([[2.0, 0.0, 0.0]]), CFG)
+    pose = next_view(ViewPose4(0, 0, 0), PointCloud([[2.0, 0.0, 0.0]]), CFG)
     assert pose.x == pytest.approx(0.0, abs=1e-12)  # no approach component
 
 
 def test_next_view_pose_yaw_axis_case():
-    pose = next_view(Pose6(0, 0, 0), PointCloud([[0.0, 3.0, 0.0]]), CFG)
+    pose = next_view(ViewPose4(0, 0, 0), PointCloud([[0.0, 3.0, 0.0]]), CFG)
     assert pose.psi == pytest.approx(np.pi / 2)
 
 
 def test_next_view_pose_empty_cloud():
     with pytest.raises(NoSurfaceError):
-        next_view(Pose6(0, 0, 0), PointCloud(np.zeros((0, 3))), CFG)
+        next_view(ViewPose4(0, 0, 0), PointCloud(np.zeros((0, 3))), CFG)
 
 
 def test_next_view_pose_z_band_clamp():
-    pose = next_view(Pose6(0, 0, 0.6), PointCloud([[4.0, 0.0, 0.6]]), BANDED)
+    pose = next_view(ViewPose4(0, 0, 0.6), PointCloud([[4.0, 0.0, 0.6]]), BANDED)
     assert pose.z == 0.6
 
 
 def test_range_convergence_on_flat_wall():
     cfg = BANDED
-    pos = Pose6(0.0, 0.0, 0.6)
+    pos = ViewPose4(0.0, 0.0, 0.6)
     errors = []
     for _ in range(6):
         foot = wall_cloud(6.0, pos.position)
         rng_now = abs(6.0 - pos.x)
         errors.append(abs(rng_now - cfg.view.d_view))
         nxt = next_view(pos, foot, cfg)
-        pos = Pose6(nxt.x, nxt.y, nxt.z)
+        pos = ViewPose4(nxt.x, nxt.y, nxt.z)
     assert errors[1] < 1e-9  # one step snaps the range
     assert all(b <= a + 1e-12 for a, b in zip(errors[1:], errors[2:]))
 
@@ -129,12 +129,12 @@ def test_range_convergence_on_flat_wall():
 def test_overlap_spacing_on_flat_wall():
     cfg = BANDED
     c = cfg.view
-    pos = Pose6(4.0, 0.0, 0.6)  # already at d_view from x=6
+    pos = ViewPose4(4.0, 0.0, 0.6)  # already at d_view from x=6
     poses = []
     for _ in range(4):
         nxt = next_view(pos, wall_cloud(6.0, pos.position), cfg)
         poses.append(nxt)
-        pos = Pose6(nxt.x, nxt.y, nxt.z)
+        pos = ViewPose4(nxt.x, nxt.y, nxt.z)
     laterals = np.diff([p.y for p in poses])
     assert np.allclose(laterals, c.spacing_h, atol=1e-6)
 
@@ -145,7 +145,7 @@ def test_yaw_faces_surface():
     from surfscan import kernels
 
     vmap = make_scene(6.0)
-    pos = Pose6(4.3, -2.0, 0.6)
+    pos = ViewPose4(4.3, -2.0, 0.6)
     cfg = BANDED
     for _ in range(4):
         pose = next_view(pos, wall_cloud(6.0, pos.position), cfg)
@@ -153,7 +153,7 @@ def test_yaw_faces_surface():
         heading = np.array([[np.cos(pose.psi), np.sin(pose.psi), 0.0]]) / vmap.voxel_size
         t = kernels.raycast_batch(vmap.occ, origin, heading, 12.0, box=vmap.occupied_box)
         assert t[0] > 0.0
-        pos = Pose6(pose.x, pose.y, pose.z)
+        pos = ViewPose4(pose.x, pose.y, pose.z)
 
 
 # ---------------------------------------------------------------- prediction
@@ -166,7 +166,7 @@ def guide_line(x, y0, n, spacing, z=0.6):
 def predict(odom, vmap, guide, cfg):
     """`predict_local_path` from the scan taken at `odom`, as the supervisor
     calls it."""
-    first_cloud = sample_cloud(vmap, odom, cfg.sense_range, cfg.sense_rays, nearest=True)
+    first_cloud = sample_cloud(vmap, odom.position, cfg.sense_range, cfg.sense_rays, nearest=True)
     return predict_local_path(odom, vmap, guide, cfg, first_cloud)
 
 
@@ -181,18 +181,18 @@ def make_scene(face_x):
 def test_prediction_single_step_equals_next_view():
     # The nearest-returns scan predicts the pose the full scan does.
     vmap = make_scene(6.0)
-    odom = Pose6(4.0, 0.0, 0.6)
+    odom = ViewPose4(4.0, 0.0, 0.6)
     cfg = BANDED
     path, short = predict(odom, vmap, guide_line(4.0, 1.11, 1, 1.11), cfg)
     assert not short and len(path) == 1
-    direct = next_view(odom, sample_cloud(vmap, odom, cfg.sense_range, cfg.sense_rays), cfg)
+    direct = next_view(odom, sample_cloud(vmap, odom.position, cfg.sense_range, cfg.sense_rays), cfg)
     assert np.allclose(path[0].as_array(), direct.as_array(), atol=1e-12)
 
 
 def test_prediction_follows_global_plan_on_nominal_wall():
     vmap = make_scene(6.0)
     c = ViewConstraints()
-    odom = Pose6(4.0, -2.0, 0.6)
+    odom = ViewPose4(4.0, -2.0, 0.6)
     guide = guide_line(4.0, -2.0 + c.spacing_h, 5, c.spacing_h)
     path, short = predict(odom, vmap, guide, BANDED)
     assert not short
@@ -202,7 +202,7 @@ def test_prediction_follows_global_plan_on_nominal_wall():
 def test_prediction_shifts_with_receded_wall():
     vmap = make_scene(7.0)  # surface 1 m behind where the guide was planned
     c = ViewConstraints()
-    odom = Pose6(4.0, -2.0, 0.6)
+    odom = ViewPose4(4.0, -2.0, 0.6)
     guide = guide_line(4.0, -2.0 + c.spacing_h, 5, c.spacing_h)
     path, short = predict(odom, vmap, guide, BANDED)
     assert not short
@@ -220,7 +220,7 @@ def test_prediction_truncates_without_surface():
         0.1,
         bounds=((-1.0, -4.0, 0.0), (10.0, 4.0, 2.4)),
     )
-    odom = Pose6(4.0, 0.0, 0.6)
+    odom = ViewPose4(4.0, 0.0, 0.6)
     guide = guide_line(4.0, 2.0, 5, 1.11)
     cfg = dataclasses.replace(BANDED, sense_range=2.05, sense_rays=512)
     path, short = predict(odom, vmap, guide, cfg)
@@ -231,4 +231,4 @@ def test_prediction_truncates_without_surface():
 def test_prediction_errors_when_blind():
     vmap = VoxelMap.empty((0, 0, 0), (5, 5, 2), 0.1)
     with pytest.raises(NoSurfaceError):
-        predict(Pose6(2, 2, 0.6), vmap, guide_line(2, 2, 3, 1.0), BANDED)
+        predict(ViewPose4(2, 2, 0.6), vmap, guide_line(2, 2, 3, 1.0), BANDED)

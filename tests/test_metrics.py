@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from strategies import depth_images
 from surfscan import kernels, metrics
 from surfscan.depthcam import CameraIntrinsics, DepthImage
-from surfscan.geometry import NoSurfaceError, PathSegment, Pose6, PointCloud
+from surfscan.geometry import NoSurfaceError, PathSegment, PointCloud, ViewPose4
 from surfscan.metrics import (
     MissionLog,
     MissionRecord,
@@ -23,7 +23,6 @@ from surfscan.metrics import (
 from surfscan.world import render_depth, sample_cloud
 
 CAM = CameraIntrinsics(alpha=np.deg2rad(69.5), beta=np.deg2rad(45.0), width=48, height=36, max_range=10.0)
-POSE = Pose6(0, 0, 0)
 
 
 def plane_depth(intr, normal, offset):
@@ -39,20 +38,20 @@ def plane_depth(intr, normal, offset):
 
 
 def test_utility_fronto_parallel_wall():
-    img = DepthImage(plane_depth(CAM, [0, 0, 1], 2.0), POSE)
+    img = DepthImage(plane_depth(CAM, [0, 0, 1], 2.0))
     assert viewpoint_utility(img, CAM) == pytest.approx(1.0, abs=0.02)
 
 
 def test_utility_60_degree_incidence():
     th = np.deg2rad(60.0)
-    img = DepthImage(plane_depth(CAM, [np.sin(th), 0, np.cos(th)], 2.0), POSE)
+    img = DepthImage(plane_depth(CAM, [np.sin(th), 0, np.cos(th)], 2.0))
     assert viewpoint_utility(img, CAM) == pytest.approx(0.5, abs=0.02)
 
 
 def test_utility_bounds(rng):
     for _ in range(20):
         th = rng.uniform(0, np.deg2rad(75))
-        img = DepthImage(plane_depth(CAM, [np.sin(th), 0, np.cos(th)], 2.0), POSE)
+        img = DepthImage(plane_depth(CAM, [np.sin(th), 0, np.cos(th)], 2.0))
         try:
             u = viewpoint_utility(img, CAM)
         except NoSurfaceError:
@@ -61,14 +60,14 @@ def test_utility_bounds(rng):
 
 
 def test_utility_no_valid_pixels():
-    img = DepthImage(np.full((CAM.height, CAM.width), np.nan), POSE)
+    img = DepthImage(np.full((CAM.height, CAM.width), np.nan))
     with pytest.raises(NoSurfaceError):
         viewpoint_utility(img, CAM)
 
 
 def test_utility_rejects_an_image_smaller_than_3x3():
     with pytest.raises(ValueError, match="3x3"):
-        viewpoint_utility(DepthImage(np.full((2, 5), 1.0), POSE), CAM)
+        viewpoint_utility(DepthImage(np.full((2, 5), 1.0)), CAM)
 
 
 def utility_oracle(depth, cam, jump):
@@ -129,7 +128,7 @@ def test_utility_matches_normal_map_oracle(depth, fov, jump):
     h, w = depth.shape
     cam = CameraIntrinsics(fov, 0.8 * fov, w, h)
     want = utility_oracle(depth, cam, jump)
-    img = DepthImage(depth, POSE)
+    img = DepthImage(depth)
     # The utility reads the module's discontinuity threshold, set here to
     # each drawn one.
     with mock.patch.object(metrics, "DEPTH_JUMP", jump):
@@ -138,14 +137,6 @@ def test_utility_matches_normal_map_oracle(depth, fov, jump):
                 viewpoint_utility(img, cam)
         else:
             assert viewpoint_utility(img, cam).hex() == want.hex()
-
-
-def test_utility_roll_invariance(wall_map):
-    flat = Pose6(4.0, 0.0, 1.2, 0.0, 0.0, 0.0)
-    rolled = Pose6(4.0, 0.0, 1.2, 0.3, 0.0, 0.0)
-    u0 = viewpoint_utility(render_depth(wall_map, flat, CAM), CAM)
-    u1 = viewpoint_utility(render_depth(wall_map, rolled, CAM), CAM)
-    assert abs(u0 - u1) <= 0.02
 
 
 # ---------------------------------------------------------------- rmse
@@ -183,14 +174,14 @@ def test_rmse_length_mismatch():
 
 
 def test_viewing_distance_wall(wall_map):
-    robot = Pose6(4.0, 0.0, 1.2)
-    cloud = sample_cloud(wall_map, robot, 12.0, 2048)
+    robot = ViewPose4(4.0, 0.0, 1.2)
+    cloud = sample_cloud(wall_map, robot.position, 12.0, 2048)
     assert viewing_distance(robot, cloud) == pytest.approx(2.0, abs=wall_map.voxel_size)
 
 
 def test_viewing_distance_empty_cloud():
     with pytest.raises(NoSurfaceError):
-        viewing_distance(Pose6(0, 0, 0), PointCloud(np.zeros((0, 3))))
+        viewing_distance(ViewPose4(0, 0, 0), PointCloud(np.zeros((0, 3))))
 
 
 # ---------------------------------------------------------------- mission log

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from surfscan import world
-from surfscan.geometry import PolygonROI, Pose6, wrap_angle
+from surfscan.geometry import PolygonROI, ViewPose4, wrap_angle
 from surfscan.global_plan import InspectionTask, ViewConstraints
 from surfscan.metrics import viewing_distance
 from surfscan.mission import MissionRunner
@@ -77,7 +77,8 @@ def test_two_task_mission_executes_in_priority_order():
     runner = MissionRunner(cfg)
     artifacts = runner.plan()
     assert [tp.task.id for tp in artifacts.executable] == ["east", "west"]
-    assert artifacts.executable[0].route_length < artifacts.executable[1].route_length
+    assert [r.task.id for r in artifacts.ranked] == ["east", "west"]
+    assert artifacts.ranked[0].route_length < artifacts.ranked[1].route_length
     result = runner.run(artifacts)
     assert result.status == "completed"
     assert result.summary["visited_total"] == 12  # both tours fully visited
@@ -203,8 +204,8 @@ def test_batched_viewing_distances_equal_fresh_single_scans(monkeypatch):
     assert (len(records) - len(cycles)) % 8 != 0
     vmap = MissionRunner(cfg).scene.current
     for r in records:
-        pos = Pose6(r.x, r.y, r.z)
-        cloud = world.sample_cloud(vmap, pos, cfg.sense_range, cfg.sense_rays, nearest=True)
+        pos = ViewPose4(r.x, r.y, r.z)
+        cloud = world.sample_cloud(vmap, pos.position, cfg.sense_range, cfg.sense_rays, nearest=True)
         want = np.nan if cloud.is_empty else viewing_distance(pos, cloud)
         # Zero odometry noise: the cycles scan from the logged pose too.
         assert np.float64(r.viewing_distance).view(np.int64) == np.float64(want).view(np.int64)

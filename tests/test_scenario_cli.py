@@ -686,6 +686,36 @@ def test_cli_missing_map_file_creates_no_output(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_directory_config_exit_code(tmp_path, capsys):
+    scn = tmp_path / "scn.yaml"
+    scn.mkdir()
+    out = tmp_path / "out"
+    assert main(["plan", "--config", str(scn), "--out", str(out)]) == 64
+    assert str(scn) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_directory_map_file_exit_code(tmp_path, capsys):
+    (tmp_path / "site.xyz").mkdir()
+    f = tmp_path / "scn.yaml"
+    f.write_text(
+        "version: 1\nmaps:\n  historical: {file: site.xyz}\n"
+        "tasks:\n  - id: t\n    vertices: [[6,-1,0],[6,1,0],[6,1,1],[6,-1,1]]\n"
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(f), "--out", str(out)]) == 64
+    assert "site.xyz" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_out_path_that_is_a_file_exit_code(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("not a directory\n")
+    assert main(["plan", "--demo", "nominal", "--out", str(out)]) == 64
+    assert str(out) in capsys.readouterr().err
+    assert out.read_text() == "not a directory\n"
+
+
 def test_cli_mission_errors_propagate(tmp_path, monkeypatch):
     # Once the scenario and its maps have loaded, a ValueError is a fault of
     # the program, not a usage error: it must not exit 64.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from surfscan import supervisor
-from surfscan.geometry import PathSegment, Pose6, ViewPose4, discrete_frechet
+from surfscan.geometry import PathSegment, ViewPose4, discrete_frechet
 from surfscan.global_plan import Tour, ViewPlan
 from surfscan.metrics import path_rmse
 from surfscan.scenario import demo_scenario
@@ -173,7 +173,7 @@ def make_state(n=4, adaptive=True):
 def test_step_mission_visits_and_advances():
     scene = wall_scene()
     state = make_state()
-    robot = Pose6(4.0, 0.0, 0.6, 0.0, 0.0, 0.0)  # exactly at viewpoint 0
+    robot = ViewPose4(4.0, 0.0, 0.6, 0.0)  # exactly at viewpoint 0
     ref, cycle = step_mission(state, scene, robot)
     assert cycle.event == "visit" and cycle.visited_index == 0
     assert state.cursor == 1 and state.visited_via[0] == "direct"
@@ -184,7 +184,7 @@ def test_step_mission_visits_and_advances():
 def test_step_mission_completion():
     scene = wall_scene()
     state = make_state(n=1)
-    robot = Pose6(4.0, 0.0, 0.6)
+    robot = ViewPose4(4.0, 0.0, 0.6)
     ref, cycle = step_mission(state, scene, robot)
     assert cycle.event == "complete" and ref is None
     assert state.status is MissionStatus.COMPLETE
@@ -194,7 +194,7 @@ def test_step_mission_completion():
 def test_step_mission_no_visit_when_far():
     scene = wall_scene()
     state = make_state()
-    robot = Pose6(4.0, -0.9, 0.6)
+    robot = ViewPose4(4.0, -0.9, 0.6)
     _, cycle = step_mission(state, scene, robot)
     assert cycle.event is None and state.cursor == 0
 
@@ -202,7 +202,7 @@ def test_step_mission_no_visit_when_far():
 def test_step_mission_yaw_gate():
     scene = wall_scene()
     state = make_state()
-    robot = Pose6(4.0, 0.0, 0.6, 0.0, 0.0, 1.0)  # right spot, wrong heading
+    robot = ViewPose4(4.0, 0.0, 0.6, 1.0)  # right spot, wrong heading
     _, cycle = step_mission(state, scene, robot)
     assert cycle.event is None and state.cursor == 0
 
@@ -215,7 +215,7 @@ def test_step_mission_approx_credit_gated_on_alignment():
     state.aligned_target = ViewPose4(5.0, 0.0, 0.6, 0.0)
     state.target_mode = MissionMode.REPLANNED
     state.last_rmse_post = 0.05
-    robot = Pose6(5.0, 0.0, 0.6)
+    robot = ViewPose4(5.0, 0.0, 0.6)
     _, cycle = step_mission(state, scene, robot)
     assert cycle.event == "visit"
     assert state.visited_via[0] == "approx"
@@ -228,7 +228,7 @@ def test_step_mission_approx_credit_denied_on_loose_alignment():
     state.aligned_target = ViewPose4(5.0, 0.0, 0.6, 0.0)
     state.target_mode = MissionMode.REPLANNED
     state.last_rmse_post = 0.8  # alignment too loose to trust
-    robot = Pose6(5.0, 0.0, 0.6)
+    robot = ViewPose4(5.0, 0.0, 0.6)
     _, cycle = step_mission(state, scene, robot)
     assert cycle.event is None and state.cursor == 0
 
@@ -237,7 +237,7 @@ def test_step_mission_sensing_failure_retries_then_aborts(monkeypatch):
     monkeypatch.setattr(supervisor, "_MAX_RETRIES", 2)
     empty = Scene.unchanged(VoxelMap.empty((0, -1, 0), (8, 1, 2), 0.1))
     state = make_state()
-    robot = Pose6(4.0, 0.0, 0.6)
+    robot = ViewPose4(4.0, 0.0, 0.6)
     events = []
     for _ in range(4):
         ref, cycle = step_mission(state, empty, robot)
@@ -255,7 +255,7 @@ def test_step_mission_prediction_failures_abort(monkeypatch):
     monkeypatch.setattr(supervisor, "predict_local_path", lambda *args, **kwargs: (None, True))
     scene = wall_scene()
     state = make_state()
-    robot = Pose6(4.0, -0.9, 0.6)
+    robot = ViewPose4(4.0, -0.9, 0.6)
     events = []
     for _ in range(supervisor._MAX_RETRIES + 1):
         ref, cycle = step_mission(state, scene, robot)
@@ -274,7 +274,7 @@ def test_step_mission_scores_short_prediction_padded(monkeypatch):
     )
     scene = wall_scene()
     state = make_state(adaptive=False)
-    robot = Pose6(4.0, -0.9, 0.6)
+    robot = ViewPose4(4.0, -0.9, 0.6)
     gvp = extract_global_segment(state.tour, state.plan, 0, 3)
     _, cycle = step_mission(state, scene, robot)
     assert cycle.short_prediction
@@ -292,7 +292,7 @@ def test_step_mission_baseline_never_replans():
     scene = Scene.unchanged(vmap)
     for adaptive, expected in ((True, MissionMode.REPLANNED), (False, MissionMode.GLOBAL)):
         state = make_state(adaptive=adaptive)
-        robot = Pose6(4.0, 0.0, 0.6)
+        robot = ViewPose4(4.0, 0.0, 0.6)
         _, cycle = step_mission(state, scene, robot)
         assert cycle.mode is expected
 
@@ -303,7 +303,7 @@ def test_cursor_monotone_and_visited_grow():
     cursors = []
     robot_positions = [(4.0, 0.0), (4.0, 1.11), (4.0, 2.22), (4.0, 3.33)]
     for x, y in robot_positions:
-        step_mission(state, scene, Pose6(x, y, 0.6))
+        step_mission(state, scene, ViewPose4(x, y, 0.6))
         cursors.append(state.cursor)
     assert cursors == sorted(cursors)
     assert state.visited_count == len([c for c in cursors if c])

@@ -12,7 +12,7 @@ from strategies import grid_coordinate, occupancy_grids, wall_slabs
 from surfscan import kernels
 from surfscan.depthcam import CameraIntrinsics, camera_axes_world
 from surfscan.fileio import _load_xyz_lines, load_xyz
-from surfscan.geometry import Pose6, nearest_point
+from surfscan.geometry import ViewPose4, nearest_point
 from surfscan.metrics import viewing_distance
 from surfscan.world import (
     Box,
@@ -197,7 +197,7 @@ def test_scene_from_delta_reproducible(wall_map):
 
 
 def test_render_depth_flat_wall(wall_map):
-    pose = Pose6(4.0, 0.0, 1.2, 0.0, 0.0, 0.0)  # 2 m from the face, looking +x
+    pose = ViewPose4(4.0, 0.0, 1.2, 0.0)  # 2 m from the face, looking +x
     img = render_depth(wall_map, pose, CAM)
     cy, cx = CAM.height // 2, CAM.width // 2
     assert img.data[cy, cx] == pytest.approx(2.0, abs=wall_map.voxel_size)
@@ -209,14 +209,14 @@ def test_render_depth_flat_wall(wall_map):
 
 def test_render_depth_empty_space():
     vmap = VoxelMap.empty((0, 0, 0), (5, 5, 5), 0.1)
-    img = render_depth(vmap, Pose6(2.5, 2.5, 2.5), CAM)
+    img = render_depth(vmap, ViewPose4(2.5, 2.5, 2.5), CAM)
     assert not np.isfinite(img.data).any()
 
 
 def test_render_depth_oblique_wall_matches_plane_equation(wall_map):
     # Yaw 30 deg: ray-plane depth = perpendicular distance / cos(pixel angle to plane normal).
     yaw = np.deg2rad(30.0)
-    pose = Pose6(4.0, 0.0, 1.2, 0.0, 0.0, yaw)
+    pose = ViewPose4(4.0, 0.0, 1.2, yaw)
     img = render_depth(wall_map, pose, CAM)
     dirs = CAM.pixel_directions()
     right = np.array([np.sin(yaw), -np.cos(yaw), 0.0])
@@ -230,7 +230,7 @@ def test_render_depth_oblique_wall_matches_plane_equation(wall_map):
 
 
 def test_render_depth_deterministic(wall_map):
-    pose = Pose6(4.0, 0.3, 1.0, 0.0, 0.0, 0.1)
+    pose = ViewPose4(4.0, 0.3, 1.0, 0.1)
     a = render_depth(wall_map, pose, CAM)
     b = render_depth(wall_map, pose, CAM)
     assert np.array_equal(a.data, b.data, equal_nan=True)
@@ -259,7 +259,7 @@ def same_depths(a, b):
 def camera_frames(draw):
     """A small map (random fill or a wall slab with an optional pocket), a
     pose inside its grid (on voxel faces and on both grid faces too) or
-    outside it, level or tilted, at yaw 0, +-pi/2, pi or random, and a
+    outside it, at yaw 0, +-pi/2, pi or random, and a
     camera of odd or even width with a range below the distance to the
     occupied voxels, beyond the grid or unbounded."""
     occ = draw(st.one_of(occupancy_grids(max_side=10), wall_slabs()))
@@ -271,8 +271,7 @@ def camera_frames(draw):
         for n in occ.shape
     ]
     yaw = draw(st.one_of(st.sampled_from([0.0, np.pi / 2, -np.pi / 2, np.pi]), st.floats(-np.pi, np.pi)))
-    roll, pitch = draw(st.sampled_from([(0.0, 0.0), (0.0, 0.0), (0.0, 0.0), (0.2, 0.0), (0.0, -0.3)]))
-    pose = Pose6(*(origin + np.array(g) * voxel_size), roll, pitch, yaw)
+    pose = ViewPose4(*(origin + np.array(g) * voxel_size), yaw)
     cam = CameraIntrinsics(
         alpha=draw(st.floats(0.2, 3.0)),
         beta=draw(st.floats(0.2, 3.0)),
@@ -292,7 +291,7 @@ def test_render_depth_matches_scalar_oracle(frame):
     assert same_depths(got, scalar_depth(vmap, pose, cam))
     g = vmap.world_to_grid(pose.position)
     inside = np.all((g >= 0.0) & (g <= vmap.shape))
-    framed = pose.phi == pose.theta == 0.0 and inside and math.isfinite(cam.max_range)
+    framed = inside and math.isfinite(cam.max_range)
     framed = framed and vmap.occupied_box is not None
     assert level.called == framed
 
@@ -305,7 +304,7 @@ def test_render_depth_casts_a_level_frame_from_inside_the_grid(wall_map):
         mock.patch.object(kernels, "raycast_level_frame", wraps=kernels.raycast_level_frame) as level,
         mock.patch.object(kernels, "raycast_batch", side_effect=AssertionError("raycast_batch called")),
     ):
-        got = render_depth(wall_map, Pose6(4.0, 0.3, 1.0, 0.0, 0.0, 0.1), SMALL_CAM).data
+        got = render_depth(wall_map, ViewPose4(4.0, 0.3, 1.0, 0.1), SMALL_CAM).data
     assert level.call_count == 1
     assert np.isfinite(got).any()
 
@@ -313,12 +312,10 @@ def test_render_depth_casts_a_level_frame_from_inside_the_grid(wall_map):
 @pytest.mark.parametrize(
     "pose, cam",
     [
-        (Pose6(4.0, 0.3, 1.0, 0.2, 0.0, 0.1), SMALL_CAM),
-        (Pose6(4.0, 0.3, 1.0, 0.0, -0.1, 0.1), SMALL_CAM),
-        (Pose6(-3.0, 0.3, 1.0, 0.0, 0.0, 0.1), SMALL_CAM),
-        (Pose6(4.0, 0.3, 1.0, 0.0, 0.0, 0.1), CameraIntrinsics(1.2, 0.8, 12, 10, math.inf)),
+        (ViewPose4(-3.0, 0.3, 1.0, 0.1), SMALL_CAM),
+        (ViewPose4(4.0, 0.3, 1.0, 0.1), CameraIntrinsics(1.2, 0.8, 12, 10, math.inf)),
     ],
-    ids=["rolled", "pitched", "outside_grid", "unbounded_range"],
+    ids=["outside_grid", "unbounded_range"],
 )
 def test_render_depth_casts_other_frames_through_raycast_batch(wall_map, pose, cam):
     with (
@@ -336,7 +333,7 @@ def test_render_depth_casts_other_frames_through_raycast_batch(wall_map, pose, c
 
 def test_sample_cloud_empty_map():
     vmap = VoxelMap.empty((0, 0, 0), (5, 5, 5), 0.1)
-    cloud = sample_cloud(vmap, Pose6(2.5, 2.5, 2.5), 10.0, 256)
+    cloud = sample_cloud(vmap, np.array([2.5, 2.5, 2.5]), 10.0, 256)
     assert cloud.is_empty
     assert assert_same_nearest(vmap, np.array([2.5, 2.5, 2.5]), 10.0, 256).is_empty
 
@@ -354,21 +351,21 @@ def box_room(height):
 def test_sample_cloud_box_room_bound():
     # Closed 4x4x4 room; robot at the center.
     vmap = box_room(4.4)
-    center = Pose6(2.2, 2.2, 2.2)
+    center = np.array([2.2, 2.2, 2.2])
     cloud = sample_cloud(vmap, center, 10.0, 512)
     assert len(cloud) == 512
-    dists = np.linalg.norm(cloud.points - center.position, axis=1)
+    dists = np.linalg.norm(cloud.points - center, axis=1)
     assert dists.max() <= 2 * np.sqrt(3) + 1e-9
 
 
 def test_sample_cloud_hits_on_voxel_boundaries(wall_map):
-    pose = Pose6(4.0, 0.0, 1.2)
-    cloud = sample_cloud(wall_map, pose, 8.0, 512)
+    pos = np.array([4.0, 0.0, 1.2])
+    cloud = sample_cloud(wall_map, pos, 8.0, 512)
     assert len(cloud) > 0
     h = wall_map.voxel_size
     for p in cloud.points:
         # Nudge along the ray: the voxel just past the hit is occupied.
-        d = p - pose.position
+        d = p - pos
         d /= np.linalg.norm(d)
         assert occupied_at(wall_map, p + 1e-6 * d)
         # And the hit lies on a voxel face: some coordinate is a grid plane.
@@ -423,7 +420,7 @@ def test_sample_cloud_nearest_box_room_center(height, rays):
 
 def single_scan_distance(vmap, pos, max_range, ray_count):
     cloud = sample_cloud(vmap, pos, max_range, ray_count, nearest=True)
-    return np.nan if cloud.is_empty else viewing_distance(Pose6(*pos), cloud)
+    return np.nan if cloud.is_empty else viewing_distance(ViewPose4(*pos), cloud)
 
 
 def test_nearest_distances_equal_single_scans(wall_map):
@@ -483,8 +480,8 @@ def test_scans_cast_with_an_infinite_range(wall_map, scan):
 
 
 def test_sample_cloud_deterministic(wall_map):
-    a = sample_cloud(wall_map, Pose6(4.0, 0.0, 1.2), 8.0, 512)
-    b = sample_cloud(wall_map, Pose6(4.0, 0.0, 1.2), 8.0, 512)
+    a = sample_cloud(wall_map, np.array([4.0, 0.0, 1.2]), 8.0, 512)
+    b = sample_cloud(wall_map, np.array([4.0, 0.0, 1.2]), 8.0, 512)
     assert np.array_equal(a.points, b.points)
 
 
@@ -502,12 +499,12 @@ def test_fibonacci_directions_cached_and_read_only():
 
 
 def test_wall_recession_grows_nearest_distance(wall_map):
-    probe = Pose6(4.0, 0.0, 1.2)
+    probe = np.array([4.0, 0.0, 1.2])
     delta = MorphologyDelta(removals=(Box((6.0, -5.0, 0.0), (7.0, 5.0, 2.4)),),
                             additions=(Box((7.0, -5.0, 0.0), (7.4, 5.0, 2.4)),))
     receded = apply_delta(wall_map, delta)
-    _, d0 = nearest_point(sample_cloud(wall_map, probe, 12.0, 1024), probe.position)
-    _, d1 = nearest_point(sample_cloud(receded, probe, 12.0, 1024), probe.position)
+    _, d0 = nearest_point(sample_cloud(wall_map, probe, 12.0, 1024), probe)
+    _, d1 = nearest_point(sample_cloud(receded, probe, 12.0, 1024), probe)
     assert d1 - d0 == pytest.approx(1.0, abs=2 * wall_map.voxel_size)
 
 
@@ -569,8 +566,8 @@ def test_empty_map_casts_no_rays(monkeypatch):
     monkeypatch.setattr(kernels, "raycast_batch", no_cast)
     monkeypatch.setattr(kernels, "raycast_level_frame", no_cast)
     vmap = VoxelMap.empty((0, 0, 0), (5, 5, 5), 0.1)
-    assert not np.isfinite(render_depth(vmap, Pose6(2.5, 2.5, 2.5), CAM).data).any()
-    assert sample_cloud(vmap, Pose6(2.5, 2.5, 2.5), 10.0, 256, nearest=True).is_empty
+    assert not np.isfinite(render_depth(vmap, ViewPose4(2.5, 2.5, 2.5), CAM).data).any()
+    assert sample_cloud(vmap, np.array([2.5, 2.5, 2.5]), 10.0, 256, nearest=True).is_empty
     assert np.isnan(nearest_distances(vmap, np.full((2, 3), 2.5), 10.0, 256)).all()
 
 
@@ -660,7 +657,7 @@ def _single_voxel(shape, idx):
 @example((np.ones((7, 5, 3), dtype=bool), 0.1, 0.0))
 def test_free_mask_matches_dilation_reference(case):
     occ, voxel_size, inflation = case
-    got = VoxelMap((0.0, 0.0, 0.0), voxel_size, occ).free_mask(inflation)
+    got = VoxelMap((0.0, 0.0, 0.0), voxel_size, occ).free_mask(inflation, 0, occ.shape[2] - 1)
     assert np.array_equal(got, dilation_free_mask(occ, voxel_size, inflation))
 
 
@@ -693,13 +690,14 @@ def test_free_mask_wide_clearance():
     occ = np.zeros((1, 1, 160), dtype=bool)
     occ[0, 0, 5] = True
     gap = np.maximum(np.abs(np.arange(160) - 5) - 0.5, 0.0)
-    got = VoxelMap((0.0, 0.0, 0.0), 0.1, occ).free_mask(7.0)
+    got = VoxelMap((0.0, 0.0, 0.0), 0.1, occ).free_mask(7.0, 0, 159)
     assert np.array_equal(got[0, 0], gap > 7.0 / 0.1)
 
 
 def test_free_mask_cached_and_read_only(wall_map):
-    mask = wall_map.free_mask(0.5)
-    assert wall_map.free_mask(0.5) is mask
+    top = wall_map.shape[2] - 1
+    mask = wall_map.free_mask(0.5, 0, top)
+    assert wall_map.free_mask(0.5, 0, top) is mask
     assert not mask.flags.writeable
     assert mask.flags.c_contiguous and mask.shape == wall_map.shape
 
@@ -710,10 +708,10 @@ def test_free_mask_cached_per_band(wall_map):
     assert wall_map.free_mask(0.5, 6, 8) is band
     assert not band.flags.writeable
     assert band.flags.c_contiguous and band.shape == (nx, ny, 3)
-    assert np.array_equal(band, wall_map.free_mask(0.5)[:, :, 6:9])
+    assert np.array_equal(band, wall_map.free_mask(0.5, 0, nz - 1)[:, :, 6:9])
     others = [wall_map.free_mask(0.5, 6, 6), wall_map.free_mask(0.5, 7, 8), wall_map.free_mask(0.5, 0, nz - 1)]
     assert len({id(m) for m in [band, *others]}) == 4
-    assert others[2] is wall_map.free_mask(0.5)
+    assert others[2] is wall_map.free_mask(0.5, 0, nz - 1)
 
 
 @pytest.mark.parametrize("band", [(-1, 0), (3, 2), (0, 24)])
