@@ -42,10 +42,16 @@ form it replaced, after checking that both give the same box;
 `plan_route` to a goal inside a sealed room, with the connected-component
 gate against the A* flood that ran without it; `plan_route` across the
 open yard, corner to corner, against the tuple-keyed A* loop it replaced;
-and `solve_tour_sa_tsp` on wall grids of 50, 280 and 880 viewpoints (the
-site's three tours have 50 in all) against the annealer that costs every
-proposal and draws through numpy's `Generator`.
-The two replaced loops are the oracles in `tests/planner_reference.py`.
+`prioritize_tasks` on the site's four tasks (three reachable walls and the
+sealed room's inner face, band (0.6, 0.6), the band's mask cached), one
+band set-up for all four routes, against one `plan_route` call and so one
+set-up per task, after checking that both give the same lengths;
+`generate_grid_viewpoints` on the same four tasks, one numpy pass per
+grid, against the per-point loop, after checking that both give the same
+viewpoints; and `solve_tour_sa_tsp` on wall grids of 50, 280 and 880
+viewpoints (the site's three tours have 50 in all) against the annealer
+that costs every proposal and draws through numpy's `Generator`.
+The replaced loops are the oracles in `tests/planner_reference.py`.
 
 Times are the best of a few repeats, per call (one call for the larger
 tours).
@@ -53,6 +59,7 @@ tours).
 Run: PYTHONPATH=src python benchmarks/bench_kernels.py
 """
 
+import logging
 import sys
 import time
 from pathlib import Path
@@ -63,7 +70,7 @@ from scipy import ndimage
 
 from surfscan import global_plan, kernels, world
 from surfscan.depthcam import DEPTH_JUMP, estimate_normal_map
-from surfscan.geometry import ViewPose4
+from surfscan.geometry import PolygonROI, ViewPose4
 from surfscan.scenario import build_scene, demo_scenario
 from surfscan.world import Box, VoxelMap, camera_axes_world, fibonacci_directions, render_depth
 
@@ -257,6 +264,32 @@ def per_axis_occupied_box(occ):
     return np.array([lo, hi], dtype=np.int64)
 
 
+# The site's four inspection tasks, as perfbench's `large_site_plan` sets
+# them: a 32 m face, two walls and the inner face of the sealed room.
+SITE_TASKS = (
+    ("face", ((34.0, 4.0, 0.0), (34.0, 36.0, 0.0), (34.0, 36.0, 2.0), (34.0, 4.0, 2.0))),
+    ("north", ((8.0, 36.0, 0.0), (20.0, 36.0, 0.0), (20.0, 36.0, 2.0), (8.0, 36.0, 2.0))),
+    ("south", ((14.0, 3.6, 0.0), (24.0, 3.6, 0.0), (24.0, 3.6, 2.0), (14.0, 3.6, 2.0))),
+    ("enclosed", ((19.6, 16.0, 0.0), (19.6, 20.0, 0.0), (19.6, 20.0, 2.0), (19.6, 16.0, 2.0))),
+)
+
+
+def per_call_prioritize(tasks, plans, robot, vmap, inflation, z_band):
+    """`prioritize_tasks` with one `plan_route` call, and so one band
+    set-up, per task."""
+    ranked = []
+    for task, plan in zip(tasks, plans):
+        positions, _ = plan.valid_positions()
+        nearest = positions[np.argmin(np.linalg.norm(positions - robot.position, axis=1))]
+        try:
+            _, length = global_plan.plan_route(vmap, robot.position, nearest, inflation, z_band)
+            ranked.append(global_plan.TaskPriority(task, plan, length, True))
+        except global_plan.RouteError:
+            ranked.append(global_plan.TaskPriority(task, plan, np.inf, False))
+    ranked.sort(key=lambda r: (not r.reachable, r.route_length, r.task.id))
+    return ranked
+
+
 def wall_tour_plan(cols, rows):
     """A wall's viewpoint grid at the default view constraints' spacing."""
     c = global_plan.ViewConstraints()
@@ -308,7 +341,24 @@ def planning_cases():
     def tour(solve, plan):
         return lambda: solve(plan, (2.0, 2.0, 0.6), 1)
 
+    band = (0.6, 0.6)
+    robot = ViewPose4(*start)
+    tasks = [global_plan.InspectionTask(tid, PolygonROI(np.array(verts))) for tid, verts in SITE_TASKS]
+
+    def grids(generate):
+        return lambda: [generate(task, global_plan.ViewConstraints(), robot.position, band) for task in tasks]
+
+    plans = grids(global_plan.generate_grid_viewpoints)()
+    site.free_mask(inflation, layer, layer)  # cached: the rows time the routes
+
+    def ranking(prioritize):
+        return lambda: [(r.task.id, r.route_length) for r in prioritize(tasks, plans, robot, site, inflation, band)]
+
     assert np.array_equal(fresh_mask(layer, layer), fresh_mask()[:, :, layer : layer + 1])
+    grid_reference = grids(planner_reference.generate_grid_viewpoints)
+    for plan, ref in zip(plans, grid_reference()):
+        assert plan.viewpoints == ref.viewpoints and np.array_equal(plan.grid_points, ref.grid_points)
+    assert ranking(global_plan.prioritize_tasks)() == ranking(per_call_prioritize)()
     assert np.array_equal(fresh_box(), per_axis_occupied_box(site.occ))
     nx, ny, _ = site.shape
     size = "x".join(map(str, site.shape))
@@ -323,6 +373,8 @@ def planning_cases():
         (f"occupied_box {size}", fresh_box, lambda: per_axis_occupied_box(site.occ), 5),
         ("plan_route enclosed goal", enclosed_route, enclosed_route_flood, 5),
         ("plan_route open yard", yard_route(global_plan.plan_route), yard_route(planner_reference.plan_route), 5),
+        ("prioritize 4 site tasks", ranking(global_plan.prioritize_tasks), ranking(per_call_prioritize), 5),
+        ("grid viewpoints 4 tasks", grids(global_plan.generate_grid_viewpoints), grid_reference, 5),
     ]
     for cols, rows in ((25, 2), (70, 4), (220, 4)):
         plan = wall_tour_plan(cols, rows)
@@ -337,6 +389,8 @@ def ms(seconds):
 
 
 def main():
+    # The site's grids clamp to the band and warn on every call.
+    logging.getLogger("surfscan").setLevel(logging.ERROR)
     print(f"{'case':<26}{'numpy':>14}{'python loop':>14}{'python/numpy':>14}")
     for name, scalar, vectorized, args, kwargs in sensing_cases():
         t_np = timeit(vectorized, *args, **kwargs)

@@ -30,6 +30,8 @@ EXIT_ABORTED = 3
 EXIT_USAGE = 64
 
 _STATUS_CODES = {"completed": EXIT_OK, "timeout": EXIT_TIMEOUT, "aborted": EXIT_ABORTED}
+# The directories under --out each command writes into, made before any work.
+_OUT_DIRS = {"plan": (), "run": ("plots",), "compare": ("adaptive/plots", "baseline/plots")}
 _LOG_LEVELS = ("debug", "info", "warning", "error")
 
 
@@ -158,7 +160,7 @@ def cmd_compare(runner, out_dir):
     }
     artifacts = runners["adaptive"].plan()
     for mode, runner in runners.items():
-        sub_dir = ensure_dir(out_dir / mode)
+        sub_dir = out_dir / mode
         result = runner.run(artifacts)
         _write_run_artifacts(result, sub_dir)
         codes[mode] = _STATUS_CODES[result.status]
@@ -192,6 +194,8 @@ def main(argv=None):
         _setup_logging()
         runner = _load(args)
         out_dir = ensure_dir(Path(args.out))
+        for sub_dir in _OUT_DIRS[args.command]:
+            ensure_dir(out_dir / sub_dir)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

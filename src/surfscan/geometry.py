@@ -220,8 +220,10 @@ class PolygonROI:
             )
         u, v = _plane_basis(verts, n)
         pts2 = np.column_stack([(verts - centroid) @ u, (verts - centroid) @ v])
-        # The ROI frame, built once: point_in_polygon reads it on every call.
-        for name, value in (("_normal", n), ("_centroid", centroid), ("_basis", (u, v)), ("_poly2", pts2)):
+        # The ROI frame, built once: point_in_polygon reads it on every call,
+        # the in-plane vertices as plain floats.
+        poly = tuple(map(tuple, pts2.tolist()))
+        for name, value in (("_normal", n), ("_centroid", centroid), ("_basis", (u, v)), ("_poly2", poly)):
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             object.__setattr__(self, name, value)
@@ -312,7 +314,14 @@ def point_in_polygon(roi, p):
     if abs(float((p - c) @ n)) > PLANE_TOL:
         raise ValueError("point lies off the polygon plane beyond tolerance")
     u, v = roi._basis
-    px, py = float((p - c) @ u), float((p - c) @ v)
+    return inside_in_plane(roi, float((p - c) @ u), float((p - c) @ v))
+
+
+def inside_in_plane(roi, px, py):
+    """`point_in_polygon` of the point at in-plane coordinates (px, py),
+    plain floats along the ROI's basis from its centroid: True iff it lies
+    inside the polygon or within `BOUNDARY_EPS` of its boundary
+    (crossing-number test)."""
     poly = roi._poly2
     m = len(poly)
     inside = False

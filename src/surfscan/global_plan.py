@@ -11,9 +11,10 @@ import numpy as np
 from scipy import ndimage
 
 from .geometry import (
+    PLANE_TOL,
     PolygonROI,
     ViewPose4,
-    point_in_polygon,
+    inside_in_plane,
     polygon_basis,
     polygon_normal,
 )
@@ -135,7 +136,9 @@ def generate_grid_viewpoints(task, view, toward, z_band):
     the polygon normal and oriented to look back at the surface.  `toward`
     picks the projection side (the half-space containing it, usually the
     robot); `z_band` clamps viewpoint heights to [z_min, z_max], merging
-    rows that collapse onto the same height (None: no clamp).
+    rows that collapse onto the same height (None: no clamp).  An ROI too
+    small to hold a grid point gets one viewpoint off its centroid, clamped
+    the same way.
     """
     roi = task.roi
     n = polygon_normal(roi)
@@ -155,51 +158,58 @@ def generate_grid_viewpoints(task, view, toward, z_band):
     n_cols = int(np.floor((s1 - s0) / view.spacing_h + eps)) + 1
     n_rows = int(np.floor((t1 - t0) / view.spacing_v + eps)) + 1
 
-    entries = []  # (row_key, col, grid_point, view_z)
+    # Every grid point at once, rows (v) outer and columns (u) inner, with
+    # the per-point arithmetic of `point_in_polygon` and the offset view:
+    # `vecdot` rows are bitwise the 1-D dot products.
+    s_off = s0 + np.arange(n_cols) * view.spacing_h
+    t_off = t0 + np.arange(n_rows) * view.spacing_v
+    grid = centroid + s_off[None, :, None] * u + t_off[:, None, None] * v
+    rel = grid - centroid
+    if np.any(np.abs(np.vecdot(rel, n)) > PLANE_TOL):
+        raise ValueError("point lies off the polygon plane beyond tolerance")
+    px, py = np.vecdot(rel, u).tolist(), np.vecdot(rel, v).tolist()
+    views = grid + proj * view.d_view
+    heights = views[:, :, 2].tolist()
+    keys = np.round(views[:, :, 2], 9).tolist()
+
+    # No band clamps nothing: min(max(z, -inf), inf) is z.
+    lo, hi = (-math.inf, math.inf) if z_band is None else z_band
+    seen = {}  # (row key, column): (row, column, view height) of the first point
     clamped = False
     for j in range(n_rows):
         for i in range(n_cols):
-            g = centroid + (s0 + i * view.spacing_h) * u + (t0 + j * view.spacing_v) * v
-            if not point_in_polygon(roi, g):
+            if not inside_in_plane(roi, px[j][i], py[j][i]):
                 continue
-            p = g + proj * view.d_view
-            z = p[2]
-            if z_band is not None:
-                lo, hi = z_band
-                zc = min(max(z, lo), hi)
-                if zc != z:
-                    clamped = True
-                z = zc
-            entries.append((round(z, 9), i, g, (p[0], p[1], z)))
+            z, key = heights[j][i], keys[j][i]
+            zc = min(max(z, lo), hi)
+            if zc != z:
+                z, key, clamped = zc, round(zc, 9), True
+            seen.setdefault((key, i), (j, i, z))
 
-    if not entries:
+    if not seen:
         p = centroid + proj * view.d_view
         log.warning("task %s: ROI too small for grid, falling back to centroid view", task.id)
+        z = min(max(p[2], lo), hi)
+        if z != p[2]:
+            log.warning("task %s: viewpoint heights clamped to band %s", task.id, z_band)
         return ViewPlan(
             task_id=task.id,
-            viewpoints=(ViewPose4(p[0], p[1], p[2], yaw),),
+            viewpoints=(ViewPose4(p[0], p[1], z, yaw),),
             valid=np.array([True]),
             grid_points=centroid.reshape(1, 3),
         )
 
     # One row per distinct (possibly clamped) height, columns in order.
-    seen = {}
-    for key, i, g, p in entries:
-        seen.setdefault((key, i), (g, p))
-    ordered = sorted(seen.keys())
-    viewpoints = []
-    grid_points = []
-    for key in ordered:
-        g, p = seen[key]
-        grid_points.append(g)
-        viewpoints.append(ViewPose4(p[0], p[1], p[2], yaw))
+    cells = [seen[key] for key in sorted(seen)]
+    viewpoints = tuple(ViewPose4(views[j, i, 0], views[j, i, 1], z, yaw) for j, i, z in cells)
+    rows, cols, _ = zip(*cells)
     if clamped:
         log.warning("task %s: viewpoint heights clamped to band %s", task.id, z_band)
     return ViewPlan(
         task_id=task.id,
-        viewpoints=tuple(viewpoints),
+        viewpoints=viewpoints,
         valid=np.ones(len(viewpoints), dtype=np.bool_),
-        grid_points=np.asarray(grid_points),
+        grid_points=grid[list(rows), list(cols)],
     )
 
 
@@ -231,8 +241,9 @@ _NEIGHBOR_COSTS = [float(np.sqrt(di * di + dj * dj + dk * dk)) for di, dj, dk in
 
 
 def _route_cells(vmap, start, goal, inflation, z_band):
-    """The start and goal cells, the route's z layers `(k_lo, k_hi)` and
-    the free mask of those layers (`VoxelMap.free_mask` of the band)."""
+    """The free mask of the route's z layers (`VoxelMap.free_mask` of the
+    band), the start and goal cells and the layers `(k_lo, k_hi)`;
+    RouteError if either endpoint lies outside the map or in collision."""
     shape = vmap.occ.shape
     h = vmap.voxel_size
 
@@ -259,90 +270,118 @@ def _route_cells(vmap, start, goal, inflation, z_band):
     return band, s, g, (k_lo, k_hi)
 
 
-# The i slabs of the heuristic table filled per `vecdot` call.
-_HEURISTIC_SLABS = 64
+class _RouteBand:
+    """What every search in one z band shares: the 26-connected free
+    components of the band, and its blocked cells as bytes over the band
+    padded with one blocked cell on every side.  Built per `plan_route` or
+    `prioritize_tasks` call and dropped with it.
+
+    Cells are flat indices into the padded band: the shell stands in for
+    the bounds and band tests, and flat order is (i, j, k) order, so heap
+    ties break as on cell tuples."""
+
+    def __init__(self, free, k_lo, k_hi, voxel_size):
+        # A* can reach exactly the 26-connected free component of the start
+        # inside the band, so an enclosed goal fails here without a flood.
+        self.labels, _ = ndimage.label(free, structure=np.ones((3, 3, 3)))
+        pad = np.ones((free.shape[0] + 2, free.shape[1] + 2, free.shape[2] + 2), dtype=np.uint8)
+        pad[1:-1, 1:-1, 1:-1] = ~free
+        self.blocked = pad.tobytes()
+        self.k_lo = k_lo
+        self.stride_j = pad.shape[2]
+        self.stride_i = pad.shape[1] * self.stride_j
+        # In a one-layer band the steps that change layer only ever read
+        # the shell, so they are dropped.
+        self.steps = [
+            (di * self.stride_i + dj * self.stride_j + dk, cost * voxel_size)
+            for (di, dj, dk), cost in zip(_NEIGHBORS, _NEIGHBOR_COSTS)
+            if k_lo < k_hi or dk == 0
+        ]
+
+    def flat(self, cell):
+        return (cell[0] + 1) * self.stride_i + (cell[1] + 1) * self.stride_j + (cell[2] - self.k_lo + 1)
 
 
-def _goal_distances(vmap, goal_cell, band_shape, k_lo):
+# The side, in cells, of the (i, j) tiles the heuristic table is filled in.
+_HEURISTIC_TILE = 16
+
+
+def _goal_distances(vmap, goal_cell, band):
     """Distance from each voxel center of the band to the goal's center,
-    as a flat memoryview over the band padded by one cell on every side
-    (the shell is never read and stays 0).
+    as a flat memoryview over the padded band, and the function that fills
+    it: the table starts NaN, and `fill(cell)` fills the (i, j) tile of
+    `_HEURISTIC_TILE` cells a side (every layer) that holds the flat cell,
+    then returns that cell's value.  A search reads only the tiles its
+    pushes reach; the shell is never read.
 
     Each row is `sqrt(vecdot(d, d))`, bitwise the 1-D `np.linalg.norm(d)`
     of a per-cell heuristic (`norm(axis=1)` is not), with `d` componentwise
-    `voxel_center(cell) - voxel_center(goal_cell)`.  The table is filled
-    `_HEURISTIC_SLABS` i slabs at a time to keep the temporaries small."""
-    ni, nj, nk = band_shape
+    `voxel_center(cell) - voxel_center(goal_cell)`; a row's bits do not
+    depend on which tile computes it."""
+    ni, nj, nk = band.labels.shape
     goal_center = vmap.voxel_center(goal_cell)
 
-    def axis_offsets(axis, cells):
+    def axis_offsets(axis, lo, n):
+        cells = np.arange(lo, lo + n, dtype=np.float64)
         return vmap.origin[axis] + (cells + 0.5) * vmap.voxel_size - goal_center[axis]
 
-    dx = axis_offsets(0, np.arange(ni, dtype=np.float64))
-    dy, dz = np.meshgrid(
-        axis_offsets(1, np.arange(nj, dtype=np.float64)),
-        axis_offsets(2, np.arange(k_lo, k_lo + nk, dtype=np.float64)),
-        indexing="ij",
-    )
-    d = np.empty((min(ni, _HEURISTIC_SLABS), nj * nk, 3))
-    d[:, :, 1] = dy.ravel()
-    d[:, :, 2] = dz.ravel()
-    table = np.zeros((ni + 2, nj + 2, nk + 2))
-    for i0 in range(0, ni, _HEURISTIC_SLABS):
-        i1 = min(i0 + _HEURISTIC_SLABS, ni)
-        block = d[: i1 - i0]
-        block[:, :, 0] = dx[i0:i1, None]
-        table[i0 + 1 : i1 + 1, 1:-1, 1:-1] = np.sqrt(np.vecdot(block, block)).reshape(i1 - i0, nj, nk)
-    return memoryview(table.reshape(-1))
+    dx, dy = axis_offsets(0, 0, ni), axis_offsets(1, 0, nj)
+    tile = _HEURISTIC_TILE
+    d = np.empty((tile, tile, nk, 3))
+    d[..., 2] = axis_offsets(2, band.k_lo, nk)
+    table = np.full((ni + 2, nj + 2, nk + 2), np.nan)
+    flat = memoryview(table.reshape(-1))
+
+    def fill(cell):
+        i, rest = divmod(cell, band.stride_i)
+        i0 = (i - 1) // tile * tile
+        j0 = (rest // band.stride_j - 1) // tile * tile
+        i1, j1 = min(i0 + tile, ni), min(j0 + tile, nj)
+        block = d[: i1 - i0, : j1 - j0]
+        block[..., 0] = dx[i0:i1, None, None]
+        block[..., 1] = dy[None, j0:j1, None]
+        table[i0 + 1 : i1 + 1, j0 + 1 : j1 + 1, 1:-1] = np.sqrt(np.vecdot(block, block))
+        return flat[cell]
+
+    return flat, fill
 
 
 def plan_route(vmap, start, goal, inflation, z_band):
     """Shortest 26-connected route over free voxels (A*, Euclidean costs,
     lexicographic tie-breaking).  Traversal is restricted to the z layers of
     `z_band` (None: the start's layer).  Returns (waypoints, length)."""
+    return _route(vmap, start, goal, inflation, z_band, {})
+
+
+def _route(vmap, start, goal, inflation, z_band, bands):
+    """`plan_route`, taking the band set-up from `bands` (keyed by the
+    band's `(k_lo, k_hi)`) and adding it there when it is missing."""
     start = np.asarray(start, dtype=np.float64)
     goal = np.asarray(goal, dtype=np.float64)
     if np.linalg.norm(goal - start) < 1e-12:
         return [start.copy()], 0.0
 
-    band, s, g, (k_lo, k_hi) = _route_cells(vmap, start, goal, inflation, z_band)
-    # A* can reach exactly the 26-connected free component of the start
-    # inside the k band, so an enclosed goal fails here without a flood.
-    labels, _ = ndimage.label(band, structure=np.ones((3, 3, 3)))
-    if labels[s[0], s[1], s[2] - k_lo] != labels[g[0], g[1], g[2] - k_lo]:
+    free, s, g, layers = _route_cells(vmap, start, goal, inflation, z_band)
+    band = bands.get(layers)
+    if band is None:
+        band = bands[layers] = _RouteBand(free, *layers, vmap.voxel_size)
+    k_lo = band.k_lo
+    if band.labels[s[0], s[1], s[2] - k_lo] != band.labels[g[0], g[1], g[2] - k_lo]:
         raise RouteError(f"goal {goal} unreachable from {start}")
 
-    # Cells are flat indices into the band padded with one blocked cell on
-    # every side: the shell stands in for the bounds and band tests, and
-    # flat order is (i, j, k) order, so heap ties break as on cell tuples.
     # A closed cell is marked blocked too.  The heuristic is consistent
-    # with the step costs (both Euclidean), so a closed cell's g is
-    # final and no neighbour test could improve it.
-    pad = np.ones((band.shape[0] + 2, band.shape[1] + 2, band.shape[2] + 2), dtype=np.uint8)
-    pad[1:-1, 1:-1, 1:-1] = ~band
-    blocked = bytearray(pad.tobytes())
-    stride_j = pad.shape[2]
-    stride_i = pad.shape[1] * stride_j
-
-    def flat(cell):
-        return (cell[0] + 1) * stride_i + (cell[1] + 1) * stride_j + (cell[2] - k_lo + 1)
-
-    h = vmap.voxel_size
-    # In a one-layer band the steps that change layer only ever read the
-    # shell, so they are dropped.
-    steps = [
-        (di * stride_i + dj * stride_j + dk, cost * h)
-        for (di, dj, dk), cost in zip(_NEIGHBORS, _NEIGHBOR_COSTS)
-        if k_lo < k_hi or dk == 0
-    ]
-    heur = _goal_distances(vmap, g, band.shape, k_lo)
-    src, dst = flat(s), flat(g)
+    # with the step costs (both Euclidean), so a closed cell's g is final
+    # and no neighbour test could improve it.
+    blocked = bytearray(band.blocked)
+    steps = band.steps
+    heur, fill = _goal_distances(vmap, g, band)
+    src, dst = band.flat(s), band.flat(g)
 
     push, pop = heapq.heappush, heapq.heappop
     g_score = {src: 0.0}
     best_g, inf = g_score.get, math.inf
     came = {}
-    open_heap = [(heur[src], src)]
+    open_heap = [(fill(src), src)]
     while open_heap:
         f, cell = pop(open_heap)
         # Only free cells are pushed, so a blocked one popped is closed.
@@ -359,12 +398,15 @@ def plan_route(vmap, start, goal, inflation, z_band):
                 if cand < best_g(nxt, inf) - 1e-12:
                     g_score[nxt] = cand
                     came[nxt] = cell
-                    push(open_heap, (cand + heur[nxt], nxt))
+                    h = heur[nxt]
+                    if h != h:  # NaN: its tile is not filled yet
+                        h = fill(nxt)
+                    push(open_heap, (cand + h, nxt))
     else:
         raise RouteError(f"goal {goal} unreachable from {start}")
 
     if s == g:
-        waypoints = [start, goal]
+        pts = np.stack([start, goal])
     else:
         path = [dst]
         while path[-1] != src:
@@ -372,15 +414,13 @@ def plan_route(vmap, start, goal, inflation, z_band):
         path.reverse()
         # Keep the full center chain so the length depends only on the cell
         # path cost, not on which of several equally short paths was found.
-        waypoints = [start]
-        for cell in path:
-            i, rest = divmod(cell, stride_i)
-            j, k = divmod(rest, stride_j)
-            waypoints.append(vmap.voxel_center((i - 1, j - 1, k - 1 + k_lo)))
-        waypoints.append(goal)
-    pts = np.asarray(waypoints)
+        # The centers are `voxel_center`'s arithmetic, one row per cell.
+        i, rest = np.divmod(np.array(path), band.stride_i)
+        j, k = np.divmod(rest, band.stride_j)
+        cells = np.column_stack([i - 1, j - 1, k - 1 + k_lo]).astype(np.float64)
+        pts = np.vstack([start, vmap.origin + (cells + 0.5) * vmap.voxel_size, goal])
     length = float(np.sum(np.linalg.norm(np.diff(pts, axis=0), axis=1)))
-    return waypoints, length
+    return list(pts), length
 
 
 @dataclass(frozen=True)
@@ -394,10 +434,12 @@ class TaskPriority:
 def prioritize_tasks(tasks, plans, robot, vmap, inflation, z_band):
     """Tasks ordered by traversable route length from the robot's `ViewPose4`
     to each task's nearest valid viewpoint.  Unreachable tasks go last,
-    flagged."""
+    flagged.  Each route is `plan_route`'s; the routes in one z band share
+    one band set-up."""
     if not tasks:
         raise ValueError("no tasks to prioritize")
     robot_pos = robot.position
+    bands = {}
     ranked = []
     for task, plan in zip(tasks, plans):
         positions, _ = plan.valid_positions()
@@ -406,19 +448,13 @@ def prioritize_tasks(tasks, plans, robot, vmap, inflation, z_band):
             continue
         nearest = positions[np.argmin(np.linalg.norm(positions - robot_pos, axis=1))]
         try:
-            _, length = plan_route(vmap, robot_pos, nearest, inflation, z_band)
+            _, length = _route(vmap, robot_pos, nearest, inflation, z_band, bands)
             ranked.append(TaskPriority(task, plan, length, True))
         except RouteError as exc:
             log.info("task %s unreachable: %s", task.id, exc)
             ranked.append(TaskPriority(task, plan, np.inf, False))
     ranked.sort(key=lambda r: (not r.reachable, r.route_length, r.task.id))
     return ranked
-
-
-def _tour_cost(start, positions, order):
-    pts = positions[order]
-    legs = np.linalg.norm(np.diff(np.vstack([start[None, :], pts]), axis=0), axis=1)
-    return float(legs.sum())
 
 
 def _nearest_neighbor_order(start, positions):
@@ -440,9 +476,10 @@ def _nearest_neighbor_order(start, positions):
 _SA_ITERS_PER_CITY = 200
 _SA_COOLING = 0.995
 # Bound, relative to the tour cost, on how far the table delta of a
-# proposal may sit from its exact `_tour_cost` delta.  Rounding keeps them
-# within 1e-15 of the cost on wall grids of 50 to 880 viewpoints, so the
-# screen never decides a proposal the exact rule would decide otherwise.
+# proposal may sit from its exact delta (the change of the summed tour
+# legs).  Rounding keeps them within 1e-15 of the cost on wall grids of 50
+# to 880 viewpoints, so the screen never decides a proposal the exact rule
+# would decide otherwise.
 _SA_SCREEN_MARGIN = 1e-9
 
 
@@ -546,9 +583,6 @@ def solve_tour_sa_tsp(plan, start, seed, history=None):
     draws = _PCG64Draws(seed)
     draws.check_bound(n)
     random, below = draws.random, draws.below
-    cur = _nearest_neighbor_order(start, positions).tolist()
-    cost = _tour_cost(start, positions, cur)
-    best_order, best_cost = cur, cost
 
     diffs = positions[None, :, :] - positions[:, None, :]
     pair = np.linalg.norm(diffs, axis=-1)
@@ -557,6 +591,15 @@ def solve_tour_sa_tsp(plan, start, seed, history=None):
     table[:n, :n] = pair
     table[n, :n] = table[:n, n] = np.linalg.norm(positions - start, axis=1)
     dist = table.tolist()
+
+    def tour_cost(order):
+        # The legs of the open tour from the start (node n), summed in order
+        # by `np.sum`: bitwise the sum of the `np.linalg.norm` legs.
+        return float(np.sum(table[[n] + order[:-1], order]))
+
+    cur = _nearest_neighbor_order(start, positions).tolist()
+    cost = tour_cost(cur)
+    best_order, best_cost = cur, cost
 
     for _ in range(_SA_ITERS_PER_CITY * n):
         reverse = random() < 0.5
@@ -579,7 +622,7 @@ def solve_tour_sa_tsp(plan, start, seed, history=None):
                 else:
                     rest = cur[:i] + cur[i + 1 :]
                     cand = rest[:j] + [cur[i]] + rest[j:]
-                c = _tour_cost(start, positions, cand)
+                c = tour_cost(cand)
                 delta = c - cost
                 if delta <= 0.0 or (random() if draw is None else draw) < np.exp(-delta / temp):
                     cur, cost = cand, c

@@ -1,18 +1,23 @@
 """Reference planners for the oracle tests: the tuple-keyed A* loop over
 the whole-grid clearance mask with its cell lookup, the per-city
-nearest-neighbour order and the unscreened annealer, copied verbatim from
-`surfscan.global_plan` as they were before the band-only mask, the
-table-driven A* and the screened annealer replaced them.  The helpers those
-loops share with the fast versions (tour cost, neighbour tables, annealing
-schedule) are imported, so both sides follow one cost rule.  The fast
-versions must return the same waypoints, lengths, tours, histories and
-error messages bit for bit."""
+nearest-neighbour order, the unscreened annealer costing each tour with
+`np.linalg.norm` legs, the numpy-scalar polygon test and the per-point
+viewpoint grid, copied verbatim from `surfscan.global_plan` and
+`surfscan.geometry` as they were before the band-only mask, the
+table-driven A*, the screened annealer, the plain-float polygon loop and
+the one-pass grid replaced them.  The helpers those loops share with the
+fast versions (neighbour tables, annealing schedule, ROI frame) are
+imported, so both sides follow one rule.  The fast versions must return
+the same waypoints, lengths, tours, histories, viewpoints and error
+messages bit for bit."""
 
 import heapq
+import logging
 
 import numpy as np
 from scipy import ndimage
 
+from surfscan.geometry import BOUNDARY_EPS, PLANE_TOL, ViewPose4, _as_vec3, polygon_basis, polygon_normal
 from surfscan.global_plan import (
     _NEIGHBOR_COSTS,
     _NEIGHBORS,
@@ -21,8 +26,16 @@ from surfscan.global_plan import (
     RouteError,
     TaskUnreachableError,
     Tour,
-    _tour_cost,
+    ViewPlan,
 )
+
+log = logging.getLogger("surfscan.global_plan")
+
+
+def _tour_cost(start, positions, order):
+    pts = positions[order]
+    legs = np.linalg.norm(np.diff(np.vstack([start[None, :], pts]), axis=0), axis=1)
+    return float(legs.sum())
 
 
 def _route_cells(vmap, start, goal, inflation, z_band):
@@ -182,3 +195,110 @@ def solve_tour_sa_tsp(plan, start, seed, history=None):
             history.append(best_cost)
 
     return Tour(order=tuple(int(idx[i]) for i in best_order), length=best_cost)
+
+
+def point_in_polygon(roi, p):
+    """True iff the in-plane projection of p lies inside the polygon.
+    Boundary points count as inside.  p must lie on the ROI plane."""
+    p = _as_vec3(p)
+    n = roi.normal
+    c = roi.centroid
+    if abs(float((p - c) @ n)) > PLANE_TOL:
+        raise ValueError("point lies off the polygon plane beyond tolerance")
+    u, v = roi._basis
+    px, py = float((p - c) @ u), float((p - c) @ v)
+    # The in-plane vertices as the ROI stored them, an (m, 2) array.
+    poly = np.column_stack([(roi.vertices - c) @ u, (roi.vertices - c) @ v])
+    m = len(poly)
+    inside = False
+    for i in range(m):
+        x1, y1 = poly[i]
+        x2, y2 = poly[(i + 1) % m]
+        ex, ey = x2 - x1, y2 - y1
+        ll = ex * ex + ey * ey
+        if ll > 0.0:
+            t = ((px - x1) * ex + (py - y1) * ey) / ll
+            t = min(1.0, max(0.0, t))
+            qx, qy = x1 + t * ex, y1 + t * ey
+            if (px - qx) ** 2 + (py - qy) ** 2 <= BOUNDARY_EPS**2:
+                return True
+        if (y1 > py) != (y2 > py):
+            xint = x1 + (py - y1) * ex / ey
+            if xint > px:
+                inside = not inside
+    return inside
+
+
+def generate_grid_viewpoints(task, view, toward, z_band):
+    """Grid viewpoints for a polygon ROI (overlap-driven spacing), one grid
+    point at a time.  The centroid fallback is clamped to `z_band` as the
+    grid viewpoints are."""
+    roi = task.roi
+    n = polygon_normal(roi)
+    u, v = polygon_basis(roi)
+    centroid = roi.centroid
+
+    toward = np.asarray(toward, dtype=np.float64)
+    proj = -n if float((toward - centroid) @ n) < 0.0 else n
+    yaw = float(np.arctan2(-proj[1], -proj[0]))
+
+    su = (roi.vertices - centroid) @ u
+    sv = (roi.vertices - centroid) @ v
+    s0, s1 = float(su.min()), float(su.max())
+    t0, t1 = float(sv.min()), float(sv.max())
+
+    eps = 1e-9
+    n_cols = int(np.floor((s1 - s0) / view.spacing_h + eps)) + 1
+    n_rows = int(np.floor((t1 - t0) / view.spacing_v + eps)) + 1
+
+    entries = []  # (row_key, col, grid_point, view_z)
+    clamped = False
+    for j in range(n_rows):
+        for i in range(n_cols):
+            g = centroid + (s0 + i * view.spacing_h) * u + (t0 + j * view.spacing_v) * v
+            if not point_in_polygon(roi, g):
+                continue
+            p = g + proj * view.d_view
+            z = p[2]
+            if z_band is not None:
+                lo, hi = z_band
+                zc = min(max(z, lo), hi)
+                if zc != z:
+                    clamped = True
+                z = zc
+            entries.append((round(z, 9), i, g, (p[0], p[1], z)))
+
+    if not entries:
+        p = centroid + proj * view.d_view
+        log.warning("task %s: ROI too small for grid, falling back to centroid view", task.id)
+        z = p[2]
+        if z_band is not None:
+            z = min(max(z, z_band[0]), z_band[1])
+            if z != p[2]:
+                log.warning("task %s: viewpoint heights clamped to band %s", task.id, z_band)
+        return ViewPlan(
+            task_id=task.id,
+            viewpoints=(ViewPose4(p[0], p[1], z, yaw),),
+            valid=np.array([True]),
+            grid_points=centroid.reshape(1, 3),
+        )
+
+    # One row per distinct (possibly clamped) height, columns in order.
+    seen = {}
+    for key, i, g, p in entries:
+        seen.setdefault((key, i), (g, p))
+    ordered = sorted(seen.keys())
+    viewpoints = []
+    grid_points = []
+    for key in ordered:
+        g, p = seen[key]
+        grid_points.append(g)
+        viewpoints.append(ViewPose4(p[0], p[1], p[2], yaw))
+    if clamped:
+        log.warning("task %s: viewpoint heights clamped to band %s", task.id, z_band)
+    return ViewPlan(
+        task_id=task.id,
+        viewpoints=tuple(viewpoints),
+        valid=np.ones(len(viewpoints), dtype=np.bool_),
+        grid_points=np.asarray(grid_points),
+    )

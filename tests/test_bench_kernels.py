@@ -57,3 +57,11 @@ def test_bench_kernels_builds_the_occupied_box_row():
     cases = {name: (new, reference) for name, new, reference, _ in load_bench().planning_cases()}
     new, reference = cases["occupied_box 400x400x24"]
     assert new().tolist() == reference().tolist() == [[80, 36, 0], [344, 364, 24]]
+
+
+def test_bench_kernels_builds_the_prioritize_and_grid_rows():
+    # Building the planning cases asserts that the shared band set-up ranks
+    # the site's four tasks with the lengths of one set-up per task, and
+    # that the one-pass grids equal the per-point reference grids.
+    names = [name for name, *_ in load_bench().planning_cases()]
+    assert "prioritize 4 site tasks" in names and "grid viewpoints 4 tasks" in names

@@ -163,6 +163,22 @@ def test_grid_sparse_fallback(caplog):
     assert np.allclose(plan.viewpoints[0].position, [4.0, 0.01, 0.01], atol=1e-9)
 
 
+def test_grid_fallback_view_is_clamped_to_the_band(caplog):
+    # A downward triangle 0.8 m wide at z 0.9-1.3: the grid anchor (its
+    # lower-left bounding-box corner) lies outside it, and the centroid
+    # view at z 1.167 is clamped into the band like every grid viewpoint.
+    triangle = make_task([[6, -0.4, 1.3], [6, 0.4, 1.3], [6, 0.0, 0.9]])
+    unclamped = generate_grid_viewpoints(triangle, VIEW, [0.0, 0.0, 0.6], None)
+    assert unclamped.viewpoints[0].z == pytest.approx(3.5 / 3, abs=1e-12)
+    assert "clamped" not in caplog.text
+    plan = generate_grid_viewpoints(triangle, VIEW, [0.0, 0.0, 0.6], (0.6, 0.6))
+    assert f"task {triangle.id}: ROI too small for grid, falling back to centroid view" in caplog.text
+    assert f"task {triangle.id}: viewpoint heights clamped to band (0.6, 0.6)" in caplog.text
+    assert len(plan) == 1
+    assert plan.viewpoints[0].position.tolist() == [4.0, unclamped.viewpoints[0].y, 0.6]
+    np.testing.assert_array_equal(plan.grid_points, triangle.roi.centroid.reshape(1, 3))
+
+
 def test_grid_horizontal_roi_uses_principal_axes():
     # Floor patch (normal vertical): the grid falls back to the plane's
     # principal axes and projects viewpoints straight up.

@@ -1,26 +1,43 @@
-"""Oracle tests for the planner's two hot loops.
+"""Oracle tests for the planner's hot loops.
 
-`plan_route` (table-driven A*) and `solve_tour_sa_tsp` (screened annealer)
-must return exactly what the straightforward loops in `planner_reference`
-return: the same waypoints, lengths and error messages, and the same
-tours, lengths and best-cost histories.  Both rely on `sqrt(vecdot)` rows
-being bitwise the 1-D `np.linalg.norm`, which depends on the numpy build's
-dot loop and is pinned here too.  The annealer draws its random numbers
-from the PCG64 bit generator's raw words, not through numpy's `Generator`;
-that those draws are numpy's own is pinned here as well, so a change to
-`Generator`'s transforms fails a test instead of changing tours.
+`plan_route` (table-driven A*), `solve_tour_sa_tsp` (screened annealer),
+`point_in_polygon` (plain-float crossing test) and
+`generate_grid_viewpoints` (one-pass grid) must return exactly what the
+straightforward loops in `planner_reference` return: the same waypoints,
+lengths and error messages, the same tours, lengths and best-cost
+histories, and the same viewpoints, grid points and warnings.
+`prioritize_tasks`, which routes every task from one set-up per z band,
+must rank with exactly the lengths that independent `plan_route` calls
+give.  These rely on `sqrt(vecdot)` rows being bitwise the 1-D
+`np.linalg.norm`, which depends on the numpy build's dot loop and is
+pinned here too.  The annealer draws its random numbers from the PCG64 bit
+generator's raw words, not through numpy's `Generator`; that those draws
+are numpy's own is pinned here as well, so a change to `Generator`'s
+transforms fails a test instead of changing tours.
 """
+
+import logging
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import planner_reference
 from strategies import occupancy_grids
-from surfscan.geometry import ViewPose4
-from surfscan.global_plan import RouteError, ViewPlan, _PCG64Draws, plan_route, solve_tour_sa_tsp
+from surfscan.geometry import BOUNDARY_EPS, PolygonROI, ViewPose4, point_in_polygon
+from surfscan.global_plan import (
+    InspectionTask,
+    RouteError,
+    ViewConstraints,
+    ViewPlan,
+    _PCG64Draws,
+    generate_grid_viewpoints,
+    plan_route,
+    prioritize_tasks,
+    solve_tour_sa_tsp,
+)
 from surfscan.world import VoxelMap
 
 PROPERTY = settings(max_examples=60, deadline=None)
@@ -183,3 +200,252 @@ def test_table_astar_matches_reference(case):
     assert got[2] == want[2]
     assert got[1] == want[1]
     assert (got[0] is None and want[0] is None) or np.array_equal(got[0], want[0])
+
+
+# ---------------------------------------------------------------- shared band set-up
+
+
+ORIGIN = np.array([-0.5, 0.3, 0.1])
+
+
+@st.composite
+def grid_points(draw, vmap):
+    """Mostly inside a voxel, else anywhere around the grid."""
+    if draw(st.integers(0, 4)):
+        cell = np.array([draw(st.integers(0, n - 1)) for n in vmap.shape])
+        frac = np.array([draw(st.floats(0.0, 0.999)) for _ in range(3)])
+        return vmap.origin + (cell + frac) * vmap.voxel_size
+    lo, hi = vmap.bounds
+    return np.array([draw(st.floats(float(a) - 0.5, float(b) + 0.5)) for a, b in zip(lo, hi)])
+
+
+@st.composite
+def route_scenes(draw):
+    """A random grid, a start and one to five goals (voxel interiors
+    or anywhere around the grid, so out of bounds, in collision, walled off
+    and in other layers all occur; now and then the start itself),
+    inflation and z band."""
+    vmap = VoxelMap(ORIGIN, 0.2, draw(occupancy_grids(max_side=12)))
+    lo, hi = vmap.bounds
+    start = draw(grid_points(vmap))
+    goals = [
+        start.copy() if draw(st.integers(0, 9)) == 0 else draw(grid_points(vmap))
+        for _ in range(draw(st.integers(1, 5)))
+    ]
+    z_band = draw(
+        st.one_of(
+            st.none(),
+            st.tuples(st.floats(float(lo[2]), float(hi[2])), st.floats(float(lo[2]), float(hi[2]))).map(sorted),
+        )
+    )
+    inflation = draw(st.sampled_from([0.0, 0.1, 0.25]))
+    return vmap, start, goals, inflation, z_band
+
+
+def detour_scene():
+    """A 40x48x3 grid with a full-height wall across x, open only beyond
+    y index 40, and a sealed room.  The start and the first goal face each
+    other across the wall, in neighbouring 16-cell heuristic tiles, so the
+    search detours through tiles away from both.  The other goals lie in
+    the sealed room, inside the wall, outside the grid, one layer down
+    (another band) and on the start."""
+    occ = np.zeros((40, 48, 3), dtype=bool)
+    occ[20, :40, :] = True
+    occ[4, 20:31, :] = occ[12, 20:31, :] = True
+    occ[4:13, 20, :] = occ[4:13, 30, :] = True
+    vmap = VoxelMap(ORIGIN, 0.2, occ)
+
+    def center(i, j, k):
+        return vmap.voxel_center((i, j, k))
+
+    start = center(14, 4, 1)
+    goals = [center(25, 4, 1), center(8, 25, 1), center(20, 10, 1), center(45, 4, 1), center(23, 6, 0), start.copy()]
+    return vmap, start, goals, 0.0, (float(start[2]), float(start[2]))
+
+
+def route_length(vmap, start, goal, inflation, z_band):
+    try:
+        return plan_route(vmap, start, goal, inflation, z_band)[1], True
+    except RouteError:
+        return np.inf, False
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=route_scenes())
+@example(case=detour_scene())
+def test_shared_band_setup_matches_independent_routes(case):
+    vmap, start, goals, inflation, z_band = case
+    roi = PolygonROI(np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]))
+    tasks = [InspectionTask(f"t{k}", roi) for k in range(len(goals))]
+    plans = [plan_from_positions(goal[None, :]) for goal in goals]
+    ranked = prioritize_tasks(tasks, plans, ViewPose4(*start), vmap, inflation, z_band)
+    got = {entry.task.id: (entry.route_length, entry.reachable) for entry in ranked}
+    for task, goal in zip(tasks, goals):
+        fresh = VoxelMap(vmap.origin, vmap.voxel_size, vmap.occ)
+        assert got[task.id] == route_length(fresh, start, goal, inflation, z_band)
+
+
+def test_detour_scene_routes_match_reference():
+    # The lazily filled heuristic across tile edges, against the reference
+    # A*, which computes every cell's heuristic on demand.
+    vmap, start, goals, inflation, z_band = detour_scene()
+    routes = [route_or_error(plan_route, vmap, start, goal, inflation, z_band) for goal in goals]
+    for goal, got in zip(goals, routes):
+        want = route_or_error(planner_reference.plan_route, vmap, start, goal, inflation, z_band=z_band)
+        assert got[1:] == want[1:]
+        assert (got[0] is None and want[0] is None) or np.array_equal(got[0], want[0])
+    assert [error is None for _, _, error in routes] == [True, False, False, False, True, True]
+    assert routes[0][1] > 2 * 36 * vmap.voxel_size  # around the wall's end
+    assert routes[5][1] == 0.0
+
+
+# ---------------------------------------------------------------- polygons and grids
+
+
+@st.composite
+def planar_polygons(draw):
+    """A star-shaped simple polygon of 3 to 8 vertices on a wall, floor or
+    tilted plane, up to 16 m across, anywhere within 100 m of the origin."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    m = draw(st.integers(3, 8))
+    angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, m))
+    # One in five is too small to hold a grid point.
+    radii = rng.uniform(0.2, 1.0, m) * (0.05 if rng.random() < 0.2 else rng.uniform(1.0, 8.0))
+    kind = draw(st.sampled_from(["wall", "floor", "tilted"]))
+    if kind == "wall":
+        yaw = rng.uniform(-np.pi, np.pi)
+        a, b = np.array([np.cos(yaw), np.sin(yaw), 0.0]), np.array([0.0, 0.0, 1.0])
+    elif kind == "floor":
+        a, b = np.array([1.0, 0.0, 0.0]), np.array([0.0, 1.0, 0.0])
+    else:
+        n = rng.normal(size=3)
+        n /= np.linalg.norm(n)
+        a = np.cross(n, [0.3, 0.5, 0.8])
+        a /= np.linalg.norm(a)
+        b = np.cross(n, a)
+    center = rng.uniform(-100.0, 100.0, size=3)
+    verts = center + (np.cos(angles) * radii)[:, None] * a + (np.sin(angles) * radii)[:, None] * b
+    try:
+        return PolygonROI(verts)
+    except ValueError:  # near-collinear or self-touching draws
+        assume(False)
+
+
+def boundary_points(roi):
+    """The vertices, the edge midpoints, and points half, one and two
+    `BOUNDARY_EPS` off each edge's midpoint, to either side in the plane."""
+    verts = roi.vertices
+    points = list(verts)
+    for a, b in zip(verts, np.roll(verts, -1, axis=0)):
+        mid = (a + b) / 2.0
+        across = np.cross(roi.normal, b - a)
+        across /= np.linalg.norm(across)
+        points.append(mid)
+        points += [mid + s * BOUNDARY_EPS * across for s in (-2.0, -1.0, -0.5, 0.5, 1.0, 2.0)]
+    return points
+
+
+@PROPERTY
+@given(roi=planar_polygons(), seed=st.integers(0, 2**32 - 1))
+def test_point_in_polygon_matches_reference(roi, seed):
+    u, v = roi._basis
+    scale = float(np.abs(roi.vertices - roi.centroid).max())
+    offsets = np.random.default_rng(seed).uniform(-1.5 * scale, 1.5 * scale, size=(20, 2))
+    points = boundary_points(roi) + [roi.centroid + a * u + b * v for a, b in offsets]
+    for p in points:
+        assert point_in_polygon(roi, p) == planner_reference.point_in_polygon(roi, p)
+
+
+def test_point_in_polygon_boundary_tie_matches_reference():
+    # A notched hexagon on the wall x = 6 whose vertex mean (6, 0, -1) lies
+    # on the line of its edge from (0, -2) to (0, 2) in (y, z): in the plane
+    # that edge sits at u = 0 exactly, so a point 1e-9 off it lies exactly
+    # `BOUNDARY_EPS` from it and counts as on the boundary, on either side.
+    yz = [(0, -2), (0, 2), (-2, 2), (-2, -3), (2, -3), (2, -2)]
+    roi = PolygonROI(np.array([[6.0, y, z] for y, z in yz]))
+    assert roi.centroid.tolist() == [6.0, 0.0, -1.0]
+    for y in (-BOUNDARY_EPS, BOUNDARY_EPS, -np.nextafter(BOUNDARY_EPS, 1.0), np.nextafter(BOUNDARY_EPS, 1.0)):
+        p = np.array([6.0, y, 0.0])
+        assert point_in_polygon(roi, p) == planner_reference.point_in_polygon(roi, p)
+    assert point_in_polygon(roi, np.array([6.0, BOUNDARY_EPS, 0.0]))
+    assert not point_in_polygon(roi, np.array([6.0, np.nextafter(BOUNDARY_EPS, 1.0), 0.0]))
+
+
+class Messages(logging.Handler):
+    def __init__(self):
+        super().__init__()
+        self.messages = []
+
+    def emit(self, record):
+        self.messages.append(record.getMessage())
+
+
+def grid_or_error(generate, *args):
+    """(plan or None, error message or None, warnings logged)."""
+    handler = Messages()
+    logger = logging.getLogger("surfscan.global_plan")
+    logger.addHandler(handler)
+    try:
+        return generate(*args), None, handler.messages
+    except ValueError as exc:
+        return None, str(exc), handler.messages
+    finally:
+        logger.removeHandler(handler)
+
+
+def same_bits(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+# Vertices about 1.3e10 m from the origin, viewed from 7.8e7 m: the
+# grid's in-plane steps round off the plane by more than its tolerance.
+FAR_VIEW = ViewConstraints(d_view=313952853.4485422 / 4)
+FAR_QUAD = PolygonROI(
+    np.array(
+        [
+            [12734629857.398865, 9232671760.866539, -1539345939.2974734],
+            [12813715277.901714, 9185474086.807976, -1479176447.8251033],
+            [13073076945.348772, 9090414778.167992, -1286589373.8014524],
+            [13162378066.446098, 9402019272.770552, -1247604122.9915586],
+        ]
+    )
+)
+
+
+@st.composite
+def grid_cases(draw):
+    """A planar polygon, view constraints, the side to view it from and no
+    band or one within 3 m of the polygon's height, so that none, some or
+    all of its rows clamp."""
+    roi = draw(planar_polygons())
+    view = ViewConstraints(
+        d_view=draw(st.floats(1.0, 3.0)), gamma_h=draw(st.floats(0.0, 0.6)), gamma_v=draw(st.floats(0.0, 0.6))
+    )
+    toward = roi.centroid + draw(arrays(np.float64, 3, elements=st.floats(-10.0, 10.0)))
+    z_band = None
+    if draw(st.booleans()):
+        z_band = tuple(float(roi.centroid[2]) + np.sort(draw(arrays(np.float64, 2, elements=st.floats(-3.0, 3.0)))))
+    return roi, view, toward, z_band
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=grid_cases())
+@example(case=(FAR_QUAD, FAR_VIEW, np.zeros(3), None))
+def test_grid_viewpoints_match_reference(case):
+    roi, view, toward, z_band = case
+    task = InspectionTask("t", roi)
+    plan, error, messages = grid_or_error(generate_grid_viewpoints, task, view, toward, z_band)
+    ref, ref_error, ref_messages = grid_or_error(planner_reference.generate_grid_viewpoints, task, view, toward, z_band)
+    assert (error, messages) == (ref_error, ref_messages)
+    if ref is None:
+        return
+    poses = np.array([vp.as_array() for vp in plan.viewpoints])
+    assert same_bits(poses, np.array([vp.as_array() for vp in ref.viewpoints]))
+    assert same_bits(plan.grid_points, ref.grid_points)
+    assert np.array_equal(plan.valid, ref.valid)
+
+
+def test_far_quad_grid_is_off_plane():
+    task = InspectionTask("t", FAR_QUAD)
+    _, error, _ = grid_or_error(planner_reference.generate_grid_viewpoints, task, FAR_VIEW, np.zeros(3), None)
+    assert error == "point lies off the polygon plane beyond tolerance"

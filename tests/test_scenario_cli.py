@@ -716,6 +716,26 @@ def test_cli_out_path_that_is_a_file_exit_code(tmp_path, capsys):
     assert out.read_text() == "not a directory\n"
 
 
+@pytest.mark.parametrize(
+    "command, blocker",
+    [(["run", "--demo", "nominal"], "plots"), (["compare", "--demo", "receding_full"], "adaptive")],
+)
+def test_cli_output_subdirectory_that_is_a_file_exits_before_planning(tmp_path, capsys, monkeypatch, command, blocker):
+    from surfscan import mission
+
+    def no_plan(self):
+        raise AssertionError("planned before the output directories were made")
+
+    monkeypatch.setattr(mission.MissionRunner, "plan", no_plan)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / blocker).write_text("not a directory\n")
+    assert main(command + ["--out", str(out)]) == 64
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out / blocker) in err
+    assert (out / blocker).read_text() == "not a directory\n"
+
+
 def test_cli_mission_errors_propagate(tmp_path, monkeypatch):
     # Once the scenario and its maps have loaded, a ValueError is a fault of
     # the program, not a usage error: it must not exit 64.
