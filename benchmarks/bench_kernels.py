@@ -39,8 +39,13 @@ of one z layer, as `plan_route` fetches it for the default z band,
 against the whole-grid mask sliced to that layer; `VoxelMap.occupied_box`
 (reductions over the outer axes) against the per-axis `occ.any(axis=rest)`
 form it replaced, after checking that both give the same box;
+`global_plan._label_components` on that layer's mask (the 26-connected
+free components the route gate compares) against the
+`ndimage.label(free, structure=np.ones((3, 3, 3)))` it replaced, after
+checking that both give the same partition;
 `plan_route` to a goal inside a sealed room, with the connected-component
-gate against the A* flood that ran without it; `plan_route` across the
+gate against the A* flood that ran without it (the labelling patched to
+one label everywhere); `plan_route` across the
 open yard, corner to corner, against the tuple-keyed A* loop it replaced;
 `prioritize_tasks` on the site's four tasks (three reachable walls and the
 sealed room's inner face, band (0.6, 0.6), the band's mask cached), one
@@ -251,6 +256,21 @@ def dilation_free_mask(vmap, inflation):
     return ~ndimage.binary_dilation(vmap.occ, structure=gap <= r_vox)
 
 
+def ndimage_labels(free):
+    """The `ndimage.label` form of `global_plan._label_components`."""
+    return ndimage.label(free, structure=np.ones((3, 3, 3)))[0]
+
+
+def same_partition(labels, reference):
+    """Whether two labellings have the same unlabelled cells and group the
+    labelled ones alike: their label pairs form a bijection."""
+    free = reference > 0
+    if labels.shape != reference.shape or not np.array_equal(labels > 0, free):
+        return False
+    pairs = np.unique(np.stack([labels[free], reference[free]]), axis=1)
+    return len(np.unique(pairs[0])) == len(np.unique(pairs[1])) == pairs.shape[1]
+
+
 def per_axis_occupied_box(occ):
     """The per-axis `occ.any(axis=rest)` form of `VoxelMap.occupied_box`."""
     lo, hi = [], []
@@ -323,12 +343,12 @@ def planning_cases():
             return
         raise AssertionError("the sealed room is reachable")
 
-    def one_label(free, structure):
-        return np.ones(free.shape, dtype=np.int32), 1
+    def one_label(free):
+        return np.ones(free.shape, dtype=np.intp)
 
     def enclosed_route_flood():
         # One label everywhere: the gate passes and A* floods the yard.
-        with mock.patch.object(global_plan.ndimage, "label", one_label):
+        with mock.patch.object(global_plan, "_label_components", one_label):
             enclosed_route()
 
     yard = VoxelMap.empty((0.0, 0.0, 0.0), (40.0, 40.0, 2.4), 0.1)
@@ -349,7 +369,7 @@ def planning_cases():
         return lambda: [generate(task, global_plan.ViewConstraints(), robot.position, band) for task in tasks]
 
     plans = grids(global_plan.generate_grid_viewpoints)()
-    site.free_mask(inflation, layer, layer)  # cached: the rows time the routes
+    band_mask = site.free_mask(inflation, layer, layer)  # cached: the rows time the routes
 
     def ranking(prioritize):
         return lambda: [(r.task.id, r.route_length) for r in prioritize(tasks, plans, robot, site, inflation, band)]
@@ -360,6 +380,7 @@ def planning_cases():
         assert plan.viewpoints == ref.viewpoints and np.array_equal(plan.grid_points, ref.grid_points)
     assert ranking(global_plan.prioritize_tasks)() == ranking(per_call_prioritize)()
     assert np.array_equal(fresh_box(), per_axis_occupied_box(site.occ))
+    assert same_partition(global_plan._label_components(band_mask), ndimage_labels(band_mask))
     nx, ny, _ = site.shape
     size = "x".join(map(str, site.shape))
     cases = [
@@ -371,6 +392,12 @@ def planning_cases():
             5,
         ),
         (f"occupied_box {size}", fresh_box, lambda: per_axis_occupied_box(site.occ), 5),
+        (
+            f"band labels {nx}x{ny}x1",
+            lambda: global_plan._label_components(band_mask),
+            lambda: ndimage_labels(band_mask),
+            5,
+        ),
         ("plan_route enclosed goal", enclosed_route, enclosed_route_flood, 5),
         ("plan_route open yard", yard_route(global_plan.plan_route), yard_route(planner_reference.plan_route), 5),
         ("prioritize 4 site tasks", ranking(global_plan.prioritize_tasks), ranking(per_call_prioritize), 5),

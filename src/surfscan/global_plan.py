@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import ndimage
 
 from .geometry import (
     PLANE_TOL,
@@ -270,6 +269,69 @@ def _route_cells(vmap, start, goal, inflation, z_band):
     return band, s, g, (k_lo, k_hi)
 
 
+# From a line of cells along j at (i, k) to the lines at (i + di, k + dk)
+# whose runs can touch its runs: the half of the 8 neighbouring lines that
+# comes after it in (i, k) order, so each touching pair is seen once.
+_LINE_STEPS = ((0, 1), (1, -1), (1, 0), (1, 1))
+
+
+def _label_components(free):
+    """Labels of the 26-connected components of the 3-D boolean mask
+    `free`: 0 on blocked cells, and one positive integer per component on
+    its cells.  The numbers are arbitrary; only equality means anything.
+
+    The cells are taken as maximal runs of free cells along j.  Two runs
+    on (i, k) lines at most one cell apart in i and in k touch when their
+    j intervals, widened by one cell, overlap.  Touching runs are merged
+    by a union-find over all runs at once, then each run's root is
+    painted back onto its cells."""
+    ni, nj, nk = free.shape
+    lines = np.ascontiguousarray(free.transpose(0, 2, 1)).reshape(ni * nk, nj)
+    # Each run is a +1 then a -1 in its padded line's differences; a
+    # flat index into them is the key line * width + j, ordered by line
+    # then j.
+    width = nj + 1
+    flips = np.diff(np.pad(lines, ((0, 0), (1, 1))).view(np.int8), axis=1)
+    start_key, end_key = np.flatnonzero(flips).reshape(-1, 2).T
+    line, start = np.divmod(start_key, width)
+    end = end_key - line * width
+    k = line % nk
+    runs = np.arange(line.size)
+    pairs_a, pairs_b = [], []
+    for di, dk in _LINE_STEPS:
+        if dk and nk == 1:  # one layer: no line lies across k
+            continue
+        # The runs of the other line that touch run r are the indices
+        # lo[r] .. hi[r] - 1: those ending at or after r's start and
+        # starting at or before r's end.  Runs on a line are disjoint, so
+        # none is both before lo and at or after hi: lo <= hi.  A line
+        # past the last one holds no runs, so only k needs a test.
+        other = (line + di * nk + dk) * width
+        lo = np.searchsorted(end_key, other + start)
+        hi = np.searchsorted(start_key, other + end, side="right")
+        count = np.where((k + dk >= 0) & (k + dk < nk), hi - lo, 0)
+        a = np.repeat(runs, count)
+        pairs_a.append(a)
+        pairs_b.append(lo[a] + np.arange(a.size) - (np.cumsum(count) - count)[a])
+    a, b = np.concatenate(pairs_a), np.concatenate(pairs_b)
+    # Hook the larger root of every pair that joins two trees onto the
+    # smaller (any of them, where a root has several), then point every
+    # run at its root, until no pair joins two trees.  Parents only ever
+    # point down, so no cycle forms.
+    parent = np.arange(line.size)
+    while a.size:
+        root_a, root_b = parent[a], parent[b]
+        cross = root_a != root_b
+        a, b, root_a, root_b = a[cross], b[cross], root_a[cross], root_b[cross]
+        parent[np.maximum(root_a, root_b)] = np.minimum(root_a, root_b)
+        up = parent[parent]
+        while not np.array_equal(up, parent):
+            parent, up = up, up[up]
+    labels = np.zeros(lines.shape, dtype=np.intp)
+    labels[lines] = np.repeat(parent + 1, end - start)
+    return labels.reshape(ni, nk, nj).transpose(0, 2, 1)
+
+
 class _RouteBand:
     """What every search in one z band shares: the 26-connected free
     components of the band, and its blocked cells as bytes over the band
@@ -283,7 +345,7 @@ class _RouteBand:
     def __init__(self, free, k_lo, k_hi, voxel_size):
         # A* can reach exactly the 26-connected free component of the start
         # inside the band, so an enclosed goal fails here without a flood.
-        self.labels, _ = ndimage.label(free, structure=np.ones((3, 3, 3)))
+        self.labels = _label_components(free)
         pad = np.ones((free.shape[0] + 2, free.shape[1] + 2, free.shape[2] + 2), dtype=np.uint8)
         pad[1:-1, 1:-1, 1:-1] = ~free
         self.blocked = pad.tobytes()

@@ -35,6 +35,9 @@ __all__ = [
 # bounds, so that planners have free space to work in.
 MAP_PADDING = 1.0
 
+# The rows of points `VoxelMap.from_points` voxelizes at a time.
+_POINT_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class Box:
@@ -93,9 +96,13 @@ class VoxelMap:
         if points.shape[0]:
             occ = np.asarray(vmap.occ)
             occ.setflags(write=True)
-            idx = np.floor((points - vmap.origin) / vmap.voxel_size).astype(int)
-            idx = np.clip(idx, 0, np.array(occ.shape) - 1)
-            occ[idx[:, 0], idx[:, 1], idx[:, 2]] = True
+            flat = occ.reshape(-1)
+            upper = np.array(occ.shape) - 1
+            # In blocks of rows, so the temporaries stay small on a survey.
+            for lo in range(0, points.shape[0], _POINT_BLOCK):
+                idx = np.floor((points[lo : lo + _POINT_BLOCK] - vmap.origin) / vmap.voxel_size).astype(int)
+                np.clip(idx, 0, upper, out=idx)
+                flat[np.ravel_multi_index(idx.T, occ.shape)] = True
             occ.setflags(write=False)
         return vmap
 

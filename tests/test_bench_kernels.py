@@ -65,3 +65,14 @@ def test_bench_kernels_builds_the_prioritize_and_grid_rows():
     # that the one-pass grids equal the per-point reference grids.
     names = [name for name, *_ in load_bench().planning_cases()]
     assert "prioritize 4 site tasks" in names and "grid viewpoints 4 tasks" in names
+
+
+def test_bench_kernels_runs_the_enclosed_goal_and_band_label_rows():
+    # Both sides of the enclosed-goal row fail the route, the reference by
+    # flooding the yard under a patched labelling; building the cases
+    # asserts that the band labels partition the band as ndimage does.
+    cases = {name: (new, reference) for name, new, reference, _ in load_bench().planning_cases()}
+    for run in cases["plan_route enclosed goal"]:
+        run()
+    new, reference = cases["band labels 400x400x1"]
+    assert new().shape == reference().shape == (400, 400, 1)

@@ -4,14 +4,18 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from scipy import ndimage
 
 import planner_reference
+from strategies import occupancy_grids
 from surfscan.geometry import PolygonROI, ViewPose4, point_in_polygon, polygon_basis
 from surfscan.global_plan import (
     InspectionTask,
     RouteError,
     TaskUnreachableError,
     ViewConstraints,
+    _label_components,
     filter_viewpoints,
     generate_grid_viewpoints,
     plan_route,
@@ -313,6 +317,50 @@ def test_plan_route_astar_equals_dijkstra_random(rng):
         _, ld = planner_reference.plan_route(vmap, a, b, 0.4, heuristic=False)
         assert la == pytest.approx(ld, abs=1e-9)
         checked += 1
+
+
+def same_partition(labels, reference):
+    """Whether two labellings have the same unlabelled cells and group the
+    labelled ones alike: their label pairs form a bijection."""
+    free = reference > 0
+    if labels.shape != reference.shape or not np.array_equal(labels > 0, free):
+        return False
+    pairs = np.unique(np.stack([labels[free], reference[free]]), axis=1)
+    return len(np.unique(pairs[0])) == len(np.unique(pairs[1])) == pairs.shape[1]
+
+
+def cells(shape, *free):
+    mask = np.zeros(shape, dtype=bool)
+    for cell in free:
+        mask[cell] = True
+    return mask
+
+
+THIN = np.random.default_rng(7).random((9, 9)) < 0.6
+# A serpentine in one layer: each row along j joins the next at one end
+# only, so the runs chain through the whole mask.
+SERPENTINE = np.zeros((7, 9, 1), dtype=bool)
+SERPENTINE[::2] = True
+SERPENTINE[1::4, -1] = SERPENTINE[3::4, 0] = True
+
+
+@settings(max_examples=300, deadline=None)
+@given(free=occupancy_grids())
+@example(free=np.zeros((4, 5, 3), dtype=bool))
+@example(free=np.ones((4, 5, 3), dtype=bool))
+@example(free=THIN[None, :, :].copy())
+@example(free=THIN[:, None, :].copy())
+@example(free=THIN[:, :, None].copy())
+@example(free=np.ones((1, 1, 1), dtype=bool))
+@example(free=SERPENTINE)
+@example(free=cells((4, 4, 1), (0, 0, 0), (1, 1, 0), (2, 2, 0), (0, 3, 0), (3, 0, 0)))  # i-j diagonals
+@example(free=cells((4, 1, 4), (0, 0, 0), (1, 0, 1), (3, 0, 1), (2, 0, 2)))  # i-k diagonals
+@example(free=cells((1, 4, 4), (0, 0, 3), (0, 1, 2), (0, 3, 0), (0, 2, 1)))  # j-k anti-diagonal
+@example(free=cells((3, 3, 3), (0, 0, 0), (1, 1, 1), (2, 2, 2)))  # corners only
+@example(free=cells((3, 3, 3), (2, 0, 0), (1, 1, 1), (0, 2, 2), (2, 2, 0)))  # three corners on one centre
+def test_label_components_partition_matches_ndimage(free):
+    reference, _ = ndimage.label(free, structure=np.ones((3, 3, 3)))
+    assert same_partition(_label_components(free), reference)
 
 
 # ---------------------------------------------------------------- prioritization

@@ -1,6 +1,9 @@
 import dataclasses
 import json
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -589,6 +592,25 @@ def test_cli_run_and_summary(tmp_path):
     pred = (out / "predicted_paths.csv").read_text().strip().splitlines()
     assert pred[0] == "t,pose_index,x,y,z,psi"
     assert len(pred) > 1
+
+
+def test_cli_plan_and_run_import_no_scipy(tmp_path):
+    # The library needs numpy only; importing scipy.ndimage alone would add
+    # about 27 MB to every process.  A fresh interpreter, since the tests'
+    # oracles load scipy into this one.
+    plan, run = str(tmp_path / "plan"), str(tmp_path / "run")
+    code = f"""
+import sys
+from surfscan.cli import main
+assert main(["plan", "--demo", "nominal", "--out", {plan!r}]) == 0
+assert main(["run", "--demo", "nominal", "--out", {run!r}]) == 0
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "[]"
 
 
 def test_cli_compare_shares_planning_artifacts(tmp_path, monkeypatch):

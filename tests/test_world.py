@@ -59,6 +59,26 @@ def test_load_map_planar_grid(tmp_path):
     assert np.count_nonzero(load_map(f, 0.1, None).occ) == 100
 
 
+def voxelized_in_one_pass(points, vmap):
+    """The voxels of `points` on `vmap`'s grid, from one fancy index over
+    all of them, as `VoxelMap.from_points` computed them before it went
+    block by block."""
+    occ = np.zeros(vmap.shape, dtype=bool)
+    idx = np.floor((points - vmap.origin) / vmap.voxel_size).astype(int)
+    idx = np.clip(idx, 0, np.array(occ.shape) - 1)
+    occ[idx[:, 0], idx[:, 1], idx[:, 2]] = True
+    return occ
+
+
+@pytest.mark.parametrize("count", [1, 65536, 65537, 140001])
+def test_from_points_in_blocks_matches_one_pass(count):
+    # Points inside and outside the bounds (those are clipped), on either
+    # side of a block boundary.
+    points = np.random.default_rng(count).uniform(-2.0, 12.0, (count, 3))
+    vmap = VoxelMap.from_points(points, 0.05, ((0.0, 0.0, 0.0), (10.0, 8.0, 3.0)))
+    assert np.array_equal(vmap.occ, voxelized_in_one_pass(points, vmap))
+
+
 def test_load_xyz_reports_line_number(tmp_path):
     f = tmp_path / "bad.xyz"
     f.write_text("0 0 0\n1 2\n")
