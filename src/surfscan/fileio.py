@@ -1,5 +1,6 @@
 """File formats: ASCII xyz point files."""
 
+import math
 import warnings
 from pathlib import Path
 
@@ -13,8 +14,9 @@ def load_xyz(path):
     whitespace-separated, `#` starts a comment) into an (N, 3) array.
 
     numpy's parser reads well-formed files; a malformed, empty or
-    comment-only file is re-read line by line, which names the offending
-    line or returns a (0, 3) array.
+    comment-only file, or one with a non-finite value (`nan`, `inf`), is
+    re-read line by line, which names the offending line or returns a
+    (0, 3) array.
     """
     with warnings.catch_warnings():
         # loadtxt warns on a file without data; the line loop handles it.
@@ -23,7 +25,7 @@ def load_xyz(path):
             points = np.loadtxt(path, comments="#", ndmin=2, encoding="utf-8")
         except ValueError:
             points = None
-    if points is not None and points.shape[0] and points.shape[1] == 3:
+    if points is not None and points.shape[0] and points.shape[1] == 3 and np.isfinite(points).all():
         return points
     return _load_xyz_lines(path)
 
@@ -39,9 +41,12 @@ def _load_xyz_lines(path):
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 3 values, got {len(parts)}")
             try:
-                points.append([float(p) for p in parts])
+                point = [float(p) for p in parts]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if not all(math.isfinite(v) for v in point):
+                raise ValueError(f"{path}:{lineno}: non-finite value in {line!r}")
+            points.append(point)
     return np.asarray(points, dtype=np.float64).reshape(-1, 3)
 
 

@@ -10,13 +10,7 @@ virtual sensing at every predicted pose.
 
 import numpy as np
 
-from .geometry import (
-    DegenerateGeometryError,
-    NoSurfaceError,
-    PathSegment,
-    ViewPose4,
-    nearest_point,
-)
+from .geometry import DegenerateGeometryError, PathSegment, ViewPose4, nearest_point
 from .world import sample_cloud
 
 __all__ = ["ego_frame", "predict_local_path"]
@@ -42,20 +36,21 @@ def ego_frame(position, p_nn):
     return nu_x, nu_y, nu_z, r
 
 
-def _next_pose_from_nn(pos, p_nn, cfg, sweep_sign):
+def _next_pose(pos, p_nn, guide_pos, cfg):
     """Next constraint-satisfying view pose from the position `pos` and its
-    nearest surface point `p_nn`.
+    nearest surface point `p_nn`, sweeping toward the guide position.
 
     `cfg` is the mission's `ScenarioConfig`; its `view` constraints and
     `z_band` are read.  The approach term closes the gap between the sensed
     range and the desired viewing distance; the lateral step advances by
-    the horizontal overlap footprint in the direction of `sweep_sign` (+1 or
-    -1); the vertical step applies the vertical overlap footprint, clamped
-    to the height band (None keeps the full vertical term).  Yaw faces the
-    nearest surface point.
+    the horizontal overlap footprint along the lateral axis, signed toward
+    `guide_pos` (+ on ties); the vertical step applies the vertical overlap
+    footprint, clamped to the height band (None keeps the full vertical
+    term).  Yaw faces the nearest surface point.
     """
     c = cfg.view
     nu_x, nu_y, nu_z, r = ego_frame(pos, p_nn)
+    sweep_sign = 1.0 if float(nu_y @ (guide_pos - pos)) >= 0.0 else -1.0
     d_insp = r - c.d_view
     d_hov = 2.0 * np.tan(c.alpha / 2.0) * r * (1.0 - c.gamma_h)
     d_vov = 2.0 * np.tan(c.beta / 2.0) * r * (1.0 - c.gamma_v)
@@ -66,12 +61,6 @@ def _next_pose_from_nn(pos, p_nn, cfg, sweep_sign):
         nxt[2] = min(max(nxt[2], lo), hi)
     psi = float(np.arctan2(nu_x[1], nu_x[0]))
     return ViewPose4(nxt[0], nxt[1], nxt[2], psi)
-
-
-def _sweep_sign_toward(pos, p_nn, guide_pos):
-    """Lateral direction that advances toward the guide pose (+1 on ties)."""
-    _, nu_y, _, _ = ego_frame(pos, p_nn)
-    return 1.0 if float(nu_y @ (guide_pos - pos)) >= 0.0 else -1.0
 
 
 def predict_local_path(odom, vmap, guide, cfg, first_cloud):
@@ -87,28 +76,17 @@ def predict_local_path(odom, vmap, guide, cfg, first_cloud):
     the next-view rule with the lateral sweep directed toward the
     corresponding guide pose.  Returns (path, short): `short` is True
     when sensing came up empty at a virtual pose and the prediction was
-    truncated.  Raises NoSurfaceError when nothing is visible from the
-    starting pose itself.
+    truncated.  An empty `first_cloud` raises NoSurfaceError (from
+    `nearest_point`).
     """
-    pos = odom.position
-    poses = []
-    short = False
-    for i in range(len(guide)):
-        if i == 0:
-            cloud = first_cloud
-        else:
+    pos, cloud, poses = odom.position, first_cloud, []
+    for g in guide:
+        if poses:
             cloud = sample_cloud(vmap, pos, cfg.sense_range, cfg.sense_rays, nearest=True)
-        if cloud.is_empty:
-            if i == 0:
-                raise NoSurfaceError("no surface visible from the planning pose")
-            short = True
-            break
+            if cloud.is_empty:
+                return PathSegment(poses), True
         p_nn, _ = nearest_point(cloud, pos)
-        g = guide[i].position
-        sign = _sweep_sign_toward(pos, p_nn, g)
-        nxt = _next_pose_from_nn(pos, p_nn, cfg, sign)
+        nxt = _next_pose(pos, p_nn, g.position, cfg)
         poses.append(nxt)
         pos = nxt.position
-    if not poses:
-        raise NoSurfaceError("no surface visible from the planning pose")
-    return PathSegment(poses), short
+    return PathSegment(poses), False

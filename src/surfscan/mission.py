@@ -146,7 +146,7 @@ class MissionRunner:
 
 
 # What every record carries before the first supervision cycle.
-_NO_CYCLE = SupervisionCycle(MissionMode.GLOBAL, NAN, NAN, NAN, NAN, cursor=0, visited=0, viewing_distance=NAN)
+_NO_CYCLE = SupervisionCycle(MissionMode.GLOBAL, NAN, NAN, NAN, NAN, cursor=0, viewing_distance=NAN)
 # Viewing-distance scans cast together in one raycast call.
 _SCAN_BATCH = 8
 # The mission status a task's inspection ends with; still running means out of time.
@@ -256,7 +256,7 @@ class _Stepper:
                 self.track(ref)
             elif state.status is MissionStatus.RUNNING:
                 self.advance(None)
-        self.visited_total += state.visited_count
+        self.visited_total += state.cursor
         self.approx_visits += state.approx_visits
         return _INSPECT_STATUS[state.status]
 
@@ -344,7 +344,7 @@ class _Stepper:
                 rmse_pre=cycle.rmse_pre,
                 rmse_post=cycle.rmse_post,
                 cursor=cycle.cursor,
-                visited=cycle.visited,
+                visited=cycle.cursor,
                 viewing_distance=NAN if vd is None else vd,
                 utility=utility,
                 x=pose.x,

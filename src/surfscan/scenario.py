@@ -330,6 +330,11 @@ def _parse_scenario(raw, path):
         at = f"tasks[{i}]"
         entry = _mapping(entry, at, "tasks[]")
         task_id = str(_required(entry, "id", at))
+        # The id names the task's artifact files, so it must be one file name.
+        if task_id in ("", ".", "..") or "/" in task_id or "\\" in task_id:
+            raise ValueError(f"{at}.id {task_id!r} must be a file name: not empty, '.' or '..', no '/' or '\\'")
+        if any(task.id == task_id for task in tasks):
+            raise ValueError(f"{at}.id {task_id!r} repeats an earlier task's id")
         where = f"{at}.vertices"
         vertices = [
             _finite_tuple(v, 3, f"{where}[{k}]", "x y z")

@@ -4,13 +4,12 @@ per-cycle mission bookkeeping."""
 
 import enum
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .geometry import (
-    NoSurfaceError,
     PathSegment,
     ViewPose4,
     apply_transform,
@@ -37,8 +36,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-# Consecutive failed sensing or prediction cycles a task survives; one more
-# aborts it.
+# Consecutive cycles with an empty scan a task survives; one more aborts it.
 _MAX_RETRIES = 10
 
 
@@ -68,17 +66,10 @@ class SimilarityScore:
 
 
 def extract_global_segment(tour, plan, cursor, horizon):
-    """Next `horizon` tour poses from the cursor, padded by repeating the
-    final pose so the segment always has exactly `horizon` entries (keeps
-    the index-wise alignment well-posed).  Returns None when the tour is
-    exhausted (completion signal)."""
-    if cursor >= len(tour.order):
-        return None
-    poses = []
-    for k in range(cursor, cursor + horizon):
-        idx = tour.order[min(k, len(tour.order) - 1)]
-        poses.append(plan.viewpoints[idx])
-    return PathSegment(poses)
+    """The next `horizon` tour poses from the cursor; fewer near the tour
+    end, so a prediction guided by them never runs past the final
+    viewpoint."""
+    return PathSegment([plan.viewpoints[i] for i in tour.order[cursor : cursor + horizon]])
 
 
 def path_similarity(gvp, lvp):
@@ -124,33 +115,28 @@ def _pad_segment(segment, length):
 @dataclass
 class MissionState:
     """Mutable supervision state for one task's tour.  `cfg` is the
-    mission's `ScenarioConfig`, the one holder of its parameters."""
+    mission's `ScenarioConfig`, the one holder of its parameters.
+
+    A visit credits the cursor viewpoint and advances the cursor, so
+    `cursor` is also the count of viewpoints visited; `approx_visits` counts
+    those credited against an alignment-reprojected counterpart.
+    `aligned_target` is the last cycle's counterpart of the cursor
+    viewpoint, cleared by a visit; it stands for an approximated plan
+    exactly when `mode` is REPLANNED.
+    """
 
     plan: object
     tour: object
     cfg: object
 
     cursor: int = 0
-    visited_via: list = field(default_factory=list)  # None | "direct" | "approx"
+    approx_visits: int = 0
     mode: MissionMode = MissionMode.GLOBAL
     status: MissionStatus = MissionStatus.RUNNING
     retries: int = 0
     aligned_target: Optional[ViewPose4] = None
-    target_mode: MissionMode = MissionMode.GLOBAL
     last_rmse_post: float = 0.0
     last_lvp: Optional[PathSegment] = None
-
-    def __post_init__(self):
-        if not self.visited_via:
-            self.visited_via = [None] * len(self.tour.order)
-
-    @property
-    def visited_count(self):
-        return sum(1 for v in self.visited_via if v is not None)
-
-    @property
-    def approx_visits(self):
-        return sum(1 for v in self.visited_via if v == "approx")
 
 
 @dataclass(frozen=True)
@@ -162,8 +148,7 @@ class SupervisionCycle:
     gamma_s: float
     rmse_pre: float
     rmse_post: float
-    cursor: int
-    visited: int
+    cursor: int  # also the count of viewpoints visited
     viewing_distance: float
     event: Optional[str] = None  # visit | complete | sense_retry | abort
     visited_index: Optional[int] = None
@@ -176,8 +161,8 @@ def _within(robot, target, pos_tol, yaw_tol):
     return abs(wrap_angle(target.psi - robot.psi)) <= yaw_tol
 
 
-def _unscored_cycle(state, event, visited_index, vd=float("nan")):
-    """The record of a cycle that emits no reference: no similarity."""
+def _unscored_cycle(state, event, visited_index):
+    """The record of a cycle that emits no reference: no scan, no similarity."""
     nan = float("nan")
     return SupervisionCycle(
         mode=state.mode,
@@ -186,17 +171,16 @@ def _unscored_cycle(state, event, visited_index, vd=float("nan")):
         rmse_pre=nan,
         rmse_post=nan,
         cursor=state.cursor,
-        visited=state.visited_count,
-        viewing_distance=vd,
+        viewing_distance=nan,
         event=event,
         visited_index=visited_index,
     )
 
 
 def _retry(state):
-    """Count one failed sensing or prediction attempt; abort the task once
-    the count passes `_MAX_RETRIES` (a successful prediction resets it).
-    Returns the cycle event."""
+    """Count one empty scan; abort the task once the count passes
+    `_MAX_RETRIES` (a scan that sees a surface resets it).  Returns the
+    cycle event."""
     state.retries += 1
     if state.retries > _MAX_RETRIES:
         state.status = MissionStatus.ABORTED
@@ -205,13 +189,15 @@ def _retry(state):
 
 
 def step_mission(state, scene, robot):
-    """One supervision cycle at the current robot pose.
+    """One supervision cycle at the current robot pose of a running task.
 
     Marks the cursor viewpoint visited when the robot has reached its
     (possibly alignment-reprojected) counterpart, then senses, predicts the
     local path over the horizon guided by the global segment, scores the
-    similarity, decides the mode and reconciles.  Returns the reference
-    view pose to track (None on completion / sensing failure) and the cycle
+    similarity, decides the mode and reconciles.  A visit to a counterpart
+    reprojected while REPLANNED is approximate and is credited only when
+    that alignment's RMSE was below `pos_tol`.  Returns the reference view
+    pose to track (None on completion / an empty scan) and the cycle
     record.  Mode, horizon, sensing, similarity threshold and arrival
     tolerances come from `state.cfg`.
     """
@@ -219,25 +205,18 @@ def step_mission(state, scene, robot):
     # Visitation bookkeeping against the last reconciled counterpart.
     event = None
     visited_index = None
-    if state.cursor < len(state.tour.order):
-        target = state.aligned_target
-        if target is None:
-            target = state.plan.viewpoints[state.tour.order[state.cursor]]
-        if _within(robot, target, cfg.pos_tol, cfg.yaw_tol):
-            credit = (
-                state.target_mode is MissionMode.GLOBAL
-                or state.last_rmse_post < cfg.pos_tol
-            )
-            if credit:
-                state.visited_via[state.cursor] = (
-                    "direct" if state.target_mode is MissionMode.GLOBAL else "approx"
-                )
-                visited_index = state.cursor
-                state.cursor += 1
-                state.aligned_target = None
-                state.target_mode = MissionMode.GLOBAL
-                event = "visit"
-                log.debug("visited tour index %d (%s)", visited_index, state.visited_via[visited_index])
+    target = state.aligned_target
+    approx = target is not None and state.mode is MissionMode.REPLANNED
+    if target is None:
+        target = state.plan.viewpoints[state.tour.order[state.cursor]]
+    credit = not approx or state.last_rmse_post < cfg.pos_tol
+    if credit and _within(robot, target, cfg.pos_tol, cfg.yaw_tol):
+        state.approx_visits += int(approx)
+        visited_index = state.cursor
+        state.cursor += 1
+        state.aligned_target = None
+        event = "visit"
+        log.debug("visited tour index %d (%s)", visited_index, "approx" if approx else "direct")
 
     if state.cursor >= len(state.tour.order):
         state.status = MissionStatus.COMPLETE
@@ -246,20 +225,11 @@ def step_mission(state, scene, robot):
     cloud = sample_cloud(scene.current, robot.position, cfg.sense_range, cfg.sense_rays, nearest=True)
     if cloud.is_empty:
         return None, _unscored_cycle(state, _retry(state), visited_index)
+    state.retries = 0
     vd = viewing_distance(robot, cloud)
 
-    # The segment shrinks near the tour end so the prediction chain never
-    # runs past the final viewpoint.
-    remaining = len(state.tour.order) - state.cursor
-    horizon = min(cfg.horizon, remaining)
-    gvp = extract_global_segment(state.tour, state.plan, state.cursor, horizon)
-    try:
-        lvp, short = predict_local_path(robot, scene.current, gvp, cfg, cloud)
-    except NoSurfaceError:
-        lvp, short = None, True
-    if lvp is None:
-        return None, _unscored_cycle(state, _retry(state), visited_index, vd)
-    state.retries = 0
+    gvp = extract_global_segment(state.tour, state.plan, state.cursor, cfg.horizon)
+    lvp, short = predict_local_path(robot, scene.current, gvp, cfg, cloud)
     lvp = _pad_segment(lvp, len(gvp))
 
     score = path_similarity(gvp, lvp)
@@ -270,7 +240,6 @@ def step_mission(state, scene, robot):
 
     state.mode = mode
     state.aligned_target = aligned[0]
-    state.target_mode = mode
     state.last_rmse_post = rmse_post
     state.last_lvp = lvp
 
@@ -281,7 +250,6 @@ def step_mission(state, scene, robot):
         rmse_pre=rmse_pre,
         rmse_post=rmse_post,
         cursor=state.cursor,
-        visited=state.visited_count,
         viewing_distance=vd,
         event=event,
         visited_index=visited_index,

@@ -318,6 +318,16 @@ WALL_VERTICES = [[6, -3, 0], [6, 3, 0], [6, 3, 2], [6, -3, 2]]
         ),
         (("tasks",), {"id": "wall"}, "tasks must be a list"),
         (("maps", "historical", "boxes"), {"lo": [6, -3, 0]}, "maps.historical.boxes must be a list"),
+        (
+            ("tasks",),
+            [{"id": "wall", "vertices": WALL_VERTICES}] * 2,
+            "tasks[1].id 'wall' repeats an earlier task's id",
+        ),
+        (("tasks", 0, "id"), "", "tasks[0].id '' must be a file name"),
+        (("tasks", 0, "id"), ".", "tasks[0].id '.' must be a file name"),
+        (("tasks", 0, "id"), "..", "tasks[0].id '..' must be a file name"),
+        (("tasks", 0, "id"), "a/b", "tasks[0].id 'a/b' must be a file name"),
+        (("tasks", 0, "id"), "a\\b", "tasks[0].id 'a\\\\b' must be a file name"),
     ],
     ids=[
         "bounds_lo",
@@ -333,6 +343,12 @@ WALL_VERTICES = [[6, -3, 0], [6, 3, 0], [6, 3, 2], [6, -3, 2]]
         "vertex_short",
         "tasks_mapping",
         "boxes_mapping",
+        "task_id_repeated",
+        "task_id_empty",
+        "task_id_dot",
+        "task_id_dotdot",
+        "task_id_slash",
+        "task_id_backslash",
     ],
 )
 def test_cli_scenario_errors_name_the_key_path(tmp_path, capsys, path, value, reason):
@@ -341,7 +357,10 @@ def test_cli_scenario_errors_name_the_key_path(tmp_path, capsys, path, value, re
     # a bad box corner did not say which box, a scalar corner or vertex
     # list read `'int' object is not iterable`, a short vertex gave numpy's
     # "inhomogeneous shape" text, and a mapping in place of the task or box
-    # list read `tasks[0] must be a mapping`.
+    # list read `tasks[0] must be a mapping`.  Two tasks named `wall`
+    # planned as "2 executable task(s)" with one task's files overwriting
+    # the other's, and an id `a/b` planned, then failed with a
+    # FileNotFoundError traceback (exit 1) writing `tour_a/b.json`.
     f = _write_with(tmp_path, path, value)
     out = tmp_path / "out"
     assert main(["plan", "--config", str(f), "--out", str(out)]) == 64
@@ -489,6 +508,30 @@ def test_cli_rejects_invalid_task_roi(tmp_path, capsys, vertices, reason):
     assert main(["plan", "--config", str(f), "--out", str(out)]) == 64
     err = capsys.readouterr().err
     assert f"{f}: tasks[0] (wall): " in err and reason in err
+    assert not out.exists()
+
+
+def test_load_scenario_accepts_the_usual_task_ids(tmp_path):
+    ids = ("wall", "face", "north", "south", "enclosed")
+    f = _write_with(tmp_path, ("tasks",), [{"id": task_id, "vertices": WALL_VERTICES} for task_id in ids])
+    assert tuple(task.id for task in load_scenario(f).tasks) == ids
+
+
+@pytest.mark.parametrize("bounds", [True, False], ids=["bounds", "no_bounds"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_cli_rejects_non_finite_survey_point(tmp_path, capsys, value, bounds):
+    # With bounds the point was clipped onto an edge voxel; without them the
+    # run ended with "error: negative dimensions are not allowed".
+    (tmp_path / "map.xyz").write_text(f"6.05 0.05 0.55\n6.05 {value} 0.65\n")
+    maps = "maps:\n" + ("  bounds: {lo: [-1, -8, 0], hi: [12, 7, 2.4]}\n" if bounds else "")
+    f = tmp_path / "scn.yaml"
+    f.write_text(
+        "version: 1\n" + maps + "  historical: {file: map.xyz}\n"
+        "tasks:\n  - id: t\n    vertices: [[6,-1,0],[6,1,0],[6,1,1],[6,-1,1]]\n"
+    )
+    out = tmp_path / "out"
+    assert main(["plan", "--config", str(f), "--out", str(out)]) == 64
+    assert f"map.xyz:2: non-finite value in '6.05 {value} 0.65'" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -678,10 +721,11 @@ def test_cli_unreachable_task_exit_code(tmp_path):
     assert main(["plan", "--config", str(f), "--out", str(tmp_path / "out")]) == 3
 
 
-def test_cli_failing_prediction_aborts(tmp_path, monkeypatch):
+def test_cli_failing_scan_aborts(tmp_path, monkeypatch):
     from surfscan import supervisor
+    from surfscan.geometry import PointCloud
 
-    monkeypatch.setattr(supervisor, "predict_local_path", lambda *args, **kwargs: (None, True))
+    monkeypatch.setattr(supervisor, "sample_cloud", lambda *args, **kwargs: PointCloud(np.zeros((0, 3))))
     out = tmp_path / "run"
     assert main(["run", "--demo", "nominal", "--out", str(out)]) == 3
     assert json.loads((out / "summary.json").read_text())["status"] == "aborted"

@@ -46,22 +46,18 @@ def test_extract_segment_head():
     assert np.allclose(seg.positions[:, 1], [0.0, 1.11, 2.22])
 
 
-def test_extract_segment_pads_tail():
+def test_extract_segment_near_tour_end_holds_only_the_remaining_poses():
     plan, tour = line_plan(10), line_tour(10)
     seg = extract_global_segment(tour, plan, 8, 3)
-    assert len(seg) == 3
-    assert np.allclose(seg.positions[:, 1], [8 * 1.11, 9 * 1.11, 9 * 1.11])
+    assert len(seg) == 2
+    assert np.allclose(seg.positions[:, 1], [8 * 1.11, 9 * 1.11])
+    assert len(extract_global_segment(tour, plan, 9, 3)) == 1
 
 
 def test_extract_segment_whole_tour():
     plan, tour = line_plan(4), line_tour(4)
     seg = extract_global_segment(tour, plan, 0, 4)
     assert len(seg) == 4
-
-
-def test_extract_segment_exhausted_returns_none():
-    plan, tour = line_plan(4), line_tour(4)
-    assert extract_global_segment(tour, plan, 4, 3) is None
 
 
 # ---------------------------------------------------------------- similarity
@@ -176,7 +172,7 @@ def test_step_mission_visits_and_advances():
     robot = ViewPose4(4.0, 0.0, 0.6, 0.0)  # exactly at viewpoint 0
     ref, cycle = step_mission(state, scene, robot)
     assert cycle.event == "visit" and cycle.visited_index == 0
-    assert state.cursor == 1 and state.visited_via[0] == "direct"
+    assert state.cursor == 1 and state.approx_visits == 0
     assert ref is not None
     assert cycle.gamma_s > 0.5  # nominal scene stays similar
 
@@ -188,7 +184,7 @@ def test_step_mission_completion():
     ref, cycle = step_mission(state, scene, robot)
     assert cycle.event == "complete" and ref is None
     assert state.status is MissionStatus.COMPLETE
-    assert state.visited_via == ["direct"]
+    assert state.cursor == 1 and state.approx_visits == 0
 
 
 def test_step_mission_no_visit_when_far():
@@ -213,24 +209,46 @@ def test_step_mission_approx_credit_gated_on_alignment():
     # Pretend the last cycle reprojected viewpoint 0 to the robot's position
     # with a tight alignment: credit flows and is recorded as approximate.
     state.aligned_target = ViewPose4(5.0, 0.0, 0.6, 0.0)
-    state.target_mode = MissionMode.REPLANNED
+    state.mode = MissionMode.REPLANNED
     state.last_rmse_post = 0.05
     robot = ViewPose4(5.0, 0.0, 0.6)
     _, cycle = step_mission(state, scene, robot)
-    assert cycle.event == "visit"
-    assert state.visited_via[0] == "approx"
-    assert state.approx_visits == 1
+    assert cycle.event == "visit" and cycle.visited_index == 0
+    assert state.cursor == 1 and state.approx_visits == 1
 
 
 def test_step_mission_approx_credit_denied_on_loose_alignment():
     scene = wall_scene()
     state = make_state()
     state.aligned_target = ViewPose4(5.0, 0.0, 0.6, 0.0)
-    state.target_mode = MissionMode.REPLANNED
+    state.mode = MissionMode.REPLANNED
     state.last_rmse_post = 0.8  # alignment too loose to trust
     robot = ViewPose4(5.0, 0.0, 0.6)
     _, cycle = step_mission(state, scene, robot)
     assert cycle.event is None and state.cursor == 0
+
+
+def test_step_mission_credits_directly_after_an_approximated_visit():
+    # An approximated visit clears the reprojected counterpart; the mode
+    # stays REPLANNED and the loose alignment stays on record, yet the next
+    # viewpoint is credited directly at its own pose, even after a cycle
+    # whose scan came up empty.
+    scene = wall_scene()
+    empty = Scene.unchanged(VoxelMap.empty((0, -1, 0), (8, 1, 2), 0.1))
+    state = make_state()
+    state.aligned_target = ViewPose4(5.0, 0.0, 0.6, 0.0)
+    state.mode = MissionMode.REPLANNED
+    state.last_rmse_post = 0.05
+    step_mission(state, empty, ViewPose4(5.0, 0.0, 0.6))
+    assert state.cursor == 1 and state.approx_visits == 1 and state.aligned_target is None
+    state.last_rmse_post = state.cfg.pos_tol
+    next_vp = state.plan.viewpoints[state.tour.order[1]]
+    _, cycle = step_mission(state, empty, ViewPose4(5.0, 0.0, 0.6))
+    assert cycle.event == "sense_retry" and state.cursor == 1
+    assert state.mode is MissionMode.REPLANNED and state.last_rmse_post >= state.cfg.pos_tol
+    _, cycle = step_mission(state, scene, next_vp)
+    assert cycle.event == "visit" and cycle.visited_index == 1
+    assert state.cursor == 2 and state.approx_visits == 1
 
 
 def test_step_mission_sensing_failure_retries_then_aborts(monkeypatch):
@@ -246,22 +264,6 @@ def test_step_mission_sensing_failure_retries_then_aborts(monkeypatch):
         if state.status is MissionStatus.ABORTED:
             break
     assert events[:2] == ["sense_retry", "sense_retry"]
-    assert state.status is MissionStatus.ABORTED
-
-
-def test_step_mission_prediction_failures_abort(monkeypatch):
-    # The scan sees the wall every cycle but no prediction succeeds: the
-    # retries accumulate and the task aborts on cycle _MAX_RETRIES + 1.
-    monkeypatch.setattr(supervisor, "predict_local_path", lambda *args, **kwargs: (None, True))
-    scene = wall_scene()
-    state = make_state()
-    robot = ViewPose4(4.0, -0.9, 0.6)
-    events = []
-    for _ in range(supervisor._MAX_RETRIES + 1):
-        ref, cycle = step_mission(state, scene, robot)
-        assert ref is None
-        events.append(cycle.event)
-    assert events == ["sense_retry"] * supervisor._MAX_RETRIES + ["abort"]
     assert state.status is MissionStatus.ABORTED
 
 
@@ -306,4 +308,4 @@ def test_cursor_monotone_and_visited_grow():
         step_mission(state, scene, ViewPose4(x, y, 0.6))
         cursors.append(state.cursor)
     assert cursors == sorted(cursors)
-    assert state.visited_count == len([c for c in cursors if c])
+    assert cursors == [1, 2, 3, 4] and state.approx_visits == 0
