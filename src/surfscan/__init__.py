@@ -21,7 +21,6 @@ from .geometry import (
     discrete_frechet,
     kabsch_align,
     nearest_point,
-    point_in_polygon,
     polygon_basis,
     polygon_normal,
     wrap_angle,

@@ -22,7 +22,6 @@ __all__ = [
     "RigidTransform",
     "polygon_normal",
     "polygon_basis",
-    "point_in_polygon",
     "nearest_point",
     "discrete_frechet",
     "kabsch_align",
@@ -211,30 +210,33 @@ class PolygonROI:
         verts.setflags(write=False)
         object.__setattr__(self, "vertices", verts)
         n = polygon_normal(verts)  # raises for degenerate windings
-        centroid = verts.mean(axis=0)
-        off = np.abs((verts - centroid) @ n)
+        with np.errstate(all="ignore"):  # an overflowing frame is rejected below
+            centroid = verts.mean(axis=0)
+            off = np.abs((verts - centroid) @ n)
+            u, v = _plane_basis(verts, n)
+            pts2 = np.column_stack([(verts - centroid) @ u, (verts - centroid) @ v])
+        if not np.all(np.isfinite(pts2)):
+            raise ValueError("PolygonROI in-plane frame is not finite: the vertices lie too far apart")
         if off.max() > PLANE_TOL:
             raise ValueError(
                 f"vertices deviate {off.max():.3g} m from best-fit plane "
                 f"(tolerance {PLANE_TOL:g})"
             )
-        u, v = _plane_basis(verts, n)
-        pts2 = np.column_stack([(verts - centroid) @ u, (verts - centroid) @ v])
-        # The ROI frame, built once: point_in_polygon reads it on every call,
-        # the in-plane vertices as plain floats.
+        # The ROI frame, built once: `inside_in_plane` reads it on every
+        # call, the in-plane vertices as plain floats.
         poly = tuple(map(tuple, pts2.tolist()))
         for name, value in (("_normal", n), ("_centroid", centroid), ("_basis", (u, v)), ("_poly2", poly)):
             if isinstance(value, np.ndarray):
                 value.setflags(write=False)
             object.__setattr__(self, name, value)
-        # Reject self-intersections in the plane.
-        m = len(pts2)
+        # Reject self-intersections, in plain floats (which overflow silently).
+        m = len(poly)
         for i in range(m):
-            a1, a2 = pts2[i], pts2[(i + 1) % m]
+            a1, a2 = poly[i], poly[(i + 1) % m]
             for j in range(i + 1, m):
                 if j == i or (j + 1) % m == i or (i + 1) % m == j:
                     continue
-                b1, b2 = pts2[j], pts2[(j + 1) % m]
+                b1, b2 = poly[j], poly[(j + 1) % m]
                 if _segments_intersect_2d(a1, a2, b1, b2):
                     raise ValueError("PolygonROI is self-intersecting")
 
@@ -256,22 +258,24 @@ class PolygonROI:
 def polygon_normal(roi):
     """Unit normal of the polygon plane, oriented by vertex winding
     (right-hand rule); a `PolygonROI` returns the normal it stored when
-    built.  Raises DegenerateGeometryError for collinear input."""
+    built.  Raises DegenerateGeometryError for collinear input or a normal
+    that overflows."""
     if isinstance(roi, PolygonROI):
         return roi.normal
     verts = np.asarray(roi, dtype=np.float64)
     # Newell's method: exact plane normal for planar polygons, winding-signed.
     nxt = np.roll(verts, -1, axis=0)
-    n = np.array(
-        [
-            np.sum((verts[:, 1] - nxt[:, 1]) * (verts[:, 2] + nxt[:, 2])),
-            np.sum((verts[:, 2] - nxt[:, 2]) * (verts[:, 0] + nxt[:, 0])),
-            np.sum((verts[:, 0] - nxt[:, 0]) * (verts[:, 1] + nxt[:, 1])),
-        ]
-    )
-    norm = np.linalg.norm(n)
-    if norm < 1e-12:
-        raise DegenerateGeometryError("polygon vertices are collinear or degenerate")
+    with np.errstate(over="ignore", invalid="ignore"):
+        n = np.array(
+            [
+                np.sum((verts[:, 1] - nxt[:, 1]) * (verts[:, 2] + nxt[:, 2])),
+                np.sum((verts[:, 2] - nxt[:, 2]) * (verts[:, 0] + nxt[:, 0])),
+                np.sum((verts[:, 0] - nxt[:, 0]) * (verts[:, 1] + nxt[:, 1])),
+            ]
+        )
+        norm = np.linalg.norm(n)
+    if not 1e-12 <= norm < np.inf:
+        raise DegenerateGeometryError("polygon vertices are collinear, degenerate or too far apart")
     return n / norm
 
 
@@ -305,23 +309,10 @@ def _plane_basis(verts, n):
     return u, v
 
 
-def point_in_polygon(roi, p):
-    """True iff the in-plane projection of p lies inside the polygon.
-    Boundary points count as inside.  p must lie on the ROI plane."""
-    p = _as_vec3(p)
-    n = roi.normal
-    c = roi.centroid
-    if abs(float((p - c) @ n)) > PLANE_TOL:
-        raise ValueError("point lies off the polygon plane beyond tolerance")
-    u, v = roi._basis
-    return inside_in_plane(roi, float((p - c) @ u), float((p - c) @ v))
-
-
 def inside_in_plane(roi, px, py):
-    """`point_in_polygon` of the point at in-plane coordinates (px, py),
-    plain floats along the ROI's basis from its centroid: True iff it lies
-    inside the polygon or within `BOUNDARY_EPS` of its boundary
-    (crossing-number test)."""
+    """True iff the point at in-plane coordinates (px, py), plain floats
+    along the ROI's basis from its centroid, lies inside the polygon or
+    within `BOUNDARY_EPS` of its boundary (crossing-number test)."""
     poly = roi._poly2
     m = len(poly)
     inside = False

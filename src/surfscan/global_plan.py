@@ -46,40 +46,25 @@ class RouteError(RuntimeError):
 
 @dataclass(frozen=True)
 class ViewConstraints:
-    """Viewing distance, overlap fractions and camera FOV driving both the
-    global grid spacing and the local replanning offsets."""
+    """Viewing distance and overlap fractions; with the camera's FOV they
+    drive both the global grid spacing and the local replanning offsets."""
 
     d_view: float = 2.0
     gamma_h: float = 0.6
     gamma_v: float = 0.6
-    alpha: float = np.deg2rad(69.5)
-    beta: float = np.deg2rad(45.0)
 
     def __post_init__(self):
         if not (math.isfinite(self.d_view) and self.d_view > 0):
             raise ValueError(f"d_view must be positive and finite, got {self.d_view}")
         if not (0.0 <= self.gamma_h < 1.0 and 0.0 <= self.gamma_v < 1.0):
             raise ValueError("overlap fractions must lie in [0, 1)")
-        if not (0.0 < self.alpha < np.pi and 0.0 < self.beta < np.pi):
-            raise ValueError("FOV angles must lie in (0, pi)")
 
-    @property
-    def footprint_w(self):
-        """Camera footprint width on a wall at the viewing distance."""
-        return 2.0 * self.d_view * np.tan(self.alpha / 2.0)
-
-    @property
-    def footprint_h(self):
-        return 2.0 * self.d_view * np.tan(self.beta / 2.0)
-
-    @property
-    def spacing_h(self):
-        """Horizontal grid-line spacing honoring the overlap fraction."""
-        return self.footprint_w * (1.0 - self.gamma_h)
-
-    @property
-    def spacing_v(self):
-        return self.footprint_h * (1.0 - self.gamma_v)
+    def spacing(self, camera):
+        """Horizontal and vertical grid-line spacing: the footprint of the
+        `CameraIntrinsics` `camera` at the viewing distance, less the overlaps."""
+        footprint_w = 2.0 * self.d_view * np.tan(camera.alpha / 2.0)
+        footprint_h = 2.0 * self.d_view * np.tan(camera.beta / 2.0)
+        return footprint_w * (1.0 - self.gamma_h), footprint_h * (1.0 - self.gamma_v)
 
 
 @dataclass(frozen=True)
@@ -95,7 +80,6 @@ class ViewPlan:
     task_id: str
     viewpoints: tuple
     valid: np.ndarray
-    grid_points: np.ndarray
 
     def __post_init__(self):
         flags = np.asarray(self.valid, dtype=np.bool_).copy()
@@ -126,18 +110,17 @@ class Tour:
         return len(self.order)
 
 
-def generate_grid_viewpoints(task, view, toward, z_band):
+def generate_grid_viewpoints(task, view, camera, toward, z_band):
     """Grid viewpoints for a polygon ROI (overlap-driven spacing).
 
     The ROI plane is gridded from the in-plane bounding-box minimum corner
-    with spacings derived from the `view` constraints' camera footprint and
-    overlaps; intersections inside the polygon are offset by d_view along
-    the polygon normal and oriented to look back at the surface.  `toward`
-    picks the projection side (the half-space containing it, usually the
-    robot); `z_band` clamps viewpoint heights to [z_min, z_max], merging
-    rows that collapse onto the same height (None: no clamp).  An ROI too
-    small to hold a grid point gets one viewpoint off its centroid, clamped
-    the same way.
+    with the spacings `view.spacing(camera)`; intersections inside the
+    polygon are offset by d_view along the polygon normal and oriented to
+    look back at the surface.  `toward` picks the projection side (the
+    half-space containing it, usually the robot); `z_band` clamps viewpoint
+    heights to [z_min, z_max], merging rows that collapse onto the same
+    height (None: no clamp).  An ROI too small to hold a grid point gets
+    one viewpoint off its centroid, clamped the same way.
     """
     roi = task.roi
     n = polygon_normal(roi)
@@ -154,14 +137,15 @@ def generate_grid_viewpoints(task, view, toward, z_band):
     t0, t1 = float(sv.min()), float(sv.max())
 
     eps = 1e-9
-    n_cols = int(np.floor((s1 - s0) / view.spacing_h + eps)) + 1
-    n_rows = int(np.floor((t1 - t0) / view.spacing_v + eps)) + 1
+    spacing_h, spacing_v = view.spacing(camera)
+    n_cols = int(np.floor((s1 - s0) / spacing_h + eps)) + 1
+    n_rows = int(np.floor((t1 - t0) / spacing_v + eps)) + 1
 
     # Every grid point at once, rows (v) outer and columns (u) inner, with
-    # the per-point arithmetic of `point_in_polygon` and the offset view:
-    # `vecdot` rows are bitwise the 1-D dot products.
-    s_off = s0 + np.arange(n_cols) * view.spacing_h
-    t_off = t0 + np.arange(n_rows) * view.spacing_v
+    # the arithmetic of one point at a time: `vecdot` rows are bitwise the
+    # 1-D dot products.
+    s_off = s0 + np.arange(n_cols) * spacing_h
+    t_off = t0 + np.arange(n_rows) * spacing_v
     grid = centroid + s_off[None, :, None] * u + t_off[:, None, None] * v
     rel = grid - centroid
     if np.any(np.abs(np.vecdot(rel, n)) > PLANE_TOL):
@@ -195,20 +179,17 @@ def generate_grid_viewpoints(task, view, toward, z_band):
             task_id=task.id,
             viewpoints=(ViewPose4(p[0], p[1], z, yaw),),
             valid=np.array([True]),
-            grid_points=centroid.reshape(1, 3),
         )
 
     # One row per distinct (possibly clamped) height, columns in order.
     cells = [seen[key] for key in sorted(seen)]
     viewpoints = tuple(ViewPose4(views[j, i, 0], views[j, i, 1], z, yaw) for j, i, z in cells)
-    rows, cols, _ = zip(*cells)
     if clamped:
         log.warning("task %s: viewpoint heights clamped to band %s", task.id, z_band)
     return ViewPlan(
         task_id=task.id,
         viewpoints=viewpoints,
         valid=np.ones(len(viewpoints), dtype=np.bool_),
-        grid_points=grid[list(rows), list(cols)],
     )
 
 
@@ -247,18 +228,20 @@ def _route_cells(vmap, start, goal, inflation, z_band):
     h = vmap.voxel_size
 
     def cell_of(p, name):
-        g = np.floor(vmap.world_to_grid(p)).astype(int)
-        if np.any(g < 0) or np.any(g >= np.array(shape)):
+        # Checked in float before the cast, which a far point overflows.
+        with np.errstate(over="ignore"):
+            g = np.floor(vmap.world_to_grid(p))
+        if not (np.all(g >= 0) and np.all(g < np.array(shape))):
             raise RouteError(f"{name} {p} lies outside the map bounds")
-        return tuple(g)
+        return tuple(g.astype(int))
 
     s = cell_of(start, "start")
     g = cell_of(goal, "goal")
     if z_band is None:
         k_lo, k_hi = s[2], s[2]
     else:
-        k_lo = int(np.floor((z_band[0] - vmap.origin[2]) / h))
-        k_hi = int(np.floor((z_band[1] - vmap.origin[2]) / h))
+        # Clipped to [-1, nz] in plain floats, which a far band edge cannot overflow.
+        k_lo, k_hi = (math.floor(min(max((z - vmap.origin.item(2)) / h, -1.0), shape[2])) for z in z_band)
     k_lo = max(min(k_lo, s[2], g[2]), 0)
     k_hi = min(max(k_hi, s[2], g[2]), shape[2] - 1)
     band = vmap.free_mask(inflation, k_lo, k_hi)

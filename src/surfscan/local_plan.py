@@ -40,20 +40,20 @@ def _next_pose(pos, p_nn, guide_pos, cfg):
     """Next constraint-satisfying view pose from the position `pos` and its
     nearest surface point `p_nn`, sweeping toward the guide position.
 
-    `cfg` is the mission's `ScenarioConfig`; its `view` constraints and
-    `z_band` are read.  The approach term closes the gap between the sensed
-    range and the desired viewing distance; the lateral step advances by
-    the horizontal overlap footprint along the lateral axis, signed toward
-    `guide_pos` (+ on ties); the vertical step applies the vertical overlap
-    footprint, clamped to the height band (None keeps the full vertical
-    term).  Yaw faces the nearest surface point.
+    `cfg` is the mission's `ScenarioConfig`; its `view` constraints, its
+    `camera`'s FOV and `z_band` are read.  The approach term closes the gap
+    between the sensed range and the desired viewing distance; the lateral
+    step advances by the horizontal overlap footprint along the lateral
+    axis, signed toward `guide_pos` (+ on ties); the vertical step applies
+    the vertical overlap footprint, clamped to the height band (None keeps
+    the full vertical term).  Yaw faces the nearest surface point.
     """
-    c = cfg.view
+    c, cam = cfg.view, cfg.camera
     nu_x, nu_y, nu_z, r = ego_frame(pos, p_nn)
     sweep_sign = 1.0 if float(nu_y @ (guide_pos - pos)) >= 0.0 else -1.0
     d_insp = r - c.d_view
-    d_hov = 2.0 * np.tan(c.alpha / 2.0) * r * (1.0 - c.gamma_h)
-    d_vov = 2.0 * np.tan(c.beta / 2.0) * r * (1.0 - c.gamma_v)
+    d_hov = 2.0 * np.tan(cam.alpha / 2.0) * r * (1.0 - c.gamma_h)
+    d_vov = 2.0 * np.tan(cam.beta / 2.0) * r * (1.0 - c.gamma_v)
     nxt = pos + nu_x * d_insp + nu_y * (sweep_sign * d_hov) + nu_z * d_vov
     if cfg.z_band is not None:
         lo, hi = cfg.z_band

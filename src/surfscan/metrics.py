@@ -3,7 +3,7 @@ per-cycle logging and mission-level aggregates."""
 
 import csv
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,18 +68,17 @@ def viewing_distance(robot, cloud):
 @dataclass(frozen=True)
 class MissionRecord:
     """One per-cycle log row.  Quantities that do not apply to the phase
-    (e.g. path similarity while navigating) are NaN."""
+    (e.g. path similarity while navigating) are NaN.  `deviation`, `visited`
+    and `replanned` are derived from the stored fields."""
 
     t: float
     phase: str  # navigate | inspect
     mode: str  # global | replanned
     f_d: float
     gamma_s: float
-    deviation: float  # 1 - gamma_s
     rmse_pre: float
     rmse_post: float
     cursor: int
-    visited: int
     viewing_distance: float
     utility: float
     x: float
@@ -91,10 +90,25 @@ class MissionRecord:
     ref_z: float
     ref_psi: float
     blocked: int
-    replanned: int
+
+    @property
+    def deviation(self):
+        return 1.0 - self.gamma_s
+
+    @property
+    def visited(self):
+        return self.cursor  # the viewpoints of the task visited so far
+
+    @property
+    def replanned(self):
+        return int(self.mode == "replanned")
 
 
-_FIELDS = [f.name for f in fields(MissionRecord)]
+# The columns of `mission_log.csv`, in order.
+_COLUMNS = (
+    "t", "phase", "mode", "f_d", "gamma_s", "deviation", "rmse_pre", "rmse_post", "cursor", "visited",
+    "viewing_distance", "utility", "x", "y", "z", "psi", "ref_x", "ref_y", "ref_z", "ref_psi", "blocked", "replanned",
+)
 
 
 class MissionLog:
@@ -123,10 +137,10 @@ class MissionLog:
     def to_csv(self, path):
         with open(path, "w", newline="", encoding="utf-8") as fh:
             writer = csv.writer(fh)
-            writer.writerow(_FIELDS)
+            writer.writerow(_COLUMNS)
             for rec in self.records:
                 row = []
-                for name in _FIELDS:
+                for name in _COLUMNS:
                     value = getattr(rec, name)
                     row.append(repr(float(value)) if isinstance(value, float) else str(value))
                 writer.writerow(row)

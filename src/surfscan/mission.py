@@ -90,6 +90,9 @@ class MissionRunner:
     def __init__(self, cfg, scene=None, base_dir=None):
         self.cfg = cfg
         self.scene = scene if scene is not None else build_scene(cfg, base_dir)
+        vmap = self.scene.historical
+        if not all(0 <= (p - o) / vmap.voxel_size < n for p, o, n in zip(cfg.start, vmap.origin.tolist(), vmap.shape)):
+            raise ValueError(f"robot.start {list(cfg.start[:3])} lies off the historical map")
 
     # -- planning ------------------------------------------------------------
 
@@ -99,7 +102,7 @@ class MissionRunner:
         the visitation tours."""
         cfg = self.cfg
         start = cfg.start_pose
-        plans = [generate_grid_viewpoints(task, cfg.view, start.position, cfg.z_band) for task in cfg.tasks]
+        plans = [generate_grid_viewpoints(task, cfg.view, cfg.camera, start.position, cfg.z_band) for task in cfg.tasks]
         ranked = prioritize_tasks(cfg.tasks, plans, start, self.scene.historical, cfg.inflation, cfg.z_band)
         executable = []
         for entry in ranked:
@@ -340,11 +343,9 @@ class _Stepper:
                 mode=cycle.mode.value,
                 f_d=cycle.f_d,
                 gamma_s=cycle.gamma_s,
-                deviation=1.0 - cycle.gamma_s,
                 rmse_pre=cycle.rmse_pre,
                 rmse_post=cycle.rmse_post,
                 cursor=cycle.cursor,
-                visited=cycle.cursor,
                 viewing_distance=NAN if vd is None else vd,
                 utility=utility,
                 x=pose.x,
@@ -356,7 +357,6 @@ class _Stepper:
                 ref_z=ref.z if ref is not None else NAN,
                 ref_psi=ref.psi if ref is not None else NAN,
                 blocked=int(blocked),
-                replanned=int(cycle.mode is MissionMode.REPLANNED),
             )
         )
         if len(self.scans) >= _SCAN_BATCH:

@@ -22,6 +22,8 @@ __all__ = ["ScenarioConfig", "load_scenario", "demo_scenario", "build_scene", "D
 
 SCHEMA_VERSION = 1
 DEMO_NAMES = ("nominal", "receding", "obstacle", "receding_full")
+# The camera FOV (radians) of a scenario that sets none; the only FOV.
+CAMERA_FOV = {"alpha": np.deg2rad(69.5), "beta": np.deg2rad(45.0)}
 
 
 @dataclass(frozen=True)
@@ -60,9 +62,7 @@ class ScenarioConfig:
     v_max: float = 0.8
     w_max: float = 1.0
     view: ViewConstraints = field(default_factory=ViewConstraints)
-    camera: CameraIntrinsics = field(
-        default_factory=lambda: CameraIntrinsics(alpha=ViewConstraints.alpha, beta=ViewConstraints.beta)
-    )
+    camera: CameraIntrinsics = field(default_factory=lambda: CameraIntrinsics(**CAMERA_FOV))
     sense_range: float = 12.0
     sense_rays: int = 2048
     odom_sigma_xy: float = 0.0
@@ -96,6 +96,11 @@ class ScenarioConfig:
             raise ValueError("historical map is required")
         if self.current is not None and self.delta is not None:
             raise ValueError("maps.current and maps.delta cannot both be given")
+        # A surface the camera cannot range is never seen at the standoff.
+        if self.view.d_view > self.camera.max_range:
+            raise ValueError(
+                f"view.d_view must be at most camera.max_range ({self.camera.max_range}), got {self.view.d_view}"
+            )
 
     @property
     def start_pose(self):
@@ -103,10 +108,10 @@ class ScenarioConfig:
 
 
 def _finite_tuple(value, n, name, axes):
-    """`value` as a tuple of `n` finite floats, else ValueError naming
-    `name` and its `axes`."""
+    """`value` as a tuple of `n` finite floats (no booleans or strings),
+    else ValueError naming `name` and its `axes`."""
     try:
-        out = tuple(float(v) for v in value)
+        out = tuple(float(v) for v in value if not isinstance(v, (bool, str)))
     except (TypeError, ValueError):
         out = ()
     if len(out) != n or not all(map(math.isfinite, out)):
@@ -138,13 +143,11 @@ _KEYS = {
     "yaw_tol": ("yaw_tol", _POSITIVE),
     "z_band": ("z_band", None),
     "robot.start": ("start", None),
-    "robot.v_max": ("v_max", _NON_NEGATIVE),
-    "robot.w_max": ("w_max", _NON_NEGATIVE),
+    "robot.v_max": ("v_max", _POSITIVE),
+    "robot.w_max": ("w_max", _POSITIVE),
     "view.d_view": ("d_view", _POSITIVE),
     "view.gamma_h": ("gamma_h", _FRACTION),
     "view.gamma_v": ("gamma_v", _FRACTION),
-    "view.alpha_deg": ("alpha", _FOV),
-    "view.beta_deg": ("beta", _FOV),
     "camera.alpha_deg": ("alpha", _FOV),
     "camera.beta_deg": ("beta", _FOV),
     "camera.width": ("width", ("at least 3", lambda v: v >= 3)),
@@ -173,13 +176,15 @@ def _value(key, value):
         value = int(value)
     elif kind is float:
         try:
+            if isinstance(value, (bool, str)):
+                raise TypeError("a boolean or a string is not a number")
             value = float(value)
         except (TypeError, ValueError):
             raise ValueError(f"{key} must be a number, got {value!r}") from None
         if not math.isfinite(value):
             raise ValueError(f"{key} must be finite, got {value!r}")
-    elif kind is str:
-        value = str(value)
+    elif kind is str and not isinstance(value, str):
+        raise ValueError(f"{key} must be a string, got {value!r}")
     if rule is not None and not rule[1](value):
         raise ValueError(f"{key} must be {rule[0]}, got {value!r}")
     return np.deg2rad(value) if key.endswith("_deg") else value
@@ -287,7 +292,7 @@ def load_scenario(path):
     if not isinstance(raw, dict):
         raise ValueError(f"{path}: scenario must be a mapping")
     version = raw.get("version")
-    if version != SCHEMA_VERSION:
+    if isinstance(version, bool) or version != SCHEMA_VERSION:
         raise ValueError(f"{path}: unsupported schema version {version!r} (expected {SCHEMA_VERSION})")
 
     try:
@@ -309,8 +314,7 @@ def _parse_scenario(raw, path):
         if file_key in given:
             args[_OWNER[key]][name] = _value(key, given[file_key])
     view = ViewConstraints(**args[ViewConstraints])
-    # A camera FOV the file omits is the view's.
-    camera = CameraIntrinsics(**{"alpha": view.alpha, "beta": view.beta, **args[CameraIntrinsics]})
+    camera = CameraIntrinsics(**{**CAMERA_FOV, **args[CameraIntrinsics]})
     maps_raw = _mapping(raw.get("maps"), "maps")
     delta_raw = maps_raw.get("delta")
     delta = None
@@ -329,7 +333,9 @@ def _parse_scenario(raw, path):
     for i, entry in enumerate(_list(raw.get("tasks"), "tasks")):
         at = f"tasks[{i}]"
         entry = _mapping(entry, at, "tasks[]")
-        task_id = str(_required(entry, "id", at))
+        task_id = _required(entry, "id", at)
+        if not isinstance(task_id, str):
+            raise ValueError(f"{at}.id must be a string, got {task_id!r}")
         # The id names the task's artifact files, so it must be one file name.
         if task_id in ("", ".", "..") or "/" in task_id or "\\" in task_id:
             raise ValueError(f"{at}.id {task_id!r} must be a file name: not empty, '.' or '..', no '/' or '\\'")
@@ -435,5 +441,5 @@ def demo_scenario(name, mode="adaptive", seed=1):
         )
     )
     delta = MorphologyDelta(removals=(Box((6.0, -3.0, 0.0), (7.2, 3.0, 2.4)),))
-    camera = CameraIntrinsics(alpha=ViewConstraints.alpha, beta=ViewConstraints.beta, max_range=3.0)
+    camera = CameraIntrinsics(**CAMERA_FOV, max_range=3.0)
     return ScenarioConfig(historical=historical, delta=delta, camera=camera, **common)

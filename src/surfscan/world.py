@@ -86,8 +86,11 @@ class VoxelMap:
         h = float(voxel_size)
         lo = _snap_down(np.asarray(bounds_lo, dtype=np.float64), h)
         hi = np.asarray(bounds_hi, dtype=np.float64)
-        shape = np.maximum(np.ceil((hi - lo) / h - 1e-9), 1).astype(int)
-        return cls(lo, h, np.zeros(shape, dtype=np.bool_))
+        # In plain floats, where a far bound overflows to inf without a warning.
+        counts = np.maximum(np.ceil([(b - a) / h - 1e-9 for a, b in zip(lo.tolist(), hi.tolist())]), 1)
+        if not math.prod(counts.tolist()) < 2.0**63:
+            raise ValueError(f"{h} m voxels over {lo.tolist()} .. {hi.tolist()} are too many to index")
+        return cls(lo, h, np.zeros(counts.astype(int), dtype=np.bool_))
 
     @classmethod
     def from_points(cls, points, voxel_size, bounds):
@@ -133,10 +136,12 @@ class VoxelMap:
         h = self.voxel_size
         lo, hi = [], []
         for b_lo, b_hi, o, n in zip(box.lo, box.hi, self.origin.tolist(), self.occ.shape):
-            i0 = math.floor((b_lo - o) / h + 1e-9)
-            i1 = max(math.ceil((b_hi - o) / h - 1e-9), i0 + 1)
-            lo.append(min(max(i0, 0), n))
-            hi.append(min(max(i1, 0), n))
+            x0, x1 = (b_lo - o) / h + 1e-9, (b_hi - o) / h - 1e-9
+            # Indices beyond [-1, n] clip alike, so a far corner never reaches the int.
+            i0 = math.floor(x0) if -1.0 <= x0 <= n else (-1 if x0 < 0.0 else n)
+            i1 = math.ceil(x1) if -1.0 <= x1 <= n else (-1 if x1 < 0.0 else n)
+            lo.append(max(i0, 0))
+            hi.append(min(max(i1, i0 + 1), n))
         return lo, hi
 
     @property
@@ -226,6 +231,8 @@ def _clearance_free(occ, r_vox, k_lo, k_hi):
     but every partial sum of a blocking offset is at most `m_max < far`, so
     the clamp never cuts one off, in whichever order the passes run.
     """
+    # A radius past the grid's diagonal blocks no more voxels: the clamp bounds the passes.
+    r_vox = min(r_vox, math.hypot(*occ.shape))
     # Largest 4*gap**2 that blocks, by the float test sqrt(m / 4) <= r_vox;
     # -1 when nothing blocks (negative radius).
     m_max = int(np.floor(4.0 * max(r_vox, 0.0) ** 2)) + 1

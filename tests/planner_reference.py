@@ -229,7 +229,7 @@ def point_in_polygon(roi, p):
     return inside
 
 
-def generate_grid_viewpoints(task, view, toward, z_band):
+def generate_grid_viewpoints(task, view, camera, toward, z_band):
     """Grid viewpoints for a polygon ROI (overlap-driven spacing), one grid
     point at a time.  The centroid fallback is clamped to `z_band` as the
     grid viewpoints are."""
@@ -248,14 +248,15 @@ def generate_grid_viewpoints(task, view, toward, z_band):
     t0, t1 = float(sv.min()), float(sv.max())
 
     eps = 1e-9
-    n_cols = int(np.floor((s1 - s0) / view.spacing_h + eps)) + 1
-    n_rows = int(np.floor((t1 - t0) / view.spacing_v + eps)) + 1
+    spacing_h, spacing_v = view.spacing(camera)
+    n_cols = int(np.floor((s1 - s0) / spacing_h + eps)) + 1
+    n_rows = int(np.floor((t1 - t0) / spacing_v + eps)) + 1
 
-    entries = []  # (row_key, col, grid_point, view_z)
+    entries = []  # (row_key, col, view position)
     clamped = False
     for j in range(n_rows):
         for i in range(n_cols):
-            g = centroid + (s0 + i * view.spacing_h) * u + (t0 + j * view.spacing_v) * v
+            g = centroid + (s0 + i * spacing_h) * u + (t0 + j * spacing_v) * v
             if not point_in_polygon(roi, g):
                 continue
             p = g + proj * view.d_view
@@ -266,7 +267,7 @@ def generate_grid_viewpoints(task, view, toward, z_band):
                 if zc != z:
                     clamped = True
                 z = zc
-            entries.append((round(z, 9), i, g, (p[0], p[1], z)))
+            entries.append((round(z, 9), i, (p[0], p[1], z)))
 
     if not entries:
         p = centroid + proj * view.d_view
@@ -280,25 +281,17 @@ def generate_grid_viewpoints(task, view, toward, z_band):
             task_id=task.id,
             viewpoints=(ViewPose4(p[0], p[1], z, yaw),),
             valid=np.array([True]),
-            grid_points=centroid.reshape(1, 3),
         )
 
     # One row per distinct (possibly clamped) height, columns in order.
     seen = {}
-    for key, i, g, p in entries:
-        seen.setdefault((key, i), (g, p))
-    ordered = sorted(seen.keys())
-    viewpoints = []
-    grid_points = []
-    for key in ordered:
-        g, p = seen[key]
-        grid_points.append(g)
-        viewpoints.append(ViewPose4(p[0], p[1], p[2], yaw))
+    for key, i, p in entries:
+        seen.setdefault((key, i), p)
+    viewpoints = [ViewPose4(p[0], p[1], p[2], yaw) for p in (seen[key] for key in sorted(seen))]
     if clamped:
         log.warning("task %s: viewpoint heights clamped to band %s", task.id, z_band)
     return ViewPlan(
         task_id=task.id,
         viewpoints=tuple(viewpoints),
         valid=np.ones(len(viewpoints), dtype=np.bool_),
-        grid_points=np.asarray(grid_points),
     )

@@ -21,7 +21,6 @@ from surfscan.geometry import (
     ViewPose4,
     discrete_frechet,
     kabsch_align,
-    point_in_polygon,
     polygon_basis,
     wrap_angle,
 )
@@ -29,11 +28,11 @@ from surfscan.global_plan import InspectionTask, ViewConstraints, generate_grid_
 from surfscan.local_plan import ego_frame
 from surfscan.metrics import viewpoint_utility
 from surfscan.mission import MissionRunner
-from surfscan.scenario import demo_scenario
+from surfscan.scenario import CAMERA_FOV, demo_scenario
 from surfscan.supervisor import MissionMode, SimilarityScore, decide
 from surfscan.world import Box, VoxelMap, is_collision_free
 
-from test_geometry import frechet_recursive, random_rotation
+from test_geometry import frechet_recursive, point_in_polygon, random_rotation
 from test_global_plan import brute_force_open_tour, nearest_neighbor_cost, plan_from_positions
 from test_local_plan import next_view
 
@@ -122,33 +121,38 @@ def test_criterion_04_next_view_closed_form():
 
 def test_criterion_05_grid_spacing_and_coverage():
     with criterion(5, "grid spacing 1.110/0.663 m, 2 m standoff, >=99% footprint coverage"):
-        c = ViewConstraints()
+        c, camera = ViewConstraints(), CameraIntrinsics(**CAMERA_FOV)
+        spacing_h, spacing_v = c.spacing(camera)
         # The spacing values, rounded to the mm, match the documented model.
-        assert round(c.spacing_h, 3) == 1.110
-        assert round(c.spacing_v, 3) == 0.663
+        assert round(spacing_h, 3) == 1.110
+        assert round(spacing_v, 3) == 0.663
         task = InspectionTask(
             id="wall",
             roi=PolygonROI(np.array([[6, -3, 0], [6, 3, 0], [6, 3, 2], [6, -3, 2]], dtype=float)),
         )
-        plan = generate_grid_viewpoints(task, c, [0.0, 0.0, 1.0], None)
+        plan = generate_grid_viewpoints(task, c, camera, [0.0, 0.0, 1.0], None)
         roi = task.roi
         u, v = polygon_basis(roi)
         n = roi.normal
         # Exactly d_view from the ROI plane.
         for vp in plan.viewpoints:
             assert abs(abs(float((vp.position - roi.centroid) @ n)) - 2.0) < 1e-9
-        # Measured spacings equal the overlap model within 1e-6.
-        su = np.round(plan.grid_points @ u, 9)
-        sv = np.round(plan.grid_points @ v, 9)
+        # Measured spacings equal the overlap model within 1e-6; the
+        # viewpoints lie off the grid points along n, which u and v are
+        # orthogonal to.
+        positions = np.array([vp.position for vp in plan.viewpoints])
+        su = np.round(positions @ u, 9)
+        sv = np.round(positions @ v, 9)
         for row in np.unique(sv):
             cols = np.sort(su[sv == row])
-            assert np.abs(np.diff(cols) - c.spacing_h).max() < 1e-6
+            assert np.abs(np.diff(cols) - spacing_h).max() < 1e-6
         for col in np.unique(su):
             rows = np.sort(sv[su == col])
-            assert np.abs(np.diff(rows) - c.spacing_v).max() < 1e-6
+            assert np.abs(np.diff(rows) - spacing_v).max() < 1e-6
         # Footprint union covers at least 99% of sampled interior points.
-        cu = plan.grid_points @ u
-        cv = plan.grid_points @ v
+        footprint_w, footprint_h = spacing_h / (1.0 - c.gamma_h), spacing_v / (1.0 - c.gamma_v)
+        cu = positions @ u
+        cv = positions @ v
         covered = total = 0
         for uu in np.arange(-2.95, 3.0, 0.1):
             for vv in np.arange(-0.95, 1.0, 0.1):
@@ -158,7 +162,7 @@ def test_criterion_05_grid_spacing_and_coverage():
                 total += 1
                 gu, gv = float(g @ u), float(g @ v)
                 if np.any(
-                    (np.abs(cu - gu) <= c.footprint_w / 2) & (np.abs(cv - gv) <= c.footprint_h / 2)
+                    (np.abs(cu - gu) <= footprint_w / 2) & (np.abs(cv - gv) <= footprint_h / 2)
                 ):
                     covered += 1
         assert total > 0 and covered / total >= 0.99

@@ -14,13 +14,20 @@ from surfscan.geometry import (
     apply_transform,
     discrete_frechet,
     kabsch_align,
+    inside_in_plane,
     nearest_point,
-    point_in_polygon,
     polygon_normal,
     wrap_angle,
 )
 
 UNIT_SQUARE = np.array([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]], dtype=float)
+
+
+def point_in_polygon(roi, p):
+    """`inside_in_plane` of the point `p` on the ROI's plane."""
+    u, v = roi._basis
+    rel = np.asarray(p, dtype=np.float64) - roi.centroid
+    return inside_in_plane(roi, float(rel @ u), float(rel @ v))
 
 
 # ---------------------------------------------------------------- oracles
@@ -109,18 +116,22 @@ def test_polygon_rejects_self_intersection():
         PolygonROI(bowtie)
 
 
+@pytest.mark.parametrize("coord", [(3, 0), (0, 2), (2, 1)], ids=["x", "z", "y"])
+def test_polygon_rejects_vertices_too_far_apart(coord):
+    # A vertex at 1e308 overflows the normal: the polygon used to build
+    # with a NaN frame, which the viewpoint grid then failed to size.
+    verts = np.array([[6.0, -3.0, 0.0], [6.0, 3.0, 0.0], [6.0, 3.0, 2.0], [6.0, -3.0, 2.0]])
+    verts[coord] = 1e308
+    with pytest.raises(ValueError, match="too far apart"):
+        PolygonROI(verts)
+
+
 def test_point_in_polygon_examples():
     roi = PolygonROI(UNIT_SQUARE)
     assert point_in_polygon(roi, [0.5, 0.5, 0])
     assert not point_in_polygon(roi, [2.0, 0.0, 0])
     assert point_in_polygon(roi, [1.0, 0.5, 0])  # edge counts as inside
     assert point_in_polygon(roi, [0.0, 0.0, 0])  # vertex counts as inside
-
-
-def test_point_in_polygon_off_plane_errors():
-    roi = PolygonROI(UNIT_SQUARE)
-    with pytest.raises(ValueError, match="off the polygon plane"):
-        point_in_polygon(roi, [0.5, 0.5, 0.5])
 
 
 def test_point_in_polygon_concave(rng):

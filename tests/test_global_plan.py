@@ -9,7 +9,8 @@ from scipy import ndimage
 
 import planner_reference
 from strategies import occupancy_grids
-from surfscan.geometry import PolygonROI, ViewPose4, point_in_polygon, polygon_basis
+from surfscan.depthcam import CameraIntrinsics
+from surfscan.geometry import PolygonROI, ViewPose4, polygon_basis
 from surfscan.global_plan import (
     InspectionTask,
     RouteError,
@@ -22,15 +23,27 @@ from surfscan.global_plan import (
     prioritize_tasks,
     solve_tour_sa_tsp,
 )
+from surfscan.scenario import CAMERA_FOV
 from surfscan.world import Box, VoxelMap
+from test_geometry import point_in_polygon
 
 
 def make_task(verts, tid="t"):
     return InspectionTask(id=tid, roi=PolygonROI(np.asarray(verts, dtype=float)))
 
 
-# The default view constraints, which every grid here is planned with.
+# The default view constraints and camera, which every grid here is
+# planned with, and the grid spacing and camera footprint they give.
 VIEW = ViewConstraints()
+CAMERA = CameraIntrinsics(**CAMERA_FOV)
+SPACING_H, SPACING_V = VIEW.spacing(CAMERA)
+FOOTPRINT_W, FOOTPRINT_H = SPACING_H / (1.0 - VIEW.gamma_h), SPACING_V / (1.0 - VIEW.gamma_v)
+
+
+def viewpoint_positions(plan):
+    """The viewpoint positions; each lies off its grid point along the ROI
+    normal, so its in-plane coordinates are the grid point's."""
+    return np.array([vp.position for vp in plan.viewpoints])
 
 
 WALL_6X2 = [[6, -3, 0], [6, 3, 0], [6, 3, 2], [6, -3, 2]]
@@ -67,17 +80,28 @@ def nearest_neighbor_cost(start, positions):
 
 
 def test_view_constraints_spacing_values():
-    c = ViewConstraints()
-    assert c.spacing_h == pytest.approx(2 * 2 * np.tan(np.deg2rad(34.75)) * 0.4, abs=1e-12)
-    assert c.spacing_v == pytest.approx(2 * 2 * np.tan(np.deg2rad(22.5)) * 0.4, abs=1e-12)
-    assert round(c.spacing_h, 3) == 1.110
-    assert round(c.spacing_v, 3) == 0.663
+    spacing_h, spacing_v = ViewConstraints().spacing(CAMERA)
+    assert spacing_h == pytest.approx(2 * 2 * np.tan(np.deg2rad(34.75)) * 0.4, abs=1e-12)
+    assert spacing_v == pytest.approx(2 * 2 * np.tan(np.deg2rad(22.5)) * 0.4, abs=1e-12)
+    assert round(spacing_h, 3) == 1.110
+    assert round(spacing_v, 3) == 0.663
 
 
 def test_view_constraints_zero_overlap_full_footprint():
-    c = ViewConstraints(gamma_h=0.0)
-    assert c.spacing_h == pytest.approx(c.footprint_w)
-    assert round(c.spacing_h, 3) == 2.775
+    spacing_h, _ = ViewConstraints(gamma_h=0.0).spacing(CAMERA)
+    assert spacing_h == pytest.approx(2 * 2.0 * np.tan(CAMERA.alpha / 2))
+    assert round(spacing_h, 3) == 2.775
+
+
+def test_grid_spacing_follows_the_camera_fov():
+    # The grid is spaced by the footprint of the camera that renders: a
+    # narrower FOV packs more columns onto the same wall.
+    task = make_task(WALL_6X2)
+    narrow = CameraIntrinsics(alpha=np.deg2rad(40.0), beta=CAMERA.beta)
+    wide, dense = (generate_grid_viewpoints(task, VIEW, cam, [0.0, 0.0, 1.0], (0.6, 0.6)) for cam in (CAMERA, narrow))
+    spacing_h = VIEW.spacing(narrow)[0]
+    assert len(wide) == 6 and len(dense) == int(6.0 / spacing_h + 1e-9) + 1 > 6
+    assert np.allclose(np.diff(viewpoint_positions(dense)[:, 1]), spacing_h, atol=1e-9)
 
 
 def test_view_constraints_rejects_unit_overlap():
@@ -98,7 +122,7 @@ def test_grid_wall_projection_and_yaw():
     # 4 m x 2 m wall at x=4, normal facing -x; robot side at x < 4.
     verts = [[4, 0, 0], [4, 0, 2], [4, 4, 2], [4, 4, 0]]
     task = make_task(verts)
-    plan = generate_grid_viewpoints(task, VIEW, [0.0, 2.0, 1.0], None)
+    plan = generate_grid_viewpoints(task, VIEW, CAMERA, [0.0, 2.0, 1.0], None)
     assert len(plan) > 0
     for vp in plan.viewpoints:
         assert vp.x == pytest.approx(2.0, abs=1e-9)
@@ -107,33 +131,31 @@ def test_grid_wall_projection_and_yaw():
 
 def test_grid_viewpoints_distance_spacing_membership():
     task = make_task(WALL_6X2)
-    plan = generate_grid_viewpoints(task, VIEW, [0.0, 0.0, 1.0], None)
+    plan = generate_grid_viewpoints(task, VIEW, CAMERA, [0.0, 0.0, 1.0], None)
     roi = task.roi
     n = roi.normal
-    c = VIEW
     for vp in plan.viewpoints:
         d = abs(float((vp.position - roi.centroid) @ n))
-        assert d == pytest.approx(c.d_view, abs=1e-9)
-    for g in plan.grid_points:
-        assert point_in_polygon(roi, g)
+        assert d == pytest.approx(VIEW.d_view, abs=1e-9)
+    for p in viewpoint_positions(plan):
+        assert point_in_polygon(roi, p)
     # Same-row spacing is exactly the horizontal grid spacing.
     u, v = polygon_basis(roi)
-    su = plan.grid_points @ u
-    sv = plan.grid_points @ v
+    su = viewpoint_positions(plan) @ u
+    sv = viewpoint_positions(plan) @ v
     for row in np.unique(np.round(sv, 6)):
         cols = np.sort(su[np.round(sv, 6) == row])
         if len(cols) > 1:
-            assert np.allclose(np.diff(cols), c.spacing_h, atol=1e-9)
+            assert np.allclose(np.diff(cols), SPACING_H, atol=1e-9)
 
 
 def test_grid_footprint_coverage():
     task = make_task(WALL_6X2)
-    plan = generate_grid_viewpoints(task, VIEW, [0.0, 0.0, 1.0], None)
+    plan = generate_grid_viewpoints(task, VIEW, CAMERA, [0.0, 0.0, 1.0], None)
     roi = task.roi
-    c = VIEW
     u, v = polygon_basis(roi)
-    gu = plan.grid_points @ u
-    gv = plan.grid_points @ v
+    gu = viewpoint_positions(plan) @ u
+    gv = viewpoint_positions(plan) @ v
     # Sample the ROI interior and check footprint-rectangle coverage.
     us = np.arange(-3 + 0.05, 3.0, 0.1)
     vs = np.arange(-1 + 0.05, 1.0, 0.1)
@@ -142,8 +164,8 @@ def test_grid_footprint_coverage():
         for vv in vs:
             total += 1
             if np.any(
-                (np.abs(gu - (roi.centroid @ u + uu)) <= c.footprint_w / 2)
-                & (np.abs(gv - (roi.centroid @ v + vv)) <= c.footprint_h / 2)
+                (np.abs(gu - (roi.centroid @ u + uu)) <= FOOTPRINT_W / 2)
+                & (np.abs(gv - (roi.centroid @ v + vv)) <= FOOTPRINT_H / 2)
             ):
                 covered += 1
     assert covered / total >= 0.99
@@ -151,7 +173,7 @@ def test_grid_footprint_coverage():
 
 def test_grid_z_band_collapses_rows(caplog):
     task = make_task(WALL_6X2)
-    plan = generate_grid_viewpoints(task, VIEW, [0.0, 0.0, 1.0], (0.6, 0.6))
+    plan = generate_grid_viewpoints(task, VIEW, CAMERA, [0.0, 0.0, 1.0], (0.6, 0.6))
     assert f"task {task.id}: viewpoint heights clamped to band (0.6, 0.6)" in caplog.text
     zs = {vp.z for vp in plan.viewpoints}
     assert zs == {0.6}
@@ -161,7 +183,7 @@ def test_grid_z_band_collapses_rows(caplog):
 def test_grid_sparse_fallback(caplog):
     # Small diamond: the grid anchor (bounding-box corner) lies outside it.
     tiny = make_task([[6, 0.01, 0], [6, 0.02, 0.01], [6, 0.01, 0.02], [6, 0.0, 0.01]])
-    plan = generate_grid_viewpoints(tiny, VIEW, [0.0, 0.0, 0.0], None)
+    plan = generate_grid_viewpoints(tiny, VIEW, CAMERA, [0.0, 0.0, 0.0], None)
     assert f"task {tiny.id}: ROI too small for grid, falling back to centroid view" in caplog.text
     assert len(plan) == 1
     assert np.allclose(plan.viewpoints[0].position, [4.0, 0.01, 0.01], atol=1e-9)
@@ -172,27 +194,26 @@ def test_grid_fallback_view_is_clamped_to_the_band(caplog):
     # lower-left bounding-box corner) lies outside it, and the centroid
     # view at z 1.167 is clamped into the band like every grid viewpoint.
     triangle = make_task([[6, -0.4, 1.3], [6, 0.4, 1.3], [6, 0.0, 0.9]])
-    unclamped = generate_grid_viewpoints(triangle, VIEW, [0.0, 0.0, 0.6], None)
+    unclamped = generate_grid_viewpoints(triangle, VIEW, CAMERA, [0.0, 0.0, 0.6], None)
     assert unclamped.viewpoints[0].z == pytest.approx(3.5 / 3, abs=1e-12)
     assert "clamped" not in caplog.text
-    plan = generate_grid_viewpoints(triangle, VIEW, [0.0, 0.0, 0.6], (0.6, 0.6))
+    plan = generate_grid_viewpoints(triangle, VIEW, CAMERA, [0.0, 0.0, 0.6], (0.6, 0.6))
     assert f"task {triangle.id}: ROI too small for grid, falling back to centroid view" in caplog.text
     assert f"task {triangle.id}: viewpoint heights clamped to band (0.6, 0.6)" in caplog.text
     assert len(plan) == 1
     assert plan.viewpoints[0].position.tolist() == [4.0, unclamped.viewpoints[0].y, 0.6]
-    np.testing.assert_array_equal(plan.grid_points, triangle.roi.centroid.reshape(1, 3))
 
 
 def test_grid_horizontal_roi_uses_principal_axes():
     # Floor patch (normal vertical): the grid falls back to the plane's
     # principal axes and projects viewpoints straight up.
     floor = make_task([[0, 0, 0], [4, 0, 0], [4, 2, 0], [0, 2, 0]])
-    plan = generate_grid_viewpoints(floor, VIEW, [2.0, 1.0, 3.0], None)
+    plan = generate_grid_viewpoints(floor, VIEW, CAMERA, [2.0, 1.0, 3.0], None)
     assert len(plan) > 0
     for vp in plan.viewpoints:
         assert vp.z == pytest.approx(2.0, abs=1e-9)
-    for g in plan.grid_points:
-        assert point_in_polygon(floor.roi, g)
+    for p in viewpoint_positions(plan):
+        assert point_in_polygon(floor.roi, p)
 
 
 # ---------------------------------------------------------------- filtering
@@ -200,7 +221,7 @@ def test_grid_horizontal_roi_uses_principal_axes():
 
 def test_filter_empty_map_keeps_all():
     task = make_task(WALL_6X2)
-    plan = generate_grid_viewpoints(task, VIEW, [0.0, 0.0, 1.0], (0.6, 0.6))
+    plan = generate_grid_viewpoints(task, VIEW, CAMERA, [0.0, 0.0, 1.0], (0.6, 0.6))
     vmap = VoxelMap.empty((-1, -7, 0), (10, 7, 2.4), 0.1)
     out = filter_viewpoints(plan, vmap, 0.5)
     assert out.valid.all()
@@ -208,7 +229,7 @@ def test_filter_empty_map_keeps_all():
 
 def test_filter_drops_engulfed_viewpoint():
     task = make_task(WALL_6X2)
-    plan = generate_grid_viewpoints(task, VIEW, [0.0, 0.0, 1.0], (0.6, 0.6))
+    plan = generate_grid_viewpoints(task, VIEW, CAMERA, [0.0, 0.0, 1.0], (0.6, 0.6))
     vp = plan.viewpoints[2]
     vmap = VoxelMap.from_boxes(
         [Box((vp.x - 0.2, vp.y - 0.2, vp.z - 0.2), (vp.x + 0.2, vp.y + 0.2, vp.z + 0.2))],
@@ -222,7 +243,7 @@ def test_filter_drops_engulfed_viewpoint():
 
 def test_filter_all_invalid_raises(wall_map):
     task = make_task(WALL_6X2)
-    plan = generate_grid_viewpoints(task, VIEW, [0.0, 0.0, 1.0], (0.6, 0.6))
+    plan = generate_grid_viewpoints(task, VIEW, CAMERA, [0.0, 0.0, 1.0], (0.6, 0.6))
     blocker = VoxelMap.from_boxes([Box((3, -4, 0), (5, 4, 2.4))], 0.1, bounds=((-1, -7, 0), (10, 7, 2.4)))
     with pytest.raises(TaskUnreachableError):
         filter_viewpoints(plan, blocker, 0.5)
@@ -368,7 +389,7 @@ def test_label_components_partition_matches_ndimage(free):
 
 def test_prioritize_single_task(wall_map):
     task = make_task(WALL_6X2)
-    plan = generate_grid_viewpoints(task, VIEW, [0.0, 0.0, 1.0], (0.6, 0.6))
+    plan = generate_grid_viewpoints(task, VIEW, CAMERA, [0.0, 0.0, 1.0], (0.6, 0.6))
     ranked = prioritize_tasks([task], [plan], ViewPose4(4, -5, 0.6), wall_map, 0.5, z_band=(0.6, 0.6))
     assert len(ranked) == 1 and ranked[0].reachable
 
@@ -377,8 +398,8 @@ def test_prioritize_orders_by_route_length(wall_map):
     near = make_task(WALL_6X2, tid="near")
     far_verts = [[6, -3, 0], [6, 3, 0], [6, 3, 2], [6, -3, 2]]
     far = make_task(far_verts, tid="far")
-    plan_near = generate_grid_viewpoints(near, VIEW, [0, 0, 1], (0.6, 0.6))
-    plan_far = generate_grid_viewpoints(far, VIEW, [0, 0, 1], (0.6, 0.6))
+    plan_near = generate_grid_viewpoints(near, VIEW, CAMERA, [0, 0, 1], (0.6, 0.6))
+    plan_far = generate_grid_viewpoints(far, VIEW, CAMERA, [0, 0, 1], (0.6, 0.6))
     # Robot sits next to one end: "near" viewpoints start at y=-3.
     robot = ViewPose4(4.0, -4.0, 0.6)
     ranked = prioritize_tasks([far, near], [plan_far, plan_near], robot, wall_map, 0.5, z_band=(0.6, 0.6))
@@ -389,7 +410,7 @@ def test_prioritize_orders_by_route_length(wall_map):
 
 def test_prioritize_flags_unreachable_task(wall_map):
     task = make_task(WALL_6X2)
-    plan = generate_grid_viewpoints(task, VIEW, [0.0, 0.0, 1.0], (0.6, 0.6))
+    plan = generate_grid_viewpoints(task, VIEW, CAMERA, [0.0, 0.0, 1.0], (0.6, 0.6))
     # Robot boxed in on all sides: no route to any viewpoint.
     from surfscan.world import Box, VoxelMap
 
@@ -420,7 +441,6 @@ def plan_from_positions(positions):
         task_id="t",
         viewpoints=vps,
         valid=np.ones(len(vps), dtype=bool),
-        grid_points=np.asarray(positions, dtype=float),
     )
 
 

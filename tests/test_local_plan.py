@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from surfscan.depthcam import CameraIntrinsics
 from surfscan.geometry import (
     DegenerateGeometryError,
     NoSurfaceError,
@@ -11,16 +12,17 @@ from surfscan.geometry import (
     ViewPose4,
     discrete_frechet,
 )
-from surfscan.global_plan import ViewConstraints
 from surfscan.local_plan import ego_frame, predict_local_path
 from surfscan.scenario import demo_scenario
 from surfscan.world import Box, VoxelMap, sample_cloud
 
-# The local planner reads the scenario's view constraints, height band and
-# sensing setup.  BANDED clamps heights to 0.6 m, CFG keeps the full
-# vertical term.
+# The local planner reads the scenario's view constraints, camera FOV,
+# height band and sensing setup.  BANDED clamps heights to 0.6 m, CFG keeps
+# the full vertical term.
 BANDED = demo_scenario("nominal")
 CFG = dataclasses.replace(BANDED, z_band=None)
+# The grid's horizontal spacing, which the lateral sweep steps by at d_view.
+SPACING_H = BANDED.view.spacing(BANDED.camera)[0]
 
 
 def wall_cloud(wall_x, pos):
@@ -128,7 +130,6 @@ def test_range_convergence_on_flat_wall():
 
 def test_overlap_spacing_on_flat_wall():
     cfg = BANDED
-    c = cfg.view
     pos = ViewPose4(4.0, 0.0, 0.6)  # already at d_view from x=6
     poses = []
     for _ in range(4):
@@ -136,7 +137,20 @@ def test_overlap_spacing_on_flat_wall():
         poses.append(nxt)
         pos = ViewPose4(nxt.x, nxt.y, nxt.z)
     laterals = np.diff([p.y for p in poses])
-    assert np.allclose(laterals, c.spacing_h, atol=1e-6)
+    assert np.allclose(laterals, SPACING_H, atol=1e-6)
+
+
+def test_sweep_steps_by_the_camera_fov():
+    # The sweep reads the FOV of the camera that renders, as the grid does:
+    # at d_view it steps by the grid spacing.
+    camera = CameraIntrinsics(alpha=np.deg2rad(50.0), beta=np.deg2rad(30.0))
+    cfg = dataclasses.replace(CFG, camera=camera)
+    pos = ViewPose4(4.0, 0.0, 0.6)
+    nxt = next_view(pos, wall_cloud(6.0, pos.position), cfg)
+    spacing_h, spacing_v = cfg.view.spacing(camera)
+    assert nxt.y - pos.y == pytest.approx(spacing_h, abs=1e-9)
+    assert nxt.z - pos.z == pytest.approx(spacing_v, abs=1e-9)
+    assert spacing_h < SPACING_H
 
 
 def test_yaw_faces_surface():
@@ -191,9 +205,8 @@ def test_prediction_single_step_equals_next_view():
 
 def test_prediction_follows_global_plan_on_nominal_wall():
     vmap = make_scene(6.0)
-    c = ViewConstraints()
     odom = ViewPose4(4.0, -2.0, 0.6)
-    guide = guide_line(4.0, -2.0 + c.spacing_h, 5, c.spacing_h)
+    guide = guide_line(4.0, -2.0 + SPACING_H, 5, SPACING_H)
     path, short = predict(odom, vmap, guide, BANDED)
     assert not short
     assert discrete_frechet(path, guide) < 0.2
@@ -201,9 +214,8 @@ def test_prediction_follows_global_plan_on_nominal_wall():
 
 def test_prediction_shifts_with_receded_wall():
     vmap = make_scene(7.0)  # surface 1 m behind where the guide was planned
-    c = ViewConstraints()
     odom = ViewPose4(4.0, -2.0, 0.6)
-    guide = guide_line(4.0, -2.0 + c.spacing_h, 5, c.spacing_h)
+    guide = guide_line(4.0, -2.0 + SPACING_H, 5, SPACING_H)
     path, short = predict(odom, vmap, guide, BANDED)
     assert not short
     f = discrete_frechet(path, guide)

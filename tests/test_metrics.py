@@ -187,6 +187,13 @@ def test_viewing_distance_empty_cloud():
 # ---------------------------------------------------------------- mission log
 
 
+# The header of `mission_log.csv`, as every earlier log has it.
+LOG_COLUMNS = (
+    "t phase mode f_d gamma_s deviation rmse_pre rmse_post cursor visited viewing_distance utility "
+    "x y z psi ref_x ref_y ref_z ref_psi blocked replanned"
+).split()
+
+
 def make_record(t, **kw):
     base = dict(
         t=t,
@@ -194,11 +201,9 @@ def make_record(t, **kw):
         mode="global",
         f_d=0.1,
         gamma_s=1 / 1.1,
-        deviation=1 - 1 / 1.1,
         rmse_pre=0.1,
         rmse_post=0.1,
         cursor=0,
-        visited=0,
         viewing_distance=2.0,
         utility=0.9,
         x=0.0,
@@ -210,7 +215,6 @@ def make_record(t, **kw):
         ref_z=0.6,
         ref_psi=0.0,
         blocked=0,
-        replanned=0,
     )
     base.update(kw)
     return MissionRecord(**base)
@@ -226,12 +230,12 @@ def test_log_requires_increasing_time():
 def test_log_csv_roundtrip(tmp_path):
     log = MissionLog()
     log.append(make_record(0.0))
-    log.append(make_record(0.1, phase="navigate", f_d=float("nan"), gamma_s=1 / 3, replanned=1))
+    log.append(make_record(0.1, phase="navigate", mode="replanned", f_d=float("nan"), gamma_s=1 / 3, cursor=2))
     path = tmp_path / "log.csv"
     log.to_csv(path)
     with open(path, newline="", encoding="utf-8") as fh:
         header, *rows = list(csv.reader(fh))
-    assert header == [f.name for f in dataclasses.fields(MissionRecord)]
+    assert header == LOG_COLUMNS
     assert len(rows) == 2
     for rec, row in zip(log.records, rows):
         for name, text in zip(header, row):
@@ -242,6 +246,15 @@ def test_log_csv_roundtrip(tmp_path):
     assert got["f_d"] == "nan"
     assert got["gamma_s"] == "0.3333333333333333"
     assert (got["phase"], got["replanned"]) == ("navigate", "1")
+    # The derived columns: 1 - gamma_s, the cursor, and the mode.
+    assert (got["deviation"], got["visited"]) == (repr(1.0 - 1 / 3), "2")
+    assert dict(zip(header, rows[0]))["replanned"] == "0"
+
+
+def test_record_stores_no_derived_column():
+    stored = [f.name for f in dataclasses.fields(MissionRecord)]
+    assert len(stored) == 19
+    assert [name for name in LOG_COLUMNS if name not in stored] == ["deviation", "visited", "replanned"]
 
 
 def test_summarize_basics():
@@ -249,7 +262,7 @@ def test_summarize_basics():
     log.meta["completed"] = True
     log.append(make_record(0.0, phase="navigate", utility=0.5, viewing_distance=3.5))
     log.append(make_record(0.1, viewing_distance=2.5, utility=0.8))
-    log.append(make_record(0.2, viewing_distance=2.1, utility=0.9, replanned=1))
+    log.append(make_record(0.2, viewing_distance=2.1, utility=0.9, mode="replanned"))
     log.append(make_record(0.3, viewing_distance=2.05, utility=1.0))
     s = summarize(log, d_view=2.0)
     assert s["duration_s"] == pytest.approx(0.3)

@@ -1,11 +1,11 @@
 """Oracle tests for the planner's hot loops.
 
 `plan_route` (table-driven A*), `solve_tour_sa_tsp` (screened annealer),
-`point_in_polygon` (plain-float crossing test) and
+`inside_in_plane` (plain-float crossing test) and
 `generate_grid_viewpoints` (one-pass grid) must return exactly what the
 straightforward loops in `planner_reference` return: the same waypoints,
 lengths and error messages, the same tours, lengths and best-cost
-histories, and the same viewpoints, grid points and warnings.
+histories, and the same viewpoints and warnings.
 `prioritize_tasks`, which routes every task from one set-up per z band,
 must rank with exactly the lengths that independent `plan_route` calls
 give.  These rely on `sqrt(vecdot)` rows being bitwise the 1-D
@@ -26,7 +26,8 @@ from hypothesis.extra.numpy import arrays
 
 import planner_reference
 from strategies import occupancy_grids
-from surfscan.geometry import BOUNDARY_EPS, PolygonROI, ViewPose4, point_in_polygon
+from surfscan.depthcam import CameraIntrinsics
+from surfscan.geometry import BOUNDARY_EPS, PolygonROI, ViewPose4, inside_in_plane
 from surfscan.global_plan import (
     InspectionTask,
     RouteError,
@@ -101,7 +102,7 @@ def test_raw_word_draws_accept_the_32_bit_bounds():
 
 def plan_from_positions(positions):
     vps = tuple(ViewPose4(x, y, z, 0.0) for x, y, z in positions)
-    return ViewPlan(task_id="t", viewpoints=vps, valid=np.ones(len(vps), dtype=bool), grid_points=positions)
+    return ViewPlan(task_id="t", viewpoints=vps, valid=np.ones(len(vps), dtype=bool))
 
 
 @st.composite
@@ -345,6 +346,14 @@ def boundary_points(roi):
     return points
 
 
+def point_in_polygon(roi, p):
+    """`inside_in_plane` of the point `p` on the ROI's plane, projected
+    onto the ROI's basis as the reference projects it."""
+    u, v = roi._basis
+    c = roi.centroid
+    return inside_in_plane(roi, float((p - c) @ u), float((p - c) @ v))
+
+
 @PROPERTY
 @given(roi=planar_polygons(), seed=st.integers(0, 2**32 - 1))
 def test_point_in_polygon_matches_reference(roi, seed):
@@ -400,6 +409,7 @@ def same_bits(a, b):
 # Vertices about 1.3e10 m from the origin, viewed from 7.8e7 m: the
 # grid's in-plane steps round off the plane by more than its tolerance.
 FAR_VIEW = ViewConstraints(d_view=313952853.4485422 / 4)
+CAMERA = CameraIntrinsics(alpha=np.deg2rad(69.5), beta=np.deg2rad(45.0))
 FAR_QUAD = PolygonROI(
     np.array(
         [
@@ -414,38 +424,39 @@ FAR_QUAD = PolygonROI(
 
 @st.composite
 def grid_cases(draw):
-    """A planar polygon, view constraints, the side to view it from and no
-    band or one within 3 m of the polygon's height, so that none, some or
-    all of its rows clamp."""
+    """A planar polygon, view constraints, a camera FOV, the side to view it
+    from and no band or one within 3 m of the polygon's height, so that
+    none, some or all of its rows clamp."""
     roi = draw(planar_polygons())
     view = ViewConstraints(
         d_view=draw(st.floats(1.0, 3.0)), gamma_h=draw(st.floats(0.0, 0.6)), gamma_v=draw(st.floats(0.0, 0.6))
     )
+    camera = CameraIntrinsics(alpha=draw(st.floats(0.5, 2.5)), beta=draw(st.floats(0.5, 2.5)))
     toward = roi.centroid + draw(arrays(np.float64, 3, elements=st.floats(-10.0, 10.0)))
     z_band = None
     if draw(st.booleans()):
         z_band = tuple(float(roi.centroid[2]) + np.sort(draw(arrays(np.float64, 2, elements=st.floats(-3.0, 3.0)))))
-    return roi, view, toward, z_band
+    return roi, view, camera, toward, z_band
 
 
 @settings(max_examples=100, deadline=None)
 @given(case=grid_cases())
-@example(case=(FAR_QUAD, FAR_VIEW, np.zeros(3), None))
+@example(case=(FAR_QUAD, FAR_VIEW, CAMERA, np.zeros(3), None))
 def test_grid_viewpoints_match_reference(case):
-    roi, view, toward, z_band = case
+    roi, view, camera, toward, z_band = case
     task = InspectionTask("t", roi)
-    plan, error, messages = grid_or_error(generate_grid_viewpoints, task, view, toward, z_band)
-    ref, ref_error, ref_messages = grid_or_error(planner_reference.generate_grid_viewpoints, task, view, toward, z_band)
+    args = (task, view, camera, toward, z_band)
+    plan, error, messages = grid_or_error(generate_grid_viewpoints, *args)
+    ref, ref_error, ref_messages = grid_or_error(planner_reference.generate_grid_viewpoints, *args)
     assert (error, messages) == (ref_error, ref_messages)
     if ref is None:
         return
     poses = np.array([vp.as_array() for vp in plan.viewpoints])
     assert same_bits(poses, np.array([vp.as_array() for vp in ref.viewpoints]))
-    assert same_bits(plan.grid_points, ref.grid_points)
     assert np.array_equal(plan.valid, ref.valid)
 
 
 def test_far_quad_grid_is_off_plane():
     task = InspectionTask("t", FAR_QUAD)
-    _, error, _ = grid_or_error(planner_reference.generate_grid_viewpoints, task, FAR_VIEW, np.zeros(3), None)
+    _, error, _ = grid_or_error(planner_reference.generate_grid_viewpoints, task, FAR_VIEW, CAMERA, np.zeros(3), None)
     assert error == "point lies off the polygon plane beyond tolerance"

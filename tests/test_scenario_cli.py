@@ -1,17 +1,21 @@
+import contextlib
+import copy
 import dataclasses
 import json
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from surfscan.cli import main
 from surfscan.depthcam import CameraIntrinsics
-from surfscan.scenario import _KEYS, DEMO_NAMES, ScenarioConfig, build_scene, demo_scenario, load_scenario
+from surfscan.scenario import _KEYS, CAMERA_FOV, DEMO_NAMES, ScenarioConfig, build_scene, demo_scenario, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -33,7 +37,7 @@ robot:
   start: [4.0, -5.0, 0.6, 0.0]
   v_max: 0.8
   w_max: 1.0
-view: {d_view: 2.0, gamma_h: 0.6, gamma_v: 0.6, alpha_deg: 69.5, beta_deg: 45.0}
+view: {d_view: 2.0, gamma_h: 0.6, gamma_v: 0.6}
 camera: {alpha_deg: 69.5, beta_deg: 45.0, width: 64, height: 48, max_range: 5.0}
 sensing: {range: 12.0, rays: 1024}
 maps:
@@ -154,7 +158,7 @@ def test_cli_rejects_invalid_sensing(tmp_path, capsys, key, value):
 @pytest.mark.parametrize(
     "path, value, reason",
     [
-        (("robot", "v_max"), -1, "robot.v_max must be non-negative, got -1.0"),
+        (("robot", "v_max"), -1, "robot.v_max must be positive, got -1.0"),
         (("sensing", "odom_sigma_xy"), -0.1, "sensing.odom_sigma_xy must be non-negative, got -0.1"),
         (("robot", "start"), [1, 2, 3], "robot.start must be 4 finite numbers (x y z psi), got [1, 2, 3]"),
         (("z_band",), [0.6], "z_band must be 2 finite numbers (lo hi), got [0.6]"),
@@ -409,7 +413,7 @@ def test_cli_rejects_invalid_map_spec(tmp_path, capsys, which, spec):
     [
         (("view", "gamma_h"), 1.0, "view.gamma_h must be in [0, 1), got 1.0"),
         (("view", "gamma_v"), -0.1, "view.gamma_v must be in [0, 1), got -0.1"),
-        (("view", "alpha_deg"), 180, "view.alpha_deg must be in (0, 180), got 180.0"),
+        (("view", "alpha_deg"), 60, "unknown key view.alpha_deg (allowed: d_view, gamma_h, gamma_v)"),
         (("camera", "alpha_deg"), 200, "camera.alpha_deg must be in (0, 180), got 200.0"),
         (("camera", "beta_deg"), 0, "camera.beta_deg must be in (0, 180), got 0.0"),
         (("camera", "width"), 2, "camera.width must be at least 3, got 2"),
@@ -438,17 +442,15 @@ def test_omitted_keys_take_the_dataclass_defaults(tmp_path):
     assert cfg == ScenarioConfig(name="scn", historical=cfg.historical, tasks=cfg.tasks)
 
 
-def test_camera_fov_defaults_to_the_view_fov(tmp_path):
-    import yaml
-
-    doc = yaml.safe_load(GOOD_YAML)
-    doc["view"] = {"alpha_deg": 60.0, "beta_deg": 40.0}
-    doc["camera"] = {"width": 64, "height": 48}
-    f = tmp_path / "scn.yaml"
-    f.write_text(yaml.safe_dump(doc))
+def test_camera_fov_defaults_to_the_one_constant(tmp_path):
+    # The camera alone holds the FOV: the view constraints have none, and a
+    # file that omits the camera's takes 69.5 x 45 degrees.
+    f = _write_with(tmp_path, ("camera",), {"width": 64, "height": 48})
     cfg = load_scenario(f)
-    assert cfg.camera == CameraIntrinsics(alpha=cfg.view.alpha, beta=cfg.view.beta, width=64, height=48)
-    assert cfg.view.alpha == np.deg2rad(60.0) and cfg.view.beta == np.deg2rad(40.0)
+    assert cfg.camera == CameraIntrinsics(alpha=np.deg2rad(69.5), beta=np.deg2rad(45.0), width=64, height=48)
+    assert CAMERA_FOV == {"alpha": np.deg2rad(69.5), "beta": np.deg2rad(45.0)}
+    assert ScenarioConfig(historical=cfg.historical, tasks=cfg.tasks).camera == CameraIntrinsics(**CAMERA_FOV)
+    assert not hasattr(cfg.view, "alpha") and not hasattr(cfg.view, "beta")
 
 
 def _scalar_keys(doc, prefix=""):
@@ -515,6 +517,219 @@ def test_load_scenario_accepts_the_usual_task_ids(tmp_path):
     ids = ("wall", "face", "north", "south", "enclosed")
     f = _write_with(tmp_path, ("tasks",), [{"id": task_id, "vertices": WALL_VERTICES} for task_id in ids])
     assert tuple(task.id for task in load_scenario(f).tasks) == ids
+
+
+def _leaves(node, path=()):
+    """The key path of every scalar of a scenario document, with list
+    entries by index."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from _leaves(value, path + (key,))
+    elif isinstance(node, list):
+        for i, value in enumerate(node):
+            yield from _leaves(value, path + (i,))
+    else:
+        yield path
+
+
+def _named(path):
+    """The key a load error names for the scalar at `path`: a coordinate
+    by its list, a list entry by its index."""
+    if isinstance(path[-1], int):
+        path = path[:-1]
+    text = ""
+    for part in path:
+        text += f"[{part}]" if isinstance(part, int) else f".{part}" if text else part
+    return text
+
+
+def _at(doc, path):
+    for part in path:
+        doc = doc[part]
+    return doc
+
+
+def _with_value(path, value):
+    """A copy of GOOD_YAML's document with the scalar at `path` replaced."""
+    doc = copy.deepcopy(GOOD_DOC)
+    _at(doc, path[:-1])[path[-1]] = value
+    return doc
+
+
+GOOD_DOC = yaml.safe_load(GOOD_YAML)
+GOOD_LEAVES = tuple(_leaves(GOOD_DOC))
+NUMBER_LEAVES = tuple(p for p in GOOD_LEAVES if p != ("version",) and isinstance(_at(GOOD_DOC, p), (int, float)))
+
+
+@pytest.mark.parametrize("path", NUMBER_LEAVES, ids=[".".join(map(str, p)) for p in NUMBER_LEAVES])
+def test_cli_rejects_a_boolean_for_a_number(tmp_path, capsys, path):
+    # YAML's `true` loaded as 1.0 (or 1) wherever a number was read: a
+    # 1 m voxel, a 1 s step, a unit box corner or task vertex.
+    f = _write_with(tmp_path, path, True)
+    out = tmp_path / "out"
+    assert main(["plan", "--config", str(f), "--out", str(out)]) == 64
+    assert f"{f}: {_named(path)} must be " in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "path, value, reason",
+    [
+        (("voxel_size",), "0.1", "voxel_size must be a number, got '0.1'"),
+        (("robot", "start"), "4560", "robot.start must be 4 finite numbers (x y z psi), got '4560'"),
+        (("z_band",), "06", "z_band must be 2 finite numbers (lo hi), got '06'"),
+        (
+            ("maps", "bounds", "lo"),
+            ["-1", "-8", "0"],
+            "maps.bounds.lo must be 3 finite numbers (x y z), got ['-1', '-8', '0']",
+        ),
+    ],
+    ids=["voxel_size", "start", "z_band", "bounds"],
+)
+def test_cli_rejects_a_string_for_a_number(tmp_path, capsys, path, value, reason):
+    # A quoted number loaded as a number, and a string of coordinates was
+    # read character by character: `start: "4560"` loaded as (4, 5, 6, 0)
+    # and `z_band: "06"` as (0, 6).
+    f = _write_with(tmp_path, path, value)
+    assert main(["plan", "--config", str(f), "--out", str(tmp_path / "out")]) == 64
+    assert f"{f}: {reason}" in capsys.readouterr().err
+
+
+def test_load_scenario_rejects_a_boolean_version(tmp_path):
+    # `version: true` passed, because True == 1.
+    with pytest.raises(ValueError, match=re.escape("unsupported schema version True (expected 1)")):
+        load_scenario(_write_with(tmp_path, ("version",), True))
+
+
+@pytest.mark.parametrize("key", ["v_max", "w_max"])
+def test_cli_rejects_a_robot_that_cannot_move(tmp_path, capsys, key):
+    # A speed of 0 was accepted, and the mission could only time out.
+    f = _write_with(tmp_path, ("robot", key), 0)
+    assert main(["plan", "--config", str(f), "--out", str(tmp_path / "out")]) == 64
+    assert f"{f}: robot.{key} must be positive, got 0.0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "value", [None, 0, NAN, True, [], {}], ids=["null", "zero", "nan", "true", "list", "mapping"]
+)
+def test_cli_rejects_a_task_id_that_is_not_a_string(tmp_path, capsys, value):
+    # Any value was turned into a string: `id: ~` planned as the task
+    # 'None', and `id: [1, 2]` wrote `tour_[1, 2].json`.
+    f = _write_with(tmp_path, ("tasks", 0, "id"), value)
+    out = tmp_path / "out"
+    assert main(["plan", "--config", str(f), "--out", str(out)]) == 64
+    assert f"{f}: tasks[0].id must be a string, got {value!r}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_rejects_a_name_that_is_not_a_string(tmp_path, capsys):
+    f = _write_with(tmp_path, ("name",), True)
+    assert main(["plan", "--config", str(f), "--out", str(tmp_path / "out")]) == 64
+    assert f"{f}: name must be a string, got True" in capsys.readouterr().err
+
+
+FAR_LEAVES = (("z_band", 1),) + tuple(("maps", "historical", "boxes", 0, "hi", axis) for axis in range(3))
+
+
+@pytest.mark.parametrize("path", FAR_LEAVES, ids=["z_band_hi", "box_hi_x", "box_hi_y", "box_hi_z"])
+def test_cli_plans_a_far_coordinate_as_a_large_one(tmp_path, path):
+    # 1e308 overflowed the int of a voxel layer or index (an OverflowError
+    # traceback).  Clipped in float first, it plans as 1e30 does.
+    artifacts = []
+    for value in (1e30, 1e308):
+        out = tmp_path / f"out_{value:g}"
+        assert main(["plan", "--config", str(_write_with(tmp_path, path, value)), "--out", str(out)]) == 0
+        artifacts.append({p.name: p.read_bytes() for p in out.iterdir()})
+    assert artifacts[0] == artifacts[1]
+
+
+@pytest.mark.parametrize("vertex, axis", [(0, 0), (1, 1), (3, 2)], ids=["x", "y", "z"])
+def test_cli_rejects_a_task_vertex_that_overflows_the_frame(tmp_path, capsys, vertex, axis):
+    # The polygon loaded with a NaN normal, and planning it ended in
+    # "ValueError: cannot convert float NaN to integer" (a traceback).
+    f = _write_with(tmp_path, ("tasks", 0, "vertices", vertex, axis), 1e308)
+    assert main(["plan", "--config", str(f), "--out", str(tmp_path / "out")]) == 64
+    reason = "tasks[0] (wall): polygon vertices are collinear, degenerate or too far apart"
+    assert f"{f}: {reason}" in capsys.readouterr().err
+
+
+def test_cli_plan_ends_a_huge_inflation_as_unreachable(tmp_path, capsys):
+    # Every voxel lies within 1e308 m of the wall, so no route exists.  The
+    # clearance radius overflowed an int (an OverflowError traceback).
+    f = _write_with(tmp_path, ("inflation",), 1e308)
+    assert main(["plan", "--config", str(f), "--out", str(tmp_path / "out")]) == 3
+    assert "no executable tasks: all unreachable or in collision" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "path, value, reason",
+    [
+        (("robot", "start", 1), 1e30, "robot.start [4.0, 1e+30, 0.6] lies off the historical map"),
+        (("maps", "bounds", "hi", 0), 1e30, "0.1 m voxels over [-1.0, -8.0, 0.0] .. [1e+30, 7.0, 2.4] are too many"),
+        (("view", "d_view"), 6.0, "view.d_view must be at most camera.max_range (5.0), got 6.0"),
+    ],
+    ids=["start_off_the_map", "bounds_too_large", "d_view_beyond_range"],
+)
+def test_cli_rejects_a_scene_it_cannot_plan(tmp_path, capsys, path, value, reason):
+    # A start far off the map or a 1e30 m map bound gave a NaN cast (a
+    # RuntimeWarning) and then exit 3 or "negative dimensions are not
+    # allowed"; a standoff beyond the camera's range planned a tour on
+    # which the camera could see nothing.
+    f = _write_with(tmp_path, path, value)
+    out = tmp_path / "out"
+    assert main(["plan", "--config", str(f), "--out", str(out)]) == 64
+    assert reason in capsys.readouterr().err
+    assert not out.exists()
+
+
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Raise TimeoutError in the block once `seconds` of wall time pass."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+# libyaml's emitter when PyYAML has it, several times faster.
+YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+# One bad value of each kind.
+BAD_VALUES = {
+    "null": None,
+    "true": True,
+    "list": [],
+    "text": "x",
+    "mapping": {},
+    "minus_one": -1,
+    "zero": 0,
+    "big": 1e30,
+    "huge": 1e308,
+    "nan": NAN,
+    "minus_inf": -INF,
+}
+
+
+@pytest.mark.parametrize("value", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+def test_cli_plan_takes_any_one_bad_value(tmp_path, value):
+    # Each scalar of GOOD_YAML in turn set to `value`: `plan` plans (0),
+    # finds no executable task (3) or rejects the file (64), within a few
+    # seconds, and raises nothing (a RuntimeWarning included).
+    f = tmp_path / "scn.yaml"
+    for path in GOOD_LEAVES:
+        f.write_text(yaml.dump(_with_value(path, value), Dumper=YAML_DUMPER))
+        try:
+            with _time_limit(5.0):
+                code = main(["plan", "--config", str(f), "--out", str(tmp_path / "out")])
+        except Exception as exc:
+            raise AssertionError(f"{_named(path)} = {value!r}: {exc!r}") from exc
+        assert code in (0, 3, 64), f"{_named(path)} = {value!r}: exit {code}"
 
 
 @pytest.mark.parametrize("bounds", [True, False], ids=["bounds", "no_bounds"])

@@ -28,7 +28,6 @@ def line_plan(n, x=4.0, y0=0.0, spacing=1.11):
         task_id="t",
         viewpoints=vps,
         valid=np.ones(n, dtype=bool),
-        grid_points=np.zeros((n, 3)),
     )
 
 

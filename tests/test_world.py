@@ -197,6 +197,23 @@ def test_box_slices_match_numpy_reference(case):
     assert lo == ref_lo.tolist() and hi == ref_hi.tolist()
 
 
+def test_box_slices_of_far_corners_clip_to_the_grid():
+    # A corner at 1e308 overflowed its voxel index (an OverflowError); it
+    # now covers what a corner at 1e30 covers.
+    vmap = VoxelMap((0.0, 0.0, 0.0), 0.1, np.zeros((4, 4, 4), dtype=bool))
+    for far in (1e30, 1e308):
+        assert vmap._box_slices(Box((0.3, -far, 0.3), (far, 0.2, 0.3))) == ([3, 0, 3], [4, 2, 4])
+        assert vmap._box_slices(Box((-far, -far, -far), (-far / 2, 0.0, far))) == ([0, 0, 0], [0, 0, 4])
+
+
+def test_empty_map_rejects_a_grid_too_large_to_index():
+    # A 1e30 m bound cast a NaN-sized grid to int (a RuntimeWarning, then
+    # "negative dimensions are not allowed").
+    for hi in (1e30, 1e308):
+        with pytest.raises(ValueError, match="are too many to index"):
+            VoxelMap.empty((0.0, 0.0, 0.0), (hi, 1.0, 1.0), 0.1)
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("corner", ["lo", "hi"])
 def test_box_rejects_non_finite_corners(bad, corner):
@@ -712,6 +729,20 @@ def test_free_mask_wide_clearance():
     gap = np.maximum(np.abs(np.arange(160) - 5) - 0.5, 0.0)
     got = VoxelMap((0.0, 0.0, 0.0), 0.1, occ).free_mask(7.0, 0, 159)
     assert np.array_equal(got[0, 0], gap > 7.0 / 0.1)
+
+
+@pytest.mark.parametrize("fill", ["one_voxel", "empty"])
+def test_free_mask_clamps_a_radius_beyond_the_grid(fill):
+    # No gap inside the grid is as long as its diagonal, so any larger
+    # clearance blocks the same voxels.  1e308 overflowed the radius's int
+    # (an OverflowError), and 1e30 ran its passes for minutes.
+    occ = _single_voxel((9, 7, 5), (8, 0, 4)) if fill == "one_voxel" else np.zeros((9, 7, 5), dtype=bool)
+    diagonal = math.hypot(*occ.shape) * 0.1
+    want = dilation_free_mask(occ, 0.1, diagonal)
+    assert want.any() == (fill == "empty")
+    for inflation in (diagonal, 1e308):
+        got = VoxelMap((0.0, 0.0, 0.0), 0.1, occ).free_mask(inflation, 1, 3)
+        assert np.array_equal(got, want[:, :, 1:4])
 
 
 def test_free_mask_cached_and_read_only(wall_map):
