@@ -313,7 +313,8 @@ def per_call_prioritize(tasks, plans, robot, vmap, inflation, z_band):
 def wall_tour_plan(cols, rows):
     """A wall's viewpoint grid at the default view constraints' and
     camera's spacing."""
-    spacing_h, spacing_v = global_plan.ViewConstraints().spacing(CameraIntrinsics(**CAMERA_FOV))
+    view = global_plan.ViewConstraints()
+    spacing_h, spacing_v = view.spacing(CameraIntrinsics(**CAMERA_FOV), view.d_view)
     y, z = np.meshgrid(2.0 + np.arange(cols) * spacing_h, 0.6 + np.arange(rows) * spacing_v, indexing="ij")
     vps = tuple(ViewPose4(32.0, yy, zz, 0.0) for yy, zz in zip(y.ravel(), z.ravel()))
     return global_plan.ViewPlan("wall", vps, np.ones(len(vps), dtype=bool))

@@ -16,6 +16,7 @@ __all__ = [
     "DegenerateGeometryError",
     "wrap_angle",
     "ViewPose4",
+    "pose_error",
     "PathSegment",
     "PointCloud",
     "PolygonROI",
@@ -83,6 +84,12 @@ class ViewPose4:
 
     def as_array(self):
         return np.array([self.x, self.y, self.z, self.psi])
+
+
+def pose_error(pose, target):
+    """Distance from the `ViewPose4` `pose` to the `ViewPose4` `target` and
+    the magnitude of the yaw turn between them, in [0, pi]."""
+    return float(np.linalg.norm(target.position - pose.position)), abs(wrap_angle(target.psi - pose.psi))
 
 
 class PathSegment:

@@ -59,11 +59,13 @@ class ViewConstraints:
         if not (0.0 <= self.gamma_h < 1.0 and 0.0 <= self.gamma_v < 1.0):
             raise ValueError("overlap fractions must lie in [0, 1)")
 
-    def spacing(self, camera):
-        """Horizontal and vertical grid-line spacing: the footprint of the
-        `CameraIntrinsics` `camera` at the viewing distance, less the overlaps."""
-        footprint_w = 2.0 * self.d_view * np.tan(camera.alpha / 2.0)
-        footprint_h = 2.0 * self.d_view * np.tan(camera.beta / 2.0)
+    def spacing(self, camera, distance):
+        """Horizontal and vertical footprint spacing at the range `distance`:
+        the footprint of the `CameraIntrinsics` `camera` there, less the
+        overlaps.  At `d_view` it spaces the grid lines; at the sensed range
+        it sizes the local planner's sweep steps."""
+        footprint_w = 2.0 * distance * np.tan(camera.alpha / 2.0)
+        footprint_h = 2.0 * distance * np.tan(camera.beta / 2.0)
         return footprint_w * (1.0 - self.gamma_h), footprint_h * (1.0 - self.gamma_v)
 
 
@@ -114,12 +116,12 @@ def generate_grid_viewpoints(task, view, camera, toward, z_band):
     """Grid viewpoints for a polygon ROI (overlap-driven spacing).
 
     The ROI plane is gridded from the in-plane bounding-box minimum corner
-    with the spacings `view.spacing(camera)`; intersections inside the
-    polygon are offset by d_view along the polygon normal and oriented to
-    look back at the surface.  `toward` picks the projection side (the
-    half-space containing it, usually the robot); `z_band` clamps viewpoint
-    heights to [z_min, z_max], merging rows that collapse onto the same
-    height (None: no clamp).  An ROI too small to hold a grid point gets
+    with the spacings `view.spacing(camera, view.d_view)`; intersections
+    inside the polygon are offset by d_view along the polygon normal and
+    oriented to look back at the surface.  `toward` picks the projection
+    side (the half-space containing it, usually the robot); `z_band` clamps
+    viewpoint heights to [z_min, z_max], merging rows that collapse onto the
+    same height (None: no clamp).  An ROI too small to hold a grid point gets
     one viewpoint off its centroid, clamped the same way.
     """
     roi = task.roi
@@ -137,7 +139,7 @@ def generate_grid_viewpoints(task, view, camera, toward, z_band):
     t0, t1 = float(sv.min()), float(sv.max())
 
     eps = 1e-9
-    spacing_h, spacing_v = view.spacing(camera)
+    spacing_h, spacing_v = view.spacing(camera, view.d_view)
     n_cols = int(np.floor((s1 - s0) / spacing_h + eps)) + 1
     n_rows = int(np.floor((t1 - t0) / spacing_v + eps)) + 1
 

@@ -52,8 +52,7 @@ def _next_pose(pos, p_nn, guide_pos, cfg):
     nu_x, nu_y, nu_z, r = ego_frame(pos, p_nn)
     sweep_sign = 1.0 if float(nu_y @ (guide_pos - pos)) >= 0.0 else -1.0
     d_insp = r - c.d_view
-    d_hov = 2.0 * np.tan(cam.alpha / 2.0) * r * (1.0 - c.gamma_h)
-    d_vov = 2.0 * np.tan(cam.beta / 2.0) * r * (1.0 - c.gamma_v)
+    d_hov, d_vov = c.spacing(cam, r)
     nxt = pos + nu_x * d_insp + nu_y * (sweep_sign * d_hov) + nu_z * d_vov
     if cfg.z_band is not None:
         lo, hi = cfg.z_band
@@ -82,7 +81,7 @@ def predict_local_path(odom, vmap, guide, cfg, first_cloud):
     pos, cloud, poses = odom.position, first_cloud, []
     for g in guide:
         if poses:
-            cloud = sample_cloud(vmap, pos, cfg.sense_range, cfg.sense_rays, nearest=True)
+            (cloud,) = sample_cloud(vmap, [pos], cfg.sense_range, cfg.sense_rays, nearest=True)
             if cloud.is_empty:
                 return PathSegment(poses), True
         p_nn, _ = nearest_point(cloud, pos)

@@ -16,8 +16,9 @@ One log record is written per control step.  Similarity metrics come from
 the last supervision cycle and are carried through the steps in between;
 pose, viewing distance and viewpoint utility are sampled fresh every step.
 A step's viewing distance only fills the log and feeds no decision, so its
-scan is queued and cast together with the next few in one multi-origin
-raycast; records reach the log in order once their batch is cast.
+pose is queued and scanned together with the next few by one multi-origin
+`sample_cloud` call; each distance is `viewing_distance` on its pose's
+cloud, and records reach the log in order once their batch is cast.
 """
 
 import logging
@@ -26,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .controller import add_odometry_noise, track_step
-from .geometry import NoSurfaceError, ViewPose4, wrap_angle
+from .geometry import NoSurfaceError, ViewPose4, pose_error
 from .global_plan import (
     RouteError,
     TaskUnreachableError,
@@ -40,6 +41,7 @@ from .metrics import (
     MissionLog,
     MissionRecord,
     summarize,
+    viewing_distance,
     viewpoint_utility,
 )
 from .scenario import build_scene
@@ -50,12 +52,7 @@ from .supervisor import (
     SupervisionCycle,
     step_mission,
 )
-from .world import nearest_distances, render_depth
-
-# Not called here, but bound so that perfbench's tracer finds every name it
-# wraps on this module.
-from .metrics import viewing_distance  # noqa: F401
-from .world import sample_cloud  # noqa: F401
+from .world import render_depth, sample_cloud
 
 __all__ = ["MissionRunner", "MissionResult", "TaskPlan", "PlanArtifacts"]
 
@@ -177,7 +174,7 @@ class _Stepper:
         self.max_steps = int(round(cfg.max_sim_time / cfg.dt))
         self.log = MissionLog()
         self.queued = []  # records not yet in the log, in step order
-        self.scans = []  # (index into queued, scan position) still to cast
+        self.scans = []  # (index into queued, pose) still to scan
         self.cycle = _NO_CYCLE
         self.predicted_paths = []
         self.visited_total = 0
@@ -224,7 +221,7 @@ class _Stepper:
             except RouteError as exc:
                 log.warning("task %s: route to tour start failed: %s", task_id, exc)
                 return "aborted"
-            cap = self.stall_cap(length, abs(wrap_angle(first.psi - self.pose.psi)))
+            cap = self.stall_cap(length, pose_error(self.pose, first)[1])
             last = len(waypoints) - 1
             wp_idx = 0
             stepped = 0
@@ -234,7 +231,7 @@ class _Stepper:
                     wp_idx += 1
                 wp = waypoints[wp_idx]
                 ref = ViewPose4(wp[0], wp[1], wp[2], first.psi)
-                dist, dyaw = self.pose_error(ref)
+                dist, dyaw = pose_error(self.pose, ref)
                 if wp_idx == last and dist <= pos_tol and dyaw <= yaw_tol:
                     return "completed"
                 if stepped >= cap:
@@ -283,11 +280,11 @@ class _Stepper:
         cfg = self.cfg
         pos_tol = min(0.1, 0.4 * cfg.pos_tol)
         yaw_tol = min(0.1, 0.5 * cfg.yaw_tol)
-        cap = self.stall_cap(*self.pose_error(ref))
+        cap = self.stall_cap(*pose_error(self.pose, ref))
         blocked = self.advance(ref)
         tracked = 1
         while not self.out_of_time():
-            dist, dyaw = self.pose_error(ref)
+            dist, dyaw = pose_error(self.pose, ref)
             if dist <= pos_tol and dyaw <= yaw_tol:
                 return
             if tracked >= cap:
@@ -308,10 +305,6 @@ class _Stepper:
         cfg = self.cfg
         return int(3.0 * (dist / max(cfg.v_max, 1e-9) + dyaw / max(cfg.w_max, 1e-9)) / cfg.dt) + 20
 
-    def pose_error(self, ref):
-        pose = self.pose
-        return float(np.linalg.norm(ref.position - pose.position)), abs(wrap_angle(ref.psi - pose.psi))
-
     def advance(self, ref):
         """One control step toward `ref` (None: hold the current pose)."""
         pose = self.pose
@@ -330,7 +323,7 @@ class _Stepper:
         vmap = self.scene.current
         pose = self.pose
         if vd is None:
-            self.scans.append((len(self.queued), pose.position))
+            self.scans.append((len(self.queued), pose))
         try:
             utility = viewpoint_utility(render_depth(vmap, pose, cfg.camera), cfg.camera)
         except NoSurfaceError:
@@ -363,13 +356,16 @@ class _Stepper:
             self.flush()
 
     def flush(self):
-        """Cast the queued viewing-distance scans in one call, fill them in
-        and append the queued records to the log, in order."""
+        """Cast the queued viewing-distance scans in one call, fill in each
+        record's distance (NaN for an empty scan) and append the queued
+        records to the log, in order."""
         if self.scans:
             cfg = self.cfg
-            at, positions = zip(*self.scans)
-            distances = nearest_distances(self.scene.current, positions, cfg.sense_range, cfg.sense_rays)
-            for i, vd in zip(at, distances.tolist()):
+            at, poses = zip(*self.scans)
+            positions = [pose.position for pose in poses]
+            clouds = sample_cloud(self.scene.current, positions, cfg.sense_range, cfg.sense_rays, nearest=True)
+            for i, pose, cloud in zip(at, poses, clouds):
+                vd = NAN if cloud.is_empty else viewing_distance(pose, cloud)
                 self.queued[i] = replace(self.queued[i], viewing_distance=vd)
         for rec in self.queued:
             self.log.append(rec)

@@ -24,6 +24,11 @@ SCHEMA_VERSION = 1
 DEMO_NAMES = ("nominal", "receding", "obstacle", "receding_full")
 # The camera FOV (radians) of a scenario that sets none; the only FOV.
 CAMERA_FOV = {"alpha": np.deg2rad(69.5), "beta": np.deg2rad(45.0)}
+# The most rays a scan may cast and pixels a camera image side may have:
+# these keys size the arrays of every scan and frame, and the shipped
+# scenarios use at most 2048 rays and 80 x 60 pixels.
+MAX_RAYS = 65536
+MAX_IMAGE_SIDE = 4096
 
 
 @dataclass(frozen=True)
@@ -150,11 +155,11 @@ _KEYS = {
     "view.gamma_v": ("gamma_v", _FRACTION),
     "camera.alpha_deg": ("alpha", _FOV),
     "camera.beta_deg": ("beta", _FOV),
-    "camera.width": ("width", ("at least 3", lambda v: v >= 3)),
-    "camera.height": ("height", ("at least 3", lambda v: v >= 3)),
+    "camera.width": ("width", (f"in [3, {MAX_IMAGE_SIDE}]", lambda v: 3 <= v <= MAX_IMAGE_SIDE)),
+    "camera.height": ("height", (f"in [3, {MAX_IMAGE_SIDE}]", lambda v: 3 <= v <= MAX_IMAGE_SIDE)),
     "camera.max_range": ("max_range", _POSITIVE),
     "sensing.range": ("sense_range", _POSITIVE),
-    "sensing.rays": ("sense_rays", ("at least 1", lambda v: v >= 1)),
+    "sensing.rays": ("sense_rays", (f"in [1, {MAX_RAYS}]", lambda v: 1 <= v <= MAX_RAYS)),
     "sensing.odom_sigma_xy": ("odom_sigma_xy", _NON_NEGATIVE),
     "sensing.odom_sigma_psi": ("odom_sigma_psi", _NON_NEGATIVE),
 }

@@ -15,7 +15,7 @@ from .geometry import (
     apply_transform,
     discrete_frechet,
     kabsch_align,
-    wrap_angle,
+    pose_error,
 )
 from .local_plan import predict_local_path
 from .metrics import path_rmse, viewing_distance
@@ -155,12 +155,6 @@ class SupervisionCycle:
     short_prediction: bool = False
 
 
-def _within(robot, target, pos_tol, yaw_tol):
-    if float(np.linalg.norm(robot.position - target.position)) > pos_tol:
-        return False
-    return abs(wrap_angle(target.psi - robot.psi)) <= yaw_tol
-
-
 def _unscored_cycle(state, event, visited_index):
     """The record of a cycle that emits no reference: no scan, no similarity."""
     nan = float("nan")
@@ -210,7 +204,8 @@ def step_mission(state, scene, robot):
     if target is None:
         target = state.plan.viewpoints[state.tour.order[state.cursor]]
     credit = not approx or state.last_rmse_post < cfg.pos_tol
-    if credit and _within(robot, target, cfg.pos_tol, cfg.yaw_tol):
+    dist, dyaw = pose_error(robot, target)
+    if credit and dist <= cfg.pos_tol and dyaw <= cfg.yaw_tol:
         state.approx_visits += int(approx)
         visited_index = state.cursor
         state.cursor += 1
@@ -222,7 +217,7 @@ def step_mission(state, scene, robot):
         state.status = MissionStatus.COMPLETE
         return None, _unscored_cycle(state, "complete", visited_index)
 
-    cloud = sample_cloud(scene.current, robot.position, cfg.sense_range, cfg.sense_rays, nearest=True)
+    (cloud,) = sample_cloud(scene.current, [robot.position], cfg.sense_range, cfg.sense_rays, nearest=True)
     if cloud.is_empty:
         return None, _unscored_cycle(state, _retry(state), visited_index)
     state.retries = 0

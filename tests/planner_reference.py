@@ -248,7 +248,7 @@ def generate_grid_viewpoints(task, view, camera, toward, z_band):
     t0, t1 = float(sv.min()), float(sv.max())
 
     eps = 1e-9
-    spacing_h, spacing_v = view.spacing(camera)
+    spacing_h, spacing_v = view.spacing(camera, view.d_view)
     n_cols = int(np.floor((s1 - s0) / spacing_h + eps)) + 1
     n_rows = int(np.floor((t1 - t0) / spacing_v + eps)) + 1
 

@@ -122,7 +122,7 @@ def test_criterion_04_next_view_closed_form():
 def test_criterion_05_grid_spacing_and_coverage():
     with criterion(5, "grid spacing 1.110/0.663 m, 2 m standoff, >=99% footprint coverage"):
         c, camera = ViewConstraints(), CameraIntrinsics(**CAMERA_FOV)
-        spacing_h, spacing_v = c.spacing(camera)
+        spacing_h, spacing_v = c.spacing(camera, c.d_view)
         # The spacing values, rounded to the mm, match the documented model.
         assert round(spacing_h, 3) == 1.110
         assert round(spacing_v, 3) == 0.663

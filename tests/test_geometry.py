@@ -17,6 +17,7 @@ from surfscan.geometry import (
     inside_in_plane,
     nearest_point,
     polygon_normal,
+    pose_error,
     wrap_angle,
 )
 
@@ -76,6 +77,16 @@ def test_wrap_angle_range():
         assert abs(np.cos(w) - np.cos(a)) < 1e-12
     assert wrap_angle(np.pi) == pytest.approx(np.pi)
     assert wrap_angle(-np.pi) == pytest.approx(np.pi)
+
+
+def test_pose_error_is_the_distance_and_the_shorter_yaw_turn():
+    # The turn from 3.1 to -3.1 rad goes the short way across +-pi.
+    pose, target = ViewPose4(1.0, 2.0, 0.5, 3.1), ViewPose4(4.0, 6.0, 0.5, -3.1)
+    dist, dyaw = pose_error(pose, target)
+    assert dist == 5.0
+    assert dyaw == pytest.approx(2.0 * np.pi - 6.2, abs=1e-12)
+    back = pose_error(target, pose)
+    assert back[0] == dist and back[1] == pytest.approx(dyaw, abs=1e-12)
 
 
 # ---------------------------------------------------------------- polygons

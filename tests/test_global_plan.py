@@ -36,7 +36,7 @@ def make_task(verts, tid="t"):
 # planned with, and the grid spacing and camera footprint they give.
 VIEW = ViewConstraints()
 CAMERA = CameraIntrinsics(**CAMERA_FOV)
-SPACING_H, SPACING_V = VIEW.spacing(CAMERA)
+SPACING_H, SPACING_V = VIEW.spacing(CAMERA, VIEW.d_view)
 FOOTPRINT_W, FOOTPRINT_H = SPACING_H / (1.0 - VIEW.gamma_h), SPACING_V / (1.0 - VIEW.gamma_v)
 
 
@@ -80,7 +80,7 @@ def nearest_neighbor_cost(start, positions):
 
 
 def test_view_constraints_spacing_values():
-    spacing_h, spacing_v = ViewConstraints().spacing(CAMERA)
+    spacing_h, spacing_v = ViewConstraints().spacing(CAMERA, 2.0)
     assert spacing_h == pytest.approx(2 * 2 * np.tan(np.deg2rad(34.75)) * 0.4, abs=1e-12)
     assert spacing_v == pytest.approx(2 * 2 * np.tan(np.deg2rad(22.5)) * 0.4, abs=1e-12)
     assert round(spacing_h, 3) == 1.110
@@ -88,7 +88,7 @@ def test_view_constraints_spacing_values():
 
 
 def test_view_constraints_zero_overlap_full_footprint():
-    spacing_h, _ = ViewConstraints(gamma_h=0.0).spacing(CAMERA)
+    spacing_h, _ = ViewConstraints(gamma_h=0.0).spacing(CAMERA, 2.0)
     assert spacing_h == pytest.approx(2 * 2.0 * np.tan(CAMERA.alpha / 2))
     assert round(spacing_h, 3) == 2.775
 
@@ -99,7 +99,7 @@ def test_grid_spacing_follows_the_camera_fov():
     task = make_task(WALL_6X2)
     narrow = CameraIntrinsics(alpha=np.deg2rad(40.0), beta=CAMERA.beta)
     wide, dense = (generate_grid_viewpoints(task, VIEW, cam, [0.0, 0.0, 1.0], (0.6, 0.6)) for cam in (CAMERA, narrow))
-    spacing_h = VIEW.spacing(narrow)[0]
+    spacing_h = VIEW.spacing(narrow, VIEW.d_view)[0]
     assert len(wide) == 6 and len(dense) == int(6.0 / spacing_h + 1e-9) + 1 > 6
     assert np.allclose(np.diff(viewpoint_positions(dense)[:, 1]), spacing_h, atol=1e-9)
 

@@ -22,7 +22,7 @@ from surfscan.world import Box, VoxelMap, sample_cloud
 BANDED = demo_scenario("nominal")
 CFG = dataclasses.replace(BANDED, z_band=None)
 # The grid's horizontal spacing, which the lateral sweep steps by at d_view.
-SPACING_H = BANDED.view.spacing(BANDED.camera)[0]
+SPACING_H = BANDED.view.spacing(BANDED.camera, BANDED.view.d_view)[0]
 
 
 def wall_cloud(wall_x, pos):
@@ -147,7 +147,7 @@ def test_sweep_steps_by_the_camera_fov():
     cfg = dataclasses.replace(CFG, camera=camera)
     pos = ViewPose4(4.0, 0.0, 0.6)
     nxt = next_view(pos, wall_cloud(6.0, pos.position), cfg)
-    spacing_h, spacing_v = cfg.view.spacing(camera)
+    spacing_h, spacing_v = cfg.view.spacing(camera, cfg.view.d_view)
     assert nxt.y - pos.y == pytest.approx(spacing_h, abs=1e-9)
     assert nxt.z - pos.z == pytest.approx(spacing_v, abs=1e-9)
     assert spacing_h < SPACING_H
@@ -180,7 +180,7 @@ def guide_line(x, y0, n, spacing, z=0.6):
 def predict(odom, vmap, guide, cfg):
     """`predict_local_path` from the scan taken at `odom`, as the supervisor
     calls it."""
-    first_cloud = sample_cloud(vmap, odom.position, cfg.sense_range, cfg.sense_rays, nearest=True)
+    (first_cloud,) = sample_cloud(vmap, [odom.position], cfg.sense_range, cfg.sense_rays, nearest=True)
     return predict_local_path(odom, vmap, guide, cfg, first_cloud)
 
 
@@ -199,7 +199,7 @@ def test_prediction_single_step_equals_next_view():
     cfg = BANDED
     path, short = predict(odom, vmap, guide_line(4.0, 1.11, 1, 1.11), cfg)
     assert not short and len(path) == 1
-    direct = next_view(odom, sample_cloud(vmap, odom.position, cfg.sense_range, cfg.sense_rays), cfg)
+    direct = next_view(odom, sample_cloud(vmap, [odom.position], cfg.sense_range, cfg.sense_rays)[0], cfg)
     assert np.allclose(path[0].as_array(), direct.as_array(), atol=1e-12)
 
 

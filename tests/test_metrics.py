@@ -175,7 +175,7 @@ def test_rmse_length_mismatch():
 
 def test_viewing_distance_wall(wall_map):
     robot = ViewPose4(4.0, 0.0, 1.2)
-    cloud = sample_cloud(wall_map, robot.position, 12.0, 2048)
+    (cloud,) = sample_cloud(wall_map, [robot.position], 12.0, 2048)
     assert viewing_distance(robot, cloud) == pytest.approx(2.0, abs=wall_map.voxel_size)
 
 

@@ -205,10 +205,19 @@ def test_batched_viewing_distances_equal_fresh_single_scans(monkeypatch):
     vmap = MissionRunner(cfg).scene.current
     for r in records:
         pos = ViewPose4(r.x, r.y, r.z)
-        cloud = world.sample_cloud(vmap, pos.position, cfg.sense_range, cfg.sense_rays, nearest=True)
+        (cloud,) = world.sample_cloud(vmap, [pos.position], cfg.sense_range, cfg.sense_rays, nearest=True)
         want = np.nan if cloud.is_empty else viewing_distance(pos, cloud)
         # Zero odometry noise: the cycles scan from the logged pose too.
         assert np.float64(r.viewing_distance).view(np.int64) == np.float64(want).view(np.int64)
+
+
+def test_log_scans_that_see_nothing_log_nan():
+    # A 0.5 m range sees nothing from the start, 2 m off the wall: each
+    # navigate record's batched scan comes back empty and logs NaN.
+    cfg = dataclasses.replace(demo_scenario("nominal"), sense_range=0.5, max_sim_time=2.0)
+    records = MissionRunner(cfg).run().log.records
+    assert len(records) == 20
+    assert all(r.phase == "navigate" and np.isnan(r.viewing_distance) for r in records)
 
 
 def test_navigate_route_error_aborts_and_other_errors_propagate(monkeypatch):
@@ -314,7 +323,7 @@ def test_sense_retry_holds_the_robot_for_one_step(monkeypatch):
     def blind_second_scan(*args, **kwargs):
         calls.append(args)
         if len(calls) == 2:
-            return PointCloud(np.empty((0, 3)))
+            return (PointCloud(np.empty((0, 3))),)
         return real_sample(*args, **kwargs)
 
     monkeypatch.setattr(supervisor, "sample_cloud", blind_second_scan)

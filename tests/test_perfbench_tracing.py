@@ -41,3 +41,7 @@ def test_tracer_installs_runs_and_uninstalls():
     assert metrics["mission.step_mission.cycles"] == metrics["mission.step_mission.calls"] > 0
     assert metrics["mission.track_step.calls"] > 0
     assert metrics["kernels.raycast_batch.rays"] > 0
+    # The logged viewing distances go through the scan and distance rules
+    # the tracer binds on the mission module.
+    assert metrics["mission.sample_cloud.calls"] > 0
+    assert metrics["mission.viewing_distance.calls"] > 0

@@ -416,7 +416,7 @@ def test_cli_rejects_invalid_map_spec(tmp_path, capsys, which, spec):
         (("view", "alpha_deg"), 60, "unknown key view.alpha_deg (allowed: d_view, gamma_h, gamma_v)"),
         (("camera", "alpha_deg"), 200, "camera.alpha_deg must be in (0, 180), got 200.0"),
         (("camera", "beta_deg"), 0, "camera.beta_deg must be in (0, 180), got 0.0"),
-        (("camera", "width"), 2, "camera.width must be at least 3, got 2"),
+        (("camera", "width"), 2, "camera.width must be in [3, 4096], got 2"),
         (("camera", "max_range"), "far", "camera.max_range must be a number, got 'far'"),
     ],
     ids=["gamma_h", "gamma_v", "view_alpha", "camera_alpha", "camera_beta", "camera_width", "camera_range_text"],
@@ -430,6 +430,39 @@ def test_cli_view_and_camera_errors_name_their_key(tmp_path, capsys, path, value
     assert main(["plan", "--config", str(f), "--out", str(out)]) == 64
     assert f"{f}: {reason}" in capsys.readouterr().err
     assert not out.exists()
+
+
+HUGE = "1000000000000000019884624838656"  # int(1e30)
+
+
+@pytest.mark.parametrize(
+    "path, value, reason",
+    [
+        (("sensing", "rays"), 65537, "sensing.rays must be in [1, 65536], got 65537"),
+        (("sensing", "rays"), 1e30, f"sensing.rays must be in [1, 65536], got {HUGE}"),
+        (("camera", "width"), 4097, "camera.width must be in [3, 4096], got 4097"),
+        (("camera", "height"), 1e30, f"camera.height must be in [3, 4096], got {HUGE}"),
+    ],
+    ids=["rays", "rays_1e30", "width", "height_1e30"],
+)
+def test_cli_rejects_a_ray_count_or_image_side_beyond_its_cap(tmp_path, capsys, path, value, reason):
+    # These keys size every scan's and every frame's arrays; a 1e30 loaded
+    # as a 31-digit int and `plan` exited 0 with it.
+    f = _write_with(tmp_path, path, value)
+    out = tmp_path / "out"
+    assert main(["plan", "--config", str(f), "--out", str(out)]) == 64
+    assert f"{f}: {reason}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_load_scenario_takes_the_ray_and_image_caps(tmp_path):
+    cfg = yaml.safe_load(GOOD_YAML)
+    cfg["sensing"]["rays"] = 65536
+    cfg["camera"].update(width=4096, height=4096)
+    f = tmp_path / "scn.yaml"
+    f.write_text(yaml.safe_dump(cfg))
+    loaded = load_scenario(f)
+    assert (loaded.sense_rays, loaded.camera.width, loaded.camera.height) == (65536, 4096, 4096)
 
 
 def test_omitted_keys_take_the_dataclass_defaults(tmp_path):
@@ -940,7 +973,7 @@ def test_cli_failing_scan_aborts(tmp_path, monkeypatch):
     from surfscan import supervisor
     from surfscan.geometry import PointCloud
 
-    monkeypatch.setattr(supervisor, "sample_cloud", lambda *args, **kwargs: PointCloud(np.zeros((0, 3))))
+    monkeypatch.setattr(supervisor, "sample_cloud", lambda *args, **kwargs: (PointCloud(np.zeros((0, 3))),))
     out = tmp_path / "run"
     assert main(["run", "--demo", "nominal", "--out", str(out)]) == 3
     assert json.loads((out / "summary.json").read_text())["status"] == "aborted"

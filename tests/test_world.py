@@ -13,7 +13,6 @@ from surfscan import kernels
 from surfscan.depthcam import CameraIntrinsics, camera_axes_world
 from surfscan.fileio import _load_xyz_lines, load_xyz
 from surfscan.geometry import ViewPose4, nearest_point
-from surfscan.metrics import viewing_distance
 from surfscan.world import (
     Box,
     MorphologyDelta,
@@ -23,7 +22,6 @@ from surfscan.world import (
     fibonacci_directions,
     is_collision_free,
     load_map,
-    nearest_distances,
     render_depth,
     sample_cloud,
 )
@@ -370,7 +368,7 @@ def test_render_depth_casts_other_frames_through_raycast_batch(wall_map, pose, c
 
 def test_sample_cloud_empty_map():
     vmap = VoxelMap.empty((0, 0, 0), (5, 5, 5), 0.1)
-    cloud = sample_cloud(vmap, np.array([2.5, 2.5, 2.5]), 10.0, 256)
+    (cloud,) = sample_cloud(vmap, [[2.5, 2.5, 2.5]], 10.0, 256)
     assert cloud.is_empty
     assert assert_same_nearest(vmap, np.array([2.5, 2.5, 2.5]), 10.0, 256).is_empty
 
@@ -389,7 +387,7 @@ def test_sample_cloud_box_room_bound():
     # Closed 4x4x4 room; robot at the center.
     vmap = box_room(4.4)
     center = np.array([2.2, 2.2, 2.2])
-    cloud = sample_cloud(vmap, center, 10.0, 512)
+    (cloud,) = sample_cloud(vmap, [center], 10.0, 512)
     assert len(cloud) == 512
     dists = np.linalg.norm(cloud.points - center, axis=1)
     assert dists.max() <= 2 * np.sqrt(3) + 1e-9
@@ -397,7 +395,7 @@ def test_sample_cloud_box_room_bound():
 
 def test_sample_cloud_hits_on_voxel_boundaries(wall_map):
     pos = np.array([4.0, 0.0, 1.2])
-    cloud = sample_cloud(wall_map, pos, 8.0, 512)
+    (cloud,) = sample_cloud(wall_map, [pos], 8.0, 512)
     assert len(cloud) > 0
     h = wall_map.voxel_size
     for p in cloud.points:
@@ -413,8 +411,8 @@ def test_sample_cloud_hits_on_voxel_boundaries(wall_map):
 def assert_same_nearest(vmap, pos, max_range, ray_count):
     """The nearest-mode cloud from `pos` gives `nearest_point` bit for bit the
     answer of the full cloud; returns it."""
-    full = sample_cloud(vmap, pos, max_range, ray_count)
-    near = sample_cloud(vmap, pos, max_range, ray_count, nearest=True)
+    (full,) = sample_cloud(vmap, [pos], max_range, ray_count)
+    (near,) = sample_cloud(vmap, [pos], max_range, ray_count, nearest=True)
     assert near.is_empty == full.is_empty
     if full.is_empty:
         return near
@@ -455,12 +453,32 @@ def test_sample_cloud_nearest_box_room_center(height, rays):
         assert len(near) == 2
 
 
-def single_scan_distance(vmap, pos, max_range, ray_count):
-    cloud = sample_cloud(vmap, pos, max_range, ray_count, nearest=True)
-    return np.nan if cloud.is_empty else viewing_distance(ViewPose4(*pos), cloud)
+def single_scan(vmap, pos, max_range, ray_count, nearest):
+    """The (n, 3) points of one scan from `pos` alone: a single-origin cast
+    on the occupied box, its hits placed at pos + dir * t."""
+    box = vmap.occupied_box
+    if box is None:
+        return np.empty((0, 3))
+    dirs = fibonacci_directions(ray_count)
+    dirs_g = np.ascontiguousarray(dirs / vmap.voxel_size)
+    t = kernels.raycast_batch(vmap.occ, vmap.world_to_grid(pos), dirs_g, max_range, nearest=nearest, box=box)
+    hit = t >= 0.0
+    return pos + dirs[hit] * t[hit, None]
 
 
-def test_nearest_distances_equal_single_scans(wall_map):
+def assert_scans_equal_single_scans(vmap, positions, max_range, ray_count):
+    """Each cloud of one multi-origin scan is bit for bit the scan from its
+    position alone, in both modes."""
+    for nearest in (False, True):
+        clouds = sample_cloud(vmap, positions, max_range, ray_count, nearest=nearest)
+        assert len(clouds) == len(positions)
+        for pos, cloud in zip(positions, clouds):
+            want = single_scan(vmap, pos, max_range, ray_count, nearest)
+            assert cloud.points.shape == want.shape
+            assert np.array_equal(cloud.points.view(np.int64), want.view(np.int64))
+
+
+def test_multi_origin_scans_equal_single_scans(wall_map):
     # In front of the face, at its edge and corner, inside the slab, beyond
     # the range, outside the grid and in the box room's rounding-tie centre.
     positions = np.array(
@@ -476,26 +494,32 @@ def test_nearest_distances_equal_single_scans(wall_map):
     )
     positions = np.vstack([positions, np.random.default_rng(5).uniform((-1, -7, 0), (10, 7, 2.4), (9, 3))])
     for max_range, rays in ((8.0, 512), (12.0, 2048), (1.0, 300)):
-        got = nearest_distances(wall_map, positions, max_range, rays)
-        want = np.array([single_scan_distance(wall_map, p, max_range, rays) for p in positions])
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
-    # A 1 m range from 2 m in front of the face sees nothing.
-    assert np.isnan(nearest_distances(wall_map, positions[:1], 1.0, 512)).all()
-    room = box_room(2.4)
-    center = np.array([[2.2, 2.2, 1.2]])
-    assert nearest_distances(room, center, 10.0, 2048)[0] == single_scan_distance(room, center[0], 10.0, 2048)
+        assert_scans_equal_single_scans(wall_map, positions, max_range, rays)
+    # A 1 m range from 2 m in front of the face sees nothing, from a point
+    # outside the grid neither.
+    clouds = sample_cloud(wall_map, positions[[0, 5]], 1.0, 512)
+    assert [cloud.is_empty for cloud in clouds] == [True, True]
+    assert_scans_equal_single_scans(box_room(2.4), np.array([[2.2, 2.2, 1.2], [9.0, 2.2, 1.2]]), 10.0, 2048)
 
 
-def test_nearest_distances_on_an_empty_map_are_nan():
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_multi_origin_scans_equal_single_scans_on_random_grids(data):
+    occ = data.draw(occupancy_grids())
+    vmap = VoxelMap(np.array([-7.3, 120.1, 0.35]), 0.25, occ)
+    count = data.draw(st.integers(1, 4))
+    positions = vmap.origin + 0.25 * np.array([[data.draw(grid_coordinate(n)) for n in occ.shape] for _ in range(count)])
+    max_range = data.draw(st.one_of(st.floats(0.05, 3.0), st.just(50.0)))
+    assert_scans_equal_single_scans(vmap, positions, max_range, data.draw(st.integers(1, 300)))
+
+
+def test_multi_origin_scans_on_an_empty_map_are_empty():
     vmap = VoxelMap.empty((0, 0, 0), (5, 5, 5), 0.1)
-    got = nearest_distances(vmap, np.array([[2.5, 2.5, 2.5], [1.0, 1.0, 1.0]]), 10.0, 256)
-    assert got.shape == (2,) and np.isnan(got).all()
+    assert_scans_equal_single_scans(vmap, np.array([[2.5, 2.5, 2.5], [1.0, 1.0, 1.0], [-3.0, 9.0, 1.0]]), 10.0, 256)
 
 
-SCANS = {
-    "sample_cloud": lambda vmap, pos, max_range, rays: len(sample_cloud(vmap, pos, max_range, rays)),
-    "nearest_distances": lambda vmap, pos, max_range, rays: nearest_distances(vmap, pos[None], max_range, rays)[0],
-}
+# Each scan mode, on one origin.
+SCANS = {"sample_cloud": False, "nearest": True}
 
 
 @pytest.mark.parametrize("scan", SCANS)
@@ -507,18 +531,18 @@ def test_scans_reject_a_range_or_ray_count_that_returns_nothing(wall_map, scan, 
     # Each would otherwise return an empty scan: a nan cap retires every ray
     # as a miss.
     with pytest.raises(ValueError, match=match):
-        SCANS[scan](wall_map, np.array([4.0, 0.0, 1.2]), max_range, rays)
+        sample_cloud(wall_map, [[4.0, 0.0, 1.2]], max_range, rays, nearest=SCANS[scan])
 
 
 @pytest.mark.parametrize("scan", SCANS)
 def test_scans_cast_with_an_infinite_range(wall_map, scan):
-    pos = np.array([4.0, 0.0, 1.2])
-    assert SCANS[scan](wall_map, pos, math.inf, 256) == SCANS[scan](wall_map, pos, 12.0, 256) > 0
+    infinite, finite = (sample_cloud(wall_map, [[4.0, 0.0, 1.2]], r, 256, nearest=SCANS[scan])[0] for r in (math.inf, 12.0))
+    assert np.array_equal(infinite.points, finite.points) and len(finite) > 0
 
 
 def test_sample_cloud_deterministic(wall_map):
-    a = sample_cloud(wall_map, np.array([4.0, 0.0, 1.2]), 8.0, 512)
-    b = sample_cloud(wall_map, np.array([4.0, 0.0, 1.2]), 8.0, 512)
+    (a,) = sample_cloud(wall_map, [[4.0, 0.0, 1.2]], 8.0, 512)
+    (b,) = sample_cloud(wall_map, [[4.0, 0.0, 1.2]], 8.0, 512)
     assert np.array_equal(a.points, b.points)
 
 
@@ -540,8 +564,8 @@ def test_wall_recession_grows_nearest_distance(wall_map):
     delta = MorphologyDelta(removals=(Box((6.0, -5.0, 0.0), (7.0, 5.0, 2.4)),),
                             additions=(Box((7.0, -5.0, 0.0), (7.4, 5.0, 2.4)),))
     receded = apply_delta(wall_map, delta)
-    _, d0 = nearest_point(sample_cloud(wall_map, probe, 12.0, 1024), probe)
-    _, d1 = nearest_point(sample_cloud(receded, probe, 12.0, 1024), probe)
+    _, d0 = nearest_point(sample_cloud(wall_map, [probe], 12.0, 1024)[0], probe)
+    _, d1 = nearest_point(sample_cloud(receded, [probe], 12.0, 1024)[0], probe)
     assert d1 - d0 == pytest.approx(1.0, abs=2 * wall_map.voxel_size)
 
 
@@ -604,8 +628,8 @@ def test_empty_map_casts_no_rays(monkeypatch):
     monkeypatch.setattr(kernels, "raycast_level_frame", no_cast)
     vmap = VoxelMap.empty((0, 0, 0), (5, 5, 5), 0.1)
     assert not np.isfinite(render_depth(vmap, ViewPose4(2.5, 2.5, 2.5), CAM).data).any()
-    assert sample_cloud(vmap, np.array([2.5, 2.5, 2.5]), 10.0, 256, nearest=True).is_empty
-    assert np.isnan(nearest_distances(vmap, np.full((2, 3), 2.5), 10.0, 256)).all()
+    for nearest in (False, True):
+        assert all(cloud.is_empty for cloud in sample_cloud(vmap, np.full((2, 3), 2.5), 10.0, 256, nearest=nearest))
 
 
 # ---------------------------------------------------------------- collision
