@@ -2,8 +2,8 @@
 """Benchmark the hot kernels at full size.
 
 `raycast_batch` and `normals_from_depth` are vectorized numpy kernels;
-their scalar loops (`raycast_batch_scalar`, `normals_from_depth_scalar`)
-are the tests' bitwise oracles.  Both are timed on the cases a mission
+their scalar loops (`raycast_batch_scalar`, `normals_from_depth_scalar`
+in `tests/kernel_reference.py`) are the tests' bitwise oracles.  Both are timed on the cases a mission
 runs every control step, from a pose in the `receding` demo's scene: the
 80x60 depth image (5 m range), the 2048-ray 12 m omnidirectional scan,
 the same scan in nearest-return mode (as the mission's scans run) and
@@ -15,8 +15,9 @@ the 41 points of a 2 m tracking step along the same scene's face (from
 the sensing pose, and 0.6 m from the face where it has not receded),
 clipped to the occupied box, as `is_collision_free` calls it, against the
 full-grid box.  The batched row times the mission's viewing-distance
-scans as the stepper casts them: 8 nearest-mode 2048-ray scans from 8
-consecutive 0.08 m steps along the same face, in one multi-origin call,
+scans as the post-flight log pass casts them: 8 nearest-mode 2048-ray
+scans from 8 consecutive 0.08 m steps along the same face, in one
+multi-origin call,
 against 8 single-origin calls (both numpy, clipped to the occupied box).
 The level camera rows time `raycast_level_frame`, the kernel
 `render_depth` casts a level camera's frame with, against
@@ -80,6 +81,7 @@ from surfscan.scenario import CAMERA_FOV, build_scene, demo_scenario
 from surfscan.world import Box, VoxelMap, camera_axes_world, fibonacci_directions, render_depth
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
+import kernel_reference  # noqa: E402
 import planner_reference  # noqa: E402
 
 
@@ -111,28 +113,28 @@ def sensing_cases():
     return (
         (
             f"raycast camera {cam.width}x{cam.height}",
-            kernels.raycast_batch_scalar,
+            kernel_reference.raycast_batch_scalar,
             kernels.raycast_batch,
             (vmap.occ, origin, cam_dirs, float(cam.max_range)),
             clip,
         ),
         (
             "raycast scan 2048 rays",
-            kernels.raycast_batch_scalar,
+            kernel_reference.raycast_batch_scalar,
             kernels.raycast_batch,
             (vmap.occ, origin, scan_dirs, 12.0),
             clip,
         ),
         (
             "raycast scan 2048 nearest",
-            kernels.raycast_batch_scalar,
+            kernel_reference.raycast_batch_scalar,
             kernels.raycast_batch,
             (vmap.occ, origin, scan_dirs, 12.0, True),
             clip,
         ),
         (
             f"normals {cam.width}x{cam.height}",
-            kernels.normals_from_depth_scalar,
+            kernel_reference.normals_from_depth_scalar,
             kernels.normals_from_depth,
             (depth, float(cam.fx), float(cam.fy), float(cam.cx), float(cam.cy), DEPTH_JUMP),
             {},

@@ -26,6 +26,8 @@ __all__ = [
     "Tour",
     "TaskUnreachableError",
     "RouteError",
+    "grid_lines",
+    "grid_size",
     "generate_grid_viewpoints",
     "filter_viewpoints",
     "plan_route",
@@ -112,6 +114,46 @@ class Tour:
         return len(self.order)
 
 
+def grid_lines(roi, view, camera):
+    """The lines of the viewpoint grid on `roi`, from the in-plane
+    bounding-box minimum corner: the offsets (s, t) of its first column and
+    row from the centroid, the column and row spacings
+    `view.spacing(camera, view.d_view)`, and the numbers of columns and
+    rows.  The counts are floats, so that a spacing too fine to grid gives
+    a count to reject, not an array to allocate."""
+    s, t = zip(*roi._poly2)
+    s0, t0 = min(s), min(t)
+    spacing_h, spacing_v = view.spacing(camera, view.d_view)
+    return s0, t0, spacing_h, spacing_v, _line_count(max(s) - s0, spacing_h), _line_count(max(t) - t0, spacing_v)
+
+
+def grid_size(roi, view, camera, z_band):
+    """Two sizes of the viewpoint grid on `roi`, as floats: the points
+    `generate_grid_viewpoints` lays out (the columns times the rows of
+    `grid_lines`), and a bound on the viewpoints it keeps, the columns
+    times the rows that `z_band` leaves at distinct heights."""
+    _, _, _, spacing_v, n_cols, n_rows = grid_lines(roi, view, camera)
+    rows = n_rows
+    if z_band is not None:
+        lo, hi = z_band
+        u, v = polygon_basis(roi)
+        # With a level u, each row lies at one height, `rise` above the last.
+        rise = float(spacing_v) * abs(float(v[2]))
+        if lo == hi:
+            rows = 1.0
+        elif float(u[2]) == 0.0 and rise > 0.0 and (hi - lo) / rise + 2.0 < rows:
+            # The rows strictly inside the band, and one at each edge.
+            rows = math.ceil((hi - lo) / rise) + 2.0
+    return n_cols * n_rows, n_cols * rows
+
+
+def _line_count(span, spacing):
+    """Grid lines `spacing` apart over `span`, the first at its start, as a
+    float: inf for a spacing too fine to count."""
+    lines = span / float(spacing) + 1e-9 if spacing > 0.0 else math.inf
+    return math.floor(lines) + 1.0 if lines < math.inf else math.inf
+
+
 def generate_grid_viewpoints(task, view, camera, toward, z_band):
     """Grid viewpoints for a polygon ROI (overlap-driven spacing).
 
@@ -133,15 +175,8 @@ def generate_grid_viewpoints(task, view, camera, toward, z_band):
     proj = -n if float((toward - centroid) @ n) < 0.0 else n
     yaw = float(np.arctan2(-proj[1], -proj[0]))
 
-    su = (roi.vertices - centroid) @ u
-    sv = (roi.vertices - centroid) @ v
-    s0, s1 = float(su.min()), float(su.max())
-    t0, t1 = float(sv.min()), float(sv.max())
-
-    eps = 1e-9
-    spacing_h, spacing_v = view.spacing(camera, view.d_view)
-    n_cols = int(np.floor((s1 - s0) / spacing_h + eps)) + 1
-    n_rows = int(np.floor((t1 - t0) / spacing_v + eps)) + 1
+    s0, t0, spacing_h, spacing_v, n_cols, n_rows = grid_lines(roi, view, camera)
+    n_cols, n_rows = int(n_cols), int(n_rows)
 
     # Every grid point at once, rows (v) outer and columns (u) inner, with
     # the arithmetic of one point at a time: `vecdot` rows are bitwise the

@@ -1,11 +1,12 @@
 """Numeric inner loops: voxel raycasting, clearance scans, path DP.
 
 The two sensing kernels, `raycast_batch` and `normals_from_depth`, are
-vectorized numpy kernels.  Their per-ray and per-pixel scalar loops
-(`raycast_batch_scalar`, `normals_from_depth_scalar`) are kept as the
-bitwise reference the tests check them against.  `incidence_cosines`, the
-per-step utility's kernel, evaluates the normal stencil without building
-the normal map.
+vectorized numpy kernels.  The tests check them bitwise against per-ray
+and per-pixel scalar loops, `raycast_batch_scalar` (which marches each ray
+with `_ray_first_hit`) and `normals_from_depth_scalar`, which live in
+`tests/kernel_reference.py`, since no mission runs them.
+`incidence_cosines`, the per-step utility's kernel, evaluates the normal
+stencil without building the normal map.
 
 A depth frame has two paths.  `raycast_level_frame` casts the frame of
 a level camera (no roll or pitch) whose origin lies inside the grid: the
@@ -35,182 +36,12 @@ __all__ = [
 ]
 
 
-def _ray_first_hit(occ, ox, oy, oz, dx, dy, dz, t_cap):
-    """March one ray through the occupancy grid (Amanatides-Woo DDA).
-
-    Origin and direction are in grid units; the returned value is the ray
-    parameter t at which the ray enters the first occupied voxel, or -1.0
-    for a miss.  t is capped at t_cap.  Hit points therefore lie exactly on
-    voxel boundaries (or at t=0 when the origin is inside an occupied voxel).
-    """
-    nx, ny, nz = occ.shape
-
-    # Clip the ray against the grid AABB [0,nx]x[0,ny]x[0,nz].
-    t_enter = 0.0
-    t_exit = t_cap
-    for axis in range(3):
-        if axis == 0:
-            o, d, n = ox, dx, nx
-        elif axis == 1:
-            o, d, n = oy, dy, ny
-        else:
-            o, d, n = oz, dz, nz
-        if d == 0.0:
-            if o < 0.0 or o > n:
-                return -1.0
-        else:
-            t0 = (0.0 - o) / d
-            t1 = (n - o) / d
-            if t0 > t1:
-                t0, t1 = t1, t0
-            if t0 > t_enter:
-                t_enter = t0
-            if t1 < t_exit:
-                t_exit = t1
-    if t_enter > t_exit:
-        return -1.0
-
-    t = t_enter
-    px = ox + dx * t
-    py = oy + dy * t
-    pz = oz + dz * t
-    ix = int(math.floor(px))
-    iy = int(math.floor(py))
-    iz = int(math.floor(pz))
-    if ix < 0:
-        ix = 0
-    if ix > nx - 1:
-        ix = nx - 1
-    if iy < 0:
-        iy = 0
-    if iy > ny - 1:
-        iy = ny - 1
-    if iz < 0:
-        iz = 0
-    if iz > nz - 1:
-        iz = nz - 1
-
-    step_x = 1 if dx > 0.0 else -1
-    step_y = 1 if dy > 0.0 else -1
-    step_z = 1 if dz > 0.0 else -1
-
-    inf = np.inf
-    if dx > 0.0:
-        tmax_x = t + ((ix + 1) - px) / dx
-        tdel_x = 1.0 / dx
-    elif dx < 0.0:
-        tmax_x = t + (px - ix) / -dx
-        tdel_x = 1.0 / -dx
-    else:
-        tmax_x = inf
-        tdel_x = inf
-    if dy > 0.0:
-        tmax_y = t + ((iy + 1) - py) / dy
-        tdel_y = 1.0 / dy
-    elif dy < 0.0:
-        tmax_y = t + (py - iy) / -dy
-        tdel_y = 1.0 / -dy
-    else:
-        tmax_y = inf
-        tdel_y = inf
-    if dz > 0.0:
-        tmax_z = t + ((iz + 1) - pz) / dz
-        tdel_z = 1.0 / dz
-    elif dz < 0.0:
-        tmax_z = t + (pz - iz) / -dz
-        tdel_z = 1.0 / -dz
-    else:
-        tmax_z = inf
-        tdel_z = inf
-
-    while t <= t_exit:
-        if occ[ix, iy, iz]:
-            return t
-        # Advance into the next voxel; ties broken x, then y, then z.
-        if tmax_x <= tmax_y and tmax_x <= tmax_z:
-            t = tmax_x
-            ix += step_x
-            tmax_x += tdel_x
-            if ix < 0 or ix >= nx:
-                return -1.0
-        elif tmax_y <= tmax_z:
-            t = tmax_y
-            iy += step_y
-            tmax_y += tdel_y
-            if iy < 0 or iy >= ny:
-                return -1.0
-        else:
-            t = tmax_z
-            iz += step_z
-            tmax_z += tdel_z
-            if iz < 0 or iz >= nz:
-                return -1.0
-    return -1.0
-
-
 def _nearest_bound(t):
     """Largest hit parameter a nearest-mode cast keeps, given the nearest
     hit `t`: a relative and an absolute margin of 1e-9 above it.  Rounding
     keeps it monotone in `t`, so the bound of the smallest of several hits
     is the smallest of their bounds."""
     return t * (1.0 + 1e-9) + 1e-9
-
-
-def _box_exit(box, ox, oy, oz, dx, dy, dz):
-    """Ray parameter at which a ray leaves `box` (a (2, 3) array of the
-    first and one-past-last occupied voxel per axis) padded by one voxel;
-    inf for a ray that moves along no axis."""
-    t_exit = np.inf
-    for axis in range(3):
-        if axis == 0:
-            o, d = ox, dx
-        elif axis == 1:
-            o, d = oy, dy
-        else:
-            o, d = oz, dz
-        if d != 0.0:
-            t0 = (box[0, axis] - 1.0 - o) / d
-            t1 = (box[1, axis] + 1.0 - o) / d
-            if t0 < t1:
-                t0 = t1
-            if t0 < t_exit:
-                t_exit = t0
-    return t_exit
-
-
-def raycast_batch_scalar(occ, origin, dirs, t_cap, nearest=False, box=None):
-    """Scalar loop of :func:`raycast_batch`: one `_ray_first_hit` per ray.
-
-    This is the bitwise reference the vectorized kernel is tested against.
-    A (G, 3) `origin` casts the rays in G equal consecutive runs, run g
-    from origin g.  With `nearest`, each ray is cast with its cap lowered
-    to the bound of the nearest hit so far from its own origin.  With
-    `box`, each ray's cap is also lowered to its exit from the padded box
-    (see :func:`raycast_batch`).
-    """
-    n = dirs.shape[0]
-    origins = origin.reshape(-1, 3)
-    groups = origins.shape[0]
-    if groups == 0 or n % groups != 0:
-        raise ValueError("rays must split evenly over the origins")
-    per = n // groups
-    out = np.empty(n, dtype=np.float64)
-    for g in range(groups):
-        ox, oy, oz = origins[g, 0], origins[g, 1], origins[g, 2]
-        bound = np.inf
-        for r in range(g * per, (g + 1) * per):
-            cap = min(t_cap, bound) if nearest else t_cap
-            if box is not None:
-                cap = min(cap, _box_exit(box, ox, oy, oz, dirs[r, 0], dirs[r, 1], dirs[r, 2]))
-            out[r] = _ray_first_hit(occ, ox, oy, oz, dirs[r, 0], dirs[r, 1], dirs[r, 2], cap)
-            if nearest and out[r] >= 0.0:
-                bound = min(bound, _nearest_bound(out[r]))
-        if nearest:
-            # The final bound decides, whatever order the hits were found in.
-            for r in range(g * per, (g + 1) * per):
-                if out[r] > bound:
-                    out[r] = -1.0
-    return out
 
 
 def point_is_free(occ, gx, gy, gz, radius, box):
@@ -288,68 +119,9 @@ def frechet_dp(a, b):
     return ca[n - 1, m - 1]
 
 
-def normals_from_depth_scalar(depth, fx, fy, cx, cy, jump):
-    """Per-pixel loop of :func:`normals_from_depth`.
-
-    This is the bitwise reference the array-sliced kernel is tested
-    against.
-    """
-    h, w = depth.shape
-    out = np.full((h, w, 3), np.nan, dtype=np.float64)
-    for v in range(1, h - 1):
-        for u in range(1, w - 1):
-            zc = depth[v, u]
-            zl = depth[v, u - 1]
-            zr = depth[v, u + 1]
-            zu = depth[v - 1, u]
-            zd = depth[v + 1, u]
-            if (
-                math.isnan(zc)
-                or math.isnan(zl)
-                or math.isnan(zr)
-                or math.isnan(zu)
-                or math.isnan(zd)
-            ):
-                continue
-            if (
-                abs(zr - zc) > jump
-                or abs(zl - zc) > jump
-                or abs(zu - zc) > jump
-                or abs(zd - zc) > jump
-            ):
-                continue
-            # Back-projected tangents along image u (right) and v (down).
-            txx = ((u + 1) - cx) / fx * zr - ((u - 1) - cx) / fx * zl
-            txy = (v - cy) / fy * (zr - zl)
-            txz = zr - zl
-            tyx = (u - cx) / fx * (zd - zu)
-            tyy = ((v + 1) - cy) / fy * zd - ((v - 1) - cy) / fy * zu
-            tyz = zd - zu
-            nxv = txy * tyz - txz * tyy
-            nyv = txz * tyx - txx * tyz
-            nzv = txx * tyy - txy * tyx
-            norm = math.sqrt(nxv * nxv + nyv * nyv + nzv * nzv)
-            if norm < 1e-15:
-                continue
-            nxv /= norm
-            nyv /= norm
-            nzv /= norm
-            # Flip to face the camera.
-            rx = (u - cx) / fx
-            ry = (v - cy) / fy
-            if nxv * rx + nyv * ry + nzv > 0.0:
-                nxv = -nxv
-                nyv = -nyv
-                nzv = -nzv
-            out[v, u, 0] = nxv
-            out[v, u, 1] = nyv
-            out[v, u, 2] = nzv
-    return out
-
-
 def _slab_clip(origin, dirs, lo, hi, enter, exit):
     """Narrow each ray's [enter, exit] in place to the box [lo, hi] (per
-    axis), as the scalar loop's clip does.  `origin` holds per axis either
+    axis), as the reference loop's clip does.  `origin` holds per axis either
     one coordinate for every ray or each ray's own.  Returns the mask of
     rays that sit outside a slab they do not move across.  Runs under the
     caller's `np.errstate`."""
@@ -431,8 +203,8 @@ def raycast_batch(occ, origin, dirs, t_cap, nearest=False, *, box):
 
     All rays march together (Amanatides-Woo DDA): every live ray advances
     one voxel per iteration, with the same arithmetic and the same x, y, z
-    tie-breaking as `_ray_first_hit`, so results are bitwise equal to
-    :func:`raycast_batch_scalar`.  Rays that hit, leave the grid or pass
+    tie-breaking as the reference's `_ray_first_hit`, so results are
+    bitwise equal to the reference `raycast_batch_scalar`.  Rays that hit, leave the grid or pass
     their exit parameter are dropped from the working arrays.
     """
     n_rays = dirs.shape[0]
@@ -450,11 +222,11 @@ def raycast_batch(occ, origin, dirs, t_cap, nearest=False, *, box):
     t_enter = np.zeros(n_rays)
     t_exit = np.full(n_rays, float(t_cap))
     live = ~_slab_clip(each, dirs, np.zeros(3), np.array(shape, dtype=np.float64), t_enter, t_exit)
-    # Entry into and exit from the padded occupied box, as the scalar
+    # Entry into and exit from the padded occupied box, as the reference
     # loop's `_box_exit` computes the exit.  A ray that stays outside a
     # slab it does not move across enters at +inf; it is kept only when
     # its exit is +inf too (it moves along no axis and is uncapped, and
-    # the DDA walks it at t = inf, as the scalar loop does).
+    # the DDA walks it at t = inf, as the reference loop does).
     box_enter = np.full(n_rays, -np.inf)
     box_enter[_slab_clip(each, dirs, box[0] - 1.0, box[1] + 1.0, box_enter, t_exit)] = np.inf
     live &= ~(box_enter > t_exit)
@@ -518,7 +290,8 @@ def _march(occ, box, out, ray, fstate, sign, cells, per=0, groups=1):
     on the nearest hit is returned; otherwise that bound stays inf.
 
     Every live ray advances one voxel per iteration, with the same
-    arithmetic and the same x, y, z tie-breaking as `_ray_first_hit`.
+    arithmetic and the same x, y, z tie-breaking as the reference's
+    `_ray_first_hit`.
     Rays that hit, leave the grid or pass t_exit are dropped from the
     working arrays.
     """
@@ -606,8 +379,8 @@ def raycast_level_frame(occ, origin, cols, rows, t_cap, box, z_extent):
     (v, u) casts direction (cols[u, 0], cols[u, 1], rows[v]).  t_cap must
     be finite.  `box` and `z_extent` are the map's `occupied_box` and
     `column_extent`.  Returns the (H * W,) hit parameters in row-major
-    pixel order, misses -1.0, bitwise those of
-    :func:`raycast_batch_scalar` on the same rays.
+    pixel order, misses -1.0, bitwise those of the reference
+    `raycast_batch_scalar` on the same rays.
 
     The rays of one column share their x and y direction components, so
     they share the DDA's x and y crossing times, and the rays of one row
@@ -636,7 +409,8 @@ def raycast_level_frame(occ, origin, cols, rows, t_cap, box, z_extent):
     """
     if not math.isfinite(t_cap):
         # An uncapped ray that moves along no axis walks the grid at t = inf
-        # (see `_ray_first_hit`); the crossing tables have no such walk.
+        # (as the reference's `_ray_first_hit` does); the crossing tables
+        # have no such walk.
         raise ValueError(f"t_cap must be finite, got {t_cap}")
     h, w = rows.size, cols.shape[0]
     out = np.full(h * w, -1.0)
@@ -644,7 +418,8 @@ def raycast_level_frame(occ, origin, cols, rows, t_cap, box, z_extent):
 
     def dda_setup(o, d, n):
         """Start voxel, first crossing, tdelta, step sign and grid exit
-        of an axis at t = 0, as `_ray_first_hit` computes them."""
+        of an axis at t = 0, as the reference's `_ray_first_hit` computes
+        them."""
         cell = min(max(math.floor(o), 0), n - 1)
         forward = d > 0.0
         backward = d < 0.0
@@ -771,12 +546,12 @@ def raycast_level_frame(occ, origin, cols, rows, t_cap, box, z_extent):
 
 
 def _normal_stencil(depth, fx, fy, cx, cy, jump):
-    """The normal stencil of :func:`normals_from_depth_scalar` over the
+    """The normal stencil of the reference `normals_from_depth_scalar` over the
     inner pixels of `depth` (at least 3x3): the mask of the pixels it keeps
     (none of the five depths nan, no neighbor more than `jump` from the
     centre, a norm of at least 1e-15), the unnormalised normal components
     and their norm, and the pixels' image columns `u` and rows `v`.  The
-    expressions are the scalar loop's, in its order, so the results are
+    expressions are the reference loop's, in its order, so the results are
     bitwise equal to it.  Runs under the caller's `np.errstate`."""
     h, w = depth.shape
     zc = depth[1:-1, 1:-1]
@@ -811,9 +586,9 @@ def normals_from_depth(depth, fx, fy, cx, cy, jump):
     than `jump` are returned as nan.  Normals are oriented toward the camera
     (n . pixel_ray < 0).
 
-    Array slices evaluate the expressions of
-    :func:`normals_from_depth_scalar` in the same order, so results are
-    bitwise equal to it.
+    Array slices evaluate the expressions of the reference
+    `normals_from_depth_scalar` in the same order, so results are bitwise
+    equal to it.
     """
     h, w = depth.shape
     out = np.full((h, w, 3), np.nan, dtype=np.float64)

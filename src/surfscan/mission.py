@@ -12,17 +12,15 @@ stepper that moves through three phases per task:
   until it is reached, tracking stalls or the time budget runs out; then
   INSPECT again.
 
-One log record is written per control step.  Similarity metrics come from
-the last supervision cycle and are carried through the steps in between;
-pose, viewing distance and viewpoint utility are sampled fresh every step.
-A step's viewing distance only fills the log and feeds no decision, so its
-pose is queued and scanned together with the next few by one multi-origin
-`sample_cloud` call; each distance is `viewing_distance` on its pose's
-cloud, and records reach the log in order once their batch is cast.
+The stepper only flies: per control step it notes the pose, the reference
+and the last supervision cycle, whose similarity metrics carry through the
+steps in between.  A step's frame and viewing-distance scan feed no
+decision, so once the flight ends one pass, `_log_steps`, senses them and
+writes one log record per step.
 """
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,7 +123,8 @@ class MissionRunner:
         cfg = self.cfg
         stepper = _Stepper(self)
         status = stepper.fly(artifacts.executable)
-        stepper.log.meta.update(
+        mission_log = _log_steps(stepper.flown, self.scene.current, cfg)
+        mission_log.meta.update(
             {
                 "status": status,
                 "completed": status == "completed",
@@ -138,8 +137,8 @@ class MissionRunner:
         )
         return MissionResult(
             status=status,
-            log=stepper.log,
-            summary=summarize(stepper.log, cfg.view.d_view),
+            log=mission_log,
+            summary=summarize(mission_log, cfg.view.d_view),
             artifacts=artifacts,
             predicted_paths=stepper.predicted_paths,
         )
@@ -158,11 +157,10 @@ _INSPECT_STATUS = {
 
 
 class _Stepper:
-    """One mission's robot pose, clock, random generator and log, and the
-    last supervision cycle, whose similarity metrics every record carries
-    until the next cycle.  Every control step appends exactly one record,
-    through a queue that holds records until their batch of viewing-distance
-    scans is cast."""
+    """One mission's robot pose, clock and random generator, and the last
+    supervision cycle, whose similarity metrics every step carries until the
+    next cycle.  Every control step appends exactly one entry to `flown`:
+    (t, phase, cycle, pose, ref, blocked, viewing distance or None)."""
 
     def __init__(self, runner):
         self.cfg = cfg = runner.cfg
@@ -172,9 +170,7 @@ class _Stepper:
         self.t = 0.0
         self.steps = 0
         self.max_steps = int(round(cfg.max_sim_time / cfg.dt))
-        self.log = MissionLog()
-        self.queued = []  # records not yet in the log, in step order
-        self.scans = []  # (index into queued, pose) still to scan
+        self.flown = []
         self.cycle = _NO_CYCLE
         self.predicted_paths = []
         self.visited_total = 0
@@ -182,22 +178,17 @@ class _Stepper:
 
     def fly(self, executable):
         """Navigate to and inspect each task in order; returns the mission
-        status (completed | timeout | aborted).  Every queued record is in
-        the log when it returns."""
-        try:
-            for task_plan in executable:
-                status = self.navigate(task_plan)
-                if status == "completed":
-                    status = self.inspect(task_plan)
-                if status != "completed":
-                    return status
-                # The completion cycle logged a record without moving the
-                # clock; step once so the next task's records keep
-                # timestamps strict.
-                self.advance(None)
-            return "completed"
-        finally:
-            self.flush()
+        status (completed | timeout | aborted)."""
+        for task_plan in executable:
+            status = self.navigate(task_plan)
+            if status == "completed":
+                status = self.inspect(task_plan)
+            if status != "completed":
+                return status
+            # The completion cycle noted a step without moving the clock;
+            # step once so the next task's records keep timestamps strict.
+            self.advance(None)
+        return "completed"
 
     # -- phases ----------------------------------------------------------------
 
@@ -261,7 +252,7 @@ class _Stepper:
         return _INSPECT_STATUS[state.status]
 
     def supervise(self, state):
-        """Run one supervision cycle at the reported pose and log it.
+        """Run one supervision cycle at the reported pose and note its step.
         Returns the view pose to track, or None."""
         cfg = self.cfg
         reported = add_odometry_noise(
@@ -315,23 +306,34 @@ class _Stepper:
         return blocked
 
     def record(self, phase, ref, blocked, vd=None):
-        """Log the current pose with fresh viewing distance (unless given)
-        and utility, and the last cycle's similarity metrics.  A record
-        without `vd` is queued for its scan; every `_SCAN_BATCH` scans the
-        queue is flushed."""
-        cfg = self.cfg
-        vmap = self.scene.current
-        pose = self.pose
-        if vd is None:
-            self.scans.append((len(self.queued), pose))
+        """Note the current step: its pose, reference and cycle, and its
+        viewing distance if known (a cycle's own record), else None."""
+        self.flown.append((round(self.t, 9), phase, self.cycle, self.pose, ref, blocked, vd))
+
+
+def _log_steps(flown, vmap, cfg):
+    """The mission log of the `_Stepper.flown` steps, one record each, with
+    fresh utility and, where a step has none, fresh viewing distance on
+    `vmap`.  The steps without a distance are scanned `_SCAN_BATCH` poses
+    per multi-origin `sample_cloud` call, in step order; a step whose scan
+    sees nothing logs NaN."""
+    distances = [step[6] for step in flown]
+    unscanned = [i for i, vd in enumerate(distances) if vd is None]
+    for lo in range(0, len(unscanned), _SCAN_BATCH):
+        batch = unscanned[lo : lo + _SCAN_BATCH]
+        poses = [flown[i][3] for i in batch]
+        clouds = sample_cloud(vmap, [pose.position for pose in poses], cfg.sense_range, cfg.sense_rays, nearest=True)
+        for i, pose, cloud in zip(batch, poses, clouds):
+            distances[i] = NAN if cloud.is_empty else viewing_distance(pose, cloud)
+    mission_log = MissionLog()
+    for (t, phase, cycle, pose, ref, blocked, _), vd in zip(flown, distances):
         try:
             utility = viewpoint_utility(render_depth(vmap, pose, cfg.camera), cfg.camera)
         except NoSurfaceError:
             utility = 0.0
-        cycle = self.cycle
-        self.queued.append(
+        mission_log.append(
             MissionRecord(
-                t=round(self.t, 9),
+                t=t,
                 phase=phase,
                 mode=cycle.mode.value,
                 f_d=cycle.f_d,
@@ -339,7 +341,7 @@ class _Stepper:
                 rmse_pre=cycle.rmse_pre,
                 rmse_post=cycle.rmse_post,
                 cursor=cycle.cursor,
-                viewing_distance=NAN if vd is None else vd,
+                viewing_distance=vd,
                 utility=utility,
                 x=pose.x,
                 y=pose.y,
@@ -352,22 +354,4 @@ class _Stepper:
                 blocked=int(blocked),
             )
         )
-        if len(self.scans) >= _SCAN_BATCH:
-            self.flush()
-
-    def flush(self):
-        """Cast the queued viewing-distance scans in one call, fill in each
-        record's distance (NaN for an empty scan) and append the queued
-        records to the log, in order."""
-        if self.scans:
-            cfg = self.cfg
-            at, poses = zip(*self.scans)
-            positions = [pose.position for pose in poses]
-            clouds = sample_cloud(self.scene.current, positions, cfg.sense_range, cfg.sense_rays, nearest=True)
-            for i, pose, cloud in zip(at, poses, clouds):
-                vd = NAN if cloud.is_empty else viewing_distance(pose, cloud)
-                self.queued[i] = replace(self.queued[i], viewing_distance=vd)
-        for rec in self.queued:
-            self.log.append(rec)
-        self.queued.clear()
-        self.scans.clear()
+    return mission_log

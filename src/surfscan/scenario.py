@@ -7,6 +7,7 @@ the standard evaluation setups without external map files.
 """
 
 import math
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -15,7 +16,7 @@ import yaml
 
 from .depthcam import CameraIntrinsics
 from .geometry import PolygonROI, ViewPose4
-from .global_plan import InspectionTask, ViewConstraints
+from .global_plan import InspectionTask, ViewConstraints, grid_size
 from .world import Box, MorphologyDelta, Scene, VoxelMap, load_map
 
 __all__ = ["ScenarioConfig", "load_scenario", "demo_scenario", "build_scene", "DEMO_NAMES"]
@@ -29,6 +30,18 @@ CAMERA_FOV = {"alpha": np.deg2rad(69.5), "beta": np.deg2rad(45.0)}
 # scenarios use at most 2048 rays and 80 x 60 pixels.
 MAX_RAYS = 65536
 MAX_IMAGE_SIDE = 4096
+# The view and camera keys space a task's viewpoint grid.  Planning lays out
+# every point of the grid's bounding box, then tours the viewpoints the
+# height band keeps, whose pairwise tables grow as the square of their
+# number.  On a 6 m x 2 m wall under a one-height band, `plan` took 0.7 s
+# and 47 MB for 64 x 1024 grid points (64 viewpoints), 2.8 s and 93 MB for
+# 64 x 4096, and 1.7 s and 119 MB for 1024 x 64 (1024 viewpoints); without
+# a band, 2048 viewpoints took 2.2 s and 350 MB and 4096 took 6.8 s and
+# 1.3 GB.  The shipped scenarios' grids hold at most 116 points and their
+# tours 29 viewpoints.
+MAX_GRID_POINTS = 65536
+MAX_TOUR_VIEWPOINTS = 1024
+_GRID_KEYS = "view.d_view, view.gamma_h, view.gamma_v, camera.alpha_deg and camera.beta_deg"
 
 
 @dataclass(frozen=True)
@@ -106,6 +119,18 @@ class ScenarioConfig:
             raise ValueError(
                 f"view.d_view must be at most camera.max_range ({self.camera.max_range}), got {self.view.d_view}"
             )
+        for task in self.tasks:
+            points, viewpoints = grid_size(task.roi, self.view, self.camera, self.z_band)
+            if not points <= MAX_GRID_POINTS:
+                raise ValueError(
+                    f"task {task.id}: {_GRID_KEYS} space its viewpoint grid to {points:.0f} points, "
+                    f"more than {MAX_GRID_POINTS}"
+                )
+            if not viewpoints <= MAX_TOUR_VIEWPOINTS:
+                raise ValueError(
+                    f"task {task.id}: {_GRID_KEYS} and z_band leave its tour up to {viewpoints:.0f} viewpoints, "
+                    f"more than {MAX_TOUR_VIEWPOINTS}"
+                )
 
     @property
     def start_pose(self):
@@ -168,6 +193,8 @@ _SECTION_OWNERS = {"view": ViewConstraints, "camera": CameraIntrinsics}
 # field's type.
 _OWNER = {key: _SECTION_OWNERS.get(key.partition(".")[0], ScenarioConfig) for key in _KEYS}
 _TYPES = {key: next(f.type for f in fields(_OWNER[key]) if f.name == name) for key, (name, _) in _KEYS.items()}
+# A number in exponent form, as a scenario file may spell one.
+_EXPONENT = re.compile(r"[-+]?(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
 
 
 def _value(key, value):
@@ -180,9 +207,16 @@ def _value(key, value):
             raise ValueError(f"{key} must be an integer, got {value!r}")
         value = int(value)
     elif kind is float:
+        if isinstance(value, str):
+            reason = f"{key} must be a number, got {value!r}, a string"
+            # PyYAML reads YAML 1.1, whose floats need a dot and a signed
+            # exponent: 1e-3 and 1.0e3 load as strings.
+            if _EXPONENT.fullmatch(value):
+                reason += ": YAML reads an exponent only after a dot and with a sign, as in 1.0e-3"
+            raise ValueError(reason)
         try:
-            if isinstance(value, (bool, str)):
-                raise TypeError("a boolean or a string is not a number")
+            if isinstance(value, bool):
+                raise TypeError("a boolean is not a number")
             value = float(value)
         except (TypeError, ValueError):
             raise ValueError(f"{key} must be a number, got {value!r}") from None

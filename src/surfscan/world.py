@@ -34,7 +34,7 @@ __all__ = [
 # bounds, so that planners have free space to work in.
 MAP_PADDING = 1.0
 
-# The rows of points `VoxelMap.from_points` voxelizes at a time.
+# The rows of points `VoxelMap._mark_points` voxelizes at a time.
 _POINT_BLOCK = 1 << 16
 
 
@@ -90,12 +90,6 @@ class VoxelMap:
         if not math.prod(counts.tolist()) < 2.0**63:
             raise ValueError(f"{h} m voxels over {lo.tolist()} .. {hi.tolist()} are too many to index")
         return cls(lo, h, np.zeros(counts.astype(int), dtype=np.bool_))
-
-    @classmethod
-    def from_points(cls, points, voxel_size, bounds):
-        vmap = cls.empty(bounds[0], bounds[1], voxel_size)
-        vmap._mark_points(points)
-        return vmap
 
     def _mark_points(self, points):
         """Mark the voxels holding the (N, 3) `points` occupied; points off

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
+import kernel_reference
 from surfscan import kernels
 
 BENCH = Path(__file__).resolve().parent.parent / "benchmarks" / "bench_kernels.py"
@@ -27,8 +28,8 @@ def test_bench_kernels_builds_its_cases():
     bench = load_bench()
     sensing = bench.sensing_cases()
     assert {(scalar, vectorized) for _, scalar, vectorized, _, _ in sensing} == {
-        (kernels.raycast_batch_scalar, kernels.raycast_batch),
-        (kernels.normals_from_depth_scalar, kernels.normals_from_depth),
+        (kernel_reference.raycast_batch_scalar, kernels.raycast_batch),
+        (kernel_reference.normals_from_depth_scalar, kernels.normals_from_depth),
     }
     for _, frame_args, batch_args, batch_kwargs in bench.frame_cases():
         assert same_bits(

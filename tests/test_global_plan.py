@@ -19,6 +19,8 @@ from surfscan.global_plan import (
     _label_components,
     filter_viewpoints,
     generate_grid_viewpoints,
+    grid_lines,
+    grid_size,
     plan_route,
     prioritize_tasks,
     solve_tour_sa_tsp,
@@ -102,6 +104,43 @@ def test_grid_spacing_follows_the_camera_fov():
     spacing_h = VIEW.spacing(narrow, VIEW.d_view)[0]
     assert len(wide) == 6 and len(dense) == int(6.0 / spacing_h + 1e-9) + 1 > 6
     assert np.allclose(np.diff(viewpoint_positions(dense)[:, 1]), spacing_h, atol=1e-9)
+
+
+@pytest.mark.parametrize("gamma", [0.0, 0.6, 0.9])
+def test_grid_size_counts_the_generated_grid(gamma):
+    # The scenario's grid caps read these counts.  A rectangle keeps every
+    # grid point without a band, and one viewpoint a column under a
+    # one-height band.
+    task = make_task(WALL_6X2)
+    view = ViewConstraints(gamma_h=gamma, gamma_v=gamma)
+    *_, n_cols, n_rows = grid_lines(task.roi, view, CAMERA)
+    assert (n_cols, n_rows) == (int(6.0 / view.spacing(CAMERA, 2.0)[0]) + 1, int(2.0 / view.spacing(CAMERA, 2.0)[1]) + 1)
+    for band, kept in ((None, n_cols * n_rows), ((0.6, 0.6), n_cols)):
+        assert grid_size(task.roi, view, CAMERA, band) == (n_cols * n_rows, kept)
+        assert len(generate_grid_viewpoints(task, view, CAMERA, [0.0, 0.0, 1.0], band)) == kept
+
+
+@pytest.mark.parametrize("band", [(0.0, 0.5), (0.3, 1.1), (0.55, 0.56), (-5.0, 5.0), (2.5, 3.0)])
+@pytest.mark.parametrize(
+    "verts",
+    [
+        [[6, -3, 0], [6, 3, 0], [6, 3, 6], [6, -3, 6]],
+        [[6, -3, 0], [6, 3, 0], [8, 3, 4], [8, -3, 4]],
+        [[6, -3, 0], [6, 3, 0], [6, 0, 5]],
+    ],
+    ids=["tall_wall", "sloped_wall", "gable"],
+)
+def test_grid_size_bounds_the_viewpoints_a_band_keeps(verts, band):
+    # Rows of a height strictly inside the band stay apart, the rest merge
+    # onto its edges: the bound never falls below what the grid keeps, and
+    # a band narrower than the wall lowers it below the grid's points.
+    task = make_task(verts)
+    view = ViewConstraints(gamma_h=0.3, gamma_v=0.8)
+    points, bound = grid_size(task.roi, view, CAMERA, band)
+    *_, n_cols, n_rows = grid_lines(task.roi, view, CAMERA)
+    kept = len(generate_grid_viewpoints(task, view, CAMERA, [0.0, 0.0, 1.0], band))
+    assert points == n_cols * n_rows and kept <= bound <= points
+    assert bound < points or band == (-5.0, 5.0)
 
 
 def test_view_constraints_rejects_unit_overlap():

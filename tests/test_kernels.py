@@ -3,7 +3,7 @@ and the scalar kernels against brute-force definitions.
 
 `raycast_batch`, `raycast_level_frame`, `normals_from_depth` and
 `incidence_cosines` must equal the scalar loops `raycast_batch_scalar` and
-`normals_from_depth_scalar` exactly.
+`normals_from_depth_scalar` of `kernel_reference` exactly.
 """
 
 import functools
@@ -17,6 +17,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+import kernel_reference
 from strategies import depth_images, direction_component, grid_coordinate, occupancy_grids, wall_slabs
 from surfscan import kernels
 from surfscan.world import VoxelMap, is_collision_free
@@ -63,7 +64,7 @@ def scalar_raycast(*args, **kwargs):
     run on numpy scalars, which overflow to the intended inf for a tiny
     direction component, so their warnings are silenced here alone."""
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return kernels.raycast_batch_scalar(*args, **kwargs)
+        return kernel_reference.raycast_batch_scalar(*args, **kwargs)
 
 
 @given(batch=ray_batches())
@@ -542,7 +543,7 @@ def test_normals_match_scalar_oracle(depth, f, jump):
     h, w = depth.shape
     args = (depth, f, 0.9 * f, (w - 1) / 2.0, (h - 1) / 2.0, jump)
     got = kernels.normals_from_depth(*args)
-    ref = kernels.normals_from_depth_scalar(*args)
+    ref = kernel_reference.normals_from_depth_scalar(*args)
     assert np.array_equal(got, ref, equal_nan=True)
     nz = ref[..., 2]
     assert same_bits(np.abs(kernels.incidence_cosines(*args)), np.abs(nz[np.isfinite(nz)]))

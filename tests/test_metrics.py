@@ -7,8 +7,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from kernel_reference import normals_from_depth_scalar
 from strategies import depth_images
-from surfscan import kernels, metrics
+from surfscan import metrics
 from surfscan.depthcam import CameraIntrinsics, DepthImage
 from surfscan.geometry import NoSurfaceError, PathSegment, PointCloud, ViewPose4
 from surfscan.metrics import (
@@ -75,7 +76,7 @@ def utility_oracle(depth, cam, jump):
     normals of the scalar loop, or None when there are none."""
     # A stencil holding an inf depth gives nan tangents.
     with np.errstate(invalid="ignore", divide="ignore"):
-        normals = kernels.normals_from_depth_scalar(
+        normals = normals_from_depth_scalar(
             depth, float(cam.fx), float(cam.fy), float(cam.cx), float(cam.cy), jump
         )
     nz = normals[..., 2]

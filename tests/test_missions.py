@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from surfscan import world
-from surfscan.geometry import PolygonROI, ViewPose4, wrap_angle
+from surfscan.geometry import NoSurfaceError, PolygonROI, ViewPose4, wrap_angle
 from surfscan.global_plan import InspectionTask, ViewConstraints
-from surfscan.metrics import viewing_distance
+from surfscan.metrics import viewing_distance, viewpoint_utility
 from surfscan.mission import MissionRunner
 from surfscan.scenario import MapSpec, ScenarioConfig, demo_scenario
 from surfscan.world import Box
@@ -179,36 +179,82 @@ def test_timeout_reports_partial_progress():
     assert 0 <= result.summary["visited_total"] < 6
 
 
-def test_batched_viewing_distances_equal_fresh_single_scans(monkeypatch):
-    # Records wait in a queue until eight scans are pending; a mission cut
-    # short by its time budget must still log every record, each with the
-    # distance a single scan from its logged pose gives.
-    from surfscan import mission
+def assert_log_is_fresh(cfg, records, batches):
+    """Every record's viewing distance and utility are bitwise those of a
+    fresh single scan and a fresh frame at its logged pose, and the log's
+    scans went out eight poses per call, the last call excepted."""
+    assert batches and batches[:-1] == [8] * (len(batches) - 1) and 1 <= batches[-1] <= 8
+    vmap = MissionRunner(cfg).scene.current
+    for r in records:
+        pose = ViewPose4(r.x, r.y, r.z, r.psi)
+        (cloud,) = world.sample_cloud(vmap, [pose.position], cfg.sense_range, cfg.sense_rays, nearest=True)
+        want = np.nan if cloud.is_empty else viewing_distance(pose, cloud)
+        # Zero odometry noise: the cycles scan from the logged pose too.
+        assert np.float64(r.viewing_distance).view(np.int64) == np.float64(want).view(np.int64)
+        try:
+            utility = viewpoint_utility(world.render_depth(vmap, pose, cfg.camera), cfg.camera)
+        except NoSurfaceError:
+            utility = 0.0
+        assert np.float64(r.utility).view(np.int64) == np.float64(utility).view(np.int64)
 
-    cycles = []
-    step_mission = mission.step_mission
+
+def test_batched_viewing_distances_equal_fresh_single_scans(monkeypatch):
+    # The log is built after the flight: the steps without a cycle's
+    # distance are scanned eight poses per call.  A mission cut short by
+    # its time budget or aborted must still log one record per control
+    # step, each with the distance and utility of its logged pose.
+    from surfscan import mission
+    from surfscan.global_plan import RouteError
+
+    cycles, batches, steps = [], [], []
+    step_mission, sample_cloud, track_step = mission.step_mission, mission.sample_cloud, mission.track_step
 
     def counted(*args):
         ref, cycle = step_mission(*args)
         cycles.append(cycle)
         return ref, cycle
 
+    def batched(vmap, positions, *args, **kwargs):
+        batches.append(len(positions))
+        return sample_cloud(vmap, positions, *args, **kwargs)
+
     monkeypatch.setattr(mission, "step_mission", counted)
+    monkeypatch.setattr(mission, "sample_cloud", batched)
     cfg = dataclasses.replace(demo_scenario("receding"), max_sim_time=9.7)
     result = MissionRunner(cfg).run()
     assert result.status == "timeout"
     records = result.log.records
     assert len(records) == round(cfg.max_sim_time / cfg.dt)
     # Non-cycle records carry the scans; with a count not a multiple of
-    # eight, the queue was not empty when the mission stopped.
-    assert (len(records) - len(cycles)) % 8 != 0
-    vmap = MissionRunner(cfg).scene.current
-    for r in records:
-        pos = ViewPose4(r.x, r.y, r.z)
-        (cloud,) = world.sample_cloud(vmap, [pos.position], cfg.sense_range, cfg.sense_rays, nearest=True)
-        want = np.nan if cloud.is_empty else viewing_distance(pos, cloud)
-        # Zero odometry noise: the cycles scan from the logged pose too.
-        assert np.float64(r.viewing_distance).view(np.int64) == np.float64(want).view(np.int64)
+    # eight, the last call scans fewer poses.
+    assert sum(batches) == len(records) - len(cycles) and sum(batches) % 8 != 0
+    assert_log_is_fresh(cfg, records, batches)
+
+    # The navigate leg stalls with the robot held at the start, and the
+    # replanned route fails: the mission aborts mid-leg.
+    real_route = mission.plan_route
+    routes = []
+
+    def route_once(*args, **kwargs):
+        routes.append(args)
+        if len(routes) > 1:
+            raise RouteError("goal unreachable")
+        return real_route(*args, **kwargs)
+
+    def held(pose, ref, vmap, cfg):
+        steps.append(pose)
+        return track_step(pose, pose, vmap, cfg)
+
+    monkeypatch.setattr(mission, "plan_route", route_once)
+    monkeypatch.setattr(mission, "track_step", held)
+    batches.clear()
+    cfg = demo_scenario("nominal")
+    result = MissionRunner(cfg).run()
+    assert result.status == "aborted" and len(routes) == 2
+    records = result.log.records
+    assert len(records) == len(steps) > 8 and sum(batches) == len(records)
+    assert all(r.phase == "navigate" for r in records)
+    assert_log_is_fresh(cfg, records, batches)
 
 
 def test_log_scans_that_see_nothing_log_nan():

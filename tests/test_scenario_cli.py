@@ -15,6 +15,7 @@ import yaml
 
 from surfscan.cli import main
 from surfscan.depthcam import CameraIntrinsics
+from surfscan.global_plan import generate_grid_viewpoints
 from surfscan.scenario import _KEYS, CAMERA_FOV, DEMO_NAMES, ScenarioConfig, build_scene, demo_scenario, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -465,6 +466,81 @@ def test_load_scenario_takes_the_ray_and_image_caps(tmp_path):
     assert (loaded.sense_rays, loaded.camera.width, loaded.camera.height) == (65536, 4096, 4096)
 
 
+GRID_KEYS = "view.d_view, view.gamma_h, view.gamma_v, camera.alpha_deg and camera.beta_deg"
+# The tests' wall is 6 m x 2 m; these are its camera footprint's sides at
+# the 2 m viewing distance.
+FOOTPRINT_W = 2.0 * 2.0 * float(np.tan(np.deg2rad(69.5) / 2.0))
+FOOTPRINT_H = 2.0 * 2.0 * float(np.tan(np.deg2rad(45.0) / 2.0))
+
+
+def _write_grid(tmp_path, view=None, z_band=(0.6, 0.6), vertices=None):
+    """GOOD_YAML with `view` keys, `z_band` and the wall's `vertices`
+    replaced."""
+    cfg = yaml.safe_load(GOOD_YAML)
+    cfg["view"].update(view or {})
+    cfg["z_band"] = None if z_band is None else list(z_band)
+    if vertices is not None:
+        cfg["tasks"][0]["vertices"] = vertices
+    f = tmp_path / "scn.yaml"
+    f.write_text(yaml.safe_dump(cfg))
+    return f
+
+
+@pytest.mark.parametrize(
+    "path, value, points",
+    [
+        (("view", "gamma_h"), 0.9999999, "86489644"),
+        (("view", "gamma_v"), 0.9999999, "72426408"),
+        (("view", "d_view"), 1e-4, "6525268228"),
+        (("camera", "alpha_deg"), 0.01, "171888"),
+        (("camera", "beta_deg"), 1e-320, "inf"),
+    ],
+    ids=["gamma_h", "gamma_v", "d_view", "alpha", "beta_subnormal"],
+)
+def test_load_scenario_rejects_a_viewpoint_grid_beyond_its_cap(tmp_path, path, value, points):
+    # Each value met its key's rule, and planning allocated the wall's grid
+    # (2.1 GB arrays for gamma_h 0.9999999) before anything checked it.
+    message = f"task wall: {GRID_KEYS} space its viewpoint grid to {points} points, more than 65536"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_scenario(_write_with(tmp_path, path, value))
+
+
+def test_load_scenario_takes_a_viewpoint_grid_up_to_its_cap(tmp_path):
+    # 6 columns: 10922 rows make 65532 grid points, 10923 make 65538; the
+    # one-height band tours 6 viewpoints either way.
+    def rows(n):
+        return _write_grid(tmp_path, {"gamma_v": 1.0 - 2.0 / (n - 1) / FOOTPRINT_H})
+
+    assert load_scenario(rows(10922)).view.gamma_v > 0.9998
+    with pytest.raises(ValueError, match=re.escape("to 65538 points, more than 65536")):
+        load_scenario(rows(10923))
+
+
+def test_load_scenario_takes_a_tour_up_to_its_cap(tmp_path):
+    # Without a band every point of the wall's 4 grid rows is a viewpoint:
+    # 256 columns make 1024, 257 make 1028.
+    def columns(n):
+        return _write_grid(tmp_path, {"gamma_h": 1.0 - 6.0 / (n - 1) / FOOTPRINT_W}, z_band=None)
+
+    assert load_scenario(columns(256)).view.gamma_h > 0.99
+    message = f"task wall: {GRID_KEYS} and z_band leave its tour up to 1028 viewpoints, more than 1024"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        load_scenario(columns(257))
+
+
+@pytest.mark.parametrize("width, height, columns, points", [(40.0, 20.0, 37, 1147), (60.0, 12.0, 55, 1045)])
+def test_load_scenario_takes_a_tall_face_under_a_one_height_band(tmp_path, width, height, columns, points):
+    # A 40 m x 20 m face grids 37 x 31 = 1147 points and a 60 m x 12 m one
+    # 55 x 19 = 1045, but the shipped one-height band tours one viewpoint a
+    # column; a cap on the grid's points rejected both.
+    vertices = [[6, -width / 2, 0], [6, width / 2, 0], [6, width / 2, height], [6, -width / 2, height]]
+    cfg = load_scenario(_write_grid(tmp_path, vertices=vertices))
+    plan = generate_grid_viewpoints(cfg.tasks[0], cfg.view, cfg.camera, cfg.start_pose.position, cfg.z_band)
+    assert len(plan.viewpoints) == columns
+    with pytest.raises(ValueError, match=re.escape(f"leave its tour up to {points} viewpoints")):
+        load_scenario(_write_grid(tmp_path, z_band=None, vertices=vertices))
+
+
 def test_omitted_keys_take_the_dataclass_defaults(tmp_path):
     f = tmp_path / "scn.yaml"
     f.write_text(
@@ -624,6 +700,25 @@ def test_cli_rejects_a_string_for_a_number(tmp_path, capsys, path, value, reason
     # read character by character: `start: "4560"` loaded as (4, 5, 6, 0)
     # and `z_band: "06"` as (0, 6).
     f = _write_with(tmp_path, path, value)
+    assert main(["plan", "--config", str(f), "--out", str(tmp_path / "out")]) == 64
+    assert f"{f}: {reason}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ("voxel_size: 1e-3", "voxel_size must be a number, got '1e-3', a string: YAML reads an exponent"),
+        ("dt: 1.0e1", "dt must be a number, got '1.0e1', a string: YAML reads an exponent"),
+        ("inflation: half", "inflation must be a number, got 'half', a string\n"),
+    ],
+    ids=["no_dot", "unsigned_exponent", "word"],
+)
+def test_cli_explains_a_yaml_exponent_read_as_a_string(tmp_path, capsys, line, reason):
+    # PyYAML reads YAML 1.1, where 1e-3 and 1.0e1 are strings; the message
+    # said only that a number was expected.
+    key = line.partition(":")[0]
+    f = tmp_path / "scn.yaml"
+    f.write_text(re.sub(rf"(?m)^{key}: .*$", line, GOOD_YAML))
     assert main(["plan", "--config", str(f), "--out", str(tmp_path / "out")]) == 64
     assert f"{f}: {reason}" in capsys.readouterr().err
 

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from kernel_reference import raycast_batch_scalar
 from strategies import grid_coordinate, occupancy_grids, wall_slabs
 from surfscan import kernels
 from surfscan.depthcam import CameraIntrinsics, camera_axes_world
@@ -59,8 +60,8 @@ def test_load_map_planar_grid(tmp_path):
 
 def voxelized_in_one_pass(points, vmap):
     """The voxels of `points` on `vmap`'s grid, from one fancy index over
-    all of them, as `VoxelMap.from_points` computed them before it went
-    block by block."""
+    all of them, as map loading computed them before it went block by
+    block."""
     occ = np.zeros(vmap.shape, dtype=bool)
     idx = np.floor((points - vmap.origin) / vmap.voxel_size).astype(int)
     idx = np.clip(idx, 0, np.array(occ.shape) - 1)
@@ -69,11 +70,14 @@ def voxelized_in_one_pass(points, vmap):
 
 
 @pytest.mark.parametrize("count", [1, 65536, 65537, 140001])
-def test_from_points_in_blocks_matches_one_pass(count):
+def test_load_map_in_blocks_matches_one_pass(count, tmp_path):
     # Points inside and outside the bounds (those are clipped), on either
-    # side of a block boundary.
+    # side of a block boundary, written with every bit of each coordinate.
     points = np.random.default_rng(count).uniform(-2.0, 12.0, (count, 3))
-    vmap = VoxelMap.from_points(points, 0.05, ((0.0, 0.0, 0.0), (10.0, 8.0, 3.0)))
+    f = tmp_path / "survey.xyz"
+    np.savetxt(f, points, fmt="%.17g")
+    assert np.array_equal(load_xyz(f), points)
+    vmap = load_map(f, 0.05, ((0.0, 0.0, 0.0), (10.0, 8.0, 3.0)))
     assert np.array_equal(vmap.occ, voxelized_in_one_pass(points, vmap))
 
 
@@ -280,7 +284,7 @@ def scalar_depth(vmap, pose, cam):
     dirs = np.ascontiguousarray(world.reshape(-1, 3) / vmap.voxel_size)
     origin = vmap.world_to_grid(pose.position)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        t = kernels.raycast_batch_scalar(vmap.occ, origin, dirs, float(cam.max_range))
+        t = raycast_batch_scalar(vmap.occ, origin, dirs, float(cam.max_range))
     depth = t.reshape(cam.height, cam.width)
     depth[depth <= 0.0] = np.nan
     return depth
