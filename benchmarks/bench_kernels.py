@@ -75,10 +75,10 @@ import numpy as np
 from scipy import ndimage
 
 from surfscan import global_plan, kernels, world
-from surfscan.depthcam import DEPTH_JUMP, CameraIntrinsics, estimate_normal_map
 from surfscan.geometry import PolygonROI, ViewPose4
+from surfscan.metrics import DEPTH_JUMP, estimate_normal_map
 from surfscan.scenario import CAMERA_FOV, build_scene, demo_scenario
-from surfscan.world import Box, VoxelMap, camera_axes_world, fibonacci_directions, render_depth
+from surfscan.world import Box, CameraIntrinsics, VoxelMap, camera_axes_world, fibonacci_directions, render_depth
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "tests"))
 import kernel_reference  # noqa: E402
@@ -108,7 +108,7 @@ def sensing_cases():
     world = pix[..., 0, None] * right + pix[..., 1, None] * down + pix[..., 2, None] * forward
     cam_dirs = np.ascontiguousarray(world.reshape(-1, 3) / vmap.voxel_size)
     scan_dirs = np.ascontiguousarray(fibonacci_directions(2048) / vmap.voxel_size)
-    depth = np.ascontiguousarray(render_depth(vmap, pose, cam).data)
+    depth = render_depth(vmap, pose, cam)
     clip = {"box": vmap.occupied_box}
     return (
         (
@@ -176,7 +176,7 @@ def utility_case():
     cfg = demo_scenario("receding")
     cam = cfg.camera
     depth = render_depth(build_scene(cfg, None).current, ViewPose4(4.0, -2.0, 0.6), cam)
-    args = (depth.data, float(cam.fx), float(cam.fy), float(cam.cx), float(cam.cy), DEPTH_JUMP)
+    args = (depth, float(cam.fx), float(cam.fy), float(cam.cx), float(cam.cy), DEPTH_JUMP)
 
     def from_cosines():
         cosines = np.abs(kernels.incidence_cosines(*args))

@@ -8,12 +8,10 @@ simulator with depth-image viewpoint-quality metrics.
 """
 
 from .controller import add_odometry_noise, track_step
-from .depthcam import CameraIntrinsics, DepthImage, estimate_normal_map
 from .geometry import (
     DegenerateGeometryError,
     NoSurfaceError,
     PathSegment,
-    PointCloud,
     PolygonROI,
     RigidTransform,
     ViewPose4,
@@ -42,6 +40,7 @@ from .local_plan import ego_frame, predict_local_path
 from .metrics import (
     MissionLog,
     MissionRecord,
+    estimate_normal_map,
     path_rmse,
     summarize,
     viewing_distance,
@@ -62,6 +61,7 @@ from .supervisor import (
 )
 from .world import (
     Box,
+    CameraIntrinsics,
     MorphologyDelta,
     Scene,
     VoxelMap,

@@ -14,7 +14,6 @@ import os
 import sys
 from pathlib import Path
 
-from .fileio import ensure_dir
 from .global_plan import TaskUnreachableError
 from .metrics import write_plot_data
 from .mission import MissionRunner
@@ -193,9 +192,10 @@ def main(argv=None):
     try:
         _setup_logging()
         runner = _load(args)
-        out_dir = ensure_dir(Path(args.out))
+        out_dir = Path(args.out)
+        out_dir.mkdir(parents=True, exist_ok=True)
         for sub_dir in _OUT_DIRS[args.command]:
-            ensure_dir(out_dir / sub_dir)
+            (out_dir / sub_dir).mkdir(parents=True, exist_ok=True)
     except (ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -1,6 +1,8 @@
-"""Geometric primitives: poses, paths, clouds, polygons, rigid alignment.
+"""Geometric primitives: poses, paths, polygons, nearest points, rigid
+alignment.
 
-3-vectors are plain numpy float64 arrays of shape (3,).  Angles are radians
+3-vectors are plain numpy float64 arrays of shape (3,), and point clouds
+(N, 3) float64 arrays.  Angles are radians
 normalized to (-pi, pi].  All functions are pure; the container types are
 frozen and safe to share across threads.
 """
@@ -18,7 +20,6 @@ __all__ = [
     "ViewPose4",
     "pose_error",
     "PathSegment",
-    "PointCloud",
     "PolygonROI",
     "RigidTransform",
     "polygon_normal",
@@ -51,7 +52,7 @@ def wrap_angle(a):
     return w
 
 
-def _as_vec3(p, name="point"):
+def _as_vec3(p, name):
     v = np.asarray(p, dtype=np.float64).reshape(-1)
     if v.shape != (3,):
         raise ValueError(f"{name} must be a 3-vector, got shape {np.shape(p)}")
@@ -146,27 +147,6 @@ class PathSegment:
 
     def __repr__(self):
         return f"PathSegment({len(self)} poses)"
-
-
-@dataclass(frozen=True)
-class PointCloud:
-    """Point set in the world frame; may be empty."""
-
-    points: np.ndarray
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64).reshape(-1, 3)
-        if pts.size and not np.all(np.isfinite(pts)):
-            raise ValueError("PointCloud points must be finite")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    def __len__(self):
-        return self.points.shape[0]
-
-    @property
-    def is_empty(self):
-        return self.points.shape[0] == 0
 
 
 def _segments_intersect_2d(p1, p2, p3, p4):
@@ -342,14 +322,15 @@ def inside_in_plane(roi, px, py):
 
 
 def nearest_point(cloud, q):
-    """Cloud point nearest to q and its distance; ties keep the lowest index."""
-    if cloud.is_empty:
+    """Point of the (N, 3) array `cloud` nearest to q and its distance; ties
+    keep the lowest index."""
+    if len(cloud) == 0:
         raise NoSurfaceError("nearest_point on an empty cloud")
     q = _as_vec3(q, "query")
-    dx, dy, dz = (cloud.points - q).T
+    dx, dy, dz = (cloud - q).T
     d2 = dx * dx + dy * dy + dz * dz
     idx = int(np.argmin(d2))
-    return cloud.points[idx].copy(), float(np.sqrt(d2[idx]))
+    return cloud[idx].copy(), float(np.sqrt(d2[idx]))
 
 
 def discrete_frechet(a, b):

@@ -666,11 +666,11 @@ def solve_tour_sa_tsp(plan, start, seed, history=None):
     draws.check_bound(n)
     random, below = draws.random, draws.below
 
-    diffs = positions[None, :, :] - positions[:, None, :]
-    pair = np.linalg.norm(diffs, axis=-1)
-    temp = max(float(pair[np.triu_indices(n, k=1)].mean()), 1e-9)
+    # Row by row, so no (n, n, 3) difference array is built.
     table = np.zeros((n + 1, n + 1))
-    table[:n, :n] = pair
+    for i in range(n):
+        table[i, :n] = np.linalg.norm(positions - positions[i], axis=1)
+    temp = max(float(table[np.triu_indices(n, k=1)].mean()), 1e-9)
     table[n, :n] = table[:n, n] = np.linalg.norm(positions - start, axis=1)
     dist = table.tolist()
 

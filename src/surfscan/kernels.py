@@ -279,15 +279,16 @@ def raycast_batch(occ, origin, dirs, t_cap, nearest=False, *, box):
     return out
 
 
-def _march(occ, box, out, ray, fstate, sign, cells, per=0, groups=1):
+def _march(occ, box, out, ray, fstate, sign, cells, per, groups):
     """The vectorized DDA loop shared by the raycast kernels.
 
     Marches rays `ray` (indices into `out`) from their current state:
     `fstate` rows t, t_exit, tmax x/y/z, tdelta x/y/z; `sign` the step
     direction and `cells` the voxel per axis (a voxel outside the grid
     is a miss).  Writes each hit's t into `out`.  With `per` > 0 the rays
-    are `nearest` scans of `per` rays per origin, and the per-origin bound
-    on the nearest hit is returned; otherwise that bound stays inf.
+    are `nearest` scans of `per` rays from each of `groups` origins, and
+    the per-origin bound on the nearest hit is returned; with `per` 0 and
+    `groups` 1 that bound stays inf.
 
     Every live ray advances one voxel per iteration, with the same
     arithmetic and the same x, y, z tie-breaking as the reference's
@@ -541,7 +542,7 @@ def raycast_level_frame(occ, origin, cols, rows, t_cap, box, z_extent):
     fstate[7] = tdz[v]
     sign = np.stack([sx[c[k]], sy[c[k]], sz[v]])
     cells = np.stack([ix[k], iy[k], iz[v, k]])
-    _march(occ, box, out, ray[v, k], fstate, sign, cells)
+    _march(occ, box, out, ray[v, k], fstate, sign, cells, 0, 1)
     return out
 
 

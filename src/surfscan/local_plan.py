@@ -81,8 +81,8 @@ def predict_local_path(odom, vmap, guide, cfg, first_cloud):
     pos, cloud, poses = odom.position, first_cloud, []
     for g in guide:
         if poses:
-            (cloud,) = sample_cloud(vmap, [pos], cfg.sense_range, cfg.sense_rays, nearest=True)
-            if cloud.is_empty:
+            (cloud,) = sample_cloud(vmap, [pos], cfg.sense_range, cfg.sense_rays)
+            if len(cloud) == 0:
                 return PathSegment(poses), True
         p_nn, _ = nearest_point(cloud, pos)
         nxt = _next_pose(pos, p_nn, g.position, cfg)

@@ -1,5 +1,9 @@
-"""Mission evaluation: viewpoint utility, path RMSE, viewing distance,
-per-cycle logging and mission-level aggregates."""
+"""Mission evaluation: surface normals and viewpoint utility of depth
+frames, path RMSE, viewing distance, per-cycle logging and mission-level
+aggregates.
+
+A depth frame is the (H, W) array `world.render_depth` returns, in the
+camera frame that module documents; a scan is an (N, 3) point array."""
 
 import csv
 import math
@@ -8,13 +12,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .depthcam import DEPTH_JUMP
-# Unused here, but importable from this module: perfbench's tracer
-# (`perfbench/tracing.py`) wraps `metrics.estimate_normal_map`.
-from .depthcam import estimate_normal_map  # noqa: F401
 from .geometry import NoSurfaceError, nearest_point
 
 __all__ = [
+    "DEPTH_JUMP",
+    "estimate_normal_map",
     "viewpoint_utility",
     "path_rmse",
     "viewing_distance",
@@ -23,6 +25,30 @@ __all__ = [
     "summarize",
     "write_plot_data",
 ]
+
+# Depth difference (meters) between neighbouring pixels beyond which they
+# lie across a discontinuity, so no normal is estimated across them.
+DEPTH_JUMP = 0.3
+
+
+def _stencil_args(depth, intrinsics):
+    """The normal kernels' arguments for the (H, W) depth image `depth` seen
+    through `intrinsics`, with the discontinuity threshold `DEPTH_JUMP`."""
+    depth = np.asarray(depth, dtype=np.float64)
+    if depth.ndim != 2 or min(depth.shape) < 3:
+        raise ValueError(f"normal estimation needs a 2-D image of at least 3x3 pixels, got shape {depth.shape}")
+    return depth, float(intrinsics.fx), float(intrinsics.fy), float(intrinsics.cx), float(intrinsics.cy), DEPTH_JUMP
+
+
+def estimate_normal_map(depth, intrinsics):
+    """Per-pixel unit surface normals in the camera frame.
+
+    Normals come from the cross product of central-difference tangents of
+    the back-projected points and are oriented to face the camera.  Border
+    pixels, pixels with invalid neighbors and pixels across depth
+    discontinuities larger than `DEPTH_JUMP` meters are NaN.
+    """
+    return kernels.normals_from_depth(*_stencil_args(depth, intrinsics))
 
 
 def viewpoint_utility(depth, intrinsics):
@@ -36,16 +62,7 @@ def viewpoint_utility(depth, intrinsics):
     computed (`kernels.incidence_cosines`).  Raises NoSurfaceError when no
     pixel has a valid normal.
     """
-    if depth.height < 3 or depth.width < 3:
-        raise ValueError("normal estimation needs at least a 3x3 image")
-    cosines = kernels.incidence_cosines(
-        depth.data,
-        float(intrinsics.fx),
-        float(intrinsics.fy),
-        float(intrinsics.cx),
-        float(intrinsics.cy),
-        DEPTH_JUMP,
-    )
+    cosines = kernels.incidence_cosines(*_stencil_args(depth, intrinsics))
     if cosines.size == 0:
         raise NoSurfaceError("no valid surface pixels in view")
     return float(np.abs(cosines).mean())
@@ -60,7 +77,8 @@ def path_rmse(a, b):
 
 
 def viewing_distance(robot, cloud):
-    """Distance from the robot's `ViewPose4` to the nearest observed surface point."""
+    """Distance from the robot's `ViewPose4` to the nearest point of the
+    (N, 3) scan `cloud`."""
     _, dist = nearest_point(cloud, robot.position)
     return dist
 

@@ -145,7 +145,10 @@ class MissionRunner:
 
 
 # What every record carries before the first supervision cycle.
-_NO_CYCLE = SupervisionCycle(MissionMode.GLOBAL, NAN, NAN, NAN, NAN, cursor=0, viewing_distance=NAN)
+_NO_CYCLE = SupervisionCycle(
+    MissionMode.GLOBAL, NAN, NAN, NAN, NAN, cursor=0, viewing_distance=NAN,
+    event=None, visited_index=None, short_prediction=False,
+)
 # Viewing-distance scans cast together in one raycast call.
 _SCAN_BATCH = 8
 # The mission status a task's inspection ends with; still running means out of time.
@@ -322,9 +325,9 @@ def _log_steps(flown, vmap, cfg):
     for lo in range(0, len(unscanned), _SCAN_BATCH):
         batch = unscanned[lo : lo + _SCAN_BATCH]
         poses = [flown[i][3] for i in batch]
-        clouds = sample_cloud(vmap, [pose.position for pose in poses], cfg.sense_range, cfg.sense_rays, nearest=True)
+        clouds = sample_cloud(vmap, [pose.position for pose in poses], cfg.sense_range, cfg.sense_rays)
         for i, pose, cloud in zip(batch, poses, clouds):
-            distances[i] = NAN if cloud.is_empty else viewing_distance(pose, cloud)
+            distances[i] = NAN if len(cloud) == 0 else viewing_distance(pose, cloud)
     mission_log = MissionLog()
     for (t, phase, cycle, pose, ref, blocked, _), vd in zip(flown, distances):
         try:

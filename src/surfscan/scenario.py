@@ -14,10 +14,9 @@ from pathlib import Path
 import numpy as np
 import yaml
 
-from .depthcam import CameraIntrinsics
 from .geometry import PolygonROI, ViewPose4
 from .global_plan import InspectionTask, ViewConstraints, grid_size
-from .world import Box, MorphologyDelta, Scene, VoxelMap, load_map
+from .world import Box, CameraIntrinsics, MorphologyDelta, Scene, VoxelMap, load_map
 
 __all__ = ["ScenarioConfig", "load_scenario", "demo_scenario", "build_scene", "DEMO_NAMES"]
 

@@ -150,9 +150,9 @@ class SupervisionCycle:
     rmse_post: float
     cursor: int  # also the count of viewpoints visited
     viewing_distance: float
-    event: Optional[str] = None  # visit | complete | sense_retry | abort
-    visited_index: Optional[int] = None
-    short_prediction: bool = False
+    event: Optional[str]  # visit | complete | sense_retry | abort
+    visited_index: Optional[int]
+    short_prediction: bool
 
 
 def _unscored_cycle(state, event, visited_index):
@@ -168,6 +168,7 @@ def _unscored_cycle(state, event, visited_index):
         viewing_distance=nan,
         event=event,
         visited_index=visited_index,
+        short_prediction=False,
     )
 
 
@@ -217,8 +218,8 @@ def step_mission(state, scene, robot):
         state.status = MissionStatus.COMPLETE
         return None, _unscored_cycle(state, "complete", visited_index)
 
-    (cloud,) = sample_cloud(scene.current, [robot.position], cfg.sense_range, cfg.sense_rays, nearest=True)
-    if cloud.is_empty:
+    (cloud,) = sample_cloud(scene.current, [robot.position], cfg.sense_range, cfg.sense_rays)
+    if len(cloud) == 0:
         return None, _unscored_cycle(state, _retry(state), visited_index)
     state.retries = 0
     vd = viewing_distance(robot, cloud)

@@ -1,29 +1,37 @@
 """Simulated world: occupancy voxel maps, morphology deltas, sensing.
 
 The map is a dense boolean occupancy grid aligned to multiples of the voxel
-size, standing in for a full volumetric mapping backend.  Sensing is
-deterministic: a pinhole depth camera and an omnidirectional range scanner,
-both implemented by DDA raycasts through the grid.
+size, standing in for a full volumetric mapping backend; `load_xyz` reads
+the ASCII point files it is voxelized from.  Sensing is deterministic: a
+pinhole depth camera (`CameraIntrinsics`) and an omnidirectional range
+scanner, both implemented by DDA raycasts through the grid.  Their outputs
+are plain read-only arrays: a depth frame is an (H, W) float64 image and a
+scan an (N, 3) float64 point set in the world frame.
+
+Camera frame convention: +z along the optical axis, +x right, +y down.
+Depths are projective (distance along the optical axis).  Invalid pixels
+are NaN.
 """
 
 import functools
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import kernels
-from .depthcam import DepthImage, camera_axes_world
-from .fileio import load_xyz
-from .geometry import PointCloud
 
 __all__ = [
     "Box",
+    "CameraIntrinsics",
     "VoxelMap",
     "MorphologyDelta",
     "Scene",
+    "load_xyz",
     "load_map",
     "apply_delta",
+    "camera_axes_world",
     "render_depth",
     "sample_cloud",
     "is_collision_free",
@@ -328,6 +336,47 @@ class Scene:
         return cls(historical, historical)
 
 
+def load_xyz(path):
+    """Read an ASCII xyz file (one `x y z` triple per line, meters,
+    whitespace-separated, `#` starts a comment) into an (N, 3) array.
+
+    numpy's parser reads well-formed files; a malformed, empty or
+    comment-only file, or one with a non-finite value (`nan`, `inf`), is
+    re-read line by line, which names the offending line or returns a
+    (0, 3) array.
+    """
+    with warnings.catch_warnings():
+        # loadtxt warns on a file without data; the line loop handles it.
+        warnings.simplefilter("ignore", UserWarning)
+        try:
+            points = np.loadtxt(path, comments="#", ndmin=2, encoding="utf-8")
+        except ValueError:
+            points = None
+    if points is not None and points.shape[0] and points.shape[1] == 3 and np.isfinite(points).all():
+        return points
+    return _load_xyz_lines(path)
+
+
+def _load_xyz_lines(path):
+    points = []
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) != 3:
+                raise ValueError(f"{path}:{lineno}: expected 3 values, got {len(parts)}")
+            try:
+                point = [float(p) for p in parts]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
+            if not all(math.isfinite(v) for v in point):
+                raise ValueError(f"{path}:{lineno}: non-finite value in {line!r}")
+            points.append(point)
+    return np.asarray(points, dtype=np.float64).reshape(-1, 3)
+
+
 def load_map(path, voxel_size, bounds):
     """Voxelize an xyz point file over `bounds` (None: the points' extent
     grown by `MAP_PADDING` on every side)."""
@@ -362,6 +411,62 @@ def fibonacci_directions(n):
     return dirs
 
 
+@dataclass(frozen=True)
+class CameraIntrinsics:
+    """Pinhole camera described by its field of view and image size."""
+
+    alpha: float  # horizontal FOV, radians
+    beta: float  # vertical FOV, radians
+    width: int = 80
+    height: int = 60
+    max_range: float = 5.0
+
+    def __post_init__(self):
+        if not (0.0 < self.alpha < np.pi and 0.0 < self.beta < np.pi):
+            raise ValueError("FOV angles must lie in (0, pi)")
+        if self.width < 3 or self.height < 3:
+            raise ValueError("image must be at least 3x3 pixels")
+        # An infinite range stays legal: `render_depth` casts uncapped rays.
+        if not self.max_range > 0.0:
+            raise ValueError(f"max_range must be positive, got {self.max_range}")
+
+    @property
+    def fx(self):
+        return (self.width / 2.0) / np.tan(self.alpha / 2.0)
+
+    @property
+    def fy(self):
+        return (self.height / 2.0) / np.tan(self.beta / 2.0)
+
+    @property
+    def cx(self):
+        return (self.width - 1) / 2.0
+
+    @property
+    def cy(self):
+        return (self.height - 1) / 2.0
+
+    def pixel_offsets(self):
+        """Camera-frame x of each image column and y of each image row on
+        the z = 1 plane: (W,) and (H,) arrays."""
+        u = (np.arange(self.width) - self.cx) / self.fx
+        v = (np.arange(self.height) - self.cy) / self.fy
+        return u, v
+
+    def pixel_directions(self):
+        """(H, W, 3) camera-frame ray directions, z-component 1, so the ray
+        parameter equals projective depth."""
+        uu, vv = np.meshgrid(*self.pixel_offsets())
+        return np.stack([uu, vv, np.ones_like(uu)], axis=-1)
+
+
+def camera_axes_world(pose):
+    """World-frame (right, down, forward) unit vectors of a camera mounted
+    level on the robot body, optical axis along the body +x."""
+    c, s = np.cos(pose.psi), np.sin(pose.psi)
+    return np.array([s, -c, 0.0]), np.array([0.0, 0.0, -1.0]), np.array([c, s, 0.0])
+
+
 def _pixel_rays(right, down, forward, intrinsics, voxel_size):
     """The (H * W, 3) grid-unit ray of every pixel, row-major, for a camera
     with the given world axes."""
@@ -387,8 +492,9 @@ def _frame_axes(right, down, forward, intrinsics, voxel_size):
 
 
 def render_depth(vmap, pose, intrinsics):
-    """Raycast a depth image from the pose.  Depth is the distance along the
-    optical axis to the first occupied voxel; misses are NaN.
+    """Raycast a depth image from the pose: a read-only (H, W) float64
+    array.  Depth is the distance along the optical axis to the first
+    occupied voxel; misses are NaN.
 
     Two kernels cast the frame, with bitwise the same depths.  The camera
     is level, so a frame with a finite range whose origin lies inside the
@@ -400,7 +506,9 @@ def render_depth(vmap, pose, intrinsics):
     h, w = intrinsics.height, intrinsics.width
     box = vmap.occupied_box
     if box is None:
-        return DepthImage(np.full((h, w), np.nan))
+        depth = np.full((h, w), np.nan)
+        depth.setflags(write=False)
+        return depth
     right, down, forward = camera_axes_world(pose)
     origin_g = vmap.world_to_grid(pose.position)
     t_cap = float(intrinsics.max_range)
@@ -413,25 +521,26 @@ def render_depth(vmap, pose, intrinsics):
         t = kernels.raycast_batch(vmap.occ, origin_g, dirs_g, t_cap, box=box)
     depth = t.reshape(h, w)
     depth[depth <= 0.0] = np.nan
-    return DepthImage(depth)
+    depth.setflags(write=False)
+    return depth
 
 
-def sample_cloud(vmap, positions, max_range, ray_count, nearest=False):
+def sample_cloud(vmap, positions, max_range, ray_count):
     """Omnidirectional range scans from each of the (G, 3) `positions`: a
-    tuple of G `PointCloud`s, each the first-hit points of a
-    Fibonacci-sphere ray pattern from its position, world frame.  Rays that
-    hit nothing within range are omitted.  The G scans are cast in one
-    multi-origin `kernels.raycast_batch` call, and each cloud is bitwise the
-    one a scan from its position alone returns.  On an empty map nothing is
-    cast.
+    tuple of G read-only (N, 3) float64 arrays, each the first-hit points,
+    world frame, of a Fibonacci-sphere ray pattern from its position that
+    can be the nearest to it.  Rays that hit nothing within range are
+    omitted.  The G scans are cast in one multi-origin
+    `kernels.raycast_batch` call in nearest mode, and each cloud is bitwise
+    the one a scan from its position alone returns.  On an empty map
+    nothing is cast.
 
-    With `nearest`, each cloud holds only the returns that can be the
-    nearest to its position: those at a range r <= r_min * (1 + 1e-9) +
-    1e-9 m, r_min the nearest range (see :func:`kernels.raycast_batch`).
-    The margin covers the rounding of the points and of `nearest_point`'s
+    A cloud holds the returns at a range r <= r_min * (1 + 1e-9) + 1e-9 m,
+    r_min the nearest range (see :func:`kernels.raycast_batch`).  The
+    margin covers the rounding of the points and of `nearest_point`'s
     squared distances, so `nearest_point` from the position returns the
     same point and distance, with the same lowest-index tie-break, as on
-    the full cloud, and the cloud is empty iff the full one is.
+    the scan's full set of returns, and the cloud is empty iff that set is.
 
     A range that is not positive (nan included; an infinite one is legal)
     or fewer than one ray raises ValueError: either would return nothing.
@@ -444,16 +553,18 @@ def sample_cloud(vmap, positions, max_range, ray_count, nearest=False):
     scans = len(positions)
     box = vmap.occupied_box
     if box is None:
-        return (PointCloud(np.empty((0, 3))),) * scans
-    dirs = fibonacci_directions(int(ray_count))
-    dirs_g = np.tile(dirs / vmap.voxel_size, (scans, 1))
-    t = kernels.raycast_batch(vmap.occ, vmap.world_to_grid(positions), dirs_g, float(max_range), nearest=nearest, box=box)
-    t = t.reshape(scans, len(dirs))
-    # Every scan's points in one expression, in scan order, then split.
-    scan, ray = np.nonzero(t >= 0.0)
-    points = positions[scan] + dirs[ray] * t[scan, ray][:, None]
-    ends = [0, *np.cumsum(np.bincount(scan, minlength=scans)).tolist()]
-    return tuple(PointCloud(points[lo:hi]) for lo, hi in zip(ends, ends[1:]))
+        points, ends = np.empty((0, 3)), [0] * (scans + 1)
+    else:
+        dirs = fibonacci_directions(int(ray_count))
+        dirs_g = np.tile(dirs / vmap.voxel_size, (scans, 1))
+        t = kernels.raycast_batch(vmap.occ, vmap.world_to_grid(positions), dirs_g, float(max_range), nearest=True, box=box)
+        t = t.reshape(scans, len(dirs))
+        # Every scan's points in one expression, in scan order, then split.
+        scan, ray = np.nonzero(t >= 0.0)
+        points = positions[scan] + dirs[ray] * t[scan, ray][:, None]
+        ends = [0, *np.cumsum(np.bincount(scan, minlength=scans)).tolist()]
+    points.setflags(write=False)
+    return tuple(points[lo:hi] for lo, hi in zip(ends, ends[1:]))
 
 
 def is_collision_free(vmap, target, inflation):

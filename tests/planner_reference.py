@@ -200,7 +200,7 @@ def solve_tour_sa_tsp(plan, start, seed, history=None):
 def point_in_polygon(roi, p):
     """True iff the in-plane projection of p lies inside the polygon.
     Boundary points count as inside.  p must lie on the ROI plane."""
-    p = _as_vec3(p)
+    p = _as_vec3(p, "point")
     n = roi.normal
     c = roi.centroid
     if abs(float((p - c) @ n)) > PLANE_TOL:

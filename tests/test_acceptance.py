@@ -13,10 +13,8 @@ import numpy as np
 
 from surfscan.cli import main as cli_main
 from surfscan.controller import track_step
-from surfscan.depthcam import CameraIntrinsics, DepthImage
 from surfscan.geometry import (
     PathSegment,
-    PointCloud,
     PolygonROI,
     ViewPose4,
     discrete_frechet,
@@ -30,7 +28,7 @@ from surfscan.metrics import viewpoint_utility
 from surfscan.mission import MissionRunner
 from surfscan.scenario import CAMERA_FOV, demo_scenario
 from surfscan.supervisor import MissionMode, SimilarityScore, decide
-from surfscan.world import Box, VoxelMap, is_collision_free
+from surfscan.world import Box, CameraIntrinsics, VoxelMap, is_collision_free
 
 from test_geometry import frechet_recursive, point_in_polygon, random_rotation
 from test_global_plan import brute_force_open_tour, nearest_neighbor_cost, plan_from_positions
@@ -112,7 +110,7 @@ def test_criterion_04_next_view_closed_form():
     with criterion(4, "next-view-pose closed form at 4 m range"):
         cfg = dataclasses.replace(demo_scenario("nominal"), z_band=None)
         # `predict_local_path` with a one-pose guide on the +y side.
-        pose = next_view(ViewPose4(0, 0, 0), PointCloud([[4.0, 0.0, 0.0]]), cfg)
+        pose = next_view(ViewPose4(0, 0, 0), np.array([[4.0, 0.0, 0.0]]), cfg)
         assert abs(pose.x - 2.000) < 1e-3
         assert abs(pose.y - 2.220) < 1e-3
         assert abs(pose.z - 1.326) < 1e-3
@@ -312,7 +310,7 @@ def test_criterion_10_invariants(rng):
             with np.errstate(divide="ignore"):
                 z = 2.0 / denom
             z[~np.isfinite(z) | (z <= 0)] = np.nan
-            return DepthImage(z)
+            return z
 
         flat = viewpoint_utility(plane_img(0.0), cam)
         oblique = viewpoint_utility(plane_img(np.deg2rad(60.0)), cam)

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from surfscan.depthcam import CameraIntrinsics, DepthImage, estimate_normal_map
+from surfscan.metrics import estimate_normal_map
+from surfscan.world import CameraIntrinsics
 
 CAM = CameraIntrinsics(alpha=np.deg2rad(69.5), beta=np.deg2rad(45.0), width=48, height=36, max_range=10.0)
 
@@ -29,7 +30,7 @@ def test_intrinsics_validation():
 
 
 def test_fronto_parallel_wall_normals():
-    depth = DepthImage(plane_depth(CAM, [0, 0, 1], 2.0))
+    depth = plane_depth(CAM, [0, 0, 1], 2.0)
     normals = estimate_normal_map(depth, CAM)
     valid = np.isfinite(normals[..., 0])
     assert valid[1:-1, 1:-1].all()
@@ -40,7 +41,7 @@ def test_fronto_parallel_wall_normals():
 def test_tilted_wall_normal_angle():
     th = np.deg2rad(45.0)
     n = np.array([np.sin(th), 0.0, np.cos(th)])
-    depth = DepthImage(plane_depth(CAM, n, 2.0))
+    depth = plane_depth(CAM, n, 2.0)
     normals = estimate_normal_map(depth, CAM)
     valid = np.isfinite(normals[..., 0])
     assert valid.sum() > 100
@@ -54,14 +55,14 @@ def test_tilted_wall_normal_angle():
 def test_isolated_pixel_invalid():
     data = np.full((5, 5), np.nan)
     data[2, 2] = 2.0
-    normals = estimate_normal_map(DepthImage(data), CAM_small())
+    normals = estimate_normal_map(data, CAM_small())
     assert not np.isfinite(normals[..., 0]).any()
 
 
 def test_depth_discontinuity_invalidates():
     data = np.full((5, 7), 2.0)
     data[:, 4:] = 4.0  # 2 m jump
-    normals = estimate_normal_map(DepthImage(data), CAM_small())
+    normals = estimate_normal_map(data, CAM_small())
     valid = np.isfinite(normals[..., 0])
     assert valid[1:-1, 1:3].all()
     assert not valid[:, 3:5].any()
@@ -69,7 +70,7 @@ def test_depth_discontinuity_invalidates():
 
 def test_small_image_rejected():
     with pytest.raises(ValueError, match="3x3"):
-        estimate_normal_map(DepthImage(np.full((2, 5), 1.0)), CAM_small())
+        estimate_normal_map(np.full((2, 5), 1.0), CAM_small())
 
 
 def CAM_small():

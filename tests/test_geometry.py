@@ -7,7 +7,6 @@ from surfscan.geometry import (
     DegenerateGeometryError,
     NoSurfaceError,
     PathSegment,
-    PointCloud,
     PolygonROI,
     RigidTransform,
     ViewPose4,
@@ -181,17 +180,17 @@ def test_point_in_polygon_matches_halfplane_oracle(rng):
 
 
 def test_nearest_point_examples():
-    cloud = PointCloud([[1, 0, 0], [3, 0, 0]])
+    cloud = np.array([[1.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
     p, d = nearest_point(cloud, [0, 0, 0])
     assert np.allclose(p, [1, 0, 0]) and d == pytest.approx(1.0)
 
-    p, d = nearest_point(PointCloud([[1, 0, 0]]), [1, 0, 0])
+    p, d = nearest_point(np.array([[1.0, 0.0, 0.0]]), [1, 0, 0])
     assert np.allclose(p, [1, 0, 0]) and d == 0.0
 
 
 def test_nearest_point_empty_cloud():
     with pytest.raises(NoSurfaceError):
-        nearest_point(PointCloud(np.zeros((0, 3))), [0, 0, 0])
+        nearest_point(np.zeros((0, 3)), [0, 0, 0])
 
 
 def nearest_point_loop(points, q):
@@ -208,7 +207,7 @@ def nearest_point_loop(points, q):
 
 def test_nearest_point_matches_brute_force(rng):
     pts = rng.normal(size=(1000, 3))
-    cloud = PointCloud(pts)
+    cloud = pts
     for _ in range(50):
         q = rng.normal(size=3) * 2
         p, d = nearest_point(cloud, q)
@@ -221,7 +220,7 @@ def test_nearest_point_matches_brute_force(rng):
 
 
 def test_nearest_point_tie_breaks_by_index():
-    cloud = PointCloud([[1, 0, 0], [-1, 0, 0]])
+    cloud = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0]])
     p, _ = nearest_point(cloud, [0, 0, 0])
     assert np.allclose(p, [1, 0, 0])
 

@@ -9,7 +9,7 @@ from scipy import ndimage
 
 import planner_reference
 from strategies import occupancy_grids
-from surfscan.depthcam import CameraIntrinsics
+from surfscan.world import CameraIntrinsics
 from surfscan.geometry import PolygonROI, ViewPose4, polygon_basis
 from surfscan.global_plan import (
     InspectionTask,

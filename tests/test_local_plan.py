@@ -3,12 +3,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from surfscan.depthcam import CameraIntrinsics
+from surfscan.world import CameraIntrinsics
 from surfscan.geometry import (
     DegenerateGeometryError,
     NoSurfaceError,
     PathSegment,
-    PointCloud,
     ViewPose4,
     discrete_frechet,
 )
@@ -27,7 +26,7 @@ SPACING_H = BANDED.view.spacing(BANDED.camera, BANDED.view.d_view)[0]
 
 def wall_cloud(wall_x, pos):
     """Single-point cloud at the exact perpendicular foot on the plane x=wall_x."""
-    return PointCloud([[wall_x, pos[1], pos[2]]])
+    return np.array([[wall_x, pos[1], pos[2]]])
 
 
 # A one-pose guide never re-senses, so the map is not read.
@@ -75,7 +74,7 @@ def test_ego_frame_coincident_point():
 
 
 def test_next_view_pose_closed_form():
-    pose = next_view(ViewPose4(0, 0, 0), PointCloud([[4.0, 0.0, 0.0]]), CFG)
+    pose = next_view(ViewPose4(0, 0, 0), np.array([[4.0, 0.0, 0.0]]), CFG)
     assert pose.x == pytest.approx(2.000, abs=1e-3)
     assert pose.y == pytest.approx(2.220, abs=1e-3)
     assert pose.z == pytest.approx(1.326, abs=1e-3)
@@ -87,7 +86,7 @@ def test_next_view_pose_closed_form():
 
 def test_next_view_pose_sweeps_toward_the_guide():
     # A guide on the -y side mirrors the lateral step and nothing else.
-    cloud = PointCloud([[4.0, 0.0, 0.0]])
+    cloud = np.array([[4.0, 0.0, 0.0]])
     plus = next_view(ViewPose4(0, 0, 0), cloud, CFG)
     minus = next_view(ViewPose4(0, 0, 0), cloud, CFG, side=-1.0)
     assert minus.y == -plus.y and minus.y < 0.0
@@ -95,22 +94,22 @@ def test_next_view_pose_sweeps_toward_the_guide():
 
 
 def test_next_view_pose_at_viewing_distance_range_term_vanishes():
-    pose = next_view(ViewPose4(0, 0, 0), PointCloud([[2.0, 0.0, 0.0]]), CFG)
+    pose = next_view(ViewPose4(0, 0, 0), np.array([[2.0, 0.0, 0.0]]), CFG)
     assert pose.x == pytest.approx(0.0, abs=1e-12)  # no approach component
 
 
 def test_next_view_pose_yaw_axis_case():
-    pose = next_view(ViewPose4(0, 0, 0), PointCloud([[0.0, 3.0, 0.0]]), CFG)
+    pose = next_view(ViewPose4(0, 0, 0), np.array([[0.0, 3.0, 0.0]]), CFG)
     assert pose.psi == pytest.approx(np.pi / 2)
 
 
 def test_next_view_pose_empty_cloud():
     with pytest.raises(NoSurfaceError):
-        next_view(ViewPose4(0, 0, 0), PointCloud(np.zeros((0, 3))), CFG)
+        next_view(ViewPose4(0, 0, 0), np.zeros((0, 3)), CFG)
 
 
 def test_next_view_pose_z_band_clamp():
-    pose = next_view(ViewPose4(0, 0, 0.6), PointCloud([[4.0, 0.0, 0.6]]), BANDED)
+    pose = next_view(ViewPose4(0, 0, 0.6), np.array([[4.0, 0.0, 0.6]]), BANDED)
     assert pose.z == 0.6
 
 
@@ -180,7 +179,7 @@ def guide_line(x, y0, n, spacing, z=0.6):
 def predict(odom, vmap, guide, cfg):
     """`predict_local_path` from the scan taken at `odom`, as the supervisor
     calls it."""
-    (first_cloud,) = sample_cloud(vmap, [odom.position], cfg.sense_range, cfg.sense_rays, nearest=True)
+    (first_cloud,) = sample_cloud(vmap, [odom.position], cfg.sense_range, cfg.sense_rays)
     return predict_local_path(odom, vmap, guide, cfg, first_cloud)
 
 

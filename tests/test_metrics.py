@@ -9,9 +9,8 @@ from hypothesis import strategies as st
 
 from kernel_reference import normals_from_depth_scalar
 from strategies import depth_images
-from surfscan import metrics
-from surfscan.depthcam import CameraIntrinsics, DepthImage
-from surfscan.geometry import NoSurfaceError, PathSegment, PointCloud, ViewPose4
+from surfscan import kernels, metrics
+from surfscan.geometry import NoSurfaceError, PathSegment, ViewPose4
 from surfscan.metrics import (
     MissionLog,
     MissionRecord,
@@ -21,7 +20,7 @@ from surfscan.metrics import (
     viewpoint_utility,
     write_plot_data,
 )
-from surfscan.world import render_depth, sample_cloud
+from surfscan.world import CameraIntrinsics, sample_cloud
 
 CAM = CameraIntrinsics(alpha=np.deg2rad(69.5), beta=np.deg2rad(45.0), width=48, height=36, max_range=10.0)
 
@@ -39,20 +38,20 @@ def plane_depth(intr, normal, offset):
 
 
 def test_utility_fronto_parallel_wall():
-    img = DepthImage(plane_depth(CAM, [0, 0, 1], 2.0))
+    img = plane_depth(CAM, [0, 0, 1], 2.0)
     assert viewpoint_utility(img, CAM) == pytest.approx(1.0, abs=0.02)
 
 
 def test_utility_60_degree_incidence():
     th = np.deg2rad(60.0)
-    img = DepthImage(plane_depth(CAM, [np.sin(th), 0, np.cos(th)], 2.0))
+    img = plane_depth(CAM, [np.sin(th), 0, np.cos(th)], 2.0)
     assert viewpoint_utility(img, CAM) == pytest.approx(0.5, abs=0.02)
 
 
 def test_utility_bounds(rng):
     for _ in range(20):
         th = rng.uniform(0, np.deg2rad(75))
-        img = DepthImage(plane_depth(CAM, [np.sin(th), 0, np.cos(th)], 2.0))
+        img = plane_depth(CAM, [np.sin(th), 0, np.cos(th)], 2.0)
         try:
             u = viewpoint_utility(img, CAM)
         except NoSurfaceError:
@@ -61,14 +60,14 @@ def test_utility_bounds(rng):
 
 
 def test_utility_no_valid_pixels():
-    img = DepthImage(np.full((CAM.height, CAM.width), np.nan))
+    img = np.full((CAM.height, CAM.width), np.nan)
     with pytest.raises(NoSurfaceError):
         viewpoint_utility(img, CAM)
 
 
 def test_utility_rejects_an_image_smaller_than_3x3():
     with pytest.raises(ValueError, match="3x3"):
-        viewpoint_utility(DepthImage(np.full((2, 5), 1.0)), CAM)
+        viewpoint_utility(np.full((2, 5), 1.0), CAM)
 
 
 def utility_oracle(depth, cam, jump):
@@ -129,15 +128,18 @@ def test_utility_matches_normal_map_oracle(depth, fov, jump):
     h, w = depth.shape
     cam = CameraIntrinsics(fov, 0.8 * fov, w, h)
     want = utility_oracle(depth, cam, jump)
-    img = DepthImage(depth)
-    # The utility reads the module's discontinuity threshold, set here to
-    # each drawn one.
+    img = depth
+    # The utility and the normal map read the module's one discontinuity
+    # threshold, set here to each drawn one.
     with mock.patch.object(metrics, "DEPTH_JUMP", jump):
         if want is None:
             with pytest.raises(NoSurfaceError):
                 viewpoint_utility(img, cam)
         else:
             assert viewpoint_utility(img, cam).hex() == want.hex()
+        normals = metrics.estimate_normal_map(img, cam)
+    direct = kernels.normals_from_depth(depth, float(cam.fx), float(cam.fy), float(cam.cx), float(cam.cy), jump)
+    assert np.array_equal(normals.view(np.int64), direct.view(np.int64))
 
 
 # ---------------------------------------------------------------- rmse
@@ -182,7 +184,7 @@ def test_viewing_distance_wall(wall_map):
 
 def test_viewing_distance_empty_cloud():
     with pytest.raises(NoSurfaceError):
-        viewing_distance(ViewPose4(0, 0, 0), PointCloud(np.zeros((0, 3))))
+        viewing_distance(ViewPose4(0, 0, 0), np.zeros((0, 3)))
 
 
 # ---------------------------------------------------------------- mission log

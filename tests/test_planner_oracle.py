@@ -26,7 +26,7 @@ from hypothesis.extra.numpy import arrays
 
 import planner_reference
 from strategies import occupancy_grids
-from surfscan.depthcam import CameraIntrinsics
+from surfscan.world import CameraIntrinsics
 from surfscan.geometry import BOUNDARY_EPS, PolygonROI, ViewPose4, inside_in_plane
 from surfscan.global_plan import (
     InspectionTask,

@@ -14,7 +14,7 @@ import pytest
 import yaml
 
 from surfscan.cli import main
-from surfscan.depthcam import CameraIntrinsics
+from surfscan.world import CameraIntrinsics
 from surfscan.global_plan import generate_grid_viewpoints
 from surfscan.scenario import _KEYS, CAMERA_FOV, DEMO_NAMES, ScenarioConfig, build_scene, demo_scenario, load_scenario
 
@@ -1066,9 +1066,8 @@ def test_cli_unreachable_task_exit_code(tmp_path):
 
 def test_cli_failing_scan_aborts(tmp_path, monkeypatch):
     from surfscan import supervisor
-    from surfscan.geometry import PointCloud
 
-    monkeypatch.setattr(supervisor, "sample_cloud", lambda *args, **kwargs: (PointCloud(np.zeros((0, 3))),))
+    monkeypatch.setattr(supervisor, "sample_cloud", lambda *args, **kwargs: (np.zeros((0, 3)),))
     out = tmp_path / "run"
     assert main(["run", "--demo", "nominal", "--out", str(out)]) == 3
     assert json.loads((out / "summary.json").read_text())["status"] == "aborted"

@@ -11,18 +11,20 @@ from scipy import ndimage
 from kernel_reference import raycast_batch_scalar
 from strategies import grid_coordinate, occupancy_grids, wall_slabs
 from surfscan import kernels
-from surfscan.depthcam import CameraIntrinsics, camera_axes_world
-from surfscan.fileio import _load_xyz_lines, load_xyz
 from surfscan.geometry import ViewPose4, nearest_point
 from surfscan.world import (
     Box,
+    CameraIntrinsics,
     MorphologyDelta,
     Scene,
     VoxelMap,
+    _load_xyz_lines,
     apply_delta,
+    camera_axes_world,
     fibonacci_directions,
     is_collision_free,
     load_map,
+    load_xyz,
     render_depth,
     sample_cloud,
 )
@@ -239,17 +241,17 @@ def test_render_depth_flat_wall(wall_map):
     pose = ViewPose4(4.0, 0.0, 1.2, 0.0)  # 2 m from the face, looking +x
     img = render_depth(wall_map, pose, CAM)
     cy, cx = CAM.height // 2, CAM.width // 2
-    assert img.data[cy, cx] == pytest.approx(2.0, abs=wall_map.voxel_size)
+    assert img[cy, cx] == pytest.approx(2.0, abs=wall_map.voxel_size)
     # Projective depth: every wall pixel reports the same axial distance.
-    valid = np.isfinite(img.data)
+    valid = np.isfinite(img)
     assert valid[cy, cx]
-    assert np.nanmax(np.abs(img.data[valid] - 2.0)) <= wall_map.voxel_size
+    assert np.nanmax(np.abs(img[valid] - 2.0)) <= wall_map.voxel_size
 
 
 def test_render_depth_empty_space():
     vmap = VoxelMap.empty((0, 0, 0), (5, 5, 5), 0.1)
     img = render_depth(vmap, ViewPose4(2.5, 2.5, 2.5), CAM)
-    assert not np.isfinite(img.data).any()
+    assert not np.isfinite(img).any()
 
 
 def test_render_depth_oblique_wall_matches_plane_equation(wall_map):
@@ -263,16 +265,16 @@ def test_render_depth_oblique_wall_matches_plane_equation(wall_map):
     fwd = np.array([np.cos(yaw), np.sin(yaw), 0.0])
     world = dirs[..., 0, None] * right + dirs[..., 1, None] * down + dirs[..., 2, None] * fwd
     expected = 2.0 / world[..., 0]  # t with dir_x scaled so axis component is 1
-    valid = np.isfinite(img.data)
+    valid = np.isfinite(img)
     assert valid.sum() > 50
-    assert np.abs(img.data[valid] - expected[valid]).max() < 3 * wall_map.voxel_size
+    assert np.abs(img[valid] - expected[valid]).max() < 3 * wall_map.voxel_size
 
 
 def test_render_depth_deterministic(wall_map):
     pose = ViewPose4(4.0, 0.3, 1.0, 0.1)
     a = render_depth(wall_map, pose, CAM)
     b = render_depth(wall_map, pose, CAM)
-    assert np.array_equal(a.data, b.data, equal_nan=True)
+    assert np.array_equal(a, b, equal_nan=True)
 
 
 def scalar_depth(vmap, pose, cam):
@@ -326,7 +328,7 @@ def camera_frames(draw):
 def test_render_depth_matches_scalar_oracle(frame):
     vmap, pose, cam = frame
     with mock.patch.object(kernels, "raycast_level_frame", wraps=kernels.raycast_level_frame) as level:
-        got = render_depth(vmap, pose, cam).data
+        got = render_depth(vmap, pose, cam)
     assert same_depths(got, scalar_depth(vmap, pose, cam))
     g = vmap.world_to_grid(pose.position)
     inside = np.all((g >= 0.0) & (g <= vmap.shape))
@@ -343,7 +345,7 @@ def test_render_depth_casts_a_level_frame_from_inside_the_grid(wall_map):
         mock.patch.object(kernels, "raycast_level_frame", wraps=kernels.raycast_level_frame) as level,
         mock.patch.object(kernels, "raycast_batch", side_effect=AssertionError("raycast_batch called")),
     ):
-        got = render_depth(wall_map, ViewPose4(4.0, 0.3, 1.0, 0.1), SMALL_CAM).data
+        got = render_depth(wall_map, ViewPose4(4.0, 0.3, 1.0, 0.1), SMALL_CAM)
     assert level.call_count == 1
     assert np.isfinite(got).any()
 
@@ -361,7 +363,7 @@ def test_render_depth_casts_other_frames_through_raycast_batch(wall_map, pose, c
         mock.patch.object(kernels, "raycast_level_frame", side_effect=AssertionError("frame kernel called")),
         mock.patch.object(kernels, "raycast_batch", wraps=kernels.raycast_batch) as batch,
     ):
-        got = render_depth(wall_map, pose, cam).data
+        got = render_depth(wall_map, pose, cam)
     assert batch.call_count == 1
     assert np.isfinite(got).any()
     assert same_depths(got, scalar_depth(wall_map, pose, cam))
@@ -373,8 +375,8 @@ def test_render_depth_casts_other_frames_through_raycast_batch(wall_map, pose, c
 def test_sample_cloud_empty_map():
     vmap = VoxelMap.empty((0, 0, 0), (5, 5, 5), 0.1)
     (cloud,) = sample_cloud(vmap, [[2.5, 2.5, 2.5]], 10.0, 256)
-    assert cloud.is_empty
-    assert assert_same_nearest(vmap, np.array([2.5, 2.5, 2.5]), 10.0, 256).is_empty
+    assert len(cloud) == 0
+    assert len(assert_same_nearest(vmap, np.array([2.5, 2.5, 2.5]), 10.0, 256)) == 0
 
 
 def box_room(height):
@@ -391,18 +393,18 @@ def test_sample_cloud_box_room_bound():
     # Closed 4x4x4 room; robot at the center.
     vmap = box_room(4.4)
     center = np.array([2.2, 2.2, 2.2])
-    (cloud,) = sample_cloud(vmap, [center], 10.0, 512)
+    cloud = single_scan(vmap, center, 10.0, 512, False)
     assert len(cloud) == 512
-    dists = np.linalg.norm(cloud.points - center, axis=1)
+    dists = np.linalg.norm(cloud - center, axis=1)
     assert dists.max() <= 2 * np.sqrt(3) + 1e-9
 
 
 def test_sample_cloud_hits_on_voxel_boundaries(wall_map):
     pos = np.array([4.0, 0.0, 1.2])
-    (cloud,) = sample_cloud(wall_map, [pos], 8.0, 512)
+    cloud = single_scan(wall_map, pos, 8.0, 512, False)
     assert len(cloud) > 0
     h = wall_map.voxel_size
-    for p in cloud.points:
+    for p in cloud:
         # Nudge along the ray: the voxel just past the hit is occupied.
         d = p - pos
         d /= np.linalg.norm(d)
@@ -413,12 +415,12 @@ def test_sample_cloud_hits_on_voxel_boundaries(wall_map):
 
 
 def assert_same_nearest(vmap, pos, max_range, ray_count):
-    """The nearest-mode cloud from `pos` gives `nearest_point` bit for bit the
-    answer of the full cloud; returns it."""
-    (full,) = sample_cloud(vmap, [pos], max_range, ray_count)
-    (near,) = sample_cloud(vmap, [pos], max_range, ray_count, nearest=True)
-    assert near.is_empty == full.is_empty
-    if full.is_empty:
+    """The cloud `sample_cloud` returns from `pos` gives `nearest_point` bit for
+    bit the answer of the full scan's returns; returns it."""
+    full = single_scan(vmap, pos, max_range, ray_count, False)
+    (near,) = sample_cloud(vmap, [pos], max_range, ray_count)
+    assert (len(near) == 0) == (len(full) == 0)
+    if len(full) == 0:
         return near
     p_full, d_full = nearest_point(full, pos)
     p_near, d_near = nearest_point(near, pos)
@@ -472,14 +474,13 @@ def single_scan(vmap, pos, max_range, ray_count, nearest):
 
 def assert_scans_equal_single_scans(vmap, positions, max_range, ray_count):
     """Each cloud of one multi-origin scan is bit for bit the scan from its
-    position alone, in both modes."""
-    for nearest in (False, True):
-        clouds = sample_cloud(vmap, positions, max_range, ray_count, nearest=nearest)
-        assert len(clouds) == len(positions)
-        for pos, cloud in zip(positions, clouds):
-            want = single_scan(vmap, pos, max_range, ray_count, nearest)
-            assert cloud.points.shape == want.shape
-            assert np.array_equal(cloud.points.view(np.int64), want.view(np.int64))
+    position alone."""
+    clouds = sample_cloud(vmap, positions, max_range, ray_count)
+    assert len(clouds) == len(positions)
+    for pos, cloud in zip(positions, clouds):
+        want = single_scan(vmap, pos, max_range, ray_count, True)
+        assert cloud.shape == want.shape
+        assert np.array_equal(cloud.view(np.int64), want.view(np.int64))
 
 
 def test_multi_origin_scans_equal_single_scans(wall_map):
@@ -502,7 +503,7 @@ def test_multi_origin_scans_equal_single_scans(wall_map):
     # A 1 m range from 2 m in front of the face sees nothing, from a point
     # outside the grid neither.
     clouds = sample_cloud(wall_map, positions[[0, 5]], 1.0, 512)
-    assert [cloud.is_empty for cloud in clouds] == [True, True]
+    assert [len(cloud) for cloud in clouds] == [0, 0]
     assert_scans_equal_single_scans(box_room(2.4), np.array([[2.2, 2.2, 1.2], [9.0, 2.2, 1.2]]), 10.0, 2048)
 
 
@@ -522,32 +523,37 @@ def test_multi_origin_scans_on_an_empty_map_are_empty():
     assert_scans_equal_single_scans(vmap, np.array([[2.5, 2.5, 2.5], [1.0, 1.0, 1.0], [-3.0, 9.0, 1.0]]), 10.0, 256)
 
 
-# Each scan mode, on one origin.
-SCANS = {"sample_cloud": False, "nearest": True}
-
-
-@pytest.mark.parametrize("scan", SCANS)
 @pytest.mark.parametrize(
     "max_range, rays, match",
     [(math.nan, 256, "max_range"), (0.0, 256, "max_range"), (-1.0, 256, "max_range"), (12.0, 0, "ray_count")],
 )
-def test_scans_reject_a_range_or_ray_count_that_returns_nothing(wall_map, scan, max_range, rays, match):
+def test_scans_reject_a_range_or_ray_count_that_returns_nothing(wall_map, max_range, rays, match):
     # Each would otherwise return an empty scan: a nan cap retires every ray
     # as a miss.
     with pytest.raises(ValueError, match=match):
-        sample_cloud(wall_map, [[4.0, 0.0, 1.2]], max_range, rays, nearest=SCANS[scan])
+        sample_cloud(wall_map, [[4.0, 0.0, 1.2]], max_range, rays)
 
 
-@pytest.mark.parametrize("scan", SCANS)
-def test_scans_cast_with_an_infinite_range(wall_map, scan):
-    infinite, finite = (sample_cloud(wall_map, [[4.0, 0.0, 1.2]], r, 256, nearest=SCANS[scan])[0] for r in (math.inf, 12.0))
-    assert np.array_equal(infinite.points, finite.points) and len(finite) > 0
+def test_scans_cast_with_an_infinite_range(wall_map):
+    infinite, finite = (sample_cloud(wall_map, [[4.0, 0.0, 1.2]], r, 256)[0] for r in (math.inf, 12.0))
+    assert np.array_equal(infinite, finite) and len(finite) > 0
+
+
+def test_sensor_outputs_are_read_only_arrays(wall_map):
+    depth = render_depth(wall_map, ViewPose4(4.0, 0.0, 1.2), CAM)
+    assert depth.shape == (CAM.height, CAM.width) and depth.dtype == np.float64
+    positions = [[4.0, 0.0, 1.2], [4.0, 1.0, 1.2]]
+    empty = VoxelMap.empty((0, 0, 0), (5, 5, 5), 0.1)
+    clouds = sample_cloud(wall_map, positions, 8.0, 512) + sample_cloud(empty, positions, 8.0, 512)
+    assert all(cloud.ndim == 2 and cloud.shape[1] == 3 and cloud.dtype == np.float64 for cloud in clouds)
+    for out in (depth, render_depth(empty, ViewPose4(2.5, 2.5, 2.5), CAM), *clouds):
+        assert not out.flags.writeable
 
 
 def test_sample_cloud_deterministic(wall_map):
     (a,) = sample_cloud(wall_map, [[4.0, 0.0, 1.2]], 8.0, 512)
     (b,) = sample_cloud(wall_map, [[4.0, 0.0, 1.2]], 8.0, 512)
-    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a, b)
 
 
 def test_fibonacci_directions_unit_and_spread():
@@ -631,9 +637,8 @@ def test_empty_map_casts_no_rays(monkeypatch):
     monkeypatch.setattr(kernels, "raycast_batch", no_cast)
     monkeypatch.setattr(kernels, "raycast_level_frame", no_cast)
     vmap = VoxelMap.empty((0, 0, 0), (5, 5, 5), 0.1)
-    assert not np.isfinite(render_depth(vmap, ViewPose4(2.5, 2.5, 2.5), CAM).data).any()
-    for nearest in (False, True):
-        assert all(cloud.is_empty for cloud in sample_cloud(vmap, np.full((2, 3), 2.5), 10.0, 256, nearest=nearest))
+    assert not np.isfinite(render_depth(vmap, ViewPose4(2.5, 2.5, 2.5), CAM)).any()
+    assert all(len(cloud) == 0 for cloud in sample_cloud(vmap, np.full((2, 3), 2.5), 10.0, 256))
 
 
 # ---------------------------------------------------------------- collision
