@@ -19,6 +19,13 @@ scans as the post-flight log pass casts them: 8 nearest-mode 2048-ray
 scans from 8 consecutive 0.08 m steps along the same face, in one
 multi-origin call,
 against 8 single-origin calls (both numpy, clipped to the occupied box).
+The shell scan rows time `sample_cloud`, which casts each batch of scans
+in shells around its origins, against one nearest-mode cast of all the
+same rays on the whole occupied box, after checking that both give the
+same clouds: the log pass's 8 scans and one flight scan, from the
+`receding` sensing pose and from a pose in the `obstacle` demo's
+approach, between the obstruction and the wall, where the shell holds
+the origin and casts every ray.
 The level camera rows time `raycast_level_frame`, the kernel
 `render_depth` casts a level camera's frame with, against
 `raycast_batch` (numpy, clipped to the occupied box) on the same 80x60
@@ -224,6 +231,44 @@ def swept_cases():
     radius = cfg.inflation / vmap.voxel_size
     starts = (("swept check at pose", (4.0, -2.0, 0.6)), ("swept check 0.6 m", (face - 0.6, 2.5, 0.6)))
     return [(name, vmap.occ, vmap.world_to_grid(np.array(p) + along), radius, box, full) for name, p in starts]
+
+
+def full_nearest_clouds(vmap, positions, max_range, ray_count):
+    """The clouds of one nearest-mode cast of every ray from every position
+    on the occupied box: `sample_cloud` as it cast before its shells."""
+    dirs = fibonacci_directions(ray_count)
+    rays = np.tile(dirs / vmap.voxel_size, (len(positions), 1))
+    t = kernels.raycast_batch(vmap.occ, vmap.world_to_grid(positions), rays, max_range, True, box=vmap.occupied_box)
+    return [pos + dirs[t_g >= 0.0] * t_g[t_g >= 0.0, None] for pos, t_g in zip(positions, t.reshape(len(positions), -1))]
+
+
+def shell_scan_cases():
+    """(name, shell scan, full cast) for the mission's 2048-ray 12 m scans:
+    the log pass's 8 scans from 8 consecutive 0.08 m steps in one call, and
+    one flight scan, from the `receding` sensing pose and from a pose in
+    the `obstacle` demo's approach, between the obstruction and the wall,
+    where the shell's box holds the origin and every ray is cast.  Each
+    side returns the scans' clouds."""
+    cases = []
+    for demo, start in (("receding", (4.0, -2.0, 0.6)), ("obstacle", (4.5, -3.5, 0.6))):
+        vmap = build_scene(demo_scenario(demo), None).current
+        steps = np.array(start) + np.arange(8)[:, None] * np.array([0.0, 0.08, 0.0])
+        for name, positions in ((f"shell 8 scans {demo}", steps), (f"shell 1 scan {demo}", steps[:1])):
+            cases.append(
+                (
+                    name,
+                    lambda vmap=vmap, positions=positions: world.sample_cloud(vmap, positions, 12.0, 2048),
+                    lambda vmap=vmap, positions=positions: full_nearest_clouds(vmap, positions, 12.0, 2048),
+                )
+            )
+    return cases
+
+
+def same_clouds(a, b):
+    """Whether two lists of clouds hold the same points, bit for bit."""
+    return len(a) == len(b) and all(
+        x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64)) for x, y in zip(a, b)
+    )
 
 
 def batched_scan_case():
@@ -455,6 +500,12 @@ def main():
     t_single = timeit(single_calls)
     print(f"{'batched':<26}{'one call':>14}{'8 calls':>14}{'calls/one':>14}")
     print(f"{name:<26}{ms(t_one)}{ms(t_single)}{t_single / t_one:>13.1f}x")
+    print(f"{'shell scan':<26}{'shell':>14}{'full cast':>14}{'full/shell':>14}")
+    for name, shell, full in shell_scan_cases():
+        assert same_clouds(shell(), full())
+        t_shell = timeit(shell)
+        t_full = timeit(full)
+        print(f"{name:<26}{ms(t_shell)}{ms(t_full)}{t_full / t_shell:>13.1f}x")
     print(f"{'control':<26}{'box':>14}{'full grid':>14}{'full/box':>14}")
     for name, occ, pts, radius, box, full in swept_cases():
 

@@ -1,12 +1,13 @@
-"""Numeric inner loops: voxel raycasting, clearance scans, path DP.
+"""Numeric inner loops: voxel raycasting, clearance scans, path DP,
+surface normals.
 
-The two sensing kernels, `raycast_batch` and `normals_from_depth`, are
-vectorized numpy kernels.  The tests check them bitwise against per-ray
-and per-pixel scalar loops, `raycast_batch_scalar` (which marches each ray
-with `_ray_first_hit`) and `normals_from_depth_scalar`, which live in
-`tests/kernel_reference.py`, since no mission runs them.
-`incidence_cosines`, the per-step utility's kernel, evaluates the normal
-stencil without building the normal map.
+The sensing kernels, `raycast_batch` and `raycast_level_frame`, and the
+normal-map kernel `normals_from_depth` are vectorized numpy kernels.  The
+tests check them bitwise against per-ray and per-pixel scalar loops,
+`raycast_batch_scalar` (which marches each ray with `_ray_first_hit`) and
+`normals_from_depth_scalar`, which live in `tests/kernel_reference.py`,
+since no mission runs them.  `incidence_cosines`, the per-step utility's
+kernel, evaluates the normal stencil without building the normal map.
 
 A depth frame has two paths.  `raycast_level_frame` casts the frame of
 a level camera (no roll or pitch) whose origin lies inside the grid: the
@@ -186,16 +187,18 @@ def raycast_batch(occ, origin, dirs, t_cap, nearest=False, *, box):
     that bound for the nearest hit found so far from their origin, so one
     scan's near hit never retires another scan's rays.
 
-    `box` is the occupied box of `occ` (`VoxelMap.occupied_box`, so `occ`
-    holds an occupied voxel): a (2, 3) array of the first and one-past-last
-    occupied voxel per axis.  Every
-    ray is clipped to that box padded by one voxel: a ray stops at its exit
+    `box` is a (2, 3) int64 array of the first and one-past-last voxel per
+    axis of a box that holds every occupied voxel a ray enters within its
+    cap: the occupied box of `occ` (`VoxelMap.occupied_box`), or a
+    narrower one, as `world.sample_cloud`'s scan shells pass.  Every ray
+    is clipped to that box padded by one voxel: a ray stops at its exit
     from it, a ray that never meets it is a miss, and a ray that starts
     outside it jumps straight to its entry.  The padding is far wider than
     the rounding of the DDA's crossing times, so every voxel the clip skips
-    lies outside the occupied box, and the results are those of the
-    unclipped cast.  The march reads a copy of only the smallest block of
-    the grid that holds the box and the first voxel of every ray.
+    lies outside the box, is empty or entered past the cap, and the
+    results are those of the unclipped cast with the same cap.  The march
+    reads a copy of only the smallest block of the grid that holds the box
+    and the first voxel of every ray.
 
     Results are those of one call per origin: G scans in one call share
     the set-up and the march loop's per-iteration work, which dominate a

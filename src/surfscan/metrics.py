@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .geometry import NoSurfaceError, nearest_point
+from .geometry import NoSurfaceError, nearest_point  # noqa: F401 (perfbench's tracer binds metrics.nearest_point)
 
 __all__ = [
     "DEPTH_JUMP",
@@ -76,11 +76,27 @@ def path_rmse(a, b):
     return float(np.sqrt(d2.mean()))
 
 
-def viewing_distance(robot, cloud):
-    """Distance from the robot's `ViewPose4` to the nearest point of the
-    (N, 3) scan `cloud`."""
-    _, dist = nearest_point(cloud, robot.position)
-    return dist
+def viewing_distance(positions, clouds):
+    """Distance from each of the (G, 3) `positions` to the nearest point of
+    its (N, 3) scan in `clouds`: a (G,) float64 array, NaN for an empty
+    scan.
+
+    One reduction serves all G scans.  It evaluates the squared distances
+    with `geometry.nearest_point`'s expression, so each distance is bitwise
+    the one `nearest_point` gives for its scan, that of the lowest-index
+    nearest point.
+    """
+    positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
+    if len(clouds) != len(positions):
+        raise ValueError(f"{len(clouds)} scans for {len(positions)} positions")
+    sizes = np.array([len(cloud) for cloud in clouds], dtype=np.int64)
+    out = np.full(len(sizes), np.nan)
+    filled = sizes > 0
+    if filled.any():
+        dx, dy, dz = (np.concatenate(clouds) - np.repeat(positions, sizes, axis=0)).T
+        d2 = dx * dx + dy * dy + dz * dz
+        out[filled] = np.sqrt(np.minimum.reduceat(d2, (np.cumsum(sizes) - sizes)[filled]))
+    return out
 
 
 @dataclass(frozen=True)

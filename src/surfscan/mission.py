@@ -318,16 +318,17 @@ def _log_steps(flown, vmap, cfg):
     """The mission log of the `_Stepper.flown` steps, one record each, with
     fresh utility and, where a step has none, fresh viewing distance on
     `vmap`.  The steps without a distance are scanned `_SCAN_BATCH` poses
-    per multi-origin `sample_cloud` call, in step order; a step whose scan
+    per multi-origin `sample_cloud` call, in step order, and each call's
+    distances come from one `viewing_distance` reduction; a step whose scan
     sees nothing logs NaN."""
     distances = [step[6] for step in flown]
     unscanned = [i for i, vd in enumerate(distances) if vd is None]
     for lo in range(0, len(unscanned), _SCAN_BATCH):
         batch = unscanned[lo : lo + _SCAN_BATCH]
-        poses = [flown[i][3] for i in batch]
-        clouds = sample_cloud(vmap, [pose.position for pose in poses], cfg.sense_range, cfg.sense_rays)
-        for i, pose, cloud in zip(batch, poses, clouds):
-            distances[i] = NAN if len(cloud) == 0 else viewing_distance(pose, cloud)
+        positions = [flown[i][3].position for i in batch]
+        clouds = sample_cloud(vmap, positions, cfg.sense_range, cfg.sense_rays)
+        for i, vd in zip(batch, viewing_distance(positions, clouds).tolist()):
+            distances[i] = vd
     mission_log = MissionLog()
     for (t, phase, cycle, pose, ref, blocked, _), vd in zip(flown, distances):
         try:

@@ -222,7 +222,7 @@ def step_mission(state, scene, robot):
     if len(cloud) == 0:
         return None, _unscored_cycle(state, _retry(state), visited_index)
     state.retries = 0
-    vd = viewing_distance(robot, cloud)
+    (vd,) = viewing_distance([robot.position], (cloud,)).tolist()
 
     gvp = extract_global_segment(state.tour, state.plan, state.cursor, cfg.horizon)
     lvp, short = predict_local_path(robot, scene.current, gvp, cfg, cloud)

@@ -45,6 +45,10 @@ MAP_PADDING = 1.0
 # The rows of points `VoxelMap._mark_points` voxelizes at a time.
 _POINT_BLOCK = 1 << 16
 
+# How far beyond the nearest filled column a scan's first shell reaches, as
+# a fraction of that distance (see `_shell_cast`).
+_SHELL_SLACK = 0.02
+
 
 @dataclass(frozen=True)
 class Box:
@@ -530,10 +534,15 @@ def sample_cloud(vmap, positions, max_range, ray_count):
     tuple of G read-only (N, 3) float64 arrays, each the first-hit points,
     world frame, of a Fibonacci-sphere ray pattern from its position that
     can be the nearest to it.  Rays that hit nothing within range are
-    omitted.  The G scans are cast in one multi-origin
-    `kernels.raycast_batch` call in nearest mode, and each cloud is bitwise
-    the one a scan from its position alone returns.  On an empty map
-    nothing is cast.
+    omitted.  The G scans are cast together, in nearest mode, in shells
+    around their positions (`_shell_cast`): each shell is one
+    multi-origin `kernels.raycast_batch` call of only the rays that can
+    meet the occupied voxels within its reach, capped at that reach.  The
+    first shell reaches just past the nearest filled column's box and
+    holds every scan of the demos; a scan whose returns could lie past it
+    is cast again in a shell twice as wide, up to the full cast of every
+    ray.  Each cloud is bitwise the one a full cast of its position alone
+    returns.  On an empty map nothing is cast.
 
     A cloud holds the returns at a range r <= r_min * (1 + 1e-9) + 1e-9 m,
     r_min the nearest range (see :func:`kernels.raycast_batch`).  The
@@ -556,15 +565,114 @@ def sample_cloud(vmap, positions, max_range, ray_count):
         points, ends = np.empty((0, 3)), [0] * (scans + 1)
     else:
         dirs = fibonacci_directions(int(ray_count))
-        dirs_g = np.tile(dirs / vmap.voxel_size, (scans, 1))
-        t = kernels.raycast_batch(vmap.occ, vmap.world_to_grid(positions), dirs_g, float(max_range), nearest=True, box=box)
-        t = t.reshape(scans, len(dirs))
+        t = _shell_cast(vmap, vmap.world_to_grid(positions), dirs, float(max_range))
         # Every scan's points in one expression, in scan order, then split.
         scan, ray = np.nonzero(t >= 0.0)
         points = positions[scan] + dirs[ray] * t[scan, ray][:, None]
         ends = [0, *np.cumsum(np.bincount(scan, minlength=scans)).tolist()]
     points.setflags(write=False)
     return tuple(points[lo:hi] for lo, hi in zip(ends, ends[1:]))
+
+
+# An origin at a box's centre or on its corner divides 0 by 0 (the nan
+# fails the cone's positive test), and one far off the grid may square to
+# inf (a full cast): no warnings.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+def _shell_cast(vmap, origins, dirs, t_cap):
+    """Nearest-mode hit parameters of the unit rays `dirs` from each of the
+    (G, 3) grid-unit `origins`, capped at `t_cap` meters: a (G, N) array,
+    bitwise that of one `kernels.raycast_batch` call over all G * N rays
+    on the occupied box.
+
+    Each round casts the origins still to do inside a shell of reach R
+    voxels: their rays are capped at T = R h meters (h the voxel size), so
+    every hit within the cap lies within R of its origin, up to rounding
+    far below the one-voxel margins here.  The first R is the largest of
+    their distances r to the nearest filled column's box
+    [i, i+1] x [j, j+1] x [z_lo, z_hi + 1], widened by `_SHELL_SLACK`, plus
+    one voxel; no return lies nearer to an origin than its r.  A round casts
+    on the box of the occupied voxels within R + 1 of some origin, so every
+    occupied voxel outside it lies beyond every ray's cap, and each hit with
+    t <= T is the full cast's, bit for bit (the kernel's one-voxel padding
+    of the box covers rounding).  Of each origin's rays it casts only those
+    that can meet the voxels within R + 1 of it: they lie in a box, and its
+    cone from the origin, padded by a voxel and narrowed by the ball of
+    radius R + 1, holds every such ray.  An origin whose nearest hit t_min
+    has `_nearest_bound(t_min) <= T` so gets exactly the full cast's
+    returns.  The others go to the next round with R doubled.  Once T
+    reaches `t_cap`, or R the farthest corner of the padded occupied box,
+    the round is the full cast itself.
+    """
+    occ, box, h = vmap.occ, vmap.occupied_box, vmap.voxel_size
+    dirs_g = dirs / h
+    # The low and high corners, (3, F), of the boxes of the filled columns
+    # of the occupied box's footprint.
+    (x0, y0, _), (x1, y1, _) = box.tolist()
+    extent = vmap.column_extent[:, x0:x1, y0:y1]
+    i, j = np.nonzero(extent[1] >= 0)
+    z_lo, z_hi = extent[:, i, j].astype(np.float64)
+    lows = np.stack([i + x0, j + y0, z_lo])
+    highs = np.stack([i + x0 + 1, j + y0 + 1, z_hi + 1.0])
+    # Each origin's squared distance to each column's box, horizontal and
+    # whole, and its distance to the farthest corner of the padded
+    # occupied box.
+    gap = np.maximum(np.maximum(lows - origins[:, :, None], origins[:, :, None] - highs), 0.0)
+    gap *= gap
+    flat2 = gap[:, 0] + gap[:, 1]
+    d2 = flat2 + gap[:, 2]
+    far = np.maximum(np.abs(origins - (box[0] - 1.0)), np.abs(origins - (box[1] + 1.0)))
+    far = np.sqrt((far * far).sum(axis=1))
+    corner = np.indices((2, 2, 2)).reshape(3, 8).T == 1  # a box corner: low (False) or high per axis
+    out = np.full((len(origins), len(dirs)), -1.0)
+    todo = np.arange(len(origins))
+    reach = float(np.sqrt(d2.min(axis=1)).max(initial=0.0)) * (1.0 + _SHELL_SLACK) + 1.0
+    while todo.size:
+        cap, o, ball = reach * h, origins[todo], reach + 1.0
+        if not (cap < t_cap and reach < far[todo].max()):
+            rays = np.tile(dirs_g, (len(todo), 1))
+            out[todo] = kernels.raycast_batch(occ, o, rays, t_cap, nearest=True, box=box).reshape(len(todo), -1)
+            break
+        # Per origin, the box of the occupied voxels within the ball: the
+        # columns within it, and in each the layers within the ball's
+        # half-chord s there.  lo >= hi on some axis if there are none.
+        near = d2[todo] <= ball * ball
+        s = np.sqrt(np.maximum(ball * ball - flat2[todo], 0.0))
+        z_in = np.maximum(z_lo, np.ceil(o[:, 2, None] - s) - 1.0), np.minimum(z_hi + 1.0, np.floor(o[:, 2, None] + s) + 1.0)
+        lo = np.stack([np.where(near, a, float(max(occ.shape))).min(axis=1) for a in (lows[0], lows[1], z_in[0])], axis=1)
+        hi = np.stack([np.where(near, a, 0.0).max(axis=1) for a in (highs[0], highs[1], z_in[1])], axis=1)
+        valid = (lo < hi).all(axis=1)
+        # The rays to cast.  A ray that meets the padded box within the ball
+        # has a cosine with the axis to the box's centre of at least that of
+        # some corner (the box is convex), and of at least the box's least
+        # distance ahead along the axis over the ball's radius.  Where
+        # neither bound is positive (an origin in the padded box) every ray
+        # is cast.
+        pad_lo, pad_hi = lo - 1.0, hi + 1.0
+        axis = (pad_lo + pad_hi) / 2.0 - o
+        axis /= np.sqrt((axis * axis).sum(axis=1))[:, None]
+        corners = np.where(corner, pad_hi[:, None, :], pad_lo[:, None, :]) - o[:, None, :]
+        along = (corners * axis[:, None, :]).sum(axis=2)
+        cos_min = np.maximum((along / np.sqrt((corners * corners).sum(axis=2))).min(axis=1), along.min(axis=1) / ball)
+        cos = axis[:, 0, None] * dirs[:, 0] + axis[:, 1, None] * dirs[:, 1] + axis[:, 2, None] * dirs[:, 2]
+        cand = valid[:, None] & (~(cos_min > 0.0)[:, None] | (cos >= cos_min[:, None] - 1e-9))
+        counts = cand.sum(axis=1)
+        per = int(counts.max())
+        if per:
+            # Each origin casts its candidates, padded to `per` rays with its
+            # ray 0: a repeat of a candidate, or a ray without a hit within
+            # the cap, which returns -1, as the full cast's nearest mode does
+            # for an origin this round completes.
+            row, ray = np.divmod(np.flatnonzero(cand), len(dirs))
+            rays = np.zeros((len(todo), per), dtype=np.int64)
+            rays[row, np.arange(row.size) - (np.cumsum(counts) - counts)[row]] = ray
+            shell = np.array([lo[valid].min(axis=0), hi[valid].max(axis=0)], dtype=np.int64)
+            t = kernels.raycast_batch(occ, o, dirs_g[rays.ravel()], cap, nearest=True, box=shell).reshape(-1, per)
+            t_min = np.where(t >= 0.0, t, np.inf).min(axis=1)
+            done = kernels._nearest_bound(t_min) <= cap
+            out[todo[done, None], rays[done]] = t[done]
+            todo = todo[~done]
+        reach *= 2.0
+    return out
 
 
 def is_collision_free(vmap, target, inflation):

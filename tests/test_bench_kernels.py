@@ -45,6 +45,18 @@ def test_bench_kernels_builds_its_cases():
         assert kernels.point_is_free(occ, *pts[0], radius, box) == kernels.point_is_free(occ, *pts[0], radius, full)
 
 
+def test_bench_kernels_shell_scan_rows_give_the_full_cast_bits():
+    cases = load_bench().shell_scan_cases()
+    assert [name for name, _, _ in cases] == [
+        "shell 8 scans receding", "shell 1 scan receding", "shell 8 scans obstacle", "shell 1 scan obstacle"
+    ]
+    for _, shell, full in cases:
+        clouds, want = shell(), full()
+        assert [len(cloud) for cloud in clouds] == [len(cloud) for cloud in want] and len(want[0]) > 0
+        for cloud, expected in zip(clouds, want):
+            assert same_bits(cloud, expected)
+
+
 def test_bench_kernels_builds_the_band_mask_row():
     # Building the planning cases asserts the band mask equals the sliced
     # whole-grid mask.

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from kernel_reference import normals_from_depth_scalar
 from strategies import depth_images
 from surfscan import kernels, metrics
-from surfscan.geometry import NoSurfaceError, PathSegment, ViewPose4
+from surfscan.geometry import NoSurfaceError, PathSegment, ViewPose4, nearest_point
 from surfscan.metrics import (
     MissionLog,
     MissionRecord,
@@ -179,12 +179,33 @@ def test_rmse_length_mismatch():
 def test_viewing_distance_wall(wall_map):
     robot = ViewPose4(4.0, 0.0, 1.2)
     (cloud,) = sample_cloud(wall_map, [robot.position], 12.0, 2048)
-    assert viewing_distance(robot, cloud) == pytest.approx(2.0, abs=wall_map.voxel_size)
+    (dist,) = viewing_distance([robot.position], (cloud,))
+    assert dist == pytest.approx(2.0, abs=wall_map.voxel_size)
 
 
 def test_viewing_distance_empty_cloud():
-    with pytest.raises(NoSurfaceError):
-        viewing_distance(ViewPose4(0, 0, 0), np.zeros((0, 3)))
+    got = viewing_distance([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], (np.zeros((0, 3)), np.ones((2, 3))))
+    assert np.isnan(got[0]) and got[1] == np.sqrt(2.0)
+    assert np.isnan(viewing_distance([[0.0, 0.0, 0.0]], (np.zeros((0, 3)),))).all()
+    with pytest.raises(ValueError, match="2 scans for 1 positions"):
+        viewing_distance([[0.0, 0.0, 0.0]], (np.ones((1, 3)), np.ones((1, 3))))
+
+
+@given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(0, 6), min_size=1, max_size=6))
+@settings(max_examples=100, deadline=None)
+def test_viewing_distance_is_nearest_point_per_scan(seed, sizes):
+    # One reduction over a batch gives each scan bitwise the distance of
+    # `nearest_point`, the one distance rule; integer points make ties.
+    rng = np.random.default_rng(seed)
+    positions = rng.uniform(-3.0, 3.0, (len(sizes), 3))
+    positions[::2] = np.round(positions[::2])
+    clouds = tuple(rng.integers(-3, 4, (n, 3)).astype(np.float64) + rng.choice([0.0, 0.1]) for n in sizes)
+    got = viewing_distance(positions, clouds)
+    for q, cloud, dist in zip(positions, clouds, got):
+        if len(cloud) == 0:
+            assert np.isnan(dist)
+        else:
+            assert np.float64(dist).view(np.int64) == np.float64(nearest_point(cloud, q)[1]).view(np.int64)
 
 
 # ---------------------------------------------------------------- mission log

@@ -4,7 +4,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
@@ -554,6 +554,156 @@ def test_sample_cloud_deterministic(wall_map):
     (a,) = sample_cloud(wall_map, [[4.0, 0.0, 1.2]], 8.0, 512)
     (b,) = sample_cloud(wall_map, [[4.0, 0.0, 1.2]], 8.0, 512)
     assert np.array_equal(a, b)
+
+
+# ---------------------------------------------------------------- scan shells
+
+
+def shell_scan(vmap, positions, max_range, ray_count):
+    """`sample_cloud`'s clouds, checked bit for bit against a full cast of
+    every ray from each position, and the cap, box and ray count of each
+    kernel call it made."""
+    with mock.patch.object(kernels, "raycast_batch", wraps=kernels.raycast_batch) as cast:
+        clouds = sample_cloud(vmap, positions, max_range, ray_count)
+    assert len(clouds) == len(positions)
+    for pos, cloud in zip(positions, clouds):
+        want = single_scan(vmap, pos, max_range, ray_count, True)
+        assert cloud.shape == want.shape
+        assert np.array_equal(cloud.view(np.int64), want.view(np.int64))
+    return clouds, [(c.args[3], c.kwargs["box"], c.args[2].shape[0]) for c in cast.call_args_list]
+
+
+def shell_regime(casts, max_range):
+    """Which shells a `sample_cloud` call cast: none (an empty map), the
+    first alone, grown ones, or the full cast last."""
+    if not casts:
+        return "none"
+    if casts[-1][0] == max_range:
+        return "full"
+    return "first" if len(casts) == 1 else "grown"
+
+
+def overhang_map():
+    """A 4 m x 4 m floor under a roof at 2.0-2.2 m, closed by one wall: the
+    column extent spans any point between them."""
+    boxes = [Box((0, 0, 0), (4, 4, 0.1)), Box((0, 0, 2.0), (4, 4, 2.2)), Box((3.8, 0, 0), (4, 4, 2.2))]
+    return VoxelMap.from_boxes(boxes, 0.1, ((-1, -1, 0), (5, 5, 2.4)))
+
+
+def test_shell_scan_from_inside_an_occupied_voxel(wall_map):
+    # Every ray hits at t = 0, within the first shell of one voxel.
+    clouds, casts = shell_scan(wall_map, [[6.2, 0.0, 1.2]], 12.0, 256)
+    assert len(clouds[0]) == 256
+    assert shell_regime(casts, 12.0) == "first" and casts[0][0] == pytest.approx(0.1)
+
+
+def test_shell_scan_under_an_overhang_grows():
+    # Each column holds floor and roof, so its box spans the origin and
+    # r = 0: the shell grows from one voxel until it reaches the roof 0.7 m
+    # above.
+    clouds, casts = shell_scan(overhang_map(), [[2.0, 2.0, 1.3]], 12.0, 512)
+    assert len(clouds[0]) == 1 and clouds[0][0, 2] == 2.0
+    assert shell_regime(casts, 12.0) == "grown"
+    assert [cap for cap, _, _ in casts] == pytest.approx([0.1, 0.2, 0.4, 0.8])
+
+
+def test_shell_scan_past_a_thin_post_the_rays_miss(wall_map):
+    # A one-voxel post 0.5 m ahead sets r, but all 32 rays pass it: the
+    # shell grows to the wall 2 m away, and the cloud lies on the wall.
+    post = apply_delta(wall_map, MorphologyDelta(additions=(Box((4.5, 0.0, 1.1), (4.6, 0.1, 1.2)),)))
+    clouds, casts = shell_scan(post, [[4.0, 0.05, 1.15]], 12.0, 32)
+    assert len(clouds[0]) > 0 and (clouds[0][:, 0] == 6.0).all()
+    assert shell_regime(casts, 12.0) == "grown"
+    assert casts[0][2] < 32  # the first shell casts only the rays toward the post
+
+
+def test_shell_scan_mixes_a_near_and_a_far_origin(wall_map):
+    # 0.3 m and 10 m from the face in one batch: one shell, capped at the
+    # far origin's reach, serves both.
+    clouds, casts = shell_scan(wall_map, [[5.7, 0.0, 1.2], [-4.0, 0.0, 1.2]], 12.0, 2048)
+    assert [len(cloud) for cloud in clouds] == [1, 1]
+    assert clouds[0][0, 0] == 6.0 and clouds[1][0, 0] == pytest.approx(6.0)
+    assert shell_regime(casts, 12.0) == "first"
+
+
+def test_shell_scan_with_a_range_short_of_the_free_radius_is_empty(wall_map):
+    # The face is 2 m away and the range 1.5 m: the first shell would reach
+    # past the range, so the full cast runs, and it sees nothing.
+    clouds, casts = shell_scan(wall_map, [[4.0, 0.0, 1.2], [4.0, 1.0, 0.6]], 1.5, 512)
+    assert [len(cloud) for cloud in clouds] == [0, 0]
+    assert shell_regime(casts, 1.5) == "full"
+    assert casts[0][1] is wall_map.occupied_box and casts[0][2] == 2 * 512
+
+
+def test_shell_scan_completes_an_origin_only_when_the_cap_holds_its_bound(wall_map, monkeypatch):
+    # With a bound that keeps returns up to 1.5x the nearest, the face 2 m
+    # away keeps returns out to 3 m: the first shell (2.14 m) holds the
+    # nearest return but not its bound, so the shell must grow.
+    monkeypatch.setattr(kernels, "_nearest_bound", lambda t: t * 1.5 + 1e-9)
+    clouds, casts = shell_scan(wall_map, [[4.0, 0.0, 1.2]], 12.0, 512)
+    assert np.linalg.norm(clouds[0] - [4.0, 0.0, 1.2], axis=1).max() > 2.5
+    assert shell_regime(casts, 12.0) == "grown"
+
+
+@st.composite
+def shell_scenes(draw):
+    """(occupancy, voxel size, positions, range, rays): a random grid or a
+    roof over a floor, with 1-4 positions in the grid, off it, next to an
+    occupied voxel or under the roof, in grid units."""
+    if draw(st.booleans()):
+        occ = draw(occupancy_grids())
+    else:
+        shape = (draw(st.integers(2, 9)), draw(st.integers(2, 9)), draw(st.integers(4, 9)))
+        occ = np.zeros(shape, dtype=np.bool_)
+        occ[:, :, 0] = occ[:, :, -1] = True
+    filled = np.argwhere(occ)
+    positions = []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["anywhere", "next to", "under"]))
+        if kind == "next to" and filled.size:
+            voxel = filled[draw(st.integers(0, len(filled) - 1))]
+            positions.append([v + draw(st.floats(-1.5, 2.5)) for v in voxel])
+        elif kind == "under":
+            nx, ny, nz = occ.shape
+            positions.append([draw(st.floats(0.0, nx)), draw(st.floats(0.0, ny)), draw(st.floats(nz / 4, nz * 3 / 4))])
+        else:
+            positions.append([draw(grid_coordinate(n)) for n in occ.shape])
+    max_range = draw(st.one_of(st.floats(0.05, 3.0), st.just(50.0)))
+    return occ, draw(st.sampled_from([0.1, 0.25, 1.0])), np.array(positions), max_range, draw(st.integers(1, 300))
+
+
+ROOF = np.zeros((6, 6, 8), dtype=np.bool_)
+ROOF[:, :, 0] = ROOF[:, :, -1] = True
+SLAB = np.zeros((9, 6, 5), dtype=np.bool_)
+SLAB[7:] = True
+
+
+@given(scene=shell_scenes())
+@example(scene=(SLAB, 0.25, np.array([[3.0, 3.0, 2.5], [3.5, 2.0, 2.5]]), 50.0, 300))  # first shell
+@example(scene=(ROOF, 0.25, np.array([[3.0, 3.0, 3.5]]), 50.0, 300))  # grown shell
+@example(scene=(SLAB, 0.25, np.array([[1.0, 3.0, 2.5]]), 0.5, 300))  # full cast
+@settings(max_examples=200, deadline=None)
+def test_shell_scans_equal_the_full_cast(scene):
+    occ, voxel_size, grid_positions, max_range, rays = scene
+    vmap = VoxelMap(np.array([-7.3, 120.1, 0.35]), voxel_size, occ)
+    _, casts = shell_scan(vmap, vmap.origin + grid_positions * voxel_size, max_range, rays)
+    event(shell_regime(casts, max_range))
+
+
+@pytest.mark.parametrize(
+    "occ, grid_positions, max_range, regime",
+    [
+        (SLAB, [[3.0, 3.0, 2.5], [3.5, 2.0, 2.5]], 50.0, "first"),
+        (ROOF, [[3.0, 3.0, 3.5]], 50.0, "grown"),
+        (SLAB, [[1.0, 3.0, 2.5]], 0.5, "full"),
+    ],
+)
+def test_shell_scan_examples_reach_each_regime(occ, grid_positions, max_range, regime):
+    # The oracle's explicit examples cover the first shell, a grown shell
+    # and the full cast.
+    vmap = VoxelMap(np.array([-7.3, 120.1, 0.35]), 0.25, occ)
+    _, casts = shell_scan(vmap, vmap.origin + np.array(grid_positions) * 0.25, max_range, 300)
+    assert shell_regime(casts, max_range) == regime
 
 
 def test_fibonacci_directions_unit_and_spread():
