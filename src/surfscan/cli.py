@@ -158,9 +158,9 @@ def cmd_compare(runner, out_dir):
         for mode in ("adaptive", "baseline")
     }
     artifacts = runners["adaptive"].plan()
-    for mode, runner in runners.items():
+    for mode, mode_runner in runners.items():
         sub_dir = out_dir / mode
-        result = runner.run(artifacts)
+        result = mode_runner.run(artifacts)
         _write_run_artifacts(result, sub_dir)
         codes[mode] = _STATUS_CODES[result.status]
         reports[mode] = result.summary

@@ -4,13 +4,19 @@
 stepper that moves through three phases per task:
 
 - NAVIGATE: plan a route to the tour start on the current map and follow
-  its waypoints; a leg that stalls is replanned once, then the task aborts.
+  its waypoints; a stalled leg is replanned once, a second stall aborts.
 - INSPECT: run a supervision cycle (`step_mission`) when the previously
   commanded view pose has been reached; a cycle without a reference (a
   sensing retry) holds the robot for one step.
 - TRACK: step toward the reference the cycle emitted, which stays fixed,
-  until it is reached, tracking stalls or the time budget runs out; then
-  INSPECT again.
+  then INSPECT again, also after a stall; a timeout ends the mission.
+
+NAVIGATE and TRACK share one leg follower, `_Stepper.follow`.  It moves on
+to the next ref within 0.2 m of the current one and returns `completed`
+(the last ref reached within the phase's tolerances: NAVIGATE min(0.12,
+0.4 pos_tol) m and min(0.15, 0.75 yaw_tol) rad, TRACK min(0.1, 0.4
+pos_tol) m and min(0.1, 0.5 yaw_tol) rad), `stalled` (the stall cap hit)
+or `timeout`.
 
 The stepper only flies: per control step it notes the pose, the reference
 and the last supervision cycle, whose similarity metrics carry through the
@@ -178,6 +184,9 @@ class _Stepper:
         self.predicted_paths = []
         self.visited_total = 0
         self.approx_visits = 0
+        # Arrival tolerances (distance, yaw) at the last ref of a leg.
+        self.navigate_tol = (min(0.12, 0.4 * cfg.pos_tol), min(0.15, 0.75 * cfg.yaw_tol))
+        self.track_tol = (min(0.1, 0.4 * cfg.pos_tol), min(0.1, 0.5 * cfg.yaw_tol))
 
     def fly(self, executable):
         """Navigate to and inspect each task in order; returns the mission
@@ -197,15 +206,12 @@ class _Stepper:
 
     def navigate(self, task_plan):
         """NAVIGATE: plan a route to the tour start on the current map and
-        follow its waypoints until the last one is reached.  A leg gets
-        TRACK's stall cap (three times the unobstructed time along the
-        route, plus 20 steps); at the cap the route is replanned once from
-        the current pose, and at the second cap the task aborts."""
+        follow its waypoints, each at the tour start's yaw.  A leg gets
+        TRACK's stall cap; a stalled leg is replanned once from the current
+        pose, and a second stall aborts the task."""
         cfg = self.cfg
         task_id = task_plan.task.id
         first = task_plan.plan.viewpoints[task_plan.tour.order[0]]
-        pos_tol = min(0.12, 0.4 * cfg.pos_tol)
-        yaw_tol = min(0.15, 0.75 * cfg.yaw_tol)
         blocked = False
         for leg in range(2):
             try:
@@ -216,25 +222,10 @@ class _Stepper:
                 log.warning("task %s: route to tour start failed: %s", task_id, exc)
                 return "aborted"
             cap = self.stall_cap(length, pose_error(self.pose, first)[1])
-            last = len(waypoints) - 1
-            wp_idx = 0
-            stepped = 0
-            while not self.out_of_time():
-                pos = self.pose.position
-                while wp_idx < last and np.linalg.norm(waypoints[wp_idx] - pos) < 0.2:
-                    wp_idx += 1
-                wp = waypoints[wp_idx]
-                ref = ViewPose4(wp[0], wp[1], wp[2], first.psi)
-                dist, dyaw = pose_error(self.pose, ref)
-                if wp_idx == last and dist <= pos_tol and dyaw <= yaw_tol:
-                    return "completed"
-                if stepped >= cap:
-                    break
-                self.record("navigate", ref, blocked)
-                blocked = self.advance(ref)
-                stepped += 1
-            else:
-                return "timeout"
+            refs = [ViewPose4(wp[0], wp[1], wp[2], first.psi) for wp in waypoints]
+            outcome, blocked = self.follow("navigate", refs, self.navigate_tol, cap, blocked)
+            if outcome != "stalled":
+                return outcome
             log.info("task %s: navigation stalled after %d steps on leg %d", task_id, cap, leg + 1)
         log.warning("task %s: navigation to tour start stalled twice; aborting", task_id)
         return "aborted"
@@ -242,12 +233,16 @@ class _Stepper:
     def inspect(self, task_plan):
         """INSPECT: one supervision cycle per view pose, each followed by
         TRACK toward the pose it emits; a cycle that emits none (a sensing
-        retry) holds the robot for one step instead."""
+        retry) holds the robot for one step instead.  The cycle's record
+        notes TRACK's first step, so it is taken before `follow`."""
         state = MissionState(plan=task_plan.plan, tour=task_plan.tour, cfg=self.cfg)
         while state.status is MissionStatus.RUNNING and not self.out_of_time():
             ref = self.supervise(state)
             if ref is not None:
-                self.track(ref)
+                cap = self.stall_cap(*pose_error(self.pose, ref))
+                blocked = self.advance(ref)
+                if self.follow("inspect", [ref], self.track_tol, cap - 1, blocked)[0] == "stalled":
+                    log.debug("tracking stalled toward %s; resupervising", ref)
             elif state.status is MissionStatus.RUNNING:
                 self.advance(None)
         self.visited_total += state.cursor
@@ -267,26 +262,28 @@ class _Stepper:
             self.predicted_paths.append((round(self.t, 9), state.last_lvp))
         return ref
 
-    def track(self, ref):
-        """TRACK: step toward the fixed reference until it is reached within
-        the arrival tolerances, the stall cap (three times the unobstructed
-        time, plus 20 steps) is hit or the time budget runs out."""
-        cfg = self.cfg
-        pos_tol = min(0.1, 0.4 * cfg.pos_tol)
-        yaw_tol = min(0.1, 0.5 * cfg.yaw_tol)
-        cap = self.stall_cap(*pose_error(self.pose, ref))
-        blocked = self.advance(ref)
-        tracked = 1
+    def follow(self, phase, refs, tol, cap, blocked):
+        """Step along the `ViewPose4` list `refs`, moving on to the next once
+        within 0.2 m of the current one, and note each step as `phase` with
+        the previous step's `blocked` flag.  Returns (outcome, blocked):
+        completed once the last ref is within `tol` (distance, yaw), stalled
+        after `cap` steps, or timeout."""
+        last = len(refs) - 1
+        i = 0
+        stepped = 0
         while not self.out_of_time():
-            dist, dyaw = pose_error(self.pose, ref)
-            if dist <= pos_tol and dyaw <= yaw_tol:
-                return
-            if tracked >= cap:
-                log.debug("tracking stalled toward %s; resupervising", ref)
-                return
-            self.record("inspect", ref, blocked)
-            blocked = self.advance(ref)
-            tracked += 1
+            pos = self.pose.position
+            while i < last and np.linalg.norm(refs[i].position - pos) < 0.2:
+                i += 1
+            dist, dyaw = pose_error(self.pose, refs[i])
+            if i == last and dist <= tol[0] and dyaw <= tol[1]:
+                return "completed", blocked
+            if stepped >= cap:
+                return "stalled", blocked
+            self.record(phase, refs[i], blocked)
+            blocked = self.advance(refs[i])
+            stepped += 1
+        return "timeout", blocked
 
     # -- one control step --------------------------------------------------------
 

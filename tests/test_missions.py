@@ -287,6 +287,12 @@ def test_navigate_route_error_aborts_and_other_errors_propagate(monkeypatch):
         runner.run(artifacts)
 
 
+def _stall_cap(dist, dyaw, cfg):
+    """The step cap of a leg of length `dist` with yaw error `dyaw`: three
+    times the unobstructed time, plus 20 steps."""
+    return int(3.0 * (dist / cfg.v_max + dyaw / cfg.w_max) / cfg.dt) + 20
+
+
 def test_blocked_navigation_replans_once_then_aborts(monkeypatch, caplog):
     from surfscan import mission
 
@@ -307,19 +313,12 @@ def test_blocked_navigation_replans_once_then_aborts(monkeypatch, caplog):
     # start from the same pose.
     records = result.log.records
     dyaw = abs(wrap_angle(records[0].ref_psi - cfg.start_pose.psi))
-    caps = [int(3.0 * (length / cfg.v_max + dyaw / cfg.w_max) / cfg.dt) + 20 for _, length in routes]
+    caps = [_stall_cap(length, dyaw, cfg) for _, length in routes]
     assert [r.phase for r in records] == ["navigate"] * sum(caps)
     assert result.summary["duration_s"] < 0.5 * cfg.max_sim_time
     # Each row logs the previous step's blocked flag.
     assert [r.blocked for r in records] == [0] + [1] * (len(records) - 1)
     assert "task wall: navigation to tour start stalled twice; aborting" in caplog.text
-
-
-def _stall_cap(rec, cfg):
-    """The tracking step cap toward a supervision record's reference."""
-    dist = float(np.linalg.norm(np.array([rec.ref_x - rec.x, rec.ref_y - rec.y, rec.ref_z - rec.z])))
-    dyaw = abs(wrap_angle(rec.ref_psi - rec.psi))
-    return int(3.0 * (dist / cfg.v_max + dyaw / cfg.w_max) / cfg.dt) + 20
 
 
 def test_blocked_tracking_resupervises_at_the_stall_cap_and_times_out(monkeypatch):
@@ -352,8 +351,43 @@ def test_blocked_tracking_resupervises_at_the_stall_cap_and_times_out(monkeypatc
     # Each cycle tracks for exactly its stall cap, one record per step,
     # and the robot never moves.
     for a, b in zip(supervised, supervised[1:]):
-        assert b - a == _stall_cap(inspect[a], cfg)
+        rec = inspect[a]
+        dist = float(np.linalg.norm([rec.ref_x - rec.x, rec.ref_y - rec.y, rec.ref_z - rec.z]))
+        assert b - a == _stall_cap(dist, abs(wrap_angle(rec.ref_psi - rec.psi)), cfg)
     assert len({(r.x, r.y, r.z, r.psi) for r in inspect}) == 1
+    dts = np.diff([r.t for r in result.log.records])
+    assert np.allclose(dts, cfg.dt, rtol=0.0, atol=1e-9)
+
+
+def test_a_reference_at_the_robot_still_costs_one_tracking_step(monkeypatch):
+    # The third cycle emits the pose the robot reports as its reference.
+    # TRACK still takes its first step before testing arrival: arriving
+    # without a step would log the next cycle at the same time as this one.
+    from surfscan import mission
+
+    cfg = demo_scenario("nominal")
+    real_step, real_track = mission.step_mission, mission.track_step
+    steps_after_cycle = []
+
+    def third_cycle_holds(state, scene, robot):
+        steps_after_cycle.append(0)
+        ref, cycle = real_step(state, scene, robot)
+        if len(steps_after_cycle) == 3:
+            assert ref is not None
+            ref = robot
+        return ref, cycle
+
+    def counting_track(pose, ref, vmap, cfg):
+        if steps_after_cycle:
+            steps_after_cycle[-1] += 1
+        return real_track(pose, ref, vmap, cfg)
+
+    monkeypatch.setattr(mission, "step_mission", third_cycle_holds)
+    monkeypatch.setattr(mission, "track_step", counting_track)
+    result = MissionRunner(cfg).run()
+    assert result.status == "completed"
+    assert len(steps_after_cycle) > 3
+    assert steps_after_cycle[2] == 1
     dts = np.diff([r.t for r in result.log.records])
     assert np.allclose(dts, cfg.dt, rtol=0.0, atol=1e-9)
 
