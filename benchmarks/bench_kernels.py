@@ -20,9 +20,10 @@ scans from 8 consecutive 0.08 m steps along the same face, in one
 multi-origin call,
 against 8 single-origin calls (both numpy, clipped to the occupied box).
 The shell scan rows time `sample_cloud`, which casts each batch of scans
-in shells around its origins, against one nearest-mode cast of all the
-same rays on the whole occupied box, after checking that both give the
-same clouds: the log pass's 8 scans and one flight scan, from the
+in shells around its origins and returns each scan's nearest return,
+against one nearest-mode cast of all the same rays on the whole occupied
+box and `nearest_point` over each scan's returns, after checking that
+both give the same points: the log pass's 8 scans and one flight scan, from the
 `receding` sensing pose and from a pose in the `obstacle` demo's
 approach, between the obstruction and the wall, where the shell holds
 the origin and casts every ray.
@@ -82,7 +83,7 @@ import numpy as np
 from scipy import ndimage
 
 from surfscan import global_plan, kernels, world
-from surfscan.geometry import PolygonROI, ViewPose4
+from surfscan.geometry import PolygonROI, ViewPose4, nearest_point
 from surfscan.metrics import DEPTH_JUMP, estimate_normal_map
 from surfscan.scenario import CAMERA_FOV, build_scene, demo_scenario
 from surfscan.world import Box, CameraIntrinsics, VoxelMap, camera_axes_world, fibonacci_directions, render_depth
@@ -233,13 +234,19 @@ def swept_cases():
     return [(name, vmap.occ, vmap.world_to_grid(np.array(p) + along), radius, box, full) for name, p in starts]
 
 
-def full_nearest_clouds(vmap, positions, max_range, ray_count):
-    """The clouds of one nearest-mode cast of every ray from every position
-    on the occupied box: `sample_cloud` as it cast before its shells."""
+def full_nearest_returns(vmap, positions, max_range, ray_count):
+    """The (G, 3) nearest returns of one nearest-mode cast of every ray from
+    every position on the occupied box, each `nearest_point` over its scan's
+    returns (NaN if none): `sample_cloud` as it cast before its shells."""
     dirs = fibonacci_directions(ray_count)
     rays = np.tile(dirs / vmap.voxel_size, (len(positions), 1))
     t = kernels.raycast_batch(vmap.occ, vmap.world_to_grid(positions), rays, max_range, True, box=vmap.occupied_box)
-    return [pos + dirs[t_g >= 0.0] * t_g[t_g >= 0.0, None] for pos, t_g in zip(positions, t.reshape(len(positions), -1))]
+    out = np.full((len(positions), 3), np.nan)
+    for g, (pos, t_g) in enumerate(zip(positions, t.reshape(len(positions), -1))):
+        hit = t_g >= 0.0
+        if hit.any():
+            out[g] = nearest_point(pos + dirs[hit] * t_g[hit, None], pos)[0]
+    return out
 
 
 def shell_scan_cases():
@@ -248,7 +255,7 @@ def shell_scan_cases():
     one flight scan, from the `receding` sensing pose and from a pose in
     the `obstacle` demo's approach, between the obstruction and the wall,
     where the shell's box holds the origin and every ray is cast.  Each
-    side returns the scans' clouds."""
+    side returns the scans' (G, 3) nearest returns."""
     cases = []
     for demo, start in (("receding", (4.0, -2.0, 0.6)), ("obstacle", (4.5, -3.5, 0.6))):
         vmap = build_scene(demo_scenario(demo), None).current
@@ -258,17 +265,15 @@ def shell_scan_cases():
                 (
                     name,
                     lambda vmap=vmap, positions=positions: world.sample_cloud(vmap, positions, 12.0, 2048),
-                    lambda vmap=vmap, positions=positions: full_nearest_clouds(vmap, positions, 12.0, 2048),
+                    lambda vmap=vmap, positions=positions: full_nearest_returns(vmap, positions, 12.0, 2048),
                 )
             )
     return cases
 
 
-def same_clouds(a, b):
-    """Whether two lists of clouds hold the same points, bit for bit."""
-    return len(a) == len(b) and all(
-        x.shape == y.shape and np.array_equal(x.view(np.int64), y.view(np.int64)) for x, y in zip(a, b)
-    )
+def same_points(a, b):
+    """Whether two point arrays are equal, bit for bit."""
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
 
 
 def batched_scan_case():
@@ -502,7 +507,7 @@ def main():
     print(f"{name:<26}{ms(t_one)}{ms(t_single)}{t_single / t_one:>13.1f}x")
     print(f"{'shell scan':<26}{'shell':>14}{'full cast':>14}{'full/shell':>14}")
     for name, shell, full in shell_scan_cases():
-        assert same_clouds(shell(), full())
+        assert same_points(shell(), full())
         t_shell = timeit(shell)
         t_full = timeit(full)
         print(f"{name:<26}{ms(t_shell)}{ms(t_full)}{t_full / t_shell:>13.1f}x")

@@ -62,7 +62,7 @@ def _build_parser():
 def _load(args):
     """Mission runner for the scenario named on the command line, its scene
     built.  Bad input (arguments, scenario file, map files) raises
-    ValueError, OSError or KeyError."""
+    ValueError or OSError."""
     if bool(args.config) == bool(args.demo):
         raise ValueError("exactly one of --config or --demo is required")
     if args.demo:
@@ -196,7 +196,7 @@ def main(argv=None):
         out_dir.mkdir(parents=True, exist_ok=True)
         for sub_dir in _OUT_DIRS[args.command]:
             (out_dir / sub_dir).mkdir(parents=True, exist_ok=True)
-    except (ValueError, OSError, KeyError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     # Past this point every input has loaded: an error other than an

@@ -10,7 +10,8 @@ virtual sensing at every predicted pose.
 
 import numpy as np
 
-from .geometry import DegenerateGeometryError, PathSegment, ViewPose4, nearest_point
+from .geometry import DegenerateGeometryError, NoSurfaceError, PathSegment, ViewPose4
+from .geometry import nearest_point  # noqa: F401 (perfbench's tracer binds local_plan.nearest_point)
 from .world import sample_cloud
 
 __all__ = ["ego_frame", "predict_local_path"]
@@ -62,29 +63,30 @@ def _next_pose(pos, p_nn, guide_pos, cfg):
     return ViewPose4(nxt[0], nxt[1], nxt[2], psi)
 
 
-def predict_local_path(odom, vmap, guide, cfg, first_cloud):
+def predict_local_path(odom, vmap, guide, cfg, first_nearest):
     """Predict the local inspection path from the `ViewPose4` `odom` along the
     `PathSegment` `guide`.
 
     One pose is predicted per guide pose (the supervisor sizes the guide to
     the horizon, shrinking it near the tour end).  The first step reads
-    `first_cloud`, the scan already taken at `odom`; each later step
-    re-senses the scene at the previously predicted pose (a fresh virtual
-    scan of `vmap` with the `ScenarioConfig`'s `sense_range` and
-    `sense_rays`, nearest returns only) and applies
-    the next-view rule with the lateral sweep directed toward the
+    `first_nearest`, the nearest return of the scan already taken at
+    `odom`; each later step re-senses the scene at the previously predicted
+    pose (the nearest return of a fresh virtual scan of `vmap` with the
+    `ScenarioConfig`'s `sense_range` and `sense_rays`) and applies the
+    next-view rule with the lateral sweep directed toward the
     corresponding guide pose.  Returns (path, short): `short` is True
     when sensing came up empty at a virtual pose and the prediction was
-    truncated.  An empty `first_cloud` raises NoSurfaceError (from
-    `nearest_point`).
+    truncated.  A NaN `first_nearest` (a scan that saw nothing) raises
+    NoSurfaceError.
     """
-    pos, cloud, poses = odom.position, first_cloud, []
+    pos, p_nn, poses = odom.position, first_nearest, []
     for g in guide:
         if poses:
-            (cloud,) = sample_cloud(vmap, [pos], cfg.sense_range, cfg.sense_rays)
-            if len(cloud) == 0:
-                return PathSegment(poses), True
-        p_nn, _ = nearest_point(cloud, pos)
+            (p_nn,) = sample_cloud(vmap, [pos], cfg.sense_range, cfg.sense_rays)
+        if np.isnan(p_nn).any():
+            if not poses:
+                raise NoSurfaceError("no surface in the scan at the odometry pose")
+            return PathSegment(poses), True
         nxt = _next_pose(pos, p_nn, g.position, cfg)
         poses.append(nxt)
         pos = nxt.position

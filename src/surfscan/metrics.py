@@ -3,7 +3,8 @@ frames, path RMSE, viewing distance, per-cycle logging and mission-level
 aggregates.
 
 A depth frame is the (H, W) array `world.render_depth` returns, in the
-camera frame that module documents; a scan is an (N, 3) point array."""
+camera frame that module documents; a batch of scans is the (G, 3) array
+of their nearest returns that `world.sample_cloud` returns."""
 
 import csv
 import math
@@ -76,27 +77,19 @@ def path_rmse(a, b):
     return float(np.sqrt(d2.mean()))
 
 
-def viewing_distance(positions, clouds):
-    """Distance from each of the (G, 3) `positions` to the nearest point of
-    its (N, 3) scan in `clouds`: a (G,) float64 array, NaN for an empty
-    scan.
+def viewing_distance(positions, nearest):
+    """Distance from each of the (G, 3) `positions` to its scan's nearest
+    return, row g of the (G, 3) `nearest` (`world.sample_cloud`): a (G,)
+    float64 array, NaN for a scan that saw nothing (a NaN row).
 
-    One reduction serves all G scans.  It evaluates the squared distances
-    with `geometry.nearest_point`'s expression, so each distance is bitwise
-    the one `nearest_point` gives for its scan, that of the lowest-index
-    nearest point.
+    It evaluates `geometry.nearest_point`'s squared-distance expression, so
+    each distance is bitwise the one `nearest_point` gives for its scan.
     """
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
-    if len(clouds) != len(positions):
-        raise ValueError(f"{len(clouds)} scans for {len(positions)} positions")
-    sizes = np.array([len(cloud) for cloud in clouds], dtype=np.int64)
-    out = np.full(len(sizes), np.nan)
-    filled = sizes > 0
-    if filled.any():
-        dx, dy, dz = (np.concatenate(clouds) - np.repeat(positions, sizes, axis=0)).T
-        d2 = dx * dx + dy * dy + dz * dz
-        out[filled] = np.sqrt(np.minimum.reduceat(d2, (np.cumsum(sizes) - sizes)[filled]))
-    return out
+    if len(nearest) != len(positions):
+        raise ValueError(f"{len(nearest)} scans for {len(positions)} positions")
+    dx, dy, dz = (nearest - positions).T
+    return np.sqrt(dx * dx + dy * dy + dz * dz)
 
 
 @dataclass(frozen=True)

@@ -20,9 +20,9 @@ or `timeout`.
 
 The stepper only flies: per control step it notes the pose, the reference
 and the last supervision cycle, whose similarity metrics carry through the
-steps in between.  A step's frame and viewing-distance scan feed no
-decision, so once the flight ends one pass, `_log_steps`, senses them and
-writes one log record per step.
+steps in between.  A step's frame and viewing distance feed no decision,
+so once the flight ends one pass, `_log_steps`, senses them at every
+step's pose and writes one log record per step.
 """
 
 import logging
@@ -152,8 +152,7 @@ class MissionRunner:
 
 # What every record carries before the first supervision cycle.
 _NO_CYCLE = SupervisionCycle(
-    MissionMode.GLOBAL, NAN, NAN, NAN, NAN, cursor=0, viewing_distance=NAN,
-    event=None, visited_index=None, short_prediction=False,
+    MissionMode.GLOBAL, NAN, NAN, NAN, NAN, cursor=0, event=None, visited_index=None, short_prediction=False,
 )
 # Viewing-distance scans cast together in one raycast call.
 _SCAN_BATCH = 8
@@ -169,7 +168,7 @@ class _Stepper:
     """One mission's robot pose, clock and random generator, and the last
     supervision cycle, whose similarity metrics every step carries until the
     next cycle.  Every control step appends exactly one entry to `flown`:
-    (t, phase, cycle, pose, ref, blocked, viewing distance or None)."""
+    (t, phase, cycle, pose, ref, blocked)."""
 
     def __init__(self, runner):
         self.cfg = cfg = runner.cfg
@@ -257,7 +256,7 @@ class _Stepper:
             self.pose, cfg.odom_sigma_xy, cfg.odom_sigma_psi, self.rng
         )
         ref, self.cycle = step_mission(state, self.scene, reported)
-        self.record("inspect", ref, False, vd=self.cycle.viewing_distance)
+        self.record("inspect", ref, False)
         if ref is not None and state.last_lvp is not None:
             self.predicted_paths.append((round(self.t, 9), state.last_lvp))
         return ref
@@ -305,29 +304,24 @@ class _Stepper:
         self.steps += 1
         return blocked
 
-    def record(self, phase, ref, blocked, vd=None):
-        """Note the current step: its pose, reference and cycle, and its
-        viewing distance if known (a cycle's own record), else None."""
-        self.flown.append((round(self.t, 9), phase, self.cycle, self.pose, ref, blocked, vd))
+    def record(self, phase, ref, blocked):
+        """Note the current step: its pose, reference and cycle."""
+        self.flown.append((round(self.t, 9), phase, self.cycle, self.pose, ref, blocked))
 
 
 def _log_steps(flown, vmap, cfg):
     """The mission log of the `_Stepper.flown` steps, one record each, with
-    fresh utility and, where a step has none, fresh viewing distance on
-    `vmap`.  The steps without a distance are scanned `_SCAN_BATCH` poses
-    per multi-origin `sample_cloud` call, in step order, and each call's
-    distances come from one `viewing_distance` reduction; a step whose scan
-    sees nothing logs NaN."""
-    distances = [step[6] for step in flown]
-    unscanned = [i for i, vd in enumerate(distances) if vd is None]
-    for lo in range(0, len(unscanned), _SCAN_BATCH):
-        batch = unscanned[lo : lo + _SCAN_BATCH]
-        positions = [flown[i][3].position for i in batch]
-        clouds = sample_cloud(vmap, positions, cfg.sense_range, cfg.sense_rays)
-        for i, vd in zip(batch, viewing_distance(positions, clouds).tolist()):
-            distances[i] = vd
+    fresh utility and viewing distance on `vmap` at the step's pose.  The
+    steps are scanned `_SCAN_BATCH` poses per multi-origin `sample_cloud`
+    call, in step order, and each call's distances come from one
+    `viewing_distance` pass; a step whose scan sees nothing logs NaN."""
+    distances = []
+    for lo in range(0, len(flown), _SCAN_BATCH):
+        positions = [step[3].position for step in flown[lo : lo + _SCAN_BATCH]]
+        nearest = sample_cloud(vmap, positions, cfg.sense_range, cfg.sense_rays)
+        distances += viewing_distance(positions, nearest).tolist()
     mission_log = MissionLog()
-    for (t, phase, cycle, pose, ref, blocked, _), vd in zip(flown, distances):
+    for (t, phase, cycle, pose, ref, blocked), vd in zip(flown, distances):
         try:
             utility = viewpoint_utility(render_depth(vmap, pose, cfg.camera), cfg.camera)
         except NoSurfaceError:

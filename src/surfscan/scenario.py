@@ -335,8 +335,6 @@ def load_scenario(path):
 
     try:
         return _parse_scenario(raw, path)
-    except (KeyError, TypeError) as exc:
-        raise ValueError(f"{path}: malformed scenario: {exc}") from exc
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from exc
 

@@ -18,7 +18,7 @@ from .geometry import (
     pose_error,
 )
 from .local_plan import predict_local_path
-from .metrics import path_rmse, viewing_distance
+from .metrics import path_rmse
 from .world import sample_cloud
 
 __all__ = [
@@ -149,7 +149,6 @@ class SupervisionCycle:
     rmse_pre: float
     rmse_post: float
     cursor: int  # also the count of viewpoints visited
-    viewing_distance: float
     event: Optional[str]  # visit | complete | sense_retry | abort
     visited_index: Optional[int]
     short_prediction: bool
@@ -165,7 +164,6 @@ def _unscored_cycle(state, event, visited_index):
         rmse_pre=nan,
         rmse_post=nan,
         cursor=state.cursor,
-        viewing_distance=nan,
         event=event,
         visited_index=visited_index,
         short_prediction=False,
@@ -218,14 +216,13 @@ def step_mission(state, scene, robot):
         state.status = MissionStatus.COMPLETE
         return None, _unscored_cycle(state, "complete", visited_index)
 
-    (cloud,) = sample_cloud(scene.current, [robot.position], cfg.sense_range, cfg.sense_rays)
-    if len(cloud) == 0:
+    (p_nn,) = sample_cloud(scene.current, [robot.position], cfg.sense_range, cfg.sense_rays)
+    if np.isnan(p_nn).any():
         return None, _unscored_cycle(state, _retry(state), visited_index)
     state.retries = 0
-    (vd,) = viewing_distance([robot.position], (cloud,)).tolist()
 
     gvp = extract_global_segment(state.tour, state.plan, state.cursor, cfg.horizon)
-    lvp, short = predict_local_path(robot, scene.current, gvp, cfg, cloud)
+    lvp, short = predict_local_path(robot, scene.current, gvp, cfg, p_nn)
     lvp = _pad_segment(lvp, len(gvp))
 
     score = path_similarity(gvp, lvp)
@@ -246,7 +243,6 @@ def step_mission(state, scene, robot):
         rmse_pre=rmse_pre,
         rmse_post=rmse_post,
         cursor=state.cursor,
-        viewing_distance=vd,
         event=event,
         visited_index=visited_index,
         short_prediction=short,

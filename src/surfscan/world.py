@@ -6,7 +6,8 @@ the ASCII point files it is voxelized from.  Sensing is deterministic: a
 pinhole depth camera (`CameraIntrinsics`) and an omnidirectional range
 scanner, both implemented by DDA raycasts through the grid.  Their outputs
 are plain read-only arrays: a depth frame is an (H, W) float64 image and a
-scan an (N, 3) float64 point set in the world frame.
+batch of G scans a (G, 3) float64 array of their nearest returns in the
+world frame, NaN for a scan that sees nothing.
 
 Camera frame convention: +z along the optical axis, +x right, +y down.
 Depths are projective (distance along the optical axis).  Invalid pixels
@@ -530,26 +531,28 @@ def render_depth(vmap, pose, intrinsics):
 
 
 def sample_cloud(vmap, positions, max_range, ray_count):
-    """Omnidirectional range scans from each of the (G, 3) `positions`: a
-    tuple of G read-only (N, 3) float64 arrays, each the first-hit points,
-    world frame, of a Fibonacci-sphere ray pattern from its position that
-    can be the nearest to it.  Rays that hit nothing within range are
-    omitted.  The G scans are cast together, in nearest mode, in shells
-    around their positions (`_shell_cast`): each shell is one
-    multi-origin `kernels.raycast_batch` call of only the rays that can
-    meet the occupied voxels within its reach, capped at that reach.  The
-    first shell reaches just past the nearest filled column's box and
-    holds every scan of the demos; a scan whose returns could lie past it
-    is cast again in a shell twice as wide, up to the full cast of every
-    ray.  Each cloud is bitwise the one a full cast of its position alone
-    returns.  On an empty map nothing is cast.
+    """The nearest return of an omnidirectional range scan from each of the
+    (G, 3) `positions`: a read-only (G, 3) float64 array whose row g is the
+    first-hit point, world frame, of scan g's Fibonacci-sphere ray pattern
+    nearest to position g, the one of least squared distance
+    `dx*dx + dy*dy + dz*dz` and lowest ray index on ties (the rule of
+    `geometry.nearest_point` over the scan's full set of returns).  A scan
+    whose rays hit nothing within range gives a NaN row.
 
-    A cloud holds the returns at a range r <= r_min * (1 + 1e-9) + 1e-9 m,
-    r_min the nearest range (see :func:`kernels.raycast_batch`).  The
-    margin covers the rounding of the points and of `nearest_point`'s
-    squared distances, so `nearest_point` from the position returns the
-    same point and distance, with the same lowest-index tie-break, as on
-    the scan's full set of returns, and the cloud is empty iff that set is.
+    The G scans are cast together, in nearest mode, in shells around their
+    positions (`_shell_cast`): each shell is one multi-origin
+    `kernels.raycast_batch` call of only the rays that can meet the
+    occupied voxels within its reach, capped at that reach.  The first
+    shell reaches just past the nearest filled column's box and holds every
+    scan of the demos; a scan whose returns could lie past it is cast again
+    in a shell twice as wide, up to the full cast of every ray.  The kept
+    returns are those at a range r <= r_min * (1 + 1e-9) + 1e-9 m, r_min
+    the nearest range (see :func:`kernels.raycast_batch`), bitwise those of
+    a full cast of each position alone; the margin covers the rounding of
+    the points and of their squared distances, so the nearest of them is
+    the nearest of all returns.  One stable sort of the kept returns by
+    (scan, squared distance) picks each row.  On an empty map nothing is
+    cast.
 
     A range that is not positive (nan included; an infinite one is legal)
     or fewer than one ray raises ValueError: either would return nothing.
@@ -559,19 +562,18 @@ def sample_cloud(vmap, positions, max_range, ray_count):
     if not ray_count >= 1:
         raise ValueError(f"ray_count must be at least 1, got {ray_count}")
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
-    scans = len(positions)
-    box = vmap.occupied_box
-    if box is None:
-        points, ends = np.empty((0, 3)), [0] * (scans + 1)
-    else:
+    nearest = np.full(positions.shape, np.nan)
+    if vmap.occupied_box is not None:
         dirs = fibonacci_directions(int(ray_count))
         t = _shell_cast(vmap, vmap.world_to_grid(positions), dirs, float(max_range))
-        # Every scan's points in one expression, in scan order, then split.
         scan, ray = np.nonzero(t >= 0.0)
         points = positions[scan] + dirs[ray] * t[scan, ray][:, None]
-        ends = [0, *np.cumsum(np.bincount(scan, minlength=scans)).tolist()]
-    points.setflags(write=False)
-    return tuple(points[lo:hi] for lo, hi in zip(ends, ends[1:]))
+        dx, dy, dz = (points - positions[scan]).T
+        order = np.lexsort((dx * dx + dy * dy + dz * dz, scan))
+        first = order[np.diff(scan[order], prepend=-1) != 0]
+        nearest[scan[first]] = points[first]
+    nearest.setflags(write=False)
+    return nearest
 
 
 # An origin at a box's centre or on its corner divides 0 by 0 (the nan

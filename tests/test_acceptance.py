@@ -110,7 +110,7 @@ def test_criterion_04_next_view_closed_form():
     with criterion(4, "next-view-pose closed form at 4 m range"):
         cfg = dataclasses.replace(demo_scenario("nominal"), z_band=None)
         # `predict_local_path` with a one-pose guide on the +y side.
-        pose = next_view(ViewPose4(0, 0, 0), np.array([[4.0, 0.0, 0.0]]), cfg)
+        pose = next_view(ViewPose4(0, 0, 0), np.array([4.0, 0.0, 0.0]), cfg)
         assert abs(pose.x - 2.000) < 1e-3
         assert abs(pose.y - 2.220) < 1e-3
         assert abs(pose.z - 1.326) < 1e-3

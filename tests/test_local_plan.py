@@ -24,22 +24,23 @@ CFG = dataclasses.replace(BANDED, z_band=None)
 SPACING_H = BANDED.view.spacing(BANDED.camera, BANDED.view.d_view)[0]
 
 
-def wall_cloud(wall_x, pos):
-    """Single-point cloud at the exact perpendicular foot on the plane x=wall_x."""
-    return np.array([[wall_x, pos[1], pos[2]]])
+def wall_foot(wall_x, pos):
+    """The exact perpendicular foot of `pos` on the plane x=wall_x."""
+    return np.array([wall_x, pos[1], pos[2]])
 
 
 # A one-pose guide never re-senses, so the map is not read.
 UNREAD = VoxelMap.empty((0.0, 0.0, 0.0), (1.0, 1.0, 1.0), 0.5)
 
 
-def next_view(odom, cloud, cfg, side=1.0):
-    """The next view pose from the scan `cloud` taken at `odom`: a one-pose
+def next_view(odom, p_nn, cfg, side=1.0):
+    """The next view pose from the nearest return `p_nn` of the scan taken
+    at `odom`: a one-pose
     `predict_local_path` whose guide lies 1 m to the `side` of `odom` in y,
     so the lateral sweep goes toward +y (side 1) or -y (side -1) wherever
     the ego frame's lateral axis is +y."""
     guide = PathSegment([odom.position + [0.0, side, 0.0]])
-    path, short = predict_local_path(odom, UNREAD, guide, cfg, cloud)
+    path, short = predict_local_path(odom, UNREAD, guide, cfg, p_nn)
     assert not short and len(path) == 1
     return path[0]
 
@@ -74,7 +75,7 @@ def test_ego_frame_coincident_point():
 
 
 def test_next_view_pose_closed_form():
-    pose = next_view(ViewPose4(0, 0, 0), np.array([[4.0, 0.0, 0.0]]), CFG)
+    pose = next_view(ViewPose4(0, 0, 0), np.array([4.0, 0.0, 0.0]), CFG)
     assert pose.x == pytest.approx(2.000, abs=1e-3)
     assert pose.y == pytest.approx(2.220, abs=1e-3)
     assert pose.z == pytest.approx(1.326, abs=1e-3)
@@ -86,30 +87,31 @@ def test_next_view_pose_closed_form():
 
 def test_next_view_pose_sweeps_toward_the_guide():
     # A guide on the -y side mirrors the lateral step and nothing else.
-    cloud = np.array([[4.0, 0.0, 0.0]])
-    plus = next_view(ViewPose4(0, 0, 0), cloud, CFG)
-    minus = next_view(ViewPose4(0, 0, 0), cloud, CFG, side=-1.0)
+    p_nn = np.array([4.0, 0.0, 0.0])
+    plus = next_view(ViewPose4(0, 0, 0), p_nn, CFG)
+    minus = next_view(ViewPose4(0, 0, 0), p_nn, CFG, side=-1.0)
     assert minus.y == -plus.y and minus.y < 0.0
     assert (minus.x, minus.z, minus.psi) == (plus.x, plus.z, plus.psi)
 
 
 def test_next_view_pose_at_viewing_distance_range_term_vanishes():
-    pose = next_view(ViewPose4(0, 0, 0), np.array([[2.0, 0.0, 0.0]]), CFG)
+    pose = next_view(ViewPose4(0, 0, 0), np.array([2.0, 0.0, 0.0]), CFG)
     assert pose.x == pytest.approx(0.0, abs=1e-12)  # no approach component
 
 
 def test_next_view_pose_yaw_axis_case():
-    pose = next_view(ViewPose4(0, 0, 0), np.array([[0.0, 3.0, 0.0]]), CFG)
+    pose = next_view(ViewPose4(0, 0, 0), np.array([0.0, 3.0, 0.0]), CFG)
     assert pose.psi == pytest.approx(np.pi / 2)
 
 
 def test_next_view_pose_empty_cloud():
+    # A scan that saw nothing has a NaN nearest return.
     with pytest.raises(NoSurfaceError):
-        next_view(ViewPose4(0, 0, 0), np.zeros((0, 3)), CFG)
+        next_view(ViewPose4(0, 0, 0), np.full(3, np.nan), CFG)
 
 
 def test_next_view_pose_z_band_clamp():
-    pose = next_view(ViewPose4(0, 0, 0.6), np.array([[4.0, 0.0, 0.6]]), BANDED)
+    pose = next_view(ViewPose4(0, 0, 0.6), np.array([4.0, 0.0, 0.6]), BANDED)
     assert pose.z == 0.6
 
 
@@ -118,7 +120,7 @@ def test_range_convergence_on_flat_wall():
     pos = ViewPose4(0.0, 0.0, 0.6)
     errors = []
     for _ in range(6):
-        foot = wall_cloud(6.0, pos.position)
+        foot = wall_foot(6.0, pos.position)
         rng_now = abs(6.0 - pos.x)
         errors.append(abs(rng_now - cfg.view.d_view))
         nxt = next_view(pos, foot, cfg)
@@ -132,7 +134,7 @@ def test_overlap_spacing_on_flat_wall():
     pos = ViewPose4(4.0, 0.0, 0.6)  # already at d_view from x=6
     poses = []
     for _ in range(4):
-        nxt = next_view(pos, wall_cloud(6.0, pos.position), cfg)
+        nxt = next_view(pos, wall_foot(6.0, pos.position), cfg)
         poses.append(nxt)
         pos = ViewPose4(nxt.x, nxt.y, nxt.z)
     laterals = np.diff([p.y for p in poses])
@@ -145,7 +147,7 @@ def test_sweep_steps_by_the_camera_fov():
     camera = CameraIntrinsics(alpha=np.deg2rad(50.0), beta=np.deg2rad(30.0))
     cfg = dataclasses.replace(CFG, camera=camera)
     pos = ViewPose4(4.0, 0.0, 0.6)
-    nxt = next_view(pos, wall_cloud(6.0, pos.position), cfg)
+    nxt = next_view(pos, wall_foot(6.0, pos.position), cfg)
     spacing_h, spacing_v = cfg.view.spacing(camera, cfg.view.d_view)
     assert nxt.y - pos.y == pytest.approx(spacing_h, abs=1e-9)
     assert nxt.z - pos.z == pytest.approx(spacing_v, abs=1e-9)
@@ -161,7 +163,7 @@ def test_yaw_faces_surface():
     pos = ViewPose4(4.3, -2.0, 0.6)
     cfg = BANDED
     for _ in range(4):
-        pose = next_view(pos, wall_cloud(6.0, pos.position), cfg)
+        pose = next_view(pos, wall_foot(6.0, pos.position), cfg)
         origin = vmap.world_to_grid(pose.position)
         heading = np.array([[np.cos(pose.psi), np.sin(pose.psi), 0.0]]) / vmap.voxel_size
         t = kernels.raycast_batch(vmap.occ, origin, heading, 12.0, box=vmap.occupied_box)
@@ -177,10 +179,10 @@ def guide_line(x, y0, n, spacing, z=0.6):
 
 
 def predict(odom, vmap, guide, cfg):
-    """`predict_local_path` from the scan taken at `odom`, as the supervisor
-    calls it."""
-    (first_cloud,) = sample_cloud(vmap, [odom.position], cfg.sense_range, cfg.sense_rays)
-    return predict_local_path(odom, vmap, guide, cfg, first_cloud)
+    """`predict_local_path` from the nearest return of the scan taken at
+    `odom`, as the supervisor calls it."""
+    (first_nearest,) = sample_cloud(vmap, [odom.position], cfg.sense_range, cfg.sense_rays)
+    return predict_local_path(odom, vmap, guide, cfg, first_nearest)
 
 
 def make_scene(face_x):
@@ -192,7 +194,8 @@ def make_scene(face_x):
 
 
 def test_prediction_single_step_equals_next_view():
-    # The nearest-returns scan predicts the pose the full scan does.
+    # A one-pose prediction is the next-view rule at the scan's nearest
+    # return.
     vmap = make_scene(6.0)
     odom = ViewPose4(4.0, 0.0, 0.6)
     cfg = BANDED

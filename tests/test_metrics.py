@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from kernel_reference import normals_from_depth_scalar
-from strategies import depth_images
+from strategies import depth_images, grid_coordinate, occupancy_grids
 from surfscan import kernels, metrics
 from surfscan.geometry import NoSurfaceError, PathSegment, ViewPose4, nearest_point
 from surfscan.metrics import (
@@ -20,7 +20,7 @@ from surfscan.metrics import (
     viewpoint_utility,
     write_plot_data,
 )
-from surfscan.world import CameraIntrinsics, sample_cloud
+from surfscan.world import CameraIntrinsics, VoxelMap, fibonacci_directions, sample_cloud
 
 CAM = CameraIntrinsics(alpha=np.deg2rad(69.5), beta=np.deg2rad(45.0), width=48, height=36, max_range=10.0)
 
@@ -178,34 +178,45 @@ def test_rmse_length_mismatch():
 
 def test_viewing_distance_wall(wall_map):
     robot = ViewPose4(4.0, 0.0, 1.2)
-    (cloud,) = sample_cloud(wall_map, [robot.position], 12.0, 2048)
-    (dist,) = viewing_distance([robot.position], (cloud,))
+    (dist,) = viewing_distance([robot.position], sample_cloud(wall_map, [robot.position], 12.0, 2048))
     assert dist == pytest.approx(2.0, abs=wall_map.voxel_size)
 
 
 def test_viewing_distance_empty_cloud():
-    got = viewing_distance([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], (np.zeros((0, 3)), np.ones((2, 3))))
+    # A scan that saw nothing has a NaN row and logs NaN.
+    got = viewing_distance([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], np.array([[np.nan] * 3, [1.0, 1.0, 1.0]]))
     assert np.isnan(got[0]) and got[1] == np.sqrt(2.0)
-    assert np.isnan(viewing_distance([[0.0, 0.0, 0.0]], (np.zeros((0, 3)),))).all()
     with pytest.raises(ValueError, match="2 scans for 1 positions"):
-        viewing_distance([[0.0, 0.0, 0.0]], (np.ones((1, 3)), np.ones((1, 3))))
+        viewing_distance([[0.0, 0.0, 0.0]], np.ones((2, 3)))
 
 
-@given(seed=st.integers(0, 2**32 - 1), sizes=st.lists(st.integers(0, 6), min_size=1, max_size=6))
+@given(data=st.data())
 @settings(max_examples=100, deadline=None)
-def test_viewing_distance_is_nearest_point_per_scan(seed, sizes):
-    # One reduction over a batch gives each scan bitwise the distance of
-    # `nearest_point`, the one distance rule; integer points make ties.
-    rng = np.random.default_rng(seed)
-    positions = rng.uniform(-3.0, 3.0, (len(sizes), 3))
-    positions[::2] = np.round(positions[::2])
-    clouds = tuple(rng.integers(-3, 4, (n, 3)).astype(np.float64) + rng.choice([0.0, 0.1]) for n in sizes)
-    got = viewing_distance(positions, clouds)
-    for q, cloud, dist in zip(positions, clouds, got):
-        if len(cloud) == 0:
-            assert np.isnan(dist)
-        else:
-            assert np.float64(dist).view(np.int64) == np.float64(nearest_point(cloud, q)[1]).view(np.int64)
+def test_viewing_distance_is_nearest_point_per_scan(data):
+    # Each `sample_cloud` row is `nearest_point`'s pick over every return of
+    # a full cast from its position alone, and its viewing distance is
+    # bitwise `nearest_point`'s, the one distance rule.
+    occ = data.draw(occupancy_grids())
+    vmap = VoxelMap(np.array([-7.3, 120.1, 0.35]), 0.25, occ)
+    count = data.draw(st.integers(1, 4))
+    positions = vmap.origin + 0.25 * np.array([[data.draw(grid_coordinate(n)) for n in occ.shape] for _ in range(count)])
+    max_range = data.draw(st.one_of(st.floats(0.05, 3.0), st.just(50.0)))
+    rays = data.draw(st.integers(1, 300))
+    nearest = sample_cloud(vmap, positions, max_range, rays)
+    got = viewing_distance(positions, nearest)
+    dirs = fibonacci_directions(rays)
+    for q, row, dist in zip(positions, nearest, got):
+        t = np.empty(0)
+        if vmap.occupied_box is not None:
+            dirs_g = np.ascontiguousarray(dirs / vmap.voxel_size)
+            t = kernels.raycast_batch(vmap.occ, vmap.world_to_grid(q), dirs_g, max_range, box=vmap.occupied_box)
+        hit = t >= 0.0
+        if not hit.any():
+            assert np.isnan(row).all() and np.isnan(dist)
+            continue
+        point, want = nearest_point(q + dirs[hit] * t[hit, None], q)
+        assert np.array_equal(row.view(np.int64), point.view(np.int64))
+        assert np.float64(dist).view(np.int64) == np.float64(want).view(np.int64)
 
 
 # ---------------------------------------------------------------- mission log

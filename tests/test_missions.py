@@ -179,17 +179,18 @@ def test_timeout_reports_partial_progress():
     assert 0 <= result.summary["visited_total"] < 6
 
 
-def assert_log_is_fresh(cfg, records, batches):
+def assert_log_is_fresh(cfg, records, batches=None):
     """Every record's viewing distance and utility are bitwise those of a
     fresh single scan and a fresh frame at its logged pose, and the log's
-    scans went out eight poses per call, the last call excepted."""
-    assert batches and batches[:-1] == [8] * (len(batches) - 1) and 1 <= batches[-1] <= 8
+    scans (if `batches` is given) went out eight poses per call, the last
+    call excepted."""
+    if batches is not None:
+        assert batches and batches[:-1] == [8] * (len(batches) - 1) and 1 <= batches[-1] <= 8
     vmap = MissionRunner(cfg).scene.current
     for r in records:
         pose = ViewPose4(r.x, r.y, r.z, r.psi)
-        (cloud,) = world.sample_cloud(vmap, [pose.position], cfg.sense_range, cfg.sense_rays)
-        (want,) = viewing_distance([pose.position], (cloud,))
-        # Zero odometry noise: the cycles scan from the logged pose too.
+        nearest = world.sample_cloud(vmap, [pose.position], cfg.sense_range, cfg.sense_rays)
+        (want,) = viewing_distance([pose.position], nearest)
         assert np.float64(r.viewing_distance).view(np.int64) == np.float64(want).view(np.int64)
         try:
             utility = viewpoint_utility(world.render_depth(vmap, pose, cfg.camera), cfg.camera)
@@ -199,8 +200,8 @@ def assert_log_is_fresh(cfg, records, batches):
 
 
 def test_batched_viewing_distances_equal_fresh_single_scans(monkeypatch):
-    # The log is built after the flight: the steps without a cycle's
-    # distance are scanned eight poses per call.  A mission cut short by
+    # The log is built after the flight: every step, a cycle's included, is
+    # scanned at its logged pose, eight poses per call.  A mission cut short by
     # its time budget or aborted must still log one record per control
     # step, each with the distance and utility of its logged pose.
     from surfscan import mission
@@ -225,9 +226,9 @@ def test_batched_viewing_distances_equal_fresh_single_scans(monkeypatch):
     assert result.status == "timeout"
     records = result.log.records
     assert len(records) == round(cfg.max_sim_time / cfg.dt)
-    # Non-cycle records carry the scans; with a count not a multiple of
-    # eight, the last call scans fewer poses.
-    assert sum(batches) == len(records) - len(cycles) and sum(batches) % 8 != 0
+    # Every record is scanned once; with a count not a multiple of eight,
+    # the last call scans fewer poses.
+    assert cycles and sum(batches) == len(records) and sum(batches) % 8 != 0
     assert_log_is_fresh(cfg, records, batches)
 
     # The navigate leg stalls with the robot held at the start, and the
@@ -255,6 +256,17 @@ def test_batched_viewing_distances_equal_fresh_single_scans(monkeypatch):
     assert len(records) == len(steps) > 8 and sum(batches) == len(records)
     assert all(r.phase == "navigate" for r in records)
     assert_log_is_fresh(cfg, records, batches)
+
+
+def test_log_measures_the_logged_pose_under_odometry_noise():
+    # The cycles run at a noisy reported pose, but each record's viewing
+    # distance is measured where the robot was, like every other record's.
+    cfg = dataclasses.replace(demo_scenario("nominal"), odom_sigma_xy=0.05)
+    result = MissionRunner(cfg).run()
+    assert result.status == "completed"
+    cycles = [r for r in result.log.records if r.phase == "inspect" and np.isfinite(r.f_d)]
+    assert len(cycles) > 3
+    assert_log_is_fresh(cfg, result.log.records)
 
 
 def test_log_scans_that_see_nothing_log_nan():
@@ -402,7 +414,7 @@ def test_sense_retry_holds_the_robot_for_one_step(monkeypatch):
     def blind_second_scan(*args, **kwargs):
         calls.append(args)
         if len(calls) == 2:
-            return (np.empty((0, 3)),)
+            return np.full((1, 3), np.nan)
         return real_sample(*args, **kwargs)
 
     monkeypatch.setattr(supervisor, "sample_cloud", blind_second_scan)
@@ -411,7 +423,10 @@ def test_sense_retry_holds_the_robot_for_one_step(monkeypatch):
     records = result.log.records
     retries = [i for i, r in enumerate(records) if r.phase == "inspect" and np.isnan(r.ref_x)]
     retry = records[retries[0]]
-    assert np.isnan(retry.f_d) and np.isnan(retry.viewing_distance)
+    # The supervisor's scan came back empty, but the log measures the world
+    # at the retry's pose.
+    assert np.isnan(retry.f_d) and np.isfinite(retry.viewing_distance)
+    assert_log_is_fresh(cfg, [retry])
     held = records[retries[0] + 1]
     assert held.phase == "inspect"
     assert round(held.t - retry.t, 9) == cfg.dt

@@ -844,13 +844,12 @@ BAD_VALUES = {
 }
 
 
-@pytest.mark.parametrize("value", BAD_VALUES.values(), ids=BAD_VALUES.keys())
-def test_cli_plan_takes_any_one_bad_value(tmp_path, value):
-    # Each scalar of GOOD_YAML in turn set to `value`: `plan` plans (0),
-    # finds no executable task (3) or rejects the file (64), within a few
-    # seconds, and raises nothing (a RuntimeWarning included).
+def assert_plan_takes_each(tmp_path, paths, value):
+    """GOOD_YAML with the node at each of `paths` in turn set to `value`:
+    `plan` plans (0), finds no executable task (3) or rejects the file (64),
+    within a few seconds, and raises nothing (a RuntimeWarning included)."""
     f = tmp_path / "scn.yaml"
-    for path in GOOD_LEAVES:
+    for path in paths:
         f.write_text(yaml.dump(_with_value(path, value), Dumper=YAML_DUMPER))
         try:
             with _time_limit(5.0):
@@ -858,6 +857,36 @@ def test_cli_plan_takes_any_one_bad_value(tmp_path, value):
         except Exception as exc:
             raise AssertionError(f"{_named(path)} = {value!r}: {exc!r}") from exc
         assert code in (0, 3, 64), f"{_named(path)} = {value!r}: exit {code}"
+
+
+@pytest.mark.parametrize("value", BAD_VALUES.values(), ids=BAD_VALUES.keys())
+def test_cli_plan_takes_any_one_bad_value(tmp_path, value):
+    # Each scalar of GOOD_YAML in turn.
+    assert_plan_takes_each(tmp_path, GOOD_LEAVES, value)
+
+
+def _containers(node, path=()):
+    """The key path of every mapping and list below the root of a scenario
+    document, list entries by index."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield path + (key,)
+            yield from _containers(value, path + (key,))
+
+
+GOOD_CONTAINERS = tuple(_containers(GOOD_DOC))
+# One bad value of each shape for a mapping or list.
+BAD_NODES = {"null": None, "true": True, "one": 1, "text": "x", "list": [], "mapping": {}, "numbers": [1], "maps": [{}]}
+
+
+@pytest.mark.parametrize("value", BAD_NODES.values(), ids=BAD_NODES.keys())
+def test_cli_plan_takes_any_one_bad_node(tmp_path, value):
+    # Each mapping, list and list entry of GOOD_YAML in turn.  The loader
+    # and the command line catch no KeyError or TypeError, so one raised
+    # while parsing would surface here.
+    assert len(GOOD_CONTAINERS) == 28
+    assert_plan_takes_each(tmp_path, GOOD_CONTAINERS, value)
 
 
 @pytest.mark.parametrize("bounds", [True, False], ids=["bounds", "no_bounds"])
@@ -1067,7 +1096,7 @@ def test_cli_unreachable_task_exit_code(tmp_path):
 def test_cli_failing_scan_aborts(tmp_path, monkeypatch):
     from surfscan import supervisor
 
-    monkeypatch.setattr(supervisor, "sample_cloud", lambda *args, **kwargs: (np.zeros((0, 3)),))
+    monkeypatch.setattr(supervisor, "sample_cloud", lambda *args, **kwargs: np.full((1, 3), np.nan))
     out = tmp_path / "run"
     assert main(["run", "--demo", "nominal", "--out", str(out)]) == 3
     assert json.loads((out / "summary.json").read_text())["status"] == "aborted"

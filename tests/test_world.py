@@ -10,7 +10,7 @@ from scipy import ndimage
 
 from kernel_reference import raycast_batch_scalar
 from strategies import grid_coordinate, occupancy_grids, wall_slabs
-from surfscan import kernels
+from surfscan import kernels, world
 from surfscan.geometry import ViewPose4, nearest_point
 from surfscan.world import (
     Box,
@@ -19,6 +19,7 @@ from surfscan.world import (
     Scene,
     VoxelMap,
     _load_xyz_lines,
+    _shell_cast,
     apply_delta,
     camera_axes_world,
     fibonacci_directions,
@@ -369,14 +370,12 @@ def test_render_depth_casts_other_frames_through_raycast_batch(wall_map, pose, c
     assert same_depths(got, scalar_depth(wall_map, pose, cam))
 
 
-# ---------------------------------------------------------------- cloud sampling
+# ---------------------------------------------------------------- range scans
 
 
 def test_sample_cloud_empty_map():
     vmap = VoxelMap.empty((0, 0, 0), (5, 5, 5), 0.1)
-    (cloud,) = sample_cloud(vmap, [[2.5, 2.5, 2.5]], 10.0, 256)
-    assert len(cloud) == 0
-    assert len(assert_same_nearest(vmap, np.array([2.5, 2.5, 2.5]), 10.0, 256)) == 0
+    assert np.isnan(assert_nearest_rows(vmap, [[2.5, 2.5, 2.5]], 10.0, 256)).all()
 
 
 def box_room(height):
@@ -414,19 +413,45 @@ def test_sample_cloud_hits_on_voxel_boundaries(wall_map):
         assert np.min(np.abs(g - np.round(g))) < 1e-6
 
 
-def assert_same_nearest(vmap, pos, max_range, ray_count):
-    """The cloud `sample_cloud` returns from `pos` gives `nearest_point` bit for
-    bit the answer of the full scan's returns; returns it."""
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
+
+
+def cast_t(vmap, pos, max_range, ray_count, nearest):
+    """The hit parameters of one scan from `pos` alone: a single-origin cast
+    of every ray on the occupied box."""
+    dirs_g = np.ascontiguousarray(fibonacci_directions(ray_count) / vmap.voxel_size)
+    box = vmap.occupied_box
+    return kernels.raycast_batch(vmap.occ, vmap.world_to_grid(pos), dirs_g, max_range, nearest=nearest, box=box)
+
+
+def single_scan(vmap, pos, max_range, ray_count, nearest):
+    """The (n, 3) points of one scan from `pos` alone, its hits placed at
+    pos + dir * t."""
+    if vmap.occupied_box is None:
+        return np.empty((0, 3))
+    t = cast_t(vmap, pos, max_range, ray_count, nearest)
+    hit = t >= 0.0
+    return pos + fibonacci_directions(ray_count)[hit] * t[hit, None]
+
+
+def nearest_return(vmap, pos, max_range, ray_count):
+    """`nearest_point` from `pos` over every return of a full scan from it,
+    or a NaN row if the scan sees nothing."""
     full = single_scan(vmap, pos, max_range, ray_count, False)
-    (near,) = sample_cloud(vmap, [pos], max_range, ray_count)
-    assert (len(near) == 0) == (len(full) == 0)
-    if len(full) == 0:
-        return near
-    p_full, d_full = nearest_point(full, pos)
-    p_near, d_near = nearest_point(near, pos)
-    assert np.array_equal(p_near.view(np.int64), p_full.view(np.int64))
-    assert np.float64(d_near).view(np.int64) == np.float64(d_full).view(np.int64)
-    return near
+    return nearest_point(full, pos)[0] if len(full) else np.full(3, np.nan)
+
+
+def assert_nearest_rows(vmap, positions, max_range, ray_count, got=None):
+    """`sample_cloud`'s rows (`got`, or a fresh call), each bit for bit the
+    nearest return of a full scan from its position alone; returns them."""
+    positions = np.asarray(positions, dtype=np.float64)
+    if got is None:
+        got = sample_cloud(vmap, positions, max_range, ray_count)
+    assert got.shape == positions.shape and got.dtype == np.float64 and not got.flags.writeable
+    for pos, row in zip(positions, got):
+        assert same_bits(row, nearest_return(vmap, pos, max_range, ray_count))
+    return got
 
 
 @given(data=st.data())
@@ -439,13 +464,13 @@ def test_sample_cloud_nearest_matches_full_cloud(data):
     g = np.array([data.draw(grid_coordinate(n)) for n in occ.shape])
     pos = origin + g * voxel_size
     max_range = data.draw(st.one_of(st.floats(0.05, 3.0), st.just(50.0)))
-    assert_same_nearest(vmap, pos, max_range, data.draw(st.integers(1, 300)))
+    assert_nearest_rows(vmap, [pos], max_range, data.draw(st.integers(1, 300)))
 
 
 def test_sample_cloud_nearest_origin_inside_occupied(wall_map):
     # Every ray hits at t = 0, so every return is the nearest.
-    near = assert_same_nearest(wall_map, np.array([6.2, 0.0, 1.2]), 8.0, 64)
-    assert len(near) == 64
+    t, _, _ = shell_scan(wall_map, [[6.2, 0.0, 1.2]], 8.0, 64)
+    assert (t >= 0.0).all()
 
 
 @pytest.mark.parametrize("height, rays", [(4.4, 512), (4.4, 2048), (2.4, 2048)])
@@ -453,34 +478,20 @@ def test_sample_cloud_nearest_box_room_center(height, rays):
     # Six walls at 2 m (cube) leave many returns nearly as near as the
     # nearest.  In the 2 m high room the first and last rays meet ceiling
     # and floor at ranges one rounding apart, within the margin: both stay.
-    center = np.array([2.2, 2.2, height / 2.0])
-    near = assert_same_nearest(box_room(height), center, 10.0, rays)
+    t, _, _ = shell_scan(box_room(height), [[2.2, 2.2, height / 2.0]], 10.0, rays)
     if height == 2.4:
-        assert len(near) == 2
-
-
-def single_scan(vmap, pos, max_range, ray_count, nearest):
-    """The (n, 3) points of one scan from `pos` alone: a single-origin cast
-    on the occupied box, its hits placed at pos + dir * t."""
-    box = vmap.occupied_box
-    if box is None:
-        return np.empty((0, 3))
-    dirs = fibonacci_directions(ray_count)
-    dirs_g = np.ascontiguousarray(dirs / vmap.voxel_size)
-    t = kernels.raycast_batch(vmap.occ, vmap.world_to_grid(pos), dirs_g, max_range, nearest=nearest, box=box)
-    hit = t >= 0.0
-    return pos + dirs[hit] * t[hit, None]
+        assert (t >= 0.0).sum() == 2
 
 
 def assert_scans_equal_single_scans(vmap, positions, max_range, ray_count):
-    """Each cloud of one multi-origin scan is bit for bit the scan from its
-    position alone."""
-    clouds = sample_cloud(vmap, positions, max_range, ray_count)
-    assert len(clouds) == len(positions)
-    for pos, cloud in zip(positions, clouds):
-        want = single_scan(vmap, pos, max_range, ray_count, True)
-        assert cloud.shape == want.shape
-        assert np.array_equal(cloud.view(np.int64), want.view(np.int64))
+    """Each row of one multi-origin scan is bit for bit the nearest return
+    of the scan from its position alone, and each row of the shells' hit
+    parameters that position's single nearest-mode cast."""
+    assert_nearest_rows(vmap, positions, max_range, ray_count)
+    if vmap.occupied_box is not None:
+        t = _shell_cast(vmap, vmap.world_to_grid(positions), fibonacci_directions(ray_count), max_range)
+        for pos, row in zip(positions, t):
+            assert same_bits(row, cast_t(vmap, pos, max_range, ray_count, True))
 
 
 def test_multi_origin_scans_equal_single_scans(wall_map):
@@ -502,8 +513,7 @@ def test_multi_origin_scans_equal_single_scans(wall_map):
         assert_scans_equal_single_scans(wall_map, positions, max_range, rays)
     # A 1 m range from 2 m in front of the face sees nothing, from a point
     # outside the grid neither.
-    clouds = sample_cloud(wall_map, positions[[0, 5]], 1.0, 512)
-    assert [len(cloud) for cloud in clouds] == [0, 0]
+    assert np.isnan(sample_cloud(wall_map, positions[[0, 5]], 1.0, 512)).all()
     assert_scans_equal_single_scans(box_room(2.4), np.array([[2.2, 2.2, 1.2], [9.0, 2.2, 1.2]]), 10.0, 2048)
 
 
@@ -520,7 +530,8 @@ def test_multi_origin_scans_equal_single_scans_on_random_grids(data):
 
 def test_multi_origin_scans_on_an_empty_map_are_empty():
     vmap = VoxelMap.empty((0, 0, 0), (5, 5, 5), 0.1)
-    assert_scans_equal_single_scans(vmap, np.array([[2.5, 2.5, 2.5], [1.0, 1.0, 1.0], [-3.0, 9.0, 1.0]]), 10.0, 256)
+    positions = np.array([[2.5, 2.5, 2.5], [1.0, 1.0, 1.0], [-3.0, 9.0, 1.0]])
+    assert np.isnan(assert_nearest_rows(vmap, positions, 10.0, 256)).all()
 
 
 @pytest.mark.parametrize(
@@ -535,8 +546,12 @@ def test_scans_reject_a_range_or_ray_count_that_returns_nothing(wall_map, max_ra
 
 
 def test_scans_cast_with_an_infinite_range(wall_map):
-    infinite, finite = (sample_cloud(wall_map, [[4.0, 0.0, 1.2]], r, 256)[0] for r in (math.inf, 12.0))
-    assert np.array_equal(infinite, finite) and len(finite) > 0
+    pos = np.array([[4.0, 0.0, 1.2]])
+    infinite, finite = (sample_cloud(wall_map, pos, r, 256) for r in (math.inf, 12.0))
+    assert same_bits(infinite, finite) and np.isfinite(finite).all()
+    dirs = fibonacci_directions(256)
+    t_inf, t_12 = (_shell_cast(wall_map, wall_map.world_to_grid(pos), dirs, r) for r in (math.inf, 12.0))
+    assert same_bits(t_inf, t_12) and (t_12 >= 0.0).any()
 
 
 def test_sensor_outputs_are_read_only_arrays(wall_map):
@@ -544,33 +559,61 @@ def test_sensor_outputs_are_read_only_arrays(wall_map):
     assert depth.shape == (CAM.height, CAM.width) and depth.dtype == np.float64
     positions = [[4.0, 0.0, 1.2], [4.0, 1.0, 1.2]]
     empty = VoxelMap.empty((0, 0, 0), (5, 5, 5), 0.1)
-    clouds = sample_cloud(wall_map, positions, 8.0, 512) + sample_cloud(empty, positions, 8.0, 512)
-    assert all(cloud.ndim == 2 and cloud.shape[1] == 3 and cloud.dtype == np.float64 for cloud in clouds)
-    for out in (depth, render_depth(empty, ViewPose4(2.5, 2.5, 2.5), CAM), *clouds):
+    scans = sample_cloud(wall_map, positions, 8.0, 512), sample_cloud(empty, positions, 8.0, 512)
+    assert all(scan.shape == (2, 3) and scan.dtype == np.float64 for scan in scans)
+    for out in (depth, render_depth(empty, ViewPose4(2.5, 2.5, 2.5), CAM), *scans):
         assert not out.flags.writeable
 
 
 def test_sample_cloud_deterministic(wall_map):
-    (a,) = sample_cloud(wall_map, [[4.0, 0.0, 1.2]], 8.0, 512)
-    (b,) = sample_cloud(wall_map, [[4.0, 0.0, 1.2]], 8.0, 512)
-    assert np.array_equal(a, b)
+    a = sample_cloud(wall_map, [[4.0, 0.0, 1.2]], 8.0, 512)
+    b = sample_cloud(wall_map, [[4.0, 0.0, 1.2]], 8.0, 512)
+    assert same_bits(a, b)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_sample_cloud_picks_the_least_squared_distance_lowest_ray_first(seed, monkeypatch):
+    # Hit parameters with many exact ties in squared distance, as the
+    # shells would return them: each row is `nearest_point`'s pick over
+    # the scan's hits in ray order, NaN for a scan without one.
+    rng = np.random.default_rng(seed)
+    vmap = VoxelMap.from_boxes([Box((0, 0, 0), (1, 1, 1))], 0.5, ((-4, -4, -4), (4, 4, 4)))
+    positions = rng.integers(-2, 3, (6, 3)).astype(np.float64)
+    t = rng.choice([-1.0, 0.5, 1.0, 2.0], size=(6, 64))
+    t[2] = -1.0
+    monkeypatch.setattr(world, "_shell_cast", lambda *args: t.copy())
+    got = sample_cloud(vmap, positions, 10.0, 64)
+    dirs = fibonacci_directions(64)
+    for pos, row, t_row in zip(positions, got, t):
+        hit = t_row >= 0.0
+        if hit.any():
+            assert same_bits(row, nearest_point(pos + dirs[hit] * t_row[hit, None], pos)[0])
+        else:
+            assert np.isnan(row).all()
 
 
 # ---------------------------------------------------------------- scan shells
 
 
 def shell_scan(vmap, positions, max_range, ray_count):
-    """`sample_cloud`'s clouds, checked bit for bit against a full cast of
-    every ray from each position, and the cap, box and ray count of each
-    kernel call it made."""
+    """`sample_cloud`'s rows for the scans from `positions`, checked against
+    each full scan's nearest return; the hit parameters `world._shell_cast`
+    gives them (None on an empty map, where nothing is cast), checked bit
+    for bit against each position's single nearest-mode cast of every ray;
+    and the cap, box and ray count of each kernel call `sample_cloud`
+    made."""
+    positions = np.asarray(positions, dtype=np.float64)
     with mock.patch.object(kernels, "raycast_batch", wraps=kernels.raycast_batch) as cast:
-        clouds = sample_cloud(vmap, positions, max_range, ray_count)
-    assert len(clouds) == len(positions)
-    for pos, cloud in zip(positions, clouds):
-        want = single_scan(vmap, pos, max_range, ray_count, True)
-        assert cloud.shape == want.shape
-        assert np.array_equal(cloud.view(np.int64), want.view(np.int64))
-    return clouds, [(c.args[3], c.kwargs["box"], c.args[2].shape[0]) for c in cast.call_args_list]
+        nearest = sample_cloud(vmap, positions, max_range, ray_count)
+    assert_nearest_rows(vmap, positions, max_range, ray_count, nearest)
+    casts = [(c.args[3], c.kwargs["box"], c.args[2].shape[0]) for c in cast.call_args_list]
+    if vmap.occupied_box is None:
+        return None, nearest, casts
+    t = _shell_cast(vmap, vmap.world_to_grid(positions), fibonacci_directions(ray_count), max_range)
+    assert t.shape == (len(positions), ray_count)
+    for pos, row in zip(positions, t):
+        assert same_bits(row, cast_t(vmap, pos, max_range, ray_count, True))
+    return t, nearest, casts
 
 
 def shell_regime(casts, max_range):
@@ -592,8 +635,8 @@ def overhang_map():
 
 def test_shell_scan_from_inside_an_occupied_voxel(wall_map):
     # Every ray hits at t = 0, within the first shell of one voxel.
-    clouds, casts = shell_scan(wall_map, [[6.2, 0.0, 1.2]], 12.0, 256)
-    assert len(clouds[0]) == 256
+    t, _, casts = shell_scan(wall_map, [[6.2, 0.0, 1.2]], 12.0, 256)
+    assert (t >= 0.0).all()
     assert shell_regime(casts, 12.0) == "first" and casts[0][0] == pytest.approx(0.1)
 
 
@@ -601,18 +644,21 @@ def test_shell_scan_under_an_overhang_grows():
     # Each column holds floor and roof, so its box spans the origin and
     # r = 0: the shell grows from one voxel until it reaches the roof 0.7 m
     # above.
-    clouds, casts = shell_scan(overhang_map(), [[2.0, 2.0, 1.3]], 12.0, 512)
-    assert len(clouds[0]) == 1 and clouds[0][0, 2] == 2.0
+    t, nearest, casts = shell_scan(overhang_map(), [[2.0, 2.0, 1.3]], 12.0, 512)
+    assert (t >= 0.0).sum() == 1 and nearest[0, 2] == 2.0
     assert shell_regime(casts, 12.0) == "grown"
     assert [cap for cap, _, _ in casts] == pytest.approx([0.1, 0.2, 0.4, 0.8])
 
 
 def test_shell_scan_past_a_thin_post_the_rays_miss(wall_map):
     # A one-voxel post 0.5 m ahead sets r, but all 32 rays pass it: the
-    # shell grows to the wall 2 m away, and the cloud lies on the wall.
+    # shell grows to the wall 2 m away, and every return lies on the wall.
     post = apply_delta(wall_map, MorphologyDelta(additions=(Box((4.5, 0.0, 1.1), (4.6, 0.1, 1.2)),)))
-    clouds, casts = shell_scan(post, [[4.0, 0.05, 1.15]], 12.0, 32)
-    assert len(clouds[0]) > 0 and (clouds[0][:, 0] == 6.0).all()
+    pos = np.array([4.0, 0.05, 1.15])
+    t, nearest, casts = shell_scan(post, [pos], 12.0, 32)
+    hit = t[0] >= 0.0
+    assert hit.any() and ((pos + fibonacci_directions(32)[hit] * t[0, hit, None])[:, 0] == 6.0).all()
+    assert nearest[0, 0] == 6.0
     assert shell_regime(casts, 12.0) == "grown"
     assert casts[0][2] < 32  # the first shell casts only the rays toward the post
 
@@ -620,17 +666,17 @@ def test_shell_scan_past_a_thin_post_the_rays_miss(wall_map):
 def test_shell_scan_mixes_a_near_and_a_far_origin(wall_map):
     # 0.3 m and 10 m from the face in one batch: one shell, capped at the
     # far origin's reach, serves both.
-    clouds, casts = shell_scan(wall_map, [[5.7, 0.0, 1.2], [-4.0, 0.0, 1.2]], 12.0, 2048)
-    assert [len(cloud) for cloud in clouds] == [1, 1]
-    assert clouds[0][0, 0] == 6.0 and clouds[1][0, 0] == pytest.approx(6.0)
+    t, nearest, casts = shell_scan(wall_map, [[5.7, 0.0, 1.2], [-4.0, 0.0, 1.2]], 12.0, 2048)
+    assert (t >= 0.0).sum(axis=1).tolist() == [1, 1]
+    assert nearest[0, 0] == 6.0 and nearest[1, 0] == pytest.approx(6.0)
     assert shell_regime(casts, 12.0) == "first"
 
 
 def test_shell_scan_with_a_range_short_of_the_free_radius_is_empty(wall_map):
     # The face is 2 m away and the range 1.5 m: the first shell would reach
     # past the range, so the full cast runs, and it sees nothing.
-    clouds, casts = shell_scan(wall_map, [[4.0, 0.0, 1.2], [4.0, 1.0, 0.6]], 1.5, 512)
-    assert [len(cloud) for cloud in clouds] == [0, 0]
+    t, nearest, casts = shell_scan(wall_map, [[4.0, 0.0, 1.2], [4.0, 1.0, 0.6]], 1.5, 512)
+    assert (t < 0.0).all() and np.isnan(nearest).all()
     assert shell_regime(casts, 1.5) == "full"
     assert casts[0][1] is wall_map.occupied_box and casts[0][2] == 2 * 512
 
@@ -640,8 +686,8 @@ def test_shell_scan_completes_an_origin_only_when_the_cap_holds_its_bound(wall_m
     # away keeps returns out to 3 m: the first shell (2.14 m) holds the
     # nearest return but not its bound, so the shell must grow.
     monkeypatch.setattr(kernels, "_nearest_bound", lambda t: t * 1.5 + 1e-9)
-    clouds, casts = shell_scan(wall_map, [[4.0, 0.0, 1.2]], 12.0, 512)
-    assert np.linalg.norm(clouds[0] - [4.0, 0.0, 1.2], axis=1).max() > 2.5
+    t, _, casts = shell_scan(wall_map, [[4.0, 0.0, 1.2]], 12.0, 512)
+    assert t.max() > 2.5
     assert shell_regime(casts, 12.0) == "grown"
 
 
@@ -686,7 +732,7 @@ SLAB[7:] = True
 def test_shell_scans_equal_the_full_cast(scene):
     occ, voxel_size, grid_positions, max_range, rays = scene
     vmap = VoxelMap(np.array([-7.3, 120.1, 0.35]), voxel_size, occ)
-    _, casts = shell_scan(vmap, vmap.origin + grid_positions * voxel_size, max_range, rays)
+    _, _, casts = shell_scan(vmap, vmap.origin + grid_positions * voxel_size, max_range, rays)
     event(shell_regime(casts, max_range))
 
 
@@ -702,7 +748,7 @@ def test_shell_scan_examples_reach_each_regime(occ, grid_positions, max_range, r
     # The oracle's explicit examples cover the first shell, a grown shell
     # and the full cast.
     vmap = VoxelMap(np.array([-7.3, 120.1, 0.35]), 0.25, occ)
-    _, casts = shell_scan(vmap, vmap.origin + np.array(grid_positions) * 0.25, max_range, 300)
+    _, _, casts = shell_scan(vmap, vmap.origin + np.array(grid_positions) * 0.25, max_range, 300)
     assert shell_regime(casts, max_range) == regime
 
 
@@ -724,8 +770,8 @@ def test_wall_recession_grows_nearest_distance(wall_map):
     delta = MorphologyDelta(removals=(Box((6.0, -5.0, 0.0), (7.0, 5.0, 2.4)),),
                             additions=(Box((7.0, -5.0, 0.0), (7.4, 5.0, 2.4)),))
     receded = apply_delta(wall_map, delta)
-    _, d0 = nearest_point(sample_cloud(wall_map, [probe], 12.0, 1024)[0], probe)
-    _, d1 = nearest_point(sample_cloud(receded, [probe], 12.0, 1024)[0], probe)
+    d0 = np.linalg.norm(sample_cloud(wall_map, [probe], 12.0, 1024)[0] - probe)
+    d1 = np.linalg.norm(sample_cloud(receded, [probe], 12.0, 1024)[0] - probe)
     assert d1 - d0 == pytest.approx(1.0, abs=2 * wall_map.voxel_size)
 
 
@@ -788,7 +834,7 @@ def test_empty_map_casts_no_rays(monkeypatch):
     monkeypatch.setattr(kernels, "raycast_level_frame", no_cast)
     vmap = VoxelMap.empty((0, 0, 0), (5, 5, 5), 0.1)
     assert not np.isfinite(render_depth(vmap, ViewPose4(2.5, 2.5, 2.5), CAM)).any()
-    assert all(len(cloud) == 0 for cloud in sample_cloud(vmap, np.full((2, 3), 2.5), 10.0, 256))
+    assert np.isnan(sample_cloud(vmap, np.full((2, 3), 2.5), 10.0, 256)).all()
 
 
 # ---------------------------------------------------------------- collision
