@@ -22,7 +22,7 @@ against 8 single-origin calls (both numpy, clipped to the occupied box).
 The shell scan rows time `sample_cloud`, which casts each batch of scans
 in shells around its origins and returns each scan's nearest return,
 against one nearest-mode cast of all the same rays on the whole occupied
-box and `nearest_point` over each scan's returns, after checking that
+box and each scan's return of least range, after checking that
 both give the same points: the log pass's 8 scans and one flight scan, from the
 `receding` sensing pose and from a pose in the `obstacle` demo's
 approach, between the obstruction and the wall, where the shell holds
@@ -83,7 +83,7 @@ import numpy as np
 from scipy import ndimage
 
 from surfscan import global_plan, kernels, world
-from surfscan.geometry import PolygonROI, ViewPose4, nearest_point
+from surfscan.geometry import PolygonROI, ViewPose4
 from surfscan.metrics import DEPTH_JUMP, estimate_normal_map
 from surfscan.scenario import CAMERA_FOV, build_scene, demo_scenario
 from surfscan.world import Box, CameraIntrinsics, VoxelMap, camera_axes_world, fibonacci_directions, render_depth
@@ -236,16 +236,18 @@ def swept_cases():
 
 def full_nearest_returns(vmap, positions, max_range, ray_count):
     """The (G, 3) nearest returns of one nearest-mode cast of every ray from
-    every position on the occupied box, each `nearest_point` over its scan's
-    returns (NaN if none): `sample_cloud` as it cast before its shells."""
+    every position on the occupied box, each its scan's return of least
+    range, the lowest ray first (NaN if none): `sample_cloud` as it cast
+    before its shells."""
     dirs = fibonacci_directions(ray_count)
     rays = np.tile(dirs / vmap.voxel_size, (len(positions), 1))
     t = kernels.raycast_batch(vmap.occ, vmap.world_to_grid(positions), rays, max_range, True, box=vmap.occupied_box)
     out = np.full((len(positions), 3), np.nan)
     for g, (pos, t_g) in enumerate(zip(positions, t.reshape(len(positions), -1))):
-        hit = t_g >= 0.0
-        if hit.any():
-            out[g] = nearest_point(pos + dirs[hit] * t_g[hit, None], pos)[0]
+        hit = np.flatnonzero(t_g >= 0.0)
+        if hit.size:
+            ray = hit[np.argmin(t_g[hit])]
+            out[g] = pos + dirs[ray] * t_g[ray]
     return out
 
 

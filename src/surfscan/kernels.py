@@ -37,14 +37,6 @@ __all__ = [
 ]
 
 
-def _nearest_bound(t):
-    """Largest hit parameter a nearest-mode cast keeps, given the nearest
-    hit `t`: a relative and an absolute margin of 1e-9 above it.  Rounding
-    keeps it monotone in `t`, so the bound of the smallest of several hits
-    is the smallest of their bounds."""
-    return t * (1.0 + 1e-9) + 1e-9
-
-
 def point_is_free(occ, gx, gy, gz, radius, box):
     """True iff no occupied voxel box lies within `radius` of the point.
 
@@ -179,13 +171,12 @@ def raycast_batch(occ, origin, dirs, t_cap, nearest=False, *, box):
     parameterization), N a multiple of G: ray i is cast from origin
     i // (N // G).  Returns the (N,) hit parameters; misses are -1.0.
 
-    With `nearest`, only the returns that can be the nearest of their scan
-    are kept: let t_min be the smallest hit parameter among the rays from
-    the same origin; every ray whose hit t satisfies
-    t <= t_min * (1 + 1e-9) + 1e-9 returns exactly the value of the full
-    cast, every other ray returns -1.0.  Rays stop marching once they pass
-    that bound for the nearest hit found so far from their origin, so one
-    scan's near hit never retires another scan's rays.
+    With `nearest`, only the nearest returns of each scan are kept: let
+    t_min be the smallest hit parameter among the rays from the same
+    origin; every ray that hits at t_min returns it, every other ray
+    returns -1.0.  Rays stop marching once they pass the nearest hit found
+    so far from their origin, so one scan's near hit never retires another
+    scan's rays.
 
     `box` is a (2, 3) int64 array of the first and one-past-last voxel per
     axis of a box that holds every occupied voxel a ray enters within its
@@ -276,7 +267,7 @@ def raycast_batch(occ, origin, dirs, t_cap, nearest=False, *, box):
         cells[axis, rows] = np.clip(moved, -1, shape[axis])
     bound = _march(occ, box, out, ray, fstate, sign, cells, per if nearest else 0, groups)
     if nearest:
-        # The final bound decides, whatever order the hits were found in.
+        # The nearest hit decides, whatever order the hits were found in.
         scans = out.reshape(groups, per)
         scans[scans > bound[:, None]] = -1.0
     return out
@@ -290,7 +281,7 @@ def _march(occ, box, out, ray, fstate, sign, cells, per, groups):
     direction and `cells` the voxel per axis (a voxel outside the grid
     is a miss).  Writes each hit's t into `out`.  With `per` > 0 the rays
     are `nearest` scans of `per` rays from each of `groups` origins, and
-    the per-origin bound on the nearest hit is returned; with `per` 0 and
+    each origin's nearest hit is returned as its bound; with `per` 0 and
     `groups` 1 that bound stays inf.
 
     Every live ray advances one voxel per iteration, with the same
@@ -345,7 +336,7 @@ def _march(occ, box, out, ray, fstate, sign, cells, per, groups):
             if per and hit.any():
                 # Lowering t_exit retires rays past the bound through the
                 # `inside` test; their DDA arithmetic is untouched.
-                np.minimum.at(bound, istate[0, hit] // per, _nearest_bound(t[hit]))
+                np.minimum.at(bound, istate[0, hit] // per, t[hit])
                 np.minimum(fstate[1], bound[istate[0] // per] if groups > 1 else bound[0], out=fstate[1])
             if 4 * n_done > done.size:
                 keep = np.flatnonzero(~done)

@@ -83,7 +83,7 @@ def viewing_distance(positions, nearest):
     float64 array, NaN for a scan that saw nothing (a NaN row).
 
     It evaluates `geometry.nearest_point`'s squared-distance expression, so
-    each distance is bitwise the one `nearest_point` gives for its scan.
+    each distance is bitwise the one `nearest_point` gives for that return.
     """
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
     if len(nearest) != len(positions):

@@ -91,9 +91,9 @@ class MissionRunner:
     def __init__(self, cfg, scene=None, base_dir=None):
         self.cfg = cfg
         self.scene = scene if scene is not None else build_scene(cfg, base_dir)
-        vmap = self.scene.historical
-        if not all(0 <= (p - o) / vmap.voxel_size < n for p, o, n in zip(cfg.start, vmap.origin.tolist(), vmap.shape)):
-            raise ValueError(f"robot.start {list(cfg.start[:3])} lies off the historical map")
+        for name, vmap in (("historical", self.scene.historical), ("current", self.scene.current)):
+            if not all(0 <= (p - o) / vmap.voxel_size < n for p, o, n in zip(cfg.start, vmap.origin.tolist(), vmap.shape)):
+                raise ValueError(f"robot.start {list(cfg.start[:3])} lies off the {name} map")
 
     # -- planning ------------------------------------------------------------
 
@@ -175,7 +175,6 @@ class _Stepper:
         self.scene = runner.scene
         self.pose = cfg.start_pose
         self.rng = np.random.default_rng(cfg.seed)
-        self.t = 0.0
         self.steps = 0
         self.max_steps = int(round(cfg.max_sim_time / cfg.dt))
         self.flown = []
@@ -258,7 +257,7 @@ class _Stepper:
         ref, self.cycle = step_mission(state, self.scene, reported)
         self.record("inspect", ref, False)
         if ref is not None and state.last_lvp is not None:
-            self.predicted_paths.append((round(self.t, 9), state.last_lvp))
+            self.predicted_paths.append((round(self.steps * cfg.dt, 9), state.last_lvp))
         return ref
 
     def follow(self, phase, refs, tol, cap, blocked):
@@ -300,13 +299,12 @@ class _Stepper:
         pose = self.pose
         target = ref if ref is not None else pose
         self.pose, blocked = track_step(pose, target, self.scene.current, self.cfg)
-        self.t += self.cfg.dt
         self.steps += 1
         return blocked
 
     def record(self, phase, ref, blocked):
         """Note the current step: its pose, reference and cycle."""
-        self.flown.append((round(self.t, 9), phase, self.cycle, self.pose, ref, blocked))
+        self.flown.append((round(self.steps * self.cfg.dt, 9), phase, self.cycle, self.pose, ref, blocked))
 
 
 def _log_steps(flown, vmap, cfg):

@@ -534,25 +534,20 @@ def sample_cloud(vmap, positions, max_range, ray_count):
     """The nearest return of an omnidirectional range scan from each of the
     (G, 3) `positions`: a read-only (G, 3) float64 array whose row g is the
     first-hit point, world frame, of scan g's Fibonacci-sphere ray pattern
-    nearest to position g, the one of least squared distance
-    `dx*dx + dy*dy + dz*dz` and lowest ray index on ties (the rule of
-    `geometry.nearest_point` over the scan's full set of returns).  A scan
-    whose rays hit nothing within range gives a NaN row.
+    of least range (the ray parameter t of its unit ray), the lowest ray
+    index on exact ties, placed at position + direction * t.  A scan whose
+    rays hit nothing within range gives a NaN row.
 
     The G scans are cast together, in nearest mode, in shells around their
     positions (`_shell_cast`): each shell is one multi-origin
     `kernels.raycast_batch` call of only the rays that can meet the
     occupied voxels within its reach, capped at that reach.  The first
     shell reaches just past the nearest filled column's box and holds every
-    scan of the demos; a scan whose returns could lie past it is cast again
-    in a shell twice as wide, up to the full cast of every ray.  The kept
-    returns are those at a range r <= r_min * (1 + 1e-9) + 1e-9 m, r_min
-    the nearest range (see :func:`kernels.raycast_batch`), bitwise those of
-    a full cast of each position alone; the margin covers the rounding of
-    the points and of their squared distances, so the nearest of them is
-    the nearest of all returns.  One stable sort of the kept returns by
-    (scan, squared distance) picks each row.  On an empty map nothing is
-    cast.
+    scan of the demos; a scan whose nearest return could lie past it is
+    cast again in a shell twice as wide, up to the full cast of every ray.
+    A nearest-mode cast keeps exactly the rays that hit at the least range,
+    bitwise those of a full cast of each position alone, so each row is
+    that of its scan's first kept ray.  On an empty map nothing is cast.
 
     A range that is not positive (nan included; an infinite one is legal)
     or fewer than one ray raises ValueError: either would return nothing.
@@ -566,12 +561,10 @@ def sample_cloud(vmap, positions, max_range, ray_count):
     if vmap.occupied_box is not None:
         dirs = fibonacci_directions(int(ray_count))
         t = _shell_cast(vmap, vmap.world_to_grid(positions), dirs, float(max_range))
-        scan, ray = np.nonzero(t >= 0.0)
-        points = positions[scan] + dirs[ray] * t[scan, ray][:, None]
-        dx, dy, dz = (points - positions[scan]).T
-        order = np.lexsort((dx * dx + dy * dy + dz * dz, scan))
-        first = order[np.diff(scan[order], prepend=-1) != 0]
-        nearest[scan[first]] = points[first]
+        hit = t >= 0.0
+        scan = np.flatnonzero(hit.any(axis=1))
+        ray = hit[scan].argmax(axis=1)
+        nearest[scan] = positions[scan] + dirs[ray] * t[scan, ray][:, None]
     nearest.setflags(write=False)
     return nearest
 
@@ -600,10 +593,11 @@ def _shell_cast(vmap, origins, dirs, t_cap):
     that can meet the voxels within R + 1 of it: they lie in a box, and its
     cone from the origin, padded by a voxel and narrowed by the ball of
     radius R + 1, holds every such ray.  An origin whose nearest hit t_min
-    has `_nearest_bound(t_min) <= T` so gets exactly the full cast's
-    returns.  The others go to the next round with R doubled.  Once T
-    reaches `t_cap`, or R the farthest corner of the padded occupied box,
-    the round is the full cast itself.
+    is at most T so gets exactly the full cast's returns: every ray of the
+    full cast that hits at t_min is cast, and none hits nearer.  The others
+    go to the next round with R doubled.  Once T reaches `t_cap`, or R the
+    farthest corner of the padded occupied box, the round is the full cast
+    itself.
     """
     occ, box, h = vmap.occ, vmap.occupied_box, vmap.voxel_size
     dirs_g = dirs / h
@@ -670,7 +664,7 @@ def _shell_cast(vmap, origins, dirs, t_cap):
             shell = np.array([lo[valid].min(axis=0), hi[valid].max(axis=0)], dtype=np.int64)
             t = kernels.raycast_batch(occ, o, dirs_g[rays.ravel()], cap, nearest=True, box=shell).reshape(-1, per)
             t_min = np.where(t >= 0.0, t, np.inf).min(axis=1)
-            done = kernels._nearest_bound(t_min) <= cap
+            done = t_min <= cap
             out[todo[done, None], rays[done]] = t[done]
             todo = todo[~done]
         reach *= 2.0

@@ -4,14 +4,13 @@ and `_box_exit`) and the per-pixel normal stencil
 `normals_from_depth_scalar`, moved verbatim from `surfscan.kernels`.  The
 vectorized kernels `raycast_batch`, `raycast_level_frame`,
 `normals_from_depth` and `incidence_cosines` must return the same bits.
-The nearest-mode bound is imported from `surfscan.kernels`, so both sides
-follow one rule."""
+`nearest_only` states the nearest-mode rule on a full cast's results.
+Nothing here is imported from `surfscan`: the oracle shares no rule with
+the kernels it checks."""
 
 import math
 
 import numpy as np
-
-from surfscan.kernels import _nearest_bound
 
 
 def _ray_first_hit(occ, ox, oy, oz, dx, dy, dz, t_cap):
@@ -155,7 +154,8 @@ def raycast_batch_scalar(occ, origin, dirs, t_cap, nearest=False, box=None):
     This is the bitwise reference the vectorized kernel is tested against.
     A (G, 3) `origin` casts the rays in G equal consecutive runs, run g
     from origin g.  With `nearest`, each ray is cast with its cap lowered
-    to the bound of the nearest hit so far from its own origin.  With
+    to the nearest hit so far from its own origin, and only the rays that
+    hit at the nearest of all keep their hit.  With
     `box`, each ray's cap is also lowered to its exit from the padded box
     (see :func:`raycast_batch`).
     """
@@ -175,13 +175,23 @@ def raycast_batch_scalar(occ, origin, dirs, t_cap, nearest=False, box=None):
                 cap = min(cap, _box_exit(box, ox, oy, oz, dirs[r, 0], dirs[r, 1], dirs[r, 2]))
             out[r] = _ray_first_hit(occ, ox, oy, oz, dirs[r, 0], dirs[r, 1], dirs[r, 2], cap)
             if nearest and out[r] >= 0.0:
-                bound = min(bound, _nearest_bound(out[r]))
+                bound = min(bound, out[r])
         if nearest:
-            # The final bound decides, whatever order the hits were found in.
+            # The nearest hit decides, whatever order the hits were found in.
             for r in range(g * per, (g + 1) * per):
                 if out[r] > bound:
                     out[r] = -1.0
     return out
+
+
+def nearest_only(t):
+    """One scan's full-cast hit parameters `t` with every hit past the
+    nearest dropped: what :func:`raycast_batch` returns for the scan with
+    `nearest`."""
+    hits = t[t >= 0.0]
+    if hits.size:
+        t = np.where(t > hits.min(), -1.0, t)
+    return t
 
 
 def normals_from_depth_scalar(depth, fx, fy, cx, cy, jump):

@@ -6,9 +6,11 @@ and the scalar kernels against brute-force definitions.
 `normals_from_depth_scalar` of `kernel_reference` exactly.
 """
 
+import ast
 import functools
 import math
 import warnings
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -123,39 +125,61 @@ def test_raycast_tiny_direction_off_grid_emits_no_warning():
     assert got[0] == -1.0 and got[1] > 0.0
 
 
-def nearest_only(t):
-    """The full cast with every hit beyond the nearest-mode bound dropped."""
-    hits = t[t >= 0.0]
-    if hits.size:
-        t = np.where(t > hits.min() * (1.0 + 1e-9) + 1e-9, -1.0, t)
-    return t
-
-
 @given(batch=ray_batches())
 @PROPERTY
 def test_raycast_nearest_matches_filtered_scalar_oracle(batch):
     got = cast(*batch, nearest=True)
-    assert same_bits(got, nearest_only(scalar_raycast(*batch)))
+    assert same_bits(got, kernel_reference.nearest_only(scalar_raycast(*batch)))
     assert same_bits(got, scalar_raycast(*batch, nearest=True))
 
 
-def test_raycast_nearest_keeps_a_hit_on_the_bound_and_drops_earlier_far_hits():
-    # From (3.5, 1.5, 1.5): ray 0 crawls up y (tdelta 10) and is the first to
-    # hit, at t = 5; ray 1 enters voxel 2 down x at t = 0.5 / d, tuned to
-    # equal exactly the bound 1.5 * (1 + 1e-9) + 1e-9 that ray 2's later
-    # hit of voxel 5 at t = 1.5 sets.  Ray 0 must go, ray 1 must stay.
+def bound_race(t1, d2):
+    """From (3.5, 1.5, 1.5): ray 0 crawls up y (tdelta 10) and is the first
+    to hit, at t = 5; ray 1 enters voxel 2 down x at t = 0.5 / d, d tuned
+    so that this is exactly `t1`; ray 2 moves up x at speed `d2` and hits
+    voxel 5, the nearest, later.  Returns the full cast and the
+    nearest-mode cast, checked against the scalar oracle's."""
     occ = np.zeros((9, 4, 3), dtype=np.bool_)
     occ[3, 2, 1] = occ[2, 1, 1] = occ[5, 1, 1] = True
-    bound = 1.5 * (1.0 + 1e-9) + 1e-9
-    d = 0.5 / bound
-    while 0.5 / d != bound:
-        d = np.nextafter(d, 0.0 if 0.5 / d < bound else 1.0)
+    d = 0.5 / t1
+    for _ in range(8):
+        if 0.5 / d == t1:
+            break
+        d = np.nextafter(d, 0.0 if 0.5 / d < t1 else 1.0)
+    assert 0.5 / d == t1
     origin = np.array([3.5, 1.5, 1.5])
-    dirs = np.array([[0.0, 0.1, 0.0], [-d, 0.0, 0.0], [1.0, 0.0, 0.0]])
-    assert scalar_raycast(occ, origin, dirs, 100.0).tolist() == [0.5 / 0.1, bound, 1.5]
+    dirs = np.array([[0.0, 0.1, 0.0], [-d, 0.0, 0.0], [d2, 0.0, 0.0]])
+    full = scalar_raycast(occ, origin, dirs, 100.0)
     got = cast(occ, origin, dirs, 100.0, nearest=True)
-    assert got.tolist() == [-1.0, bound, 1.5]
     assert same_bits(got, scalar_raycast(occ, origin, dirs, 100.0, nearest=True))
+    return full, got
+
+
+def test_raycast_nearest_keeps_a_hit_on_the_bound_and_drops_earlier_far_hits():
+    # Ray 1 hits at exactly ray 2's range, the nearest, 1.5: ray 0 must go,
+    # ray 1 must stay.
+    full, got = bound_race(1.5, 1.0)
+    assert full.tolist() == [0.5 / 0.1, 1.5, 1.5]
+    assert got.tolist() == [-1.0, 1.5, 1.5]
+
+
+def test_raycast_nearest_drops_a_hit_one_ulp_past_the_nearest():
+    # Ray 2, one ulp faster than 1, hits at 1.4999999999999996; ray 1 hits
+    # one ulp later and must go.
+    fast = np.nextafter(1.0, 2.0)
+    t_min = 0.5 / fast + 1.0 / fast
+    past = np.nextafter(t_min, np.inf)
+    full, got = bound_race(past, fast)
+    assert full.tolist() == [0.5 / 0.1, past, t_min] and t_min < 1.5
+    assert got.tolist() == [-1.0, -1.0, t_min]
+
+
+def test_kernel_reference_imports_nothing_from_surfscan():
+    # The scalar oracle must share no rule with the kernels it checks.
+    tree = ast.parse(Path(kernel_reference.__file__).read_text())
+    imported = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names]
+    imported += [node.module or "" for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    assert imported and not [name for name in imported if name.split(".")[0] == "surfscan"]
 
 
 @st.composite

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kernel_reference import normals_from_depth_scalar
+from kernel_reference import normals_from_depth_scalar, raycast_batch_scalar
 from strategies import depth_images, grid_coordinate, occupancy_grids
 from surfscan import kernels, metrics
 from surfscan.geometry import NoSurfaceError, PathSegment, ViewPose4, nearest_point
@@ -193,9 +193,10 @@ def test_viewing_distance_empty_cloud():
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_viewing_distance_is_nearest_point_per_scan(data):
-    # Each `sample_cloud` row is `nearest_point`'s pick over every return of
-    # a full cast from its position alone, and its viewing distance is
-    # bitwise `nearest_point`'s, the one distance rule.
+    # Each `sample_cloud` row is the return of least range, the lowest ray
+    # first, of the scalar oracle's full cast from its position alone, and
+    # its viewing distance is bitwise the distance `nearest_point` gives
+    # for that return, the one distance rule.
     occ = data.draw(occupancy_grids())
     vmap = VoxelMap(np.array([-7.3, 120.1, 0.35]), 0.25, occ)
     count = data.draw(st.integers(1, 4))
@@ -205,16 +206,15 @@ def test_viewing_distance_is_nearest_point_per_scan(data):
     nearest = sample_cloud(vmap, positions, max_range, rays)
     got = viewing_distance(positions, nearest)
     dirs = fibonacci_directions(rays)
+    dirs_g = np.ascontiguousarray(dirs / vmap.voxel_size)
     for q, row, dist in zip(positions, nearest, got):
-        t = np.empty(0)
-        if vmap.occupied_box is not None:
-            dirs_g = np.ascontiguousarray(dirs / vmap.voxel_size)
-            t = kernels.raycast_batch(vmap.occ, vmap.world_to_grid(q), dirs_g, max_range, box=vmap.occupied_box)
-        hit = t >= 0.0
-        if not hit.any():
+        t = raycast_batch_scalar(vmap.occ, vmap.world_to_grid(q), dirs_g, max_range)
+        hit = np.flatnonzero(t >= 0.0)
+        if not hit.size:
             assert np.isnan(row).all() and np.isnan(dist)
             continue
-        point, want = nearest_point(q + dirs[hit] * t[hit, None], q)
+        ray = hit[np.argmin(t[hit])]
+        point, want = nearest_point((q + dirs[ray] * t[ray])[None], q)
         assert np.array_equal(row.view(np.int64), point.view(np.int64))
         assert np.float64(dist).view(np.int64) == np.float64(want).view(np.int64)
 

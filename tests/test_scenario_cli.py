@@ -810,6 +810,25 @@ def test_cli_rejects_a_scene_it_cannot_plan(tmp_path, capsys, path, value, reaso
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["plan", "run"])
+def test_cli_rejects_a_start_off_the_current_map(tmp_path, capsys, command):
+    # Without maps.bounds each map spans its own boxes.  A current map that
+    # left out the start passed the load: plan exited 0, and run aborted
+    # (exit 3) on "route to tour start failed: start ... lies outside the
+    # map bounds".
+    cfg = yaml.safe_load(GOOD_YAML)
+    maps = cfg["maps"]
+    del maps["bounds"], maps["delta"]
+    maps["historical"]["boxes"].append({"lo": [0.0, -6.0, 0.0], "hi": [0.4, -5.6, 0.4]})
+    maps["current"] = {"boxes": maps["historical"]["boxes"][:1]}
+    f = tmp_path / "scn.yaml"
+    f.write_text(yaml.safe_dump(cfg))
+    out = tmp_path / "out"
+    assert main([command, "--config", str(f), "--out", str(out)]) == 64
+    assert "robot.start [4.0, -5.0, 0.6] lies off the current map" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @contextlib.contextmanager
 def _time_limit(seconds):
     """Raise TimeoutError in the block once `seconds` of wall time pass."""

@@ -8,10 +8,10 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
-from kernel_reference import raycast_batch_scalar
+from kernel_reference import nearest_only, raycast_batch_scalar
 from strategies import grid_coordinate, occupancy_grids, wall_slabs
 from surfscan import kernels, world
-from surfscan.geometry import ViewPose4, nearest_point
+from surfscan.geometry import ViewPose4
 from surfscan.world import (
     Box,
     CameraIntrinsics,
@@ -435,16 +435,29 @@ def single_scan(vmap, pos, max_range, ray_count, nearest):
     return pos + fibonacci_directions(ray_count)[hit] * t[hit, None]
 
 
+def full_t(vmap, pos, max_range, ray_count):
+    """The hit parameters of every ray of one scan from `pos`, cast one by
+    one by the scalar oracle on the whole grid."""
+    dirs_g = np.ascontiguousarray(fibonacci_directions(ray_count) / vmap.voxel_size)
+    return raycast_batch_scalar(vmap.occ, vmap.world_to_grid(pos), dirs_g, max_range)
+
+
 def nearest_return(vmap, pos, max_range, ray_count):
-    """`nearest_point` from `pos` over every return of a full scan from it,
-    or a NaN row if the scan sees nothing."""
-    full = single_scan(vmap, pos, max_range, ray_count, False)
-    return nearest_point(full, pos)[0] if len(full) else np.full(3, np.nan)
+    """The return of least range over every ray of a full scan from `pos`,
+    the lowest ray on exact ties, at pos + direction * t; a NaN row if the
+    scan sees nothing."""
+    t = full_t(vmap, pos, max_range, ray_count)
+    hit = np.flatnonzero(t >= 0.0)
+    if not hit.size:
+        return np.full(3, np.nan)
+    ray = hit[np.argmin(t[hit])]
+    return pos + fibonacci_directions(ray_count)[ray] * t[ray]
 
 
 def assert_nearest_rows(vmap, positions, max_range, ray_count, got=None):
     """`sample_cloud`'s rows (`got`, or a fresh call), each bit for bit the
-    nearest return of a full scan from its position alone; returns them."""
+    nearest return of the scalar oracle's full scan from its position
+    alone; returns them."""
     positions = np.asarray(positions, dtype=np.float64)
     if got is None:
         got = sample_cloud(vmap, positions, max_range, ray_count)
@@ -476,22 +489,30 @@ def test_sample_cloud_nearest_origin_inside_occupied(wall_map):
 @pytest.mark.parametrize("height, rays", [(4.4, 512), (4.4, 2048), (2.4, 2048)])
 def test_sample_cloud_nearest_box_room_center(height, rays):
     # Six walls at 2 m (cube) leave many returns nearly as near as the
-    # nearest.  In the 2 m high room the first and last rays meet ceiling
-    # and floor at ranges one rounding apart, within the margin: both stay.
-    t, _, _ = shell_scan(box_room(height), [[2.2, 2.2, height / 2.0]], 10.0, rays)
+    # nearest; exactly the rays at the least range stay.  In the 2 m high
+    # room the first and last rays meet ceiling and floor at ranges one
+    # rounding apart: only the nearer, the last, stays.
+    room, pos = box_room(height), np.array([2.2, 2.2, height / 2.0])
+    t, nearest, _ = shell_scan(room, [pos], 10.0, rays)
+    full = full_t(room, pos, 10.0, rays)
+    t_min = full[full >= 0.0].min()
+    assert np.array_equal(np.flatnonzero(t[0] >= 0.0), np.flatnonzero(full == t_min))
     if height == 2.4:
-        assert (t >= 0.0).sum() == 2
+        assert full[0] == np.nextafter(full[-1], np.inf) == np.nextafter(t_min, np.inf)
+        assert np.flatnonzero(t[0] >= 0.0).tolist() == [rays - 1]
+        assert nearest[0, 2] == pytest.approx(0.2)
 
 
 def assert_scans_equal_single_scans(vmap, positions, max_range, ray_count):
     """Each row of one multi-origin scan is bit for bit the nearest return
     of the scan from its position alone, and each row of the shells' hit
-    parameters that position's single nearest-mode cast."""
+    parameters that position's full scan with every hit past the least
+    dropped."""
     assert_nearest_rows(vmap, positions, max_range, ray_count)
     if vmap.occupied_box is not None:
         t = _shell_cast(vmap, vmap.world_to_grid(positions), fibonacci_directions(ray_count), max_range)
         for pos, row in zip(positions, t):
-            assert same_bits(row, cast_t(vmap, pos, max_range, ray_count, True))
+            assert same_bits(row, nearest_only(full_t(vmap, pos, max_range, ray_count)))
 
 
 def test_multi_origin_scans_equal_single_scans(wall_map):
@@ -572,24 +593,38 @@ def test_sample_cloud_deterministic(wall_map):
 
 
 @pytest.mark.parametrize("seed", range(3))
-def test_sample_cloud_picks_the_least_squared_distance_lowest_ray_first(seed, monkeypatch):
-    # Hit parameters with many exact ties in squared distance, as the
-    # shells would return them: each row is `nearest_point`'s pick over
-    # the scan's hits in ray order, NaN for a scan without one.
+def test_sample_cloud_picks_the_least_range_lowest_ray_first(seed, monkeypatch):
+    # Full scans with many exact ties in range, cut to their least range as
+    # the shells return them: each row is the scan's hit of least range,
+    # the lowest ray first, NaN for a scan without one.
     rng = np.random.default_rng(seed)
     vmap = VoxelMap.from_boxes([Box((0, 0, 0), (1, 1, 1))], 0.5, ((-4, -4, -4), (4, 4, 4)))
     positions = rng.integers(-2, 3, (6, 3)).astype(np.float64)
-    t = rng.choice([-1.0, 0.5, 1.0, 2.0], size=(6, 64))
-    t[2] = -1.0
+    full = rng.choice([-1.0, 0.5, 1.0, 2.0], size=(6, 64))
+    full[2] = -1.0
+    t = np.array([nearest_only(row) for row in full])
     monkeypatch.setattr(world, "_shell_cast", lambda *args: t.copy())
     got = sample_cloud(vmap, positions, 10.0, 64)
     dirs = fibonacci_directions(64)
-    for pos, row, t_row in zip(positions, got, t):
-        hit = t_row >= 0.0
-        if hit.any():
-            assert same_bits(row, nearest_point(pos + dirs[hit] * t_row[hit, None], pos)[0])
+    for pos, row, t_row in zip(positions, got, full):
+        hit = np.flatnonzero(t_row >= 0.0)
+        if hit.size:
+            ray = hit[np.argmin(t_row[hit])]
+            assert same_bits(row, pos + dirs[ray] * t_row[ray])
         else:
             assert np.isnan(row).all()
+
+
+def test_sample_cloud_takes_the_lower_ray_of_an_exact_tie():
+    # Midway between a floor and a roof 2 m apart, on voxel planes of a
+    # 0.25 m grid, the first ray (up) and the last (down) of 64 meet roof
+    # and floor at exactly the same range, the least: both stay, and the
+    # row is the first's, on the roof.
+    vmap = VoxelMap.from_boxes([Box((0, 0, 0), (4, 4, 0.25)), Box((0, 0, 1.75), (4, 4, 2.0))], 0.25, None)
+    pos = np.array([2.0, 2.0, 1.0])
+    t, nearest, _ = shell_scan(vmap, [pos], 10.0, 64)
+    assert np.flatnonzero(t[0] >= 0.0).tolist() == [0, 63] and t[0, 0] == t[0, 63]
+    assert same_bits(nearest[0], pos + fibonacci_directions(64)[0] * t[0, 0]) and nearest[0, 2] == 1.75
 
 
 # ---------------------------------------------------------------- scan shells
@@ -599,9 +634,9 @@ def shell_scan(vmap, positions, max_range, ray_count):
     """`sample_cloud`'s rows for the scans from `positions`, checked against
     each full scan's nearest return; the hit parameters `world._shell_cast`
     gives them (None on an empty map, where nothing is cast), checked bit
-    for bit against each position's single nearest-mode cast of every ray;
-    and the cap, box and ray count of each kernel call `sample_cloud`
-    made."""
+    for bit against each position's single nearest-mode cast of every ray
+    and against its full scan cut to its least range; and the cap, box and
+    ray count of each kernel call `sample_cloud` made."""
     positions = np.asarray(positions, dtype=np.float64)
     with mock.patch.object(kernels, "raycast_batch", wraps=kernels.raycast_batch) as cast:
         nearest = sample_cloud(vmap, positions, max_range, ray_count)
@@ -613,6 +648,7 @@ def shell_scan(vmap, positions, max_range, ray_count):
     assert t.shape == (len(positions), ray_count)
     for pos, row in zip(positions, t):
         assert same_bits(row, cast_t(vmap, pos, max_range, ray_count, True))
+        assert same_bits(row, nearest_only(full_t(vmap, pos, max_range, ray_count)))
     return t, nearest, casts
 
 
@@ -681,14 +717,16 @@ def test_shell_scan_with_a_range_short_of_the_free_radius_is_empty(wall_map):
     assert casts[0][1] is wall_map.occupied_box and casts[0][2] == 2 * 512
 
 
-def test_shell_scan_completes_an_origin_only_when_the_cap_holds_its_bound(wall_map, monkeypatch):
-    # With a bound that keeps returns up to 1.5x the nearest, the face 2 m
-    # away keeps returns out to 3 m: the first shell (2.14 m) holds the
-    # nearest return but not its bound, so the shell must grow.
-    monkeypatch.setattr(kernels, "_nearest_bound", lambda t: t * 1.5 + 1e-9)
-    t, _, casts = shell_scan(wall_map, [[4.0, 0.0, 1.2]], 12.0, 512)
-    assert t.max() > 2.5
-    assert shell_regime(casts, 12.0) == "grown"
+def test_shell_scan_completes_an_origin_only_when_the_cap_holds_its_bound():
+    # Under a roof on a 0.5 m grid the origin's column box spans it (r = 0),
+    # so the caps run 0.5, 1.0, 2.0 m.  A single ray, along +x, meets a wall
+    # at exactly 1.0 m: the first shell holds no hit and grows, and the
+    # second, whose cap equals the nearest hit, completes the origin.
+    boxes = [Box((0, 0, 0), (4, 4, 0.5)), Box((0, 0, 2.0), (4, 4, 2.5)), Box((2.5, 0, 0), (3.0, 4, 2.5))]
+    vmap = VoxelMap.from_boxes(boxes, 0.5, None)
+    t, nearest, casts = shell_scan(vmap, [[1.5, 1.25, 1.25]], 12.0, 1)
+    assert t.tolist() == [[1.0]] and nearest.tolist() == [[2.5, 1.25, 1.25]]
+    assert [cap for cap, _, _ in casts] == [0.5, 1.0]
 
 
 @st.composite
