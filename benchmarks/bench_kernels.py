@@ -5,25 +5,23 @@
 their scalar loops (`raycast_batch_scalar`, `normals_from_depth_scalar`
 in `tests/kernel_reference.py`) are the tests' bitwise oracles.  Both are timed on the cases a mission
 runs every control step, from a pose in the `receding` demo's scene: the
-80x60 depth image (5 m range), the 2048-ray 12 m omnidirectional scan,
-the same scan in nearest-return mode (as the mission's scans run) and
-the depth image's normal map.  The numpy raycasts are clipped to the
+80x60 depth image (5 m range), the 2048-ray 12 m omnidirectional scan
+and the depth image's normal map.  The numpy raycasts are clipped to the
 map's occupied box, as `render_depth` and `sample_cloud` cast them; the
 scalar loop casts unclipped, as the tests' oracle does.  `frechet_dp` and
 `point_is_free` are plain loops, with no vectorized form.  The control rows time `point_is_free` over
 the 41 points of a 2 m tracking step along the same scene's face (from
 the sensing pose, and 0.6 m from the face where it has not receded),
 clipped to the occupied box, as `is_collision_free` calls it, against the
-full-grid box.  The batched row times the mission's viewing-distance
-scans as the post-flight log pass casts them: 8 nearest-mode 2048-ray
-scans from 8 consecutive 0.08 m steps along the same face, in one
-multi-origin call,
-against 8 single-origin calls (both numpy, clipped to the occupied box).
+full-grid box.  The batched row times 8 full 2048-ray scans from 8
+consecutive 0.08 m steps along the same face, the positions of one batch
+of the post-flight log pass, in one multi-origin call, against 8
+single-origin calls (both numpy, clipped to the occupied box).
 The shell scan rows time `sample_cloud`, which casts each batch of scans
 in shells around its origins and returns each scan's nearest return,
-against one nearest-mode cast of all the same rays on the whole occupied
-box and each scan's return of least range, after checking that
-both give the same points: the log pass's 8 scans and one flight scan, from the
+against one full cast of all the same rays on the whole occupied box,
+cut to each scan's least range by `nearest_only` and taking each scan's
+first kept ray, after checking that both give the same points: the log pass's 8 scans and one flight scan, from the
 `receding` sensing pose and from a pose in the `obstacle` demo's
 approach, between the obstruction and the wall, where the shell holds
 the origin and casts every ray.
@@ -134,13 +132,6 @@ def sensing_cases():
             clip,
         ),
         (
-            "raycast scan 2048 nearest",
-            kernel_reference.raycast_batch_scalar,
-            kernels.raycast_batch,
-            (vmap.occ, origin, scan_dirs, 12.0, True),
-            clip,
-        ),
-        (
             f"normals {cam.width}x{cam.height}",
             kernel_reference.normals_from_depth_scalar,
             kernels.normals_from_depth,
@@ -235,19 +226,18 @@ def swept_cases():
 
 
 def full_nearest_returns(vmap, positions, max_range, ray_count):
-    """The (G, 3) nearest returns of one nearest-mode cast of every ray from
-    every position on the occupied box, each its scan's return of least
-    range, the lowest ray first (NaN if none): `sample_cloud` as it cast
-    before its shells."""
+    """The (G, 3) nearest returns of one full cast of every ray from every
+    position on the occupied box, each scan cut to its least range by
+    `nearest_only` and placed at its first kept ray (NaN if none):
+    `sample_cloud` as it would cast without its shells."""
     dirs = fibonacci_directions(ray_count)
     rays = np.tile(dirs / vmap.voxel_size, (len(positions), 1))
-    t = kernels.raycast_batch(vmap.occ, vmap.world_to_grid(positions), rays, max_range, True, box=vmap.occupied_box)
+    t = kernels.raycast_batch(vmap.occ, vmap.world_to_grid(positions), rays, max_range, box=vmap.occupied_box)
     out = np.full((len(positions), 3), np.nan)
     for g, (pos, t_g) in enumerate(zip(positions, t.reshape(len(positions), -1))):
-        hit = np.flatnonzero(t_g >= 0.0)
+        hit = np.flatnonzero(kernel_reference.nearest_only(t_g) >= 0.0)
         if hit.size:
-            ray = hit[np.argmin(t_g[hit])]
-            out[g] = pos + dirs[ray] * t_g[ray]
+            out[g] = pos + dirs[hit[0]] * t_g[hit[0]]
     return out
 
 
@@ -285,7 +275,7 @@ def batched_scan_case():
     vmap = build_scene(demo_scenario("receding"), None).current
     steps = np.array([4.0, -2.0, 0.6]) + np.arange(8)[:, None] * np.array([0.0, 0.08, 0.0])
     dirs = np.ascontiguousarray(fibonacci_directions(2048) / vmap.voxel_size)
-    return "8 scans 2048 nearest", vmap.occ, vmap.world_to_grid(steps), dirs, vmap.occupied_box
+    return "8 scans 2048 rays", vmap.occ, vmap.world_to_grid(steps), dirs, vmap.occupied_box
 
 
 SITE_BOXES = (
@@ -501,9 +491,9 @@ def main():
 
     def single_calls():
         for origin in origins:
-            kernels.raycast_batch(occ, origin, dirs, 12.0, True, box=box)
+            kernels.raycast_batch(occ, origin, dirs, 12.0, box=box)
 
-    t_one = timeit(kernels.raycast_batch, occ, origins, tiled, 12.0, True, box=box)
+    t_one = timeit(kernels.raycast_batch, occ, origins, tiled, 12.0, box=box)
     t_single = timeit(single_calls)
     print(f"{'batched':<26}{'one call':>14}{'8 calls':>14}{'calls/one':>14}")
     print(f"{name:<26}{ms(t_one)}{ms(t_single)}{t_single / t_one:>13.1f}x")

@@ -62,7 +62,8 @@ def _build_parser():
 def _load(args):
     """Mission runner for the scenario named on the command line, its scene
     built.  Bad input (arguments, scenario file, map files) raises
-    ValueError or OSError."""
+    ValueError or OSError; a ValueError from building a `--config` scene
+    names the file, as `load_scenario`'s do."""
     if bool(args.config) == bool(args.demo):
         raise ValueError("exactly one of --config or --demo is required")
     if args.demo:
@@ -73,7 +74,12 @@ def _load(args):
         cfg = dataclasses.replace(cfg, seed=args.seed)
     if args.mode is not None:
         cfg = dataclasses.replace(cfg, mode=args.mode)
-    return MissionRunner(cfg, base_dir=base_dir)
+    try:
+        return MissionRunner(cfg, base_dir=base_dir)
+    except ValueError as exc:
+        if args.demo:
+            raise
+        raise ValueError(f"{Path(args.config)}: {exc}") from exc
 
 
 def _json_dump(obj, path):

@@ -17,7 +17,9 @@ column and row, each column skips straight to the first xy cell whose
 vertical column it can hit, and the pixels are resolved on that cell.
 Every other frame goes through `raycast_batch`.  Both end in one shared
 march loop, `_march`, and both are bitwise equal to
-`raycast_batch_scalar` on the same rays.
+`raycast_batch_scalar` on the same rays.  Both return each ray's first
+hit within its cap; which of a range scan's hits count, those at its
+least t, is `world._shell_cast`'s rule.
 
 All coordinates handed to these kernels are in *grid units* (world meters
 divided by voxel size, relative to the grid origin) unless noted otherwise.
@@ -163,20 +165,14 @@ def _crossings_below(tmax, tdel, limit):
 # A tiny direction component divides and sums to the intended +-inf, and
 # one that is zero gives nan where its axis is masked out: no warnings.
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
-def raycast_batch(occ, origin, dirs, t_cap, nearest=False, *, box):
+def raycast_batch(occ, origin, dirs, t_cap, *, box):
     """First-hit parameter for a batch of rays from one or more origins.
 
     origin: (3,) grid-unit coordinates, or (G, 3) for G scans in one call.
     dirs: (N, 3) directions (any scale; the returned t is in the caller's
     parameterization), N a multiple of G: ray i is cast from origin
-    i // (N // G).  Returns the (N,) hit parameters; misses are -1.0.
-
-    With `nearest`, only the nearest returns of each scan are kept: let
-    t_min be the smallest hit parameter among the rays from the same
-    origin; every ray that hits at t_min returns it, every other ray
-    returns -1.0.  Rays stop marching once they pass the nearest hit found
-    so far from their origin, so one scan's near hit never retires another
-    scan's rays.
+    i // (N // G).  Returns the (N,) hit parameters: each ray's first hit
+    within `t_cap`, or -1.0 for a miss.
 
     `box` is a (2, 3) int64 array of the first and one-past-last voxel per
     axis of a box that holds every occupied voxel a ray enters within its
@@ -265,24 +261,17 @@ def raycast_batch(occ, origin, dirs, t_cap, nearest=False, *, box):
         k, fstate[2 + axis, rows] = _crossings_below(fstate[2 + axis, rows], fstate[5 + axis, rows], limit[rows])
         moved = cells[axis, rows] + sign[axis, rows] * k
         cells[axis, rows] = np.clip(moved, -1, shape[axis])
-    bound = _march(occ, box, out, ray, fstate, sign, cells, per if nearest else 0, groups)
-    if nearest:
-        # The nearest hit decides, whatever order the hits were found in.
-        scans = out.reshape(groups, per)
-        scans[scans > bound[:, None]] = -1.0
+    _march(occ, box, out, ray, fstate, sign, cells)
     return out
 
 
-def _march(occ, box, out, ray, fstate, sign, cells, per, groups):
+def _march(occ, box, out, ray, fstate, sign, cells):
     """The vectorized DDA loop shared by the raycast kernels.
 
     Marches rays `ray` (indices into `out`) from their current state:
     `fstate` rows t, t_exit, tmax x/y/z, tdelta x/y/z; `sign` the step
     direction and `cells` the voxel per axis (a voxel outside the grid
-    is a miss).  Writes each hit's t into `out`.  With `per` > 0 the rays
-    are `nearest` scans of `per` rays from each of `groups` origins, and
-    each origin's nearest hit is returned as its bound; with `per` 0 and
-    `groups` 1 that bound stays inf.
+    is a miss).  Writes each hit's t into `out`.
 
     Every live ray advances one voxel per iteration, with the same
     arithmetic and the same x, y, z tie-breaking as the reference's
@@ -323,7 +312,6 @@ def _march(occ, box, out, ray, fstate, sign, cells, per, groups):
     padded[1:-1, 1:-1, 1:-1] = block.astype(np.bool_, copy=False)
     flat = padded.reshape(-1)
     parked = 0
-    bound = np.full(groups, np.inf)  # per origin
     while istate.shape[1]:
         t, lin = fstate[0], istate[1]
         occupied = flat[lin]
@@ -333,11 +321,6 @@ def _march(occ, box, out, ray, fstate, sign, cells, per, groups):
         if n_done > parked:
             hit = inside & (occupied == 1)
             out[istate[0, hit]] = t[hit]
-            if per and hit.any():
-                # Lowering t_exit retires rays past the bound through the
-                # `inside` test; their DDA arithmetic is untouched.
-                np.minimum.at(bound, istate[0, hit] // per, t[hit])
-                np.minimum(fstate[1], bound[istate[0] // per] if groups > 1 else bound[0], out=fstate[1])
             if 4 * n_done > done.size:
                 keep = np.flatnonzero(~done)
                 fstate = fstate[:, keep]
@@ -359,7 +342,6 @@ def _march(occ, box, out, ray, fstate, sign, cells, per, groups):
         for a, mask in enumerate((ax, y_first & ~ax, ~(y_first | ax))):
             np.add(fstate[2 + a], fstate[5 + a], out=fstate[2 + a], where=mask)
             np.add(lin, istate[2 + a], out=lin, where=mask)
-    return bound
 
 
 # A zero direction component gives inf or nan crossing times that the masks
@@ -536,7 +518,7 @@ def raycast_level_frame(occ, origin, cols, rows, t_cap, box, z_extent):
     fstate[7] = tdz[v]
     sign = np.stack([sx[c[k]], sy[c[k]], sz[v]])
     cells = np.stack([ix[k], iy[k], iz[v, k]])
-    _march(occ, box, out, ray[v, k], fstate, sign, cells, 0, 1)
+    _march(occ, box, out, ray[v, k], fstate, sign, cells)
     return out
 
 

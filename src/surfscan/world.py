@@ -538,16 +538,16 @@ def sample_cloud(vmap, positions, max_range, ray_count):
     index on exact ties, placed at position + direction * t.  A scan whose
     rays hit nothing within range gives a NaN row.
 
-    The G scans are cast together, in nearest mode, in shells around their
-    positions (`_shell_cast`): each shell is one multi-origin
-    `kernels.raycast_batch` call of only the rays that can meet the
-    occupied voxels within its reach, capped at that reach.  The first
-    shell reaches just past the nearest filled column's box and holds every
-    scan of the demos; a scan whose nearest return could lie past it is
-    cast again in a shell twice as wide, up to the full cast of every ray.
-    A nearest-mode cast keeps exactly the rays that hit at the least range,
-    bitwise those of a full cast of each position alone, so each row is
-    that of its scan's first kept ray.  On an empty map nothing is cast.
+    The G scans are cast together in shells around their positions
+    (`_shell_cast`): each shell is one multi-origin `kernels.raycast_batch`
+    call of only the rays that can meet the occupied voxels within its
+    reach, capped at that reach.  The first shell reaches just past the
+    nearest filled column's box and holds every scan of the demos; a scan
+    whose nearest return could lie past it is cast again in a shell twice
+    as wide, up to the full cast of every ray.  `_shell_cast` keeps exactly
+    each scan's rays at its least range, bitwise those of a full cast of
+    each position alone, so each row is that of its scan's first kept ray.
+    On an empty map nothing is cast.
 
     A range that is not positive (nan included; an infinite one is legal)
     or fewer than one ray raises ValueError: either would return nothing.
@@ -574,10 +574,14 @@ def sample_cloud(vmap, positions, max_range, ray_count):
 # inf (a full cast): no warnings.
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def _shell_cast(vmap, origins, dirs, t_cap):
-    """Nearest-mode hit parameters of the unit rays `dirs` from each of the
-    (G, 3) grid-unit `origins`, capped at `t_cap` meters: a (G, N) array,
-    bitwise that of one `kernels.raycast_batch` call over all G * N rays
-    on the occupied box.
+    """The nearest returns of the unit rays `dirs` from each of the (G, 3)
+    grid-unit `origins`, capped at `t_cap` meters: a (G, N) array whose row
+    g holds t for each ray of origin g that hits at its least t, and -1.0
+    for every other ray.  This is the one place that rule is applied: the
+    kernel returns every ray's first hit, and each round here keeps each
+    origin's rays at its least t.  The result is bitwise one
+    `kernels.raycast_batch` call over all G * N rays on the occupied box,
+    cut to each origin's least t.
 
     Each round casts the origins still to do inside a shell of reach R
     voxels: their rays are capped at T = R h meters (h the voxel size), so
@@ -592,12 +596,12 @@ def _shell_cast(vmap, origins, dirs, t_cap):
     of the box covers rounding).  Of each origin's rays it casts only those
     that can meet the voxels within R + 1 of it: they lie in a box, and its
     cone from the origin, padded by a voxel and narrowed by the ball of
-    radius R + 1, holds every such ray.  An origin whose nearest hit t_min
-    is at most T so gets exactly the full cast's returns: every ray of the
-    full cast that hits at t_min is cast, and none hits nearer.  The others
-    go to the next round with R doubled.  Once T reaches `t_cap`, or R the
-    farthest corner of the padded occupied box, the round is the full cast
-    itself.
+    radius R + 1, holds every such ray.  An origin whose least hit t_min
+    is at most T so gets exactly the full cast's nearest returns: every ray
+    of the full cast that hits at t_min is cast, and none hits nearer.  The
+    others go to the next round with R doubled.  Once T reaches `t_cap`, or
+    R the farthest corner of the padded occupied box, the round is the full
+    cast itself.
     """
     occ, box, h = vmap.occ, vmap.occupied_box, vmap.voxel_size
     dirs_g = dirs / h
@@ -624,50 +628,54 @@ def _shell_cast(vmap, origins, dirs, t_cap):
     reach = float(np.sqrt(d2.min(axis=1)).max(initial=0.0)) * (1.0 + _SHELL_SLACK) + 1.0
     while todo.size:
         cap, o, ball = reach * h, origins[todo], reach + 1.0
-        if not (cap < t_cap and reach < far[todo].max()):
-            rays = np.tile(dirs_g, (len(todo), 1))
-            out[todo] = kernels.raycast_batch(occ, o, rays, t_cap, nearest=True, box=box).reshape(len(todo), -1)
-            break
-        # Per origin, the box of the occupied voxels within the ball: the
-        # columns within it, and in each the layers within the ball's
-        # half-chord s there.  lo >= hi on some axis if there are none.
-        near = d2[todo] <= ball * ball
-        s = np.sqrt(np.maximum(ball * ball - flat2[todo], 0.0))
-        z_in = np.maximum(z_lo, np.ceil(o[:, 2, None] - s) - 1.0), np.minimum(z_hi + 1.0, np.floor(o[:, 2, None] + s) + 1.0)
-        lo = np.stack([np.where(near, a, float(max(occ.shape))).min(axis=1) for a in (lows[0], lows[1], z_in[0])], axis=1)
-        hi = np.stack([np.where(near, a, 0.0).max(axis=1) for a in (highs[0], highs[1], z_in[1])], axis=1)
-        valid = (lo < hi).all(axis=1)
-        # The rays to cast.  A ray that meets the padded box within the ball
-        # has a cosine with the axis to the box's centre of at least that of
-        # some corner (the box is convex), and of at least the box's least
-        # distance ahead along the axis over the ball's radius.  Where
-        # neither bound is positive (an origin in the padded box) every ray
-        # is cast.
-        pad_lo, pad_hi = lo - 1.0, hi + 1.0
-        axis = (pad_lo + pad_hi) / 2.0 - o
-        axis /= np.sqrt((axis * axis).sum(axis=1))[:, None]
-        corners = np.where(corner, pad_hi[:, None, :], pad_lo[:, None, :]) - o[:, None, :]
-        along = (corners * axis[:, None, :]).sum(axis=2)
-        cos_min = np.maximum((along / np.sqrt((corners * corners).sum(axis=2))).min(axis=1), along.min(axis=1) / ball)
-        cos = axis[:, 0, None] * dirs[:, 0] + axis[:, 1, None] * dirs[:, 1] + axis[:, 2, None] * dirs[:, 2]
-        cand = valid[:, None] & (~(cos_min > 0.0)[:, None] | (cos >= cos_min[:, None] - 1e-9))
-        counts = cand.sum(axis=1)
-        per = int(counts.max())
-        if per:
-            # Each origin casts its candidates, padded to `per` rays with its
-            # ray 0: a repeat of a candidate, or a ray without a hit within
-            # the cap, which returns -1, as the full cast's nearest mode does
-            # for an origin this round completes.
+        last = not (cap < t_cap and reach < far[todo].max())
+        if last:
+            # The full cast: every ray, on the occupied box, to the range.
+            cap, shell = t_cap, box
+            rays = np.broadcast_to(np.arange(len(dirs)), (len(todo), len(dirs)))
+        else:
+            # Per origin, the box of the occupied voxels within the ball:
+            # the columns within it, and in each the layers within the
+            # ball's half-chord s there.  lo >= hi on some axis if there
+            # are none.
+            near = d2[todo] <= ball * ball
+            s = np.sqrt(np.maximum(ball * ball - flat2[todo], 0.0))
+            z_in = np.maximum(z_lo, np.ceil(o[:, 2, None] - s) - 1.0), np.minimum(z_hi + 1.0, np.floor(o[:, 2, None] + s) + 1.0)
+            lo = np.stack([np.where(near, a, float(max(occ.shape))).min(axis=1) for a in (lows[0], lows[1], z_in[0])], axis=1)
+            hi = np.stack([np.where(near, a, 0.0).max(axis=1) for a in (highs[0], highs[1], z_in[1])], axis=1)
+            valid = (lo < hi).all(axis=1)
+            # The rays to cast.  A ray that meets the padded box within the
+            # ball has a cosine with the axis to the box's centre of at
+            # least that of some corner (the box is convex), and of at least
+            # the box's least distance ahead along the axis over the ball's
+            # radius.  Where neither bound is positive (an origin in the
+            # padded box) every ray is cast.
+            pad_lo, pad_hi = lo - 1.0, hi + 1.0
+            axis = (pad_lo + pad_hi) / 2.0 - o
+            axis /= np.sqrt((axis * axis).sum(axis=1))[:, None]
+            corners = np.where(corner, pad_hi[:, None, :], pad_lo[:, None, :]) - o[:, None, :]
+            along = (corners * axis[:, None, :]).sum(axis=2)
+            cos_min = np.maximum((along / np.sqrt((corners * corners).sum(axis=2))).min(axis=1), along.min(axis=1) / ball)
+            cos = axis[:, 0, None] * dirs[:, 0] + axis[:, 1, None] * dirs[:, 1] + axis[:, 2, None] * dirs[:, 2]
+            cand = valid[:, None] & (~(cos_min > 0.0)[:, None] | (cos >= cos_min[:, None] - 1e-9))
+            counts = cand.sum(axis=1)
+            per = int(counts.max())
+            reach *= 2.0
+            if not per:
+                continue
+            # Each origin casts its candidates, padded to `per` rays with
+            # its ray 0: a repeat of a candidate, or a ray without a hit
+            # within the cap, which returns -1.
             row, ray = np.divmod(np.flatnonzero(cand), len(dirs))
             rays = np.zeros((len(todo), per), dtype=np.int64)
             rays[row, np.arange(row.size) - (np.cumsum(counts) - counts)[row]] = ray
             shell = np.array([lo[valid].min(axis=0), hi[valid].max(axis=0)], dtype=np.int64)
-            t = kernels.raycast_batch(occ, o, dirs_g[rays.ravel()], cap, nearest=True, box=shell).reshape(-1, per)
-            t_min = np.where(t >= 0.0, t, np.inf).min(axis=1)
-            done = t_min <= cap
-            out[todo[done, None], rays[done]] = t[done]
-            todo = todo[~done]
-        reach *= 2.0
+        t = kernels.raycast_batch(occ, o, dirs_g[rays.ravel()], cap, box=shell).reshape(rays.shape)
+        # Each origin's nearest returns: its rays that hit at its least t.
+        t_min = np.where(t >= 0.0, t, np.inf).min(axis=1, keepdims=True)
+        done = last | (t_min[:, 0] <= cap)
+        out[todo[done, None], rays[done]] = np.where(t == t_min, t, -1.0)[done]
+        todo = todo[~done]
     return out
 
 

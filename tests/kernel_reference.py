@@ -4,7 +4,8 @@ and `_box_exit`) and the per-pixel normal stencil
 `normals_from_depth_scalar`, moved verbatim from `surfscan.kernels`.  The
 vectorized kernels `raycast_batch`, `raycast_level_frame`,
 `normals_from_depth` and `incidence_cosines` must return the same bits.
-`nearest_only` states the nearest-mode rule on a full cast's results.
+`nearest_only` states the nearest-return rule that `world._shell_cast`
+applies, on one scan's full-cast results.
 Nothing here is imported from `surfscan`: the oracle shares no rule with
 the kernels it checks."""
 
@@ -148,16 +149,13 @@ def _box_exit(box, ox, oy, oz, dx, dy, dz):
     return t_exit
 
 
-def raycast_batch_scalar(occ, origin, dirs, t_cap, nearest=False, box=None):
+def raycast_batch_scalar(occ, origin, dirs, t_cap, box=None):
     """Scalar loop of :func:`raycast_batch`: one `_ray_first_hit` per ray.
 
     This is the bitwise reference the vectorized kernel is tested against.
     A (G, 3) `origin` casts the rays in G equal consecutive runs, run g
-    from origin g.  With `nearest`, each ray is cast with its cap lowered
-    to the nearest hit so far from its own origin, and only the rays that
-    hit at the nearest of all keep their hit.  With
-    `box`, each ray's cap is also lowered to its exit from the padded box
-    (see :func:`raycast_batch`).
+    from origin g.  With `box`, each ray's cap is also lowered to its exit
+    from the padded box (see :func:`raycast_batch`).
     """
     n = dirs.shape[0]
     origins = origin.reshape(-1, 3)
@@ -168,26 +166,18 @@ def raycast_batch_scalar(occ, origin, dirs, t_cap, nearest=False, box=None):
     out = np.empty(n, dtype=np.float64)
     for g in range(groups):
         ox, oy, oz = origins[g, 0], origins[g, 1], origins[g, 2]
-        bound = np.inf
         for r in range(g * per, (g + 1) * per):
-            cap = min(t_cap, bound) if nearest else t_cap
+            cap = t_cap
             if box is not None:
                 cap = min(cap, _box_exit(box, ox, oy, oz, dirs[r, 0], dirs[r, 1], dirs[r, 2]))
             out[r] = _ray_first_hit(occ, ox, oy, oz, dirs[r, 0], dirs[r, 1], dirs[r, 2], cap)
-            if nearest and out[r] >= 0.0:
-                bound = min(bound, out[r])
-        if nearest:
-            # The nearest hit decides, whatever order the hits were found in.
-            for r in range(g * per, (g + 1) * per):
-                if out[r] > bound:
-                    out[r] = -1.0
     return out
 
 
 def nearest_only(t):
     """One scan's full-cast hit parameters `t` with every hit past the
-    nearest dropped: what :func:`raycast_batch` returns for the scan with
-    `nearest`."""
+    least dropped: the scan's nearest returns, as `world._shell_cast`
+    returns them."""
     hits = t[t >= 0.0]
     if hits.size:
         t = np.where(t > hits.min(), -1.0, t)

@@ -27,6 +27,7 @@ def same_bits(a, b):
 def test_bench_kernels_builds_its_cases():
     bench = load_bench()
     sensing = bench.sensing_cases()
+    assert [name for name, *_ in sensing] == ["raycast camera 80x60", "raycast scan 2048 rays", "normals 80x60"]
     assert {(scalar, vectorized) for _, scalar, vectorized, _, _ in sensing} == {
         (kernel_reference.raycast_batch_scalar, kernels.raycast_batch),
         (kernel_reference.normals_from_depth_scalar, kernels.normals_from_depth),
@@ -37,9 +38,12 @@ def test_bench_kernels_builds_its_cases():
         )
     _, from_cosines, from_normal_map = bench.utility_case()
     assert same_bits(from_cosines()[0], from_normal_map()[0])
-    _, occ, origins, dirs, box = bench.batched_scan_case()
-    assert origins.shape == (8, 3) and occ.ndim == 3 and box.shape == (2, 3)
+    name, occ, origins, dirs, box = bench.batched_scan_case()
+    assert name == "8 scans 2048 rays" and origins.shape == (8, 3) and occ.ndim == 3 and box.shape == (2, 3)
     assert dirs.shape == (2048, 3)
+    # The batched row's one call returns the bits of its 8 single calls.
+    one_call = kernels.raycast_batch(occ, origins, np.tile(dirs, (8, 1)), 12.0, box=box)
+    assert same_bits(one_call, np.concatenate([kernels.raycast_batch(occ, o, dirs, 12.0, box=box) for o in origins]))
     for _, occ, pts, radius, box, full in bench.swept_cases():
         assert pts.shape == (41, 3) and radius > 0
         assert kernels.point_is_free(occ, *pts[0], radius, box) == kernels.point_is_free(occ, *pts[0], radius, full)

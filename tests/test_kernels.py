@@ -51,14 +51,14 @@ def occupied_box(occ):
     return VoxelMap(np.zeros(3), 1.0, occ).occupied_box
 
 
-def cast(occ, origin, dirs, t_cap, nearest=False):
+def cast(occ, origin, dirs, t_cap):
     """`raycast_batch` as the library calls it (`world._first_hits`):
     clipped to the grid's occupied box; on an empty grid every ray misses
     and nothing is cast."""
     box = occupied_box(occ)
     if box is None:
         return np.full(dirs.shape[0], -1.0)
-    return kernels.raycast_batch(occ, origin, dirs, t_cap, nearest, box=box)
+    return kernels.raycast_batch(occ, origin, dirs, t_cap, box=box)
 
 
 def scalar_raycast(*args, **kwargs):
@@ -123,55 +123,6 @@ def test_raycast_tiny_direction_off_grid_emits_no_warning():
     ref = scalar_raycast(occ, origin, dirs, 10.0)
     assert same_bits(got, ref)
     assert got[0] == -1.0 and got[1] > 0.0
-
-
-@given(batch=ray_batches())
-@PROPERTY
-def test_raycast_nearest_matches_filtered_scalar_oracle(batch):
-    got = cast(*batch, nearest=True)
-    assert same_bits(got, kernel_reference.nearest_only(scalar_raycast(*batch)))
-    assert same_bits(got, scalar_raycast(*batch, nearest=True))
-
-
-def bound_race(t1, d2):
-    """From (3.5, 1.5, 1.5): ray 0 crawls up y (tdelta 10) and is the first
-    to hit, at t = 5; ray 1 enters voxel 2 down x at t = 0.5 / d, d tuned
-    so that this is exactly `t1`; ray 2 moves up x at speed `d2` and hits
-    voxel 5, the nearest, later.  Returns the full cast and the
-    nearest-mode cast, checked against the scalar oracle's."""
-    occ = np.zeros((9, 4, 3), dtype=np.bool_)
-    occ[3, 2, 1] = occ[2, 1, 1] = occ[5, 1, 1] = True
-    d = 0.5 / t1
-    for _ in range(8):
-        if 0.5 / d == t1:
-            break
-        d = np.nextafter(d, 0.0 if 0.5 / d < t1 else 1.0)
-    assert 0.5 / d == t1
-    origin = np.array([3.5, 1.5, 1.5])
-    dirs = np.array([[0.0, 0.1, 0.0], [-d, 0.0, 0.0], [d2, 0.0, 0.0]])
-    full = scalar_raycast(occ, origin, dirs, 100.0)
-    got = cast(occ, origin, dirs, 100.0, nearest=True)
-    assert same_bits(got, scalar_raycast(occ, origin, dirs, 100.0, nearest=True))
-    return full, got
-
-
-def test_raycast_nearest_keeps_a_hit_on_the_bound_and_drops_earlier_far_hits():
-    # Ray 1 hits at exactly ray 2's range, the nearest, 1.5: ray 0 must go,
-    # ray 1 must stay.
-    full, got = bound_race(1.5, 1.0)
-    assert full.tolist() == [0.5 / 0.1, 1.5, 1.5]
-    assert got.tolist() == [-1.0, 1.5, 1.5]
-
-
-def test_raycast_nearest_drops_a_hit_one_ulp_past_the_nearest():
-    # Ray 2, one ulp faster than 1, hits at 1.4999999999999996; ray 1 hits
-    # one ulp later and must go.
-    fast = np.nextafter(1.0, 2.0)
-    t_min = 0.5 / fast + 1.0 / fast
-    past = np.nextafter(t_min, np.inf)
-    full, got = bound_race(past, fast)
-    assert full.tolist() == [0.5 / 0.1, past, t_min] and t_min < 1.5
-    assert got.tolist() == [-1.0, -1.0, t_min]
 
 
 def test_kernel_reference_imports_nothing_from_surfscan():
@@ -279,19 +230,17 @@ def face_block(high):
     return occ, origin, targets - origin, math.inf, box
 
 
-@given(batch=boxed_ray_batches(), nearest=st.booleans())
-@example(batch=corner_hit(), nearest=False)
-@example(batch=face_block(high=False), nearest=False)
-@example(batch=face_block(high=True), nearest=False)
-@example(batch=face_block(high=True), nearest=True)
-@example(batch=long_approach(), nearest=False)
-@example(batch=long_approach(), nearest=True)
+@given(batch=boxed_ray_batches())
+@example(batch=corner_hit())
+@example(batch=face_block(high=False))
+@example(batch=face_block(high=True))
+@example(batch=long_approach())
 @PROPERTY
-def test_raycast_box_clip_matches_unclipped_scalar_oracle(batch, nearest):
+def test_raycast_box_clip_matches_unclipped_scalar_oracle(batch):
     occ, origin, dirs, t_cap, box = batch
-    got = cast(occ, origin, dirs, t_cap, nearest)
-    assert same_bits(got, scalar_raycast(occ, origin, dirs, t_cap, nearest=nearest))
-    assert same_bits(got, scalar_raycast(occ, origin, dirs, t_cap, nearest=nearest, box=box))
+    got = cast(occ, origin, dirs, t_cap)
+    assert same_bits(got, scalar_raycast(occ, origin, dirs, t_cap))
+    assert same_bits(got, scalar_raycast(occ, origin, dirs, t_cap, box=box))
 
 
 @st.composite
@@ -316,39 +265,19 @@ def two_approaches():
     return occ, origins, np.tile(dirs, (2, 1)), t_cap, box
 
 
-@given(batch=multi_origin_batches(), nearest=st.booleans())
-@example(batch=two_approaches(), nearest=True)
-@example(batch=two_approaches(), nearest=False)
+@given(batch=multi_origin_batches())
+@example(batch=two_approaches())
 @PROPERTY
-def test_raycast_multi_origin_equals_one_cast_per_origin(batch, nearest):
+def test_raycast_multi_origin_equals_one_cast_per_origin(batch):
     occ, origins, dirs, t_cap, box = batch
     per = dirs.shape[0] // origins.shape[0]
-    got = cast(occ, origins, dirs, t_cap, nearest)
+    got = cast(occ, origins, dirs, t_cap)
     runs = [(o, dirs[g * per : (g + 1) * per]) for g, o in enumerate(origins)]
-    one_by_one = [cast(occ, o, d, t_cap, nearest) for o, d in runs]
+    one_by_one = [cast(occ, o, d, t_cap) for o, d in runs]
     assert got.shape == (dirs.shape[0],)
     assert same_bits(got, np.concatenate(one_by_one))
-    assert same_bits(got, scalar_raycast(occ, origins, dirs, t_cap, nearest=nearest, box=box))
-    assert same_bits(got, np.concatenate([scalar_raycast(occ, o, d, t_cap, nearest=nearest) for o, d in runs]))
-
-
-@pytest.mark.parametrize("near_first", [True, False])
-def test_raycast_nearest_bound_is_per_origin(near_first):
-    # A wall at x = 10: one origin 0.5 voxels from it, one 7.5 voxels away,
-    # each casting one ray at the wall and one along it.  The near scan's
-    # hit at t = 0.5 comes seven iterations before the far scan's; it must
-    # not retire the far scan's ray.
-    occ = np.zeros((12, 3, 3), dtype=np.bool_)
-    occ[10] = True
-    near, far = [9.5, 1.5, 1.5], [2.5, 1.5, 1.5]
-    origins = np.array([near, far] if near_first else [far, near])
-    dirs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]] * 2)
-    want = [0.5, -1.0, 7.5, -1.0] if near_first else [7.5, -1.0, 0.5, -1.0]
-    box = occupied_box(occ)
-    got = kernels.raycast_batch(occ, origins, dirs, 20.0, nearest=True, box=box)
-    assert got.tolist() == want
-    assert same_bits(got, scalar_raycast(occ, origins, dirs, 20.0, nearest=True))
-    assert same_bits(got, scalar_raycast(occ, origins, dirs, 20.0, nearest=True, box=box))
+    assert same_bits(got, scalar_raycast(occ, origins, dirs, t_cap, box=box))
+    assert same_bits(got, np.concatenate([scalar_raycast(occ, o, d, t_cap) for o, d in runs]))
 
 
 @st.composite

@@ -806,7 +806,7 @@ def test_cli_rejects_a_scene_it_cannot_plan(tmp_path, capsys, path, value, reaso
     f = _write_with(tmp_path, path, value)
     out = tmp_path / "out"
     assert main(["plan", "--config", str(f), "--out", str(out)]) == 64
-    assert reason in capsys.readouterr().err
+    assert f"{f}: {reason}" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -825,7 +825,7 @@ def test_cli_rejects_a_start_off_the_current_map(tmp_path, capsys, command):
     f.write_text(yaml.safe_dump(cfg))
     out = tmp_path / "out"
     assert main([command, "--config", str(f), "--out", str(out)]) == 64
-    assert "robot.start [4.0, -5.0, 0.6] lies off the current map" in capsys.readouterr().err
+    assert f"{f}: robot.start [4.0, -5.0, 0.6] lies off the current map" in capsys.readouterr().err
     assert not out.exists()
 
 

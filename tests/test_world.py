@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from kernel_reference import nearest_only, raycast_batch_scalar
-from strategies import grid_coordinate, occupancy_grids, wall_slabs
+from strategies import direction_component, grid_coordinate, occupancy_grids, wall_slabs
 from surfscan import kernels, world
 from surfscan.geometry import ViewPose4
 from surfscan.world import (
@@ -392,7 +393,7 @@ def test_sample_cloud_box_room_bound():
     # Closed 4x4x4 room; robot at the center.
     vmap = box_room(4.4)
     center = np.array([2.2, 2.2, 2.2])
-    cloud = single_scan(vmap, center, 10.0, 512, False)
+    cloud = single_scan(vmap, center, 10.0, 512)
     assert len(cloud) == 512
     dists = np.linalg.norm(cloud - center, axis=1)
     assert dists.max() <= 2 * np.sqrt(3) + 1e-9
@@ -400,7 +401,7 @@ def test_sample_cloud_box_room_bound():
 
 def test_sample_cloud_hits_on_voxel_boundaries(wall_map):
     pos = np.array([4.0, 0.0, 1.2])
-    cloud = single_scan(wall_map, pos, 8.0, 512, False)
+    cloud = single_scan(wall_map, pos, 8.0, 512)
     assert len(cloud) > 0
     h = wall_map.voxel_size
     for p in cloud:
@@ -417,20 +418,19 @@ def same_bits(a, b):
     return np.array_equal(np.asarray(a).view(np.int64), np.asarray(b).view(np.int64))
 
 
-def cast_t(vmap, pos, max_range, ray_count, nearest):
+def cast_t(vmap, pos, max_range, ray_count):
     """The hit parameters of one scan from `pos` alone: a single-origin cast
     of every ray on the occupied box."""
     dirs_g = np.ascontiguousarray(fibonacci_directions(ray_count) / vmap.voxel_size)
-    box = vmap.occupied_box
-    return kernels.raycast_batch(vmap.occ, vmap.world_to_grid(pos), dirs_g, max_range, nearest=nearest, box=box)
+    return kernels.raycast_batch(vmap.occ, vmap.world_to_grid(pos), dirs_g, max_range, box=vmap.occupied_box)
 
 
-def single_scan(vmap, pos, max_range, ray_count, nearest):
+def single_scan(vmap, pos, max_range, ray_count):
     """The (n, 3) points of one scan from `pos` alone, its hits placed at
     pos + dir * t."""
     if vmap.occupied_box is None:
         return np.empty((0, 3))
-    t = cast_t(vmap, pos, max_range, ray_count, nearest)
+    t = cast_t(vmap, pos, max_range, ray_count)
     hit = t >= 0.0
     return pos + fibonacci_directions(ray_count)[hit] * t[hit, None]
 
@@ -634,9 +634,9 @@ def shell_scan(vmap, positions, max_range, ray_count):
     """`sample_cloud`'s rows for the scans from `positions`, checked against
     each full scan's nearest return; the hit parameters `world._shell_cast`
     gives them (None on an empty map, where nothing is cast), checked bit
-    for bit against each position's single nearest-mode cast of every ray
-    and against its full scan cut to its least range; and the cap, box and
-    ray count of each kernel call `sample_cloud` made."""
+    for bit against each position's single full cast of every ray, by the
+    kernel and by the scalar oracle, cut to its least range; and the cap,
+    box and ray count of each kernel call `sample_cloud` made."""
     positions = np.asarray(positions, dtype=np.float64)
     with mock.patch.object(kernels, "raycast_batch", wraps=kernels.raycast_batch) as cast:
         nearest = sample_cloud(vmap, positions, max_range, ray_count)
@@ -647,7 +647,7 @@ def shell_scan(vmap, positions, max_range, ray_count):
     t = _shell_cast(vmap, vmap.world_to_grid(positions), fibonacci_directions(ray_count), max_range)
     assert t.shape == (len(positions), ray_count)
     for pos, row in zip(positions, t):
-        assert same_bits(row, cast_t(vmap, pos, max_range, ray_count, True))
+        assert same_bits(row, nearest_only(cast_t(vmap, pos, max_range, ray_count)))
         assert same_bits(row, nearest_only(full_t(vmap, pos, max_range, ray_count)))
     return t, nearest, casts
 
@@ -727,6 +727,82 @@ def test_shell_scan_completes_an_origin_only_when_the_cap_holds_its_bound():
     t, nearest, casts = shell_scan(vmap, [[1.5, 1.25, 1.25]], 12.0, 1)
     assert t.tolist() == [[1.0]] and nearest.tolist() == [[2.5, 1.25, 1.25]]
     assert [cap for cap, _, _ in casts] == [0.5, 1.0]
+
+
+def checked_shell_cast(occ, voxel_size, origins, dirs, t_cap):
+    """`world._shell_cast` of the unit rays `dirs` from the grid-unit
+    `origins`, each row checked bit for bit against the scalar oracle's full
+    cast from that origin alone cut to its least t; and the number of kernel
+    calls it made."""
+    vmap = VoxelMap(np.zeros(3), voxel_size, occ)
+    origins = np.asarray(origins, dtype=np.float64)
+    with mock.patch.object(kernels, "raycast_batch", wraps=kernels.raycast_batch) as cast:
+        t = _shell_cast(vmap, origins, dirs, t_cap)
+    assert t.shape == (len(origins), len(dirs))
+    for o, row in zip(origins, t):
+        assert same_bits(row, nearest_only(raycast_batch_scalar(occ, o, dirs / voxel_size, t_cap)))
+    return t, cast.call_count
+
+
+@st.composite
+def unit_ray_batches(draw):
+    """A random grid with an occupied voxel, a voxel size, 1-3 origins in
+    grid units, up to 24 unit rays (axis-aligned ones among them) and a
+    range."""
+    occ = draw(occupancy_grids())
+    occ.flat[draw(st.integers(0, occ.size - 1))] = True
+    origins = [[draw(grid_coordinate(n)) for n in occ.shape] for _ in range(draw(st.integers(1, 3)))]
+    raw = draw(arrays(np.float64, (draw(st.integers(1, 24)), 3), elements=direction_component))
+    raw[np.abs(raw).max(axis=1) < 0.1] = (0.0, 0.0, -1.0)
+    dirs = raw / np.sqrt((raw * raw).sum(axis=1))[:, None]
+    t_cap = draw(st.one_of(st.floats(0.05, 3.0), st.floats(3.0, 60.0), st.just(math.inf)))
+    return occ, draw(st.sampled_from([0.25, 1.0])), origins, dirs, t_cap
+
+
+@given(batch=unit_ray_batches())
+@settings(max_examples=150, deadline=None)
+def test_shell_cast_matches_the_filtered_scalar_oracle(batch):
+    checked_shell_cast(*batch)
+
+
+def test_shell_cast_keeps_every_ray_at_the_least_t_and_drops_the_others():
+    # From (3.5, 1.5, 1.5) ray 0 meets voxel (3, 4, 1) at t = 2.5, and rays 1
+    # (-x) and 2 (+x) meet voxels 1 and 5 at exactly 1.5, the least: both
+    # stay, ray 0 goes.  `sample_cloud` then takes the lower of the tie.
+    occ = np.zeros((7, 5, 3), dtype=np.bool_)
+    occ[1, 1, 1] = occ[5, 1, 1] = occ[3, 4, 1] = True
+    dirs = np.array([[0.0, 1.0, 0.0], [-1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    t, _ = checked_shell_cast(occ, 1.0, [[3.5, 1.5, 1.5]], dirs, 100.0)
+    assert raycast_batch_scalar(occ, np.array([3.5, 1.5, 1.5]), dirs, 100.0).tolist() == [2.5, 1.5, 1.5]
+    assert t.tolist() == [[-1.0, 1.5, 1.5]]
+
+
+def test_shell_cast_drops_a_hit_one_ulp_past_the_least():
+    # Ray 1 (+x) from x = 3.5 meets voxel 5 at (4 - 3.5) + 1 = 1.5; ray 0
+    # (+y) from one ulp below y = 1.5 meets voxel 3 at (2 - y) + 1, one ulp
+    # past 1.5, and must go.
+    occ = np.zeros((7, 5, 3), dtype=np.bool_)
+    occ[5, 1, 1] = occ[3, 3, 1] = True
+    origin = np.array([3.5, np.nextafter(1.5, 0.0), 1.5])
+    dirs = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    t, _ = checked_shell_cast(occ, 1.0, [origin], dirs, 100.0)
+    assert raycast_batch_scalar(occ, origin, dirs, 100.0).tolist() == [np.nextafter(1.5, 2.0), 1.5]
+    assert t.tolist() == [[-1.0, 1.5]]
+
+
+@pytest.mark.parametrize("near_first", [True, False])
+def test_shell_cast_keeps_each_origin_to_its_own_least_t(near_first):
+    # A wall at x = 10: one origin 0.5 voxels from it, one 7.5 voxels away,
+    # each casting one ray at the wall and one along it, in one kernel
+    # call.  The near origin's least t, 0.5, must not cut the far origin's
+    # hit at 7.5.
+    occ = np.zeros((12, 3, 3), dtype=np.bool_)
+    occ[10] = True
+    near, far = [9.5, 1.5, 1.5], [2.5, 1.5, 1.5]
+    dirs = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+    t, calls = checked_shell_cast(occ, 1.0, [near, far] if near_first else [far, near], dirs, 20.0)
+    assert t.tolist() == ([[0.5, -1.0], [7.5, -1.0]] if near_first else [[7.5, -1.0], [0.5, -1.0]])
+    assert calls == 1
 
 
 @st.composite
