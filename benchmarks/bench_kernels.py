@@ -7,7 +7,7 @@ in `tests/kernel_reference.py`) are the tests' bitwise oracles.  Both are timed 
 runs every control step, from a pose in the `receding` demo's scene: the
 80x60 depth image (5 m range), the 2048-ray 12 m omnidirectional scan
 and the depth image's normal map.  The numpy raycasts are clipped to the
-map's occupied box, as `render_depth` and `sample_cloud` cast them; the
+map's occupied box, as `sample_cloud`'s full cast clips them; the
 scalar loop casts unclipped, as the tests' oracle does.  `frechet_dp` and
 `point_is_free` are plain loops, with no vectorized form.  The control rows time `point_is_free` over
 the 41 points of a 2 m tracking step along the same scene's face (from
@@ -26,9 +26,9 @@ first kept ray, after checking that both give the same points: the log pass's 8 
 approach, between the obstruction and the wall, where the shell holds
 the origin and casts every ray.
 The level camera rows time `raycast_level_frame`, the kernel
-`render_depth` casts a level camera's frame with, against
-`raycast_batch` (numpy, clipped to the occupied box) on the same 80x60
-rays, after checking that both return the same bits: from the `receding`
+`render_depth` casts every frame with, against `raycast_batch` (numpy,
+clipped to the occupied box) on the same 80x60 rays, built by
+`kernel_reference.pixel_rays`, after checking that both return the same bits: from the `receding`
 sensing pose, where the rays hit the face, and from a `receding_full`
 baseline viewpoint 2 m from the historical face, where the current face
 lies beyond the 3 m range and every ray misses.
@@ -109,10 +109,8 @@ def sensing_cases():
     pose = ViewPose4(4.0, -2.0, 0.6)
     origin = vmap.world_to_grid(pose.position)
 
-    right, down, forward = camera_axes_world(pose)
-    pix = cam.pixel_directions()
-    world = pix[..., 0, None] * right + pix[..., 1, None] * down + pix[..., 2, None] * forward
-    cam_dirs = np.ascontiguousarray(world.reshape(-1, 3) / vmap.voxel_size)
+    pix = kernel_reference.pixel_rays(cam, *camera_axes_world(pose))
+    cam_dirs = np.ascontiguousarray(pix.reshape(-1, 3) / vmap.voxel_size)
     scan_dirs = np.ascontiguousarray(fibonacci_directions(2048) / vmap.voxel_size)
     depth = render_depth(vmap, pose, cam)
     clip = {"box": vmap.occupied_box}
@@ -157,7 +155,7 @@ def frame_cases():
         origin = vmap.world_to_grid(pose.position)
         box = vmap.occupied_box
         cols, rows = world._frame_axes(*axes, cam, vmap.voxel_size)
-        dirs = world._pixel_rays(*axes, cam, vmap.voxel_size)
+        dirs = np.ascontiguousarray(kernel_reference.pixel_rays(cam, *axes).reshape(-1, 3) / vmap.voxel_size)
         cases.append(
             (
                 f"frame {cam.width}x{cam.height} {name}",
@@ -347,10 +345,10 @@ def per_call_prioritize(tasks, plans, robot, vmap, inflation, z_band):
         nearest = positions[np.argmin(np.linalg.norm(positions - robot.position, axis=1))]
         try:
             _, length = global_plan.plan_route(vmap, robot.position, nearest, inflation, z_band)
-            ranked.append(global_plan.TaskPriority(task, plan, length, True))
+            ranked.append(global_plan.TaskPriority(task, plan, length))
         except global_plan.RouteError:
-            ranked.append(global_plan.TaskPriority(task, plan, np.inf, False))
-    ranked.sort(key=lambda r: (not r.reachable, r.route_length, r.task.id))
+            ranked.append(global_plan.TaskPriority(task, plan, np.inf))
+    ranked.sort(key=lambda r: (r.route_length, r.task.id))
     return ranked
 
 

@@ -265,12 +265,9 @@ def _route_cells(vmap, start, goal, inflation, z_band):
     h = vmap.voxel_size
 
     def cell_of(p, name):
-        # Checked in float before the cast, which a far point overflows.
-        with np.errstate(over="ignore"):
-            g = np.floor(vmap.world_to_grid(p))
-        if not (np.all(g >= 0) and np.all(g < np.array(shape))):
+        if not vmap.contains(p):
             raise RouteError(f"{name} {p} lies outside the map bounds")
-        return tuple(g.astype(int))
+        return tuple(np.floor(vmap.world_to_grid(p)).astype(int))
 
     s = cell_of(start, "start")
     g = cell_of(goal, "goal")
@@ -509,15 +506,18 @@ def _route(vmap, start, goal, inflation, z_band, bands):
 class TaskPriority:
     task: InspectionTask
     plan: ViewPlan
-    route_length: float
-    reachable: bool
+    route_length: float  # inf for an unreachable task
+
+    @property
+    def reachable(self):
+        return self.route_length < math.inf
 
 
 def prioritize_tasks(tasks, plans, robot, vmap, inflation, z_band):
     """Tasks ordered by traversable route length from the robot's `ViewPose4`
-    to each task's nearest valid viewpoint.  Unreachable tasks go last,
-    flagged.  Each route is `plan_route`'s; the routes in one z band share
-    one band set-up."""
+    to each task's nearest valid viewpoint.  An unreachable task's route
+    length is inf, so it goes last.  Each route is `plan_route`'s; the
+    routes in one z band share one band set-up."""
     if not tasks:
         raise ValueError("no tasks to prioritize")
     robot_pos = robot.position
@@ -526,16 +526,16 @@ def prioritize_tasks(tasks, plans, robot, vmap, inflation, z_band):
     for task, plan in zip(tasks, plans):
         positions, _ = plan.valid_positions()
         if positions.shape[0] == 0:
-            ranked.append(TaskPriority(task, plan, np.inf, False))
+            ranked.append(TaskPriority(task, plan, math.inf))
             continue
         nearest = positions[np.argmin(np.linalg.norm(positions - robot_pos, axis=1))]
         try:
             _, length = _route(vmap, robot_pos, nearest, inflation, z_band, bands)
-            ranked.append(TaskPriority(task, plan, length, True))
+            ranked.append(TaskPriority(task, plan, length))
         except RouteError as exc:
             log.info("task %s unreachable: %s", task.id, exc)
-            ranked.append(TaskPriority(task, plan, np.inf, False))
-    ranked.sort(key=lambda r: (not r.reachable, r.route_length, r.task.id))
+            ranked.append(TaskPriority(task, plan, math.inf))
+    ranked.sort(key=lambda r: (r.route_length, r.task.id))
     return ranked
 
 

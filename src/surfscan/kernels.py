@@ -9,17 +9,16 @@ tests check them bitwise against per-ray and per-pixel scalar loops,
 since no mission runs them.  `incidence_cosines`, the per-step utility's
 kernel, evaluates the normal stencil without building the normal map.
 
-A depth frame has two paths.  `raycast_level_frame` casts the frame of
-a level camera (no roll or pitch) whose origin lies inside the grid: the
-rays of one image column share their x and y DDA crossings
-and those of one row their z crossings, so the crossings are built per
-column and row, each column skips straight to the first xy cell whose
-vertical column it can hit, and the pixels are resolved on that cell.
-Every other frame goes through `raycast_batch`.  Both end in one shared
-march loop, `_march`, and both are bitwise equal to
-`raycast_batch_scalar` on the same rays.  Both return each ray's first
-hit within its cap; which of a range scan's hits count, those at its
-least t, is `world._shell_cast`'s rule.
+A depth frame has one kernel, `raycast_level_frame`: the camera is level
+(no roll or pitch), its range finite and its origin on the map, so the
+rays of one image column share their x and y DDA crossings and those of
+one row their z crossings.  The crossings are built per column and row,
+each column skips straight to the first xy cell whose vertical column it
+can hit, and the pixels are resolved on that cell.  `raycast_batch` casts
+the range scans.  Both end in one shared march loop, `_march`, and both
+are bitwise equal to `raycast_batch_scalar` on the same rays.  Both
+return each ray's first hit within its cap; which of a range scan's hits
+count, those at its least t, is `world._shell_cast`'s rule.
 
 All coordinates handed to these kernels are in *grid units* (world meters
 divided by voxel size, relative to the grid origin) unless noted otherwise.

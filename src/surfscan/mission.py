@@ -92,7 +92,7 @@ class MissionRunner:
         self.cfg = cfg
         self.scene = scene if scene is not None else build_scene(cfg, base_dir)
         for name, vmap in (("historical", self.scene.historical), ("current", self.scene.current)):
-            if not all(0 <= (p - o) / vmap.voxel_size < n for p, o, n in zip(cfg.start, vmap.origin.tolist(), vmap.shape)):
+            if not vmap.contains(cfg.start):
                 raise ValueError(f"robot.start {list(cfg.start[:3])} lies off the {name} map")
 
     # -- planning ------------------------------------------------------------

@@ -170,6 +170,13 @@ class VoxelMap:
     def world_to_grid(self, p):
         return (np.asarray(p, dtype=np.float64) - self.origin) / self.voxel_size
 
+    def contains(self, p):
+        """True iff the world point `p` lies on the map: 0 <= (p - origin) / h
+        < n on every axis, the one rule for the map's edge.  Computed in
+        plain floats, where a far point overflows without a warning."""
+        h = self.voxel_size
+        return all(0.0 <= (float(v) - o) / h < n for v, o, n in zip(p, self.origin.tolist(), self.occ.shape))
+
     def voxel_center(self, idx):
         return self.origin + (np.asarray(idx, dtype=np.float64) + 0.5) * self.voxel_size
 
@@ -431,9 +438,8 @@ class CameraIntrinsics:
             raise ValueError("FOV angles must lie in (0, pi)")
         if self.width < 3 or self.height < 3:
             raise ValueError("image must be at least 3x3 pixels")
-        # An infinite range stays legal: `render_depth` casts uncapped rays.
-        if not self.max_range > 0.0:
-            raise ValueError(f"max_range must be positive, got {self.max_range}")
+        if not 0.0 < self.max_range < math.inf:
+            raise ValueError(f"max_range must be positive and finite, got {self.max_range}")
 
     @property
     def fx(self):
@@ -458,12 +464,6 @@ class CameraIntrinsics:
         v = (np.arange(self.height) - self.cy) / self.fy
         return u, v
 
-    def pixel_directions(self):
-        """(H, W, 3) camera-frame ray directions, z-component 1, so the ray
-        parameter equals projective depth."""
-        uu, vv = np.meshgrid(*self.pixel_offsets())
-        return np.stack([uu, vv, np.ones_like(uu)], axis=-1)
-
 
 def camera_axes_world(pose):
     """World-frame (right, down, forward) unit vectors of a camera mounted
@@ -472,25 +472,14 @@ def camera_axes_world(pose):
     return np.array([s, -c, 0.0]), np.array([0.0, 0.0, -1.0]), np.array([c, s, 0.0])
 
 
-def _pixel_rays(right, down, forward, intrinsics, voxel_size):
-    """The (H * W, 3) grid-unit ray of every pixel, row-major, for a camera
-    with the given world axes."""
-    cam_dirs = intrinsics.pixel_directions()
-    world_dirs = (
-        cam_dirs[..., 0, None] * right
-        + cam_dirs[..., 1, None] * down
-        + cam_dirs[..., 2, None] * forward
-    )
-    return np.ascontiguousarray(world_dirs.reshape(-1, 3) / voxel_size, dtype=np.float64)
-
-
 def _frame_axes(right, down, forward, intrinsics, voxel_size):
-    """The x and y components of each image column's rays, (W, 2), and the
-    z component of each image row's, (H,), of a level camera: the
-    components `_pixel_rays` gives, bit for bit up to the sign of a zero,
-    which the DDA treats as 0.  In u * right + v * down + forward the
-    v * down term of x and y and the u * right and forward terms of z are
-    signed zeros, which change no sum that is not itself zero."""
+    """The x and y components of each image column's grid-unit rays, (W, 2),
+    and the z component of each image row's, (H,), of a level camera: those
+    of the pixel ray u * right + v * down + forward (u, v its
+    `CameraIntrinsics.pixel_offsets`), bit for bit up to the sign of a zero,
+    which the DDA treats as 0.  The v * down term of x and y and the
+    u * right and forward terms of z are signed zeros, which change no sum
+    that is not itself zero."""
     u, v = intrinsics.pixel_offsets()
     cols = np.stack([(u * right[a] + forward[a]) / voxel_size for a in range(2)], axis=1)
     return cols, (v * down[2]) / voxel_size
@@ -501,29 +490,25 @@ def render_depth(vmap, pose, intrinsics):
     array.  Depth is the distance along the optical axis to the first
     occupied voxel; misses are NaN.
 
-    Two kernels cast the frame, with bitwise the same depths.  The camera
-    is level, so a frame with a finite range whose origin lies inside the
-    grid goes to `kernels.raycast_level_frame`, which shares each image
-    column's x/y and each row's z DDA crossings.  Any other frame casts the
-    W x H rays through `kernels.raycast_batch`.  On an empty map nothing is
+    The camera is level and its range finite, so
+    `kernels.raycast_level_frame` casts every frame: it shares each image
+    column's x/y and each row's z DDA crossings.  A pose off the map
+    (`VoxelMap.contains`) raises ValueError.  On an empty map nothing is
     cast.
     """
+    if not vmap.contains(pose.position):
+        raise ValueError(f"camera position {pose.position.tolist()} lies off the map")
     h, w = intrinsics.height, intrinsics.width
     box = vmap.occupied_box
     if box is None:
         depth = np.full((h, w), np.nan)
         depth.setflags(write=False)
         return depth
-    right, down, forward = camera_axes_world(pose)
+    cols, rows = _frame_axes(*camera_axes_world(pose), intrinsics, vmap.voxel_size)
     origin_g = vmap.world_to_grid(pose.position)
-    t_cap = float(intrinsics.max_range)
-    inside = bool(np.all((origin_g >= 0.0) & (origin_g <= vmap.shape)))
-    if inside and math.isfinite(t_cap):
-        cols, rows = _frame_axes(right, down, forward, intrinsics, vmap.voxel_size)
-        t = kernels.raycast_level_frame(vmap.occ, origin_g, cols, rows, t_cap, box, vmap.column_extent)
-    else:
-        dirs_g = _pixel_rays(right, down, forward, intrinsics, vmap.voxel_size)
-        t = kernels.raycast_batch(vmap.occ, origin_g, dirs_g, t_cap, box=box)
+    t = kernels.raycast_level_frame(
+        vmap.occ, origin_g, cols, rows, float(intrinsics.max_range), box, vmap.column_extent
+    )
     depth = t.reshape(h, w)
     depth[depth <= 0.0] = np.nan
     depth.setflags(write=False)
@@ -681,14 +666,11 @@ def _shell_cast(vmap, origins, dirs, t_cap):
 
 def is_collision_free(vmap, target, inflation):
     """Clearance query.  `target` is a point or an (a, b) segment; segments
-    are sampled every half voxel.  True iff no occupied voxel box lies within
-    `inflation` of any tested point; on an empty map nothing is tested."""
+    are sampled every half voxel.  True iff every tested point lies on the
+    map (`VoxelMap.contains`) and no occupied voxel box lies within
+    `inflation` of it; on an empty map only the first test runs."""
     if inflation < 0:
         raise ValueError("inflation must be non-negative")
-    box = vmap.occupied_box
-    if box is None:
-        return True
-    r = inflation / vmap.voxel_size
     if isinstance(target, (tuple, list)) and len(target) == 2 and np.ndim(target[0]) == 1:
         a = np.asarray(target[0], dtype=np.float64)
         b = np.asarray(target[1], dtype=np.float64)
@@ -697,6 +679,12 @@ def is_collision_free(vmap, target, inflation):
         points = a + (b - a) * np.linspace(0.0, 1.0, n + 1)[:, None]
     else:
         points = np.asarray(target, dtype=np.float64)[None, :]
+    if not all(map(vmap.contains, points.tolist())):
+        return False
+    box = vmap.occupied_box
+    if box is None:
+        return True
+    r = inflation / vmap.voxel_size
     for gx, gy, gz in vmap.world_to_grid(points).tolist():
         if not kernels.point_is_free(vmap.occ, gx, gy, gz, r, box):
             return False

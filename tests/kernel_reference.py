@@ -5,7 +5,9 @@ and `_box_exit`) and the per-pixel normal stencil
 vectorized kernels `raycast_batch`, `raycast_level_frame`,
 `normals_from_depth` and `incidence_cosines` must return the same bits.
 `nearest_only` states the nearest-return rule that `world._shell_cast`
-applies, on one scan's full-cast results.
+applies, on one scan's full-cast results.  `pixel_rays` builds the ray of
+every pixel of a pinhole camera, the rays the frame kernel's columns and
+rows stand for.
 Nothing here is imported from `surfscan`: the oracle shares no rule with
 the kernels it checks."""
 
@@ -149,6 +151,10 @@ def _box_exit(box, ox, oy, oz, dx, dy, dz):
     return t_exit
 
 
+# The divisions run on numpy scalars, which overflow to the intended inf for
+# a tiny direction component (a subnormal one, say): every oracle call runs
+# here, with those warnings silenced.
+@np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def raycast_batch_scalar(occ, origin, dirs, t_cap, box=None):
     """Scalar loop of :func:`raycast_batch`: one `_ray_first_hit` per ray.
 
@@ -182,6 +188,18 @@ def nearest_only(t):
     if hits.size:
         t = np.where(t > hits.min(), -1.0, t)
     return t
+
+
+def pixel_rays(cam, right=(1.0, 0.0, 0.0), down=(0.0, 1.0, 0.0), forward=(0.0, 0.0, 1.0)):
+    """The (H, W, 3) ray u * right + v * down + forward of every pixel of
+    the pinhole camera `cam` (anything with `width`, `height`, `fx`, `fy`,
+    `cx` and `cy`), with u = (column - cx) / fx and v = (row - cy) / fy on
+    the z = 1 plane, so that the ray parameter is projective depth.  The
+    default axes give the camera-frame rays."""
+    u = (np.arange(cam.width) - cam.cx) / cam.fx
+    v = (np.arange(cam.height) - cam.cy) / cam.fy
+    uu, vv = np.meshgrid(u, v)
+    return uu[..., None] * np.asarray(right) + vv[..., None] * np.asarray(down) + np.asarray(forward)
 
 
 def normals_from_depth_scalar(depth, fx, fy, cx, cy, jump):

@@ -30,6 +30,7 @@ from surfscan.scenario import CAMERA_FOV, demo_scenario
 from surfscan.supervisor import MissionMode, SimilarityScore, decide
 from surfscan.world import Box, CameraIntrinsics, VoxelMap, is_collision_free
 
+from kernel_reference import pixel_rays
 from test_geometry import frechet_recursive, point_in_polygon, random_rotation
 from test_global_plan import brute_force_open_tour, nearest_neighbor_cost, plan_from_positions
 from test_local_plan import next_view
@@ -302,7 +303,7 @@ def test_criterion_10_invariants(rng):
         cam = CameraIntrinsics(
             alpha=np.deg2rad(69.5), beta=np.deg2rad(45.0), width=48, height=36, max_range=10.0
         )
-        dirs = cam.pixel_directions()
+        dirs = pixel_rays(cam)
 
         def plane_img(th):
             nrm = np.array([np.sin(th), 0.0, np.cos(th)])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from kernel_reference import pixel_rays
 from surfscan.metrics import estimate_normal_map
 from surfscan.world import CameraIntrinsics
 
@@ -9,8 +10,7 @@ CAM = CameraIntrinsics(alpha=np.deg2rad(69.5), beta=np.deg2rad(45.0), width=48, 
 
 def plane_depth(intr, normal, offset):
     """Analytic projective depth of the plane n.p = offset in camera frame."""
-    dirs = intr.pixel_directions()
-    denom = dirs @ np.asarray(normal, dtype=float)
+    denom = pixel_rays(intr) @ np.asarray(normal, dtype=float)
     with np.errstate(divide="ignore"):
         z = offset / denom
     z[~np.isfinite(z)] = np.nan
@@ -23,10 +23,9 @@ def test_intrinsics_validation():
         CameraIntrinsics(alpha=0.0, beta=1.0)
     with pytest.raises(ValueError):
         CameraIntrinsics(alpha=1.0, beta=1.0, width=2, height=10)
-    with pytest.raises(ValueError, match="max_range"):
-        CameraIntrinsics(1.2, 0.8, 12, 10, float("nan"))
-    # An uncapped camera stays legal: render_depth casts its rays uncapped.
-    assert CameraIntrinsics(1.2, 0.8, 12, 10, float("inf")).max_range == float("inf")
+    for bad in (float("nan"), 0.0, float("inf")):
+        with pytest.raises(ValueError, match="max_range"):
+            CameraIntrinsics(1.2, 0.8, 12, 10, bad)
 
 
 def test_fronto_parallel_wall_normals():

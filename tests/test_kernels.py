@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 import kernel_reference
+from kernel_reference import raycast_batch_scalar
 from strategies import depth_images, direction_component, grid_coordinate, occupancy_grids, wall_slabs
 from surfscan import kernels
 from surfscan.world import VoxelMap, is_collision_free
@@ -61,14 +62,6 @@ def cast(occ, origin, dirs, t_cap):
     return kernels.raycast_batch(occ, origin, dirs, t_cap, box=box)
 
 
-def scalar_raycast(*args, **kwargs):
-    """The scalar loop as plain Python: the raycast oracle.  Its divisions
-    run on numpy scalars, which overflow to the intended inf for a tiny
-    direction component, so their warnings are silenced here alone."""
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        return kernel_reference.raycast_batch_scalar(*args, **kwargs)
-
-
 @given(batch=ray_batches())
 # tdelta = 1 / 2.2e-308 is finite, but the step into the occupied voxel
 # takes the fourth z crossing, which overflows to inf, the right value, and
@@ -84,7 +77,7 @@ def scalar_raycast(*args, **kwargs):
 @PROPERTY
 def test_raycast_matches_scalar_oracle(batch):
     got = cast(*batch)
-    ref = scalar_raycast(*batch)
+    ref = raycast_batch_scalar(*batch)
     assert same_bits(got, ref)
 
 
@@ -93,7 +86,7 @@ def test_raycast_matches_scalar_oracle_on_a_scan(rng):
     origin = np.array([1.3, 2.7, 4.1])
     dirs = rng.normal(size=(256, 3))
     got = cast(occ, origin, dirs, 50.0)
-    ref = scalar_raycast(occ, origin, dirs, 50.0)
+    ref = raycast_batch_scalar(occ, origin, dirs, 50.0)
     assert same_bits(got, ref)
 
 
@@ -106,7 +99,7 @@ def test_raycast_early_hit_survives_later_iterations():
     dirs = np.vstack([[1.0, 0.3, 0.3], np.tile([-1.0, 0.0, 0.0], (7, 1))])
     got = cast(occ, origin, dirs, 200.0)
     assert got.tolist() == [0.5] + [3.5] * 7
-    assert np.array_equal(got, scalar_raycast(occ, origin, dirs, 200.0))
+    assert np.array_equal(got, raycast_batch_scalar(occ, origin, dirs, 200.0))
 
 
 def test_raycast_tiny_direction_off_grid_emits_no_warning():
@@ -120,7 +113,7 @@ def test_raycast_tiny_direction_off_grid_emits_no_warning():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         got = cast(occ, origin, dirs, 10.0)
-    ref = scalar_raycast(occ, origin, dirs, 10.0)
+    ref = raycast_batch_scalar(occ, origin, dirs, 10.0)
     assert same_bits(got, ref)
     assert got[0] == -1.0 and got[1] > 0.0
 
@@ -239,8 +232,8 @@ def face_block(high):
 def test_raycast_box_clip_matches_unclipped_scalar_oracle(batch):
     occ, origin, dirs, t_cap, box = batch
     got = cast(occ, origin, dirs, t_cap)
-    assert same_bits(got, scalar_raycast(occ, origin, dirs, t_cap))
-    assert same_bits(got, scalar_raycast(occ, origin, dirs, t_cap, box=box))
+    assert same_bits(got, raycast_batch_scalar(occ, origin, dirs, t_cap))
+    assert same_bits(got, raycast_batch_scalar(occ, origin, dirs, t_cap, box=box))
 
 
 @st.composite
@@ -276,8 +269,8 @@ def test_raycast_multi_origin_equals_one_cast_per_origin(batch):
     one_by_one = [cast(occ, o, d, t_cap) for o, d in runs]
     assert got.shape == (dirs.shape[0],)
     assert same_bits(got, np.concatenate(one_by_one))
-    assert same_bits(got, scalar_raycast(occ, origins, dirs, t_cap, box=box))
-    assert same_bits(got, np.concatenate([scalar_raycast(occ, o, d, t_cap) for o, d in runs]))
+    assert same_bits(got, raycast_batch_scalar(occ, origins, dirs, t_cap, box=box))
+    assert same_bits(got, np.concatenate([raycast_batch_scalar(occ, o, d, t_cap) for o, d in runs]))
 
 
 @st.composite
@@ -381,7 +374,7 @@ def top_corner_exit():
 def test_level_frame_matches_scalar_oracle(frame):
     occ, origin, cols, rows, t_cap = frame
     got = level_frame(*frame)
-    assert same_bits(got, scalar_raycast(occ, origin, frame_rays(cols, rows), t_cap))
+    assert same_bits(got, raycast_batch_scalar(occ, origin, frame_rays(cols, rows), t_cap))
 
 
 def test_level_frame_breaks_crossing_ties_x_first():
@@ -394,7 +387,7 @@ def test_level_frame_breaks_crossing_ties_x_first():
         occ = np.zeros((40, 40, 3), dtype=np.bool_)
         occ[k + 1, k, :] = True
         got = level_frame(occ, origin, cols, rows, 100.0)
-        assert same_bits(got, scalar_raycast(occ, origin, frame_rays(cols, rows), 100.0))
+        assert same_bits(got, raycast_batch_scalar(occ, origin, frame_rays(cols, rows), 100.0))
         assert got.tolist() == [k + 0.5, 2 * k + 1.0] * 2
 
 
@@ -411,7 +404,7 @@ def test_raycast_rejects_rays_that_do_not_split_over_the_origins():
     with pytest.raises(ValueError, match="split evenly"):
         kernels.raycast_batch(occ, np.zeros((2, 3)), np.ones((3, 3)), 5.0, box=occupied_box(occ))
     with pytest.raises(ValueError, match="split evenly"):
-        scalar_raycast(occ, np.zeros((2, 3)), np.ones((3, 3)), 5.0)
+        raycast_batch_scalar(occ, np.zeros((2, 3)), np.ones((3, 3)), 5.0)
 
 
 def skip_out_of_the_grid(row, y, dy):
@@ -429,7 +422,7 @@ def skip_out_of_the_grid(row, y, dy):
     dirs = np.array([[-0.51, dy, -0.45]])
     got = kernels.raycast_batch(occ, origin, dirs, 60.0, box=box)
     assert got.tolist() == [-1.0]
-    assert same_bits(got, scalar_raycast(occ, origin, dirs, 60.0))
+    assert same_bits(got, raycast_batch_scalar(occ, origin, dirs, 60.0))
 
 
 def test_raycast_skip_out_of_the_grid_before_the_box_misses():
@@ -454,7 +447,7 @@ def test_raycast_entering_with_a_tmax_below_t_does_not_skip():
     dirs = np.array([[2.0**52, 0.3, 0.0]])
     got = kernels.raycast_batch(occ, origin, dirs, 100.0, box=occupied_box(occ))
     assert got.tolist() == [t_in]
-    assert same_bits(got, scalar_raycast(occ, origin, dirs, 100.0))
+    assert same_bits(got, raycast_batch_scalar(occ, origin, dirs, 100.0))
 
 
 @pytest.mark.parametrize("x, dx", [(0.5, 2.3e-308), (15.5, -2.3e-308)])
@@ -468,7 +461,7 @@ def test_raycast_uncapped_tiny_direction_walks_into_the_box_from_afar(x, dx):
     origin = np.array([x, 1.5, 1.5])
     dirs = np.array([[dx, 0.0, 0.0]])
     got = kernels.raycast_batch(occ, origin, dirs, math.inf, box=occupied_box(occ))
-    assert same_bits(got, scalar_raycast(occ, origin, dirs, math.inf))
+    assert same_bits(got, raycast_batch_scalar(occ, origin, dirs, math.inf))
     assert got.tolist() == [math.inf]
 
 
@@ -482,7 +475,7 @@ def test_raycast_zero_direction_keeps_its_uncapped_walk_into_the_box():
     dirs = np.zeros((1, 3))
     for t_cap in (5.0, math.inf):
         got = kernels.raycast_batch(occ, origin, dirs, t_cap, box=occupied_box(occ))
-        assert same_bits(got, scalar_raycast(occ, origin, dirs, t_cap))
+        assert same_bits(got, raycast_batch_scalar(occ, origin, dirs, t_cap))
     assert got.tolist() == [math.inf]
 
 
@@ -537,16 +530,18 @@ def two_corner_voxels(n):
 def test_point_is_free_matches_brute_force(occ, g, radius):
     free = point_is_free_oracle(occ, g, radius)
     # Clipped to the full grid and to the occupied box, and as the map's
-    # clearance query calls it; an empty map answers without the kernel.
+    # clearance query calls it, which holds a point off the map not free;
+    # an empty map answers without the kernel.
     assert kernels.point_is_free(occ, *g, radius, np.array([(0, 0, 0), occ.shape])) == free
     vmap = VoxelMap(np.zeros(3), 1.0, occ)
+    on_map = all(0.0 <= c < n for c, n in zip(g, occ.shape))
     if vmap.occupied_box is None:
         assert free
         with mock.patch.object(kernels, "point_is_free", side_effect=AssertionError("kernel called")):
-            assert is_collision_free(vmap, g, radius)
+            assert is_collision_free(vmap, g, radius) == on_map
     else:
         assert kernels.point_is_free(occ, *g, radius, vmap.occupied_box) == free
-        assert is_collision_free(vmap, g, radius) == free
+        assert is_collision_free(vmap, g, radius) == (on_map and free)
 
 
 def frechet_recursive(a, b):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from kernel_reference import normals_from_depth_scalar, raycast_batch_scalar
+from kernel_reference import normals_from_depth_scalar, pixel_rays, raycast_batch_scalar
 from strategies import depth_images, grid_coordinate, occupancy_grids
 from surfscan import kernels, metrics
 from surfscan.geometry import NoSurfaceError, PathSegment, ViewPose4, nearest_point
@@ -26,8 +26,7 @@ CAM = CameraIntrinsics(alpha=np.deg2rad(69.5), beta=np.deg2rad(45.0), width=48, 
 
 
 def plane_depth(intr, normal, offset):
-    dirs = intr.pixel_directions()
-    denom = dirs @ np.asarray(normal, dtype=float)
+    denom = pixel_rays(intr) @ np.asarray(normal, dtype=float)
     with np.errstate(divide="ignore"):
         z = offset / denom
     z[~np.isfinite(z) | (z <= 0)] = np.nan

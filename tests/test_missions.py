@@ -32,6 +32,35 @@ def test_obstacle_demo_detours_and_completes():
     assert result.summary["pct_replanned"] == 0.0
 
 
+@pytest.mark.parametrize("mode", ["adaptive", "baseline"])
+def test_a_wall_cut_by_the_map_edge_is_inspected_on_the_map(mode):
+    # The map ends at y = 1, across the nominal wall: the two viewpoints
+    # past the edge are dropped, and the robot never leaves the map.
+    cfg = demo_scenario("nominal", mode)
+    lo, hi = cfg.bounds
+    runner = MissionRunner(dataclasses.replace(cfg, bounds=(lo, (hi[0], 1.0, hi[2]))))
+    artifacts = runner.plan()
+    (task_plan,) = artifacts.executable
+    assert task_plan.plan.valid.tolist() == [True] * 4 + [False] * 2
+    assert all(vp.y >= 1.0 for vp, ok in zip(task_plan.plan.viewpoints, task_plan.plan.valid) if not ok)
+    result = runner.run(artifacts)
+    assert result.status == "completed" and result.summary["visited_total"] == 4
+    assert len(result.log) == 67
+    assert all(runner.scene.current.contains((r.x, r.y, r.z)) for r in result.log)
+
+
+@pytest.mark.parametrize("mode", ["adaptive", "baseline"])
+@pytest.mark.parametrize("demo", ["nominal", "receding", "obstacle", "receding_full"])
+def test_demo_robots_stay_on_the_map_in_free_voxels(demo, mode):
+    runner = MissionRunner(demo_scenario(demo, mode))
+    result = runner.run()
+    assert result.status == "completed"
+    vmap = runner.scene.current
+    for r in result.log:
+        assert vmap.contains((r.x, r.y, r.z))
+        assert not vmap.occ[tuple(np.floor(vmap.world_to_grid((r.x, r.y, r.z))).astype(int))]
+
+
 def test_unchanged_scene_computes_clearance_once(monkeypatch):
     # The nominal scene's historical and current maps are one map, so
     # planning and navigation share its free_mask cache.
