@@ -91,9 +91,9 @@ class MissionRunner:
     def __init__(self, cfg, scene=None, base_dir=None):
         self.cfg = cfg
         self.scene = scene if scene is not None else build_scene(cfg, base_dir)
-        for name, vmap in (("historical", self.scene.historical), ("current", self.scene.current)):
-            if not vmap.contains(cfg.start):
-                raise ValueError(f"robot.start {list(cfg.start[:3])} lies off the {name} map")
+        # The scene's two maps share one grid, so one check covers both.
+        if not self.scene.historical.contains(cfg.start):
+            raise ValueError(f"robot.start {list(cfg.start[:3])} lies off the map")
 
     # -- planning ------------------------------------------------------------
 

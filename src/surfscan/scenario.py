@@ -51,8 +51,10 @@ class MapSpec:
     boxes: tuple = ()
 
     def build(self, voxel_size, bounds, base_dir):
-        """The map over `bounds` (None: the map's own extent); a relative
-        file path is read from `base_dir` (None: the working directory)."""
+        """The map over `bounds` (None: the map's own extent, which only a
+        historical map may take: a current map must lie on its grid); a
+        relative file path is read from `base_dir` (None: the working
+        directory)."""
         if self.file:
             path = Path(self.file)
             if base_dir is not None and not path.is_absolute():
@@ -229,8 +231,11 @@ def _value(key, value):
 
 
 def build_scene(cfg, base_dir):
-    """Materialize the world of a scenario config; map files with a relative
-    path are read from `base_dir` (None: the working directory)."""
+    """Materialize the world of a scenario config on one grid: a delta is
+    applied on the historical map's grid, and a `maps.current` is built over
+    `maps.bounds` (`Scene` rejects one built on its own extent).  Map files
+    with a relative path are read from `base_dir` (None: the working
+    directory)."""
     historical = cfg.historical.build(cfg.voxel_size, cfg.bounds, base_dir)
     if cfg.current is not None:
         current = cfg.current.build(cfg.voxel_size, cfg.bounds, base_dir)

@@ -160,13 +160,6 @@ class VoxelMap:
     def shape(self):
         return self.occ.shape
 
-    @property
-    def bounds(self):
-        return (
-            self.origin.copy(),
-            self.origin + np.array(self.occ.shape) * self.voxel_size,
-        )
-
     def world_to_grid(self, p):
         return (np.asarray(p, dtype=np.float64) - self.origin) / self.voxel_size
 
@@ -289,7 +282,8 @@ def _clearance_free(occ, r_vox, k_lo, k_hi):
 
 @dataclass(frozen=True)
 class MorphologyDelta:
-    """Scene change: boxes cleared (removals) then filled (additions)."""
+    """Scene change: boxes cleared (removals) then filled (additions), each
+    clipped to the grid it is applied to."""
 
     removals: tuple = ()
     additions: tuple = ()
@@ -300,44 +294,33 @@ class MorphologyDelta:
 
 
 def apply_delta(base, delta):
-    """New map with the delta applied: removal boxes clear voxels, then
-    addition boxes set them.  The grid grows if an addition falls outside
-    current bounds."""
-    h = base.voxel_size
-    lo, hi = base.bounds
-    for box in delta.additions:
-        lo = np.minimum(lo, box.lo)
-        hi = np.maximum(hi, box.hi)
-
-    if np.any(lo < base.bounds[0]) or np.any(hi > base.bounds[1]):
-        grown = VoxelMap.empty(lo, hi, h)
-        occ = np.asarray(grown.occ)
-        occ.setflags(write=True)
-        off = np.round((base.origin - grown.origin) / h).astype(int)
-        sx, sy, sz = base.occ.shape
-        occ[off[0] : off[0] + sx, off[1] : off[1] + sy, off[2] : off[2] + sz] = base.occ
-        result = grown
-    else:
-        result = VoxelMap(base.origin, h, base.occ.copy())
-        occ = np.asarray(result.occ)
-        occ.setflags(write=True)
-
+    """New map on `base`'s grid with the delta applied: removal boxes clear
+    voxels, then addition boxes set them.  Both are clipped to the grid, as
+    what lies off the map does not exist for the robot."""
+    occ = base.occ.copy()
     for boxes, value in ((delta.removals, False), (delta.additions, True)):
         for box in boxes:
-            i0, i1 = result._box_slices(box)
+            i0, i1 = base._box_slices(box)
             occ[i0[0] : i1[0], i0[1] : i1[1], i0[2] : i1[2]] = value
-
-    occ.setflags(write=False)
-    return result
+    return VoxelMap(base.origin, base.voxel_size, occ)
 
 
 @dataclass(frozen=True)
 class Scene:
-    """Historical map and current map.  An unchanged scene holds one map
-    twice, so both share its `free_mask` cache."""
+    """Historical map and current map, on one grid: the same origin, voxel
+    size and shape.  An unchanged scene holds one map twice, so both share
+    its `free_mask` cache."""
 
     historical: VoxelMap
     current: VoxelMap
+
+    def __post_init__(self):
+        h, c = self.historical, self.current
+        if not (h.voxel_size == c.voxel_size and h.shape == c.shape and np.array_equal(h.origin, c.origin)):
+            raise ValueError(
+                "the current map must lie on the historical map's grid (same origin, voxel size and shape); "
+                "set maps.bounds"
+            )
 
     @classmethod
     def from_delta(cls, historical, delta):

@@ -163,6 +163,11 @@ def route_or_error(planner, *args, **kwargs):
     return np.asarray(waypoints), length, None
 
 
+def grid_extent(vmap):
+    """The world corners of the map's grid."""
+    return vmap.origin, vmap.origin + np.array(vmap.shape) * vmap.voxel_size
+
+
 @st.composite
 def route_cases(draw):
     """A random grid, two endpoints (voxel interiors or anywhere around
@@ -170,7 +175,7 @@ def route_cases(draw):
     inflation and z band."""
     occ = draw(occupancy_grids(max_side=12))
     vmap = VoxelMap(np.array([-0.5, 0.3, 0.1]), 0.2, occ)
-    lo, hi = vmap.bounds
+    lo, hi = grid_extent(vmap)
 
     def point():
         if draw(st.integers(0, 4)):  # mostly inside a voxel
@@ -216,7 +221,7 @@ def grid_points(draw, vmap):
         cell = np.array([draw(st.integers(0, n - 1)) for n in vmap.shape])
         frac = np.array([draw(st.floats(0.0, 0.999)) for _ in range(3)])
         return vmap.origin + (cell + frac) * vmap.voxel_size
-    lo, hi = vmap.bounds
+    lo, hi = grid_extent(vmap)
     return np.array([draw(st.floats(float(a) - 0.5, float(b) + 0.5)) for a, b in zip(lo, hi)])
 
 
@@ -227,7 +232,7 @@ def route_scenes(draw):
     and in other layers all occur; now and then the start itself),
     inflation and z band."""
     vmap = VoxelMap(ORIGIN, 0.2, draw(occupancy_grids(max_side=12)))
-    lo, hi = vmap.bounds
+    lo, hi = grid_extent(vmap)
     start = draw(grid_points(vmap))
     goals = [
         start.copy() if draw(st.integers(0, 9)) == 0 else draw(grid_points(vmap))

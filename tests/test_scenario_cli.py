@@ -16,6 +16,7 @@ import yaml
 from surfscan.cli import main
 from surfscan.world import CameraIntrinsics
 from surfscan.global_plan import generate_grid_viewpoints
+from surfscan.mission import MissionRunner
 from surfscan.scenario import _KEYS, CAMERA_FOV, DEMO_NAMES, ScenarioConfig, build_scene, demo_scenario, load_scenario
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -792,7 +793,7 @@ def test_cli_plan_ends_a_huge_inflation_as_unreachable(tmp_path, capsys):
 @pytest.mark.parametrize(
     "path, value, reason",
     [
-        (("robot", "start", 1), 1e30, "robot.start [4.0, 1e+30, 0.6] lies off the historical map"),
+        (("robot", "start", 1), 1e30, "robot.start [4.0, 1e+30, 0.6] lies off the map"),
         (("maps", "bounds", "hi", 0), 1e30, "0.1 m voxels over [-1.0, -8.0, 0.0] .. [1e+30, 7.0, 2.4] are too many"),
         (("view", "d_view"), 6.0, "view.d_view must be at most camera.max_range (5.0), got 6.0"),
     ],
@@ -811,22 +812,27 @@ def test_cli_rejects_a_scene_it_cannot_plan(tmp_path, capsys, path, value, reaso
 
 
 @pytest.mark.parametrize("command", ["plan", "run"])
-def test_cli_rejects_a_start_off_the_current_map(tmp_path, capsys, command):
-    # Without maps.bounds each map spans its own boxes.  A current map that
-    # left out the start passed the load: plan exited 0, and run aborted
-    # (exit 3) on "route to tour start failed: start ... lies outside the
-    # map bounds".
+def test_cli_rejects_a_current_map_off_the_historical_grid(tmp_path, capsys, command):
+    # Without maps.bounds each map spans its own boxes, so a current map
+    # that leaves out one of the historical boxes lies on another grid.
     cfg = yaml.safe_load(GOOD_YAML)
     maps = cfg["maps"]
-    del maps["bounds"], maps["delta"]
+    bounds = maps.pop("bounds")
+    del maps["delta"]
     maps["historical"]["boxes"].append({"lo": [0.0, -6.0, 0.0], "hi": [0.4, -5.6, 0.4]})
     maps["current"] = {"boxes": maps["historical"]["boxes"][:1]}
     f = tmp_path / "scn.yaml"
     f.write_text(yaml.safe_dump(cfg))
     out = tmp_path / "out"
     assert main([command, "--config", str(f), "--out", str(out)]) == 64
-    assert f"{f}: robot.start [4.0, -5.0, 0.6] lies off the current map" in capsys.readouterr().err
+    assert f"{f}: the current map must lie on the historical map's grid" in capsys.readouterr().err
     assert not out.exists()
+    # The same maps over maps.bounds share one grid and load.
+    maps["bounds"] = bounds
+    f.write_text(yaml.safe_dump(cfg))
+    scene = MissionRunner(load_scenario(f), base_dir=tmp_path).scene
+    assert scene.current.shape == scene.historical.shape
+    assert np.count_nonzero(scene.current.occ) < np.count_nonzero(scene.historical.occ)
 
 
 @contextlib.contextmanager

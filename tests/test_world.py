@@ -132,7 +132,8 @@ def test_apply_delta_identity(wall_map):
 
 
 def test_apply_delta_remove_everything(wall_map):
-    lo, hi = wall_map.bounds
+    lo = wall_map.origin
+    hi = lo + np.array(wall_map.shape) * wall_map.voxel_size
     out = apply_delta(wall_map, MorphologyDelta(removals=(Box(tuple(lo), tuple(hi)),)))
     assert np.count_nonzero(out.occ) == 0
 
@@ -153,11 +154,17 @@ def test_apply_delta_removals_idempotent(wall_map):
     assert np.array_equal(once.occ, twice.occ)
 
 
-def test_apply_delta_addition_grows_grid(wall_map):
-    out = apply_delta(wall_map, MorphologyDelta(additions=(Box((12.0, 0.0, 0.0), (12.5, 0.5, 0.5)),)))
-    assert out.bounds[1][0] >= 12.5
-    assert np.count_nonzero(out.occ) == np.count_nonzero(wall_map.occ) + 5 * 5 * 5
-    assert occupied_at(out, [12.25, 0.25, 0.25])
+def test_apply_delta_addition_clips_to_grid(wall_map):
+    # The grid's x ends at 10: an addition straddling it sets only its
+    # on-grid voxels (x 9.5..10), and one wholly past it sets none.
+    before = np.count_nonzero(wall_map.occ)
+    for lo_x, added in ((9.5, 5 * 5 * 5), (12.0, 0)):
+        box = Box((lo_x, 0.0, 0.0), (lo_x + 1.0, 0.5, 0.5))
+        out = apply_delta(wall_map, MorphologyDelta(additions=(box,)))
+        assert np.array_equal(out.origin, wall_map.origin)
+        assert (out.shape, out.voxel_size) == (wall_map.shape, wall_map.voxel_size)
+        assert np.count_nonzero(out.occ) == before + added
+        assert occupied_at(out, [9.95, 0.25, 0.25]) == bool(added)
 
 
 def numpy_box_slices(vmap, box):
@@ -234,6 +241,21 @@ def test_scene_from_delta_reproducible(wall_map):
     scene = Scene.from_delta(wall_map, delta)
     again = apply_delta(wall_map, delta)
     assert np.array_equal(scene.current.occ, again.occ)
+
+
+def test_scene_maps_share_one_grid(wall_map):
+    h, occ = wall_map.voxel_size, wall_map.occ
+    for other in (
+        VoxelMap(wall_map.origin + h, h, occ),
+        VoxelMap(wall_map.origin, 2 * h, occ),
+        VoxelMap(wall_map.origin, h, occ[:-1]),
+    ):
+        with pytest.raises(ValueError, match="must lie on the historical map's grid .*; set maps.bounds"):
+            Scene(wall_map, other)
+    # A delta reaching past the grid, or none, keeps the historical grid.
+    far = Box((-5.0, -9.0, -1.0), (20.0, 9.0, 5.0))
+    Scene.unchanged(wall_map)
+    assert Scene.from_delta(wall_map, MorphologyDelta(removals=(far,), additions=(far,))).current.occ.all()
 
 
 # ---------------------------------------------------------------- depth rendering
@@ -346,7 +368,7 @@ def test_render_depth_casts_a_level_frame_from_inside_the_grid(wall_map):
 
 def test_render_depth_rejects_an_off_map_pose(wall_map):
     # Outside the grid, and on its high y face, which the map does not hold.
-    hi_y = wall_map.bounds[1][1]
+    hi_y = wall_map.origin[1] + wall_map.shape[1] * wall_map.voxel_size
     for position in ((-3.0, 0.3, 1.0), (4.0, hi_y, 1.0)):
         with pytest.raises(ValueError, match="off the map"):
             render_depth(wall_map, ViewPose4(*position, 0.1), SMALL_CAM)
