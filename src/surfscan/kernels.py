@@ -15,10 +15,12 @@ rays of one image column share their x and y DDA crossings and those of
 one row their z crossings.  The crossings are built per column and row,
 each column skips straight to the first xy cell whose vertical column it
 can hit, and the pixels are resolved on that cell.  `raycast_batch` casts
-the range scans.  Both end in one shared march loop, `_march`, and both
-are bitwise equal to `raycast_batch_scalar` on the same rays.  Both
-return each ray's first hit within its cap; which of a range scan's hits
-count, those at its least t, is `world._shell_cast`'s rule.
+the range scans.  Both take origins in the grid and a finite cap
+(`_check_cast`), so every ray starts at t = 0 inside the grid: they share
+one DDA set-up, `_dda_setup`, and one march loop, `_march`, and both are
+bitwise equal to `raycast_batch_scalar` on the same rays.  Both return
+each ray's first hit within its cap; which of a range scan's hits count,
+those at its least t, is `world._shell_cast`'s rule.
 
 All coordinates handed to these kernels are in *grid units* (world meters
 divided by voxel size, relative to the grid origin) unless noted otherwise.
@@ -115,10 +117,9 @@ def frechet_dp(a, b):
 
 def _slab_clip(origin, dirs, lo, hi, enter, exit):
     """Narrow each ray's [enter, exit] in place to the box [lo, hi] (per
-    axis), as the reference loop's clip does.  `origin` holds per axis either
-    one coordinate for every ray or each ray's own.  Returns the mask of
-    rays that sit outside a slab they do not move across.  Runs under the
-    caller's `np.errstate`."""
+    axis).  `origin` holds per axis either one coordinate for every ray or
+    each ray's own.  Returns the mask of rays that sit outside a slab they
+    do not move across.  Runs under the caller's `np.errstate`."""
     outside = np.zeros(dirs.shape[0], dtype=np.bool_)
     for axis in range(dirs.shape[1]):
         o = origin[axis]
@@ -161,17 +162,41 @@ def _crossings_below(tmax, tdel, limit):
     return k, nxt
 
 
+def _dda_setup(o, d, n):
+    """One axis' start voxel, first crossing, tdelta, step sign and grid exit
+    at t = 0 from `o` in the grid (one coordinate or each ray's own) along
+    `d`, as `_ray_first_hit` computes them, under the caller's errstate."""
+    cell = np.minimum(np.maximum(np.floor(o), 0.0), n - 1).astype(np.int64)
+    forward = d > 0.0
+    backward = d < 0.0
+    tmax = 0.0 + np.where(forward, ((cell + 1) - o) / d, np.where(backward, (o - cell) / -d, np.inf))
+    tdel = np.where(forward, 1.0 / d, np.where(backward, 1.0 / -d, np.inf))
+    sign = np.where(forward, 1, -1)
+    exit = np.where(d != 0.0, np.maximum((0.0 - o) / d, (n - o) / d), np.inf)
+    return cell, tmax, tdel, sign, exit
+
+
+def _check_cast(origins, t_cap, shape):
+    """The raycast kernels' contract, which starts every ray at t = 0 in the
+    grid: each origin in it (0 <= o <= n per axis) and a finite cap."""
+    if not math.isfinite(t_cap):
+        raise ValueError(f"t_cap must be finite, got {t_cap}")
+    if not ((origins >= 0.0) & (origins <= np.array(shape))).all():
+        raise ValueError("every origin must lie in the grid")
+
+
 # A tiny direction component divides and sums to the intended +-inf, and
 # one that is zero gives nan where its axis is masked out: no warnings.
 @np.errstate(divide="ignore", over="ignore", invalid="ignore")
 def raycast_batch(occ, origin, dirs, t_cap, *, box):
     """First-hit parameter for a batch of rays from one or more origins.
 
-    origin: (3,) grid-unit coordinates, or (G, 3) for G scans in one call.
-    dirs: (N, 3) directions (any scale; the returned t is in the caller's
-    parameterization), N a multiple of G: ray i is cast from origin
-    i // (N // G).  Returns the (N,) hit parameters: each ray's first hit
-    within `t_cap`, or -1.0 for a miss.
+    origin: (3,) grid-unit coordinates, or (G, 3) for G scans in one call,
+    each inside the grid (0 <= o <= n per axis).  dirs: (N, 3) directions
+    (any scale; the returned t is in the caller's parameterization), N a
+    multiple of G: ray i is cast from origin i // (N // G).  t_cap must be
+    finite.  Returns the (N,) hit parameters: each ray's first hit within
+    `t_cap`, or -1.0 for a miss.
 
     `box` is a (2, 3) int64 array of the first and one-past-last voxel per
     axis of a box that holds every occupied voxel a ray enters within its
@@ -201,61 +226,44 @@ def raycast_batch(occ, origin, dirs, t_cap, *, box):
     groups = origins.shape[0]
     if groups == 0 or n_rays % groups:
         raise ValueError(f"{n_rays} rays do not split evenly over {groups} origins")
+    shape = occ.shape
+    _check_cast(origins, t_cap, shape)
     per = n_rays // groups
     # Per axis, the coordinate every ray shares or each ray's own.
     each = origins[0] if groups == 1 else np.repeat(origins, per, axis=0).T
     out = np.full(n_rays, -1.0)
-    shape = occ.shape
 
-    # Clip every ray against the grid AABB [0,nx]x[0,ny]x[0,nz].
-    t_enter = np.zeros(n_rays)
+    # Entry into and exit from the padded occupied box, from t = 0 and up
+    # to the cap, as the reference loop's `_box_exit` computes the exit.  A
+    # ray that never meets it in that span, or stays outside a slab it does
+    # not move across, misses.
+    box_enter = np.zeros(n_rays)
     t_exit = np.full(n_rays, float(t_cap))
-    live = ~_slab_clip(each, dirs, np.zeros(3), np.array(shape, dtype=np.float64), t_enter, t_exit)
-    # Entry into and exit from the padded occupied box, as the reference
-    # loop's `_box_exit` computes the exit.  A ray that stays outside a
-    # slab it does not move across enters at +inf; it is kept only when
-    # its exit is +inf too (it moves along no axis and is uncapped, and
-    # the DDA walks it at t = inf, as the reference loop does).
-    box_enter = np.full(n_rays, -np.inf)
-    box_enter[_slab_clip(each, dirs, box[0] - 1.0, box[1] + 1.0, box_enter, t_exit)] = np.inf
-    live &= ~(box_enter > t_exit)
-    live &= ~(t_enter > t_exit)
-    ray = np.flatnonzero(live)
+    outside = _slab_clip(each, dirs, box[0] - 1.0, box[1] + 1.0, box_enter, t_exit)
+    ray = np.flatnonzero(~outside & (box_enter <= t_exit))
     if ray.size == 0:
-        return out  # every ray missed the grid or the box: nothing to march
-    t = t_enter[ray]
+        return out  # every ray missed the box: nothing to march
 
     # One column per live ray.  Rows of `fstate`: t, t_exit, tmax x/y/z,
-    # tdelta x/y/z; `sign` holds the step direction per axis.
+    # tdelta x/y/z; `sign` holds the step direction per axis.  Every ray
+    # starts at t = 0, and its grid exit lowers its t_exit.
     fstate = np.empty((8, ray.size))
     sign = np.empty((3, ray.size), dtype=np.int64)
     cells = np.empty((3, ray.size), dtype=np.int64)
     start = each if groups == 1 else each[:, ray]
-    fstate[0] = t
+    fstate[0] = 0.0
     fstate[1] = t_exit[ray]
     for axis in range(3):
-        # Entry voxel, clamped into the grid, and the axis' DDA state.
-        d = dirs[ray, axis]
-        p = start[axis] + d * t
-        cells[axis] = np.clip(np.floor(p).astype(np.int64), 0, shape[axis] - 1)
-        forward = d > 0.0
-        backward = d < 0.0
-        fstate[2 + axis] = np.where(
-            forward,
-            t + ((cells[axis] + 1) - p) / d,
-            np.where(backward, t + (p - cells[axis]) / -d, np.inf),
-        )
-        fstate[5 + axis] = np.where(forward, 1.0 / d, np.where(backward, 1.0 / -d, np.inf))
-        sign[axis] = np.where(forward, 1, -1)
+        cells[axis], fstate[2 + axis], fstate[5 + axis], sign[axis], exit = _dda_setup(start[axis], dirs[ray, axis], shape[axis])
+        np.minimum(fstate[1], exit, out=fstate[1])
     # Pass every crossing below the box entry before the loop: the voxels
-    # they lead into lie outside the padded box.  Only rays with t below
-    # the entry skip (a ray can enter the grid with a tmax one rounding
-    # below t).  A ray carried out of the grid is clamped to just outside
-    # it, and misses.  t stays at the grid entry: the cell is empty or
+    # they lead into lie outside the padded box.  A ray carried out of the
+    # grid is clamped to just outside it, and misses; so does one whose box
+    # entry lies past its grid exit.  t stays at 0: the cell is empty or
     # outside the grid, so the loop's first iteration records no hit and
     # its first step sets t.
     limit = box_enter[ray]
-    rows = np.flatnonzero((t < limit) & (limit < np.inf))
+    rows = np.flatnonzero(limit > 0.0)
     for axis in range(3):
         k, fstate[2 + axis, rows] = _crossings_below(fstate[2 + axis, rows], fstate[5 + axis, rows], limit[rows])
         moved = cells[axis, rows] + sign[axis, rows] * k
@@ -283,10 +291,9 @@ def _march(occ, box, out, ray, fstate, sign, cells):
     # and the first voxel of every ray in the grid: a ray leaving it has
     # passed the box on that axis and can hit nothing more.  After
     # `raycast_batch`'s skip that is the box padded by two voxels at most
-    # (a skipped ray stops in the voxel before the padded box's face),
-    # unless an uncapped walk at t = inf, which skips nothing, starts
-    # farther out; a level frame's rays start in the box's xy footprint, at
-    # any height.
+    # (a skipped ray stops in the voxel before the padded box's face, and
+    # every other ray starts on the padded box); a level frame's rays start
+    # in the box's xy footprint, at any height.
     in_grid = ((cells >= 0) & (cells < np.array(shape)[:, None])).all(axis=0)
     lo = np.array([cells[a].min(where=in_grid, initial=box[0, a]) for a in range(3)])
     hi = np.array([cells[a].max(where=in_grid, initial=box[1, a] - 1) for a in range(3)]) + 1
@@ -383,27 +390,10 @@ def raycast_level_frame(occ, origin, cols, rows, t_cap, box, z_extent):
     before their cap miss with no table built; the others build their x
     and y tables only up to their exit from that padded footprint.
     """
-    if not math.isfinite(t_cap):
-        # An uncapped ray that moves along no axis walks the grid at t = inf
-        # (as the reference's `_ray_first_hit` does); the crossing tables
-        # have no such walk.
-        raise ValueError(f"t_cap must be finite, got {t_cap}")
+    shape = occ.shape
+    _check_cast(origin, t_cap, shape)
     h, w = rows.size, cols.shape[0]
     out = np.full(h * w, -1.0)
-    shape = occ.shape
-
-    def dda_setup(o, d, n):
-        """Start voxel, first crossing, tdelta, step sign and grid exit
-        of an axis at t = 0, as the reference's `_ray_first_hit` computes
-        them."""
-        cell = min(max(math.floor(o), 0), n - 1)
-        forward = d > 0.0
-        backward = d < 0.0
-        tmax = 0.0 + np.where(forward, ((cell + 1) - o) / d, np.where(backward, (o - cell) / -d, np.inf))
-        tdel = np.where(forward, 1.0 / d, np.where(backward, 1.0 / -d, np.inf))
-        sign = np.where(forward, 1, -1)
-        exit = np.where(d != 0.0, np.maximum((0.0 - o) / d, (n - o) / d), np.inf)
-        return cell, tmax, tdel, sign, exit
 
     def crossings(tmax, tdel, reach, n):
         """Each ray's crossing times from t = 0, one row per ray.  A ray
@@ -419,7 +409,7 @@ def raycast_level_frame(occ, origin, cols, rows, t_cap, box, z_extent):
     # Columns whose horizontal ray stays outside the padded footprint of
     # the box up to its cap (or its exit from the grid) can hit nothing.
     (ix0, tmx, tdx, sx, ex), (iy0, tmy, tdy, sy, ey) = (
-        dda_setup(origin[a], cols[:, a], shape[a]) for a in range(2)
+        _dda_setup(origin[a], cols[:, a], shape[a]) for a in range(2)
     )
     lim = np.minimum(np.minimum(ex, ey), t_cap)
     enter = np.zeros(w)
@@ -479,7 +469,7 @@ def raycast_level_frame(occ, origin, cols, rows, t_cap, box, z_extent):
     # crossing.  Counted through the sorted entry times: a crossing with
     # i entry times at or below it lies below the (i + 1)-th smallest and
     # every later one.
-    iz0, tmz, tdz, sz, ez = dda_setup(oz, rows, shape[2])
+    iz0, tmz, tdz, sz, ez = _dda_setup(oz, rows, shape[2])
     tab_z = crossings(tmz, tdz, np.abs(rows) * leave.max(), shape[2])
     by_time = np.argsort(t0)
     at_or_below = np.searchsorted(t0[by_time], tab_z, side="right")

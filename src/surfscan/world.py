@@ -104,21 +104,27 @@ class VoxelMap:
             raise ValueError(f"{h} m voxels over {lo.tolist()} .. {hi.tolist()} are too many to index")
         return cls(lo, h, np.zeros(counts.astype(int), dtype=np.bool_))
 
+    # A point too far off for an int64 index casts to a bad one, which the filter drops.
+    @np.errstate(invalid="ignore")
     def _mark_points(self, points):
         """Mark the voxels holding the (N, 3) `points` occupied; points off
-        the grid clip onto its edge voxels.  Only for a map being built:
-        every map is read-only once made."""
+        the grid are dropped, as what lies off the map does not exist for
+        the robot.  Only for a map being built: every map is read-only once
+        made."""
         points = np.asarray(points, dtype=np.float64).reshape(-1, 3)
         if points.shape[0]:
             occ = np.asarray(self.occ)
             occ.setflags(write=True)
             flat = occ.reshape(-1)
-            upper = np.array(occ.shape) - 1
             # In blocks of rows, so the temporaries stay small on a survey.
             for lo in range(0, points.shape[0], _POINT_BLOCK):
                 idx = np.floor((points[lo : lo + _POINT_BLOCK] - self.origin) / self.voxel_size).astype(int)
-                np.clip(idx, 0, upper, out=idx)
-                flat[np.ravel_multi_index(idx.T, occ.shape)] = True
+                # The index's own bounds check finds a block to filter, by `contains`'s rule in floats.
+                try:
+                    flat[np.ravel_multi_index(idx.T, occ.shape)] = True
+                except ValueError:
+                    g = (points[lo : lo + _POINT_BLOCK] - self.origin) / self.voxel_size
+                    flat[np.ravel_multi_index(idx[((g >= 0.0) & (g < occ.shape)).all(axis=1)].T, occ.shape)] = True
             occ.setflags(write=False)
 
     @classmethod
@@ -374,7 +380,7 @@ def _load_xyz_lines(path):
 
 def load_map(path, voxel_size, bounds):
     """Voxelize an xyz point file over `bounds` (None: the points' extent
-    grown by `MAP_PADDING` on every side)."""
+    grown by `MAP_PADDING` on every side); points off the bounds are dropped."""
     # Given bounds, the long-lived grid is allocated before the short-lived
     # point array.  Allocated after it, the grid left the heap so that a
     # repeated site load (perfbench's large_site_plan) read a peak RSS of 66
@@ -517,39 +523,40 @@ def sample_cloud(vmap, positions, max_range, ray_count):
     each position alone, so each row is that of its scan's first kept ray.
     On an empty map nothing is cast.
 
-    A range that is not positive (nan included; an infinite one is legal)
-    or fewer than one ray raises ValueError: either would return nothing.
+    A scan from a position off the map (`VoxelMap.contains`) sees nothing:
+    its row is NaN and it is not cast.  A range that is not positive and
+    finite (nan included), or fewer than one ray, raises ValueError.
     """
-    if not max_range > 0:
-        raise ValueError(f"max_range must be positive, got {max_range}")
+    if not 0.0 < max_range < math.inf:
+        raise ValueError(f"max_range must be positive and finite, got {max_range}")
     if not ray_count >= 1:
         raise ValueError(f"ray_count must be at least 1, got {ray_count}")
     positions = np.asarray(positions, dtype=np.float64).reshape(-1, 3)
     nearest = np.full(positions.shape, np.nan)
-    if vmap.occupied_box is not None:
+    on_map = np.flatnonzero([vmap.contains(p) for p in positions.tolist()])
+    if vmap.occupied_box is not None and on_map.size:
         dirs = fibonacci_directions(int(ray_count))
-        t = _shell_cast(vmap, vmap.world_to_grid(positions), dirs, float(max_range))
+        t = _shell_cast(vmap, vmap.world_to_grid(positions[on_map]), dirs, float(max_range))
         hit = t >= 0.0
         scan = np.flatnonzero(hit.any(axis=1))
         ray = hit[scan].argmax(axis=1)
-        nearest[scan] = positions[scan] + dirs[ray] * t[scan, ray][:, None]
+        nearest[on_map[scan]] = positions[on_map[scan]] + dirs[ray] * t[scan, ray][:, None]
     nearest.setflags(write=False)
     return nearest
 
 
 # An origin at a box's centre or on its corner divides 0 by 0 (the nan
-# fails the cone's positive test), and one far off the grid may square to
-# inf (a full cast): no warnings.
-@np.errstate(divide="ignore", over="ignore", invalid="ignore")
+# fails the cone's positive test): no warnings.
+@np.errstate(divide="ignore", invalid="ignore")
 def _shell_cast(vmap, origins, dirs, t_cap):
     """The nearest returns of the unit rays `dirs` from each of the (G, 3)
-    grid-unit `origins`, capped at `t_cap` meters: a (G, N) array whose row
-    g holds t for each ray of origin g that hits at its least t, and -1.0
-    for every other ray.  This is the one place that rule is applied: the
-    kernel returns every ray's first hit, and each round here keeps each
-    origin's rays at its least t.  The result is bitwise one
-    `kernels.raycast_batch` call over all G * N rays on the occupied box,
-    cut to each origin's least t.
+    grid-unit `origins` in the grid, capped at the finite `t_cap` meters: a
+    (G, N) array whose row g holds t for each ray of origin g that hits at
+    its least t, and -1.0 for every other ray.  This is the one place that
+    rule is applied: the kernel returns every ray's first hit, and each
+    round here keeps each origin's rays at its least t.  The result is
+    bitwise one `kernels.raycast_batch` call over all G * N rays on the
+    occupied box, cut to each origin's least t.
 
     Each round casts the origins still to do inside a shell of reach R
     voxels: their rays are capped at T = R h meters (h the voxel size), so

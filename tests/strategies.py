@@ -24,6 +24,13 @@ def grid_coordinate(draw, n):
     )
 
 
+@st.composite
+def on_grid_coordinate(draw, n):
+    """On the grid by the map's rule, 0 <= o < n: anywhere, or exactly on a
+    voxel boundary."""
+    return draw(st.one_of(st.floats(0.0, float(n), exclude_max=True), st.integers(0, n - 1).map(float)))
+
+
 direction_component = st.one_of(
     st.just(0.0),
     st.floats(-3.0, 3.0, allow_subnormal=False),

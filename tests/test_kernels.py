@@ -21,7 +21,7 @@ from hypothesis.extra.numpy import arrays
 
 import kernel_reference
 from kernel_reference import raycast_batch_scalar
-from strategies import depth_images, direction_component, grid_coordinate, occupancy_grids, wall_slabs
+from strategies import depth_images, direction_component, occupancy_grids, on_grid_coordinate, wall_slabs
 from surfscan import kernels
 from surfscan.world import VoxelMap, is_collision_free
 
@@ -36,11 +36,11 @@ def random_occ(rng, shape=(20, 20, 10), fill=0.05):
 @st.composite
 def ray_batches(draw):
     occ = draw(occupancy_grids())
-    origin = np.array([draw(grid_coordinate(n)) for n in occ.shape])
+    origin = np.array([draw(on_grid_coordinate(n)) for n in occ.shape])
     n_rays = draw(st.integers(1, 24))
     dirs = draw(arrays(np.float64, (n_rays, 3), elements=direction_component))
-    # Caps shorter than the grid, beyond it, and unbounded.
-    t_cap = draw(st.one_of(st.floats(0.0, 3.0), st.floats(3.0, 60.0), st.just(math.inf)))
+    # Caps shorter than the grid and beyond it.
+    t_cap = draw(st.one_of(st.floats(0.0, 3.0), st.floats(3.0, 60.0)))
     return occ, origin, dirs, t_cap
 
 
@@ -63,15 +63,16 @@ def cast(occ, origin, dirs, t_cap):
 
 
 @given(batch=ray_batches())
-# tdelta = 1 / 2.2e-308 is finite, but the step into the occupied voxel
-# takes the fourth z crossing, which overflows to inf, the right value, and
-# must not warn (RuntimeWarnings fail the suite).
+# tdelta = 1 / 2.2e-308 = 2**1022 is finite; the ray enters the occupied
+# voxel at its third z crossing, 3 * 2**1022, within the largest finite
+# cap.  Its grid exit 4 * 2**1022 and the step's next crossing overflow to
+# inf, the right value, and must not warn (RuntimeWarnings fail the suite).
 @example(
     batch=(
         np.arange(4).reshape(1, 1, 4) == 3,
         np.zeros(3),
         np.array([[0.0, 0.0, 2.2250738585072014e-308]]),
-        math.inf,
+        np.finfo(np.float64).max,
     )
 )
 @PROPERTY
@@ -103,19 +104,20 @@ def test_raycast_early_hit_survives_later_iterations():
 
 
 def test_raycast_tiny_direction_off_grid_emits_no_warning():
-    # Clipping against the grid divides by the direction: a tiny normal
-    # component with the origin off the grid overflows to inf, which is the
-    # right clip parameter (a miss), and must not warn.
+    # The grid exit divides by the direction: a tiny component puts the
+    # exit through that axis' faces far off the grid, and the division
+    # overflows to inf, the right exit parameter, which must not warn.  Ray
+    # 0 moves up y into the occupied voxel; ray 1 moves up z and misses.
     occ = np.zeros((3, 3, 3), dtype=np.bool_)
     occ[0, 2, 1] = True
-    origin = np.array([-4.0, 1.5, 1.5])
-    dirs = np.array([[2.3e-308, 1.0, 0.0], [1.0, 0.25, 0.0]])
+    origin = np.array([0.5, 0.5, 1.5])
+    dirs = np.array([[2.3e-308, 1.0, 0.0], [-2.3e-308, 0.0, 1.0]])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         got = cast(occ, origin, dirs, 10.0)
     ref = raycast_batch_scalar(occ, origin, dirs, 10.0)
     assert same_bits(got, ref)
-    assert got[0] == -1.0 and got[1] > 0.0
+    assert got.tolist() == [1.5, -1.0]
 
 
 def test_kernel_reference_imports_nothing_from_surfscan():
@@ -129,8 +131,8 @@ def test_kernel_reference_imports_nothing_from_surfscan():
 @st.composite
 def boxed_ray_batches(draw):
     """One random occupied sub-block inside a larger empty grid (or an
-    all-empty grid), its occupied box, and rays from outside the box,
-    outside the grid, inside the box or on a padded-box plane."""
+    all-empty grid), its occupied box, and rays from the grid: outside the
+    box, inside it or on a padded-box plane."""
     shape = tuple(draw(st.integers(3, 14)) for _ in range(3))
     occ = np.zeros(shape, dtype=np.bool_)
     if draw(st.integers(0, 5)):
@@ -144,30 +146,27 @@ def boxed_ray_batches(draw):
     box = occupied_box(occ)
     n_rays = draw(st.integers(1, 24))
     dirs = draw(arrays(np.float64, (n_rays, 3), elements=direction_component))
-    origin = np.array([draw(st.floats(0.0, float(n))) for n in shape])
-    where = draw(st.sampled_from(["outside box", "outside grid", "inside box", "padded plane"]))
+    origin = np.array([draw(on_grid_coordinate(n)) for n in shape])
+    where = draw(st.sampled_from(["outside box", "inside box", "padded plane"]))
     axis = draw(st.integers(0, 2))
-    if where == "outside grid":
-        n = shape[axis]
-        origin[axis] = draw(st.one_of(st.floats(-4.0, -1e-3), st.floats(n + 1e-3, n + 4.0)))
-    elif box is None:
+    n = shape[axis]
+    if box is None:
         pass
     elif where == "outside box":
         below, above = float(box[0, axis]), float(box[1, axis])
-        origin[axis] = draw(
-            st.one_of(
-                st.floats(0.0, below, exclude_max=True) if below > 0 else st.nothing(),
-                st.floats(above, float(shape[axis]), exclude_min=True)
-                if above < shape[axis]
-                else st.nothing(),
-                st.just(above + 0.5),
-            )
-        )
+        sides = [st.floats(0.0, below, exclude_max=True)] if below > 0 else []
+        if above < n:
+            sides += [st.floats(above, float(n), exclude_min=True, exclude_max=True), st.just(above + 0.5)]
+        if sides:
+            origin[axis] = draw(st.one_of(sides))
     elif where == "inside box":
-        origin = np.array([draw(st.floats(float(l), float(h))) for l, h in box.T])
+        origin = np.array([draw(st.floats(float(l), float(h), exclude_max=True)) for l, h in box.T])
     else:
-        # On the padded box's face, moving along it or across it.
-        origin[axis] = draw(st.sampled_from([box[0, axis] - 1.0, box[1, axis] + 1.0]))
+        # On a face of the padded box that lies on the grid, moving along
+        # it or across it.
+        faces = [f for f in (box[0, axis] - 1.0, box[1, axis] + 1.0) if 0.0 <= f < n]
+        if faces:
+            origin[axis] = draw(st.sampled_from(faces))
         dirs[::2, axis] = 0.0
     if box is not None and draw(st.booleans()):
         # Aim the odd rays at lattice points on and around the box's
@@ -177,17 +176,19 @@ def boxed_ray_batches(draw):
             corner = [box[draw(st.integers(0, 1)), a] + draw(st.integers(-1, 1)) for a in range(3)]
             scale = draw(st.sampled_from([0.1, 0.3, 1.0 / 3.0, 0.7, 3.0]))
             dirs[r] = (np.array(corner, dtype=np.float64) - origin) * scale
-    t_cap = draw(st.one_of(st.floats(0.0, 3.0), st.floats(3.0, 60.0), st.just(math.inf)))
+    t_cap = draw(st.one_of(st.floats(0.0, 3.0), st.floats(3.0, 60.0)))
     return occ, origin, dirs, t_cap, box
 
 
 def corner_hit():
-    """A ray entering the voxel (1, 2, 1) through its corner at t = 10,
-    where it also leaves the unpadded box's y range."""
-    occ = np.zeros((3, 3, 13), dtype=np.bool_)
-    occ[0:2, 2, 1] = True
-    dirs = np.array([[0.27, -0.31, -0.025]])
-    return occ, np.array([-1.7, 5.1, 2.25]), dirs, 60.0, occupied_box(occ)
+    """A ray crossing an x, a y and a z plane at once, exactly, at the
+    corner (4, 2, 2) at t = 10, where it also leaves the unpadded box's y
+    and z ranges: the DDA steps x first, into the occupied voxel (4, 2, 2),
+    and hits at t = 10."""
+    occ = np.zeros((6, 6, 5), dtype=np.bool_)
+    occ[4, 2, 2] = True
+    dirs = np.array([[0.25, -0.25, -0.125]])
+    return occ, np.array([1.5, 4.5, 3.25]), dirs, 60.0, occupied_box(occ)
 
 
 def long_approach():
@@ -204,12 +205,12 @@ def long_approach():
     hi = np.array([box[1, 0] + 2.0, box[1, 1] + 1.5, box[1, 2] + 2.0])
     targets = lo + rng.random((64, 3)) * (hi - lo)
     dirs = (targets - origin) * rng.choice([0.01, 0.1, 1.0 / 3.0, 1.0], size=(64, 1))
-    return occ, origin, dirs, math.inf, box
+    return occ, origin, dirs, 400.0, box
 
 
 def face_block(high):
     """A block touching the grid's three low faces (or its three high
-    ones), and a fan of 48 rays from beyond the opposite corner aimed at
+    ones), and a fan of 48 rays from the opposite corner voxel aimed at
     and past it: the marched block is clipped at 0 (or at the shape)."""
     rng = np.random.default_rng(11)
     shape = np.array([10, 9, 8])
@@ -218,9 +219,9 @@ def face_block(high):
     occ[lo[0] : lo[0] + 3, lo[1] : lo[1] + 3, lo[2] : lo[2] + 3] = rng.random((3, 3, 3)) < 0.5
     occ[tuple(shape - 1 if high else lo)] = True
     box = occupied_box(occ)
-    origin = np.array([-2.6, -3.1, -1.4]) if high else shape + np.array([3.2, 2.7, 1.1])
+    origin = np.array([0.4, 0.9, 0.6]) if high else shape - np.array([0.8, 0.3, 0.9])
     targets = box[0] - 2.0 + rng.random((48, 3)) * (box[1] - box[0] + 4.0)
-    return occ, origin, targets - origin, math.inf, box
+    return occ, origin, targets - origin, 60.0, box
 
 
 @given(batch=boxed_ray_batches())
@@ -239,12 +240,11 @@ def test_raycast_box_clip_matches_unclipped_scalar_oracle(batch):
 @st.composite
 def multi_origin_batches(draw):
     """A boxed batch's grid, box, cap and origin, joined by up to three more
-    origins inside, outside or on the edge of the grid, with an equal run
-    of rays per origin."""
+    origins elsewhere on the grid, with an equal run of rays per origin."""
     occ, origin, _, t_cap, box = draw(boxed_ray_batches())
     groups = draw(st.integers(1, 4))
     per = draw(st.integers(1, 8))
-    origins = [[draw(grid_coordinate(n)) for n in occ.shape] for _ in range(groups - 1)]
+    origins = [[draw(on_grid_coordinate(n)) for n in occ.shape] for _ in range(groups - 1)]
     origins.insert(draw(st.integers(0, groups - 1)), origin.tolist())
     dirs = draw(arrays(np.float64, (groups * per, 3), elements=direction_component))
     return occ, np.array(origins), dirs, t_cap, box
@@ -408,13 +408,14 @@ def test_raycast_rejects_rays_that_do_not_split_over_the_origins():
 
 
 def skip_out_of_the_grid(row, y, dy):
-    """The ray leaves the grid through y = 4 (row 3) or y = 0 (row 0) at
-    t = 10, where it also meets the padded box (z = 8); the DDA's y
-    crossing comes one rounding earlier, so passing the crossings below the
-    box entry carries the ray out of the grid: a miss, as in the unclipped
-    loop.  Its voxel then lies outside the grid, and the marched block must
-    not grow to hold it."""
-    occ = np.zeros((8, 4, 12), dtype=np.bool_)
+    """The padded box pokes past the grid's face y = 4 (row 3) or y = 0
+    (row 0).  The ray leaves the grid through that face at t = 5 and
+    enters the padded box through z = 8 at t = 10, where it lies off the
+    grid but within the padded box's y range: passing the crossings below
+    the box entry carries it out of the grid, and it misses, as in the
+    unclipped loop.  Its voxel then lies outside the grid, and the marched
+    block must not grow to hold it."""
+    occ = np.zeros((10, 4, 14), dtype=np.bool_)
     occ[4:7, row, 6] = True
     box = occupied_box(occ)
     assert box.tolist() == [[4, row, 6], [7, row + 1, 7]]
@@ -426,57 +427,31 @@ def skip_out_of_the_grid(row, y, dy):
 
 
 def test_raycast_skip_out_of_the_grid_before_the_box_misses():
-    skip_out_of_the_grid(3, 3.5, 0.05)
+    skip_out_of_the_grid(3, 3.5, 0.1)
 
 
 def test_raycast_skip_out_of_the_grid_through_a_low_face_misses():
-    skip_out_of_the_grid(0, 10 * 0.18, -0.18)
+    skip_out_of_the_grid(0, 0.5, -0.1)
 
 
-def test_raycast_entering_with_a_tmax_below_t_does_not_skip():
-    # The ray enters the solid grid through x = 0 at t = 14 / 0.3, its exit
-    # time through y = 4, where it lies one rounding past y = 4: its y
-    # crossing comes one rounding before t.  The padded box's face x = -1
-    # is less than a rounding of t away, so the ray enters the box at t as
-    # well.  Only rays with t below their box entry skip: skipping this one
-    # would pass that y crossing, out of the grid, and lose the hit at t.
-    occ = np.ones((3, 4, 3), dtype=np.bool_)
-    t_in = (4.0 + 10.0) / 0.3
-    assert -10.0 + 0.3 * t_in > 4.0
-    origin = np.array([-t_in * 2.0**52, -10.0, 1.5])
-    dirs = np.array([[2.0**52, 0.3, 0.0]])
-    got = kernels.raycast_batch(occ, origin, dirs, 100.0, box=occupied_box(occ))
-    assert got.tolist() == [t_in]
-    assert same_bits(got, raycast_batch_scalar(occ, origin, dirs, 100.0))
-
-
-@pytest.mark.parametrize("x, dx", [(0.5, 2.3e-308), (15.5, -2.3e-308)])
-def test_raycast_uncapped_tiny_direction_walks_into_the_box_from_afar(x, dx):
-    # 5.5 / dx overflows, so the ray enters the padded box (x in [6, 10]) at
-    # t = inf and skips nothing: uncapped, the DDA walks it from its first
-    # voxel, more than five voxels outside the padded box, into the occupied
-    # one at t = inf.
-    occ = np.zeros((16, 3, 3), dtype=np.bool_)
-    occ[7:9, 1, 1] = True
-    origin = np.array([x, 1.5, 1.5])
-    dirs = np.array([[dx, 0.0, 0.0]])
-    got = kernels.raycast_batch(occ, origin, dirs, math.inf, box=occupied_box(occ))
-    assert same_bits(got, raycast_batch_scalar(occ, origin, dirs, math.inf))
-    assert got.tolist() == [math.inf]
-
-
-def test_raycast_zero_direction_keeps_its_uncapped_walk_into_the_box():
-    # Outside the padded box on x with a zero direction the ray never meets
-    # the box, but uncapped the DDA walks it down x at t = inf into an
-    # occupied voxel; the clip keeps that result.
-    occ = np.zeros((9, 3, 3), dtype=np.bool_)
-    occ[1, 1, 1] = True
-    origin = np.array([7.5, 1.5, 1.5])
-    dirs = np.zeros((1, 3))
-    for t_cap in (5.0, math.inf):
-        got = kernels.raycast_batch(occ, origin, dirs, t_cap, box=occupied_box(occ))
-        assert same_bits(got, raycast_batch_scalar(occ, origin, dirs, t_cap))
-    assert got.tolist() == [math.inf]
+@pytest.mark.parametrize(
+    "origin, t_cap, match",
+    [
+        ((2.0, 2.0, 2.0), math.inf, "t_cap must be finite"),
+        ((2.0, 2.0, 2.0), math.nan, "t_cap must be finite"),
+        ((-0.5, 2.0, 2.0), 5.0, "in the grid"),
+        ((2.0, 4.5, 2.0), 5.0, "in the grid"),
+        ((2.0, 2.0, math.nan), 5.0, "in the grid"),
+    ],
+)
+def test_raycast_kernels_take_origins_in_the_grid_and_finite_caps(origin, t_cap, match):
+    # Every ray starts at t = 0 in the grid and stops at a finite cap: both
+    # kernels refuse anything else.
+    occ = np.ones((4, 4, 4), dtype=np.bool_)
+    with pytest.raises(ValueError, match=match):
+        kernels.raycast_batch(occ, np.array(origin), np.ones((1, 3)), t_cap, box=occupied_box(occ))
+    with pytest.raises(ValueError, match=match):
+        level_frame(occ, np.array(origin), np.array([[1.0, 0.5]]), np.array([0.0]), t_cap)
 
 
 @given(

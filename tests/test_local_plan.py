@@ -242,6 +242,22 @@ def test_prediction_truncates_without_surface():
     assert 1 <= len(path) < 5
 
 
+def test_prediction_truncates_at_a_pose_off_the_map():
+    # The wall spans the map's 1.2 m width in y: the first sweep step toward
+    # +y puts the next pose past the map's edge, where a scan sees nothing,
+    # so the prediction ends there.  On a map wide enough to hold the
+    # sweep, the same prediction runs to the end of its guide.
+    odom = ViewPose4(4.0, 0.0, 0.6)
+    guide = guide_line(4.0, SPACING_H, 3, SPACING_H)
+    wall = [Box((6.0, -7.0, 0.0), (6.4, 9.0, 2.4))]
+    narrow = VoxelMap.from_boxes(wall, 0.1, bounds=((-1.0, -0.6, 0.0), (10.0, 0.6, 2.4)))
+    path, short = predict(odom, narrow, guide, BANDED)
+    assert short and len(path) == 1 and not narrow.contains(path[0].position)
+    wide = VoxelMap.from_boxes(wall, 0.1, bounds=((-1.0, -7.0, 0.0), (10.0, 9.0, 2.4)))
+    path, short = predict(odom, wide, guide, BANDED)
+    assert not short and len(path) == 3
+
+
 def test_prediction_errors_when_blind():
     vmap = VoxelMap.empty((0, 0, 0), (5, 5, 2), 0.1)
     with pytest.raises(NoSurfaceError):

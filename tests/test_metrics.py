@@ -4,11 +4,11 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from kernel_reference import normals_from_depth_scalar, pixel_rays, raycast_batch_scalar
-from strategies import depth_images, grid_coordinate, occupancy_grids
+from strategies import depth_images, occupancy_grids, on_grid_coordinate
 from surfscan import kernels, metrics
 from surfscan.geometry import NoSurfaceError, PathSegment, ViewPose4, nearest_point
 from surfscan.metrics import (
@@ -199,7 +199,8 @@ def test_viewing_distance_is_nearest_point_per_scan(data):
     occ = data.draw(occupancy_grids())
     vmap = VoxelMap(np.array([-7.3, 120.1, 0.35]), 0.25, occ)
     count = data.draw(st.integers(1, 4))
-    positions = vmap.origin + 0.25 * np.array([[data.draw(grid_coordinate(n)) for n in occ.shape] for _ in range(count)])
+    positions = vmap.origin + 0.25 * np.array([[data.draw(on_grid_coordinate(n)) for n in occ.shape] for _ in range(count)])
+    assume(all(map(vmap.contains, positions)))
     max_range = data.draw(st.one_of(st.floats(0.05, 3.0), st.just(50.0)))
     rays = data.draw(st.integers(1, 300))
     nearest = sample_cloud(vmap, positions, max_range, rays)

@@ -1,17 +1,19 @@
 """End-to-end mission behaviors beyond the acceptance scenarios."""
 
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from surfscan import world
+from surfscan import kernels, world
 from surfscan.geometry import NoSurfaceError, PolygonROI, ViewPose4, wrap_angle
 from surfscan.global_plan import InspectionTask, ViewConstraints
 from surfscan.metrics import viewing_distance, viewpoint_utility
 from surfscan.mission import MissionRunner
 from surfscan.scenario import MapSpec, ScenarioConfig, demo_scenario
 from surfscan.world import Box
+from test_world import assert_casts_stay_on_the_grid
 
 
 def task(id, vertices):
@@ -59,6 +61,16 @@ def test_demo_robots_stay_on_the_map_in_free_voxels(demo, mode):
     for r in result.log:
         assert vmap.contains((r.x, r.y, r.z))
         assert not vmap.occ[tuple(np.floor(vmap.world_to_grid((r.x, r.y, r.z))).astype(int))]
+
+
+def test_receding_demo_scans_cast_from_the_grid_with_finite_caps():
+    # Every range-scan ray of the mission starts at t = 0 inside the grid,
+    # 0 <= o < n per axis, and stops at a finite cap.
+    runner = MissionRunner(demo_scenario("receding"))
+    with mock.patch.object(kernels, "raycast_batch", wraps=kernels.raycast_batch) as cast:
+        assert runner.run().status == "completed"
+    assert cast.call_count > 0
+    assert_casts_stay_on_the_grid(runner.scene.current, cast)
 
 
 def test_unchanged_scene_computes_clearance_once(monkeypatch):

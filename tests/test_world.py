@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from scipy import ndimage
 
 from kernel_reference import nearest_only, pixel_rays, raycast_batch_scalar
-from strategies import direction_component, grid_coordinate, occupancy_grids, wall_slabs
+from strategies import direction_component, grid_coordinate, occupancy_grids, on_grid_coordinate, wall_slabs
 from surfscan import kernels, world
 from surfscan.geometry import ViewPose4
 from surfscan.world import (
@@ -63,19 +63,18 @@ def test_load_map_planar_grid(tmp_path):
 
 
 def voxelized_in_one_pass(points, vmap):
-    """The voxels of `points` on `vmap`'s grid, from one fancy index over
-    all of them, as map loading computed them before it went block by
-    block."""
+    """The voxels of the points of `points` on `vmap`'s grid, from one
+    fancy index over all of them; the points off the grid are dropped."""
     occ = np.zeros(vmap.shape, dtype=bool)
     idx = np.floor((points - vmap.origin) / vmap.voxel_size).astype(int)
-    idx = np.clip(idx, 0, np.array(occ.shape) - 1)
+    idx = idx[((idx >= 0) & (idx < occ.shape)).all(axis=1)]
     occ[idx[:, 0], idx[:, 1], idx[:, 2]] = True
     return occ
 
 
 @pytest.mark.parametrize("count", [1, 65536, 65537, 140001])
 def test_load_map_in_blocks_matches_one_pass(count, tmp_path):
-    # Points inside and outside the bounds (those are clipped), on either
+    # Points inside and outside the bounds (those are dropped), on either
     # side of a block boundary, written with every bit of each coordinate.
     points = np.random.default_rng(count).uniform(-2.0, 12.0, (count, 3))
     f = tmp_path / "survey.xyz"
@@ -83,6 +82,16 @@ def test_load_map_in_blocks_matches_one_pass(count, tmp_path):
     assert np.array_equal(load_xyz(f), points)
     vmap = load_map(f, 0.05, ((0.0, 0.0, 0.0), (10.0, 8.0, 3.0)))
     assert np.array_equal(vmap.occ, voxelized_in_one_pass(points, vmap))
+
+
+def test_load_map_drops_points_off_a_bounded_grid(tmp_path):
+    # Past each face, on the far faces (off the map by its rule) and too far
+    # for an int64 index: all dropped, without a warning, and no edge voxel
+    # is marked for them.
+    f = tmp_path / "survey.xyz"
+    f.write_text("5.05 4.05 1.05\n-0.01 1 1\n10 1 1\n1 8 1\n1 1 3\n1 -1e300 1\n1e300 1 1\n")
+    vmap = load_map(f, 0.1, ((0.0, 0.0, 0.0), (10.0, 8.0, 3.0)))
+    assert np.argwhere(vmap.occ).tolist() == [[50, 40, 10]]
 
 
 def test_load_xyz_reports_line_number(tmp_path):
@@ -485,8 +494,9 @@ def test_sample_cloud_nearest_matches_full_cloud(data):
     voxel_size = data.draw(st.sampled_from([0.1, 0.25, 1.0]))
     origin = np.array(data.draw(st.sampled_from([(0.0, 0.0, 0.0), (-7.3, 120.1, 0.35)])))
     vmap = VoxelMap(origin, voxel_size, occ)
-    g = np.array([data.draw(grid_coordinate(n)) for n in occ.shape])
+    g = np.array([data.draw(on_grid_coordinate(n)) for n in occ.shape])
     pos = origin + g * voxel_size
+    assume(vmap.contains(pos))  # not when the sum rounds onto the far edge
     max_range = data.draw(st.one_of(st.floats(0.05, 3.0), st.just(50.0)))
     assert_nearest_rows(vmap, [pos], max_range, data.draw(st.integers(1, 300)))
 
@@ -528,7 +538,8 @@ def assert_scans_equal_single_scans(vmap, positions, max_range, ray_count):
 
 def test_multi_origin_scans_equal_single_scans(wall_map):
     # In front of the face, at its edge and corner, inside the slab, beyond
-    # the range, outside the grid and in the box room's rounding-tie centre.
+    # the range, on the grid's low corner and in the box room's
+    # rounding-tie centre.
     positions = np.array(
         [
             [4.0, 0.0, 0.6],
@@ -536,17 +547,17 @@ def test_multi_origin_scans_equal_single_scans(wall_map):
             [4.0, 5.5, 1.2],
             [6.2, 0.0, 1.2],
             [-0.9, 6.9, 0.05],
-            [-3.0, 0.0, 1.2],
+            [-1.0, -7.0, 0.0],
             [8.7, 2.0, 1.7],
         ]
     )
     positions = np.vstack([positions, np.random.default_rng(5).uniform((-1, -7, 0), (10, 7, 2.4), (9, 3))])
     for max_range, rays in ((8.0, 512), (12.0, 2048), (1.0, 300)):
         assert_scans_equal_single_scans(wall_map, positions, max_range, rays)
-    # A 1 m range from 2 m in front of the face sees nothing, from a point
-    # outside the grid neither.
+    # A 1 m range from 2 m in front of the face sees nothing, from the
+    # grid's low corner neither.
     assert np.isnan(sample_cloud(wall_map, positions[[0, 5]], 1.0, 512)).all()
-    assert_scans_equal_single_scans(box_room(2.4), np.array([[2.2, 2.2, 1.2], [9.0, 2.2, 1.2]]), 10.0, 2048)
+    assert_scans_equal_single_scans(box_room(2.4), np.array([[2.2, 2.2, 1.2], [1.0, 3.1, 0.7]]), 10.0, 2048)
 
 
 @given(data=st.data())
@@ -555,9 +566,59 @@ def test_multi_origin_scans_equal_single_scans_on_random_grids(data):
     occ = data.draw(occupancy_grids())
     vmap = VoxelMap(np.array([-7.3, 120.1, 0.35]), 0.25, occ)
     count = data.draw(st.integers(1, 4))
-    positions = vmap.origin + 0.25 * np.array([[data.draw(grid_coordinate(n)) for n in occ.shape] for _ in range(count)])
+    positions = vmap.origin + 0.25 * np.array([[data.draw(on_grid_coordinate(n)) for n in occ.shape] for _ in range(count)])
+    assume(all(map(vmap.contains, positions)))
     max_range = data.draw(st.one_of(st.floats(0.05, 3.0), st.just(50.0)))
     assert_scans_equal_single_scans(vmap, positions, max_range, data.draw(st.integers(1, 300)))
+
+
+def assert_off_map_scans_see_nothing(vmap, positions, max_range, ray_count):
+    """One scan from each of `positions`: the rows of those off the map are
+    NaN, and those of the others bit for bit their scans alone.  Every
+    kernel call casts from origins in the grid with a finite cap, and none
+    is made for the positions off the map."""
+    with mock.patch.object(kernels, "raycast_batch", wraps=kernels.raycast_batch) as cast:
+        got = sample_cloud(vmap, positions, max_range, ray_count)
+    assert_casts_stay_on_the_grid(vmap, cast)
+    on_map = [vmap.contains(p) for p in positions]
+    assert not cast.called or any(on_map)
+    for pos, row, on in zip(positions, got, on_map):
+        assert same_bits(row, sample_cloud(vmap, [pos], max_range, ray_count)[0]) if on else np.isnan(row).all()
+    return got
+
+
+def assert_casts_stay_on_the_grid(vmap, cast):
+    """Every call of the `kernels.raycast_batch` spy `cast` took origins in
+    the grid, 0 <= o < n per axis, and a finite cap."""
+    for call in cast.call_args_list:
+        origins, t_cap = np.reshape(call.args[1], (-1, 3)), call.args[3]
+        assert ((origins >= 0.0) & (origins < vmap.shape)).all() and math.isfinite(t_cap)
+
+
+def test_scans_from_off_the_map_see_nothing(wall_map):
+    # Two on the map, and the others past each of its faces (on the far x
+    # and y edges too) or far off it, in one batch and alone.
+    positions = np.array(
+        [[4.0, 0.0, 1.2], [-1.01, 0.0, 1.2], [10.0, 0.0, 1.2], [4.0, -7.2, 1.2], [4.0, 7.0, 1.2], [4.0, 0.0, -0.01]]
+        + [[4.0, 0.0, 2.41], [-40.0, 0.0, 1.2], [5.9, 4.0, 0.1], [1e300, 0.0, 0.0]]
+    )
+    got = assert_off_map_scans_see_nothing(wall_map, positions, 12.0, 512)
+    assert np.isfinite(got[[0, 8]]).all() and np.isnan(np.delete(got, [0, 8], axis=0)).all()
+    with mock.patch.object(kernels, "raycast_batch", wraps=kernels.raycast_batch) as cast:
+        assert np.isnan(sample_cloud(wall_map, positions[1:8], 12.0, 512)).all()
+    assert not cast.called
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_scans_from_off_the_map_see_nothing_on_random_grids(data):
+    occ = data.draw(occupancy_grids())
+    vmap = VoxelMap(np.array([-7.3, 120.1, 0.35]), 0.25, occ)
+    count = data.draw(st.integers(1, 4))
+    positions = vmap.origin + 0.25 * np.array([[data.draw(grid_coordinate(n)) for n in occ.shape] for _ in range(count)])
+    event("mixed" if len({vmap.contains(p) for p in positions}) == 2 else "one side")
+    max_range = data.draw(st.one_of(st.floats(0.05, 3.0), st.just(50.0)))
+    assert_off_map_scans_see_nothing(vmap, positions, max_range, data.draw(st.integers(1, 300)))
 
 
 def test_multi_origin_scans_on_an_empty_map_are_empty():
@@ -577,13 +638,12 @@ def test_scans_reject_a_range_or_ray_count_that_returns_nothing(wall_map, max_ra
         sample_cloud(wall_map, [[4.0, 0.0, 1.2]], max_range, rays)
 
 
-def test_scans_cast_with_an_infinite_range(wall_map):
-    pos = np.array([[4.0, 0.0, 1.2]])
-    infinite, finite = (sample_cloud(wall_map, pos, r, 256) for r in (math.inf, 12.0))
-    assert same_bits(infinite, finite) and np.isfinite(finite).all()
-    dirs = fibonacci_directions(256)
-    t_inf, t_12 = (_shell_cast(wall_map, wall_map.world_to_grid(pos), dirs, r) for r in (math.inf, 12.0))
-    assert same_bits(t_inf, t_12) and (t_12 >= 0.0).any()
+@pytest.mark.parametrize("max_range", [math.inf, math.nan])
+def test_scans_reject_a_range_that_is_not_finite(wall_map, max_range):
+    # A scan's range is finite, as the camera's is: the kernel's rays start
+    # at t = 0 in the grid and stop at a finite cap.
+    with pytest.raises(ValueError, match="positive and finite"):
+        sample_cloud(wall_map, [[4.0, 0.0, 1.2]], max_range, 256)
 
 
 def test_sensor_outputs_are_read_only_arrays(wall_map):
@@ -711,9 +771,9 @@ def test_shell_scan_past_a_thin_post_the_rays_miss(wall_map):
 
 
 def test_shell_scan_mixes_a_near_and_a_far_origin(wall_map):
-    # 0.3 m and 10 m from the face in one batch: one shell, capped at the
-    # far origin's reach, serves both.
-    t, nearest, casts = shell_scan(wall_map, [[5.7, 0.0, 1.2], [-4.0, 0.0, 1.2]], 12.0, 2048)
+    # 0.3 m and 6.9 m from the face in one batch, the far one at the grid's
+    # low x edge: one shell, capped at the far origin's reach, serves both.
+    t, nearest, casts = shell_scan(wall_map, [[5.7, 0.0, 1.2], [-0.9, 0.0, 1.2]], 12.0, 2048)
     assert (t >= 0.0).sum(axis=1).tolist() == [1, 1]
     assert nearest[0, 0] == 6.0 and nearest[1, 0] == pytest.approx(6.0)
     assert shell_regime(casts, 12.0) == "first"
@@ -757,27 +817,28 @@ def checked_shell_cast(occ, voxel_size, origins, dirs, t_cap):
 
 @st.composite
 def unit_ray_batches(draw):
-    """A random grid with an occupied voxel, a voxel size, 1-3 origins in
-    grid units, up to 24 unit rays (axis-aligned ones among them) and a
-    range."""
+    """A random grid with an occupied voxel, a voxel size, 1-3 origins on
+    the grid in grid units, up to 24 unit rays (axis-aligned ones among
+    them) and a range."""
     occ = draw(occupancy_grids())
     occ.flat[draw(st.integers(0, occ.size - 1))] = True
-    origins = [[draw(grid_coordinate(n)) for n in occ.shape] for _ in range(draw(st.integers(1, 3)))]
+    origins = [[draw(on_grid_coordinate(n)) for n in occ.shape] for _ in range(draw(st.integers(1, 3)))]
     raw = draw(arrays(np.float64, (draw(st.integers(1, 24)), 3), elements=direction_component))
     raw[np.abs(raw).max(axis=1) < 0.1] = (0.0, 0.0, -1.0)
     dirs = raw / np.sqrt((raw * raw).sum(axis=1))[:, None]
-    t_cap = draw(st.one_of(st.floats(0.05, 3.0), st.floats(3.0, 60.0), st.just(math.inf)))
+    t_cap = draw(st.one_of(st.floats(0.05, 3.0), st.floats(3.0, 60.0)))
     return occ, draw(st.sampled_from([0.25, 1.0])), origins, dirs, t_cap
 
 
-# A subnormal direction component: the oracle's own divisions overflow to
-# the intended inf, which must not warn (RuntimeWarnings fail the suite).
+# A subnormal direction component: the grid exit 4 / 2**-1022 and the
+# oracle's own divisions overflow to the intended inf, which must not warn
+# (RuntimeWarnings fail the suite).
 TINY_Y = np.array([[1.0, 2.2250738585072014e-308, 0.0]])
 
 
 @given(batch=unit_ray_batches())
 @example(batch=(np.arange(4).reshape(1, 4, 1) == 0, 1.0, [[0.0, 0.0, 0.0]], TINY_Y, 1.0))
-@example(batch=(np.arange(4).reshape(1, 4, 1) == 0, 1.0, [[0.0, 4.0, 0.0], [0.0, 0.0, 0.0]], TINY_Y, 1.0))
+@example(batch=(np.arange(4).reshape(1, 4, 1) == 0, 1.0, [[0.0, 3.5, 0.0], [0.0, 0.0, 0.0]], TINY_Y, 1.0))
 @settings(max_examples=150, deadline=None)
 def test_shell_cast_matches_the_filtered_scalar_oracle(batch):
     checked_shell_cast(*batch)
@@ -826,7 +887,7 @@ def test_shell_cast_keeps_each_origin_to_its_own_least_t(near_first):
 @st.composite
 def shell_scenes(draw):
     """(occupancy, voxel size, positions, range, rays): a random grid or a
-    roof over a floor, with 1-4 positions in the grid, off it, next to an
+    roof over a floor, with 1-4 positions on the grid, anywhere, next to an
     occupied voxel or under the roof, in grid units."""
     if draw(st.booleans()):
         occ = draw(occupancy_grids())
@@ -840,12 +901,13 @@ def shell_scenes(draw):
         kind = draw(st.sampled_from(["anywhere", "next to", "under"]))
         if kind == "next to" and filled.size:
             voxel = filled[draw(st.integers(0, len(filled) - 1))]
-            positions.append([v + draw(st.floats(-1.5, 2.5)) for v in voxel])
+            offsets = (st.floats(max(-1.5, -float(v)), min(2.5, float(n - v)), exclude_max=True) for v, n in zip(voxel, occ.shape))
+            positions.append([v + draw(offset) for v, offset in zip(voxel, offsets)])
         elif kind == "under":
             nx, ny, nz = occ.shape
-            positions.append([draw(st.floats(0.0, nx)), draw(st.floats(0.0, ny)), draw(st.floats(nz / 4, nz * 3 / 4))])
+            positions.append([draw(on_grid_coordinate(nx)), draw(on_grid_coordinate(ny)), draw(st.floats(nz / 4, nz * 3 / 4))])
         else:
-            positions.append([draw(grid_coordinate(n)) for n in occ.shape])
+            positions.append([draw(on_grid_coordinate(n)) for n in occ.shape])
     max_range = draw(st.one_of(st.floats(0.05, 3.0), st.just(50.0)))
     return occ, draw(st.sampled_from([0.1, 0.25, 1.0])), np.array(positions), max_range, draw(st.integers(1, 300))
 
@@ -864,7 +926,9 @@ SLAB[7:] = True
 def test_shell_scans_equal_the_full_cast(scene):
     occ, voxel_size, grid_positions, max_range, rays = scene
     vmap = VoxelMap(np.array([-7.3, 120.1, 0.35]), voxel_size, occ)
-    _, _, casts = shell_scan(vmap, vmap.origin + grid_positions * voxel_size, max_range, rays)
+    positions = vmap.origin + grid_positions * voxel_size
+    assume(all(map(vmap.contains, positions)))
+    _, _, casts = shell_scan(vmap, positions, max_range, rays)
     event(shell_regime(casts, max_range))
 
 
